@@ -5,8 +5,8 @@ Covers the end-to-end ``run_alias_resolution`` path for all three sources
 isolation, a head-to-head against the seed's nine-pass structure (six
 per-(protocol, family) groupings plus three dual-stack passes, re-extracting
 identifiers along the way), and the headline columnar race: the interned
-columnar core — serial and shared-memory parallel — against the PR-5
-dict-backed core (:class:`~repro.core.dictcore.DictObservationIndex`).
+columnar core against the PR-5 dict-backed core
+(:class:`~repro.core.dictcore.DictObservationIndex`).
 The extraction-count assertions prove the engine extracts each
 observation's identifier exactly once, where the nine-pass layout extracts
 each twice.
@@ -23,7 +23,6 @@ Add ``--bench-json DIR`` to record the measurements into
 import os
 import time
 
-from repro.api.parallel import build_index_parallel, last_build_stats
 from repro.core.alias_resolution import AliasResolver
 from repro.core.dictcore import DictObservationIndex
 from repro.core.dual_stack import infer_dual_stack, union_dual_stack
@@ -38,14 +37,13 @@ from repro.core.pipeline import run_alias_resolution
 from repro.net.addresses import AddressFamily
 
 #: Minimum *dict-core* build time before the columnar speedup assertion
-#: arms, following the repo-wide convention: below it, fixed process-pool
-#: overhead dominates the parallel leg and the race measures startup
-#: rather than the index pass.  Raise REPRO_BENCH_SCALE (≥ 2.0) on a
-#: multi-core machine to arm it.
+#: arms, following the repo-wide convention: below it, fixed per-call
+#: overhead dominates and the race measures startup rather than the index
+#: pass.  Raise REPRO_BENCH_SCALE (≥ 2.0) on a multi-core machine to arm it.
 _SPEEDUP_FLOOR_SECONDS = 0.5
 
-#: Required speedup of the columnar build (best of serial and parallel)
-#: over the PR-5 dict core once the race arms.
+#: Required speedup of the columnar build over the PR-5 dict core once the
+#: race arms.
 _REQUIRED_SPEEDUP = 5.0
 
 
@@ -136,16 +134,15 @@ def bench_index_build(benchmark, scenario, bench_json):
 
 
 def bench_columnar_vs_dict_core(benchmark, scenario, bench_json):
-    """The headline race: columnar core (serial + parallel) vs the PR-5 dict core.
+    """The headline race: the columnar core vs the PR-5 dict core.
 
     Derived reports must be byte-identical (by :func:`report_signature`)
     whichever core built the index; the ≥5x wall-clock assertion arms under
     the repo convention — ≥2 CPUs and a dict-core serial build slow enough
-    (≥0.5 s) that fixed pool overhead is amortised.
+    (≥0.5 s) that fixed overhead is amortised.
     """
     observations = _observations(scenario, "union")
     cpus = os.cpu_count() or 1
-    workers = min(4, max(2, cpus))
     rounds = 3
 
     dict_time = min(
@@ -154,13 +151,7 @@ def bench_columnar_vs_dict_core(benchmark, scenario, bench_json):
     columnar_serial_time = min(
         _timed(lambda: ObservationIndex.build(observations)) for _ in range(rounds)
     )
-    columnar_parallel_time = min(
-        _timed(lambda: build_index_parallel(observations, workers=workers))
-        for _ in range(rounds)
-    )
-    transport = last_build_stats().transport
-    best_columnar = min(columnar_serial_time, columnar_parallel_time)
-    speedup = dict_time / best_columnar if best_columnar else float("inf")
+    speedup = dict_time / columnar_serial_time if columnar_serial_time else float("inf")
 
     # Byte-identical derived reports, whichever core built the index.
     engine = ResolutionEngine()
@@ -171,18 +162,11 @@ def bench_columnar_vs_dict_core(benchmark, scenario, bench_json):
         report_signature(engine.report(ObservationIndex.build(observations), name="union"))
         == dict_report
     )
-    assert (
-        report_signature(
-            engine.report(build_index_parallel(observations, workers=workers), name="union")
-        )
-        == dict_report
-    )
 
     print()
     print(
-        f"dict core {1000 * dict_time:.1f} ms vs columnar serial "
-        f"{1000 * columnar_serial_time:.1f} ms / parallel({workers}, {transport}) "
-        f"{1000 * columnar_parallel_time:.1f} ms — {speedup:.2f}x over "
+        f"dict core {1000 * dict_time:.1f} ms vs columnar "
+        f"{1000 * columnar_serial_time:.1f} ms — {speedup:.2f}x over "
         f"{len(observations)} observations on {cpus} CPU(s)"
     )
     bench_json.record(
@@ -190,11 +174,8 @@ def bench_columnar_vs_dict_core(benchmark, scenario, bench_json):
         "columnar_vs_dict_core",
         observations=len(observations),
         cpus=cpus,
-        workers=workers,
-        transport=transport,
         dict_seconds=dict_time,
         columnar_serial_seconds=columnar_serial_time,
-        columnar_parallel_seconds=columnar_parallel_time,
         speedup=speedup,
         asserted=cpus >= 2 and dict_time >= _SPEEDUP_FLOOR_SECONDS,
     )

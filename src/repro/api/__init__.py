@@ -15,7 +15,6 @@ Submodules:
   sources, combinators, and the pluggable source registries.
 * :mod:`repro.api.plan` — multi-vantage :class:`ScanPlan` execution over one
   shared observation index.
-* :mod:`repro.api.parallel` — sharded parallel index build.
 * :mod:`repro.api.experiments` — the ``@experiment`` registry behind the
   runner and the CLI.
 * :mod:`repro.api.session` — the :class:`ReproSession` facade tying it all
@@ -35,7 +34,6 @@ from repro.api.experiments import (
     get_experiment,
     register_experiment,
 )
-from repro.api.parallel import build_index_parallel, resolve_parallel, shard_observations
 from repro.api.plan import Coverage, PlanResult, ScanPlan, VantageSpec
 from repro.api.registry import Registry, RegistryEntry
 from repro.api.session import ReproSession, repro_session
@@ -93,7 +91,6 @@ __all__ = [
     "ValidationReport",
     "ValidatorSpec",
     "VantageSpec",
-    "build_index_parallel",
     "concat",
     "experiment",
     "file_source",
@@ -105,8 +102,6 @@ __all__ = [
     "register_source",
     "register_validator",
     "repro_session",
-    "resolve_parallel",
-    "shard_observations",
     "source_kind",
     "standard_ports",
     "union_of",

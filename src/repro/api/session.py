@@ -27,7 +27,6 @@ from typing import TYPE_CHECKING, Iterable, Iterator
 
 from repro import obs
 from repro.api.config import ScenarioConfig
-from repro.api.parallel import resolve_parallel
 from repro.api.plan import PlanResult, ScanPlan, run_scan_plan
 from repro.api.sources import (
     DEFAULT_VANTAGE_ADDRESS,
@@ -180,14 +179,8 @@ class ReproSession:
         self,
         source: str | SourceSpec,
         name: str | None = None,
-        workers: int = 1,
     ) -> AliasReport:
-        """Alias-resolution report over one source composition (cached).
-
-        ``workers > 1`` builds the observation index across worker
-        processes (:mod:`repro.api.parallel`); the report is identical
-        either way, so the cache does not key on it.
-        """
+        """Alias-resolution report over one source composition (cached)."""
         spec = self._report_spec(source)
         if name is None:
             name = source if isinstance(source, str) else self._default_name(spec)
@@ -195,16 +188,10 @@ class ReproSession:
         if key not in self._reports:
             if obs.is_enabled():
                 obs.add("session.cache", 1, kind="report", outcome="miss")
-            with obs.span("session.report", name=name, workers=workers):
-                observations = self._stream(spec)
-                if workers > 1:
-                    self._reports[key] = resolve_parallel(
-                        list(observations), name=name, workers=workers, options=self.options
-                    )
-                else:
-                    self._reports[key] = run_alias_resolution(
-                        observations, name=name, options=self.options
-                    )
+            with obs.span("session.report", name=name):
+                self._reports[key] = run_alias_resolution(
+                    self._stream(spec), name=name, options=self.options
+                )
         else:
             if obs.is_enabled():
                 obs.add("session.cache", 1, kind="report", outcome="hit")

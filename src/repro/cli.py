@@ -6,8 +6,8 @@ The CLI mirrors how the paper's artifacts would be used in practice:
   campaigns for any registered observation source, writing datasets to
   disk (``--list-sources`` enumerates the source registry).
 * ``repro resolve`` — run alias resolution and dual-stack inference over
-  one or more observation datasets (``--workers`` shards the index build
-  across processes) and write alias sets plus a markdown report.
+  one or more observation datasets and write alias sets plus a markdown
+  report.
 * ``repro experiments`` — regenerate registered tables and figures
   (``--list`` enumerates the experiment registry).
 * ``repro claims`` — evaluate the headline claims (the EXPERIMENTS.md table).
@@ -37,7 +37,7 @@ and experiments resolve through registries, so registering a new source or
 experiment makes it available here without touching this module.
 
 Every data-generating subcommand takes ``--scale`` (default 1.0), the
-multiplier on the simulated Internet's device counts: 1.0 yields a few
+positive multiplier on the simulated Internet's device counts: 1.0 yields a few
 tens of thousands of addresses — every distributional result at laptop
 scale — while smaller values trade fidelity for speed (e.g. 0.1 for smoke
 tests).  Run ``python -m repro --help`` for details.
@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -66,12 +67,10 @@ from repro.analysis.validation import (
 )
 from repro.api.config import ScenarioConfig
 from repro.api.experiments import all_experiments, get_experiment
-from repro.api.parallel import build_index_parallel
 from repro.api.plan import ScanPlan
 from repro.api.session import ReproSession
 from repro.api.sources import SOURCES
 from repro.core.engine import ResolutionEngine
-from repro.core.pipeline import run_alias_resolution
 from repro.devtools.cli import add_lint_parser, run_lint
 from repro.errors import DatasetError, RegistryError
 from repro.experiments import runner
@@ -99,10 +98,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Protocol-centric alias resolution and dual-stack inference (IMC 2023 reproduction)",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
+    scenario = _scenario_parser()
 
-    scan = subparsers.add_parser("scan", help="simulate the Internet and run the measurement campaigns")
-    scan.add_argument("--scale", type=float, default=1.0, help="topology scale factor (default 1.0)")
-    scan.add_argument("--seed", type=int, default=42, help="scenario seed (default 42)")
+    scan = subparsers.add_parser(
+        "scan", parents=[scenario], help="simulate the Internet and run the measurement campaigns"
+    )
     scan.add_argument("--output", type=Path, default=None, help="directory for the observation datasets")
     scan.add_argument(
         "--sources",
@@ -123,21 +123,15 @@ def build_parser() -> argparse.ArgumentParser:
     resolve.add_argument("--output", type=Path, required=True, help="directory for alias sets and report")
     resolve.add_argument("--name", default="resolved", help="name of the combined dataset")
     resolve.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="worker processes for the sharded index build (default 1 = serial)",
-    )
-    resolve.add_argument(
         "--stats",
         action="store_true",
-        help="print index build statistics (counts, interned table sizes, build path)",
+        help="print index build statistics (counts, interned table sizes)",
     )
     _add_metrics_flag(resolve)
 
-    experiments = subparsers.add_parser("experiments", help="regenerate the paper's tables and figures")
-    experiments.add_argument("--scale", type=float, default=1.0)
-    experiments.add_argument("--seed", type=int, default=42)
+    experiments = subparsers.add_parser(
+        "experiments", parents=[scenario], help="regenerate the paper's tables and figures"
+    )
     experiments.add_argument(
         "--only",
         nargs="*",
@@ -151,16 +145,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="list the registered experiments and exit",
     )
 
-    claims = subparsers.add_parser("claims", help="evaluate the paper's headline claims")
-    claims.add_argument("--scale", type=float, default=1.0)
-    claims.add_argument("--seed", type=int, default=42)
+    subparsers.add_parser(
+        "claims", parents=[scenario], help="evaluate the paper's headline claims"
+    )
 
     plan = subparsers.add_parser(
         "plan",
+        parents=[scenario],
         help="run a multi-vantage scan plan into one shared observation index",
     )
-    plan.add_argument("--scale", type=float, default=1.0)
-    plan.add_argument("--seed", type=int, default=42)
     plan.add_argument(
         "--vantages", type=int, default=2, help="number of vantage points (default 2)"
     )
@@ -173,10 +166,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     longitudinal = subparsers.add_parser(
         "longitudinal",
+        parents=[scenario],
         help="multi-snapshot campaign over a churning network, resolved incrementally",
     )
-    longitudinal.add_argument("--scale", type=float, default=1.0)
-    longitudinal.add_argument("--seed", type=int, default=42)
     longitudinal.add_argument(
         "--snapshots",
         type=int,
@@ -224,10 +216,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     validate = subparsers.add_parser(
         "validate",
+        parents=[scenario],
         help="run registered validators against the session's alias sets",
     )
-    validate.add_argument("--scale", type=float, default=1.0)
-    validate.add_argument("--seed", type=int, default=42)
     validate.add_argument(
         "--validators",
         nargs="*",
@@ -278,10 +269,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     serve = subparsers.add_parser(
         "serve",
+        parents=[scenario],
         help="run the streaming resolution daemon over a churning network",
     )
-    serve.add_argument("--scale", type=float, default=1.0)
-    serve.add_argument("--seed", type=int, default=42)
     serve.add_argument(
         "--churn",
         type=float,
@@ -339,11 +329,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     session_commands = session.add_subparsers(dest="session_command", required=True)
     session_save = session_commands.add_parser(
-        "save", help="collect datasets, resolve reports, and save the session"
+        "save",
+        parents=[scenario],
+        help="collect datasets, resolve reports, and save the session",
     )
     session_save.add_argument("directory", type=Path, help="target session directory")
-    session_save.add_argument("--scale", type=float, default=1.0)
-    session_save.add_argument("--seed", type=int, default=42)
     session_save.add_argument(
         "--sources",
         nargs="*",
@@ -372,6 +362,30 @@ def build_parser() -> argparse.ArgumentParser:
         "(no names: render all registered ones)",
     )
     return parser
+
+
+def _positive_scale(text: str) -> float:
+    """Parse ``--scale``: a finite, positive multiplier on the device counts."""
+    try:
+        scale = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be a number (got {text!r})") from None
+    if not (math.isfinite(scale) and scale > 0):
+        raise argparse.ArgumentTypeError(f"must be positive (got {text})")
+    return scale
+
+
+def _scenario_parser() -> argparse.ArgumentParser:
+    """The ``--scale``/``--seed`` pair every data-generating subcommand shares."""
+    scenario = argparse.ArgumentParser(add_help=False)
+    scenario.add_argument(
+        "--scale",
+        type=_positive_scale,
+        default=1.0,
+        help="topology scale factor (default 1.0)",
+    )
+    scenario.add_argument("--seed", type=int, default=42, help="scenario seed (default 42)")
+    return scenario
 
 
 def _add_interval_days_flag(
@@ -462,9 +476,8 @@ def _command_scan(args: argparse.Namespace) -> int:
 
 
 def _print_index_stats(index) -> None:
-    """Print the --stats block: index counts, table sizes, build path."""
+    """Print the --stats block: index counts and table sizes."""
     stats = index.stats()
-    build = obs.metrics().last_build_stats()
     print("index build statistics:")
     print(f"  observed observations:   {stats['observed']}")
     print(f"  indexed observations:    {stats['indexed']}")
@@ -475,21 +488,9 @@ def _print_index_stats(index) -> None:
             f"  bucket {bucket}: {payload['identifiers']} identifiers, "
             f"{payload['member_cells']} member cells"
         )
-    if build is not None:
-        print(f"  build path:              {build.transport} ({build.workers} worker(s))")
-        if build.shard_sizes:
-            print(f"  shard sizes:             {list(build.shard_sizes)}")
-        print(
-            "  timings:                 "
-            f"pack {build.pack_seconds:.3f}s, build {build.build_seconds:.3f}s, "
-            f"merge {build.merge_seconds:.3f}s"
-        )
 
 
 def _command_resolve(args: argparse.Namespace) -> int:
-    if args.workers < 1:
-        print("--workers must be >= 1", file=sys.stderr)
-        return 2
     datasets = []
     try:
         for path in args.datasets:
@@ -499,17 +500,12 @@ def _command_resolve(args: argparse.Namespace) -> int:
     except DatasetError as error:
         print(str(error), file=sys.stderr)
         return 2
-    # Feed the loaded datasets through the single-pass engine as one stream;
-    # with --workers > 1 the index is built across sharded worker processes.
-    if args.workers > 1 or args.stats:
-        index = build_index_parallel(
-            list(iter_observations(*datasets)), workers=args.workers
-        )
-        report = ResolutionEngine().report(index, name=args.name)
-        if args.stats:
-            _print_index_stats(index)
-    else:
-        report = run_alias_resolution(iter_observations(*datasets), name=args.name)
+    # Feed the loaded datasets through the single-pass engine as one stream.
+    engine = ResolutionEngine()
+    index = engine.index(iter_observations(*datasets))
+    report = engine.report(index, name=args.name)
+    if args.stats:
+        _print_index_stats(index)
     args.output.mkdir(parents=True, exist_ok=True)
     save_alias_sets(report.ipv4_union, args.output / "ipv4_alias_sets.json")
     save_alias_sets(report.ipv6_union, args.output / "ipv6_alias_sets.json")

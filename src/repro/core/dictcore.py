@@ -7,12 +7,11 @@ behaviour, for two jobs:
 
 * **Correctness oracle** — the hypothesis property suite
   (``tests/core/test_columnar_properties.py``) drives random
-  add/remove/extend/merge sequences against both cores and asserts identical
+  add/remove/extend sequences against both cores and asserts identical
   derived reports, state signatures and dirty sets.
 * **Benchmark baseline** — ``benchmarks/bench_pipeline.py`` races the
-  columnar core (serial and shared-memory parallel) against this one, and
-  the recorded ``BENCH_pipeline.json`` trajectory is expressed as a speedup
-  over it.
+  columnar core against this one, and the recorded ``BENCH_pipeline.json``
+  trajectory is expressed as a speedup over it.
 
 It intentionally shares no storage code with :mod:`repro.core.engine`; only
 the public surface (and the exception contract) matches.
@@ -176,40 +175,6 @@ class DictObservationIndex:
             self.remove(observation)
         for observation in added:
             self.add(observation)
-
-    def merge(self, other: "DictObservationIndex") -> "DictObservationIndex":
-        """Fold ``other``'s contents into this index; returns ``self``."""
-        if other is self:
-            raise DatasetError("cannot merge an ObservationIndex into itself")
-        if other._options != self._options:
-            raise ValueError(
-                "cannot merge indexes built with different identifier options: "
-                f"{other._options} != {self._options}"
-            )
-        for bucket_key, other_members in other._members.items():
-            members = self._members.get(bucket_key)
-            if members is None:
-                members = self._members[bucket_key] = {}
-                self._asn[bucket_key] = {}
-                self._asn_refs[bucket_key] = {}
-                self._dirty[bucket_key] = set()
-            dirty = self._dirty[bucket_key]
-            for value, other_addresses in other_members.items():
-                addresses = members.get(value)
-                if addresses is None:
-                    members[value] = dict(other_addresses)
-                else:
-                    for address, count in other_addresses.items():
-                        addresses[address] = addresses.get(address, 0) + count
-                dirty.add(value)
-            asn = self._asn[bucket_key]
-            asn_refs = self._asn_refs[bucket_key]
-            asn.update(other._asn[bucket_key])
-            for address, count in other._asn_refs[bucket_key].items():
-                asn_refs[address] = asn_refs.get(address, 0) + count
-        self._observed += other._observed
-        self._indexed += other._indexed
-        return self
 
     def export_state(self) -> dict:
         """Deep-copied internal state, for persistence."""

@@ -23,7 +23,7 @@ tuple bucket keys), per-bucket membership is integer-keyed reference counts,
 and the per-address ASN columns are flat :mod:`array` columns indexed by
 address symbol.  An address's family is resolved once at intern time and
 read back as an array cell afterwards.  The public surface — ``add`` /
-``remove`` / ``extend`` / ``merge`` / ``consume_dirty`` / ``export_state`` /
+``remove`` / ``extend`` / ``consume_dirty`` / ``export_state`` /
 ``state_signature`` and insertion-ordered enumeration — is unchanged from
 the dict core (now preserved as
 :class:`repro.core.dictcore.DictObservationIndex`, the property-test oracle
@@ -213,10 +213,7 @@ class ObservationIndex:
     exactly.
 
     Storage is columnar and interned — see the module docstring.  The two
-    symbol tables (:attr:`addresses`, :attr:`identifiers`) are per-index and
-    survive pickling, which is what lets the shared-memory parallel build in
-    :mod:`repro.api.parallel` ship shard indexes back as compact integer
-    columns instead of nested string dicts.
+    symbol tables (:attr:`addresses`, :attr:`identifiers`) are per-index.
     """
 
     def __init__(self, options: IdentifierOptions = DEFAULT_OPTIONS) -> None:
@@ -393,7 +390,7 @@ class ObservationIndex:
         """Publish symbol-table and dirty-set level gauges.
 
         Called at batch seams only (never per observation) so the enabled
-        cost stays a handful of dict operations per ``extend``/``merge``/
+        cost stays a handful of dict operations per ``extend``/
         ``apply_delta``, and the disabled cost is one boolean check.
         """
         if not obs.is_enabled():
@@ -448,91 +445,6 @@ class ObservationIndex:
         obs.add("index.delta.added", grown)
         self._publish_gauges()
         obs.emit("index.delta", removed=dropped, added=grown)
-
-    def merge(self, other: "ObservationIndex") -> "ObservationIndex":
-        """Fold ``other``'s contents into this index; returns ``self``.
-
-        A merge is an integer-keyed bucket splice: ``other``'s symbol spaces
-        are translated into this index's tables once (one dict probe per
-        *distinct* string, not per reference-count cell), then every bucket
-        merge is pure integer arithmetic — identifier cells union key-wise,
-        address refcounts add, ASN reference columns add element-wise.  When
-        the two indexes were built from *disjoint shards of one observation
-        stream partitioned by address* (the parallel build in
-        :mod:`repro.api.parallel`), every inner merge is disjoint and the
-        result is exactly the index a serial pass over the whole stream
-        would have built, up to identifier insertion order — which no
-        derived collection's :func:`report_signature` depends on.
-
-        ``other`` is not modified; merging an index into itself is refused
-        because the refcount addition would double every count in place.
-
-        Raises:
-            ValueError: when ``other`` was built with different
-                :class:`~repro.core.identifiers.IdentifierOptions` — the two
-                indexes group by incompatible identifier constructions, so
-                splicing them would silently mix resolution semantics.
-            DatasetError: when ``other`` *is* this index.
-        """
-        if other is self:
-            raise DatasetError("cannot merge an ObservationIndex into itself")
-        if other._options != self._options:
-            raise ValueError(
-                "cannot merge indexes built with different identifier options: "
-                f"{other._options} != {self._options}"
-            )
-        # Translate other's symbol spaces into ours, once per distinct string.
-        own_ids = self._addresses.ids
-        other_families = other._family_codes
-        addr_map = array("q", bytes(8 * len(other._addresses)))
-        for sym, address in enumerate(other._addresses.values):
-            own = own_ids.get(address)
-            if own is None:
-                own = self._addresses.intern(address)
-                self._family_codes.append(other_families[sym])
-            addr_map[sym] = own
-        intern_identifier = self._identifiers.intern
-        ident_map = array(
-            "q", (intern_identifier(value) for value in other._identifiers.values)
-        )
-
-        for code, other_bucket in enumerate(other._buckets):
-            if other_bucket is None:
-                continue
-            bucket = self._bucket(code)
-            members = bucket.members
-            dirty = bucket.dirty
-            for other_ident, other_counts in other_bucket.members.items():
-                ident_sym = ident_map[other_ident]
-                counts = members.get(ident_sym)
-                if counts is None:
-                    members[ident_sym] = {
-                        addr_map[sym]: count for sym, count in other_counts.items()
-                    }
-                else:
-                    get = counts.get
-                    for sym, count in other_counts.items():
-                        own = addr_map[sym]
-                        counts[own] = get(own, 0) + count
-                dirty.add(ident_sym)
-            other_refs = other_bucket.asn_refs
-            if other_refs:
-                bucket.grow_asn(len(self._addresses))
-                refs = bucket.asn_refs
-                values = bucket.asn_values
-                other_values = other_bucket.asn_values
-                for sym, count in enumerate(other_refs):
-                    if count:
-                        own = addr_map[sym]
-                        values[own] = other_values[sym]
-                        refs[own] += count
-                bucket.asn_cache = None
-        self._observed += other._observed
-        self._indexed += other._indexed
-        if obs.is_enabled():
-            obs.add("index.merge.observations", other._observed)
-            self._publish_gauges()
-        return self
 
     # ------------------------------------------------------------------ #
     # Persistence

@@ -25,9 +25,8 @@ afterwards — this is what the CLI ``--metrics FILE`` flag uses::
         session.report("union")
     Path("out.json").write_text(json.dumps(registry.to_json()))
 
-The registry object itself always exists (even disabled) because it also
-carries always-on diagnostics — the per-thread ``last_build_stats`` slot
-that ``repro resolve --stats`` reads.
+The registry object itself always exists (even disabled), so readers never
+need to check for one before reading it.
 """
 
 from __future__ import annotations

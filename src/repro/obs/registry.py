@@ -5,8 +5,8 @@ One :class:`MetricsRegistry` holds every measurement the pipeline publishes:
 * **Counters** — monotonically increasing totals (observations indexed,
   cache hits, probes issued), keyed by metric name plus a label set, so one
   metric carries many series (``session.cache{kind="report", outcome="hit"}``).
-* **Gauges** — point-in-time levels (dirty-set sizes, shard counts).
-* **Histograms** — value distributions over fixed bucket bounds (stage
+* **Gauges** — point-in-time levels (dirty-set sizes, interned symbols).
+* **Histograms** — value distributions over fixed bucket bounds (e.g.
   timings), carrying per-bucket counts plus sum/count/min/max.
 * **Series** — named append-only lists of record dicts: the longitudinal
   campaign publishes one deterministic row per snapshot here, and the same
@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import dataclasses
 import re
-import threading
 from typing import Any, Callable, Iterator, Mapping
 
 from repro.errors import DatasetError
@@ -157,11 +156,7 @@ class MetricsRegistry:
 
     Mutation helpers (:meth:`inc`, :meth:`set_gauge`, :meth:`observe`,
     :meth:`append_series`) are cheap dictionary operations; rendering and
-    merging happen off the hot path.  The registry also carries the
-    per-thread "last parallel index build" diagnostic slot that
-    :func:`repro.api.parallel.last_build_stats` reads — always-on
-    diagnostics, deliberately outside the enable/disable switch and outside
-    the JSON export (the slot holds a live dataclass, not a sample).
+    merging happen off the hot path.
     """
 
     def __init__(self) -> None:
@@ -170,7 +165,6 @@ class MetricsRegistry:
         self._histograms: dict[str, dict[LabelKey, Histogram]] = {}
         self._series: dict[str, list[dict[str, Any]]] = {}
         self._spans: list[dict[str, Any]] = []
-        self._build_stats = threading.local()
 
     # ------------------------------------------------------------------ #
     # Mutation
@@ -249,21 +243,10 @@ class MetricsRegistry:
         return iter(self._counters)
 
     # ------------------------------------------------------------------ #
-    # Parallel-build diagnostics (always-on, per-thread)
-    # ------------------------------------------------------------------ #
-    def record_build_stats(self, stats: object) -> None:
-        """Store the most recent parallel index build's stats for this thread."""
-        self._build_stats.stats = stats
-
-    def last_build_stats(self) -> Any:
-        """Stats of the most recent index build on this thread, if any."""
-        return getattr(self._build_stats, "stats", None)
-
-    # ------------------------------------------------------------------ #
     # Maintenance
     # ------------------------------------------------------------------ #
     def reset(self) -> None:
-        """Drop every sample (the build-stats diagnostic slot survives)."""
+        """Drop every sample."""
         self._counters.clear()
         self._gauges.clear()
         self._histograms.clear()

@@ -16,9 +16,14 @@ the byte-faithful observation round-trip of :mod:`repro.io`:
 * :mod:`repro.persist.validation` — :class:`~repro.validation.report.
   ValidationReport` documents (per-set verdicts plus the declarative
   validator spec), signature-verified on load.
+* :mod:`repro.persist.chain` — the checkpoint chain: numbered data-file
+  generations under a manifest that lands last, keep-rotation, and the
+  deterministic rebuild on resume.
 * :mod:`repro.persist.campaign` — longitudinal campaign checkpoints:
   stop after snapshot *k*, resume to *k+n* with incremental
   re-resolution intact (``repro longitudinal --checkpoint/--resume``).
+* :mod:`repro.persist.stream` — streaming-daemon checkpoints
+  (``repro serve --checkpoint/--resume``).
 * :mod:`repro.persist.bank` — validation sample-bank documents
   (:meth:`~repro.validation.bank.IpidSampleBank.export_state`),
   signature-verified on load; what lets a reloaded session re-score

@@ -2,68 +2,33 @@
 
 A checkpoint directory lets a ``repro longitudinal`` campaign stop after
 snapshot *k* and resume to *k+n* in another process with incremental
-re-resolution intact:
+re-resolution intact.  Its files, their rotation and the resume rebuild
+are the checkpoint chain's (:mod:`repro.persist.chain`): ``index-NNNN.json``
+and ``snapshot-NNNN.jsonl`` per snapshot, ``bank-NNNN-PPP.json`` when a
+validation run rides along, and the ``checkpoint.json`` manifest.  The
+campaign adds to the manifest the accumulated per-snapshot stability rows
+of both families and the per-snapshot metric series.
 
-* ``checkpoint.json`` — manifest: format version, the
-  :class:`~repro.api.config.ScenarioConfig` the network regenerates from,
-  the :class:`~repro.longitudinal.campaign.LongitudinalConfig`, identifier
-  options, vantage, completed snapshot count, the IDS probe counters, the
-  accumulated per-snapshot stability rows of both families, and the names
-  plus signature digest of the data files it pairs with (so a checkpoint
-  torn between file writes is detected on load).
-* ``index-NNNN.json`` — the engine's live
-  :class:`~repro.core.engine.ObservationIndex` after snapshot ``NNNN - 1``
-  (:mod:`repro.persist.index`, signature-verified on load).
-* ``snapshot-NNNN.jsonl`` — the last resolved snapshot's observations,
-  the diff baseline of the first resumed snapshot.
-
-Data files are versioned per snapshot and the atomically-replaced
-manifest always lands last, so a crash mid-checkpoint leaves either the
-new checkpoint or the previous one fully intact — superseded data files
-are pruned only after the new manifest is on disk.
-
-Everything else a resumed campaign needs is deterministic: the topology
-regenerates from the scenario config, and
-:meth:`~repro.longitudinal.campaign.LongitudinalCampaign.replay_churn`
-re-injects the completed intervals' churn from the campaign seed.  The
-resumed engine continues applying deltas against the restored index, so a
-resumed campaign matches the uninterrupted one snapshot for snapshot.
+The resumed engine continues applying deltas against the restored index,
+so a resumed campaign matches the uninterrupted one snapshot for snapshot.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
 from pathlib import Path
 
 from repro.api.config import ScenarioConfig
-from repro.core.engine import ObservationIndex
-from repro.core.identifiers import IdentifierOptions
-from repro.errors import DatasetError, PersistError
-from repro.io.datasets import load_observations
+from repro.errors import PersistError
 from repro.longitudinal.campaign import (
     LongitudinalCampaign,
-    LongitudinalConfig,
     SnapshotResolution,
     SnapshotStability,
     snapshot_metrics_row,
 )
 from repro.longitudinal.engine import LongitudinalEngine
 from repro.net.addresses import AddressFamily
-from repro.persist.bank import bank_state_from_document, bank_state_to_document
-from repro.persist.files import (
-    read_json_document,
-    save_observations_atomic,
-    write_atomic,
-)
-from repro.persist.index import index_from_document, index_to_document
-from repro.simnet.network import VantagePoint
-from repro.simnet.topology import generate_topology
-from repro.sources.hitlist import HitlistConfig, build_ipv6_hitlist
-from repro.sources.records import Observation, ObservationDataset
-
-#: Current checkpoint format version.
-CHECKPOINT_FORMAT_VERSION = 1
+from repro.persist.chain import CheckpointChain, LoadedChain, restore_campaign
 
 #: Manifest file name inside a checkpoint directory.
 CHECKPOINT_MANIFEST = "checkpoint.json"
@@ -72,20 +37,19 @@ CHECKPOINT_MANIFEST = "checkpoint.json"
 _FAMILY_TAGS = {AddressFamily.IPV4: "ipv4", AddressFamily.IPV6: "ipv6"}
 
 
-class CampaignCheckpointer:
+class CampaignCheckpointer(CheckpointChain):
     """Persists a resumable campaign state after every resolved snapshot.
 
     Pass one to :meth:`~repro.longitudinal.campaign.LongitudinalCampaign.run`;
-    it overwrites the checkpoint directory with a consistent state after
-    each snapshot, accumulating the stability rows of every snapshot seen
-    (including, on resume, the rows a loaded checkpoint already carried).
-
-    ``keep`` rotates the per-snapshot data files: the newest ``keep``
-    snapshots' index/observation files survive each save, older ones are
-    pruned (the manifest always points at the newest, which is what a
-    resume loads; retaining more than one keeps a fallback generation
-    around if the latest files are damaged after the fact).
+    it checkpoints the directory after each snapshot, accumulating the
+    stability rows of every snapshot seen (including, on resume, the rows a
+    loaded checkpoint already carried).  ``keep`` and ``validation_run``
+    are the chain's (:class:`~repro.persist.chain.CheckpointChain`).
     """
+
+    manifest = CHECKPOINT_MANIFEST
+    step = "snapshot"
+    kind = "campaign checkpoint"
 
     def __init__(
         self,
@@ -96,16 +60,7 @@ class CampaignCheckpointer:
         prior_metric_series: list[dict] | None = None,
         validation_run=None,
     ) -> None:
-        if keep < 1:
-            raise PersistError("a checkpointer must keep at least one snapshot")
-        self.directory = Path(directory)
-        self.scenario = scenario
-        self.keep = keep
-        #: An optional :class:`~repro.validation.runner.ValidationRun`
-        #: whose sample banks are persisted alongside each checkpoint
-        #: (``bank-NNN.json``), so a resumed per-snapshot validation series
-        #: re-scores already-probed schedules offline.
-        self.validation_run = validation_run
+        super().__init__(directory, scenario, keep=keep, validation_run=validation_run)
         self._stability: dict[str, list[dict]] = {
             tag: list((prior_stability or {}).get(tag, ())) for tag in _FAMILY_TAGS.values()
         }
@@ -129,153 +84,36 @@ class CampaignCheckpointer:
         engine: LongitudinalEngine,
         resolved: SnapshotResolution,
     ) -> None:
-        """Write the checkpoint for one freshly resolved snapshot.
-
-        The data files carry the snapshot number in their names and the
-        manifest (replaced atomically, last) references them — a crash at
-        any point leaves either the new checkpoint or the previous one
-        fully intact on disk, never neither.  Superseded data files are
-        pruned only after the new manifest has landed.
-        """
-        directory = self.directory
-        directory.mkdir(parents=True, exist_ok=True)
+        """Write the checkpoint for one freshly resolved snapshot."""
         for family, tag in _FAMILY_TAGS.items():
             self._stability[tag].append(dataclasses.asdict(resolved.stability(family)))
         self._metric_series.append(snapshot_metrics_row(campaign, resolved))
         capture = resolved.capture
-        completed = capture.index + 1
-        index_file = f"index-{completed:04d}.json"
-        snapshot_file = f"snapshot-{completed:04d}.jsonl"
-        index_document = index_to_document(engine.index)
-        write_atomic(directory / index_file, json.dumps(index_document))
-        save_observations_atomic(
-            ObservationDataset(capture.name, capture.observations),
-            directory / snapshot_file,
+        self.write(
+            campaign,
+            engine.index,
+            capture.index + 1,
+            capture.name,
+            capture.observations,
+            {"stability": self._stability, "metric_series": self._metric_series},
         )
-        bank_entries = []
-        if self.validation_run is not None:
-            for position, bank in enumerate(self.validation_run.banks().values()):
-                bank_file = f"bank-{position:03d}.json"
-                bank_document = bank_state_to_document(bank.export_state())
-                write_atomic(directory / bank_file, json.dumps(bank_document))
-                bank_entries.append(
-                    {
-                        "file": bank_file,
-                        "signature": bank_document["signature"],
-                        "vantage": bank.vantage.name,
-                    }
-                )
-        vantage = campaign.vantage
-        manifest = {
-            "version": CHECKPOINT_FORMAT_VERSION,
-            "scenario": dataclasses.asdict(self.scenario),
-            "campaign": dataclasses.asdict(campaign.config),
-            "options": dataclasses.asdict(campaign.options),
-            "vantage": {
-                "name": vantage.name,
-                "address": vantage.address,
-                "distributed": vantage.distributed,
-            },
-            "include_ipv6": campaign.hitlist is not None,
-            "completed": completed,
-            "last_name": capture.name,
-            "observations": len(capture.observations),
-            "index_file": index_file,
-            "last_snapshot_file": snapshot_file,
-            "index_signature": index_document["signature"],
-            "probe_counts": [
-                [vantage_name, asn, window, count]
-                for (vantage_name, asn, window), count in sorted(
-                    campaign.network.export_probe_counts().items()
-                )
-            ],
-            "stability": self._stability,
-            "metric_series": self._metric_series,
-            "banks": bank_entries,
-            "retained": self._retained_numbers(directory, completed),
-        }
-        # The manifest lands last: whatever it describes is already on disk.
-        write_atomic(directory / CHECKPOINT_MANIFEST, json.dumps(manifest, indent=2))
-        retained = set(manifest["retained"])
-        for pattern in ("index-*.json", "snapshot-*.jsonl"):
-            for stale in directory.glob(pattern):
-                number = _snapshot_number(stale.name)
-                if number is not None and number not in retained:
-                    stale.unlink(missing_ok=True)
-
-    def _retained_numbers(self, directory: Path, completed: int) -> list[int]:
-        """The newest ``keep`` snapshot numbers up to the current save.
-
-        Numbers above ``completed`` are never retained: they are leftovers
-        of an older, unrelated campaign in a reused directory, and letting
-        them outrank the freshly written files would evict the checkpoint
-        the manifest is about to reference.
-        """
-        numbers = {
-            number
-            for pattern in ("index-*.json", "snapshot-*.jsonl")
-            for path in directory.glob(pattern)
-            if (number := _snapshot_number(path.name)) is not None
-            and number <= completed
-        }
-        numbers.add(completed)
-        return sorted(numbers)[-self.keep :]
-
-
-def _snapshot_number(file_name: str) -> int | None:
-    """The NNNN of an ``index-NNNN.json``/``snapshot-NNNN.jsonl`` name."""
-    stem = file_name.rsplit(".", 1)[0]
-    prefix, _, suffix = stem.partition("-")
-    if prefix not in ("index", "snapshot") or not suffix.isdigit():
-        return None
-    return int(suffix)
 
 
 @dataclasses.dataclass(frozen=True)
-class LoadedCheckpoint:
+class LoadedCheckpoint(LoadedChain):
     """A verified campaign checkpoint, ready to resume from.
 
-    Attributes:
-        directory: the checkpoint directory it was loaded from.
-        scenario: scenario configuration the network regenerates from.
-        campaign: longitudinal configuration of the interrupted run.
-        options: identifier construction options.
-        vantage: the vantage point the campaign scans from.
-        include_ipv6: whether the campaign scans the IPv6 hitlist.
-        completed: number of fully resolved snapshots.
-        last_name: resolution label of the last completed snapshot.
-        last_observations: that snapshot's observations (diff baseline).
-        index: the restored live observation index.
-        probe_counts: per-(vantage, AS, window) IDS probe counters at the
-            checkpoint, restored onto the regenerated network so snapshots
-            sharing a rate-limit window with completed scans see the same
-            IDS state as the uninterrupted run.
+    Attributes (beyond :class:`~repro.persist.chain.LoadedChain`'s):
         stability: per-family stability rows of the completed snapshots,
             as manifest dicts (feed back into a checkpointer on resume).
         metric_series: per-snapshot metric rows of the completed snapshots
             (:func:`~repro.longitudinal.campaign.snapshot_metrics_row`);
             feed back into a checkpointer on resume so the persisted series
             stays equal to an uninterrupted run's.
-        bank_states: verified validation sample-bank states persisted with
-            the checkpoint (empty for pre-probe-budget checkpoints); feed
-            each into ``ValidationRun.restore_bank`` to resume per-snapshot
-            validation without re-probing completed schedules.
     """
 
-    directory: Path
-    scenario: ScenarioConfig
-    campaign: LongitudinalConfig
-    options: IdentifierOptions
-    vantage: VantagePoint
-    include_ipv6: bool
-    completed: int
-    last_name: str
-    last_observations: tuple[Observation, ...]
-    index: ObservationIndex
-    probe_counts: dict[tuple[str, int, int], int]
     stability: dict[str, list[dict]]
-    metric_series: list[dict] = dataclasses.field(default_factory=list)
-    bank_states: list[dict] = dataclasses.field(default_factory=list)
+    metric_series: list[dict]
 
     def stability_rows(self, family: AddressFamily) -> list[SnapshotStability]:
         """The completed snapshots' stability metrics for one family."""
@@ -284,107 +122,22 @@ class LoadedCheckpoint:
         ]
 
 
+def _campaign_fields(manifest: dict) -> dict:
+    return {
+        "stability": {
+            tag: list(manifest["stability"].get(tag, ())) for tag in _FAMILY_TAGS.values()
+        },
+        "metric_series": [dict(row) for row in manifest.get("metric_series", ())],
+    }
+
+
 def load_checkpoint(directory: str | Path) -> LoadedCheckpoint:
     """Load and verify a campaign checkpoint.
 
     Raises:
-        PersistError: when the directory holds no checkpoint, the format
-            version is unsupported, the index snapshot fails its own
-            signature parity, or the index on disk does not match the
-            manifest (a checkpoint torn between file writes).
+        PersistError: see :meth:`~repro.persist.chain.CheckpointChain.read`.
     """
-    directory = Path(directory)
-    manifest_path = directory / CHECKPOINT_MANIFEST
-    if not manifest_path.exists():
-        raise PersistError(
-            f"{directory} is not a campaign checkpoint (no {CHECKPOINT_MANIFEST})"
-        )
-    manifest = read_json_document(manifest_path, "checkpoint manifest")
-    try:
-        version = manifest["version"]
-        if version != CHECKPOINT_FORMAT_VERSION:
-            raise PersistError(f"unsupported checkpoint version {version!r}")
-        scenario = ScenarioConfig(**manifest["scenario"])
-        campaign = LongitudinalConfig(**manifest["campaign"])
-        options = IdentifierOptions(**manifest["options"])
-        vantage = VantagePoint(**manifest["vantage"])
-        include_ipv6 = bool(manifest["include_ipv6"])
-        completed = int(manifest["completed"])
-        last_name = manifest["last_name"]
-        expected_observations = int(manifest["observations"])
-        index_file = str(manifest["index_file"])
-        snapshot_file = str(manifest["last_snapshot_file"])
-        index_signature = manifest["index_signature"]
-        probe_counts = {
-            (str(vantage_name), int(asn), int(window)): int(count)
-            for vantage_name, asn, window, count in manifest.get("probe_counts", ())
-        }
-        stability = {
-            tag: list(manifest["stability"].get(tag, ()))
-            for tag in _FAMILY_TAGS.values()
-        }
-        metric_series = [dict(row) for row in manifest.get("metric_series", ())]
-        bank_entries = list(manifest.get("banks", ()))
-    except PersistError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise PersistError(f"malformed checkpoint manifest {manifest_path}: {exc}") from exc
-    index_document = read_json_document(
-        directory / index_file, "checkpoint index snapshot"
-    )
-    document_signature = index_document.get("signature") if isinstance(index_document, dict) else None
-    if document_signature != index_signature:
-        raise PersistError(
-            "checkpoint index does not match its manifest "
-            f"(manifest {str(index_signature)[:12]}…, "
-            f"index {str(document_signature)[:12]}…); "
-            "the checkpoint was likely torn mid-write — re-run without --resume"
-        )
-    # index_from_document re-verifies the digest against the *rebuilt* index,
-    # so manifest == document == restored state, with one hash computation.
-    index = index_from_document(index_document)
-    try:
-        dataset = load_observations(directory / snapshot_file)
-    except PersistError:
-        raise
-    except DatasetError as exc:
-        raise PersistError(f"checkpoint last-snapshot file is unreadable: {exc}") from exc
-    if len(dataset) != expected_observations:
-        raise PersistError(
-            f"checkpoint last-snapshot file holds {len(dataset)} observations, "
-            f"manifest expects {expected_observations}"
-        )
-    bank_states = []
-    for entry in bank_entries:
-        bank_document = read_json_document(directory / entry["file"], "bank document")
-        expected_signature = entry.get("signature")
-        if (
-            expected_signature is not None
-            and bank_document.get("signature") != expected_signature
-        ):
-            raise PersistError(
-                f"bank {entry['file']} does not match the checkpoint manifest "
-                f"(manifest {str(expected_signature)[:12]}…, file "
-                f"{str(bank_document.get('signature'))[:12]}…); the checkpoint "
-                "was likely torn mid-write"
-            )
-        bank_states.append(bank_state_from_document(bank_document))
-    return LoadedCheckpoint(
-        directory=directory,
-        scenario=scenario,
-        campaign=campaign,
-        options=options,
-        vantage=vantage,
-        include_ipv6=include_ipv6,
-        completed=completed,
-        last_name=last_name,
-        last_observations=tuple(dataset),
-        index=index,
-        probe_counts=probe_counts,
-        stability=stability,
-        metric_series=metric_series,
-        bank_states=bank_states,
-    )
+    return CampaignCheckpointer.read(directory, LoadedCheckpoint, _campaign_fields)
 
 
 def resume_campaign(
@@ -413,26 +166,4 @@ def resume_campaign(
                 f"{checkpoint.completed} already completed"
             )
         config = dataclasses.replace(config, snapshots=snapshots)
-    scenario = checkpoint.scenario
-    network = generate_topology(scenario.topology_config())
-    hitlist = None
-    if checkpoint.include_ipv6:
-        hitlist = build_ipv6_hitlist(
-            network,
-            HitlistConfig(
-                server_coverage=scenario.hitlist_server_coverage,
-                router_coverage=scenario.hitlist_router_coverage,
-                seed=scenario.seed,
-            ),
-        )
-    campaign = LongitudinalCampaign(
-        network,
-        vantage=checkpoint.vantage,
-        hitlist=hitlist,
-        config=config,
-        options=checkpoint.options,
-    )
-    campaign.replay_churn(checkpoint.completed)
-    network.restore_probe_counts(checkpoint.probe_counts)
-    engine = LongitudinalEngine.restore(checkpoint.index, checkpoint.last_name)
-    return campaign, engine
+    return restore_campaign(checkpoint, config)

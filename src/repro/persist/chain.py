@@ -1,0 +1,351 @@
+"""The checkpoint chain behind campaign and stream checkpoints.
+
+A longitudinal campaign (:mod:`repro.persist.campaign`) and the streaming
+daemon (:mod:`repro.persist.stream`) checkpoint the same state after every
+step — a snapshot or a poll — and only add their own manifest fields.  A
+checkpoint directory holds numbered generations ``NNNN`` (the completed
+step count) of data files:
+
+* ``index-NNNN.json`` — the live
+  :class:`~repro.core.engine.ObservationIndex` after step ``NNNN - 1``
+  (:mod:`repro.persist.index`, signature-verified on load);
+* ``<step>-NNNN.jsonl`` — that step's observations, the diff baseline of
+  the first resumed step (``snapshot-`` or ``poll-``);
+* ``bank-NNNN-PPP.json`` — the sample banks of an attached
+  :class:`~repro.validation.runner.ValidationRun`
+  (:mod:`repro.persist.bank`), so a resumed validation series re-scores
+  already-probed schedules offline;
+
+plus one manifest naming the newest generation and pinning its files: the
+index and banks by signature, the observations by count.  Data files land
+first and the atomically replaced manifest lands last, so a crash at any
+write leaves either the new checkpoint or the previous one loadable, never
+neither.  The newest ``keep`` generations survive each save; older ones are
+pruned only after the new manifest is on disk.
+
+Everything else a resume needs is deterministic: the topology regenerates
+from the scenario config and the IPv6 hitlist from the topology,
+:meth:`~repro.longitudinal.campaign.LongitudinalCampaign.replay_churn`
+re-injects the completed intervals' churn, and the IDS probe counters are
+restored, so a resumed run matches the uninterrupted one step for step.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import json
+import re
+from pathlib import Path
+from typing import Callable, TypeVar
+
+from repro.api.config import ScenarioConfig
+from repro.core.engine import ObservationIndex
+from repro.core.identifiers import IdentifierOptions
+from repro.errors import DatasetError, PersistError
+from repro.io.datasets import load_observations
+from repro.longitudinal.campaign import LongitudinalCampaign, LongitudinalConfig
+from repro.longitudinal.engine import LongitudinalEngine
+from repro.persist.bank import bank_state_from_document, bank_state_to_document
+from repro.persist.files import (
+    read_json_document,
+    read_pinned_document,
+    save_observations_atomic,
+    write_atomic,
+)
+from repro.persist.index import index_from_document, index_to_document
+from repro.simnet.network import VantagePoint
+from repro.simnet.topology import generate_topology
+from repro.sources.hitlist import HitlistConfig, build_ipv6_hitlist
+from repro.sources.records import Observation, ObservationDataset
+
+#: Current checkpoint format version, campaign and stream manifests alike.
+CHECKPOINT_FORMAT_VERSION = 1
+
+
+@dataclasses.dataclass(frozen=True)
+class LoadedChain:
+    """A verified checkpoint generation, ready to resume from.
+
+    Attributes:
+        directory: the checkpoint directory it was loaded from.
+        scenario: scenario configuration the network regenerates from.
+        campaign: longitudinal configuration of the interrupted run.
+        options: identifier construction options.
+        vantage: the vantage point every step scans from.
+        include_ipv6: whether the steps scan the IPv6 hitlist.
+        completed: number of completed steps.
+        last_name: resolution label of the last completed step.
+        last_observations: that step's observations (diff baseline).
+        index: the restored live observation index.
+        probe_counts: per-(vantage, AS, window) IDS probe counters at the
+            checkpoint, restored onto the regenerated network so steps
+            sharing a rate-limit window with completed scans see the same
+            IDS state as the uninterrupted run.
+        bank_states: verified validation sample-bank states persisted with
+            the checkpoint (empty without an attached validation run); feed
+            each into ``ValidationRun.restore_bank`` to resume validation
+            without re-probing completed schedules.
+    """
+
+    directory: Path
+    scenario: ScenarioConfig
+    campaign: LongitudinalConfig
+    options: IdentifierOptions
+    vantage: VantagePoint
+    include_ipv6: bool
+    completed: int
+    last_name: str
+    last_observations: tuple[Observation, ...]
+    index: ObservationIndex
+    probe_counts: dict[tuple[str, int, int], int]
+    bank_states: list[dict]
+
+
+Loaded = TypeVar("Loaded", bound=LoadedChain)
+
+
+class CheckpointChain:
+    """Writes numbered checkpoint generations under one manifest.
+
+    Subclasses name their manifest file, their ``step`` (which prefixes the
+    observation files and the manifest key naming them) and their ``kind``
+    (for error messages), and pass their own manifest fields to
+    :meth:`write`.  ``keep`` rotates the generations: the newest ``keep``
+    survive each save (the manifest points at the newest, which is what a
+    resume loads; retaining more keeps fallback generations around if the
+    latest files are damaged after the fact).
+    """
+
+    manifest: str
+    step: str
+    kind: str
+
+    def __init__(
+        self,
+        directory: str | Path,
+        scenario: ScenarioConfig,
+        keep: int = 1,
+        validation_run=None,
+    ) -> None:
+        if keep < 1:
+            raise PersistError(f"a checkpointer must keep at least one {self.step}")
+        self.directory = Path(directory)
+        self.scenario = scenario
+        self.keep = keep
+        #: An optional :class:`~repro.validation.runner.ValidationRun`
+        #: whose sample banks are persisted with each generation.
+        self.validation_run = validation_run
+
+    def write(
+        self,
+        campaign: LongitudinalCampaign,
+        index: ObservationIndex,
+        completed: int,
+        last_name: str,
+        observations: tuple[Observation, ...],
+        fields: dict,
+    ) -> None:
+        """Write generation ``completed``, then the manifest, then prune.
+
+        ``fields`` are the subclass's own manifest entries.
+        """
+        directory = self.directory
+        directory.mkdir(parents=True, exist_ok=True)
+        index_file = f"index-{completed:04d}.json"
+        observations_file = f"{self.step}-{completed:04d}.jsonl"
+        index_document = index_to_document(index)
+        write_atomic(directory / index_file, json.dumps(index_document))
+        save_observations_atomic(
+            ObservationDataset(last_name, observations), directory / observations_file
+        )
+        bank_entries = []
+        if self.validation_run is not None:
+            for position, bank in enumerate(self.validation_run.banks().values()):
+                bank_file = f"bank-{completed:04d}-{position:03d}.json"
+                bank_document = bank_state_to_document(bank.export_state())
+                write_atomic(directory / bank_file, json.dumps(bank_document))
+                bank_entries.append(
+                    {
+                        "file": bank_file,
+                        "signature": bank_document["signature"],
+                        "vantage": bank.vantage.name,
+                    }
+                )
+        generations = self._generations()
+        # Numbers above ``completed`` are leftovers of an older, unrelated run
+        # in a reused directory; letting them outrank the fresh files would
+        # evict the generation the manifest is about to reference.
+        numbers = sorted(number for number in generations if number <= completed)
+        retained = numbers[-self.keep :]
+        vantage = campaign.vantage
+        manifest = {
+            "version": CHECKPOINT_FORMAT_VERSION,
+            "scenario": dataclasses.asdict(self.scenario),
+            "campaign": dataclasses.asdict(campaign.config),
+            "options": dataclasses.asdict(campaign.options),
+            "vantage": {
+                "name": vantage.name,
+                "address": vantage.address,
+                "distributed": vantage.distributed,
+            },
+            "include_ipv6": campaign.hitlist is not None,
+            "completed": completed,
+            "last_name": last_name,
+            "observations": len(observations),
+            "index_file": index_file,
+            f"last_{self.step}_file": observations_file,
+            "index_signature": index_document["signature"],
+            "probe_counts": [
+                [vantage_name, asn, window, count]
+                for (vantage_name, asn, window), count in sorted(
+                    campaign.network.export_probe_counts().items()
+                )
+            ],
+            "banks": bank_entries,
+            **fields,
+            "retained": retained,
+        }
+        # The manifest lands last: whatever it describes is already on disk.
+        write_atomic(directory / self.manifest, json.dumps(manifest, indent=2))
+        for number, paths in generations.items():
+            if number not in retained:
+                for stale in paths:
+                    stale.unlink(missing_ok=True)
+
+    def _generations(self) -> dict[int, list[Path]]:
+        """This chain's data files in the directory, by generation number.
+
+        Names outside the ``index-NNNN``/``<step>-NNNN``/``bank-NNNN-PPP``
+        scheme (notes, temp files, bank files of older checkpoints without
+        a generation number) are never pruned.
+        """
+        pattern = re.compile(
+            rf"(?:index|{self.step})-(\d+)\.jsonl?|bank-(\d+)-\d+\.json"
+        )
+        generations: dict[int, list[Path]] = {}
+        for path in self.directory.iterdir():
+            match = pattern.fullmatch(path.name)
+            if match is not None:
+                generations.setdefault(int(match[1] or match[2]), []).append(path)
+        return generations
+
+    @classmethod
+    def read(
+        cls,
+        directory: str | Path,
+        loaded_type: type[Loaded],
+        own_fields: Callable[[dict], dict],
+    ) -> Loaded:
+        """Load and verify the newest generation of a checkpoint directory.
+
+        ``own_fields`` parses the subclass's manifest entries into the
+        remaining ``loaded_type`` fields.
+
+        Raises:
+            PersistError: when the directory holds no manifest, the format
+                version is unsupported, the manifest is malformed, or a
+                data file is unreadable or does not match the manifest (a
+                checkpoint torn between file writes).
+        """
+        directory = Path(directory)
+        manifest_path = directory / cls.manifest
+        if not manifest_path.exists():
+            raise PersistError(f"{directory} is not a {cls.kind} (no {cls.manifest})")
+        manifest = read_json_document(manifest_path, f"{cls.kind} manifest")
+        try:
+            version = manifest["version"]
+            if version != CHECKPOINT_FORMAT_VERSION:
+                raise PersistError(f"unsupported {cls.kind} version {version!r}")
+            fields = {
+                "scenario": ScenarioConfig(**manifest["scenario"]),
+                "campaign": LongitudinalConfig(**manifest["campaign"]),
+                "options": IdentifierOptions(**manifest["options"]),
+                "vantage": VantagePoint(**manifest["vantage"]),
+                "include_ipv6": bool(manifest["include_ipv6"]),
+                "completed": int(manifest["completed"]),
+                "last_name": manifest["last_name"],
+                "probe_counts": {
+                    (str(vantage_name), int(asn), int(window)): int(count)
+                    for vantage_name, asn, window, count in manifest.get(
+                        "probe_counts", ()
+                    )
+                },
+                **own_fields(manifest),
+            }
+            expected_observations = int(manifest["observations"])
+            index_file = str(manifest["index_file"])
+            observations_file = str(manifest[f"last_{cls.step}_file"])
+            index_signature = str(manifest["index_signature"])
+            bank_pins = [
+                (str(entry["file"]), entry.get("signature"))
+                for entry in manifest.get("banks", ())
+            ]
+        except PersistError:
+            raise
+        except (KeyError, TypeError, ValueError) as exc:
+            raise PersistError(f"malformed {cls.kind} manifest {manifest_path}: {exc}") from exc
+        # index_from_document re-verifies the digest against the *rebuilt*
+        # index, so manifest == document == restored state.
+        index = index_from_document(
+            read_pinned_document(
+                directory / index_file, f"{cls.kind} index snapshot", index_signature, cls.kind
+            )
+        )
+        try:
+            dataset = load_observations(directory / observations_file)
+        except PersistError:
+            raise
+        except DatasetError as exc:
+            raise PersistError(f"{cls.kind} {cls.step} file is unreadable: {exc}") from exc
+        if len(dataset) != expected_observations:
+            raise PersistError(
+                f"{cls.kind} {cls.step} file holds {len(dataset)} observations, "
+                f"manifest expects {expected_observations}"
+            )
+        bank_states = [
+            bank_state_from_document(
+                read_pinned_document(directory / file, "bank document", signature, cls.kind)
+            )
+            for file, signature in bank_pins
+        ]
+        return loaded_type(
+            directory=directory,
+            last_observations=tuple(dataset),
+            index=index,
+            bank_states=bank_states,
+            **fields,
+        )
+
+
+def restore_campaign(
+    checkpoint: LoadedChain, config: LongitudinalConfig
+) -> tuple[LongitudinalCampaign, LongitudinalEngine]:
+    """Regenerate a checkpoint's campaign under ``config`` and restore its engine.
+
+    The topology regenerates from the scenario config, the hitlist from the
+    topology; the completed intervals' churn is replayed and the IDS probe
+    counters restored before the engine resumes from the restored index.
+    """
+    scenario = checkpoint.scenario
+    network = generate_topology(scenario.topology_config())
+    hitlist = None
+    if checkpoint.include_ipv6:
+        hitlist = build_ipv6_hitlist(
+            network,
+            HitlistConfig(
+                server_coverage=scenario.hitlist_server_coverage,
+                router_coverage=scenario.hitlist_router_coverage,
+                seed=scenario.seed,
+            ),
+        )
+    campaign = LongitudinalCampaign(
+        network,
+        vantage=checkpoint.vantage,
+        hitlist=hitlist,
+        config=config,
+        options=checkpoint.options,
+    )
+    campaign.replay_churn(checkpoint.completed)
+    network.restore_probe_counts(checkpoint.probe_counts)
+    engine = LongitudinalEngine.restore(checkpoint.index, checkpoint.last_name)
+    return campaign, engine

@@ -4,7 +4,9 @@ Every persisted artifact is written atomically (temp file + ``os.replace``)
 so an interrupted save never destroys a previously valid file, and every
 JSON document is read through one helper so missing files, unreadable
 files and invalid JSON all surface as :class:`~repro.errors.PersistError`
-with consistent wording.
+with consistent wording.  A document whose signature a manifest pins is
+read through :func:`read_pinned_document`, which is how every loader
+detects a save torn between a data file and its manifest.
 """
 
 from __future__ import annotations
@@ -58,4 +60,28 @@ def read_json_document(path: str | Path, what: str) -> dict[str, Any]:
         raise PersistError(f"{what} {path} is not valid JSON") from exc
     if not isinstance(document, dict):
         raise PersistError(f"{what} {path} is not a JSON object")
+    return document
+
+
+def read_pinned_document(
+    path: str | Path, what: str, signature: str | None, owner: str
+) -> dict[str, Any]:
+    """Read a JSON document and check it against its manifest's pin.
+
+    ``signature`` is the digest the ``owner`` manifest recorded for the
+    document (``None`` when the manifest predates pinning: nothing to
+    compare).  A mismatch means the document and the manifest come from
+    different saves.
+
+    Raises:
+        PersistError: when the document is unreadable (see
+            :func:`read_json_document`) or its signature is not the pinned one.
+    """
+    document = read_json_document(path, what)
+    if signature is not None and document.get("signature") != signature:
+        raise PersistError(
+            f"{what} {path} does not match the {owner} manifest "
+            f"(manifest {str(signature)[:12]}…, file {str(document.get('signature'))[:12]}…); "
+            f"the {owner} was likely torn mid-save"
+        )
     return document

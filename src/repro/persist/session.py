@@ -39,6 +39,7 @@ from repro.io.datasets import load_observations
 from repro.persist.bank import bank_state_from_document, bank_state_to_document
 from repro.persist.files import (
     read_json_document,
+    read_pinned_document,
     save_observations_atomic,
     write_atomic,
 )
@@ -231,46 +232,19 @@ def load_session(
         session.prime_dataset(spec, dataset)
     for entry in report_entries:
         spec = spec_from_document(entry["spec"])
-        document = read_json_document(directory / entry["file"], "report document")
-        expected_signature = entry.get("signature")
-        if (
-            expected_signature is not None
-            and document.get("signature") != expected_signature
-        ):
-            raise PersistError(
-                f"report {entry['file']} does not match the session manifest "
-                f"(manifest {str(expected_signature)[:12]}…, file "
-                f"{str(document.get('signature'))[:12]}…); the session was "
-                "likely torn mid-save"
-            )
+        document = read_pinned_document(
+            directory / entry["file"], "report document", entry.get("signature"), "session"
+        )
         session.prime_report(spec, entry["name"], report_from_document(document))
     for entry in validation_entries:
         spec = validator_spec_from_document(entry["spec"])
-        document = read_json_document(directory / entry["file"], "validation document")
-        expected_signature = entry.get("signature")
-        if (
-            expected_signature is not None
-            and document.get("signature") != expected_signature
-        ):
-            raise PersistError(
-                f"validation {entry['file']} does not match the session manifest "
-                f"(manifest {str(expected_signature)[:12]}…, file "
-                f"{str(document.get('signature'))[:12]}…); the session was "
-                "likely torn mid-save"
-            )
+        document = read_pinned_document(
+            directory / entry["file"], "validation document", entry.get("signature"), "session"
+        )
         session.prime_validation(spec, entry["name"], validation_from_document(document))
     for entry in bank_entries:
-        document = read_json_document(directory / entry["file"], "bank document")
-        expected_signature = entry.get("signature")
-        if (
-            expected_signature is not None
-            and document.get("signature") != expected_signature
-        ):
-            raise PersistError(
-                f"bank {entry['file']} does not match the session manifest "
-                f"(manifest {str(expected_signature)[:12]}…, file "
-                f"{str(document.get('signature'))[:12]}…); the session was "
-                "likely torn mid-save"
-            )
+        document = read_pinned_document(
+            directory / entry["file"], "bank document", entry.get("signature"), "session"
+        )
         session.prime_bank_state(bank_state_from_document(document))
     return session

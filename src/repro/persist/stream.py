@@ -3,87 +3,44 @@
 The daemon (:mod:`repro.stream.daemon`) checkpoints after every emit, so
 a killed process resumes exactly where the stream left off: same live
 index, same emit sequence, same estimator series, same cumulative event
-counts.  The layout mirrors the campaign checkpoints
-(:mod:`repro.persist.campaign`) — versioned data files land first, the
-atomically-replaced ``stream.json`` manifest lands last, a crash leaves
-either the new checkpoint or the previous one fully intact:
+counts.  Its files, their rotation and the resume rebuild are the
+checkpoint chain's (:mod:`repro.persist.chain`): ``index-NNNN.json`` and
+``poll-NNNN.jsonl`` per poll, ``bank-NNNN-PPP.json`` when a validation run
+rides along, and the ``stream.json`` manifest.  The stream adds to the
+manifest its emit-trigger config, the emit-window state of the streaming
+engine (clock, emit boundaries, estimator) and the cumulative
+published-event counts.
 
-* ``stream.json`` — manifest: format version, scenario config (the
-  network regenerates from it), longitudinal + stream configs, identifier
-  options, vantage, polls completed, the emit-window state of the
-  streaming engine (clock, emit boundaries, estimator), cumulative
-  published-event counts, IDS probe counters, and the names plus
-  signature digest of the data files it pairs with.
-* ``index-NNNN.json`` — the live observation index after poll ``NNNN - 1``.
-* ``poll-NNNN.jsonl`` — the last poll's observations (the diff baseline
-  of the first resumed poll).
-
-Everything else is deterministic: the topology regenerates from the
-scenario config and
-:meth:`~repro.longitudinal.campaign.LongitudinalCampaign.replay_churn`
-re-injects the completed intervals' churn, so a resumed daemon's reports
-equal the uninterrupted run's poll for poll — the resume gate in
-``tests/persist/test_stream_checkpoint.py`` asserts signature equality.
+A resumed daemon's reports equal the uninterrupted run's poll for poll —
+the resume gate in ``tests/persist/test_stream_checkpoint.py`` asserts
+signature equality.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
 from pathlib import Path
 
-from repro.api.config import ScenarioConfig
-from repro.core.engine import ObservationIndex
-from repro.core.identifiers import IdentifierOptions
-from repro.errors import DatasetError, PersistError
-from repro.io.datasets import load_observations
-from repro.longitudinal.campaign import LongitudinalCampaign, LongitudinalConfig
-from repro.longitudinal.engine import LongitudinalEngine
-from repro.persist.bank import bank_state_from_document, bank_state_to_document
-from repro.persist.files import (
-    read_json_document,
-    save_observations_atomic,
-    write_atomic,
-)
-from repro.persist.index import index_from_document, index_to_document
-from repro.simnet.network import VantagePoint
-from repro.simnet.topology import generate_topology
-from repro.sources.hitlist import HitlistConfig, build_ipv6_hitlist
-from repro.sources.records import Observation, ObservationDataset
+from repro.longitudinal.campaign import LongitudinalCampaign
+from repro.persist.chain import CheckpointChain, LoadedChain, restore_campaign
+from repro.sources.records import Observation
 from repro.stream.engine import StreamConfig, StreamingEngine
 from repro.stream.events import StreamPublisher
-
-#: Current stream checkpoint format version.
-STREAM_CHECKPOINT_VERSION = 1
 
 #: Manifest file name inside a stream checkpoint directory.
 STREAM_MANIFEST = "stream.json"
 
 
-class StreamCheckpointer:
+class StreamCheckpointer(CheckpointChain):
     """Persists a resumable daemon state after every completed poll.
 
-    ``keep`` rotates the per-poll data files exactly like the campaign
-    checkpointer: the newest ``keep`` generations survive each save,
-    older ones are pruned only after the new manifest is on disk.
+    ``keep`` and ``validation_run`` are the chain's
+    (:class:`~repro.persist.chain.CheckpointChain`).
     """
 
-    def __init__(
-        self,
-        directory: str | Path,
-        scenario: ScenarioConfig,
-        keep: int = 1,
-        validation_run=None,
-    ) -> None:
-        if keep < 1:
-            raise PersistError("a checkpointer must keep at least one poll")
-        self.directory = Path(directory)
-        self.scenario = scenario
-        self.keep = keep
-        #: An optional :class:`~repro.validation.runner.ValidationRun`
-        #: whose sample banks ride along with each checkpoint (see
-        #: :class:`~repro.persist.campaign.CampaignCheckpointer`).
-        self.validation_run = validation_run
+    manifest = STREAM_MANIFEST
+    step = "poll"
+    kind = "stream checkpoint"
 
     def save(
         self,
@@ -98,231 +55,52 @@ class StreamCheckpointer:
         ``observations`` are the poll's scan results — the diff baseline
         the first resumed poll syncs against.
         """
-        directory = self.directory
-        directory.mkdir(parents=True, exist_ok=True)
-        index_file = f"index-{completed:04d}.json"
-        poll_file = f"poll-{completed:04d}.jsonl"
-        index_document = index_to_document(stream.engine.index)
-        write_atomic(directory / index_file, json.dumps(index_document))
-        save_observations_atomic(
-            ObservationDataset(last_name, observations), directory / poll_file
-        )
-        bank_entries = []
-        if self.validation_run is not None:
-            for position, bank in enumerate(self.validation_run.banks().values()):
-                bank_file = f"bank-{position:03d}.json"
-                bank_document = bank_state_to_document(bank.export_state())
-                write_atomic(directory / bank_file, json.dumps(bank_document))
-                bank_entries.append(
-                    {
-                        "file": bank_file,
-                        "signature": bank_document["signature"],
-                        "vantage": bank.vantage.name,
-                    }
-                )
-        vantage = campaign.vantage
-        manifest = {
-            "version": STREAM_CHECKPOINT_VERSION,
-            "scenario": dataclasses.asdict(self.scenario),
-            "campaign": dataclasses.asdict(campaign.config),
-            "stream": dataclasses.asdict(stream.config),
-            "options": dataclasses.asdict(campaign.options),
-            "vantage": {
-                "name": vantage.name,
-                "address": vantage.address,
-                "distributed": vantage.distributed,
+        self.write(
+            campaign,
+            stream.engine.index,
+            completed,
+            last_name,
+            observations,
+            {
+                "stream": dataclasses.asdict(stream.config),
+                "window": stream.window_state(),
+                "event_counts": dict(stream.publisher.counts),
             },
-            "include_ipv6": campaign.hitlist is not None,
-            "completed": completed,
-            "last_name": last_name,
-            "observations": len(observations),
-            "window": stream.window_state(),
-            "event_counts": dict(stream.publisher.counts),
-            "index_file": index_file,
-            "last_poll_file": poll_file,
-            "index_signature": index_document["signature"],
-            "probe_counts": [
-                [vantage_name, asn, window, count]
-                for (vantage_name, asn, window), count in sorted(
-                    campaign.network.export_probe_counts().items()
-                )
-            ],
-            "banks": bank_entries,
-            "retained": self._retained_numbers(directory, completed),
-        }
-        # The manifest lands last: whatever it describes is already on disk.
-        write_atomic(directory / STREAM_MANIFEST, json.dumps(manifest, indent=2))
-        retained = set(manifest["retained"])
-        for pattern in ("index-*.json", "poll-*.jsonl"):
-            for stale in directory.glob(pattern):
-                number = _poll_number(stale.name)
-                if number is not None and number not in retained:
-                    stale.unlink(missing_ok=True)
-
-    def _retained_numbers(self, directory: Path, completed: int) -> list[int]:
-        """The newest ``keep`` poll numbers up to the current save."""
-        numbers = {
-            number
-            for pattern in ("index-*.json", "poll-*.jsonl")
-            for path in directory.glob(pattern)
-            if (number := _poll_number(path.name)) is not None and number <= completed
-        }
-        numbers.add(completed)
-        return sorted(numbers)[-self.keep :]
-
-
-def _poll_number(file_name: str) -> int | None:
-    """The NNNN of an ``index-NNNN.json``/``poll-NNNN.jsonl`` name."""
-    stem = file_name.rsplit(".", 1)[0]
-    prefix, _, suffix = stem.partition("-")
-    if prefix not in ("index", "poll") or not suffix.isdigit():
-        return None
-    return int(suffix)
+        )
 
 
 @dataclasses.dataclass(frozen=True)
-class LoadedStreamCheckpoint:
+class LoadedStreamCheckpoint(LoadedChain):
     """A verified stream checkpoint, ready to resume from.
 
-    Attributes:
-        directory: the checkpoint directory it was loaded from.
-        scenario: scenario configuration the network regenerates from.
-        campaign: longitudinal configuration of the simnet event source.
+    Attributes (beyond :class:`~repro.persist.chain.LoadedChain`'s):
         stream: emit-trigger configuration of the streaming engine.
-        options: identifier construction options.
-        vantage: the vantage point every poll scans from.
-        include_ipv6: whether polls scan the IPv6 hitlist.
-        completed: number of fully emitted polls.
-        last_name: resolution label of the last emit.
-        last_observations: the last poll's observations (diff baseline).
-        index: the restored live observation index.
         window: the streaming engine's emit-window state.
         event_counts: cumulative published-event counts at the checkpoint.
-        probe_counts: per-(vantage, AS, window) IDS probe counters.
-        bank_states: verified validation sample-bank states persisted with
-            the checkpoint (empty for pre-probe-budget checkpoints).
     """
 
-    directory: Path
-    scenario: ScenarioConfig
-    campaign: LongitudinalConfig
     stream: StreamConfig
-    options: IdentifierOptions
-    vantage: VantagePoint
-    include_ipv6: bool
-    completed: int
-    last_name: str
-    last_observations: tuple[Observation, ...]
-    index: ObservationIndex
     window: dict
     event_counts: dict[str, int]
-    probe_counts: dict[tuple[str, int, int], int]
-    bank_states: list[dict] = dataclasses.field(default_factory=list)
+
+
+def _stream_fields(manifest: dict) -> dict:
+    return {
+        "stream": StreamConfig(**manifest["stream"]),
+        "window": dict(manifest["window"]),
+        "event_counts": {
+            str(kind): int(count) for kind, count in manifest["event_counts"].items()
+        },
+    }
 
 
 def load_stream_checkpoint(directory: str | Path) -> LoadedStreamCheckpoint:
     """Load and verify a stream checkpoint.
 
     Raises:
-        PersistError: when the directory holds no stream checkpoint, the
-            format version is unsupported, the index fails its signature
-            parity, or the files do not match the manifest (torn write).
+        PersistError: see :meth:`~repro.persist.chain.CheckpointChain.read`.
     """
-    directory = Path(directory)
-    manifest_path = directory / STREAM_MANIFEST
-    if not manifest_path.exists():
-        raise PersistError(
-            f"{directory} is not a stream checkpoint (no {STREAM_MANIFEST})"
-        )
-    manifest = read_json_document(manifest_path, "stream checkpoint manifest")
-    try:
-        version = manifest["version"]
-        if version != STREAM_CHECKPOINT_VERSION:
-            raise PersistError(f"unsupported stream checkpoint version {version!r}")
-        scenario = ScenarioConfig(**manifest["scenario"])
-        campaign = LongitudinalConfig(**manifest["campaign"])
-        stream = StreamConfig(**manifest["stream"])
-        options = IdentifierOptions(**manifest["options"])
-        vantage = VantagePoint(**manifest["vantage"])
-        include_ipv6 = bool(manifest["include_ipv6"])
-        completed = int(manifest["completed"])
-        last_name = manifest["last_name"]
-        expected_observations = int(manifest["observations"])
-        window = dict(manifest["window"])
-        event_counts = {
-            str(kind): int(count) for kind, count in manifest["event_counts"].items()
-        }
-        index_file = str(manifest["index_file"])
-        poll_file = str(manifest["last_poll_file"])
-        index_signature = manifest["index_signature"]
-        probe_counts = {
-            (str(vantage_name), int(asn), int(window_id)): int(count)
-            for vantage_name, asn, window_id, count in manifest.get("probe_counts", ())
-        }
-        bank_entries = list(manifest.get("banks", ()))
-    except PersistError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise PersistError(
-            f"malformed stream checkpoint manifest {manifest_path}: {exc}"
-        ) from exc
-    index_document = read_json_document(
-        directory / index_file, "stream checkpoint index snapshot"
-    )
-    document_signature = (
-        index_document.get("signature") if isinstance(index_document, dict) else None
-    )
-    if document_signature != index_signature:
-        raise PersistError(
-            "stream checkpoint index does not match its manifest "
-            f"(manifest {str(index_signature)[:12]}…, "
-            f"index {str(document_signature)[:12]}…); "
-            "the checkpoint was likely torn mid-write — restart without --resume"
-        )
-    index = index_from_document(index_document)
-    try:
-        dataset = load_observations(directory / poll_file)
-    except PersistError:
-        raise
-    except DatasetError as exc:
-        raise PersistError(f"stream checkpoint poll file is unreadable: {exc}") from exc
-    if len(dataset) != expected_observations:
-        raise PersistError(
-            f"stream checkpoint poll file holds {len(dataset)} observations, "
-            f"manifest expects {expected_observations}"
-        )
-    bank_states = []
-    for entry in bank_entries:
-        bank_document = read_json_document(directory / entry["file"], "bank document")
-        expected_signature = entry.get("signature")
-        if (
-            expected_signature is not None
-            and bank_document.get("signature") != expected_signature
-        ):
-            raise PersistError(
-                f"bank {entry['file']} does not match the stream checkpoint "
-                f"manifest (manifest {str(expected_signature)[:12]}…, file "
-                f"{str(bank_document.get('signature'))[:12]}…); the checkpoint "
-                "was likely torn mid-write"
-            )
-        bank_states.append(bank_state_from_document(bank_document))
-    return LoadedStreamCheckpoint(
-        directory=directory,
-        scenario=scenario,
-        campaign=campaign,
-        stream=stream,
-        options=options,
-        vantage=vantage,
-        include_ipv6=include_ipv6,
-        completed=completed,
-        last_name=last_name,
-        last_observations=tuple(dataset),
-        index=index,
-        window=window,
-        event_counts=event_counts,
-        probe_counts=probe_counts,
-        bank_states=bank_states,
-    )
+    return StreamCheckpointer.read(directory, LoadedStreamCheckpoint, _stream_fields)
 
 
 def resume_stream(
@@ -339,28 +117,7 @@ def resume_stream(
         daemon = StreamDaemon(campaign, stream, start=checkpoint.completed,
                               previous=checkpoint.last_observations, ...)
     """
-    scenario = checkpoint.scenario
-    network = generate_topology(scenario.topology_config())
-    hitlist = None
-    if checkpoint.include_ipv6:
-        hitlist = build_ipv6_hitlist(
-            network,
-            HitlistConfig(
-                server_coverage=scenario.hitlist_server_coverage,
-                router_coverage=scenario.hitlist_router_coverage,
-                seed=scenario.seed,
-            ),
-        )
-    campaign = LongitudinalCampaign(
-        network,
-        vantage=checkpoint.vantage,
-        hitlist=hitlist,
-        config=checkpoint.campaign,
-        options=checkpoint.options,
-    )
-    campaign.replay_churn(checkpoint.completed)
-    network.restore_probe_counts(checkpoint.probe_counts)
-    engine = LongitudinalEngine.restore(checkpoint.index, checkpoint.last_name)
+    campaign, engine = restore_campaign(checkpoint, checkpoint.campaign)
     stream = StreamingEngine.resume(
         config=checkpoint.stream,
         engine=engine,

@@ -3,8 +3,8 @@
 :class:`~repro.core.dictcore.DictObservationIndex` is the pre-columnar
 ``ObservationIndex`` implementation, kept verbatim as the correctness
 oracle.  Hypothesis drives random interleavings of every public mutation —
-``add`` (with and without a pre-extracted identifier), ``remove``,
-``extend`` and ``merge`` — through both cores in lockstep and asserts the
+``add`` (with and without a pre-extracted identifier), ``remove`` and
+``extend`` — through both cores in lockstep and asserts the
 observable surfaces stay identical at every step:
 
 * ``consume_dirty`` — the same dirty-identifier sets after every operation,
@@ -76,7 +76,7 @@ def _observation(draw):
     )
 
 
-_ADD, _ADD_CACHED, _REMOVE, _EXTEND, _MERGE = range(5)
+_ADD, _ADD_CACHED, _REMOVE, _EXTEND = range(4)
 
 _operations = st.lists(
     st.one_of(
@@ -84,7 +84,6 @@ _operations = st.lists(
         st.tuples(st.just(_ADD_CACHED), _observation()),
         st.tuples(st.just(_REMOVE), st.integers(min_value=0, max_value=2**16)),
         st.tuples(st.just(_EXTEND), st.lists(_observation(), max_size=6)),
-        st.tuples(st.just(_MERGE), st.lists(_observation(), max_size=6)),
     ),
     max_size=25,
 )
@@ -111,13 +110,9 @@ def _apply(columnar, oracle, operations, seed):
                 continue
             observation = added.pop(payload % len(added))
             assert columnar.remove(observation) == oracle.remove(observation)
-        elif operation == _EXTEND:
+        else:  # _EXTEND
             columnar.extend(payload)
             oracle.extend(payload)
-            added.extend(payload)
-        else:  # _MERGE: fold in a sub-index built from a fresh stream
-            columnar.merge(ObservationIndex.build(payload, columnar.options))
-            oracle.merge(DictObservationIndex.build(payload, oracle.options))
             added.extend(payload)
         if rng.random() < 0.5:
             assert _normalise_dirty(columnar.consume_dirty()) == _normalise_dirty(

@@ -83,15 +83,6 @@ class TestResolveMetrics:
                 tmp_path / "plain" / artifact
             ).read_bytes(), artifact
 
-    def test_stats_reports_build_path_from_registry(self, datasets, tmp_path, capsys):
-        exit_code = main(
-            ["resolve", *datasets, "--output", str(tmp_path / "out"), "--stats"]
-        )
-        assert exit_code == 0
-        output = capsys.readouterr().out
-        assert "build path:" in output
-        assert obs.metrics().last_build_stats() is not None
-
 
 class TestValidateMetrics:
     def test_validate_surfaces_probe_counters_and_summary(self, tmp_path, capsys):

@@ -48,15 +48,10 @@ class TestSamples:
         assert registry.series("absent") == []
         assert registry.spans[0]["name"] == "resolve"
 
-    def test_reset_drops_samples_but_keeps_build_stats(self, registry):
-        registry.record_build_stats("sentinel")
+    def test_reset_drops_samples(self, registry):
         registry.reset()
         assert registry.counter_total("session.cache") == 0
         assert registry.spans == []
-        assert registry.last_build_stats() == "sentinel"
-
-    def test_build_stats_slot_starts_empty(self):
-        assert MetricsRegistry().last_build_stats() is None
 
 
 class TestRendering:

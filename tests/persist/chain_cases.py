@@ -1,0 +1,216 @@
+"""Checkpoint-chain cases shared by the campaign and stream checkpoint tests.
+
+Both checkpointers write through one chain (:mod:`repro.persist.chain`), so
+the same cases run over each.  A test module binds them to its chain with a
+``chain`` fixture: an object with
+
+* ``manifest`` and ``step`` — the manifest file name and the step that
+  prefixes the observation files (``snapshot``/``poll``);
+* ``load(directory)`` — the chain's loader;
+* ``run(directory, steps, keep=1, validation_run=None)`` — checkpoint a
+  fresh run through ``steps`` steps;
+* ``resume(checkpoint, steps, directory=None, validation_run=None)`` —
+  resume to ``steps`` steps, checkpointing into ``directory`` when given,
+  and return the resumed steps' report signatures;
+* ``signatures(uninterrupted)`` — the report signatures of the module's
+  ``uninterrupted`` reference run;
+
+plus ``checkpoint_dir`` (a run checkpointed after two steps) and
+``uninterrupted`` fixtures.
+"""
+
+import json
+import os
+
+import pytest
+
+from repro.errors import PersistError
+from repro.net.ipid import MonotonicIpidCounter
+from repro.simnet.asn import AsRegistry, AsRole, AutonomousSystem
+from repro.simnet.device import Device, DeviceRole, Interface
+from repro.simnet.network import SimulatedInternet
+from repro.validation.runner import ValidationRun, run_validator
+from repro.validation.spec import midar
+
+_ALIASES = frozenset({"10.7.1.1", "10.7.1.2"})
+
+
+def copy_checkpoint(source, target):
+    """A flat copy of a checkpoint directory."""
+    target.mkdir()
+    for path in source.iterdir():
+        (target / path.name).write_bytes(path.read_bytes())
+    return target
+
+
+def crash_before_manifest(monkeypatch, manifest):
+    """Make every save die before its manifest replaces the previous one."""
+    real_replace = os.replace
+
+    def dying_replace(source, target):
+        if str(target).endswith(manifest):
+            raise OSError("simulated crash before the manifest landed")
+        real_replace(source, target)
+
+    monkeypatch.setattr(os, "replace", dying_replace)
+
+
+def banked_run():
+    """A validation run whose sample bank holds one probed alias pair."""
+    registry = AsRegistry()
+    registry.add(AutonomousSystem(asn=300, name="ISP", role=AsRole.ISP))
+    router = Device(
+        device_id="router",
+        role=DeviceRole.CORE_ROUTER,
+        home_asn=300,
+        interfaces=[
+            Interface(name=f"if{position}", address=address, asn=300)
+            for position, address in enumerate(sorted(_ALIASES))
+        ],
+        ipid_counter=MonotonicIpidCounter(start=700, velocity=5.0, jitter=0),
+    )
+    run = ValidationRun(
+        SimulatedInternet(registry=registry, devices=[router], seed=1, loss_rate=0.0)
+    )
+    probe(run, start_time=0.0)
+    return run
+
+
+def probe(run, start_time):
+    """Validate the alias pair through ``run``, growing its sample bank."""
+    run_validator(
+        run,
+        midar(vantage_name="chain-cases", vantage_address="192.0.2.31"),
+        candidates=(_ALIASES,),
+        start_time=start_time,
+    )
+
+
+def _names(directory, pattern):
+    return sorted(path.name for path in directory.glob(pattern))
+
+
+class ContentsCases:
+    def test_missing_manifest_raises(self, chain, tmp_path):
+        with pytest.raises(PersistError, match=chain.manifest):
+            chain.load(tmp_path)
+
+    def test_torn_checkpoint_detected(self, chain, checkpoint_dir, tmp_path):
+        copy = copy_checkpoint(checkpoint_dir, tmp_path / "torn")
+        manifest = json.loads((copy / chain.manifest).read_text())
+        manifest["index_signature"] = "0" * 64
+        (copy / chain.manifest).write_text(json.dumps(manifest))
+        with pytest.raises(PersistError, match="torn"):
+            chain.load(copy)
+
+    def test_unnumbered_bank_files_still_load(self, chain, tmp_path):
+        """Checkpoints whose bank files predate generation numbers
+        (``bank-PPP.json``) still load and resume; the resumed save leaves
+        the unnumbered file alone."""
+        directory = tmp_path / "unnumbered"
+        chain.run(directory, 2, validation_run=banked_run())
+        manifest = json.loads((directory / chain.manifest).read_text())
+        for position, entry in enumerate(manifest["banks"]):
+            unnumbered = f"bank-{position:03d}.json"
+            (directory / entry["file"]).rename(directory / unnumbered)
+            entry["file"] = unnumbered
+        (directory / chain.manifest).write_text(json.dumps(manifest))
+        checkpoint = chain.load(directory)
+        assert len(checkpoint.bank_states) == 1
+        chain.resume(checkpoint, 3, directory=directory, validation_run=banked_run())
+        assert chain.load(directory).completed == 3
+        assert (directory / "bank-000.json").exists()
+
+
+class ResumeCases:
+    def test_corrupt_last_snapshot_raises_persist_error(
+        self, chain, checkpoint_dir, tmp_path
+    ):
+        copy = copy_checkpoint(checkpoint_dir, tmp_path / "corrupt")
+        manifest = json.loads((copy / chain.manifest).read_text())
+        last = copy / manifest[f"last_{chain.step}_file"]
+        last.write_text(last.read_text()[:-40])  # truncate mid-record
+        with pytest.raises(PersistError):
+            chain.load(copy)
+
+    def test_crash_mid_save_keeps_previous_checkpoint(
+        self, chain, checkpoint_dir, tmp_path, monkeypatch
+    ):
+        """Data files are versioned; a crash before the manifest replace
+        leaves the previous checkpoint loadable."""
+        copy = copy_checkpoint(checkpoint_dir, tmp_path / "crashy")
+        before = chain.load(copy)
+        crash_before_manifest(monkeypatch, chain.manifest)
+        with pytest.raises(OSError, match="simulated crash"):
+            chain.resume(before, before.completed + 1, directory=copy)
+        after = chain.load(copy)  # old manifest + old data files intact
+        assert after.completed == before.completed
+        assert after.last_observations == before.last_observations
+
+    def test_crash_before_manifest_keeps_banked_checkpoint(
+        self, chain, tmp_path, monkeypatch
+    ):
+        """Bank files are versioned with their generation: a save that dies
+        before its manifest lands leaves the previous banks intact."""
+        run = banked_run()
+        directory = tmp_path / "banked"
+        chain.run(directory, 2, validation_run=run)
+        before = chain.load(directory)
+        probe(run, start_time=86400.0)  # the next save writes different banks
+        crash_before_manifest(monkeypatch, chain.manifest)
+        with pytest.raises(OSError, match="simulated crash"):
+            chain.resume(before, 3, directory=directory, validation_run=run)
+        after = chain.load(directory)
+        assert after.completed == before.completed
+        assert after.bank_states == before.bank_states
+
+
+class RotationCases:
+    def test_keep_retains_newest_n(self, chain, tmp_path):
+        directory = tmp_path / "rotated"
+        chain.run(directory, 3, keep=2)
+        assert _names(directory, "index-*.json") == ["index-0002.json", "index-0003.json"]
+        assert _names(directory, f"{chain.step}-*.jsonl") == [
+            f"{chain.step}-0002.jsonl",
+            f"{chain.step}-0003.jsonl",
+        ]
+        manifest = json.loads((directory / chain.manifest).read_text())
+        assert manifest["retained"] == [2, 3]
+
+    def test_bank_files_rotate_with_their_generation(self, chain, tmp_path):
+        directory = tmp_path / "banked"
+        chain.run(directory, 3, keep=2, validation_run=banked_run())
+        assert _names(directory, "bank-*.json") == [
+            "bank-0002-000.json",
+            "bank-0003-000.json",
+        ]
+        manifest = json.loads((directory / chain.manifest).read_text())
+        assert [entry["file"] for entry in manifest["banks"]] == ["bank-0003-000.json"]
+
+    def test_pruned_directory_still_resumes(self, chain, tmp_path, uninterrupted):
+        directory = tmp_path / "rotated"
+        chain.run(directory, 2, keep=2)
+        checkpoint = chain.load(directory)
+        reference = chain.signatures(uninterrupted)
+        resumed = chain.resume(checkpoint, len(reference))
+        assert resumed == reference[checkpoint.completed :]
+
+    def test_reused_directory_evicts_stale_higher_numbers(self, chain, tmp_path):
+        # Leftovers of an older run must not outrank the fresh save.
+        directory = tmp_path / "reused"
+        directory.mkdir()
+        (directory / "index-0005.json").write_text("{}")
+        (directory / f"{chain.step}-0005.jsonl").write_text("")
+        chain.run(directory, 2, keep=1)
+        assert _names(directory, "index-*.json") == ["index-0002.json"]
+        assert _names(directory, f"{chain.step}-*.jsonl") == [f"{chain.step}-0002.jsonl"]
+        # The manifest references files that actually exist: resume works.
+        assert chain.load(directory).completed == 2
+
+    def test_foreign_files_left_alone(self, chain, tmp_path):
+        directory = tmp_path / "rotated"
+        directory.mkdir()
+        keepsake = directory / "index-notes.json"
+        keepsake.write_text("{}")
+        chain.run(directory, 2, keep=1)
+        assert keepsake.exists()  # non-NNNN names are never pruned

@@ -1,9 +1,9 @@
 """Campaign checkpoints: stop after snapshot k, resume to k+n, exact parity."""
 
 import dataclasses
-import json
 
 import pytest
+from chain_cases import ContentsCases, ResumeCases, RotationCases
 
 from repro.api.config import ScenarioConfig
 from repro.api.session import ReproSession
@@ -28,6 +28,48 @@ def _campaign(snapshots=_SNAPSHOTS):
     )
 
 
+class CampaignChain:
+    """The campaign checkpoint chain, driven for the shared chain cases."""
+
+    manifest = CHECKPOINT_MANIFEST
+    step = "snapshot"
+    load = staticmethod(load_checkpoint)
+
+    def run(self, directory, steps, keep=1, validation_run=None):
+        _campaign(snapshots=steps).run(
+            checkpointer=CampaignCheckpointer(
+                directory, _CONFIG, keep=keep, validation_run=validation_run
+            )
+        )
+
+    def resume(self, checkpoint, steps, directory=None, validation_run=None):
+        campaign, engine = resume_campaign(checkpoint, snapshots=steps)
+        checkpointer = None
+        if directory is not None:
+            checkpointer = CampaignCheckpointer(
+                directory,
+                checkpoint.scenario,
+                prior_stability=checkpoint.stability,
+                validation_run=validation_run,
+            )
+        result = campaign.run(
+            checkpointer=checkpointer,
+            start=checkpoint.completed,
+            previous=checkpoint.last_observations,
+            engine=engine,
+        )
+        return [report_signature(resolved.report) for resolved in result.snapshots]
+
+    @staticmethod
+    def signatures(uninterrupted):
+        return [report_signature(resolved.report) for resolved in uninterrupted.snapshots]
+
+
+@pytest.fixture(scope="module")
+def chain():
+    return CampaignChain()
+
+
 @pytest.fixture(scope="module")
 def uninterrupted():
     """The reference: one campaign run start to finish."""
@@ -43,7 +85,7 @@ def checkpoint_dir(tmp_path_factory):
     return directory
 
 
-class TestCheckpointContents:
+class TestCheckpointContents(ContentsCases):
     def test_manifest_round_trip(self, checkpoint_dir):
         checkpoint = load_checkpoint(checkpoint_dir)
         assert checkpoint.completed == 2
@@ -60,23 +102,8 @@ class TestCheckpointContents:
         reference = [s.stability() for s in uninterrupted.snapshots[:2]]
         assert restored == reference
 
-    def test_missing_manifest_raises(self, tmp_path):
-        with pytest.raises(PersistError, match=CHECKPOINT_MANIFEST):
-            load_checkpoint(tmp_path)
 
-    def test_torn_checkpoint_detected(self, checkpoint_dir, tmp_path):
-        copy = tmp_path / "torn"
-        copy.mkdir()
-        for path in checkpoint_dir.iterdir():
-            (copy / path.name).write_bytes(path.read_bytes())
-        manifest = json.loads((copy / CHECKPOINT_MANIFEST).read_text())
-        manifest["index_signature"] = "0" * 64
-        (copy / CHECKPOINT_MANIFEST).write_text(json.dumps(manifest))
-        with pytest.raises(PersistError, match="torn"):
-            load_checkpoint(copy)
-
-
-class TestResumeParity:
+class TestResumeParity(ResumeCases):
     def test_resumed_matches_uninterrupted_snapshot_for_snapshot(
         self, checkpoint_dir, uninterrupted
     ):
@@ -153,51 +180,6 @@ class TestResumeParity:
             uninterrupted.snapshots[1].report
         )
 
-    def test_corrupt_last_snapshot_raises_persist_error(self, checkpoint_dir, tmp_path):
-        copy = tmp_path / "corrupt"
-        copy.mkdir()
-        for path in checkpoint_dir.iterdir():
-            (copy / path.name).write_bytes(path.read_bytes())
-        manifest = json.loads((copy / CHECKPOINT_MANIFEST).read_text())
-        snapshot = copy / manifest["last_snapshot_file"]
-        snapshot.write_text(snapshot.read_text()[:-40])  # truncate mid-record
-        with pytest.raises(PersistError):
-            load_checkpoint(copy)
-
-    def test_crash_mid_save_keeps_previous_checkpoint(
-        self, checkpoint_dir, tmp_path, monkeypatch
-    ):
-        """Data files are versioned; a crash before the manifest replace
-        leaves the previous checkpoint loadable."""
-        copy = tmp_path / "crashy"
-        copy.mkdir()
-        for path in checkpoint_dir.iterdir():
-            (copy / path.name).write_bytes(path.read_bytes())
-        before = load_checkpoint(copy)
-
-        import repro.persist.campaign as campaign_module
-
-        real_write_atomic = campaign_module.write_atomic
-
-        def dying_write_atomic(path, text):
-            if str(path).endswith(CHECKPOINT_MANIFEST):
-                raise OSError("simulated crash before the manifest landed")
-            real_write_atomic(path, text)
-
-        monkeypatch.setattr(campaign_module, "write_atomic", dying_write_atomic)
-        campaign, engine = resume_campaign(before, snapshots=3)
-        checkpointer = CampaignCheckpointer(copy, before.scenario, prior_stability=before.stability)
-        with pytest.raises(OSError, match="simulated crash"):
-            campaign.run(
-                checkpointer=checkpointer,
-                start=before.completed,
-                previous=before.last_observations,
-                engine=engine,
-            )
-        after = load_checkpoint(copy)  # old manifest + old data files intact
-        assert after.completed == before.completed
-        assert after.last_observations == before.last_observations
-
     def test_resume_below_completed_raises(self, checkpoint_dir):
         checkpoint = load_checkpoint(checkpoint_dir)
         with pytest.raises(PersistError, match="already completed"):
@@ -252,73 +234,12 @@ class TestRunInterleaving:
         assert campaign.config == dataclasses.replace(checkpoint.campaign, snapshots=3)
 
 
-class TestCheckpointRotation:
+class TestCheckpointRotation(RotationCases):
     def test_default_keeps_only_newest(self, checkpoint_dir):
         assert sorted(p.name for p in checkpoint_dir.glob("index-*.json")) == ["index-0002.json"]
         assert sorted(p.name for p in checkpoint_dir.glob("snapshot-*.jsonl")) == [
             "snapshot-0002.jsonl"
         ]
-
-    def test_keep_retains_newest_n(self, tmp_path):
-        directory = tmp_path / "rotated"
-        campaign = _campaign(snapshots=3)
-        campaign.run(checkpointer=CampaignCheckpointer(directory, _CONFIG, keep=2))
-        assert sorted(p.name for p in directory.glob("index-*.json")) == [
-            "index-0002.json",
-            "index-0003.json",
-        ]
-        assert sorted(p.name for p in directory.glob("snapshot-*.jsonl")) == [
-            "snapshot-0002.jsonl",
-            "snapshot-0003.jsonl",
-        ]
-        manifest = json.loads((directory / CHECKPOINT_MANIFEST).read_text())
-        assert manifest["retained"] == [2, 3]
-
-    def test_pruned_directory_still_resumes(self, tmp_path, uninterrupted):
-        directory = tmp_path / "rotated"
-        _campaign(snapshots=2).run(
-            checkpointer=CampaignCheckpointer(directory, _CONFIG, keep=2)
-        )
-        checkpoint = load_checkpoint(directory)
-        campaign, engine = resume_campaign(checkpoint, snapshots=_SNAPSHOTS)
-        resumed = campaign.run(
-            start=checkpoint.completed,
-            previous=checkpoint.last_observations,
-            engine=engine,
-        )
-        for resolved, reference in zip(
-            resumed.snapshots,
-            uninterrupted.snapshots[checkpoint.completed :],
-            strict=True,
-        ):
-            assert report_signature(resolved.report) == report_signature(reference.report)
-
-    def test_reused_directory_evicts_stale_higher_numbers(self, tmp_path):
-        # Leftovers of an older campaign must not outrank the fresh save.
-        directory = tmp_path / "reused"
-        directory.mkdir()
-        (directory / "index-0005.json").write_text("{}")
-        (directory / "snapshot-0005.jsonl").write_text("")
-        _campaign(snapshots=2).run(
-            checkpointer=CampaignCheckpointer(directory, _CONFIG, keep=1)
-        )
-        assert sorted(p.name for p in directory.glob("index-*.json")) == ["index-0002.json"]
-        assert sorted(p.name for p in directory.glob("snapshot-*.jsonl")) == [
-            "snapshot-0002.jsonl"
-        ]
-        # The manifest references files that actually exist: resume works.
-        checkpoint = load_checkpoint(directory)
-        assert checkpoint.completed == 2
-
-    def test_foreign_files_left_alone(self, tmp_path):
-        directory = tmp_path / "rotated"
-        directory.mkdir()
-        keepsake = directory / "index-notes.json"
-        keepsake.write_text("{}")
-        _campaign(snapshots=2).run(
-            checkpointer=CampaignCheckpointer(directory, _CONFIG, keep=1)
-        )
-        assert keepsake.exists()  # non-NNNN names are never pruned
 
     def test_keep_must_be_positive(self, tmp_path):
         with pytest.raises(PersistError, match="at least one snapshot"):

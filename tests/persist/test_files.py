@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.errors import PersistError
-from repro.persist.files import read_json_document, write_atomic
+from repro.persist.files import read_json_document, read_pinned_document, write_atomic
 
 
 class TestWriteAtomic:
@@ -45,3 +45,18 @@ class TestReadJsonDocument:
         target.write_text("[1, 2, 3]", encoding="utf-8")
         with pytest.raises(PersistError, match="not a JSON object"):
             read_json_document(target, "fixture")
+
+
+class TestReadPinnedDocument:
+    def test_matching_or_absent_pin_reads(self, tmp_path):
+        target = tmp_path / "doc.json"
+        target.write_text('{"signature": "abc"}', encoding="utf-8")
+        assert read_pinned_document(target, "fixture", "abc", "session") == {"signature": "abc"}
+        # Manifests written before pinning carry no signature to compare.
+        assert read_pinned_document(target, "fixture", None, "session") == {"signature": "abc"}
+
+    def test_mismatched_pin_is_a_torn_save(self, tmp_path):
+        target = tmp_path / "doc.json"
+        target.write_text('{"signature": "abc"}', encoding="utf-8")
+        with pytest.raises(PersistError, match="stream checkpoint was likely torn"):
+            read_pinned_document(target, "fixture", "def", "stream checkpoint")

@@ -1,8 +1,7 @@
 """Stream checkpoints: kill the daemon mid-stream, resume, exact parity."""
 
-import json
-
 import pytest
+from chain_cases import ContentsCases, ResumeCases, RotationCases
 
 from repro.api.config import ScenarioConfig
 from repro.api.session import ReproSession
@@ -39,6 +38,47 @@ def _daemon(campaign, polls, checkpointer=None, stream=None, start=0, previous=N
     )
 
 
+class StreamChain:
+    """The stream checkpoint chain, driven for the shared chain cases."""
+
+    manifest = STREAM_MANIFEST
+    step = "poll"
+    load = staticmethod(load_stream_checkpoint)
+
+    def run(self, directory, steps, keep=1, validation_run=None):
+        checkpointer = StreamCheckpointer(
+            directory, _CONFIG, keep=keep, validation_run=validation_run
+        )
+        _daemon(_campaign(), steps, checkpointer=checkpointer).run()
+
+    def resume(self, checkpoint, steps, directory=None, validation_run=None):
+        campaign, stream = resume_stream(checkpoint)
+        checkpointer = None
+        if directory is not None:
+            checkpointer = StreamCheckpointer(
+                directory, checkpoint.scenario, validation_run=validation_run
+            )
+        updates = _daemon(
+            campaign,
+            steps - checkpoint.completed,
+            checkpointer=checkpointer,
+            stream=stream,
+            start=checkpoint.completed,
+            previous=checkpoint.last_observations,
+        ).run()
+        return [report_signature(update.report) for update in updates]
+
+    @staticmethod
+    def signatures(uninterrupted):
+        updates, _ = uninterrupted
+        return [report_signature(update.report) for update in updates]
+
+
+@pytest.fixture(scope="module")
+def chain():
+    return StreamChain()
+
+
 @pytest.fixture(scope="module")
 def uninterrupted():
     """The reference: one daemon run start to finish, no checkpointing."""
@@ -57,7 +97,7 @@ def checkpoint_dir(tmp_path_factory):
     return directory
 
 
-class TestCheckpointContents:
+class TestCheckpointContents(ContentsCases):
     def test_manifest_round_trip(self, checkpoint_dir):
         checkpoint = load_stream_checkpoint(checkpoint_dir)
         assert checkpoint.completed == 2
@@ -69,21 +109,6 @@ class TestCheckpointContents:
         assert checkpoint.window["emitted"] == 2
         assert checkpoint.event_counts["report.emitted"] == 2
         assert len(checkpoint.last_observations) > 0
-
-    def test_missing_manifest_raises(self, tmp_path):
-        with pytest.raises(PersistError, match=STREAM_MANIFEST):
-            load_stream_checkpoint(tmp_path)
-
-    def test_torn_checkpoint_detected(self, checkpoint_dir, tmp_path):
-        copy = tmp_path / "torn"
-        copy.mkdir()
-        for path in checkpoint_dir.iterdir():
-            (copy / path.name).write_bytes(path.read_bytes())
-        manifest = json.loads((copy / STREAM_MANIFEST).read_text())
-        manifest["index_signature"] = "0" * 64
-        (copy / STREAM_MANIFEST).write_text(json.dumps(manifest))
-        with pytest.raises(PersistError, match="torn"):
-            load_stream_checkpoint(copy)
 
     def test_rotation_keeps_only_newest(self, checkpoint_dir):
         assert sorted(p.name for p in checkpoint_dir.glob("index-*.json")) == [
@@ -98,7 +123,7 @@ class TestCheckpointContents:
             StreamCheckpointer(tmp_path, _CONFIG, keep=0)
 
 
-class TestResumeGate:
+class TestResumeGate(ResumeCases):
     """The resume gate: killed + resumed == uninterrupted, byte for byte."""
 
     def test_resumed_daemon_matches_uninterrupted(self, checkpoint_dir, uninterrupted):
@@ -148,36 +173,6 @@ class TestResumeGate:
         assert final.window["emitted"] == 3
         assert final.event_counts["report.emitted"] == 3
 
-    def test_crash_mid_save_keeps_previous_checkpoint(
-        self, checkpoint_dir, tmp_path, monkeypatch
-    ):
-        copy = tmp_path / "crashy"
-        copy.mkdir()
-        for path in checkpoint_dir.iterdir():
-            (copy / path.name).write_bytes(path.read_bytes())
-        before = load_stream_checkpoint(copy)
 
-        import repro.persist.stream as stream_module
-
-        real_write_atomic = stream_module.write_atomic
-
-        def dying_write_atomic(path, text):
-            if str(path).endswith(STREAM_MANIFEST):
-                raise OSError("simulated crash before the manifest landed")
-            real_write_atomic(path, text)
-
-        monkeypatch.setattr(stream_module, "write_atomic", dying_write_atomic)
-        campaign, stream = resume_stream(before)
-        daemon = _daemon(
-            campaign,
-            1,
-            checkpointer=StreamCheckpointer(copy, before.scenario),
-            stream=stream,
-            start=before.completed,
-            previous=before.last_observations,
-        )
-        with pytest.raises(OSError, match="simulated crash"):
-            daemon.run()
-        after = load_stream_checkpoint(copy)  # previous checkpoint intact
-        assert after.completed == before.completed
-        assert after.last_observations == before.last_observations
+class TestCheckpointRotation(RotationCases):
+    """Rotation of the poll generations (the cases shared with campaigns)."""

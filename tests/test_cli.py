@@ -55,28 +55,6 @@ class TestScanAndResolve:
         assert main(["scan", "--scale", "0.1", "--output", str(tmp_path), "--sources", "union-ipv4"]) == 0
         assert (tmp_path / "union-ipv4.jsonl").exists()
 
-    def test_resolve_with_workers_matches_serial(self, tmp_path, capsys):
-        scan_dir = tmp_path / "scan"
-        assert main(["scan", "--scale", "0.1", "--seed", "3", "--output", str(scan_dir)]) == 0
-        serial_dir, parallel_dir = tmp_path / "serial", tmp_path / "parallel"
-        for out_dir, workers in ((serial_dir, "1"), (parallel_dir, "2")):
-            assert (
-                main(
-                    [
-                        "resolve",
-                        str(scan_dir / "active.jsonl"),
-                        "--output",
-                        str(out_dir),
-                        "--workers",
-                        workers,
-                    ]
-                )
-                == 0
-            )
-        assert (serial_dir / "ipv4_alias_sets.json").read_text() == (
-            parallel_dir / "ipv4_alias_sets.json"
-        ).read_text()
-
     def test_resolve_stats_reports_build(self, tmp_path, capsys):
         scan_dir = tmp_path / "scan"
         assert main(["scan", "--scale", "0.1", "--seed", "3", "--output", str(scan_dir)]) == 0
@@ -88,8 +66,6 @@ class TestScanAndResolve:
                     "--output",
                     str(tmp_path / "out"),
                     "--stats",
-                    "--workers",
-                    "2",
                 ]
             )
             == 0
@@ -98,8 +74,6 @@ class TestScanAndResolve:
         assert "index build statistics:" in output
         assert "interned addresses:" in output
         assert "interned identifiers:" in output
-        assert "build path:" in output
-        assert "shared-memory" in output
 
 
 class TestCliErrorPaths:
@@ -136,13 +110,6 @@ class TestCliErrorPaths:
         exit_code = main(["longitudinal", "--scale", "0.05", "--snapshots", "0"])
         assert exit_code == 2
         assert "at least one snapshot" in capsys.readouterr().err
-
-    def test_resolve_rejects_invalid_workers(self, tmp_path, capsys):
-        exit_code = main(
-            ["resolve", str(tmp_path / "missing.jsonl"), "--output", str(tmp_path), "--workers", "0"]
-        )
-        assert exit_code == 2
-        assert "--workers" in capsys.readouterr().err
 
 
 class TestRegistryListings:
@@ -421,6 +388,29 @@ class TestParser:
 
         args = build_parser().parse_args(["scan", "--output", "out"])
         assert args.scale == 1.0
+
+    @pytest.mark.parametrize(
+        "verb",
+        [
+            ["scan"],
+            ["experiments"],
+            ["claims"],
+            ["plan"],
+            ["longitudinal"],
+            ["validate"],
+            ["serve"],
+            ["session", "save", "saved"],
+        ],
+        ids=lambda verb: "-".join(verb[:2]),
+    )
+    def test_non_positive_scale_rejected(self, capsys, verb):
+        # One shared --scale/--seed parser: every data-generating verb
+        # refuses a scale that would simulate no Internet at all.
+        for scale in ("0", "-1"):
+            with pytest.raises(SystemExit) as exited:
+                main([*verb, "--scale", scale])
+            assert exited.value.code == 2
+            assert "--scale: must be positive" in capsys.readouterr().err
 
 
 class TestCampaignFlagValidation:
