@@ -1,4 +1,4 @@
-"""Ablation benchmarks for the design choices called out in DESIGN.md.
+"""Ablation benchmarks for the identifier design choices the README describes.
 
 These are not paper tables; they quantify why the identifiers are built the
 way they are:
@@ -20,7 +20,7 @@ from repro.simnet.device import ServiceType
 
 def bench_ssh_capability_ablation(benchmark, scenario):
     """SSH identifier: host key only vs host key + capabilities + banner."""
-    observations = list(scenario.union_ipv4)
+    observations = list(scenario.dataset("union-ipv4"))
     truth = scenario.network.ground_truth_alias_sets(AddressFamily.IPV4)
 
     def run():
@@ -54,7 +54,7 @@ def bench_ssh_capability_ablation(benchmark, scenario):
 
 def bench_bgp_field_ablation(benchmark, scenario):
     """BGP identifier: full OPEN fields vs BGP Identifier + ASN only."""
-    observations = list(scenario.union_ipv4)
+    observations = list(scenario.dataset("union-ipv4"))
     truth = scenario.network.ground_truth_alias_sets(AddressFamily.IPV4)
 
     def run():
@@ -83,9 +83,9 @@ def bench_bgp_field_ablation(benchmark, scenario):
 def bench_vantage_point_ablation(benchmark, scenario):
     """Coverage of a single rate-limited vantage point vs a distributed one."""
     def run():
-        active_ssh = len(scenario.active_ipv4.addresses(ServiceType.SSH, AddressFamily.IPV4))
-        censys_ssh = len(scenario.censys_ipv4_standard.addresses(ServiceType.SSH, AddressFamily.IPV4))
-        union_ssh = len(scenario.union_ipv4.addresses(ServiceType.SSH, AddressFamily.IPV4))
+        active_ssh = len(scenario.dataset("active-ipv4").addresses(ServiceType.SSH, AddressFamily.IPV4))
+        censys_ssh = len(scenario.dataset("censys-standard").addresses(ServiceType.SSH, AddressFamily.IPV4))
+        union_ssh = len(scenario.dataset("union-ipv4").addresses(ServiceType.SSH, AddressFamily.IPV4))
         return active_ssh, censys_ssh, union_ssh
 
     active_ssh, censys_ssh, union_ssh = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -25,9 +25,9 @@ import time
 
 import pytest
 
+from repro.api.config import ScenarioConfig
 from repro.core.engine import ResolutionEngine, report_signature
 from repro.core.identifiers import count_extractions
-from repro.experiments.scenario import ScenarioConfig
 from repro.longitudinal import LongitudinalCampaign, LongitudinalConfig, LongitudinalEngine
 from repro.simnet.topology import generate_topology
 from repro.sources.hitlist import HitlistConfig, build_ipv6_hitlist

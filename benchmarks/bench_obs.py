@@ -22,8 +22,7 @@ Add ``--bench-json DIR`` to record the measurements into
 import time
 
 from repro import obs
-from repro.core.engine import report_signature
-from repro.core.pipeline import run_alias_resolution
+from repro.core.engine import ResolutionEngine, report_signature
 
 #: Minimum dormant-path resolve time before the overhead assertion arms;
 #: below it, per-call constant factors dominate and the ratio is noise.
@@ -41,7 +40,7 @@ def _timed(callable_):
 
 def bench_obs_overhead(benchmark, scenario, bench_json):
     """Instrumented vs dormant end-to-end resolve: parity always, <5% armed."""
-    observations = list(scenario.observations_for("union"))
+    observations = list(scenario.observations("union"))
     rounds = 3
 
     assert not obs.is_enabled()
@@ -49,7 +48,7 @@ def bench_obs_overhead(benchmark, scenario, bench_json):
     dormant_report = None
     for _ in range(rounds):
         seconds, dormant_report = _timed(
-            lambda: run_alias_resolution(observations, name="union")
+            lambda: ResolutionEngine().resolve(observations, name="union")
         )
         dormant_times.append(seconds)
 
@@ -58,7 +57,7 @@ def bench_obs_overhead(benchmark, scenario, bench_json):
     with obs.observed() as registry:
         for _ in range(rounds):
             seconds, instrumented_report = _timed(
-                lambda: run_alias_resolution(observations, name="union")
+                lambda: ResolutionEngine().resolve(observations, name="union")
             )
             enabled_times.append(seconds)
     assert not obs.is_enabled()
@@ -97,7 +96,7 @@ def bench_obs_overhead(benchmark, scenario, bench_json):
         )
 
     benchmark.pedantic(
-        lambda: run_alias_resolution(observations, name="union"), rounds=1, iterations=1
+        lambda: ResolutionEngine().resolve(observations, name="union"), rounds=1, iterations=1
     )
 
 

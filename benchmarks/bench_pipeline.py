@@ -1,6 +1,6 @@
 """Benchmark of the single-pass resolution pipeline.
 
-Covers the end-to-end ``run_alias_resolution`` path for all three sources
+Covers the end-to-end ``ResolutionEngine.resolve`` path for all three sources
 (active, censys, union), the :class:`ObservationIndex` build step in
 isolation, a head-to-head against the seed's nine-pass structure (six
 per-(protocol, family) groupings plus three dual-stack passes, re-extracting
@@ -33,7 +33,6 @@ from repro.core.engine import (
     report_signature,
 )
 from repro.core.identifiers import count_extractions
-from repro.core.pipeline import run_alias_resolution
 from repro.net.addresses import AddressFamily
 
 #: Minimum *dict-core* build time before the columnar speedup assertion
@@ -48,7 +47,7 @@ _REQUIRED_SPEEDUP = 5.0
 
 
 def _observations(scenario, source):
-    return list(scenario.observations_for(source))
+    return list(scenario.observations(source))
 
 
 def _nine_pass_reference(observations, name="dataset"):
@@ -78,12 +77,12 @@ def _bench_source(benchmark, scenario, bench_json, source):
     # Counted pass first, un-hooked timed pass second, so the recorded timing
     # does not pay for the instrumentation callback.
     with count_extractions() as counter:
-        run_alias_resolution(observations, name=source)
+        ResolutionEngine().resolve(observations, name=source)
     # The single-pass engine extracts each observation's identifier exactly once.
     assert counter.count == len(observations)
     start = time.perf_counter()
     report = benchmark.pedantic(
-        lambda: run_alias_resolution(observations, name=source), rounds=1, iterations=1
+        lambda: ResolutionEngine().resolve(observations, name=source), rounds=1, iterations=1
     )
     bench_json.record(
         "pipeline",

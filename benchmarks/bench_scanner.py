@@ -41,7 +41,7 @@ def bench_zgrab_ssh_grab(benchmark, scenario):
 
 
 def bench_alias_grouping_throughput(benchmark, scenario):
-    observations = list(scenario.union_ipv4)
+    observations = list(scenario.dataset("union-ipv4"))
     resolver = AliasResolver()
 
     collection = benchmark(lambda: resolver.group(observations, protocol=ServiceType.SSH, family=AddressFamily.IPV4))

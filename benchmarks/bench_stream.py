@@ -25,8 +25,8 @@ import time
 
 import pytest
 
+from repro.api.config import ScenarioConfig
 from repro.core.engine import report_signature
-from repro.experiments.scenario import ScenarioConfig
 from repro.longitudinal import LongitudinalCampaign, LongitudinalConfig
 from repro.simnet.topology import generate_topology
 from repro.sources.hitlist import HitlistConfig, build_ipv6_hitlist

@@ -6,8 +6,9 @@ Two claims are measured and asserted (always, at whatever
 * **Table 2 golden parity** — Table 2 rendered through the validator
   registry (``session.validate`` over ``sample(midar(...))``) is
   byte-identical to the pre-registry build, replicated here inline with a
-  direct ``MidarProber`` run: same sampling, same schedule, same probing
-  order.  At scale 1.0 seed 42 this is the paper configuration.
+  direct ``MidarPipeline`` run over a private bank: same sampling, same
+  schedule, same probing order.  At scale 1.0 seed 42 this is the paper
+  configuration.
 * **Shared-bank probe reduction with verdict parity** — a composed
   midar+ally validation over one sample, sharing one
   :class:`~repro.validation.bank.IpidSampleBank`, issues strictly fewer
@@ -36,14 +37,13 @@ import pytest
 from repro.api.config import ScenarioConfig
 from repro.api.experiments import get_experiment
 from repro.api.session import ReproSession
-from repro.baselines.midar import MidarProber
 from repro.core.validation import cross_validate
 from repro.experiments.table2 import Table2Result, ValidationRow, render
 from repro.simnet.device import ServiceType
 from repro.simnet.network import VantagePoint
 from repro.validation.bank import IpidSampleBank
 from repro.validation.spec import ally, midar, sample
-from repro.validation.techniques import AllyPipeline
+from repro.validation.techniques import AllyPipeline, MidarPipeline
 
 #: The vantage of the sharing comparison: distributed, so per-(vantage, AS,
 #: window) IDS budgets do not punish whichever run probes more.
@@ -95,10 +95,12 @@ def _legacy_table2(session, midar_sample_size=150, midar_seed=7):
         if len(alias_set.addresses) <= 10
     ]
     chosen = rng.sample(candidates, min(midar_sample_size, len(candidates)))
-    prober = MidarProber(session.network, VantagePoint(name="midar-vp", address="192.0.2.251"))
+    pipeline = MidarPipeline(
+        IpidSampleBank(session.network, VantagePoint(name="midar-vp", address="192.0.2.251"))
+    )
     ipv6_times = [observation.timestamp for observation in session.dataset("active-ipv6")]
     midar_start = max(ipv6_times) + 3600.0 if ipv6_times else 0.0
-    verdicts = prober.verify_sets(chosen, start_time=midar_start)
+    verdicts = pipeline.verify_sets(chosen, start_time=midar_start)
     testable = [verdict for verdict in verdicts if verdict.testable]
     agree = sum(1 for verdict in testable if verdict.agrees)
     rows.append(
@@ -174,7 +176,7 @@ def bench_shared_bank_probe_reduction(benchmark, bench_json):
     midar_session = ReproSession(config)
     chosen, start = _sample_and_start(midar_session)
     midar_counter = _count_probes(midar_session.network)
-    midar_verdicts = MidarProber(midar_session.network, _VP).verify_sets(
+    midar_verdicts = MidarPipeline(IpidSampleBank(midar_session.network, _VP)).verify_sets(
         chosen, start_time=start
     )
 

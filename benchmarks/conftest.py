@@ -26,7 +26,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments.scenario import PaperScenario, ScenarioConfig
+from repro.api import ReproSession, ScenarioConfig
 
 
 def pytest_addoption(parser):
@@ -94,7 +94,7 @@ def bench_json(request):
 
 @pytest.fixture(scope="session")
 def scenario():
-    built = PaperScenario(ScenarioConfig(scale=_bench_scale(), seed=_bench_seed()))
+    built = ReproSession(ScenarioConfig(scale=_bench_scale(), seed=_bench_seed()))
     # Materialise the datasets and reports once so that the per-table
     # benchmarks measure aggregation, not data collection.
     built.report("active")

@@ -16,17 +16,17 @@ Run with::
 """
 
 from repro.analysis.tables import render_table
+from repro.api import ReproSession, ScenarioConfig
 from repro.baselines.ptr import PtrResolver, ptr_dual_stack_sets
 from repro.core.dual_stack import infer_dual_stack, union_dual_stack
-from repro.experiments.scenario import PaperScenario, ScenarioConfig
 from repro.simnet.device import ServiceType
 
 
 def main() -> None:
-    scenario = PaperScenario(ScenarioConfig(scale=0.5, seed=21))
-    observations = list(scenario.active_ipv4) + list(scenario.active_ipv6)
+    session = ReproSession(ScenarioConfig(scale=0.5, seed=21))
+    observations = list(session.dataset("active-ipv4")) + list(session.dataset("active-ipv6"))
     print(f"Observations: {len(observations)} over "
-          f"{len(scenario.network.all_addresses())} simulated addresses")
+          f"{len(session.network.all_addresses())} simulated addresses")
 
     ssh = infer_dual_stack(observations, protocol=ServiceType.SSH, name="ssh")
     bgp = infer_dual_stack(observations, protocol=ServiceType.BGP, name="bgp")
@@ -34,7 +34,7 @@ def main() -> None:
     union = union_dual_stack([ssh, bgp, snmp], name="union")
 
     # The PTR baseline can only match addresses that have reverse DNS set up.
-    resolver = PtrResolver(scenario.network, coverage=0.55, seed=3)
+    resolver = PtrResolver(session.network, coverage=0.55, seed=3)
     scanned = sorted({observation.address for observation in observations})
     ptr_sets = ptr_dual_stack_sets(resolver, scanned)
 

@@ -18,26 +18,26 @@ from pathlib import Path
 
 from repro.analysis.report import alias_report_markdown
 from repro.analysis.tables import render_table
-from repro.core.pipeline import run_alias_resolution
-from repro.experiments.scenario import PaperScenario, ScenarioConfig
+from repro.api import ReproSession, ScenarioConfig
+from repro.core.engine import ResolutionEngine
 from repro.io.datasets import save_alias_sets, save_observations
 from repro.simnet.device import ServiceType
 
 
 def main() -> None:
     # Scale 0.5 keeps this example under ~10 seconds; raise it for more detail.
-    scenario = PaperScenario(ScenarioConfig(scale=0.5, seed=7))
-    print(f"Simulated Internet: {len(scenario.network.devices())} devices, "
-          f"{len(scenario.network.all_addresses())} addresses")
+    session = ReproSession(ScenarioConfig(scale=0.5, seed=7))
+    print(f"Simulated Internet: {len(session.network.devices())} devices, "
+          f"{len(session.network.all_addresses())} addresses")
 
     sources = {
-        "active": scenario.active_ipv4,
-        "censys": scenario.censys_ipv4_standard,
-        "union": scenario.union_ipv4,
+        "active": session.dataset("active-ipv4"),
+        "censys": session.dataset("censys-standard"),
+        "union": session.dataset("union-ipv4"),
     }
     rows = []
     for name, dataset in sources.items():
-        report = run_alias_resolution(dataset, name=name)
+        report = ResolutionEngine().resolve(dataset, name=name)
         ssh_sets = report.ipv4[ServiceType.SSH].non_singleton()
         union_sets = report.ipv4_union.non_singleton()
         rows.append(
@@ -60,15 +60,15 @@ def main() -> None:
     output_dir = Path(tempfile.mkdtemp(prefix="repro-campaign-"))
     observations_path = output_dir / "union_observations.jsonl"
     sets_path = output_dir / "union_alias_sets.json"
-    union_report = scenario.report("union")
-    save_observations(scenario.union_ipv4, observations_path)
+    union_report = session.report("union")
+    save_observations(session.dataset("union-ipv4"), observations_path)
     save_alias_sets(union_report.ipv4_union, sets_path)
     print(f"\nWrote {observations_path}")
     print(f"Wrote {sets_path}")
 
     # A compact markdown report of everything the union data shows.
     markdown_path = output_dir / "report.md"
-    markdown_path.write_text(alias_report_markdown(union_report, scenario.network.registry))
+    markdown_path.write_text(alias_report_markdown(union_report, session.network.registry))
     print(f"Wrote {markdown_path}")
 
 

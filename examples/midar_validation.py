@@ -16,16 +16,17 @@ Run with::
 import random
 
 from repro.analysis.tables import render_table
-from repro.baselines.ally import AllyProber
-from repro.baselines.midar import MidarProber
-from repro.core.pipeline import run_alias_resolution
-from repro.experiments.scenario import PaperScenario, ScenarioConfig
+from repro.api import ReproSession, ScenarioConfig
+from repro.core.engine import ResolutionEngine
 from repro.simnet.device import ServiceType
+from repro.simnet.network import VantagePoint
+from repro.validation.bank import IpidSampleBank
+from repro.validation.techniques import AllyPipeline, MidarPipeline
 
 
 def main() -> None:
-    scenario = PaperScenario(ScenarioConfig(scale=0.4, seed=5))
-    report = run_alias_resolution(scenario.active_ipv4, name="active")
+    session = ReproSession(ScenarioConfig(scale=0.4, seed=5))
+    report = ResolutionEngine().resolve(session.dataset("active-ipv4"), name="active")
     ssh_sets = [
         alias_set.addresses
         for alias_set in report.ipv4[ServiceType.SSH].non_singleton()
@@ -35,8 +36,11 @@ def main() -> None:
     sample = rng.sample(ssh_sets, min(60, len(ssh_sets)))
     print(f"Sampled {len(sample)} SSH alias sets (of {len(ssh_sets)} candidates) for MIDAR validation")
 
-    prober = MidarProber(scenario.network)
-    verdicts = prober.verify_sets(sample, start_time=3_000_000.0)
+    # Each technique probes from its own vantage through a private sample bank.
+    midar = MidarPipeline(
+        IpidSampleBank(session.network, VantagePoint(name="midar-vp", address="192.0.2.251"))
+    )
+    verdicts = midar.verify_sets(sample, start_time=3_000_000.0)
     testable = [verdict for verdict in verdicts if verdict.testable]
     agree = [verdict for verdict in testable if verdict.agrees]
     print()
@@ -53,7 +57,7 @@ def main() -> None:
 
     # Explain the disagreements with the simulation's ground truth.
     truth_owner = {}
-    for device in scenario.network.devices():
+    for device in session.network.devices():
         for address in device.addresses():
             truth_owner[address] = device.device_id
     for verdict in testable:
@@ -65,7 +69,9 @@ def main() -> None:
         print(f"  disagreement on {sorted(verdict.candidate)}: {reason}")
 
     # Ally spot check on a few confirmed pairs.
-    ally = AllyProber(scenario.network)
+    ally = AllyPipeline(
+        IpidSampleBank(session.network, VantagePoint(name="ally-vp", address="192.0.2.252"))
+    )
     pairs = [sorted(verdict.candidate)[:2] for verdict in agree[:5]]
     confirmed = sum(1 for left, right in pairs if ally.test_pair(left, right).aliases)
     if pairs:

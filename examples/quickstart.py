@@ -15,7 +15,7 @@ Run with::
 """
 
 from repro.analysis.tables import render_table
-from repro.core.pipeline import run_alias_resolution
+from repro.core.engine import ResolutionEngine
 from repro.net.addresses import AddressFamily
 from repro.simnet.device import ServiceType
 from repro.simnet.topology import generate_topology, small_topology_config
@@ -38,7 +38,7 @@ def main() -> None:
           f"({len(observations.addresses())} distinct addresses)")
 
     # 3 + 4. Alias resolution and dual-stack inference.
-    report = run_alias_resolution(observations, name="quickstart")
+    report = ResolutionEngine().resolve(observations, name="quickstart")
     rows = []
     for protocol in (ServiceType.SSH, ServiceType.BGP, ServiceType.SNMPV3):
         ipv4 = report.ipv4[protocol].non_singleton()

@@ -9,9 +9,9 @@ Censys-like secondary data source, and the MIDAR/Ally/iffinder baselines — is
 implemented here as well, so the whole evaluation runs offline.
 
 See :mod:`repro.core` for the public inference API, :mod:`repro.experiments`
-for the drivers that regenerate each table and figure of the paper, and
-``DESIGN.md`` / ``EXPERIMENTS.md`` at the repository root for the system
-inventory and measured results.
+for the drivers that regenerate each table and figure of the paper, the
+README at the repository root for the system inventory, and
+``repro experiments`` / ``repro claims`` for the measured results.
 """
 
 __version__ = "1.0.0"

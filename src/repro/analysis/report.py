@@ -10,7 +10,7 @@ from __future__ import annotations
 from repro.analysis.aslevel import top_as_table
 from repro.analysis.setstats import set_size_summary
 from repro.analysis.tables import format_count
-from repro.core.pipeline import AliasReport
+from repro.core.engine import AliasReport
 from repro.net.addresses import AddressFamily
 from repro.simnet.asn import AsRegistry
 from repro.simnet.device import ServiceType

@@ -1,10 +1,9 @@
 """Session configuration.
 
-:class:`ScenarioConfig` predates the session API (it configured the old
-``PaperScenario``) and keeps its name because it describes exactly that:
-the evaluation scenario — topology scale and seed plus the knobs of the
-built-in sources.  It lives here so both the session facade and the
-back-compat scenario shim can import it without a cycle.
+:class:`ScenarioConfig` describes the evaluation scenario a session
+reproduces — topology scale and seed plus the knobs of the built-in
+sources.  It lives in its own module so the session facade, persistence
+and checkpointing can all import it without a cycle.
 """
 
 from __future__ import annotations

@@ -15,9 +15,6 @@ composition).  Everything else goes through the registries:
   experiment,
 * ``session.longitudinal(...)`` — a churn campaign over a fresh network of
   the same configuration.
-
-The old ``PaperScenario`` god-object survives as a thin attribute shim over
-this class (see :mod:`repro.experiments.scenario`).
 """
 
 from __future__ import annotations
@@ -36,9 +33,8 @@ from repro.api.sources import (
     SourceSpec,
     build_source,
 )
-from repro.core.engine import AliasReport
+from repro.core.engine import AliasReport, ResolutionEngine
 from repro.core.identifiers import DEFAULT_OPTIONS, IdentifierOptions
-from repro.core.pipeline import run_alias_resolution
 from repro.longitudinal.campaign import LongitudinalCampaign, LongitudinalConfig
 from repro.simnet.network import SimulatedInternet, VantagePoint
 from repro.simnet.topology import TopologyConfig, generate_topology
@@ -189,8 +185,8 @@ class ReproSession:
             if obs.is_enabled():
                 obs.add("session.cache", 1, kind="report", outcome="miss")
             with obs.span("session.report", name=name):
-                self._reports[key] = run_alias_resolution(
-                    self._stream(spec), name=name, options=self.options
+                self._reports[key] = ResolutionEngine(self.options).resolve(
+                    self._stream(spec), name=name
                 )
         else:
             if obs.is_enabled():
@@ -338,16 +334,12 @@ class ReproSession:
         save_session(self, directory)
         return self
 
-    @classmethod
-    def load(cls, directory) -> "ReproSession":
-        """Rebuild a saved session with its dataset and report caches primed.
-
-        Instantiates ``cls``, so subclasses (e.g. ``PaperScenario``) load
-        back as themselves.
-        """
+    @staticmethod
+    def load(directory) -> "ReproSession":
+        """Rebuild a saved session with its dataset and report caches primed."""
         from repro.persist.session import load_session
 
-        return load_session(directory, session_class=cls)
+        return load_session(directory)
 
     # ------------------------------------------------------------------ #
     # Experiments

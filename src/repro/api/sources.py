@@ -16,7 +16,7 @@ Two registries cooperate:
 
 Specs are frozen and hashable, so sessions cache datasets per spec: the
 active IPv4 campaign referenced by both ``"active"`` and ``"union"`` runs
-once per session, exactly like the old hand-wired ``PaperScenario`` caches.
+once per session.
 """
 
 from __future__ import annotations
@@ -293,9 +293,8 @@ register_source("union", UNION, "paper's union composition: merged IPv4 + active
 
 #: Stream compositions behind ``session.report(name)`` for the three source
 #: labels the paper's evaluation uses.  "censys" resolves over the
-#: default-port view while ``session.dataset("censys")`` stays raw — the same
-#: split the old ``PaperScenario`` made between ``censys_ipv4`` and
-#: ``report("censys")``.
+#: default-port view while ``session.dataset("censys")`` stays raw, as the
+#: paper's methodology restricts its Censys analysis to default ports.
 REPORT_SPECS: dict[str, SourceSpec] = {
     "active": ACTIVE,
     "censys": CENSYS_STANDARD,

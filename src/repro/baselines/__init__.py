@@ -2,60 +2,24 @@
 
 * :mod:`repro.baselines.ipid` — IPID time-series collection and the
   monotonic bounds test shared by the IPID-based techniques.
-* :mod:`repro.baselines.midar` — the classic MIDAR prober interface, now a
-  shim over :class:`repro.validation.techniques.MidarPipeline`.
-* :mod:`repro.baselines.ally` — the classic pairwise Ally test, a shim
-  over :class:`repro.validation.techniques.AllyPipeline`.
-* :mod:`repro.baselines.speedtrap` — the IPv6 (Speedtrap-style) variant.
 * :mod:`repro.baselines.iffinder` — the common source address technique.
 * :mod:`repro.baselines.ptr` — DNS PTR-based dual-stack identification.
 
-The re-exports below resolve lazily (PEP 562): the MIDAR/Ally shims import
-:mod:`repro.validation`, which itself builds on
-:mod:`repro.baselines.ipid`, so eager package-level imports here would
-close an import cycle.
+The IPID techniques themselves — MIDAR, Ally and Speedtrap — are validator
+kinds of :mod:`repro.validation`, run over a shared
+:class:`~repro.validation.bank.IpidSampleBank`.
 """
 
-import importlib
+from repro.baselines.iffinder import IffinderProber
+from repro.baselines.ipid import IpidTimeSeries, TargetClass, classify_series, shared_counter_test
+from repro.baselines.ptr import PtrResolver, ptr_dual_stack_sets
 
 __all__ = [
-    "AllyProber",
     "IffinderProber",
     "IpidTimeSeries",
     "TargetClass",
     "classify_series",
     "shared_counter_test",
-    "MidarConfig",
-    "MidarProber",
-    "MidarSetVerdict",
     "PtrResolver",
     "ptr_dual_stack_sets",
-    "SpeedtrapProber",
 ]
-
-#: Export name → defining submodule, resolved on first attribute access.
-_EXPORT_MODULES = {
-    "AllyProber": "repro.baselines.ally",
-    "IffinderProber": "repro.baselines.iffinder",
-    "IpidTimeSeries": "repro.baselines.ipid",
-    "TargetClass": "repro.baselines.ipid",
-    "classify_series": "repro.baselines.ipid",
-    "shared_counter_test": "repro.baselines.ipid",
-    "MidarConfig": "repro.baselines.midar",
-    "MidarProber": "repro.baselines.midar",
-    "MidarSetVerdict": "repro.baselines.midar",
-    "PtrResolver": "repro.baselines.ptr",
-    "ptr_dual_stack_sets": "repro.baselines.ptr",
-    "SpeedtrapProber": "repro.baselines.speedtrap",
-}
-
-
-def __getattr__(name: str):
-    module_name = _EXPORT_MODULES.get(name)
-    if module_name is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(importlib.import_module(module_name), name)
-
-
-def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(__all__))

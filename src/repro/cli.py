@@ -10,7 +10,8 @@ The CLI mirrors how the paper's artifacts would be used in practice:
   report.
 * ``repro experiments`` — regenerate registered tables and figures
   (``--list`` enumerates the experiment registry).
-* ``repro claims`` — evaluate the headline claims (the EXPERIMENTS.md table).
+* ``repro claims`` — evaluate the paper's headline claims against the
+  measured numbers.
 * ``repro plan`` — run a multi-vantage scan plan into one shared index and
   print per-vantage vs merged coverage.
 * ``repro longitudinal`` — run a multi-snapshot campaign over a churning

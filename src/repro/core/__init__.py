@@ -15,15 +15,15 @@ This package implements the paper's technique proper:
 * :mod:`repro.core.engine` — the single-pass resolution engine: one
   :class:`~repro.core.engine.ObservationIndex` pass extracts each
   identifier exactly once, then per-protocol collections, cross-protocol
-  unions and dual-stack collections are all derived from the index.
-* :mod:`repro.core.pipeline` — the one-call API producing everything the
-  paper's evaluation reports (a facade over the engine).
+  unions and dual-stack collections are all derived from the index;
+  ``ResolutionEngine(options).resolve(observations)`` produces everything
+  the paper's evaluation reports.
 """
 
 from repro.core.alias_resolution import AliasResolver, IntUnionFind, UnionFind
 from repro.core.aliasset import AliasSet, AliasSetCollection
 from repro.core.dual_stack import DualStackCollection, DualStackSet, infer_dual_stack, union_dual_stack
-from repro.core.engine import ObservationIndex, ResolutionEngine
+from repro.core.engine import AliasReport, ObservationIndex, ResolutionEngine
 from repro.core.identifiers import (
     DeviceIdentifier,
     IdentifierOptions,
@@ -33,7 +33,6 @@ from repro.core.identifiers import (
     snmp_identifier,
     ssh_identifier,
 )
-from repro.core.pipeline import AliasReport, run_alias_resolution
 from repro.core.validation import ValidationResult, cross_validate
 
 __all__ = [
@@ -56,7 +55,6 @@ __all__ = [
     "snmp_identifier",
     "ssh_identifier",
     "AliasReport",
-    "run_alias_resolution",
     "ValidationResult",
     "cross_validate",
 ]

@@ -138,7 +138,7 @@ class AliasSetCollection:
         return [alias_set.size for alias_set in self._sets]
 
     def size_histogram(self) -> Counter:
-        """Histogram of set sizes."""
+        """Number of sets of each size."""
         return Counter(self.sizes())
 
     # ------------------------------------------------------------------ #

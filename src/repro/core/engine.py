@@ -32,10 +32,10 @@ persistence and validation layers run unmodified on top.
 
 :class:`ResolutionEngine` orchestrates the two stages and assembles the
 :class:`AliasReport` consumed by the experiments, the CLI and the analysis
-layer.  :func:`repro.core.pipeline.run_alias_resolution` is a thin facade
-over this engine, so the public API and its outputs are unchanged apart from
-the cross-protocol union labels, which are now canonical (ordered by
-smallest member address) instead of union-find-root ordered.
+layer: ``ResolutionEngine(options).resolve(observations)`` is the one-call
+API.  Its outputs match the seed implementation's apart from the
+cross-protocol union labels, which are now canonical (ordered by smallest
+member address) instead of union-find-root ordered.
 """
 
 from __future__ import annotations

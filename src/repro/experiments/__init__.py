@@ -1,10 +1,10 @@
 """Experiment drivers: one module per table and figure of the paper.
 
-Every driver exposes ``build(scenario)`` returning a result dataclass and
+Every driver exposes ``build(session)`` returning a result dataclass and
 ``render(result)`` returning the table as text.  The shared
-:class:`~repro.experiments.scenario.PaperScenario` performs the expensive
-part once (topology generation, active campaign, Censys snapshot, IPv6
-hitlist scan, alias resolution); the drivers only aggregate.
+:class:`~repro.api.session.ReproSession` performs the expensive part once
+(topology generation, active campaign, Censys snapshot, IPv6 hitlist
+scan, alias resolution); the drivers only aggregate.
 
 Mapping to the paper:
 
@@ -23,7 +23,3 @@ Module         Paper content
 ``figure6``    Figure 6 — ECDF of alias / dual-stack sets per AS
 =============  ==========================================================
 """
-
-from repro.experiments.scenario import PaperScenario, ScenarioConfig, paper_scenario
-
-__all__ = ["PaperScenario", "ScenarioConfig", "paper_scenario"]

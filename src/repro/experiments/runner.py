@@ -1,8 +1,9 @@
 """Run every experiment and summarise paper-vs-measured.
 
-``run_all`` renders every table and figure; ``headline_claims`` evaluates
-the qualitative claims listed in DESIGN.md against the measured numbers, and
-``experiments_markdown`` produces the body of EXPERIMENTS.md.
+``run_all`` renders every table and figure (``repro experiments``);
+``headline_claims`` evaluates the paper's qualitative claims against the
+measured numbers (``repro claims``), and ``experiments_markdown`` renders
+both as one markdown document.
 """
 
 from __future__ import annotations
@@ -168,7 +169,7 @@ def headline_claims(scenario: ReproSession) -> list[Claim]:
 
 
 def experiments_markdown(scenario: ReproSession) -> str:
-    """Produce the EXPERIMENTS.md body: claims, then every rendered table."""
+    """One markdown document: claims, then every rendered table."""
     lines = [
         "# EXPERIMENTS — paper vs reproduction",
         "",

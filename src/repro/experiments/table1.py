@@ -42,7 +42,7 @@ class Table1Result:
     rows: list[Table1Row]
 
     def row(self, protocol: str, family: str = "ipv4") -> Table1Row:
-        """Convenience accessor used by tests and EXPERIMENTS.md."""
+        """Convenience accessor used by tests and the headline claims."""
         for candidate in self.rows:
             if candidate.protocol == protocol and candidate.family == family:
                 return candidate

@@ -211,7 +211,7 @@ def snapshot_metrics_row(
     Every field is a function of the campaign's deterministic state —
     simulated time, observation/delta counts, IPv4 union-set stability, and
     the network's cumulative IDS probe spend.  No wall-clock quantity ever
-    enters a row (timings belong to spans and histograms), which is what
+    enters a row (timings belong to spans), which is what
     lets a resumed campaign's persisted series equal the uninterrupted
     run's snapshot-for-snapshot.
     """
@@ -315,8 +315,8 @@ class LongitudinalCampaign:
     def _scan(self, snapshot: int, start_time: float) -> list[Observation]:
         """Scan both families at ``start_time``.
 
-        Unlike the single-shot :class:`~repro.experiments.scenario.PaperScenario`
-        (which spreads the IPv6 scan onto the next day), both scans run at
+        Unlike the single-shot session sources (whose ``active-ipv6`` scan
+        runs a day after the IPv4 scan), both scans run at
         the snapshot time, so every measurement of snapshot ``k`` falls
         inside the churn-attribution window ``(t_k - interval, t_k]`` —
         otherwise churn switching right after ``t_k`` would disrupt the

@@ -35,12 +35,11 @@ import contextlib
 from typing import Iterator
 
 from repro.obs.events import EventSink
-from repro.obs.registry import Histogram, MetricsRegistry
+from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import NOOP_SPAN, TRACER
 
 __all__ = [
     "EventSink",
-    "Histogram",
     "MetricsRegistry",
     "add",
     "disable",
@@ -48,7 +47,6 @@ __all__ = [
     "enable",
     "is_enabled",
     "metrics",
-    "observe",
     "observed",
     "reset",
     "set_gauge",
@@ -136,12 +134,6 @@ def set_gauge(name: str, value: float, **labels: object) -> None:
     """Set a gauge (no-op when disabled)."""
     if _ENABLED:
         _REGISTRY.set_gauge(name, value, **labels)
-
-
-def observe(name: str, value: float, **labels: object) -> None:
-    """Record a histogram observation (no-op when disabled)."""
-    if _ENABLED:
-        _REGISTRY.observe(name, value, **labels)
 
 
 def emit(event: str, **fields: object) -> None:

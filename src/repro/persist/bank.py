@@ -30,7 +30,15 @@ BANK_FORMAT_VERSION = 1
 
 #: The keys a bank state dictionary must carry (see
 #: :meth:`~repro.validation.bank.IpidSampleBank.export_state`).
-_REQUIRED_KEYS = ("vantage", "probes_issued", "probes_reused", "series", "interleaved")
+_REQUIRED_KEYS = (
+    "vantage",
+    "probes_issued",
+    "probes_reused",
+    "series",
+    "interleaved",
+    "pairs",
+    "estimation",
+)
 
 
 def bank_state_signature(state: dict[str, Any]) -> str:

@@ -167,15 +167,8 @@ def save_session(session: "ReproSession", directory: str | Path) -> Path:
     return directory
 
 
-def load_session(
-    directory: str | Path, session_class: type | None = None
-) -> "ReproSession":
+def load_session(directory: str | Path) -> "ReproSession":
     """Rebuild a session from a saved directory, with both caches primed.
-
-    ``session_class`` selects the session type to instantiate (it must
-    accept the ``(config, options)`` constructor signature) — this is how
-    ``ReproSession.load`` keeps working on subclasses like
-    :class:`~repro.experiments.scenario.PaperScenario`.
 
     Raises:
         PersistError: when the directory is not a saved session, the format
@@ -185,8 +178,6 @@ def load_session(
     """
     from repro.api.session import ReproSession
 
-    if session_class is None:
-        session_class = ReproSession
     directory = Path(directory)
     manifest_path = directory / SESSION_MANIFEST
     if not manifest_path.exists():
@@ -208,7 +199,7 @@ def load_session(
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise PersistError(f"malformed session manifest {manifest_path}: {exc}") from exc
-    session = session_class(config, options)
+    session = ReproSession(config, options)
     for entry in dataset_entries:
         spec = spec_from_document(entry["spec"])
         try:

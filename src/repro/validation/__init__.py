@@ -13,7 +13,7 @@ already have:
   IPID time series collected once per (addresses, schedule) and shared
   across validators, so composed validations cut probe counts.
 * :mod:`repro.validation.techniques` — the MIDAR and Ally pipelines over
-  a bank (``MidarProber``/``AllyProber`` are now shims over these).
+  a bank (Speedtrap is MIDAR over IPv6 members, the ``speedtrap`` kind).
 * :mod:`repro.validation.runner` — builders for the built-in kinds
   (midar, ally, speedtrap, iffinder, ptr), the :class:`ValidationRun`
   harness, and the registered named compositions.

@@ -17,8 +17,8 @@ parity.
 The bank is a pure memoisation layer: a cold bank issues exactly the calls
 :func:`~repro.baselines.ipid.collect_series` /
 :func:`~repro.baselines.ipid.collect_interleaved` would, in the same order,
-so single-technique runs (and the ``MidarProber``/``AllyProber`` shims
-built on private banks) behave byte-for-byte like the pre-bank probers.
+so a single technique run over a private bank behaves byte-for-byte like
+the pre-bank probers.
 """
 
 from __future__ import annotations

@@ -25,7 +25,7 @@ from repro import obs
 from repro.baselines.iffinder import IffinderProber
 from repro.baselines.ptr import PtrResolver
 from repro.core.engine import AliasReport
-from repro.errors import ValidationError
+from repro.errors import PersistError, ValidationError
 from repro.net.addresses import AddressFamily, family_of, is_ipv6
 from repro.simnet.device import ServiceType
 from repro.simnet.network import SimulatedInternet, VantagePoint
@@ -103,8 +103,14 @@ class ValidationRun:
         The restored bank carries every banked series, pair and canonical
         estimation entry of the saved run, so a reloaded session re-scores
         matching validation specs fully offline — zero network probes.
+
+        Raises:
+            PersistError: when an entry of ``state`` is malformed.
         """
-        bank = IpidSampleBank.from_state(self.network, state)
+        try:
+            bank = IpidSampleBank.from_state(self.network, state)
+        except (KeyError, TypeError, ValueError, IndexError, AttributeError) as exc:
+            raise PersistError(f"malformed bank state: {exc!r}") from exc
         key = (bank.vantage.name, bank.vantage.address, bank.vantage.distributed)
         self._banks[key] = bank
         return bank

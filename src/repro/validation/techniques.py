@@ -1,16 +1,15 @@
 """IPID technique pipelines over a shared sample bank.
 
 The MIDAR estimation → elimination → corroboration pipeline and the
-pairwise Ally test used to live inside ``repro.baselines`` as self-probing
-classes.  They are now engines over an :class:`~repro.validation.bank.
+pairwise Ally test are engines over an :class:`~repro.validation.bank.
 IpidSampleBank`, which is what lets composed validations share collected
-series; the old ``MidarProber`` / ``AllyProber`` classes survive as thin
-shims that run a pipeline over a private bank (see
-:mod:`repro.baselines.midar` and :mod:`repro.baselines.ally`).
+series.  Run one over a private bank for a self-contained prober::
+
+    MidarPipeline(IpidSampleBank(network, vantage)).verify_sets(candidates)
 
 Over a cold bank the pipelines issue exactly the probes the pre-refactor
-probers issued, in the same order — ``bench_validation.py`` holds Table 2
-to byte parity on that guarantee.
+self-probing classes issued, in the same order — ``bench_validation.py``
+holds Table 2 to byte parity on that guarantee.
 """
 
 from __future__ import annotations
@@ -250,8 +249,8 @@ class AllySetResult:
 class AllyPipeline:
     """Pairwise Ally tests over a bank, with optional banked-series reuse.
 
-    With ``reuse=False`` a cold bank reproduces the classic ``AllyProber``
-    byte for byte.  With ``reuse=True`` a pair that some earlier validator
+    With ``reuse=False`` a cold bank reproduces the classic self-probing
+    Ally tester byte for byte.  With ``reuse=True`` a pair that some earlier validator
     already probed together (any interleaved schedule) is decided from the
     banked series without touching the network — the composed-validation
     saving the benchmark measures.

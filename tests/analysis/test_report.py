@@ -3,7 +3,7 @@
 import pytest
 
 from repro.analysis.report import alias_report_markdown, covered_address_summary, family_breakdown
-from repro.core.pipeline import run_alias_resolution
+from repro.core.engine import ResolutionEngine
 from repro.simnet.topology import generate_topology, small_topology_config
 from repro.sources.active import ActiveMeasurement
 from repro.sources.hitlist import HitlistConfig, build_ipv6_hitlist
@@ -20,7 +20,7 @@ def report(network):
     campaign = ActiveMeasurement(network, seed=2)
     observations = campaign.run_ipv4()
     observations.extend(campaign.run_ipv6(build_ipv6_hitlist(network, HitlistConfig(seed=2)), start_time=90_000.0))
-    return run_alias_resolution(observations, name="report-test")
+    return ResolutionEngine().resolve(observations, name="report-test")
 
 
 class TestMarkdownReport:

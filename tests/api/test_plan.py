@@ -4,8 +4,7 @@ import pytest
 
 from repro.api import ScanPlan
 from repro.api.sources import ACTIVE_IPV4, ACTIVE_IPV6
-from repro.core.engine import report_signature
-from repro.core.pipeline import run_alias_resolution
+from repro.core.engine import ResolutionEngine, report_signature
 from repro.sources.records import iter_observations
 
 
@@ -47,7 +46,7 @@ class TestPlanExecution:
         datasets = [
             session.dataset(spec) for vantage in plan.vantages for spec in vantage.specs(plan)
         ]
-        single = run_alias_resolution(iter_observations(*datasets), name=plan.name)
+        single = ResolutionEngine().resolve(iter_observations(*datasets), name=plan.name)
         assert report_signature(spread_result.report) == report_signature(single)
 
     def test_per_vantage_observations_sum_to_merged(self, spread_result):

@@ -1,10 +1,9 @@
-"""Tests for the :class:`ReproSession` facade and scenario-shim parity."""
+"""Tests for the :class:`ReproSession` facade."""
 
 import pytest
 
-from repro.api import ReproSession, ScanPlan, ScenarioConfig, repro_session
+from repro.api import ScanPlan, ScenarioConfig, repro_session
 from repro.core.engine import report_signature
-from repro.experiments.scenario import PaperScenario, paper_scenario
 
 
 class TestSessionState:
@@ -38,34 +37,6 @@ class TestSessionState:
     def test_repro_session_cache(self):
         assert repro_session(scale=0.05, seed=3) is repro_session(scale=0.05, seed=3)
 
-
-class TestScenarioShimParity:
-    """The back-compat shim must be the session API, attribute-spelled."""
-
-    @pytest.fixture(scope="class")
-    def pair(self):
-        config = ScenarioConfig(scale=0.1, seed=7)
-        return ReproSession(config), PaperScenario(config)
-
-    def test_datasets_identical(self, pair):
-        session, scenario = pair
-        assert list(session.dataset("active-ipv4")) == list(scenario.active_ipv4)
-        assert list(session.dataset("censys")) == list(scenario.censys_ipv4)
-        assert list(session.dataset("union-ipv4")) == list(scenario.union_ipv4)
-        assert list(session.dataset("censys-standard")) == list(scenario.censys_ipv4_standard)
-
-    def test_reports_identical(self, pair):
-        session, scenario = pair
-        for source in ("active", "censys", "union"):
-            assert report_signature(session.report(source)) == report_signature(
-                scenario.report(source)
-            )
-
-    def test_observation_streams_identical(self, pair):
-        session, scenario = pair
-        for source in ("active", "censys", "union"):
-            assert list(session.observations(source)) == list(scenario.observations_for(source))
-
     def test_default_plan_reproduces_active_report(self, session):
         result = session.run_plan(ScanPlan.default())
         assert report_signature(result.report) == report_signature(session.report("active"))
@@ -73,6 +44,3 @@ class TestScenarioShimParity:
     def test_experiments_run_on_plain_session(self, session):
         text = session.run_experiment("table3")
         assert text.startswith("Table 3")
-
-    def test_paper_scenario_cache(self):
-        assert paper_scenario(scale=0.05, seed=3) is paper_scenario(scale=0.05, seed=3)

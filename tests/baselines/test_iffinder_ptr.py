@@ -117,3 +117,11 @@ class TestPtr:
         resolver = PtrResolver(network, coverage=1.0, seed=1)
         collection = ptr_dual_stack_sets(resolver, ["10.0.2.1", "10.0.2.2"])
         assert len(collection) == 0
+
+
+class TestPackageExports:
+    def test_every_export_resolves(self):
+        import repro.baselines
+
+        for name in repro.baselines.__all__:
+            assert getattr(repro.baselines, name) is not None

@@ -1,12 +1,13 @@
-"""Tests for the MIDAR pipeline, Ally, and Speedtrap on controlled devices."""
+"""Tests for the MIDAR pipeline, Ally, and Speedtrap on controlled devices.
+
+MIDAR and Ally run over a private :class:`IpidSampleBank`; Speedtrap runs
+as the ``speedtrap`` validator kind.
+"""
 
 
 import random
 
-from repro.baselines.ally import AllyProber
 from repro.baselines.ipid import TargetClass
-from repro.baselines.midar import MidarProber
-from repro.baselines.speedtrap import SpeedtrapProber
 from repro.net.ipid import (
     ConstantIpidCounter,
     MonotonicIpidCounter,
@@ -17,6 +18,10 @@ from repro.simnet.asn import AsRegistry, AsRole, AutonomousSystem
 from repro.simnet.churn import ChurnEvent, ChurnModel
 from repro.simnet.device import Device, DeviceRole, Interface
 from repro.simnet.network import SimulatedInternet, VantagePoint
+from repro.validation.bank import IpidSampleBank
+from repro.validation.runner import ValidationRun, run_validator
+from repro.validation.spec import speedtrap
+from repro.validation.techniques import AllyPipeline, MidarPipeline
 
 
 def build_network(churn=None):
@@ -88,99 +93,116 @@ def build_network(churn=None):
 VP = VantagePoint(name="midar-test")
 
 
+def midar_pipeline(network):
+    return MidarPipeline(IpidSampleBank(network, VP))
+
+
+def ally_pipeline(network):
+    return AllyPipeline(IpidSampleBank(network, VP))
+
+
+def speedtrap_verdict(candidate):
+    report = run_validator(
+        ValidationRun(build_network()),
+        speedtrap(vantage_name="speedtrap-vp", vantage_address="192.0.2.253"),
+        candidates=(frozenset(candidate),),
+        start_time=0.0,
+    )
+    (verdict,) = report.verdicts
+    return verdict
+
+
 class TestMidar:
     def test_confirms_true_alias_set(self):
-        prober = MidarProber(build_network(), VP)
-        verdict = prober.verify_set(["10.0.1.1", "10.0.1.2", "10.0.1.3"])
+        pipeline = midar_pipeline(build_network())
+        verdict = pipeline.verify_set(["10.0.1.1", "10.0.1.2", "10.0.1.3"])
         assert verdict.testable
         assert verdict.agrees
         assert verdict.partition == [frozenset({"10.0.1.1", "10.0.1.2", "10.0.1.3"})]
 
     def test_splits_false_alias_set(self):
-        prober = MidarProber(build_network(), VP)
-        verdict = prober.verify_set(["10.0.1.1", "10.0.2.1"])
+        pipeline = midar_pipeline(build_network())
+        verdict = pipeline.verify_set(["10.0.1.1", "10.0.2.1"])
         assert verdict.testable
         assert not verdict.agrees
         assert len(verdict.partition) == 2
 
     def test_per_interface_counters_not_confirmed(self):
-        prober = MidarProber(build_network(), VP)
-        verdict = prober.verify_set(["10.0.3.1", "10.0.3.2"])
+        pipeline = midar_pipeline(build_network())
+        verdict = pipeline.verify_set(["10.0.3.1", "10.0.3.2"])
         # Each interface is individually usable, but corroboration fails.
         assert verdict.testable
         assert not verdict.agrees
 
     def test_random_ipid_set_untestable(self):
-        prober = MidarProber(build_network(), VP)
-        verdict = prober.verify_set(["10.0.4.1", "10.0.4.2"])
+        pipeline = midar_pipeline(build_network())
+        verdict = pipeline.verify_set(["10.0.4.1", "10.0.4.2"])
         assert not verdict.testable
         assert verdict.target_classes["10.0.4.1"] is TargetClass.NON_MONOTONIC
 
     def test_constant_ipid_set_untestable(self):
-        prober = MidarProber(build_network(), VP)
-        verdict = prober.verify_set(["10.0.5.1", "10.0.5.2"])
+        pipeline = midar_pipeline(build_network())
+        verdict = pipeline.verify_set(["10.0.5.1", "10.0.5.2"])
         assert not verdict.testable
 
     def test_unknown_address_unresponsive(self):
-        prober = MidarProber(build_network(), VP)
-        verdict = prober.verify_set(["10.0.1.1", "198.18.0.1"])
+        pipeline = midar_pipeline(build_network())
+        verdict = pipeline.verify_set(["10.0.1.1", "198.18.0.1"])
         assert verdict.target_classes["198.18.0.1"] is TargetClass.UNRESPONSIVE
         assert not verdict.testable
 
     def test_verify_sets_advances_time(self):
-        prober = MidarProber(build_network(), VP)
-        verdicts = prober.verify_sets([["10.0.1.1", "10.0.1.2"], ["10.0.2.1", "10.0.2.2"]])
+        pipeline = midar_pipeline(build_network())
+        verdicts = pipeline.verify_sets([["10.0.1.1", "10.0.1.2"], ["10.0.2.1", "10.0.2.2"]])
         assert verdicts[1].started_at >= verdicts[0].finished_at
         assert all(verdict.agrees for verdict in verdicts)
 
     def test_churn_during_long_run_splits_sets(self):
         # The address moves to a different device before the MIDAR run starts.
         churn = ChurnModel([ChurnEvent(address="10.0.1.2", switch_time=10.0, new_device_id="shared-2")])
-        prober = MidarProber(build_network(churn=churn), VP)
-        verdict = prober.verify_set(["10.0.1.1", "10.0.1.2"], start_time=100.0)
+        pipeline = midar_pipeline(build_network(churn=churn))
+        verdict = pipeline.verify_set(["10.0.1.1", "10.0.1.2"], start_time=100.0)
         assert verdict.testable
         assert not verdict.agrees
 
     def test_max_set_size_truncation(self):
-        prober = MidarProber(build_network(), VP)
+        pipeline = midar_pipeline(build_network())
         members = [f"10.9.0.{i}" for i in range(1, 20)]
-        verdict = prober.verify_set(members)
-        assert len(verdict.candidate) == prober.config.max_set_size
+        verdict = pipeline.verify_set(members)
+        assert len(verdict.candidate) == pipeline.config.max_set_size
 
 
 class TestAlly:
     def test_true_pair_detected(self):
-        prober = AllyProber(build_network(), VP)
-        verdict = prober.test_pair("10.0.1.1", "10.0.1.2")
+        pipeline = ally_pipeline(build_network())
+        verdict = pipeline.test_pair("10.0.1.1", "10.0.1.2")
         assert verdict.responded
         assert verdict.aliases
 
     def test_false_pair_rejected(self):
-        prober = AllyProber(build_network(), VP)
-        verdict = prober.test_pair("10.0.1.1", "10.0.2.1")
+        pipeline = ally_pipeline(build_network())
+        verdict = pipeline.test_pair("10.0.1.1", "10.0.2.1")
         assert verdict.responded
         assert not verdict.aliases
 
     def test_unresponsive_pair(self):
-        prober = AllyProber(build_network(), VP)
-        verdict = prober.test_pair("198.18.0.1", "198.18.0.2")
+        pipeline = ally_pipeline(build_network())
+        verdict = pipeline.test_pair("198.18.0.1", "198.18.0.2")
         assert not verdict.responded
 
     def test_resolve_groups_addresses(self):
-        prober = AllyProber(build_network(), VP)
-        sets = prober.resolve(["10.0.1.1", "10.0.1.2", "10.0.2.1", "10.0.2.2"])
+        pipeline = ally_pipeline(build_network())
+        sets, _ = pipeline.resolve(["10.0.1.1", "10.0.1.2", "10.0.2.1", "10.0.2.2"])
         assert frozenset({"10.0.1.1", "10.0.1.2"}) in sets
         assert frozenset({"10.0.2.1", "10.0.2.2"}) in sets
 
 
 class TestSpeedtrap:
     def test_ipv6_alias_set_confirmed(self):
-        prober = SpeedtrapProber(build_network())
-        verdict = prober.verify_set(["2001:db80::11", "2001:db80::12"])
+        verdict = speedtrap_verdict(["2001:db80::11", "2001:db80::12"])
         assert verdict.testable
         assert verdict.agrees
 
     def test_ipv4_members_ignored(self):
-        prober = SpeedtrapProber(build_network())
-        verdict = prober.verify_set(["10.0.1.1", "2001:db80::11", "2001:db80::12"])
+        verdict = speedtrap_verdict(["10.0.1.1", "2001:db80::11", "2001:db80::12"])
         assert "10.0.1.1" not in verdict.candidate

@@ -4,8 +4,8 @@ The seed implementation walked the observation list nine times (six
 per-(protocol, family) groupings plus three dual-stack passes).  The
 ``_seed_*`` functions below are a verbatim copy of that implementation
 (commit a5c4af9); the test asserts that the :class:`ResolutionEngine`
-produces a field-by-field identical :class:`AliasReport` for the paper
-scenario at scale 1.0, seed 42, on all three sources.
+produces a field-by-field identical :class:`AliasReport` for the paper's
+session at scale 1.0, seed 42, on all three sources.
 
 The only intended difference is the *labelling* of the synthetic union
 sets: the seed enumerated components in union-find-root order (an
@@ -20,11 +20,11 @@ from collections import defaultdict
 
 import pytest
 
+from repro.api import repro_session
 from repro.core.aliasset import AliasSet, AliasSetCollection
 from repro.core.dual_stack import DualStackCollection, DualStackSet
 from repro.core.engine import PROTOCOLS, ResolutionEngine
 from repro.core.identifiers import DEFAULT_OPTIONS, extract_identifier
-from repro.experiments.scenario import paper_scenario
 from repro.net.addresses import AddressFamily
 
 # --------------------------------------------------------------------- #
@@ -260,7 +260,7 @@ def _assert_collections_equal(engine_collection, seed_collection):
 
 @pytest.fixture(scope="module")
 def scenario():
-    return paper_scenario(scale=1.0, seed=42)
+    return repro_session(scale=1.0, seed=42)
 
 
 @pytest.fixture(scope="module")
@@ -268,7 +268,7 @@ def reports(scenario):
     """(engine report, seed report) per source, computed once for the module."""
     built = {}
     for source in ("active", "censys", "union"):
-        observations = list(scenario.observations_for(source))
+        observations = list(scenario.observations(source))
         assert observations, "scenario produced no observations"
         built[source] = (
             ResolutionEngine().resolve(observations, name=source),

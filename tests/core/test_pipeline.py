@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.pipeline import run_alias_resolution
+from repro.core.engine import ResolutionEngine
 from repro.core.validation import cross_validate, ground_truth_accuracy
 from repro.net.addresses import AddressFamily
 from repro.simnet.device import ServiceType
@@ -34,7 +34,7 @@ def observations(network):
 
 @pytest.fixture(scope="module")
 def report(observations):
-    return run_alias_resolution(observations, name="active")
+    return ResolutionEngine().resolve(observations, name="active")
 
 
 class TestReportStructure:

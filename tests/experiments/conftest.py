@@ -1,15 +1,15 @@
 """Shared fixtures for the experiment-driver tests.
 
-The drivers are exercised on a reduced-scale scenario so the whole module
-runs in a few seconds; the full-scale scenario is exercised by the benchmark
+The drivers are exercised on a reduced-scale session so the whole module
+runs in a few seconds; the full-scale session is exercised by the benchmark
 harness.
 """
 
 import pytest
 
-from repro.experiments.scenario import PaperScenario, ScenarioConfig
+from repro.api import ReproSession, ScenarioConfig
 
 
 @pytest.fixture(scope="package")
 def scenario():
-    return PaperScenario(ScenarioConfig(scale=0.25, seed=11))
+    return ReproSession(ScenarioConfig(scale=0.25, seed=11))

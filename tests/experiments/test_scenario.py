@@ -1,46 +1,36 @@
-"""Tests for the shared evaluation scenario."""
+"""Tests for the shared evaluation scenario's session datasets."""
 
 import pytest
 
-from repro.experiments.scenario import paper_scenario
-from repro.net.addresses import AddressFamily
 from repro.simnet.device import ServiceType
 
 
 class TestScenario:
     def test_lazy_properties_are_cached(self, scenario):
         assert scenario.network is scenario.network
-        assert scenario.active_ipv4 is scenario.active_ipv4
+        assert scenario.dataset("active-ipv4") is scenario.dataset("active-ipv4")
         assert scenario.report("active") is scenario.report("active")
 
     def test_derived_datasets_are_cached(self, scenario):
-        # union_ipv4 used to re-run merge_datasets on every access.
-        assert scenario.union_ipv4 is scenario.union_ipv4
-        assert scenario.censys_ipv4_standard is scenario.censys_ipv4_standard
+        assert scenario.dataset("union-ipv4") is scenario.dataset("union-ipv4")
+        assert scenario.dataset("censys-standard") is scenario.dataset("censys-standard")
 
     def test_sources_have_expected_protocols(self, scenario):
-        assert scenario.active_ipv4.protocols() == {ServiceType.SSH, ServiceType.BGP, ServiceType.SNMPV3}
-        assert ServiceType.SNMPV3 not in scenario.censys_ipv4.protocols()
+        assert scenario.dataset("active-ipv4").protocols() == {ServiceType.SSH, ServiceType.BGP, ServiceType.SNMPV3}
+        assert ServiceType.SNMPV3 not in scenario.dataset("censys").protocols()
 
     def test_active_ipv6_limited_to_hitlist(self, scenario):
         hitlist = set(scenario.hitlist)
-        assert scenario.active_ipv6.addresses() <= hitlist
+        assert scenario.dataset("active-ipv6").addresses() <= hitlist
 
     def test_union_dataset_is_default_port_only(self, scenario):
-        assert all(observation.is_standard_port() for observation in scenario.union_ipv4)
+        assert all(observation.is_standard_port() for observation in scenario.dataset("union-ipv4"))
 
     def test_unknown_report_source_rejected(self, scenario):
         with pytest.raises(ValueError):
             scenario.report("mystery")
 
-    def test_dataset_for_dispatch(self, scenario):
-        assert scenario.dataset_for("active", AddressFamily.IPV4) is scenario.active_ipv4
-        assert scenario.dataset_for("union", AddressFamily.IPV6) is scenario.active_ipv6
-
-    def test_paper_scenario_cache(self):
-        assert paper_scenario(scale=0.1, seed=3) is paper_scenario(scale=0.1, seed=3)
-
     def test_censys_snapshot_earlier_than_active(self, scenario):
-        censys_times = [observation.timestamp for observation in scenario.censys_ipv4]
-        active_times = [observation.timestamp for observation in scenario.active_ipv4]
+        censys_times = [observation.timestamp for observation in scenario.dataset("censys")]
+        active_times = [observation.timestamp for observation in scenario.dataset("active-ipv4")]
         assert max(censys_times) < min(active_times)

@@ -2,9 +2,9 @@
 
 import pytest
 
+from repro.api import ReproSession, ScenarioConfig
 from repro.core.engine import ResolutionEngine, report_signature
 from repro.errors import SimulationError
-from repro.experiments.scenario import PaperScenario, ScenarioConfig
 from repro.longitudinal import LongitudinalCampaign, LongitudinalConfig
 from repro.net.addresses import AddressFamily
 from repro.simnet.topology import generate_topology, small_topology_config
@@ -132,16 +132,16 @@ class TestChurningCampaign:
 
 class TestScenarioWiring:
     def test_longitudinal_campaign_uses_fresh_network(self):
-        scenario = PaperScenario(ScenarioConfig(scale=0.05, seed=3))
-        campaign = scenario.longitudinal_campaign(snapshots=2)
-        assert campaign.network is not scenario.network
+        session = ReproSession(ScenarioConfig(scale=0.05, seed=3))
+        campaign = session.longitudinal(snapshots=2)
+        assert campaign.network is not session.network
         assert len(campaign.network.all_addresses()) == len(
-            scenario.network.all_addresses()
+            session.network.all_addresses()
         )
 
     def test_ipv4_only_campaign_has_no_ipv6(self):
-        scenario = PaperScenario(ScenarioConfig(scale=0.05, seed=3))
-        campaign = scenario.longitudinal_campaign(snapshots=2, include_ipv6=False)
+        session = ReproSession(ScenarioConfig(scale=0.05, seed=3))
+        campaign = session.longitudinal(snapshots=2, include_ipv6=False)
         captures = campaign.collect()
         families = {
             observation.family

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.errors import DatasetError
-from repro.obs.registry import Histogram, MetricsRegistry, label_key, prometheus_name
+from repro.obs.registry import MetricsRegistry, label_key, prometheus_name
 
 
 @pytest.fixture()
@@ -15,8 +15,6 @@ def registry():
     reg.inc("session.cache", 3, kind="report", outcome="hit")
     reg.inc("session.cache", 1, kind="report", outcome="miss")
     reg.set_gauge("index.dirty.identifiers", 12)
-    reg.observe("build.seconds", 0.02, stage="pack")
-    reg.observe("build.seconds", 0.3, stage="pack")
     reg.append_series("campaign.snapshots", {"snapshot": 0, "observations": 10})
     reg.record_span({"name": "resolve", "seconds": 0.1})
     return reg
@@ -35,13 +33,6 @@ class TestSamples:
     def test_gauge_reads_back(self, registry):
         assert registry.gauge_value("index.dirty.identifiers") == 12
         assert registry.gauge_value("index.dirty.identifiers", kind="x") is None
-
-    def test_histogram_tracks_summary_stats(self, registry):
-        histogram = registry.histogram("build.seconds", stage="pack")
-        assert histogram.count == 2
-        assert histogram.total == pytest.approx(0.32)
-        assert histogram.minimum == pytest.approx(0.02)
-        assert histogram.maximum == pytest.approx(0.3)
 
     def test_series_and_spans(self, registry):
         assert registry.series("campaign.snapshots")[0]["observations"] == 10
@@ -69,9 +60,11 @@ class TestRendering:
         assert "# TYPE session_cache counter" in text
         assert 'session_cache{kind="report",outcome="hit"} 3' in text
         assert "# TYPE index_dirty_identifiers gauge" in text
-        assert 'build_seconds_bucket{stage="pack",le="+Inf"} 2' in text
-        assert 'build_seconds_count{stage="pack"} 2' in text
+        assert "index_dirty_identifiers 12" in text
         assert text.endswith("\n")
+
+    def test_json_document_sections(self, registry):
+        assert sorted(registry.to_json()) == ["counters", "gauges", "series", "spans"]
 
     def test_empty_registry_renders_empty(self):
         empty = MetricsRegistry()
@@ -80,7 +73,7 @@ class TestRendering:
 
     def test_malformed_document_raises_dataset_error(self):
         with pytest.raises(DatasetError):
-            MetricsRegistry.from_json({"histograms": {"h": [{"labels": {}}]}})
+            MetricsRegistry.from_json({"counters": {"c": [{"labels": {}}]}})
 
     def test_json_output_is_insertion_order_independent(self):
         one, two = MetricsRegistry(), MetricsRegistry()
@@ -99,11 +92,3 @@ class TestHelpers:
     def test_prometheus_name_sanitises(self):
         assert prometheus_name("index.observations.indexed") == "index_observations_indexed"
         assert prometheus_name("9lives") == "_9lives"
-
-    def test_histogram_merge_rejects_mismatched_bounds(self):
-        with pytest.raises(DatasetError):
-            Histogram(bounds=(1.0,)).merge(Histogram(bounds=(2.0,)))
-
-    def test_merge_into_self_refused(self, registry):
-        with pytest.raises(DatasetError):
-            registry.merge(registry)

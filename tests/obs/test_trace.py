@@ -15,7 +15,6 @@ class TestEnableSwitch:
         assert not obs.is_enabled()
         obs.add("x", 5)
         obs.set_gauge("g", 1)
-        obs.observe("h", 0.5)
         assert obs.metrics().counter_total("x") == 0
         assert obs.metrics().gauge_value("g") is None
 

@@ -2,6 +2,7 @@
 
 import json
 import random
+import shutil
 
 import pytest
 
@@ -157,6 +158,45 @@ def saved_session(tmp_path_factory):
     return session, result, directory
 
 
+def _resigned_copy(saved_session, tmp_path, mutate):
+    """Copy a saved session, edit its first bank state, and re-sign both pins.
+
+    The document signature and the manifest pin are recomputed, so only the
+    state's own shape checks stand between the edit and a loaded session.
+    """
+    _, _, directory = saved_session
+    copy = tmp_path / "resigned"
+    shutil.copytree(directory, copy)
+    manifest = json.loads((copy / SESSION_MANIFEST).read_text())
+    entry = manifest["banks"][0]
+    document = json.loads((copy / entry["file"]).read_text())
+    mutate(document["state"])
+    document["signature"] = entry["signature"] = bank_state_signature(document["state"])
+    (copy / entry["file"]).write_text(json.dumps(document))
+    (copy / SESSION_MANIFEST).write_text(json.dumps(manifest))
+    return copy
+
+
+def _drop_series_points(state):
+    del state["series"][0]["points"]
+
+
+def _dangle_pair_position(state):
+    state["pairs"][0][2] = len(state["interleaved"])
+
+
+def _interleaved_points_not_object(state):
+    state["interleaved"][0]["points"] = []
+
+
+def _probe_count_not_int(state):
+    state["probes_issued"] = "many"
+
+
+def _series_not_list(state):
+    state["series"] = 3
+
+
 class TestSessionBankRoundTrip:
     def test_manifest_carries_banks(self, saved_session):
         _, _, directory = saved_session
@@ -193,6 +233,29 @@ class TestSessionBankRoundTrip:
         (copy / SESSION_MANIFEST).write_text(json.dumps(manifest))
         with pytest.raises(PersistError, match="torn mid-save"):
             ReproSession.load(copy)
+
+    @pytest.mark.parametrize("key", ["pairs", "estimation"])
+    def test_resigned_state_missing_key_rejected_on_load(self, saved_session, tmp_path, key):
+        copy = _resigned_copy(saved_session, tmp_path, lambda state: state.pop(key))
+        with pytest.raises(PersistError, match="lacks"):
+            ReproSession.load(copy)
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            _drop_series_points,
+            _dangle_pair_position,
+            _interleaved_points_not_object,
+            _probe_count_not_int,
+            _series_not_list,
+        ],
+    )
+    def test_resigned_malformed_entry_raises_persist_error(
+        self, saved_session, tmp_path, mutate
+    ):
+        loaded = ReproSession.load(_resigned_copy(saved_session, tmp_path, mutate))
+        with pytest.raises(PersistError, match="malformed bank state"):
+            loaded.validate("midar")
 
     def test_manifest_without_banks_still_loads(self, saved_session, tmp_path):
         # Back-compat: sessions saved before bank persistence existed.

@@ -121,15 +121,6 @@ class TestSessionRoundTrip:
         loaded = ReproSession.load(tmp_path / "s")
         assert loaded.options == session.options
 
-    def test_subclass_loads_as_itself(self, saved):
-        from repro.experiments.scenario import PaperScenario
-
-        _, directory = saved
-        loaded = PaperScenario.load(directory)
-        assert isinstance(loaded, PaperScenario)
-        # subclass sugar works on the restored caches
-        assert len(loaded.censys_ipv4) > 0
-
     def test_missing_manifest_raises(self, tmp_path):
         with pytest.raises(PersistError, match=SESSION_MANIFEST):
             load_session(tmp_path)

@@ -167,6 +167,25 @@ class TestUncappedParity:
             assert budgeted_counter["probes"] <= plain_counter["probes"]
         assert run.optimizer.budget.spent == budgeted_counter["probes"]
 
+    def test_fresh_pair_probes_one_corroboration_pass(self, make_network, count_probes):
+        # The repeat passes re-read the first pass: a two-member true set
+        # saves exactly one pass of interleaved probes over the plain run.
+        pair = frozenset(sorted(TRUE_SET)[:2])
+        plain_network = make_network()
+        plain_counter = count_probes(plain_network)
+        run_validator(
+            ValidationRun(plain_network), _spec_vantage(midar), candidates=(pair,), start_time=0.0
+        )
+        budgeted_network = make_network()
+        budgeted_counter = count_probes(budgeted_network)
+        run = ValidationRun(budgeted_network)
+        run.optimizer = ProbeBudgetOptimizer()
+        run_validator(run, _spec_vantage(midar), candidates=(pair,), start_time=0.0)
+        config = MidarConfig()
+        assert plain_counter["probes"] - budgeted_counter["probes"] == (
+            (config.corroboration_passes - 1) * 2 * config.corroboration_rounds
+        )
+
     def test_composed_midar_ally_shares_estimation(self, make_network, count_probes):
         network = make_network()
         counter = count_probes(network)

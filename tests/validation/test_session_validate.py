@@ -7,12 +7,13 @@ import pytest
 from repro.api.config import ScenarioConfig
 from repro.api.experiments import get_experiment
 from repro.api.session import ReproSession
-from repro.baselines.midar import MidarProber
 from repro.errors import RegistryError
 from repro.simnet.device import ServiceType
 from repro.simnet.network import VantagePoint
+from repro.validation.bank import IpidSampleBank
 from repro.validation.runner import table2_midar_spec
 from repro.validation.spec import named_validator
+from repro.validation.techniques import MidarPipeline
 
 
 @pytest.fixture(scope="module")
@@ -46,7 +47,8 @@ class TestTable2RegistryParity:
         """The registry-driven Table 2 is byte-identical to the old path.
 
         The legacy path is replicated inline: sample SSH sets by hand, run
-        a ``MidarProber`` directly, and count testable/agreeing verdicts.
+        a ``MidarPipeline`` over a private bank directly, and count
+        testable/agreeing verdicts.
         (``bench_validation.py`` asserts the same at scale 1.0 seed 42.)
         """
         config = ScenarioConfig(scale=0.2, seed=42)
@@ -59,11 +61,13 @@ class TestTable2RegistryParity:
             if len(alias_set.addresses) <= 10
         ]
         chosen = random.Random(7).sample(candidates, min(150, len(candidates)))
-        prober = MidarProber(
-            legacy_session.network, VantagePoint(name="midar-vp", address="192.0.2.251")
+        pipeline = MidarPipeline(
+            IpidSampleBank(
+                legacy_session.network, VantagePoint(name="midar-vp", address="192.0.2.251")
+            )
         )
         start = max(o.timestamp for o in legacy_session.dataset("active-ipv6")) + 3600.0
-        verdicts = prober.verify_sets(chosen, start_time=start)
+        verdicts = pipeline.verify_sets(chosen, start_time=start)
         testable = [v for v in verdicts if v.testable]
         agree = sum(1 for v in testable if v.agrees)
 
