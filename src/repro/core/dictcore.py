@@ -176,43 +176,6 @@ class DictObservationIndex:
         for observation in added:
             self.add(observation)
 
-    def export_state(self) -> dict:
-        """Deep-copied internal state, for persistence."""
-        return {
-            "observed": self._observed,
-            "indexed": self._indexed,
-            "members": {
-                key: {value: dict(addresses) for value, addresses in members.items()}
-                for key, members in self._members.items()
-            },
-            "asn": {key: dict(mapping) for key, mapping in self._asn.items()},
-            "asn_refs": {key: dict(mapping) for key, mapping in self._asn_refs.items()},
-        }
-
-    @classmethod
-    def from_state(
-        cls, state: dict, options: IdentifierOptions = DEFAULT_OPTIONS
-    ) -> "DictObservationIndex":
-        """Rebuild an index from :meth:`export_state` output."""
-        try:
-            index = cls(options)
-            index._observed = int(state["observed"])
-            index._indexed = int(state["indexed"])
-            bucket_keys = (
-                set(state["members"]) | set(state["asn"]) | set(state["asn_refs"])
-            )
-            for bucket_key in bucket_keys:
-                members = state["members"].get(bucket_key, {})
-                index._members[bucket_key] = {
-                    value: dict(addresses) for value, addresses in members.items()
-                }
-                index._asn[bucket_key] = dict(state["asn"].get(bucket_key, {}))
-                index._asn_refs[bucket_key] = dict(state["asn_refs"].get(bucket_key, {}))
-                index._dirty[bucket_key] = set(members)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DatasetError(f"malformed observation index state: {exc}") from exc
-        return index
-
     def consume_dirty(self) -> dict[_BucketKey, set[str]]:
         """Return and clear the identifiers touched since the last drain."""
         dirty = {key: set(values) for key, values in self._dirty.items() if values}

@@ -23,12 +23,13 @@ tuple bucket keys), per-bucket membership is integer-keyed reference counts,
 and the per-address ASN columns are flat :mod:`array` columns indexed by
 address symbol.  An address's family is resolved once at intern time and
 read back as an array cell afterwards.  The public surface — ``add`` /
-``remove`` / ``extend`` / ``consume_dirty`` / ``export_state`` /
-``state_signature`` and insertion-ordered enumeration — is unchanged from
-the dict core (now preserved as
-:class:`repro.core.dictcore.DictObservationIndex`, the property-test oracle
-and benchmark baseline), so the engine, longitudinal delta replay,
-persistence and validation layers run unmodified on top.
+``remove`` / ``extend`` / ``consume_dirty`` / ``state_signature`` and
+insertion-ordered enumeration — is unchanged from the dict core (now
+preserved as :class:`repro.core.dictcore.DictObservationIndex`, the
+property-test oracle and benchmark baseline), so the engine, longitudinal
+delta replay, persistence and validation layers run unmodified on top.
+An index is never serialised: checkpoints store observations and rebuild
+the index from them (:mod:`repro.persist.chain`).
 
 :class:`ResolutionEngine` orchestrates the two stages and assembles the
 :class:`AliasReport` consumed by the experiments, the CLI and the analysis
@@ -269,12 +270,6 @@ class ObservationIndex:
             self._family_codes.append(_FAMILY_CODE[family_of(address)])
         return sym
 
-    def _bucket(self, code: int) -> _Bucket:
-        bucket = self._buckets[code]
-        if bucket is None:
-            bucket = self._buckets[code] = _Bucket()
-        return bucket
-
     def add(
         self,
         observation: Observation,
@@ -445,187 +440,6 @@ class ObservationIndex:
         obs.add("index.delta.added", grown)
         self._publish_gauges()
         obs.emit("index.delta", removed=dropped, added=grown)
-
-    # ------------------------------------------------------------------ #
-    # Persistence
-    # ------------------------------------------------------------------ #
-    def export_state(self) -> dict:
-        """Decoded internal state, for persistence.
-
-        The returned structure contains plain dicts and ints only (bucket
-        keys stay ``(ServiceType, AddressFamily)`` tuples — the JSON
-        encoding lives in :mod:`repro.persist.index`).  Unlike
-        :meth:`state_signature` it keeps the per-address ASN reference
-        counts, so a restored index supports exact removal replay.  The
-        layout is identical to the pre-columnar dict core's export, which is
-        what keeps the on-disk snapshot format readable across cores.
-        """
-        ident_values = self._identifiers.values
-        addr_values = self._addresses.values
-        members: dict = {}
-        asn: dict = {}
-        asn_refs: dict = {}
-        for code, bucket in enumerate(self._buckets):
-            if bucket is None:
-                continue
-            key = _BUCKET_KEYS[code]
-            members[key] = {
-                ident_values[ident_sym]: {
-                    addr_values[sym]: count for sym, count in counts.items()
-                }
-                for ident_sym, counts in bucket.members.items()
-            }
-            refs = bucket.asn_refs
-            values = bucket.asn_values
-            asn[key] = {
-                addr_values[sym]: values[sym]
-                for sym in range(len(refs))
-                if refs[sym]
-            }
-            asn_refs[key] = {
-                addr_values[sym]: refs[sym]
-                for sym in range(len(refs))
-                if refs[sym]
-            }
-        return {
-            "observed": self._observed,
-            "indexed": self._indexed,
-            "members": members,
-            "asn": asn,
-            "asn_refs": asn_refs,
-        }
-
-    @classmethod
-    def from_state(
-        cls, state: dict, options: IdentifierOptions = DEFAULT_OPTIONS
-    ) -> "ObservationIndex":
-        """Rebuild an index from :meth:`export_state` output.
-
-        Every identifier is marked dirty, so an incremental consumer
-        attached to the restored index (e.g.
-        :meth:`repro.longitudinal.engine.LongitudinalEngine.restore`)
-        derives its full state on the first drain — exactly as if the
-        index had just been built by streaming additions.
-        """
-        try:
-            index = cls(options)
-            index._observed = int(state["observed"])
-            index._indexed = int(state["indexed"])
-            bucket_keys = (
-                set(state["members"]) | set(state["asn"]) | set(state["asn_refs"])
-            )
-            intern_identifier = index._identifiers.intern
-            intern_address = index._intern_address
-            for bucket_key in bucket_keys:
-                protocol, family = bucket_key
-                bucket = index._bucket(_bucket_code(protocol, family))
-                for value, addresses in state["members"].get(bucket_key, {}).items():
-                    ident_sym = intern_identifier(value)
-                    bucket.members[ident_sym] = {
-                        intern_address(address): int(count)
-                        for address, count in addresses.items()
-                    }
-                    bucket.dirty.add(ident_sym)
-                asn_values = state["asn"].get(bucket_key, {})
-                asn_refs = state["asn_refs"].get(bucket_key, {})
-                if asn_values or asn_refs:
-                    ref_cells = {
-                        intern_address(address): int(count)
-                        for address, count in asn_refs.items()
-                    }
-                    value_cells = {
-                        intern_address(address): int(value)
-                        for address, value in asn_values.items()
-                    }
-                    bucket.grow_asn(len(index._addresses))
-                    for sym, count in ref_cells.items():
-                        bucket.asn_refs[sym] = count
-                    for sym, value in value_cells.items():
-                        bucket.asn_values[sym] = value
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DatasetError(f"malformed observation index state: {exc}") from exc
-        return index
-
-    def export_columnar(self) -> dict:
-        """Interned state: symbol tables plus integer columns, for persistence.
-
-        Unlike :meth:`export_state` (which decodes everything back to
-        strings), this carries each distinct address and identifier value
-        exactly once and renders every bucket as flat symbol/count lists —
-        the compact on-disk shape of
-        :data:`repro.persist.index.INDEX_FORMAT_VERSION` 2.  Bucket payload
-        per ``(protocol, family)`` key: ``members`` is a list of
-        ``[identifier_symbol, [address_symbol, count, ...]]`` rows in
-        insertion order, ``asn`` a flat ``[address_symbol, asn, refs, ...]``
-        list over addresses with live ASN references.
-        """
-        buckets: dict[_BucketKey, dict] = {}
-        for code, bucket in enumerate(self._buckets):
-            if bucket is None:
-                continue
-            members = [
-                [ident_sym, [cell for pair in counts.items() for cell in pair]]
-                for ident_sym, counts in bucket.members.items()
-            ]
-            refs = bucket.asn_refs
-            values = bucket.asn_values
-            asn: list[int] = []
-            for sym in range(len(refs)):
-                if refs[sym]:
-                    asn.extend((sym, values[sym], refs[sym]))
-            buckets[_BUCKET_KEYS[code]] = {"members": members, "asn": asn}
-        return {
-            "observed": self._observed,
-            "indexed": self._indexed,
-            "addresses": self._addresses.export(),
-            "identifiers": self._identifiers.export(),
-            "buckets": buckets,
-        }
-
-    @classmethod
-    def from_columnar(
-        cls, state: dict, options: IdentifierOptions = DEFAULT_OPTIONS
-    ) -> "ObservationIndex":
-        """Rebuild an index from :meth:`export_columnar` output.
-
-        Address family codes are re-derived from the address strings (the
-        columnar export does not carry them), and every identifier is marked
-        dirty exactly as in :meth:`from_state`.
-        """
-        try:
-            index = cls(options)
-            index._observed = int(state["observed"])
-            index._indexed = int(state["indexed"])
-            index._addresses = SymbolTable(state["addresses"])
-            index._identifiers = SymbolTable(state["identifiers"])
-            index._family_codes = array(
-                "b",
-                (
-                    _FAMILY_CODE[family_of(address)]
-                    for address in index._addresses.values
-                ),
-            )
-            size = len(index._addresses)
-            for bucket_key, payload in state["buckets"].items():
-                protocol, family = bucket_key
-                bucket = index._bucket(_bucket_code(protocol, family))
-                for ident_sym, cells in payload["members"]:
-                    ident_sym = int(ident_sym)
-                    bucket.members[ident_sym] = {
-                        int(cells[at]): int(cells[at + 1])
-                        for at in range(0, len(cells), 2)
-                    }
-                    bucket.dirty.add(ident_sym)
-                asn = payload["asn"]
-                if asn:
-                    bucket.grow_asn(size)
-                    for at in range(0, len(asn), 3):
-                        sym = int(asn[at])
-                        bucket.asn_values[sym] = int(asn[at + 1])
-                        bucket.asn_refs[sym] = int(asn[at + 2])
-        except (KeyError, TypeError, ValueError, IndexError) as exc:
-            raise DatasetError(f"malformed observation index state: {exc}") from exc
-        return index
 
     # ------------------------------------------------------------------ #
     # Incremental-consumer accessors

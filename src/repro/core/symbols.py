@@ -17,9 +17,7 @@ symbol.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
-
-from repro.errors import DatasetError
+from typing import Iterator
 
 
 class SymbolTable:
@@ -34,13 +32,9 @@ class SymbolTable:
 
     __slots__ = ("ids", "values")
 
-    def __init__(self, values: Iterable[str] = ()) -> None:
-        self.values: list[str] = list(values)
-        self.ids: dict[str, int] = {
-            value: sym for sym, value in enumerate(self.values)
-        }
-        if len(self.ids) != len(self.values):
-            raise DatasetError("symbol table initialised with duplicate values")
+    def __init__(self) -> None:
+        self.values: list[str] = []
+        self.ids: dict[str, int] = {}
 
     def __len__(self) -> int:
         return len(self.values)
@@ -67,7 +61,3 @@ class SymbolTable:
     def value(self, sym: int) -> str:
         """String of symbol ``sym`` (symbols are dense list indexes)."""
         return self.values[sym]
-
-    def export(self) -> list[str]:
-        """The interned strings in symbol order (a copy, safe to serialise)."""
-        return list(self.values)

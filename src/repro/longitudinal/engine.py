@@ -267,9 +267,9 @@ class LongitudinalEngine:
     def restore(cls, index: ObservationIndex, name: str) -> "LongitudinalEngine":
         """Rebuild an engine around a restored index (checkpoint resume).
 
-        ``index`` must have every identifier marked dirty (what
-        :meth:`~repro.core.engine.ObservationIndex.from_state` guarantees),
-        so the refresh below derives every collection, union component and
+        ``index`` must have every identifier marked dirty (what a fresh
+        :meth:`~repro.core.engine.ObservationIndex.build` guarantees), so
+        the refresh below derives every collection, union component and
         merged ASN mapping exactly as the original engine held them after
         resolving the snapshot called ``name``.  The engine's identifier
         cache starts empty — the first delta replay re-extracts what it

@@ -1,13 +1,10 @@
-"""Persistence and resume: sessions, indexes, reports, campaigns.
+"""Persistence and resume: sessions, reports, campaigns, streams.
 
 The paper's longitudinal analysis compares snapshots and alias-set reports
 across collection runs, which assumes measurement state survives the
 process that produced it.  This package provides that survival on top of
 the byte-faithful observation round-trip of :mod:`repro.io`:
 
-* :mod:`repro.persist.index` — snapshot/restore of the single-pass
-  :class:`~repro.core.engine.ObservationIndex`, with state-signature
-  parity asserted on load.
 * :mod:`repro.persist.report` — full :class:`~repro.core.engine.AliasReport`
   documents, signature-verified on load.
 * :mod:`repro.persist.session` — ``ReproSession.save(dir)`` /
@@ -18,7 +15,10 @@ the byte-faithful observation round-trip of :mod:`repro.io`:
   validator spec), signature-verified on load.
 * :mod:`repro.persist.chain` — the checkpoint chain: numbered data-file
   generations under a manifest that lands last, keep-rotation, and the
-  deterministic rebuild on resume.
+  deterministic rebuild on resume.  Each generation stores its step's
+  observations once; the live
+  :class:`~repro.core.engine.ObservationIndex` is rebuilt from them and
+  checked against the manifest's :func:`state_signature_digest` pin.
 * :mod:`repro.persist.campaign` — longitudinal campaign checkpoints:
   stop after snapshot *k*, resume to *k+n* with incremental
   re-resolution intact (``repro longitudinal --checkpoint/--resume``).
@@ -29,9 +29,10 @@ the byte-faithful observation round-trip of :mod:`repro.io`:
   signature-verified on load; what lets a reloaded session re-score
   cached validation schedules with zero network probes.
 
-Every artifact embeds a digest of its canonical state and fails loudly
-(:class:`~repro.errors.PersistError`) when what was restored would not
-derive the same reports as what was saved.
+Every artifact embeds a digest of its canonical state, or its manifest
+pins one, and loading fails loudly (:class:`~repro.errors.PersistError`)
+when what was restored would not derive the same reports as what was
+saved.
 """
 
 from repro.persist.bank import (
@@ -45,11 +46,7 @@ from repro.persist.campaign import (
     load_checkpoint,
     resume_campaign,
 )
-from repro.persist.index import (
-    load_index,
-    save_index,
-    state_signature_digest,
-)
+from repro.persist.chain import state_signature_digest
 from repro.persist.report import (
     report_from_document,
     report_signature_digest,
@@ -76,13 +73,11 @@ __all__ = [
     "bank_state_signature",
     "bank_state_to_document",
     "load_checkpoint",
-    "load_index",
     "load_session",
     "report_from_document",
     "report_signature_digest",
     "report_to_document",
     "resume_campaign",
-    "save_index",
     "save_session",
     "spec_from_document",
     "spec_to_document",

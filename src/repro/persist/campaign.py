@@ -3,13 +3,15 @@
 A checkpoint directory lets a ``repro longitudinal`` campaign stop after
 snapshot *k* and resume to *k+n* in another process with incremental
 re-resolution intact.  Its files, their rotation and the resume rebuild
-are the checkpoint chain's (:mod:`repro.persist.chain`): ``index-NNNN.json``
-and ``snapshot-NNNN.jsonl`` per snapshot, ``bank-NNNN-PPP.json`` when a
-validation run rides along, and the ``checkpoint.json`` manifest.  The
-campaign adds to the manifest the accumulated per-snapshot stability rows
-of both families and the per-snapshot metric series.
+are the checkpoint chain's (:mod:`repro.persist.chain`):
+``snapshot-NNNN.jsonl`` per snapshot (the live index is rebuilt from it on
+load), ``bank-NNNN-PPP.json`` when a validation run rides along, and the
+``checkpoint.json`` manifest.  The campaign adds to the manifest the
+accumulated per-snapshot stability rows of both families (parsed into
+:class:`~repro.longitudinal.campaign.SnapshotStability` rows on load) and
+the per-snapshot metric series.
 
-The resumed engine continues applying deltas against the restored index,
+The resumed engine continues applying deltas against the rebuilt index,
 so a resumed campaign matches the uninterrupted one snapshot for snapshot.
 """
 
@@ -55,14 +57,15 @@ class CampaignCheckpointer(CheckpointChain):
         self,
         directory: str | Path,
         scenario: ScenarioConfig,
-        prior_stability: dict[str, list[dict]] | None = None,
+        prior_stability: dict[str, list[SnapshotStability]] | None = None,
         keep: int = 1,
         prior_metric_series: list[dict] | None = None,
         validation_run=None,
     ) -> None:
         super().__init__(directory, scenario, keep=keep, validation_run=validation_run)
         self._stability: dict[str, list[dict]] = {
-            tag: list((prior_stability or {}).get(tag, ())) for tag in _FAMILY_TAGS.values()
+            tag: [dataclasses.asdict(row) for row in (prior_stability or {}).get(tag, ())]
+            for tag in _FAMILY_TAGS.values()
         }
         self._metric_series: list[dict] = list(prior_metric_series or ())
 
@@ -105,27 +108,26 @@ class LoadedCheckpoint(LoadedChain):
 
     Attributes (beyond :class:`~repro.persist.chain.LoadedChain`'s):
         stability: per-family stability rows of the completed snapshots,
-            as manifest dicts (feed back into a checkpointer on resume).
+            keyed by family tag (feed back into a checkpointer on resume).
         metric_series: per-snapshot metric rows of the completed snapshots
             (:func:`~repro.longitudinal.campaign.snapshot_metrics_row`);
             feed back into a checkpointer on resume so the persisted series
             stays equal to an uninterrupted run's.
     """
 
-    stability: dict[str, list[dict]]
+    stability: dict[str, list[SnapshotStability]]
     metric_series: list[dict]
 
     def stability_rows(self, family: AddressFamily) -> list[SnapshotStability]:
         """The completed snapshots' stability metrics for one family."""
-        return [
-            SnapshotStability(**row) for row in self.stability[_FAMILY_TAGS[family]]
-        ]
+        return list(self.stability[_FAMILY_TAGS[family]])
 
 
 def _campaign_fields(manifest: dict) -> dict:
     return {
         "stability": {
-            tag: list(manifest["stability"].get(tag, ())) for tag in _FAMILY_TAGS.values()
+            tag: [SnapshotStability(**row) for row in manifest["stability"].get(tag, ())]
+            for tag in _FAMILY_TAGS.values()
         },
         "metric_series": [dict(row) for row in manifest.get("metric_series", ())],
     }

@@ -6,22 +6,26 @@ step — a snapshot or a poll — and only add their own manifest fields.  A
 checkpoint directory holds numbered generations ``NNNN`` (the completed
 step count) of data files:
 
-* ``index-NNNN.json`` — the live
-  :class:`~repro.core.engine.ObservationIndex` after step ``NNNN - 1``
-  (:mod:`repro.persist.index`, signature-verified on load);
-* ``<step>-NNNN.jsonl`` — that step's observations, the diff baseline of
-  the first resumed step (``snapshot-`` or ``poll-``);
+* ``<step>-NNNN.jsonl`` — the observations of step ``NNNN - 1``
+  (``snapshot-`` or ``poll-``): the only copy of the generation's
+  resolution state.  The live
+  :class:`~repro.core.engine.ObservationIndex` after a step indexes
+  exactly that step's observations, so a resume rebuilds it from this
+  file, and the same observations are the diff baseline of the first
+  resumed step;
 * ``bank-NNNN-PPP.json`` — the sample banks of an attached
   :class:`~repro.validation.runner.ValidationRun`
   (:mod:`repro.persist.bank`), so a resumed validation series re-scores
   already-probed schedules offline;
 
 plus one manifest naming the newest generation and pinning its files: the
-index and banks by signature, the observations by count.  Data files land
-first and the atomically replaced manifest lands last, so a crash at any
-write leaves either the new checkpoint or the previous one loadable, never
-neither.  The newest ``keep`` generations survive each save; older ones are
-pruned only after the new manifest is on disk.
+observations by count and by the state-signature digest of the live index
+(:func:`state_signature_digest`, recomputed from the rebuilt index on
+load), the banks by signature.  Data files land first and the atomically
+replaced manifest lands last, so a crash at any write leaves either the
+new checkpoint or the previous one loadable, never neither.  The newest
+``keep`` generations survive each save; older ones are pruned only after
+the new manifest is on disk.
 
 Everything else a resume needs is deterministic: the topology regenerates
 from the scenario config and the IPv6 hitlist from the topology,
@@ -33,6 +37,7 @@ restored, so a resumed run matches the uninterrupted one step for step.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import re
 from pathlib import Path
@@ -41,10 +46,11 @@ from typing import Callable, TypeVar
 from repro.api.config import ScenarioConfig
 from repro.core.engine import ObservationIndex
 from repro.core.identifiers import IdentifierOptions
-from repro.errors import DatasetError, PersistError
+from repro.errors import DatasetError, PersistError, SimulationError
 from repro.io.datasets import load_observations
 from repro.longitudinal.campaign import LongitudinalCampaign, LongitudinalConfig
 from repro.longitudinal.engine import LongitudinalEngine
+from repro.net.addresses import AddressFamily
 from repro.persist.bank import bank_state_from_document, bank_state_to_document
 from repro.persist.files import (
     read_json_document,
@@ -52,7 +58,7 @@ from repro.persist.files import (
     save_observations_atomic,
     write_atomic,
 )
-from repro.persist.index import index_from_document, index_to_document
+from repro.simnet.device import ServiceType
 from repro.simnet.network import VantagePoint
 from repro.simnet.topology import generate_topology
 from repro.sources.hitlist import HitlistConfig, build_ipv6_hitlist
@@ -60,6 +66,29 @@ from repro.sources.records import Observation, ObservationDataset
 
 #: Current checkpoint format version, campaign and stream manifests alike.
 CHECKPOINT_FORMAT_VERSION = 1
+
+
+def _bucket_tag(bucket_key: tuple[ServiceType, AddressFamily]) -> str:
+    protocol, family = bucket_key
+    return f"{protocol.value}|{family.value}"
+
+
+def state_signature_digest(index: ObservationIndex) -> str:
+    """SHA-256 over the canonical JSON rendering of the index signature.
+
+    Two indexes that would derive identical report collections produce
+    equal digests regardless of construction history — the property the
+    load-time check of a rebuilt index relies on.
+    """
+    signature = index.state_signature()
+    canonical = {
+        "observed": signature["observed"],
+        "indexed": signature["indexed"],
+        "members": {_bucket_tag(key): value for key, value in signature["members"].items()},
+        "asn": {_bucket_tag(key): value for key, value in signature["asn"].items()},
+    }
+    encoded = json.dumps(canonical, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(encoded.encode("utf-8")).hexdigest()
 
 
 @dataclasses.dataclass(frozen=True)
@@ -76,7 +105,8 @@ class LoadedChain:
         completed: number of completed steps.
         last_name: resolution label of the last completed step.
         last_observations: that step's observations (diff baseline).
-        index: the restored live observation index.
+        index: the live observation index, rebuilt from
+            ``last_observations`` and verified against the manifest's pin.
         probe_counts: per-(vantage, AS, window) IDS probe counters at the
             checkpoint, restored onto the regenerated network so steps
             sharing a rate-limit window with completed scans see the same
@@ -151,10 +181,7 @@ class CheckpointChain:
         """
         directory = self.directory
         directory.mkdir(parents=True, exist_ok=True)
-        index_file = f"index-{completed:04d}.json"
         observations_file = f"{self.step}-{completed:04d}.jsonl"
-        index_document = index_to_document(index)
-        write_atomic(directory / index_file, json.dumps(index_document))
         save_observations_atomic(
             ObservationDataset(last_name, observations), directory / observations_file
         )
@@ -192,9 +219,8 @@ class CheckpointChain:
             "completed": completed,
             "last_name": last_name,
             "observations": len(observations),
-            "index_file": index_file,
             f"last_{self.step}_file": observations_file,
-            "index_signature": index_document["signature"],
+            "index_signature": state_signature_digest(index),
             "probe_counts": [
                 [vantage_name, asn, window, count]
                 for (vantage_name, asn, window), count in sorted(
@@ -215,9 +241,11 @@ class CheckpointChain:
     def _generations(self) -> dict[int, list[Path]]:
         """This chain's data files in the directory, by generation number.
 
-        Names outside the ``index-NNNN``/``<step>-NNNN``/``bank-NNNN-PPP``
-        scheme (notes, temp files, bank files of older checkpoints without
-        a generation number) are never pruned.
+        Names outside the ``<step>-NNNN``/``bank-NNNN-PPP`` scheme (notes,
+        temp files, bank files of older checkpoints without a generation
+        number) are never pruned.  ``index-NNNN.json`` still matches: older
+        checkpoints stored an index snapshot per generation, and those files
+        are pruned with their generation.
         """
         pattern = re.compile(
             rf"(?:index|{self.step})-(\d+)\.jsonl?|bank-(\d+)-\d+\.json"
@@ -240,6 +268,10 @@ class CheckpointChain:
 
         ``own_fields`` parses the subclass's manifest entries into the
         remaining ``loaded_type`` fields.
+
+        The live index is rebuilt from the step file; its state-signature
+        digest must equal the manifest's pin.  Older checkpoints also carry
+        an index snapshot file per generation, which is never read.
 
         Raises:
             PersistError: when the directory holds no manifest, the format
@@ -273,7 +305,6 @@ class CheckpointChain:
                 **own_fields(manifest),
             }
             expected_observations = int(manifest["observations"])
-            index_file = str(manifest["index_file"])
             observations_file = str(manifest[f"last_{cls.step}_file"])
             index_signature = str(manifest["index_signature"])
             bank_pins = [
@@ -282,15 +313,8 @@ class CheckpointChain:
             ]
         except PersistError:
             raise
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, SimulationError) as exc:
             raise PersistError(f"malformed {cls.kind} manifest {manifest_path}: {exc}") from exc
-        # index_from_document re-verifies the digest against the *rebuilt*
-        # index, so manifest == document == restored state.
-        index = index_from_document(
-            read_pinned_document(
-                directory / index_file, f"{cls.kind} index snapshot", index_signature, cls.kind
-            )
-        )
         try:
             dataset = load_observations(directory / observations_file)
         except PersistError:
@@ -301,6 +325,14 @@ class CheckpointChain:
             raise PersistError(
                 f"{cls.kind} {cls.step} file holds {len(dataset)} observations, "
                 f"manifest expects {expected_observations}"
+            )
+        index = ObservationIndex.build(dataset, fields["options"])
+        rebuilt_signature = state_signature_digest(index)
+        if rebuilt_signature != index_signature:
+            raise PersistError(
+                f"{cls.kind} {cls.step} file {directory / observations_file} does not match the "
+                f"manifest (manifest {index_signature[:12]}…, rebuilt index "
+                f"{rebuilt_signature[:12]}…); the {cls.kind} was likely torn mid-save"
             )
         bank_states = [
             bank_state_from_document(

@@ -4,11 +4,13 @@ The daemon (:mod:`repro.stream.daemon`) checkpoints after every emit, so
 a killed process resumes exactly where the stream left off: same live
 index, same emit sequence, same estimator series, same cumulative event
 counts.  Its files, their rotation and the resume rebuild are the
-checkpoint chain's (:mod:`repro.persist.chain`): ``index-NNNN.json`` and
-``poll-NNNN.jsonl`` per poll, ``bank-NNNN-PPP.json`` when a validation run
-rides along, and the ``stream.json`` manifest.  The stream adds to the
-manifest its emit-trigger config, the emit-window state of the streaming
-engine (clock, emit boundaries, estimator) and the cumulative
+checkpoint chain's (:mod:`repro.persist.chain`): ``poll-NNNN.jsonl`` per
+poll (the live index is rebuilt from it on load),
+``bank-NNNN-PPP.json`` when a validation run rides along, and the
+``stream.json`` manifest.  The stream adds to the manifest its
+emit-trigger config, the emit-window state of the streaming engine
+(clock, emit boundaries, estimator; parsed into an
+:class:`~repro.stream.engine.EmitWindow` on load) and the cumulative
 published-event counts.
 
 A resumed daemon's reports equal the uninterrupted run's poll for poll —
@@ -24,7 +26,8 @@ from pathlib import Path
 from repro.longitudinal.campaign import LongitudinalCampaign
 from repro.persist.chain import CheckpointChain, LoadedChain, restore_campaign
 from repro.sources.records import Observation
-from repro.stream.engine import StreamConfig, StreamingEngine
+from repro.stream.engine import EmitWindow, StreamConfig, StreamingEngine
+from repro.stream.estimator import ChurnRateEstimator
 from repro.stream.events import StreamPublisher
 
 #: Manifest file name inside a stream checkpoint directory.
@@ -75,19 +78,36 @@ class LoadedStreamCheckpoint(LoadedChain):
 
     Attributes (beyond :class:`~repro.persist.chain.LoadedChain`'s):
         stream: emit-trigger configuration of the streaming engine.
-        window: the streaming engine's emit-window state.
+        window: the streaming engine's parsed emit-window state.
         event_counts: cumulative published-event counts at the checkpoint.
     """
 
     stream: StreamConfig
-    window: dict
+    window: EmitWindow
     event_counts: dict[str, int]
 
 
+def _optional_float(value: float | None) -> float | None:
+    return None if value is None else float(value)
+
+
 def _stream_fields(manifest: dict) -> dict:
+    window = manifest["window"]
     return {
         "stream": StreamConfig(**manifest["stream"]),
-        "window": dict(manifest["window"]),
+        "window": EmitWindow(
+            emitted=int(window["emitted"]),
+            clock=float(window["clock"]),
+            epoch=_optional_float(window["epoch"]),
+            next_emit_clock=_optional_float(window["next_emit_clock"]),
+            tracked_at_emit=int(window["tracked_at_emit"]),
+            clock_at_emit=_optional_float(window["clock_at_emit"]),
+            coverage={
+                str(family): int(count)
+                for family, count in dict(window["coverage"]).items()
+            },
+            estimator=ChurnRateEstimator.restore(window["estimator"]),
+        ),
         "event_counts": {
             str(kind): int(count) for kind, count in manifest["event_counts"].items()
         },
@@ -122,7 +142,7 @@ def resume_stream(
         config=checkpoint.stream,
         engine=engine,
         observations=checkpoint.last_observations,
-        window_state=checkpoint.window,
+        window=checkpoint.window,
         options=checkpoint.options,
         publisher=publisher,
     )

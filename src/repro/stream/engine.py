@@ -128,6 +128,26 @@ class StreamUpdate:
         return self.resolution.report
 
 
+@dataclasses.dataclass(frozen=True)
+class EmitWindow:
+    """The emit-window state a stream checkpoint carries.
+
+    :meth:`StreamingEngine.window_state` renders it for the manifest, the
+    stream checkpoint loader parses it back (:mod:`repro.persist.stream`),
+    and :meth:`StreamingEngine.resume` continues from it.  The resumed
+    engine takes ownership of ``estimator``.
+    """
+
+    emitted: int
+    clock: float
+    epoch: float | None
+    next_emit_clock: float | None
+    tracked_at_emit: int
+    clock_at_emit: float | None
+    coverage: dict[str, int]
+    estimator: ChurnRateEstimator
+
+
 class StreamingEngine:
     """Maintains a live alias report over a boundary-less event stream."""
 
@@ -422,10 +442,10 @@ class StreamingEngine:
     def window_state(self) -> dict:
         """JSON-serialisable emit-window state (no index, no services).
 
-        The index and the tracked observations are persisted separately
+        The tracked observations are persisted separately
         (:mod:`repro.persist.stream`); this carries the small scalars a
         resumed engine needs to continue the same emit sequence and the
-        same estimator series.
+        same estimator series (an :class:`EmitWindow` once parsed).
         """
         return {
             "emitted": self._emitted,
@@ -444,7 +464,7 @@ class StreamingEngine:
         config: StreamConfig,
         engine: LongitudinalEngine,
         observations: Iterable[Observation],
-        window_state: dict,
+        window: EmitWindow,
         options: IdentifierOptions = DEFAULT_OPTIONS,
         publisher: StreamPublisher | None = None,
     ) -> "StreamingEngine":
@@ -453,7 +473,7 @@ class StreamingEngine:
         ``engine`` must already hold the checkpointed index and report
         (:meth:`~repro.longitudinal.engine.LongitudinalEngine.restore`);
         ``observations`` are the tracked observations at the checkpoint,
-        and ``window_state`` is :meth:`window_state` output.  A window
+        and ``window`` is the parsed :meth:`window_state`.  A window
         that was mid-accumulation at checkpoint time restarts empty — the
         checkpoint writer only runs at emit boundaries, so nothing is in
         flight by construction.
@@ -465,20 +485,12 @@ class StreamingEngine:
                 (observation.address, observation.protocol.value), []
             ).append(observation)
         streaming._services = {key: tuple(copies) for key, copies in services.items()}
-        streaming._emitted = int(window_state["emitted"])
-        streaming._clock = float(window_state["clock"])
-        epoch = window_state["epoch"]
-        streaming._epoch = None if epoch is None else float(epoch)
-        boundary = window_state["next_emit_clock"]
-        streaming._next_emit_clock = None if boundary is None else float(boundary)
-        streaming._tracked_at_emit = int(window_state["tracked_at_emit"])
-        clock_at_emit = window_state["clock_at_emit"]
-        streaming._clock_at_emit = (
-            None if clock_at_emit is None else float(clock_at_emit)
-        )
-        streaming._coverage = {
-            str(family): int(count)
-            for family, count in dict(window_state["coverage"]).items()
-        }
-        streaming._estimator = ChurnRateEstimator.restore(window_state["estimator"])
+        streaming._emitted = window.emitted
+        streaming._clock = window.clock
+        streaming._epoch = window.epoch
+        streaming._next_emit_clock = window.next_emit_clock
+        streaming._tracked_at_emit = window.tracked_at_emit
+        streaming._clock_at_emit = window.clock_at_emit
+        streaming._coverage = dict(window.coverage)
+        streaming._estimator = window.estimator
         return streaming

@@ -1,9 +1,8 @@
 """Regression tests for the fixes the first repo-wide lint run forced.
 
-Two of the 18 true positives changed observable behavior beyond guard
-placement: ``SymbolTable`` now raises the typed ``DatasetError`` on
-duplicate values (``typed-errors``), and the CLI writes its artifacts
-through ``write_atomic`` (``atomic-write-only``).
+One of the 18 true positives changed observable behavior beyond guard
+placement: the CLI writes its artifacts through ``write_atomic``
+(``atomic-write-only``).
 """
 
 from pathlib import Path
@@ -11,50 +10,6 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
-from repro.core.engine import ObservationIndex
-from repro.core.symbols import SymbolTable
-from repro.errors import DatasetError, ReproError
-from repro.simnet.device import ServiceType
-from repro.sources.records import Observation
-
-
-class TestSymbolTableTypedError:
-    def test_duplicate_values_raise_dataset_error(self):
-        with pytest.raises(DatasetError, match="duplicate values"):
-            SymbolTable(["a", "b", "a"])
-
-    def test_dataset_error_is_a_repro_error(self):
-        # Library callers catch ReproError as the one base; the old bare
-        # ValueError escaped that contract.
-        with pytest.raises(ReproError):
-            SymbolTable(["dup", "dup"])
-
-    def test_corrupt_columnar_state_surfaces_dataset_error(self):
-        # The persist v2 load path: a corrupt document with a duplicated
-        # symbol column must fail typed, not with a bare ValueError.
-        observation = Observation(
-            address="10.0.0.1",
-            protocol=ServiceType.SSH,
-            source="fixture",
-            port=22,
-            timestamp=0.0,
-            asn=None,
-            fields=(
-                ("banner", "SSH-2.0-OpenSSH_9.4"),
-                ("capability_signature", "caps-alpha"),
-                ("host_key_fingerprint", "key-alpha"),
-            ),
-        )
-        state = ObservationIndex.build([observation]).export_columnar()
-        assert state["addresses"], "fixture must intern at least one address"
-        state["addresses"] = state["addresses"] + state["addresses"]
-        with pytest.raises(DatasetError):
-            ObservationIndex.from_columnar(state)
-
-    def test_unique_values_still_construct(self):
-        table = SymbolTable(["a", "b"])
-        assert table.lookup("b") == 1
-        assert list(table) == ["a", "b"]
 
 
 class TestCliArtifactsAtomic:

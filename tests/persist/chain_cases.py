@@ -16,16 +16,18 @@ the same cases run over each.  A test module binds them to its chain with a
   ``uninterrupted`` reference run;
 
 plus ``checkpoint_dir`` (a run checkpointed after two steps) and
-``uninterrupted`` fixtures.
+``uninterrupted`` (a run through at least four steps) fixtures.
 """
 
 import json
 import os
+from pathlib import Path
 
 import pytest
 
 from repro.errors import PersistError
 from repro.net.ipid import MonotonicIpidCounter
+from repro.persist import state_signature_digest
 from repro.simnet.asn import AsRegistry, AsRole, AutonomousSystem
 from repro.simnet.device import Device, DeviceRole, Interface
 from repro.simnet.network import SimulatedInternet
@@ -41,6 +43,43 @@ def copy_checkpoint(source, target):
     for path in source.iterdir():
         (target / path.name).write_bytes(path.read_bytes())
     return target
+
+
+class SimulatedCrash(Exception):
+    """The process dying at one ``os.replace`` of a save."""
+
+
+def crash_at_replace(monkeypatch, crash_at=None):
+    """Count every ``os.replace`` from now on; the ``crash_at``-th one dies.
+
+    Returns the names of the replaced files, in order, including the one
+    that died.
+    """
+    real_replace = os.replace
+    replaced = []
+
+    def counting_replace(source, target):
+        replaced.append(Path(target).name)
+        if len(replaced) == crash_at:
+            raise SimulatedCrash(f"simulated crash replacing {Path(target).name}")
+        real_replace(source, target)
+
+    monkeypatch.setattr(os, "replace", counting_replace)
+    return replaced
+
+
+def tamper_fingerprint(path):
+    """Change one SSH host-key fingerprint in a step file, same line count."""
+    lines = path.read_text().splitlines(keepends=True)
+    for position, line in enumerate(lines):
+        record = json.loads(line)
+        fingerprint = record.get("fields", {}).get("host_key_fingerprint")
+        if fingerprint is not None:
+            record["fields"]["host_key_fingerprint"] = "tampered-" + fingerprint
+            lines[position] = json.dumps(record) + "\n"
+            path.write_text("".join(lines))
+            return
+    raise AssertionError(f"{path} holds no SSH observation to tamper with")
 
 
 def crash_before_manifest(monkeypatch, manifest):
@@ -103,6 +142,23 @@ class ContentsCases:
         with pytest.raises(PersistError, match="torn"):
             chain.load(copy)
 
+    def test_pin_covers_step_file_contents(self, chain, checkpoint_dir, tmp_path):
+        """An edited observation with the line count kept fails the pin:
+        the index rebuilt from the step file is not the saved one."""
+        copy = copy_checkpoint(checkpoint_dir, tmp_path / "tampered")
+        manifest = json.loads((copy / chain.manifest).read_text())
+        tamper_fingerprint(copy / manifest[f"last_{chain.step}_file"])
+        with pytest.raises(PersistError, match="torn"):
+            chain.load(copy)
+
+    def test_index_rebuilt_from_step_file(self, chain, checkpoint_dir):
+        checkpoint = chain.load(checkpoint_dir)
+        manifest = json.loads((checkpoint_dir / chain.manifest).read_text())
+        assert state_signature_digest(checkpoint.index) == manifest["index_signature"]
+        assert checkpoint.index.observed == len(checkpoint.last_observations)
+        assert "index_file" not in manifest
+        assert _names(checkpoint_dir, "index-*") == []
+
     def test_unnumbered_bank_files_still_load(self, chain, tmp_path):
         """Checkpoints whose bank files predate generation numbers
         (``bank-PPP.json``) still load and resume; the resumed save leaves
@@ -164,12 +220,52 @@ class ResumeCases:
         assert after.completed == before.completed
         assert after.bank_states == before.bank_states
 
+    @pytest.mark.parametrize("banked", [False, True], ids=["plain", "banked"])
+    def test_crash_at_every_replace_leaves_a_resumable_generation(
+        self, chain, tmp_path, monkeypatch, uninterrupted, banked
+    ):
+        """A save that dies at its k-th ``os.replace``, for every k, leaves
+        the previous or the new generation loadable, and a resume from it
+        matches the uninterrupted run."""
+        reference = chain.signatures(uninterrupted)
+        base = tmp_path / "base"
+        chain.run(base, 2, validation_run=banked_run() if banked else None)
+
+        def save_next_step(directory):
+            run = None
+            if banked:
+                run = banked_run()
+                probe(run, start_time=86400.0)  # the next save writes different banks
+            chain.resume(chain.load(directory), 3, directory=directory, validation_run=run)
+
+        finished = copy_checkpoint(base, tmp_path / "finished")
+        replaced = crash_at_replace(monkeypatch)
+        save_next_step(finished)
+        monkeypatch.undo()
+        # The step file, each bank file, then the manifest.
+        expected_names = [f"{chain.step}-0003.jsonl"]
+        if banked:
+            expected_names.append("bank-0003-000.json")
+        assert replaced == expected_names + [chain.manifest]
+        generations = {2: chain.load(base), 3: chain.load(finished)}
+        for crash_at in range(1, len(replaced) + 1):
+            directory = copy_checkpoint(base, tmp_path / f"crash-{crash_at}")
+            crash_at_replace(monkeypatch, crash_at)
+            with pytest.raises(SimulatedCrash):
+                save_next_step(directory)
+            monkeypatch.undo()
+            loaded = chain.load(directory)
+            generation = generations[loaded.completed]
+            assert loaded.last_observations == generation.last_observations
+            assert loaded.bank_states == generation.bank_states
+            assert chain.resume(loaded, len(reference)) == reference[loaded.completed :]
+
 
 class RotationCases:
     def test_keep_retains_newest_n(self, chain, tmp_path):
         directory = tmp_path / "rotated"
         chain.run(directory, 3, keep=2)
-        assert _names(directory, "index-*.json") == ["index-0002.json", "index-0003.json"]
+        assert _names(directory, "index-*") == []
         assert _names(directory, f"{chain.step}-*.jsonl") == [
             f"{chain.step}-0002.jsonl",
             f"{chain.step}-0003.jsonl",
@@ -202,10 +298,25 @@ class RotationCases:
         (directory / "index-0005.json").write_text("{}")
         (directory / f"{chain.step}-0005.jsonl").write_text("")
         chain.run(directory, 2, keep=1)
-        assert _names(directory, "index-*.json") == ["index-0002.json"]
+        assert _names(directory, "index-*") == []
         assert _names(directory, f"{chain.step}-*.jsonl") == [f"{chain.step}-0002.jsonl"]
         # The manifest references files that actually exist: resume works.
         assert chain.load(directory).completed == 2
+
+    def test_older_index_files_ignored_then_pruned(self, chain, tmp_path):
+        """Older checkpoints also stored an index snapshot per generation
+        (``index-NNNN.json``, named by the manifest's ``index_file``).  They
+        load without it, and the next save prunes it with its generation."""
+        directory = tmp_path / "older"
+        chain.run(directory, 2, keep=1)
+        manifest = json.loads((directory / chain.manifest).read_text())
+        manifest["index_file"] = "index-0002.json"
+        (directory / chain.manifest).write_text(json.dumps(manifest))
+        (directory / "index-0002.json").write_text("not an index snapshot")
+        checkpoint = chain.load(directory)
+        chain.resume(checkpoint, 3, directory=directory)
+        assert _names(directory, "index-*") == []
+        assert chain.load(directory).completed == 3
 
     def test_foreign_files_left_alone(self, chain, tmp_path):
         directory = tmp_path / "rotated"

@@ -1,14 +1,17 @@
 """Campaign checkpoints: stop after snapshot k, resume to k+n, exact parity."""
 
 import dataclasses
+import json
 
 import pytest
-from chain_cases import ContentsCases, ResumeCases, RotationCases
+from chain_cases import ContentsCases, ResumeCases, RotationCases, copy_checkpoint
 
 from repro.api.config import ScenarioConfig
 from repro.api.session import ReproSession
 from repro.core.engine import report_signature
+from repro.core.identifiers import IdentifierOptions
 from repro.errors import PersistError
+from repro.longitudinal.campaign import LongitudinalCampaign
 from repro.net.addresses import AddressFamily
 from repro.persist.campaign import (
     CHECKPOINT_MANIFEST,
@@ -101,6 +104,34 @@ class TestCheckpointContents(ContentsCases):
         restored = checkpoint.stability_rows(AddressFamily.IPV4)
         reference = [s.stability() for s in uninterrupted.snapshots[:2]]
         assert restored == reference
+
+    def test_index_rebuilt_with_manifest_options(self, tmp_path):
+        options = IdentifierOptions(ssh_include_banner=False, bgp_include_hold_time=False)
+        default = _campaign(snapshots=2)
+        campaign = LongitudinalCampaign(
+            default.network,
+            vantage=default.vantage,
+            hitlist=default.hitlist,
+            config=default.config,
+            options=options,
+        )
+        campaign.run(checkpointer=CampaignCheckpointer(tmp_path / "options", _CONFIG))
+        checkpoint = load_checkpoint(tmp_path / "options")
+        assert checkpoint.options == options
+        assert checkpoint.index.options == options
+
+    @pytest.mark.parametrize("damage", ["missing-field", "not-a-row"])
+    def test_malformed_stability_row_fails_load(self, checkpoint_dir, tmp_path, damage):
+        copy = copy_checkpoint(checkpoint_dir, tmp_path / "malformed")
+        manifest = json.loads((copy / CHECKPOINT_MANIFEST).read_text())
+        rows = manifest["stability"]["ipv4"]
+        if damage == "missing-field":
+            del rows[0]["snapshot"]
+        else:
+            rows[0] = ["not", "a", "row"]
+        (copy / CHECKPOINT_MANIFEST).write_text(json.dumps(manifest))
+        with pytest.raises(PersistError, match="malformed campaign checkpoint manifest"):
+            load_checkpoint(copy)
 
 
 class TestResumeParity(ResumeCases):
@@ -236,7 +267,7 @@ class TestRunInterleaving:
 
 class TestCheckpointRotation(RotationCases):
     def test_default_keeps_only_newest(self, checkpoint_dir):
-        assert sorted(p.name for p in checkpoint_dir.glob("index-*.json")) == ["index-0002.json"]
+        assert sorted(p.name for p in checkpoint_dir.glob("index-*")) == []
         assert sorted(p.name for p in checkpoint_dir.glob("snapshot-*.jsonl")) == [
             "snapshot-0002.jsonl"
         ]

@@ -1,7 +1,9 @@
 """Stream checkpoints: kill the daemon mid-stream, resume, exact parity."""
 
+import json
+
 import pytest
-from chain_cases import ContentsCases, ResumeCases, RotationCases
+from chain_cases import ContentsCases, ResumeCases, RotationCases, copy_checkpoint
 
 from repro.api.config import ScenarioConfig
 from repro.api.session import ReproSession
@@ -74,6 +76,26 @@ class StreamChain:
         return [report_signature(update.report) for update in updates]
 
 
+#: Every emit-window entry a resume reads, estimator state included.
+_WINDOW_FIELDS = [
+    "emitted",
+    "clock",
+    "epoch",
+    "next_emit_clock",
+    "tracked_at_emit",
+    "clock_at_emit",
+    "coverage",
+    "estimator",
+    "estimator.interval",
+    "estimator.window",
+    "estimator.rate",
+    "estimator.windows",
+]
+
+#: Marks a window entry the malformed-window cases delete.
+_MISSING = "<missing>"
+
+
 @pytest.fixture(scope="module")
 def chain():
     return StreamChain()
@@ -106,17 +128,47 @@ class TestCheckpointContents(ContentsCases):
         assert checkpoint.campaign.churn_fraction == _CHURN
         assert checkpoint.stream == StreamConfig()
         assert checkpoint.include_ipv6 is True
-        assert checkpoint.window["emitted"] == 2
+        assert checkpoint.window.emitted == 2
         assert checkpoint.event_counts["report.emitted"] == 2
         assert len(checkpoint.last_observations) > 0
+        # The malformed-window cases below cover every entry written.
+        window = json.loads((checkpoint_dir / STREAM_MANIFEST).read_text())["window"]
+        assert set(window) | {f"estimator.{key}" for key in window["estimator"]} == set(
+            _WINDOW_FIELDS
+        )
 
     def test_rotation_keeps_only_newest(self, checkpoint_dir):
-        assert sorted(p.name for p in checkpoint_dir.glob("index-*.json")) == [
-            "index-0002.json"
-        ]
+        assert sorted(p.name for p in checkpoint_dir.glob("index-*")) == []
         assert sorted(p.name for p in checkpoint_dir.glob("poll-*.jsonl")) == [
             "poll-0002.jsonl"
         ]
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [(field, _MISSING) for field in _WINDOW_FIELDS]
+        + [
+            ("emitted", "two"),
+            ("clock", None),
+            ("coverage", [1, 2]),
+            ("estimator", "ewma"),
+            ("estimator.interval", 0),
+            ("estimator.window", 0),
+            ("estimator.rate", "fast"),
+        ],
+    )
+    def test_malformed_window_fails_load(self, checkpoint_dir, tmp_path, field, value):
+        copy = copy_checkpoint(checkpoint_dir, tmp_path / "malformed")
+        manifest = json.loads((copy / STREAM_MANIFEST).read_text())
+        window = manifest["window"]
+        if field.startswith("estimator."):
+            window, field = window["estimator"], field.partition(".")[2]
+        if value == _MISSING:
+            del window[field]
+        else:
+            window[field] = value
+        (copy / STREAM_MANIFEST).write_text(json.dumps(manifest))
+        with pytest.raises(PersistError, match="malformed stream checkpoint manifest"):
+            load_stream_checkpoint(copy)
 
     def test_keep_must_be_positive(self, tmp_path):
         with pytest.raises(PersistError, match="at least one poll"):
@@ -170,7 +222,7 @@ class TestResumeGate(ResumeCases):
         daemon.run()
         final = load_stream_checkpoint(target)
         assert final.completed == 3
-        assert final.window["emitted"] == 3
+        assert final.window.emitted == 3
         assert final.event_counts["report.emitted"] == 3
 
 

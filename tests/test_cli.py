@@ -224,10 +224,11 @@ class TestLongitudinal:
              "--ipv4-only", "--checkpoint", str(checkpoint), "--keep", "2"]
         )
         assert exit_code == 0
-        assert sorted(p.name for p in checkpoint.glob("index-*.json")) == [
-            "index-0002.json",
-            "index-0003.json",
+        assert sorted(p.name for p in checkpoint.glob("snapshot-*.jsonl")) == [
+            "snapshot-0002.jsonl",
+            "snapshot-0003.jsonl",
         ]
+        assert sorted(p.name for p in checkpoint.glob("index-*")) == []
         # A pruned directory still resumes from the newest checkpoint.
         capsys.readouterr()
         assert main(["longitudinal", "--resume", str(checkpoint), "--snapshots", "4"]) == 0
@@ -269,6 +270,59 @@ class TestLongitudinal:
         )
         assert exit_code == 2
         assert "already completed" in capsys.readouterr().err
+
+    def test_longitudinal_resume_malformed_stability_exits_before_work(
+        self, capsys, tmp_path
+    ):
+        checkpoint = _campaign_checkpoint(tmp_path)
+        manifest = json.loads((checkpoint / "checkpoint.json").read_text())
+        del manifest["stability"]["ipv4"][0]["snapshot"]
+        (checkpoint / "checkpoint.json").write_text(json.dumps(manifest))
+        before = _contents(checkpoint)
+        exit_code = main(["longitudinal", "--resume", str(checkpoint), "--snapshots", "3"])
+        assert exit_code == 2
+        captured = capsys.readouterr()
+        assert "malformed campaign checkpoint manifest" in captured.err
+        assert "Traceback" not in captured.err
+        assert "resuming" not in captured.out
+        assert _contents(checkpoint) == before
+
+    def test_longitudinal_resume_tampered_snapshot_exits_cleanly(self, capsys, tmp_path):
+        checkpoint = _campaign_checkpoint(tmp_path)
+        _tamper_fingerprint(checkpoint / "snapshot-0002.jsonl")
+        exit_code = main(["longitudinal", "--resume", str(checkpoint), "--snapshots", "3"])
+        assert exit_code == 2
+        captured = capsys.readouterr()
+        assert "torn" in captured.err
+        assert "Traceback" not in captured.err
+
+
+def _campaign_checkpoint(tmp_path):
+    """A campaign checkpointed after two snapshots (scale 0.05, seed 7)."""
+    checkpoint = tmp_path / "checkpoint"
+    assert main(
+        ["longitudinal", "--scale", "0.05", "--seed", "7", "--snapshots", "2",
+         "--checkpoint", str(checkpoint)]
+    ) == 0
+    return checkpoint
+
+
+def _contents(directory):
+    return {path.name: path.read_bytes() for path in directory.iterdir()}
+
+
+def _tamper_fingerprint(path):
+    """Change one SSH host-key fingerprint in a step file, same line count."""
+    lines = path.read_text().splitlines(keepends=True)
+    for position, line in enumerate(lines):
+        record = json.loads(line)
+        fingerprint = record.get("fields", {}).get("host_key_fingerprint")
+        if fingerprint is not None:
+            record["fields"]["host_key_fingerprint"] = "tampered-" + fingerprint
+            lines[position] = json.dumps(record) + "\n"
+            path.write_text("".join(lines))
+            return
+    raise AssertionError(f"{path} holds no SSH observation to tamper with")
 
 
 class TestValidate:
@@ -492,6 +546,22 @@ class TestServe:
         assert "resuming after poll 1" in captured
         assert "emit 2 (snapshot-2):" in captured
         assert "checkpointed 4 polls" in captured
+
+    def test_serve_resume_malformed_window_exits_cleanly(self, capsys, tmp_path):
+        checkpoint = tmp_path / "stream"
+        assert main(
+            ["serve", "--scale", "0.05", "--seed", "7", "--max-batches", "2",
+             "--checkpoint", str(checkpoint)]
+        ) == 0
+        capsys.readouterr()
+        manifest = json.loads((checkpoint / "stream.json").read_text())
+        del manifest["window"]["emitted"]
+        (checkpoint / "stream.json").write_text(json.dumps(manifest))
+        exit_code = main(["serve", "--max-batches", "3", "--resume", str(checkpoint)])
+        assert exit_code == 2
+        captured = capsys.readouterr()
+        assert "malformed stream checkpoint manifest" in captured.err
+        assert "Traceback" not in captured.err
 
     def test_serve_resume_missing_checkpoint(self, capsys, tmp_path):
         exit_code = main(["serve", "--resume", str(tmp_path / "absent")])
