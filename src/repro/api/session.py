@@ -205,9 +205,9 @@ class ReproSession:
         """The shared validation state: one sample bank per vantage.
 
         Built once per session, so successive :meth:`validate` calls share
-        collected IPID series — a composed ``validate("midar")`` +
-        ``validate("ally")`` issues roughly half the probes of two
-        independent prober runs.
+        collected IPID series: a ``validate("ally")`` after
+        ``validate("midar")`` answers most pair tests from MIDAR's banked
+        corroboration instead of the network.
         """
         if self._validation_run is None:
             from repro.validation.runner import ValidationRun
@@ -221,28 +221,23 @@ class ReproSession:
         self,
         validators: "Iterable[str | ValidatorSpec]",
         budget: int | None = None,
-        velocity_ttl: float | None = None,
     ):
         """Run several validators under one probe-budget optimizer.
 
-        The optimizer routes the bank-based validators through the shared
-        estimation stage and velocity cache, processes candidate sets in
-        priority order, and spends fresh probes from one global budget
-        (``budget=None`` optimizes without a cap).  Sets the budget cannot
-        afford are reported ``unresolved``; a session restored from
+        One optimizer — one velocity cache and one global fresh-probe
+        budget (``budget=None`` is uncapped) — spans every validator, and
+        candidate sets are processed in priority order.  Sets the budget
+        cannot afford are reported ``unresolved``; a session restored from
         :meth:`save` answers matching schedules from its persisted banks —
         zero network probes.  Returns a :class:`~repro.validation.budget.
         BudgetRunResult`; reports are *not* entered into the
         :meth:`validate` cache (budgeted runs are explicit experiments,
         not the canonical per-spec verdicts).
         """
-        from repro.validation.budget import DEFAULT_VELOCITY_TTL, run_budgeted
+        from repro.validation.budget import run_budgeted
 
-        ttl = velocity_ttl if velocity_ttl is not None else DEFAULT_VELOCITY_TTL
         with obs.span("session.validate_budgeted", budget=budget):
-            return run_budgeted(
-                self.validation_run, list(validators), budget=budget, velocity_ttl=ttl
-            )
+            return run_budgeted(self.validation_run, list(validators), budget=budget)
 
     def validate(
         self, validator: "str | ValidatorSpec", name: str | None = None
@@ -252,7 +247,9 @@ class ReproSession:
         ``validator`` is a registered name (``"midar"``, ``"ally"``, …) or
         an explicit :class:`~repro.validation.spec.ValidatorSpec`.  Like
         datasets and reports, results cache under the spec: the Table 2
-        experiment and a later ``validate("midar")`` share one run.
+        experiment and a later ``validate("midar")`` share one run.  The
+        run probes through a fresh uncapped optimizer, so the report equals
+        ``validate_budgeted([validator]).validations[0].report``.
         Validations probe the live network sequentially (IPID counters are
         stateful), so a cached report reflects the session state at the
         time it first ran — exactly like a real measurement campaign.

@@ -104,7 +104,9 @@ def build_parser() -> argparse.ArgumentParser:
     scan = subparsers.add_parser(
         "scan", parents=[scenario], help="simulate the Internet and run the measurement campaigns"
     )
-    scan.add_argument("--output", type=Path, default=None, help="directory for the observation datasets")
+    scan.add_argument(
+        "--output", type=_output_directory, default=None, help="directory for the observation datasets"
+    )
     scan.add_argument(
         "--sources",
         nargs="*",
@@ -121,7 +123,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     resolve = subparsers.add_parser("resolve", help="run alias resolution over observation datasets")
     resolve.add_argument("datasets", nargs="+", type=Path, help="observation JSONL files")
-    resolve.add_argument("--output", type=Path, required=True, help="directory for alias sets and report")
+    resolve.add_argument(
+        "--output", type=_output_directory, required=True, help="directory for alias sets and report"
+    )
     resolve.add_argument("--name", default="resolved", help="name of the combined dataset")
     resolve.add_argument(
         "--stats",
@@ -162,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--ipv4-only", action="store_true", help="skip the IPv6 hitlist scans"
     )
     plan.add_argument(
-        "--output", type=Path, default=None, help="optional directory for coverage.md"
+        "--output", type=_output_directory, default=None, help="optional directory for coverage.md"
     )
 
     longitudinal = subparsers.add_parser(
@@ -188,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--ipv4-only", action="store_true", help="skip the IPv6 hitlist scans"
     )
     longitudinal.add_argument(
-        "--output", type=Path, default=None, help="optional directory for stability.md"
+        "--output", type=_output_directory, default=None, help="optional directory for stability.md"
     )
     longitudinal.add_argument(
         "--checkpoint",
@@ -258,13 +262,13 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="run the requested validators under the probe-budget optimizer "
-        "with at most N fresh network probes (N=0 re-scores from persisted "
+        help="run the requested validators under one probe-budget optimizer "
+        "capped at N fresh network probes (N=0 re-scores from persisted "
         "banks only); candidate sets the budget cannot afford are reported "
         "unresolved, never mis-verdicted",
     )
     validate.add_argument(
-        "--output", type=Path, default=None, help="optional directory for validation.md"
+        "--output", type=_output_directory, default=None, help="optional directory for validation.md"
     )
     _add_metrics_flag(validate)
 
@@ -374,6 +378,21 @@ def _positive_scale(text: str) -> float:
     if not (math.isfinite(scale) and scale > 0):
         raise argparse.ArgumentTypeError(f"must be positive (got {text})")
     return scale
+
+
+def _output_directory(text: str) -> Path:
+    """Parse ``--output``: a directory, or a path one can be created at.
+
+    Rejected before any work runs: a path that is not a directory, or
+    whose nearest existing ancestor is not one.
+    """
+    path = Path(text)
+    for candidate in (path, *path.parents):
+        if candidate.exists():
+            if not candidate.is_dir():
+                raise argparse.ArgumentTypeError(f"{candidate} is not a directory")
+            break
+    return path
 
 
 def _scenario_parser() -> argparse.ArgumentParser:

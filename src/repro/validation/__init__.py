@@ -15,19 +15,22 @@ already have:
 * :mod:`repro.validation.techniques` — the MIDAR and Ally pipelines over
   a bank (Speedtrap is MIDAR over IPv6 members, the ``speedtrap`` kind).
 * :mod:`repro.validation.runner` — builders for the built-in kinds
-  (midar, ally, speedtrap, iffinder, ptr), the :class:`ValidationRun`
-  harness, and the registered named compositions.
+  (midar, ally, speedtrap, iffinder, ptr), the one priority scheduler
+  the IPID kinds share, the :class:`ValidationRun` harness, and the
+  registered named compositions.
 * :mod:`repro.validation.report` — per-set verdicts and the
   :class:`ValidationReport` aggregates (testable coverage, agreement).
 * :mod:`repro.validation.longitudinal` — per-snapshot validation of a
   churning campaign (the paper's MIDAR-disagreement series).
-* :mod:`repro.validation.budget` — the probe-budget optimizer: shared
-  estimation, the velocity cache, the adaptive :class:`ProbeBudget`
-  scheduler, and the ``consensus()`` majority-vote combinator.
+* :mod:`repro.validation.budget` — the probe-budget optimizer every
+  validation probes through: the velocity cache, the global
+  :class:`ProbeBudget`, and the ``consensus()`` majority-vote combinator.
 
-Entry points: ``ReproSession.validate(spec_or_name)`` (cached, persisted
-by :mod:`repro.persist`), ``ReproSession.validate_budgeted(...)`` and the
-``repro validate`` CLI subcommand (``--budget N``).
+There is one validation path.  ``ReproSession.validate(spec_or_name)``
+(cached, persisted by :mod:`repro.persist`) runs under a fresh uncapped
+optimizer; ``ReproSession.validate_budgeted(..., budget=N)`` runs several
+validators under one optimizer with an optional cap; the ``repro
+validate`` CLI subcommand exposes both (``--budget N``).
 """
 
 from repro.validation.bank import IpidSampleBank

@@ -2,23 +2,18 @@
 
 MIDAR, Ally and Speedtrap all reduce to the same primitive: collect an IPID
 time series from a target on some probing schedule and reason about the
-merged sequences.  Before this module each technique probed the simulated
-Internet on its own, so validating one candidate set with two techniques
-paid for two full probing campaigns against the same targets.
+merged sequences, so validating one candidate set with two techniques need
+not pay for two probing campaigns against the same targets.
 
 :class:`IpidSampleBank` collects each series **once per (addresses,
 schedule)** and shares it across validators: a composed validation (e.g.
 MIDAR followed by Ally over the same sampled sets, see
 :mod:`repro.validation.runner`) answers the second technique's sample
-requests from the bank instead of the network, cutting the probe count —
-``benchmarks/bench_validation.py`` asserts the reduction with verdict
-parity.
-
-The bank is a pure memoisation layer: a cold bank issues exactly the calls
-:func:`~repro.baselines.ipid.collect_series` /
-:func:`~repro.baselines.ipid.collect_interleaved` would, in the same order,
-so a single technique run over a private bank behaves byte-for-byte like
-the pre-bank probers.
+requests from the bank instead of the network.  Two reads are
+schedule-agnostic — one canonical estimation series per (address,
+schedule shape), and any interleaved collection that probed a pair — and
+both serve only evidence within a caller-given ``max_age`` of the read,
+so a banked sample never stands in for one taken across churn.
 """
 
 from __future__ import annotations
@@ -102,7 +97,7 @@ class IpidSampleBank:
     def series(
         self, address: str, samples: int, interval: float, start_time: float
     ) -> IpidTimeSeries:
-        """One address probed ``samples`` times (MIDAR's estimation stage)."""
+        """One address probed ``samples`` times, memoised on the exact schedule."""
         key = ("series", address, samples, interval, start_time)
         cached = self._series.get(key)
         if cached is not None:
@@ -153,39 +148,26 @@ class IpidSampleBank:
         self,
         left: str,
         right: str,
-        requested_probes: int | None = None,
-        now: float | None = None,
-        max_age: float | None = None,
+        requested_probes: int,
+        now: float,
+        max_age: float,
     ) -> dict[str, IpidTimeSeries] | None:
-        """Any banked interleaved collection that probed both addresses.
+        """The latest banked interleaved collection that probed both addresses.
 
         Schedule-agnostic: this is how a second technique (Ally) reuses the
-        series a first one (MIDAR corroboration) already paid for.  Returns
-        the most recently collected match, or ``None``.
+        series a first one (MIDAR corroboration) already paid for.  A
+        collection started more than ``max_age`` simulated seconds from
+        ``now`` is *not* served: the read returns ``None`` and the caller
+        probes live, so pair evidence is never reused across churn.
 
         ``requested_probes`` is what the caller's own schedule would have
         issued for this pair — the quantity a hit adds to
         :attr:`probes_reused`, keeping the counter's meaning ("probes not
-        sent thanks to the bank") consistent with the exact-key paths.  It
-        defaults to the banked collection's own probe slots for the pair.
-
-        ``now``/``max_age`` bound reuse by simulated-time staleness: a
-        banked collection older than ``max_age`` relative to ``now`` is
-        *not* served (returns ``None``), forcing the caller back to live
-        probing — the probe-budget optimizer's guard against reusing
-        pair evidence across churn.  Both default to ``None`` (unbounded),
-        which preserves the pre-optimizer behaviour byte for byte.
+        sent thanks to the bank") consistent with the exact-key paths.
         """
         key = self._pairs.get(frozenset((left, right)))
-        if key is None:
+        if key is None or abs(now - float(key[4])) > max_age:
             return None
-        if max_age is not None and now is not None:
-            collected_at = float(key[4])
-            if abs(now - collected_at) > max_age:
-                return None
-        if requested_probes is None:
-            banked_rounds = key[2]
-            requested_probes = 2 * banked_rounds
         self._count("reused", requested_probes)
         return self._interleaved[key]
 
@@ -198,7 +180,7 @@ class IpidSampleBank:
         samples: int,
         interval: float,
         start_time: float,
-        max_age: float | None = None,
+        max_age: float,
     ) -> bool:
         """Whether :meth:`estimation_series` would be served without probing.
 
@@ -207,24 +189,9 @@ class IpidSampleBank:
         allowed even after the budget closes.
         """
         canonical = self._estimation.get((address, samples, interval))
-        if canonical is not None:
-            collected_at = float(canonical[4])
-            if max_age is None or abs(start_time - collected_at) <= max_age:
-                return True
+        if canonical is not None and abs(start_time - float(canonical[4])) <= max_age:
+            return True
         return ("series", address, samples, interval, start_time) in self._series
-
-    def cached_estimation(
-        self, address: str, samples: int, interval: float
-    ) -> tuple[IpidTimeSeries, float] | None:
-        """Peek at the canonical estimation series for one schedule shape.
-
-        Returns ``(series, collected_at)`` without touching the probe
-        counters, or ``None`` when no canonical collection exists yet.
-        """
-        canonical = self._estimation.get((address, samples, interval))
-        if canonical is None:
-            return None
-        return self._series[canonical], float(canonical[4])
 
     def estimation_series(
         self,
@@ -232,27 +199,25 @@ class IpidSampleBank:
         samples: int,
         interval: float,
         start_time: float,
-        max_age: float | None = None,
-        early_stop: tuple[int, float] | None = None,
+        max_age: float,
+        early_stop: tuple[int, float],
     ) -> tuple[IpidTimeSeries, float, int]:
         """One canonical estimation read per (address, schedule shape).
 
         Unlike :meth:`series`, which memoises on the exact start time, this
         serves *any* banked canonical collection whose window aligns (same
         sample count and interval) and is no older than ``max_age``
-        relative to ``start_time`` — MIDAR, Ally-style and Speedtrap
-        estimation all read from one schedule per vantage instead of
-        collecting per-validator series.  A staleness-expired canonical
-        entry is never silently reused: the read falls back to a live
-        collection, which then becomes the new canonical series.
+        relative to ``start_time`` — MIDAR and Speedtrap estimation read
+        from one schedule per vantage instead of collecting per-validator
+        series.  A staleness-expired canonical entry is never silently
+        reused: the read falls back to a live collection, which then
+        becomes the new canonical series.
 
-        ``early_stop=(min_responses, max_velocity)`` opts a *fresh*
-        collection into stopping as soon as the caller's
+        ``early_stop=(min_responses, max_velocity)`` lets a *fresh*
+        collection stop as soon as the caller's
         :func:`~repro.baselines.ipid.classify_series` outcome is already
         decided (see :meth:`_collect_estimation`); banked reads are
-        unaffected.  Callers that omit it keep the pure-memoisation
-        behaviour: a cold read issues exactly the probes
-        :func:`~repro.baselines.ipid.collect_series` would.
+        unaffected.
 
         Returns ``(series, collected_at, issued)`` where ``issued`` counts
         the fresh network probes spent (the quantity a probe budget must
@@ -262,12 +227,12 @@ class IpidSampleBank:
         canonical = self._estimation.get((address, samples, interval))
         if canonical is not None:
             collected_at = float(canonical[4])
-            if max_age is None or abs(start_time - collected_at) <= max_age:
+            if abs(start_time - collected_at) <= max_age:
                 self._count("reused", samples)
                 return self._series[canonical], collected_at, 0
         issued_before = self._probes_issued
         key = ("series", address, samples, interval, start_time)
-        if early_stop is None or key in self._series:
+        if key in self._series:
             collected = self.series(address, samples, interval, start_time)
         else:
             collected = self._collect_estimation(

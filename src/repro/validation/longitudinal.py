@@ -14,8 +14,11 @@ device, so the per-snapshot disagreement series exposes exactly the
 paper's churn-driven MIDAR-disagreement effect.
 
 All snapshots share one :class:`~repro.validation.runner.ValidationRun`
-(and therefore one sample bank per vantage), so composed validators keep
-their probe sharing across the whole series.
+(and therefore one sample bank per vantage), but banked evidence is only
+read within :data:`~repro.validation.budget.DEFAULT_VELOCITY_TTL` (one
+simulated day) of the read.  Validators sharing the run therefore share
+probes within a snapshot's validation window, while a snapshot a campaign
+interval away always re-probes.
 """
 
 from __future__ import annotations
@@ -64,16 +67,17 @@ def validate_snapshots(
         run: the shared probing state.  Pass the same
             :class:`~repro.validation.runner.ValidationRun` (over
             ``campaign.network``) across several ``validate_snapshots``
-            calls so later validators reuse the banked series of earlier
-            ones; by default each call builds a fresh run.
+            calls so later validators reuse, within each snapshot, the
+            banked series of earlier ones; by default each call builds a
+            fresh run.
         optimizer: a :class:`~repro.validation.budget.
-            ProbeBudgetOptimizer` to attach for the series.  The
-            optimizer's staleness bound (default one simulated day) is
-            shorter than any realistic campaign interval, so snapshot N's
-            cached velocities and pair evidence are expired by snapshot
-            N+1's probing time and every snapshot re-probes live — the
-            churn-driven disagreement mechanism stays observable, while
-            within-snapshot sharing still applies.
+            ProbeBudgetOptimizer` to attach for the whole series (one
+            budget across every snapshot); by default each snapshot probes
+            through a fresh uncapped one.  Either way the staleness bound
+            is shorter than any realistic campaign interval, so snapshot
+            N's velocities and pair evidence are expired by snapshot N+1's
+            probing time and every snapshot re-probes live — the
+            churn-driven disagreement mechanism stays observable.
     """
     spec = validator if isinstance(validator, ValidatorSpec) else named_validator(validator)
     lag = probe_lag if probe_lag is not None else campaign.config.interval

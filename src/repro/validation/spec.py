@@ -143,7 +143,7 @@ def midar(label: str | None = None, **params: ParamValue) -> ValidatorSpec:
 
 
 def ally(label: str | None = None, **params: ParamValue) -> ValidatorSpec:
-    """Pairwise Ally tests per candidate set (reuses banked series by default)."""
+    """Pairwise Ally tests per candidate set (reuses fresh banked pair series)."""
     return ValidatorSpec.create("ally", label=label, **params)
 
 

@@ -3,13 +3,14 @@
 The MIDAR estimation → elimination → corroboration pipeline and the
 pairwise Ally test are engines over an :class:`~repro.validation.bank.
 IpidSampleBank`, which is what lets composed validations share collected
-series.  Run one over a private bank for a self-contained prober::
+series.  Both probe through a :class:`~repro.validation.budget.
+ProbeBudgetOptimizer`: banked evidence is read only while it is within
+:data:`~repro.validation.budget.DEFAULT_VELOCITY_TTL` of the read, and
+every fresh collection is requested from and charged to the optimizer's
+budget.  Run one over a private bank (and its own uncapped optimizer) for
+a self-contained prober::
 
     MidarPipeline(IpidSampleBank(network, vantage)).verify_sets(candidates)
-
-Over a cold bank the pipelines issue exactly the probes the pre-refactor
-self-probing classes issued, in the same order — ``bench_validation.py``
-holds Table 2 to byte parity on that guarantee.
 """
 
 from __future__ import annotations
@@ -17,13 +18,14 @@ from __future__ import annotations
 import dataclasses
 from typing import Iterable, Sequence
 
-from repro.baselines.ipid import (
-    TargetClass,
-    classify_series,
-    shared_counter_test,
-)
+from repro.baselines.ipid import IpidTimeSeries, TargetClass, shared_counter_test
 from repro.core.alias_resolution import UnionFind
 from repro.validation.bank import IpidSampleBank
+from repro.validation.budget import (
+    DEFAULT_VELOCITY_TTL,
+    ProbeBudgetExhausted,
+    ProbeBudgetOptimizer,
+)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -66,11 +68,27 @@ class MidarSetVerdict:
 
 
 class MidarPipeline:
-    """The MIDAR estimation/elimination/corroboration stages over a bank."""
+    """The MIDAR estimation/elimination/corroboration stages over a bank.
 
-    def __init__(self, bank: IpidSampleBank, config: MidarConfig | None = None) -> None:
+    Three levers keep the probe count down.  Estimation reads the bank's
+    canonical series while it is fresh, and a fresh collection stops once
+    the target's class is decided.  A corroboration pair already connected
+    by passing tests is skipped: a pass would union nothing and a failure
+    never splits, so the partition cannot change.  And a pair is probed
+    for one corroboration pass only; the repeat passes re-read it, since
+    the members' velocities were just estimated fresh.  Reads served from
+    the bank consume no simulated time.
+    """
+
+    def __init__(
+        self,
+        bank: IpidSampleBank,
+        config: MidarConfig | None = None,
+        optimizer: ProbeBudgetOptimizer | None = None,
+    ) -> None:
         self._bank = bank
         self._config = config or MidarConfig()
+        self._optimizer = optimizer if optimizer is not None else ProbeBudgetOptimizer()
 
     @property
     def bank(self) -> IpidSampleBank:
@@ -88,25 +106,47 @@ class MidarPipeline:
     def estimate(
         self, addresses: Sequence[str], start_time: float
     ) -> tuple[dict[str, TargetClass], dict[str, float], float]:
-        """Classify every address; returns (classes, velocities, end_time)."""
+        """Classify every address; returns (classes, velocities, end_time).
+
+        Fresh collections charge the budget and advance the clock by the
+        probes actually issued — the collection stops early once the
+        address's class is decided (see
+        :meth:`IpidSampleBank._collect_estimation`), so a random-IPID
+        target costs a few probes, not the full schedule.  Reads served
+        from the canonical series (or, after a reload, from a restored
+        bank) are free in both probes and simulated time.
+        """
         config = self._config
+        optimizer = self._optimizer
+        cache = optimizer.velocity_cache
         classes: dict[str, TargetClass] = {}
         velocities: dict[str, float] = {}
         now = start_time
+        cost = config.estimation_samples
         for address in addresses:
-            series = self._bank.series(
+            free = self._bank.estimation_free(
+                address, cost, config.estimation_interval, now, max_age=DEFAULT_VELOCITY_TTL
+            )
+            if not free and not optimizer.request(cost):
+                raise ProbeBudgetExhausted(
+                    f"estimating {address} needs {cost} fresh probes; "
+                    "the probe budget is exhausted"
+                )
+            series, observed_at, issued = self._bank.estimation_series(
                 address,
-                samples=config.estimation_samples,
-                interval=config.estimation_interval,
-                start_time=now,
+                cost,
+                config.estimation_interval,
+                now,
+                max_age=DEFAULT_VELOCITY_TTL,
+                early_stop=(config.min_responses, config.max_velocity),
             )
-            now += config.estimation_samples * config.estimation_interval
-            classes[address] = classify_series(
-                series, min_responses=config.min_responses, max_velocity=config.max_velocity
-            )
-            velocity = series.velocity()
-            if velocity is not None:
-                velocities[address] = velocity
+            if issued:
+                optimizer.charge(issued)
+                now += issued * config.estimation_interval
+            entry = cache.classify(address, series, observed_at, config)
+            classes[address] = entry.target_class
+            if entry.velocity is not None:
+                velocities[address] = entry.velocity
         return classes, velocities, now
 
     # ------------------------------------------------------------------ #
@@ -116,27 +156,67 @@ class MidarPipeline:
         low, high = sorted((max(left, 0.1), max(right, 0.1)))
         return high / low <= self._config.velocity_ratio_bound
 
-    def _pair_shares_counter(self, left: str, right: str, start_time: float) -> tuple[bool, float]:
-        """Run the interleaved corroboration passes for one pair."""
+    def _pair_decision(
+        self, series: dict[str, IpidTimeSeries], left: str, right: str
+    ) -> bool:
+        """The monotonic-bounds decision over one interleaved collection."""
         config = self._config
-        now = start_time
-        for _ in range(config.corroboration_passes):
-            series = self._bank.interleaved(
-                (left, right),
-                rounds=config.corroboration_rounds,
-                interval=config.corroboration_interval,
-                start_time=now,
+        left_samples = series[left].samples
+        right_samples = series[right].samples
+        if (
+            len(left_samples) < config.min_responses
+            or len(right_samples) < config.min_responses
+        ):
+            return False
+        return shared_counter_test(
+            left_samples + right_samples, max_velocity=config.max_velocity
+        )
+
+    def _pair_shares_counter(
+        self, left: str, right: str, start_time: float
+    ) -> tuple[bool, float]:
+        """Corroborate one pair, bank-first and budget-aware.
+
+        A banked collection of the pair that is still fresh decides
+        without probing or consuming time.  Otherwise the pair is probed
+        fresh for the first pass only, and the repeat passes reproduce its
+        decision — which halves the per-pair corroboration cost.
+        """
+        config = self._config
+        optimizer = self._optimizer
+        per_pass = 2 * config.corroboration_rounds
+        banked = self._bank.cached_interleaved(
+            left,
+            right,
+            requested_probes=config.corroboration_passes * per_pass,
+            now=start_time,
+            max_age=DEFAULT_VELOCITY_TTL,
+        )
+        if banked is not None:
+            return self._pair_decision(banked, left, right), start_time
+        if not optimizer.request(per_pass):
+            raise ProbeBudgetExhausted(
+                f"corroborating {left}/{right} needs {per_pass} fresh "
+                "probes; the probe budget is exhausted"
             )
-            now += 2 * config.corroboration_rounds * config.corroboration_interval
-            merged = series[left].samples + series[right].samples
-            if len(series[left].samples) < config.min_responses or len(series[right].samples) < config.min_responses:
-                return False, now
-            if not shared_counter_test(merged, max_velocity=config.max_velocity):
-                return False, now
-        return True, now
+        issued_before = self._bank.probes_issued
+        series = self._bank.interleaved(
+            (left, right),
+            rounds=config.corroboration_rounds,
+            interval=config.corroboration_interval,
+            start_time=start_time,
+        )
+        shares = self._pair_decision(series, left, right)
+        optimizer.charge(self._bank.probes_issued - issued_before)
+        return shares, start_time + per_pass * config.corroboration_interval
 
     def verify_set(self, candidate: Iterable[str], start_time: float = 0.0) -> MidarSetVerdict:
-        """Run the full pipeline on one candidate alias set."""
+        """Run the full pipeline on one candidate alias set.
+
+        Raises:
+            ProbeBudgetExhausted: when the optimizer's budget denies a
+                fresh collection the set needs.
+        """
         members = sorted(candidate)[: self._config.max_set_size]
         classes, velocities, now = self.estimate(members, start_time)
         usable = [address for address in members if classes[address] is TargetClass.USABLE]
@@ -150,26 +230,28 @@ class MidarPipeline:
                 started_at=start_time,
                 finished_at=now,
             )
-        # Pairwise corroboration over velocity-compatible pairs.
+        # Pairwise corroboration over velocity-compatible, unconnected pairs.
         union_find = UnionFind()
         for address in usable:
             union_find.add(address)
-
         for index, left in enumerate(usable):
             for right in usable[index + 1 :]:
-                if not self._velocity_compatible(velocities.get(left, 0.1), velocities.get(right, 0.1)):
+                if union_find.find(left) == union_find.find(right):
+                    continue
+                if not self._velocity_compatible(
+                    velocities.get(left, 0.1), velocities.get(right, 0.1)
+                ):
                     continue
                 shares, now = self._pair_shares_counter(left, right, now)
                 if shares:
                     union_find.union(left, right)
         partition = [frozenset(group) for group in union_find.groups()]
-        agrees = len(partition) == 1
         return MidarSetVerdict(
             candidate=frozenset(members),
             target_classes=classes,
             testable=True,
             partition=partition,
-            agrees=agrees,
+            agrees=len(partition) == 1,
             started_at=start_time,
             finished_at=now,
         )
@@ -247,13 +329,12 @@ class AllySetResult:
 
 
 class AllyPipeline:
-    """Pairwise Ally tests over a bank, with optional banked-series reuse.
+    """Pairwise Ally tests over a bank.
 
-    With ``reuse=False`` a cold bank reproduces the classic self-probing
-    Ally tester byte for byte.  With ``reuse=True`` a pair that some earlier validator
-    already probed together (any interleaved schedule) is decided from the
-    banked series without touching the network — the composed-validation
-    saving the benchmark measures.
+    A pair that some validator already probed together (any interleaved
+    schedule) within the staleness bound is decided from the banked series
+    without touching the network; older evidence is re-probed, and fresh
+    pair tests go through the optimizer's budget.
     """
 
     def __init__(
@@ -262,13 +343,13 @@ class AllyPipeline:
         rounds: int = 3,
         interval: float = 0.5,
         max_velocity: float = 2_000.0,
-        reuse: bool = False,
+        optimizer: ProbeBudgetOptimizer | None = None,
     ) -> None:
         self._bank = bank
         self._rounds = rounds
         self._interval = interval
         self._max_velocity = max_velocity
-        self._reuse = reuse
+        self._optimizer = optimizer if optimizer is not None else ProbeBudgetOptimizer()
 
     @property
     def bank(self) -> IpidSampleBank:
@@ -300,41 +381,36 @@ class AllyPipeline:
         )
 
     def test_pair(self, left: str, right: str, start_time: float = 0.0) -> AllyPairResult:
-        """Test one pair, reusing banked series when allowed and available."""
-        if self._reuse:
-            cached = self._bank.cached_interleaved(
-                left, right, requested_probes=2 * self._rounds
-            )
-            if cached is not None:
-                return self._decide(cached, left, right, reused=True)
-        series = self._bank.interleaved(
-            (left, right), rounds=self._rounds, interval=self._interval, start_time=start_time
-        )
-        return self._decide(series, left, right, reused=False)
+        """Test one pair, from fresh banked series when there are any.
 
-    def resolve(self, addresses: Sequence[str], start_time: float = 0.0) -> tuple[list[frozenset[str]], float]:
-        """Group addresses by exhaustive pairwise testing; returns (groups, end).
-
-        The classic Ally resolve loop: addresses are taken in the given
-        order, already-connected pairs are skipped, and every freshly
-        probed pair advances the clock by one pair duration (reused pairs
-        are free).  Quadratic in the number of addresses — Ally's
-        historical limitation.
+        Raises:
+            ProbeBudgetExhausted: when the pair needs fresh probes and the
+                optimizer's budget denies them.
         """
-        union_find = UnionFind()
-        for address in addresses:
-            union_find.add(address)
-        now = start_time
-        for index, left in enumerate(addresses):
-            for right in addresses[index + 1 :]:
-                if union_find.find(left) == union_find.find(right):
-                    continue
-                verdict = self.test_pair(left, right, start_time=now)
-                if not verdict.reused:
-                    now += self.pair_duration
-                if verdict.aliases:
-                    union_find.union(left, right)
-        return [frozenset(group) for group in union_find.groups()], now
+        requested = 2 * self._rounds
+        cached = self._bank.cached_interleaved(
+            left,
+            right,
+            requested_probes=requested,
+            now=start_time,
+            max_age=DEFAULT_VELOCITY_TTL,
+        )
+        if cached is not None:
+            return self._decide(cached, left, right, reused=True)
+        if not self._optimizer.request(requested):
+            raise ProbeBudgetExhausted(
+                f"Ally pair {left}/{right} needs {requested} fresh probes; "
+                "the probe budget is exhausted"
+            )
+        issued_before = self._bank.probes_issued
+        series = self._bank.interleaved(
+            (left, right),
+            rounds=self._rounds,
+            interval=self._interval,
+            start_time=start_time,
+        )
+        self._optimizer.charge(self._bank.probes_issued - issued_before)
+        return self._decide(series, left, right, reused=False)
 
     def verify_set(
         self,

@@ -190,12 +190,6 @@ class TestAlly:
         verdict = pipeline.test_pair("198.18.0.1", "198.18.0.2")
         assert not verdict.responded
 
-    def test_resolve_groups_addresses(self):
-        pipeline = ally_pipeline(build_network())
-        sets, _ = pipeline.resolve(["10.0.1.1", "10.0.1.2", "10.0.2.1", "10.0.2.2"])
-        assert frozenset({"10.0.1.1", "10.0.1.2"}) in sets
-        assert frozenset({"10.0.2.1", "10.0.2.2"}) in sets
-
 
 class TestSpeedtrap:
     def test_ipv6_alias_set_confirmed(self):

@@ -21,6 +21,7 @@ from repro.simnet.asn import AsRegistry, AsRole, AutonomousSystem
 from repro.simnet.device import Device, DeviceRole, Interface
 from repro.simnet.network import SimulatedInternet
 from repro.validation.bank import IpidSampleBank
+from repro.validation.budget import DEFAULT_VELOCITY_TTL
 from repro.validation.runner import ValidationRun, run_validator
 from repro.validation.spec import midar
 
@@ -107,7 +108,12 @@ class TestBankDocuments:
         )
         assert restored.probes_issued == bank.probes_issued
         pair = sorted(TRUE_SET)[:2]
-        assert restored.cached_interleaved(pair[0], pair[1]) is not None
+        assert (
+            restored.cached_interleaved(
+                pair[0], pair[1], requested_probes=6, now=0.0, max_age=DEFAULT_VELOCITY_TTL
+            )
+            is not None
+        )
         assert counter["probes"] == 0
 
     def test_tampered_state_fails_signature(self):

@@ -373,6 +373,18 @@ class TestValidate:
         assert exit_code == 2
         assert "at least one snapshot" in capsys.readouterr().err
 
+    def test_uncapped_budget_prints_the_same_validation(self, capsys):
+        # One validation path: an uncapped --budget run differs from the
+        # default run only by its trailing budget line.
+        command = ["validate", "--scale", "0.05", "--seed", "42",
+                   "--validators", "midar", "ally", "speedtrap"]
+        assert main(command) == 0
+        default = capsys.readouterr().out
+        assert main([*command, "--budget", "1000000000"]) == 0
+        budgeted = capsys.readouterr().out.splitlines()
+        assert budgeted[-1].startswith("probe budget: spent ")
+        assert budgeted[:-1] == default.splitlines()
+
 
 class TestSession:
     def test_session_save_then_load(self, capsys, tmp_path):
@@ -465,6 +477,29 @@ class TestParser:
                 main([*verb, "--scale", scale])
             assert exited.value.code == 2
             assert "--scale: must be positive" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize(
+        "verb",
+        [
+            ["scan", "--scale", "0.05"],
+            ["resolve", "absent.jsonl"],
+            ["plan", "--scale", "0.05"],
+            ["longitudinal", "--scale", "0.05"],
+            ["validate", "--scale", "0.05"],
+        ],
+        ids=lambda verb: verb[0],
+    )
+    def test_output_under_a_file_rejected(self, capsys, tmp_path, verb):
+        # One shared --output type: a path that is, or sits under, a
+        # regular file exits 2 before any work instead of a traceback.
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        for output in (blocker, blocker / "sub"):
+            with pytest.raises(SystemExit) as exited:
+                main([*verb, "--output", str(output)])
+            assert exited.value.code == 2
+            assert "argument --output:" in capsys.readouterr().err
 
 
 class TestCampaignFlagValidation:

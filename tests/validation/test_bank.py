@@ -2,6 +2,7 @@
 
 from repro.baselines.ipid import collect_interleaved, collect_series
 from repro.validation.bank import IpidSampleBank
+from repro.validation.budget import DEFAULT_VELOCITY_TTL
 
 
 class TestSeriesMemoisation:
@@ -62,34 +63,46 @@ class TestInterleavedMemoisation:
         }
 
 
+def _cached(bank, left, right, now=0.0, requested_probes=12):
+    return bank.cached_interleaved(
+        left, right, requested_probes=requested_probes, now=now, max_age=DEFAULT_VELOCITY_TTL
+    )
+
+
 class TestPairReuse:
     def test_cached_pair_found_regardless_of_order(self, network, vantage):
         bank = IpidSampleBank(network, vantage)
         collected = bank.interleaved(("10.0.1.1", "10.0.1.2"), rounds=6, interval=1.0, start_time=0.0)
-        cached = bank.cached_interleaved("10.0.1.2", "10.0.1.1")
-        assert cached is collected
-        # Without a caller schedule the banked slots count as reused.
+        assert _cached(bank, "10.0.1.2", "10.0.1.1") is collected
         assert bank.probes_reused == 12
 
     def test_pair_reuse_counts_callers_avoided_probes(self, network, vantage):
         bank = IpidSampleBank(network, vantage)
         bank.interleaved(("10.0.1.1", "10.0.1.2"), rounds=6, interval=1.0, start_time=0.0)
-        bank.cached_interleaved("10.0.1.1", "10.0.1.2", requested_probes=6)
+        _cached(bank, "10.0.1.1", "10.0.1.2", requested_probes=6)
         assert bank.probes_reused == 6  # what the caller's schedule avoided
 
     def test_unknown_pair_returns_none(self, network, vantage):
         bank = IpidSampleBank(network, vantage)
-        assert bank.cached_interleaved("10.0.1.1", "10.0.2.1") is None
+        assert _cached(bank, "10.0.1.1", "10.0.2.1") is None
 
     def test_latest_collection_wins(self, network, vantage):
         bank = IpidSampleBank(network, vantage)
         bank.interleaved(("10.0.1.1", "10.0.1.2"), rounds=3, interval=0.5, start_time=0.0)
         later = bank.interleaved(("10.0.1.1", "10.0.1.2"), rounds=3, interval=0.5, start_time=50.0)
-        assert bank.cached_interleaved("10.0.1.1", "10.0.1.2") is later
+        assert _cached(bank, "10.0.1.1", "10.0.1.2") is later
 
     def test_wider_interleave_registers_every_pair(self, network, vantage):
         bank = IpidSampleBank(network, vantage)
         collected = bank.interleaved(
             ("10.0.1.1", "10.0.1.2", "10.0.1.3"), rounds=3, interval=0.5, start_time=0.0
         )
-        assert bank.cached_interleaved("10.0.1.3", "10.0.1.1") is collected
+        assert _cached(bank, "10.0.1.3", "10.0.1.1") is collected
+
+    def test_stale_collection_not_served(self, network, vantage):
+        bank = IpidSampleBank(network, vantage)
+        collected = bank.interleaved(("10.0.1.1", "10.0.1.2"), rounds=3, interval=0.5, start_time=0.0)
+        assert _cached(bank, "10.0.1.1", "10.0.1.2", now=DEFAULT_VELOCITY_TTL) is collected
+        assert _cached(bank, "10.0.1.1", "10.0.1.2", now=-DEFAULT_VELOCITY_TTL) is collected
+        assert _cached(bank, "10.0.1.1", "10.0.1.2", now=DEFAULT_VELOCITY_TTL + 0.1) is None
+        assert bank.probes_reused == 2 * 12  # a refused read reuses nothing

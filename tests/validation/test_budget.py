@@ -1,10 +1,10 @@
 """Tests for the probe-budget optimizer.
 
-Parity on the controlled network is the core contract: attaching a
-:class:`~repro.validation.budget.ProbeBudgetOptimizer` with no cap must
-reproduce every decision (testable, agrees, partition) of the plain
-pipelines while issuing strictly fewer probes, and a capped run must mark
-unaffordable sets unresolved without flipping any resolved verdict.
+Every IPID validation probes through a
+:class:`~repro.validation.budget.ProbeBudgetOptimizer`.  On the controlled
+network an uncapped run's fresh probes are pinned as exact counts, and a
+capped run must mark unaffordable sets unresolved without flipping any
+resolved verdict.
 """
 
 import pytest
@@ -75,10 +75,6 @@ class TestProbeBudget:
 class TestVelocityCache:
     CONFIG = MidarConfig()
 
-    def test_rejects_nonpositive_ttl(self):
-        with pytest.raises(ValidationError, match="ttl"):
-            VelocityCache(ttl=0.0)
-
     def _classify(self, cache, network, vantage, observed_at=0.0):
         from repro.validation.bank import IpidSampleBank
 
@@ -88,11 +84,13 @@ class TestVelocityCache:
             self.CONFIG.estimation_samples,
             self.CONFIG.estimation_interval,
             observed_at,
+            max_age=DEFAULT_VELOCITY_TTL,
+            early_stop=(self.CONFIG.min_responses, self.CONFIG.max_velocity),
         )
         return cache.classify("10.0.1.1", series, collected_at, self.CONFIG)
 
     def test_classify_memoised_on_same_collection(self, network, vantage):
-        cache = VelocityCache(ttl=100.0)
+        cache = VelocityCache()
         first = self._classify(cache, network, vantage)
         second = self._classify(cache, network, vantage)
         assert second is first
@@ -100,13 +98,14 @@ class TestVelocityCache:
         assert cache.hits == 1
 
     def test_fresh_within_ttl_expired_beyond(self, network, vantage):
-        cache = VelocityCache(ttl=100.0)
+        cache = VelocityCache()
         entry = self._classify(cache, network, vantage)
-        assert cache.fresh("10.0.1.1", self.CONFIG, entry.observed_at + 100.0) is entry
-        assert cache.fresh("10.0.1.1", self.CONFIG, entry.observed_at + 100.1) is None
+        fresh_until = entry.observed_at + DEFAULT_VELOCITY_TTL
+        assert cache.fresh("10.0.1.1", self.CONFIG, fresh_until) is entry
+        assert cache.fresh("10.0.1.1", self.CONFIG, fresh_until + 0.1) is None
 
     def test_different_parameters_never_share_a_verdict(self, network, vantage):
-        cache = VelocityCache(ttl=100.0)
+        cache = VelocityCache()
         self._classify(cache, network, vantage)
         other = MidarConfig(max_velocity=1.0)
         assert cache.entry("10.0.1.1", other) is None
@@ -131,60 +130,56 @@ class TestUnresolvedVerdict:
 
 
 class TestUncappedParity:
-    """No cap: every decision matches the plain pipelines, for fewer probes."""
+    """No cap: a run with no optimizer attached probes exactly as one with
+    an attached uncapped optimizer, and its fresh probes are exact counts."""
 
     @pytest.mark.parametrize(
-        "spec_fn,candidates,saves",
+        "spec_fn,candidates,probes",
         [
-            # Ally alone has no estimation stage or repeat passes to save
-            # on — its wins come from composition (test below).
-            (midar, CANDIDATES, True),
-            (ally, CANDIDATES, False),
-            (speedtrap, (V6_TRUE_SET,), True),
+            # MIDAR: 8 estimation probes per member, one 12-probe pass per
+            # corroborated pair, and early-stopped random-IPID estimation.
+            (midar, CANDIDATES, 74),
+            # Ally: one 6-probe pair test per pair it needs.
+            (ally, CANDIDATES, 24),
+            # Speedtrap: 6 estimation probes per member, one 10-probe pass.
+            (speedtrap, (V6_TRUE_SET,), 22),
         ],
         ids=["midar", "ally", "speedtrap"],
     )
-    def test_decision_parity_with_fewer_probes(
-        self, make_network, count_probes, spec_fn, candidates, saves
+    def test_fresh_probes_are_exact(
+        self, make_network, count_probes, spec_fn, candidates, probes
     ):
         spec = _spec_vantage(spec_fn)
-        plain_network = make_network()
-        plain_counter = count_probes(plain_network)
-        plain = run_validator(
-            ValidationRun(plain_network), spec, candidates=candidates, start_time=0.0
+        default_network = make_network()
+        default_counter = count_probes(default_network)
+        default = run_validator(
+            ValidationRun(default_network), spec, candidates=candidates, start_time=0.0
         )
 
-        budgeted_network = make_network()
-        budgeted_counter = count_probes(budgeted_network)
-        run = ValidationRun(budgeted_network)
+        attached_network = make_network()
+        attached_counter = count_probes(attached_network)
+        run = ValidationRun(attached_network)
         run.optimizer = ProbeBudgetOptimizer()
-        optimized = run_validator(run, spec, candidates=candidates, start_time=0.0)
+        attached = run_validator(run, spec, candidates=candidates, start_time=0.0)
 
-        assert _decisions(optimized) == _decisions(plain)
-        if saves:
-            assert budgeted_counter["probes"] < plain_counter["probes"]
-        else:
-            assert budgeted_counter["probes"] <= plain_counter["probes"]
-        assert run.optimizer.budget.spent == budgeted_counter["probes"]
+        # A run with no optimizer attached probes through a fresh uncapped
+        # one: the same decisions and the same probes as attaching it.
+        assert _decisions(default) == _decisions(attached)
+        assert default_counter["probes"] == attached_counter["probes"] == probes
+        assert default.probes_issued == run.optimizer.budget.spent == probes
 
-    def test_fresh_pair_probes_one_corroboration_pass(self, make_network, count_probes):
-        # The repeat passes re-read the first pass: a two-member true set
-        # saves exactly one pass of interleaved probes over the plain run.
+    def test_fresh_pair_probes_one_corroboration_pass(self, network, count_probes):
+        # A two-member true set: full estimation of both members, then one
+        # interleaved pass; the repeat pass re-reads the first.
+        counter = count_probes(network)
         pair = frozenset(sorted(TRUE_SET)[:2])
-        plain_network = make_network()
-        plain_counter = count_probes(plain_network)
-        run_validator(
-            ValidationRun(plain_network), _spec_vantage(midar), candidates=(pair,), start_time=0.0
+        report = run_validator(
+            ValidationRun(network), _spec_vantage(midar), candidates=(pair,), start_time=0.0
         )
-        budgeted_network = make_network()
-        budgeted_counter = count_probes(budgeted_network)
-        run = ValidationRun(budgeted_network)
-        run.optimizer = ProbeBudgetOptimizer()
-        run_validator(run, _spec_vantage(midar), candidates=(pair,), start_time=0.0)
         config = MidarConfig()
-        assert plain_counter["probes"] - budgeted_counter["probes"] == (
-            (config.corroboration_passes - 1) * 2 * config.corroboration_rounds
-        )
+        one_pass = 2 * config.estimation_samples + 2 * config.corroboration_rounds
+        assert counter["probes"] == report.probes_issued == one_pass == 28
+        assert report.verdicts[0].agrees
 
     def test_composed_midar_ally_shares_estimation(self, make_network, count_probes):
         network = make_network()
@@ -278,9 +273,9 @@ class TestCappedDegradation:
 
     def test_exhaustion_escapes_outside_a_runner(self, network, vantage):
         from repro.validation.bank import IpidSampleBank
-        from repro.validation.budget import BudgetedMidarPipeline
+        from repro.validation.techniques import MidarPipeline
 
-        pipeline = BudgetedMidarPipeline(
+        pipeline = MidarPipeline(
             IpidSampleBank(network, vantage), None, ProbeBudgetOptimizer(budget=0)
         )
         with pytest.raises(ProbeBudgetExhausted):
@@ -290,18 +285,21 @@ class TestCappedDegradation:
 class TestVelocityTtl:
     def test_expired_velocity_always_reprobes(self, network, count_probes):
         run = ValidationRun(network)
-        run.optimizer = ProbeBudgetOptimizer(velocity_ttl=10.0)
+        run.optimizer = ProbeBudgetOptimizer()
         run_validator(run, _spec_vantage(midar), candidates=(TRUE_SET,), start_time=0.0)
         counter = count_probes(network)
-        # Well beyond the ttl: the cached velocities must not be reused.
+        # Past one day: the cached velocities must not be reused.
         run_validator(
-            run, _spec_vantage(midar), candidates=(TRUE_SET,), start_time=1e6
+            run,
+            _spec_vantage(midar),
+            candidates=(TRUE_SET,),
+            start_time=2 * DEFAULT_VELOCITY_TTL,
         )
         assert counter["probes"] > 0
 
     def test_fresh_velocity_rescores_free(self, network, count_probes):
         run = ValidationRun(network)
-        run.optimizer = ProbeBudgetOptimizer(velocity_ttl=DEFAULT_VELOCITY_TTL)
+        run.optimizer = ProbeBudgetOptimizer()
         run_validator(run, _spec_vantage(midar), candidates=(TRUE_SET,), start_time=0.0)
         counter = count_probes(network)
         run_validator(run, _spec_vantage(midar), candidates=(TRUE_SET,), start_time=0.0)

@@ -54,3 +54,49 @@ class TestValidateSnapshots:
         ally_rows = validate_snapshots(campaign, result, "ally", run=shared)
         # The ally pass answers pairs from the banks the midar pass filled.
         assert sum(row.report.probes_reused for row in ally_rows) > 0
+
+
+class TestSnapshotEvidenceWindow:
+    def test_pair_reads_stay_within_the_staleness_bound(self, monkeypatch):
+        """A snapshot never reads pair samples banked by another snapshot.
+
+        MIDAR then Ally over one shared run, three snapshots a week apart:
+        every banked pair series a snapshot's validation reads must lie
+        within one staleness bound of that snapshot's validation window.
+        """
+        from repro.validation import longitudinal
+        from repro.validation.bank import IpidSampleBank
+        from repro.validation.budget import DEFAULT_VELOCITY_TTL
+        from repro.validation.runner import ValidationRun
+
+        reads: list[tuple[int, dict]] = []
+        windows: list[tuple[float, float]] = []
+        original_read = IpidSampleBank.cached_interleaved
+        original_run = longitudinal.run_validator
+
+        def recording_read(self, *args, **kwargs):
+            collection = original_read(self, *args, **kwargs)
+            if collection is not None:
+                reads.append((len(windows), collection))
+            return collection
+
+        def windowed_run(run, spec, candidates=None, start_time=None):
+            report = original_run(run, spec, candidates=candidates, start_time=start_time)
+            windows.append((report.started_at, report.finished_at))
+            return report
+
+        monkeypatch.setattr(IpidSampleBank, "cached_interleaved", recording_read)
+        monkeypatch.setattr(longitudinal, "run_validator", windowed_run)
+        campaign, result = _campaign(snapshots=3)
+        shared = ValidationRun(campaign.network)
+        validate_snapshots(campaign, result, "midar", run=shared)
+        validate_snapshots(campaign, result, "ally", run=shared)
+
+        assert len(windows) == 6
+        assert reads, "no validator read banked pair evidence"
+        for position, collection in reads:
+            started, finished = windows[position]
+            for series in collection.values():
+                for timestamp, _ in series.samples:
+                    assert started - DEFAULT_VELOCITY_TTL <= timestamp
+                    assert timestamp <= finished + DEFAULT_VELOCITY_TTL

@@ -44,12 +44,11 @@ class TestValidateCaching:
 
 class TestTable2RegistryParity:
     def test_table2_matches_legacy_hand_wired_build(self):
-        """The registry-driven Table 2 is byte-identical to the old path.
+        """The registry-driven Table 2 counts what a hand-wired build counts.
 
-        The legacy path is replicated inline: sample SSH sets by hand, run
-        a ``MidarPipeline`` over a private bank directly, and count
+        The hand-wired build is replicated inline: sample SSH sets by hand,
+        run a ``MidarPipeline`` over a private bank directly, and count
         testable/agreeing verdicts.
-        (``bench_validation.py`` asserts the same at scale 1.0 seed 42.)
         """
         config = ScenarioConfig(scale=0.2, seed=42)
         legacy_session = ReproSession(config)

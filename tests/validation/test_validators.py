@@ -6,6 +6,7 @@ import pytest
 
 from repro.errors import ValidationError
 from repro.validation.bank import IpidSampleBank
+from repro.validation.budget import DEFAULT_VELOCITY_TTL
 from repro.validation.runner import ValidationRun, run_validator
 from repro.validation.spec import (
     ally,
@@ -81,14 +82,19 @@ class TestAllyValidator:
         assert verdict.partition == (TRUE_SET,)
 
     def test_without_reuse_probes_fresh(self, network, count_probes):
+        # Banked pairs older than the staleness bound are never reused.
         run = ValidationRun(network)
         run_validator(run, _spec_vantage(midar), candidates=(TRUE_SET,), start_time=0.0)
         counter = count_probes(network)
         report = run_validator(
-            run, _spec_vantage(ally, reuse=False), candidates=(TRUE_SET,), start_time=1e6
+            run,
+            _spec_vantage(ally),
+            candidates=(TRUE_SET,),
+            start_time=2 * DEFAULT_VELOCITY_TTL,
         )
         assert counter["probes"] > 0
         assert report.probes_issued == counter["probes"]
+        assert report.probes_reused == 0
 
     def test_splits_false_set(self, network):
         report = run_validator(
