@@ -18,20 +18,20 @@ Run with::
 from repro.analysis.tables import render_table
 from repro.api import ReproSession, ScenarioConfig
 from repro.baselines.ptr import PtrResolver, ptr_dual_stack_sets
-from repro.core.dual_stack import infer_dual_stack, union_dual_stack
 from repro.simnet.device import ServiceType
 
 
 def main() -> None:
     session = ReproSession(ScenarioConfig(scale=0.5, seed=21))
-    observations = list(session.dataset("active-ipv4")) + list(session.dataset("active-ipv6"))
+    observations = list(session.observations("active"))
     print(f"Observations: {len(observations)} over "
           f"{len(session.network.all_addresses())} simulated addresses")
 
-    ssh = infer_dual_stack(observations, protocol=ServiceType.SSH, name="ssh")
-    bgp = infer_dual_stack(observations, protocol=ServiceType.BGP, name="bgp")
-    snmp = infer_dual_stack(observations, protocol=ServiceType.SNMPV3, name="snmpv3")
-    union = union_dual_stack([ssh, bgp, snmp], name="union")
+    report = session.report("active")
+    ssh = report.dual_stack[ServiceType.SSH]
+    bgp = report.dual_stack[ServiceType.BGP]
+    snmp = report.dual_stack[ServiceType.SNMPV3]
+    union = report.dual_stack_union
 
     # The PTR baseline can only match addresses that have reverse DNS set up.
     resolver = PtrResolver(session.network, coverage=0.55, seed=3)

@@ -1,8 +1,8 @@
 """Plain-text table rendering and paper-style number formatting.
 
-The benchmark harness prints every table in the same layout as the paper;
-this module holds the shared formatting code.  ``format_count`` reproduces
-the paper's habit of reporting counts as ``505k`` or ``3.2M``.
+The experiment drivers print every table in the same layout as the
+paper; this module holds the shared formatting code.  ``format_count``
+reproduces the paper's habit of reporting counts as ``505k`` or ``3.2M``.
 """
 
 from __future__ import annotations

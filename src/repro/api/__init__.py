@@ -36,7 +36,7 @@ from repro.api.experiments import (
 )
 from repro.api.plan import Coverage, PlanResult, ScanPlan, VantageSpec
 from repro.api.registry import Registry, RegistryEntry
-from repro.api.session import ReproSession, repro_session
+from repro.api.session import ReproSession
 from repro.api.sources import (
     SOURCE_KINDS,
     SOURCES,
@@ -101,7 +101,6 @@ __all__ = [
     "register_experiment",
     "register_source",
     "register_validator",
-    "repro_session",
     "source_kind",
     "standard_ports",
     "union_of",

@@ -19,7 +19,6 @@ composition).  Everything else goes through the registries:
 
 from __future__ import annotations
 
-import functools
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 from repro import obs
@@ -392,9 +391,3 @@ class ReproSession:
                 seed=self.config.seed,
             ),
         )
-
-
-@functools.lru_cache(maxsize=4)
-def repro_session(scale: float = 1.0, seed: int = 42) -> ReproSession:
-    """A cached session — the shared input of benchmarks and examples."""
-    return ReproSession(ScenarioConfig(scale=scale, seed=seed))

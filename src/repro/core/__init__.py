@@ -22,7 +22,7 @@ This package implements the paper's technique proper:
 
 from repro.core.alias_resolution import AliasResolver, IntUnionFind, UnionFind
 from repro.core.aliasset import AliasSet, AliasSetCollection
-from repro.core.dual_stack import DualStackCollection, DualStackSet, infer_dual_stack, union_dual_stack
+from repro.core.dual_stack import DualStackCollection, DualStackSet, union_dual_stack
 from repro.core.engine import AliasReport, ObservationIndex, ResolutionEngine
 from repro.core.identifiers import (
     DeviceIdentifier,
@@ -45,7 +45,6 @@ __all__ = [
     "AliasSetCollection",
     "DualStackCollection",
     "DualStackSet",
-    "infer_dual_stack",
     "union_dual_stack",
     "DeviceIdentifier",
     "IdentifierOptions",

@@ -7,10 +7,10 @@ addresses, reproducing how the paper consolidates SSH, BGP and SNMPv3 into
 one set of alias sets (3% of addresses respond to more than one service and
 act as bridges).
 
-The batch pipeline (:mod:`repro.core.engine`) derives its per-protocol
-collections from a single :class:`~repro.core.engine.ObservationIndex` pass
-and feeds them through :meth:`AliasResolver.union`; :meth:`AliasResolver.group`
-remains the one-shot API for callers holding a raw observation iterable.
+The grouping itself lives in :class:`~repro.core.engine.ObservationIndex`:
+one pass buckets every observation by identifier, and the batch pipeline
+(:mod:`repro.core.engine`) feeds the per-protocol collections it derives
+through :meth:`AliasResolver.union`.
 """
 
 from __future__ import annotations
@@ -20,10 +20,6 @@ from collections import defaultdict
 from typing import Hashable, Iterable
 
 from repro.core.aliasset import AliasSet, AliasSetCollection
-from repro.core.identifiers import DEFAULT_OPTIONS, IdentifierOptions, extract_identifier
-from repro.net.addresses import AddressFamily
-from repro.simnet.device import ServiceType
-from repro.sources.records import Observation
 
 
 class IntUnionFind:
@@ -213,63 +209,7 @@ def combine_alias_sets(component: list[AliasSet]) -> AliasSet:
 
 
 class AliasResolver:
-    """Groups observations into alias sets by host-wide identifier."""
-
-    def __init__(self, options: IdentifierOptions = DEFAULT_OPTIONS) -> None:
-        self._options = options
-
-    @property
-    def options(self) -> IdentifierOptions:
-        """The identifier construction options in use."""
-        return self._options
-
-    def group(
-        self,
-        observations: Iterable[Observation],
-        protocol: ServiceType | None = None,
-        family: AddressFamily | None = None,
-        name: str | None = None,
-    ) -> AliasSetCollection:
-        """Group observations sharing an identifier into alias sets.
-
-        Args:
-            observations: the observations to group.
-            protocol: restrict to one protocol (otherwise each observation is
-                grouped under its own protocol's identifier).
-            family: restrict to one address family.
-            name: collection name (defaults to the protocol value).
-
-        Observations without identifier material are ignored — they are
-        "responsive" but contribute nothing to alias resolution.
-        """
-        by_identifier: dict = defaultdict(set)
-        protocols_by_identifier: dict = defaultdict(set)
-        address_asn: dict[str, int] = {}
-        for observation in observations:
-            if protocol is not None and observation.protocol is not protocol:
-                continue
-            if family is not None and observation.family is not family:
-                continue
-            identifier = extract_identifier(observation, self._options)
-            if identifier is None:
-                continue
-            key = (identifier.protocol, identifier.value)
-            by_identifier[key].add(observation.address)
-            protocols_by_identifier[key].add(observation.protocol)
-            if observation.asn is not None:
-                address_asn[observation.address] = observation.asn
-        collection_name = name or (protocol.value if protocol is not None else "all-protocols")
-        collection = AliasSetCollection(collection_name, address_asn=address_asn)
-        for key, addresses in by_identifier.items():
-            _, value = key
-            collection.add(
-                AliasSet(
-                    identifier=value,
-                    addresses=frozenset(addresses),
-                    protocols=frozenset(protocols_by_identifier[key]),
-                )
-            )
-        return collection
+    """The cross-protocol union of per-protocol alias-set collections."""
 
     @staticmethod
     def union(

@@ -3,15 +3,10 @@
 This is the ``ObservationIndex`` implementation the engine shipped before
 the columnar re-core: plain dicts-of-dicts of Python strings, one nested
 mapping per ``(protocol, family)`` bucket.  It is kept, unmodified in
-behaviour, for two jobs:
-
-* **Correctness oracle** — the hypothesis property suite
-  (``tests/core/test_columnar_properties.py``) drives random
-  add/remove/extend sequences against both cores and asserts identical
-  derived reports, state signatures and dirty sets.
-* **Benchmark baseline** — ``benchmarks/bench_pipeline.py`` races the
-  columnar core against this one, and the recorded ``BENCH_pipeline.json``
-  trajectory is expressed as a speedup over it.
+behaviour, as a correctness oracle: the hypothesis property suite
+(``tests/core/test_columnar_properties.py``) drives random
+add/remove/extend sequences against both cores and asserts identical
+derived reports, state signatures and dirty sets.
 
 It intentionally shares no storage code with :mod:`repro.core.engine`; only
 the public surface (and the exception contract) matches.

@@ -1,10 +1,14 @@
-"""Dual-stack inference.
+"""Dual-stack sets and their cross-protocol union.
 
 A dual-stack set is a group of at least one IPv4 and one IPv6 address that
 share the same host-wide identifier — the same device answering over both
 families.  The paper's headline result is that SSH and BGP identify roughly
 thirty times more dual-stack sets than the SNMPv3 baseline alone, because
 far more IPv6-reachable hosts expose SSH than SNMPv3.
+
+The per-protocol sets are derived by
+:meth:`~repro.core.engine.ObservationIndex.dual_stack`; this module holds
+their data structures and :func:`union_dual_stack`.
 """
 
 from __future__ import annotations
@@ -14,10 +18,7 @@ from collections import defaultdict
 from typing import Iterable, Iterator
 
 from repro.core.alias_resolution import merge_overlapping
-from repro.core.identifiers import DEFAULT_OPTIONS, IdentifierOptions, extract_identifier
-from repro.net.addresses import AddressFamily
 from repro.simnet.device import ServiceType
-from repro.sources.records import Observation
 
 
 @dataclasses.dataclass(frozen=True)
@@ -118,49 +119,6 @@ class DualStackCollection:
     def top_asns(self, count: int = 10) -> list[tuple[int, int]]:
         """The ``count`` ASes with the most dual-stack sets."""
         return sorted(self.sets_per_asn().items(), key=lambda item: (-item[1], item[0]))[:count]
-
-
-def infer_dual_stack(
-    observations: Iterable[Observation],
-    protocol: ServiceType | None = None,
-    options: IdentifierOptions = DEFAULT_OPTIONS,
-    name: str | None = None,
-) -> DualStackCollection:
-    """Group IPv4 and IPv6 observations by identifier and keep mixed groups."""
-    ipv4_members: dict = defaultdict(set)
-    ipv6_members: dict = defaultdict(set)
-    protocols_by_key: dict = defaultdict(set)
-    address_asn: dict[str, int] = {}
-    for observation in observations:
-        if protocol is not None and observation.protocol is not protocol:
-            continue
-        identifier = extract_identifier(observation, options)
-        if identifier is None:
-            continue
-        key = (identifier.protocol, identifier.value)
-        if observation.family is AddressFamily.IPV4:
-            ipv4_members[key].add(observation.address)
-        else:
-            ipv6_members[key].add(observation.address)
-        protocols_by_key[key].add(observation.protocol)
-        if observation.asn is not None:
-            address_asn[observation.address] = observation.asn
-    collection = DualStackCollection(
-        name or (protocol.value if protocol else "all-protocols"), address_asn=address_asn
-    )
-    for key in ipv4_members:
-        if key not in ipv6_members:
-            continue
-        _, value = key
-        collection.add(
-            DualStackSet(
-                identifier=value,
-                ipv4_addresses=frozenset(ipv4_members[key]),
-                ipv6_addresses=frozenset(ipv6_members[key]),
-                protocols=frozenset(protocols_by_key[key]),
-            )
-        )
-    return collection
 
 
 def combine_dual_sets(component: list[DualStackSet]) -> DualStackSet:

@@ -26,8 +26,8 @@ read back as an array cell afterwards.  The public surface — ``add`` /
 ``remove`` / ``extend`` / ``consume_dirty`` / ``state_signature`` and
 insertion-ordered enumeration — is unchanged from the dict core (now
 preserved as :class:`repro.core.dictcore.DictObservationIndex`, the
-property-test oracle and benchmark baseline), so the engine, longitudinal
-delta replay, persistence and validation layers run unmodified on top.
+property-test oracle), so the engine, longitudinal delta replay,
+persistence and validation layers run unmodified on top.
 An index is never serialised: checkpoints store observations and rebuild
 the index from them (:mod:`repro.persist.chain`).
 

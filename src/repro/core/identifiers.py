@@ -41,7 +41,7 @@ class DeviceIdentifier:
 
 @dataclasses.dataclass(frozen=True)
 class IdentifierOptions:
-    """Knobs for identifier construction (used by the ablation benchmarks).
+    """Knobs for identifier construction (the paper-scale ablations vary them).
 
     Attributes:
         ssh_include_banner: include the service banner in the SSH identifier.
@@ -126,9 +126,9 @@ _EXTRACTORS = {
     ServiceType.SNMPV3: snmp_identifier,
 }
 
-#: Observers notified on every :func:`extract_identifier` call.  Used by the
-#: benchmark harness to prove the single-pass engine extracts each
-#: observation's identifier exactly once.
+#: Observers notified on every :func:`extract_identifier` call.  Tests use
+#: them to pin extraction counts: the single-pass engine extracts each
+#: observation's identifier exactly once, a delta replay only the added ones.
 _extraction_hooks: list[Callable[[Observation], None]] = []
 
 
@@ -148,7 +148,7 @@ class ExtractionCounter:
 def count_extractions() -> Iterator[ExtractionCounter]:
     """Count identifier extractions performed inside the ``with`` block.
 
-    Process-global and intended for single-threaded test/benchmark use:
+    Process-global and intended for single-threaded test use:
     concurrent or nested contexts each observe every extraction in the
     process, not just their own.
     """

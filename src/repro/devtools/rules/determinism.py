@@ -6,7 +6,7 @@ from the simulated clock and every random draw from an explicitly seeded
 ``random.Random`` — otherwise report signatures stop being pure functions
 of ``(config, seed)`` and the parity suites (resume-equals-uninterrupted,
 streamed-equals-batch) turn flaky.  Wall-clock reads live in
-``repro.obs.trace`` (span timings), benchmarks, and tests only.
+``repro.obs.trace`` (span timings), ``perfbench/``, and tests only.
 """
 
 from __future__ import annotations

@@ -12,8 +12,8 @@ per-snapshot stability: how many alias sets persisted, split, migrated —
 and how many of those disruptions are attributable to the injected churn.
 
 Collection and resolution are separate phases (:meth:`collect` /
-:meth:`resolve`) so benchmarks can time re-resolution without re-running
-the simulated scans.
+:meth:`resolve`) so re-resolution can be timed or tested without
+re-running the simulated scans.
 """
 
 from __future__ import annotations
@@ -449,9 +449,8 @@ class LongitudinalCampaign:
     ) -> CampaignResult:
         """Collect and resolve the campaign, snapshot by snapshot.
 
-        Unlike ``resolve(collect())`` — which the benchmarks use to time
-        the two phases separately — this interleaves collection and
-        resolution, so a ``checkpointer``
+        Unlike ``resolve(collect())`` — which separates the two phases —
+        this interleaves collection and resolution, so a ``checkpointer``
         (:class:`repro.persist.campaign.CampaignCheckpointer`) can persist
         a consistent state after every snapshot.  ``start``, ``previous``
         and ``engine`` resume a checkpointed campaign mid-run.

@@ -30,7 +30,7 @@ touched:
 The incremental report is exactly comparable to a from-scratch
 :meth:`~repro.core.engine.ResolutionEngine.resolve` of the snapshot — see
 :func:`~repro.core.engine.report_signature`, which the longitudinal
-benchmark asserts on every snapshot.  That parity contract sets the
+tests assert on every snapshot.  That parity contract sets the
 remaining cost floor: every snapshot still materialises fresh collection
 objects (set lists and copied ASN mappings embed the snapshot name), so a
 delta replay is linear in the index size with a small constant rather

@@ -14,7 +14,7 @@ already issued.
 Restoring a bank is what makes reloaded sessions probe-free: a validation
 spec whose schedule matches the saved run's is answered entirely from the
 restored series — zero network probes — which
-``benchmarks/bench_budget.py`` asserts.
+``tests/persist/test_bank_persist.py`` asserts.
 """
 
 from __future__ import annotations

@@ -172,9 +172,9 @@ def load_session(directory: str | Path) -> "ReproSession":
 
     Raises:
         PersistError: when the directory is not a saved session, the format
-            version is unsupported, a dataset's observation count or header
-            name differs from the manifest, or a report fails signature
-            verification.
+            version is unsupported, the manifest or one of its entries is
+            malformed, a dataset's observation count or header name differs
+            from the manifest, or a report fails signature verification.
     """
     from repro.api.session import ReproSession
 
@@ -189,53 +189,56 @@ def load_session(directory: str | Path) -> "ReproSession":
             raise PersistError(f"unsupported session format version {version!r}")
         config = ScenarioConfig(**manifest["config"])
         options = IdentifierOptions(**manifest["options"])
-        dataset_entries = manifest["datasets"]
-        report_entries = manifest["reports"]
+        datasets = [
+            (spec_from_document(entry["spec"]), str(entry["file"]), entry.get("name"), entry.get("count"))
+            for entry in manifest["datasets"]
+        ]
+        reports = [
+            (spec_from_document(entry["spec"]), entry["name"], str(entry["file"]), entry.get("signature"))
+            for entry in manifest["reports"]
+        ]
         # Absent in pre-validation-subsystem sessions; they load fine.
-        validation_entries = manifest.get("validations", [])
+        validations = [
+            (
+                validator_spec_from_document(entry["spec"]),
+                entry["name"],
+                str(entry["file"]),
+                entry.get("signature"),
+            )
+            for entry in manifest.get("validations", [])
+        ]
         # Absent in pre-probe-budget sessions; they load fine too.
-        bank_entries = manifest.get("banks", [])
+        banks = [(str(entry["file"]), entry.get("signature")) for entry in manifest.get("banks", [])]
     except PersistError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise PersistError(f"malformed session manifest {manifest_path}: {exc}") from exc
     session = ReproSession(config, options)
-    for entry in dataset_entries:
-        spec = spec_from_document(entry["spec"])
+    for spec, file, expected_name, expected_count in datasets:
         try:
-            dataset = load_observations(directory / entry["file"])
+            dataset = load_observations(directory / file)
         except PersistError:
             raise
         except DatasetError as exc:
-            raise PersistError(f"dataset {entry['file']} is unreadable: {exc}") from exc
-        expected_name = entry.get("name")
+            raise PersistError(f"dataset {file} is unreadable: {exc}") from exc
         if expected_name is not None and dataset.name != expected_name:
             raise PersistError(
-                f"dataset {entry['file']} is named {dataset.name!r}, manifest "
+                f"dataset {file} is named {dataset.name!r}, manifest "
                 f"expects {expected_name!r}; the session was likely torn mid-save"
             )
-        expected = entry.get("count")
-        if expected is not None and len(dataset) != expected:
+        if expected_count is not None and len(dataset) != expected_count:
             raise PersistError(
-                f"dataset {entry['file']} holds {len(dataset)} observations, "
-                f"manifest expects {expected}"
+                f"dataset {file} holds {len(dataset)} observations, "
+                f"manifest expects {expected_count}"
             )
         session.prime_dataset(spec, dataset)
-    for entry in report_entries:
-        spec = spec_from_document(entry["spec"])
-        document = read_pinned_document(
-            directory / entry["file"], "report document", entry.get("signature"), "session"
-        )
-        session.prime_report(spec, entry["name"], report_from_document(document))
-    for entry in validation_entries:
-        spec = validator_spec_from_document(entry["spec"])
-        document = read_pinned_document(
-            directory / entry["file"], "validation document", entry.get("signature"), "session"
-        )
-        session.prime_validation(spec, entry["name"], validation_from_document(document))
-    for entry in bank_entries:
-        document = read_pinned_document(
-            directory / entry["file"], "bank document", entry.get("signature"), "session"
-        )
+    for spec, name, file, signature in reports:
+        document = read_pinned_document(directory / file, "report document", signature, "session")
+        session.prime_report(spec, name, report_from_document(document))
+    for spec, name, file, signature in validations:
+        document = read_pinned_document(directory / file, "validation document", signature, "session")
+        session.prime_validation(spec, name, validation_from_document(document))
+    for file, signature in banks:
+        document = read_pinned_document(directory / file, "bank document", signature, "session")
         session.prime_bank_state(bank_state_from_document(document))
     return session

@@ -35,8 +35,8 @@ The equivalence contract with the batch campaign is exact: syncing each
 snapshot's observations and flushing yields, emit for emit, the same
 :func:`~repro.core.engine.report_signature` and the same
 born/dissolved/grown/shrunk/migrated counts as ``bootstrap``/``apply``
-over the campaign's deltas — ``benchmarks/bench_stream.py`` asserts both
-on every run.
+over the campaign's deltas — ``tests/stream/test_stream_engine.py``
+asserts both.
 """
 
 from __future__ import annotations

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.api import ScanPlan, ScenarioConfig, repro_session
+from repro.api import ScanPlan, ScenarioConfig
 from repro.core.engine import report_signature
 
 
@@ -34,8 +34,10 @@ class TestSessionState:
         with pytest.raises(AttributeError):
             topology.loss_rate = 0.5
 
-    def test_repro_session_cache(self):
-        assert repro_session(scale=0.05, seed=3) is repro_session(scale=0.05, seed=3)
+    @pytest.mark.parametrize("scale", [0, -1, float("nan"), float("inf"), "x", None, True])
+    def test_scale_must_be_finite_and_positive(self, scale):
+        with pytest.raises(ValueError, match="scale"):
+            ScenarioConfig(scale=scale)
 
     def test_default_plan_reproduces_active_report(self, session):
         result = session.run_plan(ScanPlan.default())

@@ -1,6 +1,11 @@
-"""Tests for observation grouping and cross-protocol union."""
+"""Tests for observation grouping and cross-protocol union.
+
+Grouping runs through :class:`ObservationIndex` and the union through
+:class:`ResolutionEngine`, the path every report is built by.
+"""
 
 from repro.core.alias_resolution import AliasResolver, UnionFind
+from repro.core.engine import ObservationIndex, ResolutionEngine
 from repro.net.addresses import AddressFamily
 from repro.simnet.device import ServiceType
 from repro.sources.records import Observation
@@ -32,6 +37,11 @@ def snmp_obs(address, engine_id, asn=None):
     )
 
 
+def group(observations, protocol=ServiceType.SSH, family=AddressFamily.IPV4):
+    """The ``(protocol, family)`` alias sets of one index pass."""
+    return ObservationIndex.build(observations).alias_sets(protocol, family)
+
+
 class TestGrouping:
     def test_groups_by_identifier(self):
         observations = [
@@ -39,7 +49,7 @@ class TestGrouping:
             ssh_obs("10.0.0.2", "key-A"),
             ssh_obs("10.0.0.3", "key-B"),
         ]
-        collection = AliasResolver().group(observations, protocol=ServiceType.SSH)
+        collection = group(observations)
         sizes = sorted(s.size for s in collection)
         assert sizes == [1, 2]
         two_set = next(s for s in collection if s.size == 2)
@@ -50,33 +60,33 @@ class TestGrouping:
             ssh_obs("10.0.0.1", "key-A"),
             ssh_obs("2001:db8::1", "key-A"),
         ]
-        ipv4_only = AliasResolver().group(observations, family=AddressFamily.IPV4)
-        assert ipv4_only.addresses() == {"10.0.0.1"}
+        assert group(observations).addresses() == {"10.0.0.1"}
+        assert group(observations, family=AddressFamily.IPV6).addresses() == {"2001:db8::1"}
 
     def test_protocol_filter(self):
         observations = [ssh_obs("10.0.0.1", "key-A"), snmp_obs("10.0.0.2", "engine-1")]
-        ssh_only = AliasResolver().group(observations, protocol=ServiceType.SSH)
-        assert ssh_only.addresses() == {"10.0.0.1"}
+        assert group(observations).addresses() == {"10.0.0.1"}
 
     def test_observations_without_material_ignored(self):
         empty = Observation(address="10.0.0.9", protocol=ServiceType.BGP, source="active", port=179)
-        collection = AliasResolver().group([empty])
-        assert len(collection) == 0
+        index = ObservationIndex.build([empty])
+        assert index.indexed == 0
+        assert len(index.alias_sets(ServiceType.BGP, AddressFamily.IPV4)) == 0
 
     def test_asn_mapping_collected(self):
         observations = [ssh_obs("10.0.0.1", "key-A", asn=14061), ssh_obs("10.0.0.2", "key-A", asn=14061)]
-        collection = AliasResolver().group(observations)
+        collection = group(observations)
         assert collection.asn_of("10.0.0.1") == 14061
 
     def test_duplicate_observations_collapse(self):
         observations = [ssh_obs("10.0.0.1", "key-A")] * 3 + [ssh_obs("10.0.0.2", "key-A")]
-        collection = AliasResolver().group(observations)
+        collection = group(observations)
         assert len(collection) == 1
         assert collection.sets[0].size == 2
 
     def test_different_protocols_never_share_identifier_namespace(self):
-        # An SSH identifier value and an SNMP engine ID that happen to be the
-        # same string must not merge addresses across protocols.
+        # An SNMP engine ID equal to another protocol's identifier value must
+        # not merge addresses across protocols: buckets are per protocol.
         observations = [snmp_obs("10.0.0.1", "SAME"), snmp_obs("10.0.0.2", "OTHER")]
         ssh_like = Observation(
             address="10.0.0.3",
@@ -85,38 +95,46 @@ class TestGrouping:
             port=161,
             fields=(("engine_boots", "1"), ("engine_id", "SAME")),
         )
-        collection = AliasResolver().group(observations + [ssh_like])
+        collection = group(observations + [ssh_like], protocol=ServiceType.SNMPV3)
         same_set = next(s for s in collection if "10.0.0.1" in s.addresses)
         assert same_set.addresses == frozenset({"10.0.0.1", "10.0.0.3"})
 
 
 class TestUnion:
     def test_union_bridges_sets_sharing_addresses(self):
-        resolver = AliasResolver()
-        ssh_collection = resolver.group(
-            [ssh_obs("10.0.0.1", "key-A"), ssh_obs("10.0.0.2", "key-A")], name="ssh"
-        )
-        snmp_collection = resolver.group(
-            [snmp_obs("10.0.0.2", "engine-1"), snmp_obs("10.0.0.3", "engine-1")], name="snmp"
-        )
-        union = AliasResolver.union([ssh_collection, snmp_collection])
+        union = ResolutionEngine().resolve(
+            [
+                ssh_obs("10.0.0.1", "key-A"),
+                ssh_obs("10.0.0.2", "key-A"),
+                snmp_obs("10.0.0.2", "engine-1"),
+                snmp_obs("10.0.0.3", "engine-1"),
+            ]
+        ).ipv4_union
         assert len(union) == 1
         merged = union.sets[0]
         assert merged.addresses == frozenset({"10.0.0.1", "10.0.0.2", "10.0.0.3"})
         assert merged.protocols == frozenset({ServiceType.SSH, ServiceType.SNMPV3})
 
     def test_union_keeps_disjoint_sets_separate(self):
-        resolver = AliasResolver()
-        a = resolver.group([ssh_obs("10.0.0.1", "key-A"), ssh_obs("10.0.0.2", "key-A")], name="a")
-        b = resolver.group([snmp_obs("10.1.0.1", "engine-9"), snmp_obs("10.1.0.2", "engine-9")], name="b")
-        union = AliasResolver.union([a, b])
+        union = ResolutionEngine().resolve(
+            [
+                ssh_obs("10.0.0.1", "key-A"),
+                ssh_obs("10.0.0.2", "key-A"),
+                snmp_obs("10.1.0.1", "engine-9"),
+                snmp_obs("10.1.0.2", "engine-9"),
+            ]
+        ).ipv4_union
         assert len(union) == 2
 
     def test_union_preserves_asn_mapping(self):
-        resolver = AliasResolver()
-        a = resolver.group([ssh_obs("10.0.0.1", "key-A", asn=1), ssh_obs("10.0.0.2", "key-A", asn=1)])
-        b = resolver.group([snmp_obs("10.1.0.1", "engine-9", asn=2), snmp_obs("10.1.0.2", "engine-9", asn=2)])
-        union = AliasResolver.union([a, b])
+        union = ResolutionEngine().resolve(
+            [
+                ssh_obs("10.0.0.1", "key-A", asn=1),
+                ssh_obs("10.0.0.2", "key-A", asn=1),
+                snmp_obs("10.1.0.1", "engine-9", asn=2),
+                snmp_obs("10.1.0.2", "engine-9", asn=2),
+            ]
+        ).ipv4_union
         assert union.asn_of("10.1.0.1") == 2
 
     def test_union_of_empty_collections(self):

@@ -5,7 +5,9 @@ per-(protocol, family) groupings plus three dual-stack passes).  The
 ``_seed_*`` functions below are a verbatim copy of that implementation
 (commit a5c4af9); the test asserts that the :class:`ResolutionEngine`
 produces a field-by-field identical :class:`AliasReport` for the paper's
-session at scale 1.0, seed 42, on all three sources.
+session at scale 1.0, seed 42, on all three sources.  It also pins how
+often each path calls the identifier extractor: the engine once per
+observation, the seed's nine passes twice.
 
 The only intended difference is the *labelling* of the synthetic union
 sets: the seed enumerated components in union-find-root order (an
@@ -20,11 +22,10 @@ from collections import defaultdict
 
 import pytest
 
-from repro.api import repro_session
 from repro.core.aliasset import AliasSet, AliasSetCollection
 from repro.core.dual_stack import DualStackCollection, DualStackSet
-from repro.core.engine import PROTOCOLS, ResolutionEngine
-from repro.core.identifiers import DEFAULT_OPTIONS, extract_identifier
+from repro.core.engine import PROTOCOLS, ObservationIndex, ResolutionEngine
+from repro.core.identifiers import DEFAULT_OPTIONS, count_extractions, extract_identifier
 from repro.net.addresses import AddressFamily
 
 # --------------------------------------------------------------------- #
@@ -112,7 +113,7 @@ def _seed_union(collections, name="union"):
     return result
 
 
-def _seed_infer_dual_stack(observations, protocol=None, options=DEFAULT_OPTIONS, name=None):
+def _seed_dual_stack(observations, protocol=None, options=DEFAULT_OPTIONS, name=None):
     ipv4_members = defaultdict(set)
     ipv6_members = defaultdict(set)
     protocols_by_key = defaultdict(set)
@@ -208,7 +209,7 @@ def _seed_run_alias_resolution(observations, name="dataset"):
         ipv6[protocol] = _seed_group(
             observation_list, protocol=protocol, family=AddressFamily.IPV6, name=f"{name}:{protocol.value}:ipv6"
         )
-        dual[protocol] = _seed_infer_dual_stack(
+        dual[protocol] = _seed_dual_stack(
             observation_list, protocol=protocol, name=f"{name}:{protocol.value}:dual"
         )
     return {
@@ -258,28 +259,33 @@ def _assert_collections_equal(engine_collection, seed_collection):
 # --------------------------------------------------------------------- #
 
 
-@pytest.fixture(scope="module")
-def scenario():
-    return repro_session(scale=1.0, seed=42)
+#: Observations per source in the paper's session (scale 1.0, seed 42).
+_OBSERVATIONS = {"active": 15_572, "censys": 9_583, "union": 17_647}
 
 
 @pytest.fixture(scope="module")
-def reports(scenario):
-    """(engine report, seed report) per source, computed once for the module."""
+def reports(paper_session):
+    """(engine report, seed report, extractions) per source, built once."""
     built = {}
-    for source in ("active", "censys", "union"):
-        observations = list(scenario.observations(source))
+    for source in _OBSERVATIONS:
+        observations = list(paper_session.observations(source))
         assert observations, "scenario produced no observations"
-        built[source] = (
-            ResolutionEngine().resolve(observations, name=source),
-            _seed_run_alias_resolution(observations, name=source),
-        )
+        with count_extractions() as engine_extractions:
+            engine_report = ResolutionEngine().resolve(observations, name=source)
+        with count_extractions() as seed_extractions:
+            seed_report = _seed_run_alias_resolution(observations, name=source)
+        extractions = {
+            "observations": len(observations),
+            "engine": engine_extractions.count,
+            "seed": seed_extractions.count,
+        }
+        built[source] = (engine_report, seed_report, extractions)
     return built
 
 
 @pytest.mark.parametrize("source", ["active", "censys", "union"])
 def test_engine_matches_seed_pipeline(reports, source):
-    engine_report, seed_report = reports[source]
+    engine_report, seed_report, _ = reports[source]
 
     for protocol in PROTOCOLS:
         _assert_collections_equal(engine_report.ipv4[protocol], seed_report["ipv4"][protocol])
@@ -304,7 +310,7 @@ def test_engine_matches_seed_pipeline(reports, source):
 
 @pytest.mark.parametrize("source", ["active", "censys", "union"])
 def test_engine_counts_match_seed(reports, source):
-    engine_report, seed_report = reports[source]
+    engine_report, seed_report, _ = reports[source]
 
     for family in (AddressFamily.IPV4, AddressFamily.IPV6):
         collections = seed_report["ipv4"] if family is AddressFamily.IPV4 else seed_report["ipv6"]
@@ -325,3 +331,30 @@ def test_engine_counts_match_seed(reports, source):
         assert engine_report.covered_addresses(family) == expected_covered
 
     assert len(engine_report.dual_stack_union) == len(seed_report["dual_stack_union"])
+
+
+@pytest.mark.parametrize("source", ["active", "censys", "union"])
+def test_engine_extracts_each_observation_once(reports, source):
+    # The seed's nine passes extract every observation twice: once in its
+    # (protocol, family) grouping and once in its protocol's dual-stack pass.
+    _, _, extractions = reports[source]
+    observed = _OBSERVATIONS[source]
+    assert extractions == {"observations": observed, "engine": observed, "seed": 2 * observed}
+
+
+@pytest.mark.parametrize("source", ["active", "censys", "union"])
+def test_every_source_yields_alias_sets(reports, source):
+    engine_report, _, _ = reports[source]
+    assert len(engine_report.ipv4_union) > 0
+    if source == "censys":
+        # The Censys snapshot is IPv4-only.
+        assert len(engine_report.ipv6_union) == 0
+    else:
+        assert len(engine_report.dual_stack_union) > 0
+
+
+def test_index_counts_every_observation(paper_session):
+    observations = list(paper_session.observations("union"))
+    index = ObservationIndex.build(observations)
+    assert index.observed == len(observations) == _OBSERVATIONS["union"]
+    assert 0 < index.indexed <= index.observed

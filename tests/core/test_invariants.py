@@ -3,15 +3,17 @@
 These check structural properties that must hold for *any* observation set:
 grouping produces a partition, the cross-protocol union never loses
 addresses, dual-stack sets always contain both families, and identifier
-extraction is deterministic.
+extraction is deterministic.  Every property runs through
+:class:`ObservationIndex` or :class:`ResolutionEngine`, the path every
+report is built by.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.alias_resolution import AliasResolver
-from repro.core.dual_stack import infer_dual_stack, union_dual_stack
+from repro.core.engine import ObservationIndex, ResolutionEngine
 from repro.core.identifiers import extract_identifier
+from repro.net.addresses import AddressFamily
 from repro.simnet.device import ServiceType
 from repro.sources.records import Observation
 
@@ -58,45 +60,48 @@ snmp_observations = st.dictionaries(st.one_of(_ipv4, _ipv6), _engine, max_size=6
 )
 
 
+_FAMILIES = (AddressFamily.IPV4, AddressFamily.IPV6)
+
+
 @settings(max_examples=60, deadline=None)
 @given(observations=ssh_observations)
 def test_grouping_is_a_partition(observations):
-    collection = AliasResolver().group(observations, protocol=ServiceType.SSH)
-    seen: dict[str, int] = {}
-    for index, alias_set in enumerate(collection):
-        assert alias_set.size >= 1
-        for address in alias_set.addresses:
-            assert address not in seen, "address appears in two sets"
-            seen[address] = index
+    index = ObservationIndex.build(observations)
+    seen: set[str] = set()
+    for family in _FAMILIES:
+        for alias_set in index.alias_sets(ServiceType.SSH, family):
+            assert alias_set.size >= 1
+            assert not (alias_set.addresses & seen), "address appears in two sets"
+            seen |= alias_set.addresses
     # Every observed address with identifier material is covered.
-    assert set(seen) == {observation.address for observation in observations}
+    assert seen == {observation.address for observation in observations}
 
 
 @settings(max_examples=60, deadline=None)
 @given(ssh=ssh_observations, snmp=snmp_observations)
 def test_union_preserves_addresses_and_merges_only_overlaps(ssh, snmp):
-    resolver = AliasResolver()
-    ssh_collection = resolver.group(ssh, protocol=ServiceType.SSH, name="ssh")
-    snmp_collection = resolver.group(snmp, protocol=ServiceType.SNMPV3, name="snmp")
-    union = AliasResolver.union([ssh_collection, snmp_collection])
-    assert union.addresses() == ssh_collection.addresses() | snmp_collection.addresses()
-    # The union never has more sets than the two inputs combined.
-    assert len(union) <= len(ssh_collection) + len(snmp_collection)
-    # Union sets are still a partition.
-    seen = set()
-    for alias_set in union:
-        assert not (alias_set.addresses & seen)
-        seen |= alias_set.addresses
+    report = ResolutionEngine().resolve(ssh + snmp)
+    for collections, union in ((report.ipv4, report.ipv4_union), (report.ipv6, report.ipv6_union)):
+        ssh_collection = collections[ServiceType.SSH]
+        snmp_collection = collections[ServiceType.SNMPV3]
+        assert union.addresses() == ssh_collection.addresses() | snmp_collection.addresses()
+        # The union never has more sets than the two inputs combined.
+        assert len(union) <= len(ssh_collection) + len(snmp_collection)
+        # Union sets are still a partition.
+        seen = set()
+        for alias_set in union:
+            assert not (alias_set.addresses & seen)
+            seen |= alias_set.addresses
 
 
 @settings(max_examples=60, deadline=None)
 @given(observations=ssh_observations)
 def test_dual_stack_sets_always_span_both_families(observations):
-    collection = infer_dual_stack(observations)
+    report = ResolutionEngine().resolve(observations)
+    collection = report.dual_stack[ServiceType.SSH]
     for dual in collection:
         assert dual.ipv4_addresses and dual.ipv6_addresses
-    merged = union_dual_stack([collection])
-    assert len(merged) <= len(collection) or len(collection) == 0
+    assert len(report.dual_stack_union) <= len(collection) or len(collection) == 0
 
 
 @settings(max_examples=60, deadline=None)
@@ -109,7 +114,9 @@ def test_identifier_extraction_is_deterministic(observations):
 @settings(max_examples=40, deadline=None)
 @given(ssh=ssh_observations)
 def test_non_singleton_subset_of_all_sets(ssh):
-    collection = AliasResolver().group(ssh, protocol=ServiceType.SSH)
-    non_singleton = collection.non_singleton()
-    assert len(non_singleton) <= len(collection)
-    assert non_singleton.addresses() <= collection.addresses()
+    index = ObservationIndex.build(ssh)
+    for family in _FAMILIES:
+        collection = index.alias_sets(ServiceType.SSH, family)
+        non_singleton = collection.non_singleton()
+        assert len(non_singleton) <= len(collection)
+        assert non_singleton.addresses() <= collection.addresses()

@@ -34,7 +34,7 @@ class TestNoWallClock:
 
     def test_quiet_in_tests_and_benchmarks(self):
         assert _lint(self.BAD, "tests.core.test_clocked") == []
-        assert _lint(self.BAD, "benchmarks.bench_clocked") == []
+        assert _lint(self.BAD, "perfbench.pace") == []
 
     def test_sleep_is_not_a_wall_clock_read(self):
         source = """

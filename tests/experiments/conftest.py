@@ -1,8 +1,8 @@
 """Shared fixtures for the experiment-driver tests.
 
 The drivers are exercised on a reduced-scale session so the whole module
-runs in a few seconds; the full-scale session is exercised by the benchmark
-harness.
+runs in a few seconds; ``test_paper_scale.py`` checks the paper's shape on
+the shared full-scale ``paper_session`` (``tests/conftest.py``).
 """
 
 import pytest

@@ -25,7 +25,8 @@ class TestRunner:
         identifiers = [claim.identifier for claim in claims]
         assert identifiers == ["C1", "C2", "C3", "C3b", "C4", "C5", "C6", "C7", "C8", "C9"]
         # Several claims (coverage gaps, rate-limiting effects) only emerge at
-        # full scale; at this reduced scale a majority should already hold.
+        # full scale; at this reduced scale a majority should already hold
+        # (test_paper_scale.py requires all ten at scale 1.0).
         holding = sum(1 for claim in claims if claim.holds)
         assert holding >= 6
 

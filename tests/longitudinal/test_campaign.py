@@ -4,8 +4,9 @@ import pytest
 
 from repro.api import ReproSession, ScenarioConfig
 from repro.core.engine import ResolutionEngine, report_signature
+from repro.core.identifiers import count_extractions
 from repro.errors import SimulationError
-from repro.longitudinal import LongitudinalCampaign, LongitudinalConfig
+from repro.longitudinal import LongitudinalCampaign, LongitudinalConfig, LongitudinalEngine
 from repro.net.addresses import AddressFamily
 from repro.simnet.topology import generate_topology, small_topology_config
 
@@ -88,13 +89,31 @@ class TestChurningCampaign:
     def test_churn_produces_deltas(self, captures):
         for capture in captures[1:]:
             assert capture.churned
-            assert not capture.delta.is_empty
+            assert capture.delta.added and capture.delta.removed
+            # Churn touches a few percent of the snapshot, not most of it.
+            assert capture.delta.unchanged > len(capture.delta.added)
 
     def test_incremental_matches_from_scratch_every_snapshot(self, captures, result):
         reference_engine = ResolutionEngine()
         for capture, snapshot in zip(captures, result.snapshots, strict=True):
             reference = reference_engine.resolve(capture.observations, name=capture.name)
             assert report_signature(snapshot.report) == report_signature(reference)
+
+    def test_delta_replay_extracts_only_added_observations(self, captures):
+        # Removed observations reuse the identifier cached when they were
+        # added, so a delta replay extracts only the added ones; a rebuild
+        # re-extracts every observation of every snapshot.
+        engine = LongitudinalEngine()
+        engine.bootstrap(captures[0].observations, name=captures[0].name)
+        with count_extractions() as replay:
+            for capture in captures[1:]:
+                engine.apply(capture.delta, name=capture.name)
+        with count_extractions() as rebuild:
+            for capture in captures[1:]:
+                ResolutionEngine().resolve(capture.observations, name=capture.name)
+        added = sum(len(capture.delta.added) for capture in captures[1:])
+        observed = sum(len(capture.observations) for capture in captures[1:])
+        assert (replay.count, rebuild.count) == (added, observed) == (114, 1_327)
 
     def test_stability_reflects_disruption(self, result):
         rows = result.stability(AddressFamily.IPV4)[1:]

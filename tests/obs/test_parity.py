@@ -1,47 +1,40 @@
 """Observability must never change results.
 
 Runs the full paper scenario at scale 1.0, seed 42 twice — once with the
-obs layer dormant, once with metrics + span tracing fully enabled — and
-asserts all ten registered experiments render byte-identically and the
-resolved reports match by :func:`report_signature`.  This is the
-load-bearing guarantee of the no-op fast path design: instrumentation
-only *records*; it is never allowed to perturb.
+obs layer dormant (the shared ``paper_session``), once in a fresh session
+with metrics + span tracing fully enabled — and asserts all ten registered
+experiments render byte-identically and the resolved reports match by
+:func:`report_signature`.  This is the load-bearing guarantee of the no-op
+fast path design: instrumentation only *records*; it is never allowed to
+perturb.
 """
 
 import pytest
 
 from repro import obs
-from repro.api.config import ScenarioConfig
 from repro.api.experiments import experiment_names
 from repro.api.session import ReproSession
 from repro.core.engine import report_signature
 
-_SCALE = 1.0
-_SEED = 42
 _SOURCES = ("active", "censys", "union")
 
 
-def _render_all() -> tuple[dict[str, str], dict[str, dict]]:
-    """Experiments and report signatures from one fresh session."""
-    session = ReproSession(ScenarioConfig(scale=_SCALE, seed=_SEED))
-    experiments = session.run_experiments()
-    signatures = {
-        source: report_signature(session.report(source)) for source in _SOURCES
-    }
-    return experiments, signatures
+def _signatures(session: ReproSession) -> dict[str, dict]:
+    return {source: report_signature(session.report(source)) for source in _SOURCES}
 
 
 @pytest.fixture(scope="module")
-def plain():
+def plain(paper_session, paper_experiments):
     assert not obs.is_enabled()
-    return _render_all()
+    return paper_experiments, _signatures(paper_session)
 
 
 @pytest.fixture(scope="module")
-def instrumented():
+def instrumented(paper_session):
     with obs.observed() as registry:
         with obs.trace("parity"):
-            rendered = _render_all()
+            session = ReproSession(paper_session.config)
+            rendered = session.run_experiments(), _signatures(session)
     return rendered, registry
 
 

@@ -25,8 +25,29 @@ from repro.persist.session import (
     spec_from_document,
     spec_to_document,
 )
+from repro.simnet.network import SimulatedInternet
 
 _CONFIG = ScenarioConfig(scale=0.05, seed=7)
+
+#: The report compositions a warm start reads.
+_COMPOSITIONS = ("active", "censys", "union")
+
+#: Every way a session reaches the simulated Internet.
+_NETWORK_CALLS = ("probe_tcp_syn", "connect", "sample_ipid")
+
+
+def _count_network_calls(monkeypatch) -> dict[str, int]:
+    """Count calls into the simulated Internet, on every instance."""
+    calls = dict.fromkeys(_NETWORK_CALLS, 0)
+    for name in _NETWORK_CALLS:
+        original = getattr(SimulatedInternet, name)
+
+        def counting(self, *args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(SimulatedInternet, name, counting)
+    return calls
 
 
 @pytest.fixture(scope="module")
@@ -95,15 +116,19 @@ class TestSessionRoundTrip:
             assert restored.name == dataset.name
             assert list(restored) == list(dataset)
 
-    def test_cached_report_identical_without_rebuild(self, saved):
-        session, directory = saved
+    def test_cached_report_identical_without_rebuild(self, saved, monkeypatch):
+        _, directory = saved
+        calls = _count_network_calls(monkeypatch)
         loaded = load_session(directory)
-        # The loaded session must not re-collect: drop the network so any
-        # rebuild attempt would produce a *different* network object and
-        # (with a different seed) different data. report() must come from
-        # the primed cache alone.
-        report = loaded.report("active")
-        assert report_signature(report) == report_signature(session.report("active"))
+        warm = {name: report_signature(loaded.report(name)) for name in _COMPOSITIONS}
+        # A warm start answers every report from the primed caches: not one
+        # probe, connection or IPID sample reaches the simulated Internet.
+        assert calls == dict.fromkeys(_NETWORK_CALLS, 0)
+        cold_session = ReproSession(_CONFIG)
+        cold = {name: report_signature(cold_session.report(name)) for name in _COMPOSITIONS}
+        # The same reads on a cold session do scan, so the counter is live.
+        assert calls["probe_tcp_syn"] > 0 and calls["connect"] > 0
+        assert warm == cold
 
     def test_uncached_composition_still_resolves(self, saved):
         session, directory = saved
@@ -157,6 +182,32 @@ class TestSessionRoundTrip:
         with pytest.raises(PersistError, match="torn mid-save"):
             load_session(copy)
 
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda manifest: manifest["config"].update(scale="x"),
+            lambda manifest: manifest["config"].update(scale=-1),
+            lambda manifest: manifest["datasets"][0].pop("spec"),
+            lambda manifest: manifest["reports"][0].pop("file"),
+            lambda manifest: manifest.update(banks="x"),
+        ],
+        ids=[
+            "scale-not-a-number",
+            "scale-negative",
+            "dataset-without-spec",
+            "report-without-file",
+            "banks-not-a-list",
+        ],
+    )
+    def test_malformed_manifest_raises(self, saved, tmp_path, corrupt):
+        _, directory = saved
+        copy = self._copy_session(directory, tmp_path / "malformed")
+        manifest = json.loads((copy / SESSION_MANIFEST).read_text())
+        corrupt(manifest)
+        (copy / SESSION_MANIFEST).write_text(json.dumps(manifest))
+        with pytest.raises(PersistError, match="malformed session manifest"):
+            load_session(copy)
+
     def test_report_signature_mismatch_detected(self, saved, tmp_path):
         # A torn save pairing an old manifest with a new report file: the
         # file is internally consistent, but its signature differs from the
@@ -174,9 +225,9 @@ class TestFreshProcessParity:
     def test_loaded_session_matches_in_fresh_process(self, saved, tmp_path):
         """Save → load in a *new interpreter* → identical experiment text.
 
-        The scale-1.0 variant of this check is the persistence benchmark;
-        here a small scenario proves the cross-process contract in the
-        test suite.
+        A small scenario proves the cross-process contract here; the
+        scale-1.0 save → load → render check of all ten experiments is
+        ``tests/experiments/test_paper_scale.py``.
         """
         session, directory = saved
         rendered = session.run_experiment("table3")

@@ -19,7 +19,10 @@ algorithm_names = st.lists(
 class TestBuildParse:
     def test_roundtrip_defaults(self):
         original = KexInit(cookie=bytes(range(16)))
-        assert KexInit.parse(original.build()) == original
+        parsed = KexInit.parse(original.build())
+        assert parsed == original
+        # The capability signature is a SHA-256 hex digest.
+        assert len(parsed.capability_signature()) == 64
 
     def test_message_code_is_kexinit(self):
         assert KexInit().build()[0] == SSH_MSG_KEXINIT

@@ -73,7 +73,7 @@ class TestZgrab:
             for address in device.service_addresses(ServiceType.SSH)
         ][:50]
         records = ZgrabScanner(network, VP).grab(ServiceType.SSH, ssh_addresses)
-        assert records
+        assert len(records) >= 0.8 * len(ssh_addresses)
         assert all(record.success for record in records)
         assert any(record.has_identifier for record in records)
 

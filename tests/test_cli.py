@@ -7,6 +7,13 @@ import pytest
 from repro.cli import main
 
 
+def _set_manifest_scale(manifest_path, section, scale):
+    """Rewrite the scenario scale a saved manifest records."""
+    manifest = json.loads(manifest_path.read_text())
+    manifest[section]["scale"] = scale
+    manifest_path.write_text(json.dumps(manifest))
+
+
 class TestScanAndResolve:
     def test_scan_writes_datasets(self, tmp_path):
         exit_code = main(
@@ -258,6 +265,18 @@ class TestLongitudinal:
         assert exit_code == 2
         assert capsys.readouterr().err.strip()
 
+    def test_longitudinal_resume_malformed_scale_exits_cleanly(self, capsys, tmp_path):
+        checkpoint = tmp_path / "checkpoint"
+        assert main(
+            ["longitudinal", "--scale", "0.05", "--snapshots", "2", "--ipv4-only",
+             "--checkpoint", str(checkpoint)]
+        ) == 0
+        capsys.readouterr()
+        _set_manifest_scale(checkpoint / "checkpoint.json", "scenario", "x")
+        exit_code = main(["longitudinal", "--resume", str(checkpoint)])
+        assert exit_code == 2
+        assert "scale" in capsys.readouterr().err
+
     def test_longitudinal_resume_cannot_shrink(self, capsys, tmp_path):
         checkpoint = tmp_path / "checkpoint"
         assert main(
@@ -431,6 +450,15 @@ class TestSession:
         assert exit_code == 2
         assert "not a saved session" in capsys.readouterr().err
 
+    def test_session_load_malformed_scale_exits_cleanly(self, capsys, tmp_path):
+        directory = tmp_path / "session"
+        assert main(["session", "save", str(directory), "--scale", "0.05", "--reports"]) == 0
+        capsys.readouterr()
+        _set_manifest_scale(directory / "session.json", "config", "x")
+        exit_code = main(["session", "load", str(directory)])
+        assert exit_code == 2
+        assert "scale" in capsys.readouterr().err
+
     def test_session_load_unknown_experiment(self, capsys, tmp_path):
         directory = tmp_path / "session"
         assert main(
@@ -597,6 +625,18 @@ class TestServe:
         captured = capsys.readouterr()
         assert "malformed stream checkpoint manifest" in captured.err
         assert "Traceback" not in captured.err
+
+    def test_serve_resume_malformed_scale_exits_cleanly(self, capsys, tmp_path):
+        checkpoint = tmp_path / "stream"
+        assert main(
+            ["serve", "--scale", "0.05", "--seed", "7", "--max-batches", "1",
+             "--checkpoint", str(checkpoint)]
+        ) == 0
+        capsys.readouterr()
+        _set_manifest_scale(checkpoint / "stream.json", "scenario", "x")
+        exit_code = main(["serve", "--max-batches", "2", "--resume", str(checkpoint)])
+        assert exit_code == 2
+        assert "scale" in capsys.readouterr().err
 
     def test_serve_resume_missing_checkpoint(self, capsys, tmp_path):
         exit_code = main(["serve", "--resume", str(tmp_path / "absent")])

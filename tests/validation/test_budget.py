@@ -223,6 +223,7 @@ class TestCappedDegradation:
         capped = run_validator(capped_run, spec, candidates=CANDIDATES, start_time=0.0)
 
         assert capped_run.optimizer.budget.closed
+        assert capped_run.optimizer.budget.spent <= spent - 1
         unresolved = [v for v in capped.verdicts if is_unresolved(v)]
         assert unresolved
         resolved_parity = [
