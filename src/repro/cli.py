@@ -296,16 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=0.0,
         metavar="SECONDS",
-        help="wall-clock seconds to sleep between polls (default 0: poll "
-        "back-to-back)",
-    )
-    serve.add_argument(
-        "--emit-every-changes",
-        type=int,
-        default=None,
-        metavar="N",
-        help="additionally emit a report whenever N observation changes "
-        "accumulate (default: one emit per poll)",
+        help="wall-clock seconds to wait between polls; SIGINT/SIGTERM end "
+        "the wait (default 0: poll back-to-back)",
     )
     serve.add_argument(
         "--ipv4-only", action="store_true", help="skip the IPv6 hitlist scans"
@@ -808,11 +800,6 @@ def _command_serve(args: argparse.Namespace) -> int:
     if args.poll_interval < 0:
         print("--poll-interval cannot be negative", file=sys.stderr)
         return 2
-    if args.emit_every_changes is not None and args.emit_every_changes < 1:
-        print("--emit-every-changes must be at least 1", file=sys.stderr)
-        return 2
-    start = 0
-    previous = None
     if args.resume is not None:
         try:
             loaded = load_stream_checkpoint(args.resume)
@@ -821,10 +808,8 @@ def _command_serve(args: argparse.Namespace) -> int:
             print(str(error), file=sys.stderr)
             return 2
         scenario = loaded.scenario
-        start = loaded.completed
-        previous = loaded.last_observations
         print(
-            f"resuming after poll {start - 1} "
+            f"resuming after poll {stream.emitted - 1} "
             f"({stream.emitted} reports already emitted)"
         )
     else:
@@ -838,12 +823,9 @@ def _command_serve(args: argparse.Namespace) -> int:
             include_ipv6=not args.ipv4_only,
         )
         stream = StreamingEngine(
-            config=StreamConfig(
-                emit_every_changes=args.emit_every_changes,
-                churn_interval=interval,
-            ),
-            options=campaign.options,
+            config=StreamConfig(churn_interval=interval), options=campaign.options
         )
+    start = stream.emitted
     checkpointer = None
     checkpoint_dir = args.checkpoint if args.checkpoint is not None else args.resume
     if checkpoint_dir is not None:
@@ -855,8 +837,6 @@ def _command_serve(args: argparse.Namespace) -> int:
             max_polls=args.max_batches, poll_interval=args.poll_interval
         ),
         checkpointer=checkpointer,
-        start=start,
-        previous=previous,
     )
     restore_handlers = daemon.install_signal_handlers()
     try:

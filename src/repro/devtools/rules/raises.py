@@ -1,7 +1,8 @@
 """The typed-errors rule.
 
-Registry, persistence, and dataset-IO paths promise callers a typed
-failure surface: the CLI maps :class:`~repro.errors.DatasetError` /
+Registry, persistence, and dataset-IO paths — and the stream and
+longitudinal code the checkpoint loaders call into — promise callers a
+typed failure surface: the CLI maps :class:`~repro.errors.DatasetError` /
 :class:`~repro.errors.PersistError` / :class:`~repro.errors.RegistryError`
 to ``exit 2`` with a message, and library callers catch
 :class:`~repro.errors.ReproError` as one base.  A bare ``ValueError`` or
@@ -17,13 +18,16 @@ from typing import Iterator
 from repro.devtools.findings import Finding, ModuleUnderLint
 from repro.devtools.rules.base import Rule, module_in, qualified_name, walk_with_imports
 
-#: Modules and packages holding registry/persist/io contract paths.
+#: Modules and packages holding registry/persist/io contract paths, and
+#: the packages whose restore code the campaign and stream loaders run.
 TYPED_ERROR_PATHS: tuple[str, ...] = (
     "repro.persist",
     "repro.io",
     "repro.api.registry",
     "repro.obs.registry",
     "repro.core.symbols",
+    "repro.stream",
+    "repro.longitudinal",
 )
 
 #: Builtin exception types that break the typed failure surface.

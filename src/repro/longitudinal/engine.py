@@ -304,9 +304,9 @@ class LongitudinalEngine:
     ) -> None:
         """Replay an observation delta against the index without deriving.
 
-        This is the ingest half of :meth:`apply`, split out so a streaming
-        caller can absorb many micro-deltas cheaply and pay for collection
-        derivation only when an emit trigger fires (:meth:`derive`).
+        This is the ingest half of :meth:`apply`, split out so the
+        streaming engine can stage each synced scan's delta and pay for
+        collection derivation when it emits (:meth:`derive`).
         Removals replay before additions so an identifier whose membership
         merely rotates passes through a consistent intermediate state.
         """

@@ -2,20 +2,28 @@
 
 A saved session is a directory:
 
-* ``session.json`` — manifest: format version, the
-  :class:`~repro.api.config.ScenarioConfig`, the identifier options, and
-  one entry per cached dataset and report (each carrying its declarative
-  :class:`~repro.api.sources.SourceSpec` tree).
-* ``datasets/NNN.jsonl`` — one JSON-lines file per cached dataset (the
-  byte-faithful observation round-trip of :mod:`repro.io.datasets`).
-* ``reports/NNN.json`` — one document per cached report
+* ``session.json`` — manifest: format version, the save's generation,
+  the :class:`~repro.api.config.ScenarioConfig`, the identifier options,
+  and one entry per cached dataset and report (each carrying its
+  declarative :class:`~repro.api.sources.SourceSpec` tree).
+* ``datasets/GGGG-PPP.jsonl`` — one JSON-lines file per cached dataset
+  (the byte-faithful observation round-trip of :mod:`repro.io.datasets`).
+* ``reports/GGGG-PPP.json`` — one document per cached report
   (:mod:`repro.persist.report`), signature-verified on load.
-* ``validations/NNN.json`` — one document per cached validation report
-  (:mod:`repro.persist.validation`), signature-verified on load.
-* ``banks/NNN.json`` — one document per validation sample bank
+* ``validations/GGGG-PPP.json`` — one document per cached validation
+  report (:mod:`repro.persist.validation`), signature-verified on load.
+* ``banks/GGGG-PPP.json`` — one document per validation sample bank
   (:mod:`repro.persist.bank`), signature-verified on load; a reloaded
   session re-scores matching validation schedules from these with zero
   network probes.
+
+``GGGG`` is the save's generation, one above the manifest it replaces (a
+manifest without one counts as 0), and ``PPP`` the entry's position.  A
+save never overwrites a file the manifest on disk names, and the manifest
+lands last, so a save over an existing session that dies at any write
+leaves the previous session loadable.  Once the new manifest has landed,
+the data files of earlier saves — numbered, or the unnumbered ``PPP``
+names older saves used — are pruned; other files are left alone.
 
 ``load_session`` rebuilds the session with both caches primed: a source
 that was collected before the save never re-runs, and a report that was
@@ -28,6 +36,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import re
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -60,6 +69,9 @@ SESSION_FORMAT_VERSION = 1
 #: Manifest file name inside a session directory.
 SESSION_MANIFEST = "session.json"
 
+#: The data directories of a session and the suffix of their files.
+_DATA_SUFFIXES = {"datasets": "jsonl", "reports": "json", "validations": "json", "banks": "json"}
+
 
 def spec_to_document(spec: SourceSpec) -> dict:
     """Render a spec tree as a JSON-serialisable document."""
@@ -89,18 +101,24 @@ def spec_from_document(document: dict) -> SourceSpec:
 def save_session(session: "ReproSession", directory: str | Path) -> Path:
     """Write a session's configuration and caches to ``directory``.
 
-    Returns the directory path.  Existing files are overwritten; the
-    directory (and parents) are created when missing.
+    Returns the directory path.  The directory (and parents) are created
+    when missing; a session already saved there stays loadable until the
+    new manifest replaces it.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    # Every file lands atomically and the manifest lands last; the manifest
-    # additionally pins each data file's identity (dataset header name and
-    # count, report signature digest), so a save interrupted between files
-    # can never mix old metadata with new contents undetected.
+    generation = _saved_generation(directory) + 1
+
+    def data_file(folder: str, position: int) -> str:
+        return f"{folder}/{generation:04d}-{position:03d}.{_DATA_SUFFIXES[folder]}"
+
+    # Every file lands atomically under a name the manifest on disk does not
+    # use, and the manifest lands last; it additionally pins each data
+    # file's identity (dataset header name and count, report signature
+    # digest), so a mismatched file fails loudly on load.
     dataset_entries = []
     for position, (spec, dataset) in enumerate(session.cached_datasets().items()):
-        relative = f"datasets/{position:03d}.jsonl"
+        relative = data_file("datasets", position)
         count = save_observations_atomic(dataset, directory / relative)
         dataset_entries.append(
             {
@@ -112,13 +130,9 @@ def save_session(session: "ReproSession", directory: str | Path) -> Path:
         )
     report_entries = []
     for position, ((spec, name), report) in enumerate(session.cached_reports().items()):
-        relative = f"reports/{position:03d}.json"
+        relative = data_file("reports", position)
         document = report_to_document(report)
         write_atomic(directory / relative, json.dumps(document))
-        # The manifest pins each report's signature (and each dataset its
-        # header name + count above), so a save torn between data files and
-        # the manifest can never silently pair old metadata with new
-        # contents — the pin comparison fails loudly on load.
         report_entries.append(
             {
                 "spec": spec_to_document(spec),
@@ -131,7 +145,7 @@ def save_session(session: "ReproSession", directory: str | Path) -> Path:
     for position, ((spec, name), validation) in enumerate(
         session.cached_validations().items()
     ):
-        relative = f"validations/{position:03d}.json"
+        relative = data_file("validations", position)
         document = validation_to_document(validation)
         write_atomic(directory / relative, json.dumps(document))
         validation_entries.append(
@@ -144,7 +158,7 @@ def save_session(session: "ReproSession", directory: str | Path) -> Path:
         )
     bank_entries = []
     for position, state in enumerate(session.validation_bank_states()):
-        relative = f"banks/{position:03d}.json"
+        relative = data_file("banks", position)
         document = bank_state_to_document(state)
         write_atomic(directory / relative, json.dumps(document))
         bank_entries.append(
@@ -156,6 +170,7 @@ def save_session(session: "ReproSession", directory: str | Path) -> Path:
         )
     manifest = {
         "version": SESSION_FORMAT_VERSION,
+        "generation": generation,
         "config": dataclasses.asdict(session.config),
         "options": dataclasses.asdict(session.options),
         "datasets": dataset_entries,
@@ -164,7 +179,32 @@ def save_session(session: "ReproSession", directory: str | Path) -> Path:
         "banks": bank_entries,
     }
     write_atomic(directory / SESSION_MANIFEST, json.dumps(manifest, indent=2))
+    named = {
+        entry["file"]
+        for entries in (dataset_entries, report_entries, validation_entries, bank_entries)
+        for entry in entries
+    }
+    for folder, suffix in _DATA_SUFFIXES.items():
+        if not (directory / folder).is_dir():
+            continue
+        scheme = re.compile(rf"(?:\d+-)?\d+\.{suffix}")
+        for path in (directory / folder).iterdir():
+            if scheme.fullmatch(path.name) and f"{folder}/{path.name}" not in named:
+                path.unlink(missing_ok=True)
     return directory
+
+
+def _saved_generation(directory: Path) -> int:
+    """The generation of the session saved in ``directory`` (0 for none).
+
+    A manifest without a generation, or one that cannot be read, counts
+    as 0: an unreadable manifest names no file a save must preserve.
+    """
+    try:
+        manifest = read_json_document(directory / SESSION_MANIFEST, "session manifest")
+        return int(manifest.get("generation", 0))
+    except (PersistError, TypeError, ValueError):
+        return 0
 
 
 def load_session(directory: str | Path) -> "ReproSession":

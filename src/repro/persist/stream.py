@@ -1,17 +1,22 @@
 """Checkpoint and resume of the streaming resolution daemon.
 
-The daemon (:mod:`repro.stream.daemon`) checkpoints after every emit, so
+The daemon (:mod:`repro.stream.daemon`) checkpoints after every poll, so
 a killed process resumes exactly where the stream left off: same live
 index, same emit sequence, same estimator series, same cumulative event
 counts.  Its files, their rotation and the resume rebuild are the
 checkpoint chain's (:mod:`repro.persist.chain`): ``poll-NNNN.jsonl`` per
-poll (the live index is rebuilt from it on load),
-``bank-NNNN-PPP.json`` when a validation run rides along, and the
-``stream.json`` manifest.  The stream adds to the manifest its
-emit-trigger config, the emit-window state of the streaming engine
-(clock, emit boundaries, estimator; parsed into an
+poll (the live index is rebuilt from it on load, and it is the diff
+baseline of the next poll), ``bank-NNNN-PPP.json`` when a validation run
+rides along, and the ``stream.json`` manifest.  The stream adds to the
+manifest its config (``churn_interval``), the emit-window state of the
+streaming engine (clock, window accounting, estimator; parsed into an
 :class:`~repro.stream.engine.EmitWindow` on load) and the cumulative
 published-event counts.
+
+Every poll emits one report labelled ``snapshot-<poll>``, so a loaded
+checkpoint must have emitted ``completed`` reports, the last labelled
+``snapshot-<completed - 1>``; anything else fails the load.  Window and
+config keys that older manifests carry beyond these are ignored.
 
 A resumed daemon's reports equal the uninterrupted run's poll for poll —
 the resume gate in ``tests/persist/test_stream_checkpoint.py`` asserts
@@ -23,12 +28,12 @@ from __future__ import annotations
 import dataclasses
 from pathlib import Path
 
+from repro.errors import PersistError
 from repro.longitudinal.campaign import LongitudinalCampaign
 from repro.persist.chain import CheckpointChain, LoadedChain, restore_campaign
 from repro.sources.records import Observation
-from repro.stream.engine import EmitWindow, StreamConfig, StreamingEngine
+from repro.stream.engine import EmitWindow, StreamConfig, StreamingEngine, emit_label
 from repro.stream.estimator import ChurnRateEstimator
-from repro.stream.events import StreamPublisher
 
 #: Manifest file name inside a stream checkpoint directory.
 STREAM_MANIFEST = "stream.json"
@@ -56,7 +61,9 @@ class StreamCheckpointer(CheckpointChain):
         """Write the checkpoint after poll ``completed - 1`` emitted.
 
         ``observations`` are the poll's scan results — the diff baseline
-        the first resumed poll syncs against.
+        the first resumed poll syncs against.  ``completed`` and
+        ``last_name`` must be the stream's emit count and last label,
+        which the loader checks.
         """
         self.write(
             campaign,
@@ -77,7 +84,7 @@ class LoadedStreamCheckpoint(LoadedChain):
     """A verified stream checkpoint, ready to resume from.
 
     Attributes (beyond :class:`~repro.persist.chain.LoadedChain`'s):
-        stream: emit-trigger configuration of the streaming engine.
+        stream: configuration of the streaming engine.
         window: the streaming engine's parsed emit-window state.
         event_counts: cumulative published-event counts at the checkpoint.
     """
@@ -93,13 +100,24 @@ def _optional_float(value: float | None) -> float | None:
 
 def _stream_fields(manifest: dict) -> dict:
     window = manifest["window"]
+    completed = int(manifest["completed"])
+    emitted = int(window["emitted"])
+    if emitted != completed:
+        raise PersistError(
+            f"stream checkpoint emitted {emitted} reports over {completed} polls; "
+            "a stream emits one report per poll"
+        )
+    expected_name = emit_label(completed - 1)
+    if manifest["last_name"] != expected_name:
+        raise PersistError(
+            f"stream checkpoint's last report is {manifest['last_name']!r}, "
+            f"expected {expected_name!r}"
+        )
     return {
-        "stream": StreamConfig(**manifest["stream"]),
+        "stream": StreamConfig(churn_interval=float(manifest["stream"]["churn_interval"])),
         "window": EmitWindow(
-            emitted=int(window["emitted"]),
+            emitted=emitted,
             clock=float(window["clock"]),
-            epoch=_optional_float(window["epoch"]),
-            next_emit_clock=_optional_float(window["next_emit_clock"]),
             tracked_at_emit=int(window["tracked_at_emit"]),
             clock_at_emit=_optional_float(window["clock_at_emit"]),
             coverage={
@@ -118,24 +136,22 @@ def load_stream_checkpoint(directory: str | Path) -> LoadedStreamCheckpoint:
     """Load and verify a stream checkpoint.
 
     Raises:
-        PersistError: see :meth:`~repro.persist.chain.CheckpointChain.read`.
+        PersistError: see :meth:`~repro.persist.chain.CheckpointChain.read`;
+            also when the checkpoint did not emit one report per poll.
     """
     return StreamCheckpointer.read(directory, LoadedStreamCheckpoint, _stream_fields)
 
 
 def resume_stream(
     checkpoint: LoadedStreamCheckpoint,
-    publisher: StreamPublisher | None = None,
 ) -> tuple[LongitudinalCampaign, StreamingEngine]:
     """Rebuild the campaign event source and streaming engine of a checkpoint.
 
     Returns the campaign (network regenerated, completed churn
     re-injected, IDS probe counters restored) and a streaming engine
     whose live index, emit window, estimator, and cumulative event counts
-    equal the interrupted daemon's.  Continue with::
-
-        daemon = StreamDaemon(campaign, stream, start=checkpoint.completed,
-                              previous=checkpoint.last_observations, ...)
+    equal the interrupted daemon's.  Continue with
+    ``StreamDaemon(campaign, stream, ...)``.
     """
     campaign, engine = restore_campaign(checkpoint, checkpoint.campaign)
     stream = StreamingEngine.resume(
@@ -143,8 +159,6 @@ def resume_stream(
         engine=engine,
         observations=checkpoint.last_observations,
         window=checkpoint.window,
-        options=checkpoint.options,
-        publisher=publisher,
     )
     stream.publisher.counts.update(checkpoint.event_counts)
     return campaign, stream

@@ -3,19 +3,19 @@
 One daemon poll is one simulated scan: it advances the simnet by one
 churn interval through
 :meth:`~repro.longitudinal.campaign.LongitudinalCampaign.capture` (churn
-injection, both-family scan, ground-truth attribution), reconciles the
-scan into the :class:`~repro.stream.engine.StreamingEngine` via
-:meth:`~repro.stream.engine.StreamingEngine.sync`, and — when the
-engine's own triggers did not already emit during the sync — flushes
-explicitly, so every poll publishes at least one report.  The emitted
-labels are the campaign's snapshot labels, which keeps the daemon's
-reports byte-comparable to a batch campaign over the same simnet.
+injection, both-family scan, ground-truth attribution), syncs the scan
+into the :class:`~repro.stream.engine.StreamingEngine` and flushes one
+report.  Every poll emits exactly once, so the stream records the
+daemon's position: its emit count is the number of completed polls and
+its live observations are the last poll's scan.  The emitted labels are
+the campaign's snapshot labels, which keeps the daemon's reports
+byte-comparable to a batch campaign over the same simnet.
 
 The loop is built to be killed:
 
 * :meth:`StreamDaemon.stop` (or SIGINT/SIGTERM once
   :meth:`StreamDaemon.install_signal_handlers` ran) finishes the poll in
-  flight and exits cleanly;
+  flight, cuts short the wait before the next one, and exits cleanly;
 * a :class:`~repro.persist.stream.StreamCheckpointer` persists a
   consistent state after every poll, so a daemon killed between polls
   resumes from its checkpoint to the same reports an uninterrupted run
@@ -31,13 +31,12 @@ from __future__ import annotations
 
 import dataclasses
 import signal
-import time
+import threading
 from typing import Iterator
 
 from repro import obs
 from repro.errors import SimulationError
 from repro.longitudinal.campaign import LongitudinalCampaign
-from repro.sources.records import Observation
 
 from repro.stream.engine import StreamingEngine, StreamUpdate
 
@@ -49,23 +48,18 @@ class DaemonConfig:
     Attributes:
         max_polls: stop after this many polls (``None`` runs until
             stopped; the CLI default is the campaign's snapshot count).
-        poll_interval: wall-clock seconds to sleep between polls (live
+        poll_interval: wall-clock seconds to wait between polls (live
             pacing; zero polls back-to-back).
-        checkpoint_every: checkpoint after every Nth poll (1 = every
-            poll; checkpoints only happen when a checkpointer is given).
     """
 
     max_polls: int | None = None
     poll_interval: float = 0.0
-    checkpoint_every: int = 1
 
     def __post_init__(self) -> None:
         if self.max_polls is not None and self.max_polls < 1:
             raise SimulationError("max_polls must be at least 1")
         if self.poll_interval < 0:
             raise SimulationError("poll_interval cannot be negative")
-        if self.checkpoint_every < 1:
-            raise SimulationError("checkpoint_every must be at least 1")
 
 
 class StreamDaemon:
@@ -77,27 +71,18 @@ class StreamDaemon:
         stream: StreamingEngine,
         config: DaemonConfig | None = None,
         checkpointer=None,
-        start: int = 0,
-        previous: tuple[Observation, ...] | None = None,
     ) -> None:
         """Wire a daemon to its event source.
 
-        ``start``/``previous`` resume from a checkpoint: ``start`` is the
-        number of completed polls and ``previous`` the last poll's
-        observations (:func:`repro.persist.stream.resume_stream` supplies
-        both).
+        A resumed daemon takes the campaign and stream that
+        :func:`repro.persist.stream.resume_stream` rebuilt, and continues
+        after the stream's last emit.
         """
-        if start and previous is None:
-            raise SimulationError(
-                "resuming a daemon needs the previous poll's observations"
-            )
         self._campaign = campaign
         self._stream = stream
         self._config = config or DaemonConfig()
         self._checkpointer = checkpointer
-        self._poll = start
-        self._previous = previous
-        self._stopped = False
+        self._stop = threading.Event()
 
     @property
     def stream(self) -> StreamingEngine:
@@ -112,16 +97,16 @@ class StreamDaemon:
     @property
     def polls(self) -> int:
         """Completed polls (including checkpointed ones on resume)."""
-        return self._poll
+        return self._stream.emitted
 
     @property
     def stopped(self) -> bool:
         """Whether a stop was requested."""
-        return self._stopped
+        return self._stop.is_set()
 
     def stop(self, *_signal_args) -> None:
         """Request a graceful stop after the poll in flight."""
-        self._stopped = True
+        self._stop.set()
 
     def install_signal_handlers(self):
         """Route SIGINT/SIGTERM to :meth:`stop` (main thread only).
@@ -144,53 +129,43 @@ class StreamDaemon:
 
         return restore
 
-    def poll_once(self) -> tuple[StreamUpdate, ...]:
-        """Run one poll: capture, sync, emit, checkpoint.
-
-        Returns every update the poll emitted (trigger-driven emits
-        during the sync plus the explicit end-of-poll flush when no
-        trigger fired).
-        """
-        poll = self._poll
+    def poll_once(self) -> StreamUpdate:
+        """Run one poll: capture, sync, flush, checkpoint."""
+        stream = self._stream
+        poll = stream.emitted
         with obs.span("stream.poll", poll=poll):
-            capture = self._campaign.capture(poll, self._previous)
-            updates = self._stream.sync(capture.observations)
-            if not updates:
-                updates = (self._stream.flush(),)
-        self._previous = capture.observations
-        self._poll = poll + 1
+            capture = self._campaign.capture(poll, stream.live_observations())
+            stream.sync(capture.observations)
+            update = stream.flush()
         if obs.is_enabled():
             obs.add("stream.polls")
             obs.add("stream.observations", len(capture.observations))
-        if (
-            self._checkpointer is not None
-            and self._poll % self._config.checkpoint_every == 0
-        ):
+        if self._checkpointer is not None:
             self._checkpointer.save(
                 campaign=self._campaign,
-                stream=self._stream,
-                completed=self._poll,
-                last_name=updates[-1].name,
+                stream=stream,
+                completed=stream.emitted,
+                last_name=update.name,
                 observations=capture.observations,
             )
-        return updates
+        return update
 
     def updates(self) -> Iterator[StreamUpdate]:
-        """Poll until stopped, yielding every emitted update.
+        """Poll until stopped, yielding each poll's update.
 
         The generator form of :meth:`run` — a caller can react to each
         report as it lands (the ``examples/stream_watch.py`` loop) and
         still get graceful-stop and checkpointing semantics.
         """
-        limit = self._config.max_polls
         completed = 0
-        while not self._stopped and (limit is None or completed < limit):
-            yield from self.poll_once()
+        while not self._stop.is_set():
+            yield self.poll_once()
             completed += 1
-            if self._stopped or (limit is not None and completed >= limit):
+            if completed == self._config.max_polls:
                 break
-            if self._config.poll_interval > 0:
-                time.sleep(self._config.poll_interval)
+            # An event, not a sleep: stop() — from a signal handler too —
+            # ends the wait at once.
+            self._stop.wait(self._config.poll_interval)
 
     def run(self) -> list[StreamUpdate]:
         """Poll until stopped or ``max_polls``; return every update."""

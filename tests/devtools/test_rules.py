@@ -3,6 +3,8 @@ on the good one, and respects its module scope."""
 
 import textwrap
 
+import pytest
+
 from repro.devtools import lint_source
 
 
@@ -314,6 +316,17 @@ class TestTypedErrors:
         """
         findings = _lint(source, "repro.io.datasets_x")
         assert _rules(findings) == ["typed-errors", "typed-errors"]
+
+    @pytest.mark.parametrize(
+        "module", ["repro.stream.estimator", "repro.longitudinal.campaign"]
+    )
+    def test_fires_in_code_the_checkpoint_loaders_call(self, module):
+        source = """
+            def restore(state):
+                if state["window"] < 1:
+                    raise ValueError("estimator window must be at least 1")
+        """
+        assert _rules(_lint(source, module)) == ["typed-errors"]
 
     def test_typed_raise_is_quiet(self):
         source = """

@@ -263,6 +263,30 @@ class TestSessionBankRoundTrip:
         with pytest.raises(PersistError, match="malformed bank state"):
             loaded.validate("midar")
 
+    def test_resave_numbers_every_data_file_by_generation(self, saved_session, tmp_path):
+        """A re-save writes its validations and banks under the next
+        generation too, and prunes the previous save's files after the
+        manifest lands."""
+        _, _, directory = saved_session
+        copy = shutil.copytree(directory, tmp_path / "resaved")
+        loaded = ReproSession.load(copy)
+        loaded.validate("midar")
+        loaded.save(copy)
+        manifest = json.loads((copy / SESSION_MANIFEST).read_text())
+        named = {
+            entry["file"]
+            for key in ("datasets", "reports", "validations", "banks")
+            for entry in manifest[key]
+        }
+        assert {name.split("/")[0] for name in named} == {
+            "datasets", "reports", "validations", "banks"
+        }
+        assert all(name.split("/")[1].startswith("0002-") for name in named)
+        assert {path.relative_to(copy).as_posix() for path in copy.glob("*/*")} == named
+        assert ReproSession.load(copy).validation_bank_states() == (
+            loaded.validation_bank_states()
+        )
+
     def test_manifest_without_banks_still_loads(self, saved_session, tmp_path):
         # Back-compat: sessions saved before bank persistence existed.
         _, _, directory = saved_session

@@ -1,11 +1,13 @@
 """Session persistence: caches survive across processes, byte-faithfully."""
 
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from chain_cases import SimulatedCrash, crash_at_replace
 
 from repro.api.config import ScenarioConfig
 from repro.api.session import ReproSession
@@ -219,6 +221,102 @@ class TestSessionRoundTrip:
         (copy / SESSION_MANIFEST).write_text(json.dumps(manifest))
         with pytest.raises(PersistError, match="torn mid-save"):
             load_session(copy)
+
+
+def _contents(session):
+    """What a loaded session must reproduce: config, datasets, reports."""
+    return (
+        session.config,
+        {spec: list(dataset) for spec, dataset in session.cached_datasets().items()},
+        {key: report_signature(report) for key, report in session.cached_reports().items()},
+    )
+
+
+class TestResave:
+    """Saving over a saved session replaces it, or leaves it, never neither."""
+
+    @pytest.fixture(scope="class")
+    def sessions(self):
+        sessions = {}
+        for seed in (7, 8):
+            session = ReproSession(ScenarioConfig(scale=0.05, seed=seed))
+            session.report("union")
+            sessions[seed] = session
+        return sessions
+
+    def test_crash_at_every_replace_leaves_one_session(
+        self, sessions, tmp_path, monkeypatch
+    ):
+        """A re-save that dies at its k-th ``os.replace``, for every k,
+        leaves the old or the new session loadable."""
+        expected = {seed: _contents(session) for seed, session in sessions.items()}
+        base = tmp_path / "base"
+        save_session(sessions[7], base)
+        finished = shutil.copytree(base, tmp_path / "finished")
+        replaced = crash_at_replace(monkeypatch)
+        save_session(sessions[8], finished)
+        monkeypatch.undo()
+        assert replaced[-1] == SESSION_MANIFEST
+        assert _contents(load_session(finished)) == expected[8]
+        for crash_at in range(1, len(replaced) + 1):
+            directory = shutil.copytree(base, tmp_path / f"crash-{crash_at}")
+            crash_at_replace(monkeypatch, crash_at)
+            with pytest.raises(SimulatedCrash):
+                save_session(sessions[8], directory)
+            monkeypatch.undo()
+            loaded = load_session(directory)
+            assert _contents(loaded) == expected[loaded.config.seed]
+
+    def test_resave_prunes_only_the_previous_files(self, sessions, tmp_path):
+        directory = tmp_path / "saved"
+        save_session(sessions[7], directory)
+        foreign = [directory / "datasets" / "notes.txt", directory / "reports" / "keep.json"]
+        for path in foreign:
+            path.write_text("{}")
+        save_session(sessions[8], directory)
+        manifest = json.loads((directory / SESSION_MANIFEST).read_text())
+        assert manifest["generation"] == 2
+        named = {entry["file"] for key in ("datasets", "reports") for entry in manifest[key]}
+        on_disk = {
+            path.relative_to(directory).as_posix()
+            for path in directory.glob("*/*")
+            if path not in foreign
+        }
+        assert on_disk == named
+        assert all(name.split("/")[1].startswith("0002-") for name in named)
+        assert all(path.exists() for path in foreign)
+
+    def test_save_over_an_unreadable_manifest(self, sessions, tmp_path):
+        # An unreadable manifest names no file to preserve: it counts as
+        # generation 0 and the save replaces it.
+        directory = tmp_path / "corrupt"
+        directory.mkdir()
+        (directory / SESSION_MANIFEST).write_text("{not json")
+        save_session(sessions[7], directory)
+        assert json.loads((directory / SESSION_MANIFEST).read_text())["generation"] == 1
+        assert _contents(load_session(directory)) == _contents(sessions[7])
+
+    def test_unnumbered_session_loads_and_resaves(self, sessions, tmp_path):
+        """Sessions saved before generations (``datasets/000.jsonl``, no
+        ``generation`` key) still load, and a re-save prunes their files."""
+        directory = tmp_path / "unnumbered"
+        save_session(sessions[7], directory)
+        manifest = json.loads((directory / SESSION_MANIFEST).read_text())
+        del manifest["generation"]
+        for key in ("datasets", "reports"):
+            for entry in manifest[key]:
+                folder, name = entry["file"].split("/")
+                unnumbered = f"{folder}/{name.partition('-')[2]}"
+                (directory / entry["file"]).rename(directory / unnumbered)
+                entry["file"] = unnumbered
+        (directory / SESSION_MANIFEST).write_text(json.dumps(manifest))
+        assert _contents(load_session(directory)) == _contents(sessions[7])
+        save_session(sessions[8], directory)
+        assert _contents(load_session(directory)) == _contents(sessions[8])
+        assert sorted(path.name for path in (directory / "datasets").iterdir()) == [
+            f"0001-{position:03d}.jsonl"
+            for position in range(len(sessions[8].cached_datasets()))
+        ]
 
 
 class TestFreshProcessParity:

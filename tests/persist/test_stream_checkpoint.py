@@ -29,14 +29,12 @@ def _campaign(snapshots=_POLLS):
     )
 
 
-def _daemon(campaign, polls, checkpointer=None, stream=None, start=0, previous=None):
+def _daemon(campaign, polls, checkpointer=None, stream=None):
     return StreamDaemon(
         campaign,
         stream or StreamingEngine(StreamConfig(), options=campaign.options),
         config=DaemonConfig(max_polls=polls),
         checkpointer=checkpointer,
-        start=start,
-        previous=previous,
     )
 
 
@@ -65,8 +63,6 @@ class StreamChain:
             steps - checkpoint.completed,
             checkpointer=checkpointer,
             stream=stream,
-            start=checkpoint.completed,
-            previous=checkpoint.last_observations,
         ).run()
         return [report_signature(update.report) for update in updates]
 
@@ -80,8 +76,6 @@ class StreamChain:
 _WINDOW_FIELDS = [
     "emitted",
     "clock",
-    "epoch",
-    "next_emit_clock",
     "tracked_at_emit",
     "clock_at_emit",
     "coverage",
@@ -170,6 +164,48 @@ class TestCheckpointContents(ContentsCases):
         with pytest.raises(PersistError, match="malformed stream checkpoint manifest"):
             load_stream_checkpoint(copy)
 
+    def test_legacy_manifest_keys_are_ignored(self, checkpoint_dir, tmp_path, uninterrupted):
+        """Manifests written before the stream had one ingest path carry
+        trigger config and emit-boundary window keys; they load and resume
+        like the uninterrupted run."""
+        copy = copy_checkpoint(checkpoint_dir, tmp_path / "legacy")
+        manifest = json.loads((copy / STREAM_MANIFEST).read_text())
+        manifest["stream"].update(
+            emit_every_changes=5,
+            emit_every_seconds=None,
+            name_format="snapshot-{}",
+            estimator_window=8,
+        )
+        manifest["window"].update(epoch=0.0, next_emit_clock=None)
+        (copy / STREAM_MANIFEST).write_text(json.dumps(manifest))
+        checkpoint = load_stream_checkpoint(copy)
+        assert checkpoint.stream == StreamConfig()
+        reference_updates, _ = uninterrupted
+        campaign, stream = resume_stream(checkpoint)
+        resumed = _daemon(campaign, _POLLS - checkpoint.completed, stream=stream).run()
+        assert [report_signature(update.report) for update in resumed] == [
+            report_signature(update.report)
+            for update in reference_updates[checkpoint.completed :]
+        ]
+
+    @pytest.mark.parametrize(
+        "entry, value",
+        [("emitted", 3), ("emitted", 1), ("last_name", "live-1")],
+        ids=["emitted-ahead", "emitted-behind", "foreign-label"],
+    )
+    def test_one_emit_per_poll_enforced(self, checkpoint_dir, tmp_path, entry, value):
+        """Every poll emits one ``snapshot-<poll>`` report: a checkpoint
+        whose emit count or last label says otherwise fails the load."""
+        copy = copy_checkpoint(checkpoint_dir, tmp_path / "foreign")
+        manifest = json.loads((copy / STREAM_MANIFEST).read_text())
+        if entry == "emitted":
+            manifest["window"]["emitted"] = value
+        else:
+            manifest[entry] = value
+        (copy / STREAM_MANIFEST).write_text(json.dumps(manifest))
+        with pytest.raises(PersistError, match="one report per poll|expected 'snapshot-1'"):
+            load_stream_checkpoint(copy)
+
     def test_keep_must_be_positive(self, tmp_path):
         with pytest.raises(PersistError, match="at least one poll"):
             StreamCheckpointer(tmp_path, _CONFIG, keep=0)
@@ -186,8 +222,6 @@ class TestResumeGate(ResumeCases):
             campaign,
             _POLLS - checkpoint.completed,
             stream=stream,
-            start=checkpoint.completed,
-            previous=checkpoint.last_observations,
         )
         resumed_updates = daemon.run()
         assert [u.name for u in resumed_updates] == ["snapshot-2", "snapshot-3"]
@@ -216,8 +250,6 @@ class TestResumeGate(ResumeCases):
             1,
             checkpointer=StreamCheckpointer(target, checkpoint.scenario),
             stream=stream,
-            start=checkpoint.completed,
-            previous=checkpoint.last_observations,
         )
         daemon.run()
         final = load_stream_checkpoint(target)

@@ -1,6 +1,9 @@
 """Tests for the streaming daemon loop."""
 
+import os
 import signal
+import threading
+import time
 
 import pytest
 
@@ -9,7 +12,7 @@ from repro.errors import SimulationError
 from repro.longitudinal.campaign import LongitudinalCampaign, LongitudinalConfig
 from repro.simnet.topology import generate_topology, small_topology_config
 from repro.stream.daemon import DaemonConfig, StreamDaemon
-from repro.stream.engine import StreamConfig, StreamingEngine
+from repro.stream.engine import StreamingEngine
 
 
 def quiet_network(seed=31):
@@ -39,13 +42,6 @@ class TestDaemonConfigValidation:
         with pytest.raises(SimulationError):
             DaemonConfig(poll_interval=-1.0)
 
-    def test_zero_checkpoint_every_rejected(self):
-        with pytest.raises(SimulationError):
-            DaemonConfig(checkpoint_every=0)
-
-    def test_resume_without_previous_rejected(self):
-        with pytest.raises(SimulationError):
-            StreamDaemon(make_campaign(), StreamingEngine(), start=2)
 
 
 class TestDaemonLoop:
@@ -95,18 +91,74 @@ class TestDaemonLoop:
         restore()
         assert signal.getsignal(signal.SIGTERM) == before
 
-    def test_change_trigger_emits_inside_a_poll(self):
-        # A change threshold far below a scan size forces trigger-driven
-        # emits during sync; the explicit end-of-poll flush then only
-        # runs when the poll's tail produced no trigger.
+    def test_checkpoints_every_poll(self):
+        saved = []
+
+        class Recorder:
+            def save(self, **fields):
+                saved.append((fields["completed"], fields["last_name"]))
+
         daemon = StreamDaemon(
-            make_campaign(snapshots=2),
-            StreamingEngine(StreamConfig(emit_every_changes=50)),
-            DaemonConfig(max_polls=2),
+            make_campaign(), StreamingEngine(), DaemonConfig(max_polls=3), Recorder()
         )
+        daemon.run()
+        assert saved == [(1, "snapshot-0"), (2, "snapshot-1"), (3, "snapshot-2")]
+
+    def test_continues_from_the_stream_position(self):
+        # A daemon handed a stream that already served two polls picks up
+        # at the third: the stream is the daemon's position.
+        campaign, stream = make_campaign(), StreamingEngine()
+        StreamDaemon(campaign, stream, DaemonConfig(max_polls=2)).run()
+        daemon = StreamDaemon(campaign, stream, DaemonConfig(max_polls=2))
+        assert daemon.polls == 2
+        assert [u.name for u in daemon.run()] == ["snapshot-2", "snapshot-3"]
+        assert daemon.polls == 4
+
+    def test_sigterm_wakes_the_wait_between_polls(self):
+        daemon = StreamDaemon(
+            make_campaign(),
+            StreamingEngine(),
+            DaemonConfig(max_polls=3, poll_interval=30.0),
+        )
+        signalled_at = []
+
+        def terminate():
+            signalled_at.append(time.monotonic())
+            os.kill(os.getpid(), signal.SIGTERM)
+
+        def terminate_soon(_event):
+            threading.Timer(0.1, terminate).start()
+
+        daemon.stream.subscribe(terminate_soon, kinds={"report.emitted"})
+        restore = daemon.install_signal_handlers()
+        try:
+            updates = daemon.run()
+        finally:
+            restore()
+        assert time.monotonic() - signalled_at[0] < 2.0
+        assert daemon.stopped and len(updates) == 1
+
+    def test_stop_wakes_the_wait_between_polls(self):
+        # A stop requested while the daemon waits out its poll interval
+        # (a SIGTERM handler's included) ends the run at once.
+        daemon = StreamDaemon(
+            make_campaign(),
+            StreamingEngine(),
+            DaemonConfig(max_polls=3, poll_interval=30.0),
+        )
+        stopped_at = []
+
+        def stop():
+            stopped_at.append(time.monotonic())
+            daemon.stop()
+
+        def stop_soon(_event):
+            threading.Timer(0.1, stop).start()
+
+        daemon.stream.subscribe(stop_soon, kinds={"report.emitted"})
         updates = daemon.run()
-        assert daemon.stream.emitted == len(updates)
-        assert len(updates) >= 2
+        assert time.monotonic() - stopped_at[0] < 2.0
+        assert [update.name for update in updates] == ["snapshot-0"]
 
 
 class TestDaemonEquivalence:

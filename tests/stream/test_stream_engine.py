@@ -1,15 +1,15 @@
-"""Tests for the StreamingEngine: ingest, triggers, and batch equivalence."""
+"""Tests for the StreamingEngine: full-scan ingest, emits, and batch equivalence."""
 
 import pytest
 
 from repro.core.engine import report_signature
-from repro.errors import DatasetError, SimulationError
+from repro.errors import DatasetError
 from repro.longitudinal.campaign import LongitudinalCampaign, LongitudinalConfig
 from repro.longitudinal.engine import LongitudinalEngine
 from repro.simnet.device import ServiceType
 from repro.simnet.topology import generate_topology, small_topology_config
 from repro.sources.records import Observation
-from repro.stream.engine import StreamConfig, StreamingEngine
+from repro.stream.engine import StreamingEngine
 from repro.stream.events import ReportEmitted
 
 
@@ -39,53 +39,24 @@ def quiet_network(seed=31):
     return generate_topology(config)
 
 
-class TestStreamConfigValidation:
-    def test_zero_change_trigger_rejected(self):
-        with pytest.raises(SimulationError):
-            StreamConfig(emit_every_changes=0)
-
-    def test_non_positive_time_trigger_rejected(self):
-        with pytest.raises(SimulationError):
-            StreamConfig(emit_every_seconds=0.0)
-
-    def test_name_format_needs_placeholder(self):
-        with pytest.raises(SimulationError):
-            StreamConfig(name_format="static-name")
-
-
 class TestIngest:
-    def test_observe_tracks_service(self):
-        stream = StreamingEngine()
-        assert stream.observe(ssh("10.0.0.1", "alpha")) == ()
-        assert stream.tracked_services == 1
-        assert stream.pending_changes == 1
-
     def test_identical_reobservation_only_advances_clock(self):
         stream = StreamingEngine()
-        stream.observe(ssh("10.0.0.1", "alpha", timestamp=0.0))
-        before = stream.pending_changes
-        stream.observe(ssh("10.0.0.1", "alpha", timestamp=100.0))
-        assert stream.pending_changes == before
+        stream.sync([ssh("10.0.0.1", "alpha", timestamp=0.0)])
+        stream.flush()
+        assert stream.sync([ssh("10.0.0.1", "alpha", timestamp=100.0)]) is None
         assert stream.clock == 100.0
+        report = stream.flush().events[-1]
+        assert report.added == 0 and report.removed == 0
 
     def test_identity_change_stages_remove_plus_add(self):
         stream = StreamingEngine()
-        stream.observe(ssh("10.0.0.1", "alpha"))
-        stream.observe(ssh("10.0.0.1", "beta"))
-        assert stream.pending_changes == 3  # 1 add, then remove+add
-        assert stream.tracked_services == 1
-
-    def test_retire_unknown_service_is_noop(self):
-        stream = StreamingEngine()
-        assert stream.retire("10.0.0.1", ServiceType.SSH) == ()
-        assert stream.pending_changes == 0
-
-    def test_retire_stages_removal(self):
-        stream = StreamingEngine()
-        stream.observe(ssh("10.0.0.1", "alpha"))
-        stream.retire("10.0.0.1", ServiceType.SSH)
-        assert stream.tracked_services == 0
-        assert stream.pending_changes == 2
+        stream.sync([ssh("10.0.0.1", "alpha")])
+        stream.flush()
+        stream.sync([ssh("10.0.0.1", "beta")])
+        report = stream.flush().events[-1]
+        assert report.added == 1 and report.removed == 1
+        assert len(stream.live_observations()) == 1
 
     def test_sync_reconciles_full_scan(self):
         stream = StreamingEngine()
@@ -98,7 +69,16 @@ class TestIngest:
         assert isinstance(report, ReportEmitted)
         assert report.added == 1
         assert report.removed == 1
-        assert stream.tracked_services == 2
+        assert len(stream.live_observations()) == 2
+
+    def test_empty_scan_removes_every_service(self):
+        stream = StreamingEngine()
+        stream.sync([ssh("10.0.0.1", "alpha"), ssh("10.0.0.2", "alpha")])
+        stream.flush()
+        stream.sync([])
+        report = stream.flush().events[-1]
+        assert report.removed == 2 and report.observations == 0
+        assert stream.live_observations() == ()
 
     def test_live_observations_round_trip(self):
         stream = StreamingEngine()
@@ -117,25 +97,15 @@ class TestFlush:
 
     def test_flush_names_follow_emit_sequence(self):
         stream = StreamingEngine()
-        stream.observe(ssh("10.0.0.1"))
+        stream.sync([ssh("10.0.0.1")])
         assert stream.flush().name == "snapshot-0"
-        stream.observe(ssh("10.0.0.2"))
+        stream.sync([ssh("10.0.0.1"), ssh("10.0.0.2")])
         assert stream.flush().name == "snapshot-1"
         assert stream.emitted == 2
 
-    def test_flush_accepts_explicit_name(self):
-        stream = StreamingEngine()
-        stream.observe(ssh("10.0.0.1"))
-        assert stream.flush(name="custom").report.name == "custom"
-
-    def test_custom_name_format(self):
-        stream = StreamingEngine(StreamConfig(name_format="live-{}"))
-        stream.observe(ssh("10.0.0.1"))
-        assert stream.flush().name == "live-0"
-
     def test_flush_without_new_changes_emits_empty_window(self):
         stream = StreamingEngine()
-        stream.observe(ssh("10.0.0.1"))
+        stream.sync([ssh("10.0.0.1")])
         stream.flush()
         update = stream.flush()
         report = update.events[-1]
@@ -144,49 +114,9 @@ class TestFlush:
 
     def test_report_emitted_is_always_last_event(self):
         stream = StreamingEngine()
-        stream.observe(ssh("10.0.0.1", "alpha"))
-        stream.observe(ssh("10.0.0.2", "alpha"))
+        stream.sync([ssh("10.0.0.1", "alpha"), ssh("10.0.0.2", "alpha")])
         update = stream.flush()
         assert isinstance(update.events[-1], ReportEmitted)
-
-
-class TestChangeTrigger:
-    def test_emits_once_threshold_reached(self):
-        stream = StreamingEngine(StreamConfig(emit_every_changes=2))
-        assert stream.observe(ssh("10.0.0.1", "alpha")) == ()
-        updates = stream.observe(ssh("10.0.0.2", "alpha"))
-        assert len(updates) == 1
-        assert updates[0].name == "snapshot-0"
-        assert stream.pending_changes == 0
-
-    def test_batch_is_atomic(self):
-        stream = StreamingEngine(StreamConfig(emit_every_changes=2))
-        updates = stream.observe_batch(
-            [ssh("10.0.0.1"), ssh("10.0.0.2", "b"), ssh("10.0.0.3", "c")]
-        )
-        # One emit after the whole batch, not one per threshold crossing.
-        assert len(updates) == 1
-        assert updates[0].events[-1].added == 3
-
-
-class TestTimeTrigger:
-    def test_boundary_crossing_emits_pre_boundary_state(self):
-        stream = StreamingEngine(StreamConfig(emit_every_seconds=100.0))
-        stream.observe(ssh("10.0.0.1", "alpha", timestamp=0.0))
-        assert stream.observe(ssh("10.0.0.2", "beta", timestamp=50.0)) == ()
-        updates = stream.observe(ssh("10.0.0.3", "gamma", timestamp=120.0))
-        assert len(updates) == 1
-        # The emitted report holds only the pre-boundary observations.
-        assert updates[0].events[-1].observations == 2
-
-    def test_aligned_boundaries_skip_quiet_intervals(self):
-        stream = StreamingEngine(StreamConfig(emit_every_seconds=100.0))
-        stream.observe(ssh("10.0.0.1", "alpha", timestamp=0.0))
-        updates = stream.observe(ssh("10.0.0.2", "beta", timestamp=950.0))
-        assert len(updates) == 1  # one emit, not nine
-        # Next boundary is aligned past the incoming timestamp.
-        assert stream.observe(ssh("10.0.0.3", "gamma", timestamp=990.0)) == ()
-        assert len(stream.observe(ssh("10.0.0.4", "delta", timestamp=1000.0))) == 1
 
 
 class TestBatchEquivalence:
@@ -211,7 +141,7 @@ class TestBatchEquivalence:
         previous = None
         for poll in range(snapshots):
             capture = streamed.capture(poll, previous)
-            assert stream.sync(capture.observations) == ()
+            assert stream.sync(capture.observations) is None
             updates.append(stream.flush())
             previous = capture.observations
 

@@ -591,11 +591,6 @@ class TestServe:
         assert exit_code == 2
         assert "--poll-interval" in capsys.readouterr().err
 
-    def test_serve_rejects_zero_emit_every_changes(self, capsys):
-        exit_code = main(["serve", "--scale", "0.05", "--emit-every-changes", "0"])
-        assert exit_code == 2
-        assert "--emit-every-changes" in capsys.readouterr().err
-
     def test_serve_checkpoint_then_resume(self, capsys, tmp_path):
         checkpoint = tmp_path / "stream"
         base = ["serve", "--scale", "0.05", "--seed", "3", "--churn", "0.05",
@@ -637,6 +632,34 @@ class TestServe:
         exit_code = main(["serve", "--max-batches", "2", "--resume", str(checkpoint)])
         assert exit_code == 2
         assert "scale" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda manifest: manifest["window"].update(emitted=1), "emitted 1 reports over 2 polls"),
+            (lambda manifest: manifest.update(last_name="live-1"), "'live-1', expected 'snapshot-1'"),
+        ],
+        ids=["emitted-behind", "foreign-label"],
+    )
+    def test_serve_resume_not_one_emit_per_poll_exits_cleanly(
+        self, capsys, tmp_path, edit, message
+    ):
+        # A stream emits one snapshot-<poll> report per poll; a checkpoint
+        # whose emit count or last label says otherwise is refused.
+        checkpoint = tmp_path / "stream"
+        assert main(
+            ["serve", "--scale", "0.05", "--seed", "7", "--max-batches", "2",
+             "--ipv4-only", "--checkpoint", str(checkpoint)]
+        ) == 0
+        capsys.readouterr()
+        manifest = json.loads((checkpoint / "stream.json").read_text())
+        edit(manifest)
+        (checkpoint / "stream.json").write_text(json.dumps(manifest))
+        exit_code = main(["serve", "--max-batches", "3", "--resume", str(checkpoint)])
+        assert exit_code == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert "Traceback" not in captured.err
 
     def test_serve_resume_missing_checkpoint(self, capsys, tmp_path):
         exit_code = main(["serve", "--resume", str(tmp_path / "absent")])
