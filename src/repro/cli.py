@@ -420,14 +420,16 @@ def _add_interval_days_flag(
 def _campaign_rate_error(args: argparse.Namespace) -> str | None:
     """Usage error in the shared campaign-shape flags, if any.
 
-    ``--interval-days`` must be positive and ``--churn`` inside [0, 1) —
-    the same bounds :class:`~repro.longitudinal.campaign.LongitudinalConfig`
-    enforces, rejected here as a usage error (exit code 2) instead of a
-    traceback.
+    ``--interval-days`` must be positive and finite, also once converted
+    to seconds, and ``--churn`` inside [0, 1) — the same bounds
+    :class:`~repro.longitudinal.campaign.LongitudinalConfig` enforces,
+    rejected here as a usage error (exit code 2) instead of a traceback.
     """
     interval_days = getattr(args, "interval_days", None)
-    if interval_days is not None and interval_days <= 0:
-        return f"--interval-days must be positive (got {interval_days})"
+    if interval_days is not None and not (
+        interval_days > 0 and math.isfinite(interval_days * 86400.0)
+    ):
+        return f"--interval-days must be positive and finite (got {interval_days})"
     churn = getattr(args, "churn", None)
     if churn is not None and not 0.0 <= churn < 1.0:
         return f"--churn must be in [0, 1) (got {churn})"

@@ -10,8 +10,8 @@ This package implements the paper's technique proper:
   union the per-protocol results.
 * :mod:`repro.core.dual_stack` — merge IPv4 and IPv6 groups sharing an
   identifier into dual-stack sets.
-* :mod:`repro.core.validation` — cross-protocol and cross-technique
-  partition comparison.
+* :mod:`repro.core.validation` — cross-protocol partition comparison and
+  ground-truth scoring.
 * :mod:`repro.core.engine` — the single-pass resolution engine: one
   :class:`~repro.core.engine.ObservationIndex` pass extracts each
   identifier exactly once, then per-protocol collections, cross-protocol

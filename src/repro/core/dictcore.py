@@ -162,15 +162,6 @@ class DictObservationIndex:
         for observation in observations:
             self.add(observation)
 
-    def apply_delta(
-        self, removed: Iterable[Observation], added: Iterable[Observation]
-    ) -> None:
-        """Replay an observation delta: removals first, then additions."""
-        for observation in removed:
-            self.remove(observation)
-        for observation in added:
-            self.add(observation)
-
     def consume_dirty(self) -> dict[_BucketKey, set[str]]:
         """Return and clear the identifiers touched since the last drain."""
         dirty = {key: set(values) for key, values in self._dirty.items() if values}

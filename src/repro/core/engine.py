@@ -385,8 +385,8 @@ class ObservationIndex:
         """Publish symbol-table and dirty-set level gauges.
 
         Called at batch seams only (never per observation) so the enabled
-        cost stays a handful of dict operations per ``extend``/
-        ``apply_delta``, and the disabled cost is one boolean check.
+        cost stays a handful of dict operations per ``extend``, and the
+        disabled cost is one boolean check.
         """
         if not obs.is_enabled():
             return
@@ -412,34 +412,6 @@ class ObservationIndex:
         obs.add("index.observations.observed", self._observed - observed_before)
         obs.add("index.observations.indexed", self._indexed - indexed_before)
         self._publish_gauges()
-        obs.emit(
-            "index.ingest",
-            observations=self._observed - observed_before,
-            indexed=self._indexed - indexed_before,
-        )
-
-    def apply_delta(
-        self, removed: Iterable[Observation], added: Iterable[Observation]
-    ) -> None:
-        """Replay an observation delta: removals first, then additions."""
-        if not obs.is_enabled():
-            for observation in removed:
-                self.remove(observation)
-            for observation in added:
-                self.add(observation)
-            return
-        dropped = 0
-        for observation in removed:
-            self.remove(observation)
-            dropped += 1
-        grown = 0
-        for observation in added:
-            self.add(observation)
-            grown += 1
-        obs.add("index.delta.removed", dropped)
-        obs.add("index.delta.added", grown)
-        self._publish_gauges()
-        obs.emit("index.delta", removed=dropped, added=grown)
 
     # ------------------------------------------------------------------ #
     # Incremental-consumer accessors
@@ -659,10 +631,10 @@ def assemble_report(
 ) -> AliasReport:
     """Build the cross-protocol unions and assemble an :class:`AliasReport`.
 
-    Shared by :class:`ResolutionEngine` (which derives the per-protocol
-    collections from a fresh index) and the longitudinal engine (which
-    maintains them incrementally): both produce reports through the same
-    union algebra, so their outputs are directly comparable.
+    :meth:`ResolutionEngine.report` hands it the per-protocol collections
+    it derived from a fresh index.  The longitudinal engine maintains its
+    collections and unions incrementally and builds its own
+    :class:`AliasReport` from them.
     """
     ipv4_union = AliasResolver.union(ipv4.values(), name=f"{name}:union:ipv4")
     ipv6_union = AliasResolver.union(ipv6.values(), name=f"{name}:union:ipv6")

@@ -1,14 +1,12 @@
-"""Cross-technique validation of alias sets.
+"""Cross-protocol validation of alias sets.
 
-The paper validates its sets in two ways, both implemented here on top of a
-single partition-comparison primitive:
-
-* **cross-protocol** — restrict two techniques to the addresses responsive
-  to both, and check whether each set of technique A, projected onto those
-  common addresses, is exactly one set of technique B (a "perfect match").
-* **against MIDAR** — the same comparison, with the IPID-based baseline's
-  output standing in for technique B and the additional notion of *coverage*
-  (MIDAR can only test targets with a usable IPID counter).
+:func:`cross_validate` restricts two techniques to the addresses
+responsive to both, and checks whether each set of technique A, projected
+onto those common addresses, is exactly one set of technique B (a
+"perfect match").  The paper's other validation, against MIDAR's IPID
+corroboration, runs in :mod:`repro.validation`.
+:func:`ground_truth_accuracy` scores a collection against the simulator's
+true alias sets.
 """
 
 from __future__ import annotations
@@ -91,35 +89,6 @@ def cross_validate(
         agree=agree,
         disagree=sample_size - agree,
     )
-
-
-def validate_against_reference(
-    collection: AliasSetCollection,
-    reference_sets: Iterable[frozenset[str]],
-    reference_name: str = "reference",
-    min_set_size: int = 2,
-) -> ValidationResult:
-    """Compare a collection against raw reference sets (e.g. MIDAR output).
-
-    Only the addresses covered by the reference participate: the reference is
-    assumed to have tested exactly those addresses.
-    """
-    reference_list = [frozenset(s) for s in reference_sets]
-    reference_collection = AliasSetCollection(
-        reference_name,
-        [
-            # Reuse AliasSet only for its address container behaviour.
-            _as_alias_set(index, members)
-            for index, members in enumerate(reference_list)
-        ],
-    )
-    return cross_validate(collection, reference_collection, min_set_size=min_set_size)
-
-
-def _as_alias_set(index: int, members: frozenset[str]):
-    from repro.core.aliasset import AliasSet
-
-    return AliasSet(identifier=f"{index}", addresses=members, protocols=frozenset())
 
 
 def ground_truth_accuracy(

@@ -8,10 +8,10 @@ randomness in deterministic packages, ``sorted()`` before anything set-shaped
 reaches a rendering or hashing sink, manifest-last atomic writes, the
 ``obs.is_enabled()`` fast path, frozen spec dataclasses, and typed errors
 on persistence paths.  This package encodes those conventions as AST rules
-(:mod:`repro.devtools.rules`) with inline suppressions
-(:mod:`repro.devtools.suppress`), a committed baseline for grandfathered
-findings (:mod:`repro.devtools.baseline`), and a runner + CLI
-(:mod:`repro.devtools.runner`, ``repro lint``) wired into CI.
+(:mod:`repro.devtools.rules`) and a runner + CLI
+(:mod:`repro.devtools.runner`, ``repro lint``) wired into CI.  There are
+no inline suppressions and no baseline of grandfathered findings: a false
+positive is fixed in the rule.
 """
 
 from __future__ import annotations

@@ -13,10 +13,8 @@ import json
 import sys
 from pathlib import Path
 
-from repro.devtools.baseline import DEFAULT_BASELINE_NAME
 from repro.devtools.rules import ALL_RULES
-from repro.devtools.runner import lint_paths, load_baseline
-from repro.errors import DatasetError
+from repro.devtools.runner import lint_paths
 
 
 def add_lint_parser(subparsers: "argparse._SubParsersAction") -> None:
@@ -45,19 +43,6 @@ def add_lint_parser(subparsers: "argparse._SubParsersAction") -> None:
         help="report format (default text)",
     )
     lint.add_argument(
-        "--baseline",
-        type=Path,
-        default=None,
-        metavar="FILE",
-        help="baseline file for grandfathered findings "
-        f"(default: {DEFAULT_BASELINE_NAME} under --root, when present)",
-    )
-    lint.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore any baseline file and report every finding",
-    )
-    lint.add_argument(
         "--list-rules",
         action="store_true",
         help="list the registered rules and exit",
@@ -76,19 +61,7 @@ def run_lint(args: argparse.Namespace) -> int:
     if missing:
         print(f"lint path(s) do not exist: {', '.join(missing)}", file=sys.stderr)
         return 2
-    baseline_path = args.baseline
-    if baseline_path is None and not args.no_baseline:
-        candidate = root / DEFAULT_BASELINE_NAME
-        if candidate.exists():
-            baseline_path = candidate
-    if args.no_baseline:
-        baseline_path = None
-    try:
-        baseline = load_baseline(baseline_path)
-        result = lint_paths(paths, root=root, baseline=baseline)
-    except DatasetError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    result = lint_paths(paths, root=root)
     if args.format == "json":
         print(json.dumps(result.to_json(), indent=2))
     else:

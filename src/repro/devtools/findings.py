@@ -17,9 +17,8 @@ from pathlib import Path
 class Finding:
     """One rule violation at one source location.
 
-    ``snippet`` carries the stripped source line, which doubles as the
-    content fingerprint baseline entries match against (line numbers drift;
-    line content rarely does).
+    ``snippet`` carries the stripped source line, so the JSON report shows
+    the offending code without a second read of the file.
     """
 
     path: str
@@ -60,7 +59,6 @@ class ModuleUnderLint:
 
     path: str
     module: str
-    source: str
     tree: ast.Module
     lines: tuple[str, ...]
 
@@ -70,7 +68,6 @@ class ModuleUnderLint:
         return cls(
             path=path,
             module=module,
-            source=source,
             tree=ast.parse(source, filename=path),
             lines=tuple(source.splitlines()),
         )

@@ -25,7 +25,6 @@ __all__ = [
     "Rule",
     "SortedBeforeRender",
     "TypedErrors",
-    "rule_ids",
 ]
 
 #: Every rule, in documentation order.
@@ -38,8 +37,3 @@ ALL_RULES: tuple[Rule, ...] = (
     FrozenSpec(),
     TypedErrors(),
 )
-
-
-def rule_ids() -> tuple[str, ...]:
-    """The stable rule identifiers, in documentation order."""
-    return tuple(rule.rule_id for rule in ALL_RULES)

@@ -1,9 +1,9 @@
 """The obs-fast-path rule.
 
-Instrumentation helpers (``obs.add``/``set_gauge``/``emit``)
-each check the module-level enable switch internally, but a *call site*
-still pays argument construction — f-strings, label dicts — before the
-check.  The codebase convention keeps hot seams free of that cost: every
+Instrumentation helpers (``obs.add``/``set_gauge``) each check the
+module-level enable switch internally, but a *call site* still pays
+argument construction — f-strings, label dicts — before the check.  The
+codebase convention keeps hot seams free of that cost: every
 recording call outside :mod:`repro.obs` sits behind the boolean guard,
 either lexically::
 
@@ -35,7 +35,6 @@ GUARDED_CALLS: frozenset[str] = frozenset(
     {
         "repro.obs.add",
         "repro.obs.set_gauge",
-        "repro.obs.emit",
     }
 )
 
@@ -75,7 +74,7 @@ class ObsFastPath(Rule):
 
     rule_id = "obs-fast-path"
     description = (
-        "obs.add/set_gauge/emit call sites need the is_enabled() guard"
+        "obs.add/set_gauge call sites need the is_enabled() guard"
     )
     fixit = (
         "wrap the call in `if obs.is_enabled():` (or put it after an "

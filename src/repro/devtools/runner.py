@@ -1,9 +1,9 @@
-"""The repro-lint runner: collect files, run rules, apply filters.
+"""The repro-lint runner: collect files and run every rule over them.
 
-:func:`lint_paths` is the whole pipeline — parse each file, run every
-rule, drop inline-suppressed findings, subtract the baseline, and fold
-baseline staleness back in as findings — and :func:`lint_source` is the
-single-snippet form the fixture tests use.
+:func:`lint_paths` is the whole pipeline — parse each file and run every
+rule — and :func:`lint_source` is the single-snippet form the fixture
+tests use.  Nothing suppresses or grandfathers a finding: a false
+positive is fixed in the rule.
 """
 
 from __future__ import annotations
@@ -12,14 +12,8 @@ import dataclasses
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-from repro.devtools.baseline import Baseline
 from repro.devtools.findings import Finding, ModuleUnderLint, module_name_for
-from repro.devtools.rules import ALL_RULES, Rule, rule_ids
-from repro.devtools.suppress import apply_suppressions
-from repro.errors import DatasetError
-
-#: Rule ids the runner itself can report, beyond the rule set.
-RUNNER_RULES = ("parse-error",)
+from repro.devtools.rules import ALL_RULES, Rule
 
 
 @dataclasses.dataclass(frozen=True)
@@ -28,8 +22,6 @@ class LintResult:
 
     findings: tuple[Finding, ...]
     checked_files: int
-    suppressed: int
-    baselined: int
 
     @property
     def clean(self) -> bool:
@@ -48,21 +40,13 @@ class LintResult:
                 for rule in ALL_RULES
             ],
             "findings": [finding.to_json() for finding in self.findings],
-            "summary": {
-                "files": self.checked_files,
-                "reported": len(self.findings),
-                "suppressed": self.suppressed,
-                "baselined": self.baselined,
-            },
+            "summary": {"files": self.checked_files, "reported": len(self.findings)},
         }
 
     def render_text(self) -> str:
         """The ``repro lint`` text report (deterministic ordering)."""
         lines = [finding.render() for finding in self.findings]
-        lines.append(
-            f"{len(self.findings)} finding(s) in {self.checked_files} file(s)"
-            f" ({self.suppressed} suppressed, {self.baselined} baselined)"
-        )
+        lines.append(f"{len(self.findings)} finding(s) in {self.checked_files} file(s)")
         return "\n".join(lines)
 
 
@@ -85,13 +69,9 @@ def iter_python_files(paths: Sequence[Path]) -> Iterator[Path]:
 
 def lint_module(
     module: ModuleUnderLint, rules: Sequence[Rule] = ALL_RULES
-) -> tuple[list[Finding], int]:
-    """Run ``rules`` over one parsed module, applying inline suppressions."""
-    findings: list[Finding] = []
-    for rule in rules:
-        findings.extend(rule.check(module))
-    known = frozenset(rule.rule_id for rule in rules)
-    return apply_suppressions(module, findings, known)
+) -> list[Finding]:
+    """Run ``rules`` over one parsed module."""
+    return [finding for rule in rules for finding in rule.check(module)]
 
 
 def lint_source(
@@ -103,15 +83,13 @@ def lint_source(
 ) -> list[Finding]:
     """Lint one source snippet under an explicit module name (test helper)."""
     parsed = ModuleUnderLint.from_source(source, module=module, path=path)
-    findings, _ = lint_module(parsed, rules)
-    return sorted(findings)
+    return sorted(lint_module(parsed, rules))
 
 
 def lint_paths(
     paths: Sequence[Path],
     *,
     root: Path,
-    baseline: Baseline | None = None,
     rules: Sequence[Rule] = ALL_RULES,
 ) -> LintResult:
     """Lint every Python file under ``paths``.
@@ -121,7 +99,6 @@ def lint_paths(
     crashing the run: a syntax error is a finding too.
     """
     findings: list[Finding] = []
-    suppressed = 0
     checked = 0
     for file_path in iter_python_files(paths):
         checked += 1
@@ -145,31 +122,8 @@ def lint_paths(
                 )
             )
             continue
-        kept, file_suppressed = lint_module(parsed, rules)
-        findings.extend(kept)
-        suppressed += file_suppressed
-    baselined = 0
-    if baseline is not None:
-        findings, baselined, problems = baseline.apply(findings)
-        findings.extend(problems)
-    return LintResult(
-        findings=tuple(sorted(findings)),
-        checked_files=checked,
-        suppressed=suppressed,
-        baselined=baselined,
-    )
-
-
-def load_baseline(path: Path | None) -> Baseline | None:
-    """Load the baseline when a path is given (missing file is an error)."""
-    if path is None:
-        return None
-    return Baseline.load(path)
-
-
-def known_rule_ids() -> tuple[str, ...]:
-    """Every rule id the runner can emit (rule set + runner-internal)."""
-    return rule_ids() + RUNNER_RULES
+        findings.extend(lint_module(parsed, rules))
+    return LintResult(findings=tuple(sorted(findings)), checked_files=checked)
 
 
 def _relative_posix(path: Path, root: Path) -> str:
@@ -181,11 +135,8 @@ def _relative_posix(path: Path, root: Path) -> str:
 
 __all__ = [
     "LintResult",
-    "DatasetError",
     "iter_python_files",
-    "known_rule_ids",
     "lint_module",
     "lint_paths",
     "lint_source",
-    "load_baseline",
 ]

@@ -26,6 +26,7 @@ from pathlib import Path
 from repro.core.aliasset import AliasSet, AliasSetCollection
 from repro.errors import DatasetError
 from repro.io.jsonl import read_jsonl, write_jsonl
+from repro.net.addresses import family_of
 from repro.simnet.device import ServiceType
 from repro.sources.records import Observation, ObservationDataset
 
@@ -95,12 +96,23 @@ def observation_from_dict(record: dict) -> Observation:
     :func:`observation_to_dict`)."""
     if not isinstance(record, dict):
         raise DatasetError(f"malformed observation record (not an object): {record!r}")
+    address = record.get("address")
+    if not isinstance(address, str):
+        raise DatasetError(
+            f"malformed observation record (address {address!r} is not a string): {record!r}"
+        )
+    try:
+        family_of(address)  # cached: the index asks again on add
+    except ValueError as exc:
+        raise DatasetError(
+            f"malformed observation record (address {address!r} is not an IP address): {record!r}"
+        ) from exc
     asn = record.get("asn")
     if asn is not None:
         asn = _coerce_int(asn, "asn", record)
     try:
         return Observation(
-            address=record["address"],
+            address=address,
             protocol=ServiceType(record["protocol"]),
             source=record["source"],
             port=_coerce_int(record["port"], "port", record),

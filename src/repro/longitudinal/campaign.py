@@ -19,6 +19,7 @@ re-running the simulated scans.
 from __future__ import annotations
 
 import dataclasses
+import math
 import random
 from typing import Iterable
 
@@ -61,8 +62,10 @@ class LongitudinalConfig:
             raise SimulationError("a campaign needs at least one snapshot")
         if not 0.0 <= self.churn_fraction < 1.0:
             raise SimulationError("churn_fraction must be in [0, 1)")
-        if self.interval <= 0:
-            raise SimulationError("interval must be positive")
+        if not (self.interval > 0 and math.isfinite(self.interval)):
+            raise SimulationError(
+                f"interval must be positive and finite (got {self.interval})"
+            )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -473,7 +476,6 @@ class LongitudinalCampaign:
                 obs.metrics().append_series(CAMPAIGN_SERIES, row)
                 obs.add("campaign.snapshots.resolved", 1)
                 obs.add("campaign.observations", row["observations"])
-                obs.emit("campaign.snapshot", **row)
             if checkpointer is not None:
                 checkpointer.save(self, engine, resolved)
         return CampaignResult(config=self._config, snapshots=tuple(resolutions))

@@ -73,7 +73,7 @@ def diff_observations(
     one of the older copies is emitted as removed.  Replaying ``removed``
     then ``added`` against an index of ``previous`` yields an index equal
     to one built from ``current`` (see
-    :meth:`repro.core.engine.ObservationIndex.apply_delta`).
+    :meth:`repro.longitudinal.engine.LongitudinalEngine.stage`).
 
     Observations are bucketed by the cheap ``(address, protocol)`` pair
     first; the expensive identifier-field comparison happens only within a

@@ -5,8 +5,6 @@ implementations, the scanner, and the simulated Internet:
 
 * :mod:`repro.net.addresses` — IPv4/IPv6 address and prefix helpers built on
   the standard :mod:`ipaddress` module.
-* :mod:`repro.net.packet` — probe and response packet models.
-* :mod:`repro.net.tcp` — a simplified TCP handshake/session model.
 * :mod:`repro.net.icmp` — ICMP message model (port unreachable, echo reply).
 * :mod:`repro.net.ipid` — IPID counter models used by the IPID-based
   alias-resolution baselines (MIDAR, Ally, Speedtrap).
@@ -34,8 +32,6 @@ from repro.net.ipid import (
     PerInterfaceIpidCounter,
     RandomIpidCounter,
 )
-from repro.net.packet import ProbePacket, ProbeType, ResponsePacket, ResponseType
-from repro.net.tcp import TcpFlags, TcpPolicy, TcpSegment, handshake_response
 
 __all__ = [
     "AddressFamily",
@@ -58,12 +54,4 @@ __all__ = [
     "RandomIpidCounter",
     "ConstantIpidCounter",
     "HighVelocityIpidCounter",
-    "ProbePacket",
-    "ProbeType",
-    "ResponsePacket",
-    "ResponseType",
-    "TcpFlags",
-    "TcpPolicy",
-    "TcpSegment",
-    "handshake_response",
 ]

@@ -1,4 +1,4 @@
-"""Unified observability layer: metrics, spans, and structured events.
+"""Unified observability layer: metrics and spans.
 
 Every instrumented seam in the pipeline funnels through this module's
 helpers, and every helper checks one module-level boolean first::
@@ -6,7 +6,7 @@ helpers, and every helper checks one module-level boolean first::
     from repro import obs
 
     obs.add("index.observations.indexed", len(batch))
-    with obs.span("index.build", transport="fork"):
+    with obs.span("session.report", name="union"):
         ...
 
 With observability **disabled** (the default) each call is a boolean check
@@ -34,30 +34,25 @@ from __future__ import annotations
 import contextlib
 from typing import Iterator
 
-from repro.obs.events import EventSink
 from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import NOOP_SPAN, TRACER
 
 __all__ = [
-    "EventSink",
     "MetricsRegistry",
     "add",
     "disable",
-    "emit",
     "enable",
     "is_enabled",
     "metrics",
     "observed",
     "reset",
     "set_gauge",
-    "set_sink",
     "span",
     "trace",
 ]
 
 _ENABLED = False
 _REGISTRY = MetricsRegistry()
-_SINK: EventSink | None = None
 
 
 def metrics() -> MetricsRegistry:
@@ -92,33 +87,22 @@ def reset() -> MetricsRegistry:
     return _REGISTRY
 
 
-def set_sink(sink: EventSink | None) -> EventSink | None:
-    """Install (or clear) the structured event sink; returns the old one."""
-    global _SINK
-    previous, _SINK = _SINK, sink
-    return previous
-
-
 @contextlib.contextmanager
-def observed(
-    registry: MetricsRegistry | None = None,
-    sink: EventSink | None = None,
-) -> Iterator[MetricsRegistry]:
+def observed(registry: MetricsRegistry | None = None) -> Iterator[MetricsRegistry]:
     """Record into a fresh (or given) registry for one scope, then restore.
 
-    Whatever enable state, registry, and sink were active before the
-    ``with`` block are reinstated afterwards, so scopes nest safely and a
-    library caller cannot leak state into the host process.
+    Whatever enable state and registry were active before the ``with``
+    block are reinstated afterwards, so scopes nest safely and a library
+    caller cannot leak state into the host process.
     """
-    global _ENABLED, _REGISTRY, _SINK
-    previous = (_ENABLED, _REGISTRY, _SINK)
+    global _ENABLED, _REGISTRY
+    previous = (_ENABLED, _REGISTRY)
     _REGISTRY = registry if registry is not None else MetricsRegistry()
-    _SINK = sink if sink is not None else _SINK
     _ENABLED = True
     try:
         yield _REGISTRY
     finally:
-        _ENABLED, _REGISTRY, _SINK = previous
+        _ENABLED, _REGISTRY = previous
 
 
 # --------------------------------------------------------------------- #
@@ -134,12 +118,6 @@ def set_gauge(name: str, value: float, **labels: object) -> None:
     """Set a gauge (no-op when disabled)."""
     if _ENABLED:
         _REGISTRY.set_gauge(name, value, **labels)
-
-
-def emit(event: str, **fields: object) -> None:
-    """Write a structured event to the sink (no-op when disabled/unset)."""
-    if _ENABLED and _SINK is not None:
-        _SINK.emit(event, **fields)
 
 
 def span(_span_name: str, **attrs: object):

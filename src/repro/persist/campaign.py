@@ -124,9 +124,14 @@ class LoadedCheckpoint(LoadedChain):
 
 
 def _campaign_fields(manifest: dict) -> dict:
+    stability = manifest["stability"]
+    if not isinstance(stability, dict):
+        raise PersistError(
+            f"malformed campaign checkpoint manifest: stability is not an object ({stability!r})"
+        )
     return {
         "stability": {
-            tag: [SnapshotStability(**row) for row in manifest["stability"].get(tag, ())]
+            tag: [SnapshotStability(**row) for row in stability.get(tag, ())]
             for tag in _FAMILY_TAGS.values()
         },
         "metric_series": [dict(row) for row in manifest.get("metric_series", ())],

@@ -313,7 +313,7 @@ class CheckpointChain:
             ]
         except PersistError:
             raise
-        except (KeyError, TypeError, ValueError, SimulationError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError, SimulationError) as exc:
             raise PersistError(f"malformed {cls.kind} manifest {manifest_path}: {exc}") from exc
         try:
             dataset = load_observations(directory / observations_file)

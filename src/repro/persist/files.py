@@ -6,7 +6,8 @@ JSON document is read through one helper so missing files, unreadable
 files and invalid JSON all surface as :class:`~repro.errors.PersistError`
 with consistent wording.  A document whose signature a manifest pins is
 read through :func:`read_pinned_document`, which is how every loader
-detects a save torn between a data file and its manifest.
+detects a save torn between a data file and its manifest.  Source and
+validator spec trees are read through :func:`read_spec`.
 """
 
 from __future__ import annotations
@@ -14,12 +15,17 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Callable, TypeVar
 
 from repro.errors import PersistError
 
 if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.sources.records import ObservationDataset
+
+SpecT = TypeVar("SpecT")
+
+#: The value types a spec parameter may hold (the specs' ``ParamValue``).
+_PARAM_TYPES = (str, int, float, bool)
 
 
 def write_atomic(path: str | Path, text: str) -> None:
@@ -85,3 +91,36 @@ def read_pinned_document(
             f"the {owner} was likely torn mid-save"
         )
     return document
+
+
+def read_spec(spec_type: Callable[..., SpecT], document: object, what: str) -> SpecT:
+    """Rebuild a source or validator spec tree from its document form.
+
+    Only what the spec contract allows loads: ``kind`` a string, ``label``
+    a string or null, and ``params`` a list of ``[str, str|int|float|bool]``
+    pairs.  Anything else raises PersistError here, rather than a
+    ``TypeError`` once an unhashable spec keys a session cache.
+    """
+    if isinstance(document, dict):
+        kind, label = document.get("kind"), document.get("label")
+        params, inputs = document.get("params", []), document.get("inputs", [])
+        if (
+            isinstance(kind, str)
+            and (label is None or isinstance(label, str))
+            and isinstance(params, list)
+            and isinstance(inputs, list)
+            and all(
+                isinstance(pair, list)
+                and len(pair) == 2
+                and isinstance(pair[0], str)
+                and isinstance(pair[1], _PARAM_TYPES)
+                for pair in params
+            )
+        ):
+            return spec_type(
+                kind=kind,
+                params=tuple((key, value) for key, value in params),
+                inputs=tuple(read_spec(spec_type, entry, what) for entry in inputs),
+                label=label,
+            )
+    raise PersistError(f"malformed {what} document: {document!r}")

@@ -7,7 +7,8 @@ A saved session is a directory:
   and one entry per cached dataset and report (each carrying its
   declarative :class:`~repro.api.sources.SourceSpec` tree).
 * ``datasets/GGGG-PPP.jsonl`` — one JSON-lines file per cached dataset
-  (the byte-faithful observation round-trip of :mod:`repro.io.datasets`).
+  (the byte-faithful observation round-trip of :mod:`repro.io.datasets`),
+  pinned by the SHA-256 digest of its bytes.
 * ``reports/GGGG-PPP.json`` — one document per cached report
   (:mod:`repro.persist.report`), signature-verified on load.
 * ``validations/GGGG-PPP.json`` — one document per cached validation
@@ -35,6 +36,7 @@ restored session composes exactly like the live one did.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import re
 from pathlib import Path
@@ -49,6 +51,7 @@ from repro.persist.bank import bank_state_from_document, bank_state_to_document
 from repro.persist.files import (
     read_json_document,
     read_pinned_document,
+    read_spec,
     save_observations_atomic,
     write_atomic,
 )
@@ -85,17 +88,7 @@ def spec_to_document(spec: SourceSpec) -> dict:
 
 def spec_from_document(document: dict) -> SourceSpec:
     """Rebuild a spec tree from its document form."""
-    try:
-        return SourceSpec(
-            kind=document["kind"],
-            params=tuple((key, value) for key, value in document.get("params", [])),
-            inputs=tuple(
-                spec_from_document(entry) for entry in document.get("inputs", [])
-            ),
-            label=document.get("label"),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise PersistError(f"malformed source spec document: {document!r}") from exc
+    return read_spec(SourceSpec, document, "source spec")
 
 
 def save_session(session: "ReproSession", directory: str | Path) -> Path:
@@ -114,8 +107,8 @@ def save_session(session: "ReproSession", directory: str | Path) -> Path:
 
     # Every file lands atomically under a name the manifest on disk does not
     # use, and the manifest lands last; it additionally pins each data
-    # file's identity (dataset header name and count, report signature
-    # digest), so a mismatched file fails loudly on load.
+    # file's identity (dataset header name, count and content digest,
+    # report signature digest), so a mismatched file fails loudly on load.
     dataset_entries = []
     for position, (spec, dataset) in enumerate(session.cached_datasets().items()):
         relative = data_file("datasets", position)
@@ -126,6 +119,7 @@ def save_session(session: "ReproSession", directory: str | Path) -> Path:
                 "file": relative,
                 "name": dataset.name,
                 "count": count,
+                "digest": _file_digest(directory / relative),
             }
         )
     report_entries = []
@@ -194,6 +188,19 @@ def save_session(session: "ReproSession", directory: str | Path) -> Path:
     return directory
 
 
+def _file_digest(path: Path) -> str:
+    """SHA-256 of a file's bytes: a dataset file's content pin."""
+    with open(path, "rb") as handle:
+        return hashlib.file_digest(handle, "sha256").hexdigest()
+
+
+def _name(value: object) -> str:
+    """A manifest entry's cache name, which must be a string."""
+    if not isinstance(value, str):
+        raise PersistError(f"malformed session manifest: entry name {value!r} is not a string")
+    return value
+
+
 def _saved_generation(directory: Path) -> int:
     """The generation of the session saved in ``directory`` (0 for none).
 
@@ -213,8 +220,9 @@ def load_session(directory: str | Path) -> "ReproSession":
     Raises:
         PersistError: when the directory is not a saved session, the format
             version is unsupported, the manifest or one of its entries is
-            malformed, a dataset's observation count or header name differs
-            from the manifest, or a report fails signature verification.
+            malformed, a dataset's observation count, header name or content
+            digest differs from the manifest, or a report fails signature
+            verification.
     """
     from repro.api.session import ReproSession
 
@@ -229,19 +237,27 @@ def load_session(directory: str | Path) -> "ReproSession":
             raise PersistError(f"unsupported session format version {version!r}")
         config = ScenarioConfig(**manifest["config"])
         options = IdentifierOptions(**manifest["options"])
+        # ``digest`` is absent in sessions saved before datasets were
+        # pinned by content; they load on name and count alone.
         datasets = [
-            (spec_from_document(entry["spec"]), str(entry["file"]), entry.get("name"), entry.get("count"))
+            (
+                spec_from_document(entry["spec"]),
+                str(entry["file"]),
+                entry.get("name"),
+                entry.get("count"),
+                entry.get("digest"),
+            )
             for entry in manifest["datasets"]
         ]
         reports = [
-            (spec_from_document(entry["spec"]), entry["name"], str(entry["file"]), entry.get("signature"))
+            (spec_from_document(entry["spec"]), _name(entry["name"]), str(entry["file"]), entry.get("signature"))
             for entry in manifest["reports"]
         ]
         # Absent in pre-validation-subsystem sessions; they load fine.
         validations = [
             (
                 validator_spec_from_document(entry["spec"]),
-                entry["name"],
+                _name(entry["name"]),
                 str(entry["file"]),
                 entry.get("signature"),
             )
@@ -254,13 +270,20 @@ def load_session(directory: str | Path) -> "ReproSession":
     except (KeyError, TypeError, ValueError) as exc:
         raise PersistError(f"malformed session manifest {manifest_path}: {exc}") from exc
     session = ReproSession(config, options)
-    for spec, file, expected_name, expected_count in datasets:
+    for spec, file, expected_name, expected_count, expected_digest in datasets:
         try:
             dataset = load_observations(directory / file)
         except PersistError:
             raise
         except DatasetError as exc:
             raise PersistError(f"dataset {file} is unreadable: {exc}") from exc
+        if expected_digest is not None:
+            digest = _file_digest(directory / file)
+            if digest != expected_digest:
+                raise PersistError(
+                    f"dataset {file} does not match the session manifest's content digest "
+                    f"(manifest {str(expected_digest)[:12]}…, file {digest[:12]}…)"
+                )
         if expected_name is not None and dataset.name != expected_name:
             raise PersistError(
                 f"dataset {file} is named {dataset.name!r}, manifest "

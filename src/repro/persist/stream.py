@@ -107,6 +107,11 @@ def _stream_fields(manifest: dict) -> dict:
             f"stream checkpoint emitted {emitted} reports over {completed} polls; "
             "a stream emits one report per poll"
         )
+    event_counts = manifest["event_counts"]
+    if not isinstance(event_counts, dict):
+        raise PersistError(
+            f"malformed stream checkpoint manifest: event_counts is not an object ({event_counts!r})"
+        )
     expected_name = emit_label(completed - 1)
     if manifest["last_name"] != expected_name:
         raise PersistError(
@@ -126,9 +131,7 @@ def _stream_fields(manifest: dict) -> dict:
             },
             estimator=ChurnRateEstimator.restore(window["estimator"]),
         ),
-        "event_counts": {
-            str(kind): int(count) for kind, count in manifest["event_counts"].items()
-        },
+        "event_counts": {str(kind): int(count) for kind, count in event_counts.items()},
     }
 
 

@@ -16,6 +16,7 @@ import hashlib
 import json
 
 from repro.errors import PersistError
+from repro.persist.files import read_spec
 from repro.validation.report import SetVerdict, ValidationReport
 from repro.validation.spec import ValidatorSpec
 
@@ -35,17 +36,7 @@ def validator_spec_to_document(spec: ValidatorSpec) -> dict:
 
 def validator_spec_from_document(document: dict) -> ValidatorSpec:
     """Rebuild a validator spec tree from its document form."""
-    try:
-        return ValidatorSpec(
-            kind=document["kind"],
-            params=tuple((key, value) for key, value in document.get("params", [])),
-            inputs=tuple(
-                validator_spec_from_document(entry) for entry in document.get("inputs", [])
-            ),
-            label=document.get("label"),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise PersistError(f"malformed validator spec document: {document!r}") from exc
+    return read_spec(ValidatorSpec, document, "validator spec")
 
 
 def _verdict_to_document(verdict: SetVerdict) -> dict:

@@ -7,20 +7,18 @@ on the moment they happen: an alias set was born, dissolved, grew,
 shrank or migrated, the covered address count moved, a report was
 emitted.  Every event is a frozen dataclass with a stable ``kind`` tag
 and a flat :meth:`StreamEvent.to_fields` rendering, so the same object
-feeds three surfaces at once:
+feeds two surfaces at once:
 
 * registered watchers (:meth:`StreamPublisher.subscribe`) receive the
-  typed object,
-* the :class:`repro.obs.events.EventSink` JSONL stream receives one
-  ``stream.<kind>`` line per event, and
+  typed object, and
 * the :class:`~repro.obs.registry.MetricsRegistry` receives a
   ``stream.events{kind=...}`` counter tick plus a row in the
   ``stream.events`` series — so ``--metrics FILE`` captures the whole
   stream for free.
 
 Mirroring is gated on :func:`repro.obs.is_enabled` like every other obs
-seam: a daemon run without ``--metrics``/``--events`` pays one boolean
-check per event.
+seam: a daemon run without ``--metrics`` pays one boolean check per
+event.
 """
 
 from __future__ import annotations
@@ -240,7 +238,6 @@ class StreamPublisher:
             fields = event.to_fields()
             obs.add(STREAM_COUNTER, kind=kind)
             obs.metrics().append_series(STREAM_SERIES, fields)
-            obs.emit(f"stream.{kind}", **{k: v for k, v in fields.items() if k != "kind"})
 
     def publish_all(self, events: Iterable[StreamEvent]) -> None:
         """Publish a batch of events in order."""

@@ -8,7 +8,7 @@ already have:
 
 * :mod:`repro.validation.spec` — frozen/hashable :class:`ValidatorSpec`
   trees, the ``validator_kind``/``register_validator`` registries, and the
-  ``sample``/``family_subset`` combinators.
+  ``sample`` combinator.
 * :mod:`repro.validation.bank` — the shared :class:`IpidSampleBank`:
   IPID time series collected once per (addresses, schedule) and shared
   across validators, so composed validations cut probe counts.
@@ -67,7 +67,6 @@ from repro.validation.spec import (
     ally,
     consensus,
     display_name,
-    family_subset,
     iffinder,
     midar,
     named_validator,
@@ -117,7 +116,6 @@ __all__ = [
     "consensus_breakdown",
     "consensus_report",
     "display_name",
-    "family_subset",
     "iffinder",
     "is_unresolved",
     "midar",

@@ -9,9 +9,9 @@ composed validations cheap), and optionally a session for candidate
 derivation.
 
 Candidate alias sets flow *down* the spec tree: combinators (sample,
-filter-family) transform them and delegate to their input; technique
-leaves derive them from the session's resolved report when no enclosing
-combinator supplied any.  The start time flows the same way, so the
+consensus) transform or share them and delegate to their inputs;
+technique leaves derive them from the session's resolved report when no
+enclosing combinator supplied any.  The start time flows the same way, so the
 longitudinal path can re-run one spec per snapshot at per-snapshot times.
 
 Every spec tree runs under the run's
@@ -34,7 +34,7 @@ from repro.baselines.iffinder import IffinderProber
 from repro.baselines.ptr import PtrResolver
 from repro.core.engine import AliasReport
 from repro.errors import PersistError, ValidationError
-from repro.net.addresses import AddressFamily, family_of, is_ipv6
+from repro.net.addresses import is_ipv6
 from repro.simnet.device import ServiceType
 from repro.simnet.network import SimulatedInternet, VantagePoint
 from repro.validation.bank import IpidSampleBank
@@ -569,18 +569,14 @@ def _build_consensus(run, spec, candidates, start_time):
     return consensus_report(spec, reports, candidates, overall_start)
 
 
-def _single_input(spec: ValidatorSpec) -> ValidatorSpec:
-    if len(spec.inputs) != 1:
-        raise ValidationError(
-            f"validator combinator {spec.kind!r} takes exactly one input "
-            f"(got {len(spec.inputs)})"
-        )
-    return spec.inputs[0]
-
-
 @validator_kind("sample", "validate a seeded random sample of the candidate sets")
 def _build_sample(run, spec, candidates, start_time):
-    inner = _single_input(spec)
+    if len(spec.inputs) != 1:
+        raise ValidationError(
+            f"validator combinator 'sample' takes exactly one input "
+            f"(got {len(spec.inputs)})"
+        )
+    inner = spec.inputs[0]
     base = candidates if candidates is not None else _derive_candidates(run, spec)
     max_size = spec.param("max_size")
     filtered = [
@@ -592,22 +588,6 @@ def _build_sample(run, spec, candidates, start_time):
     rng = random.Random(int(spec.param("seed", 7)))
     chosen = rng.sample(filtered, min(size, len(filtered)))
     report = run_validator(run, inner, candidates=tuple(chosen), start_time=start_time)
-    return dataclasses.replace(report, spec=spec, validator=display_name(spec))
-
-
-@validator_kind("filter-family", "restrict candidate members to one address family")
-def _build_filter_family(run, spec, candidates, start_time):
-    inner = _single_input(spec)
-    family = str(spec.param("family", "ipv6"))
-    if family not in ("ipv4", "ipv6"):
-        raise ValidationError(f"unknown address family {family!r} (use ipv4 or ipv6)")
-    target = AddressFamily.IPV6 if family == "ipv6" else AddressFamily.IPV4
-    base = candidates if candidates is not None else _derive_candidates(run, spec)
-    projected = tuple(
-        frozenset(address for address in candidate if family_of(address) is target)
-        for candidate in base
-    )
-    report = run_validator(run, inner, candidates=projected, start_time=start_time)
     return dataclasses.replace(report, spec=spec, validator=display_name(spec))
 
 

@@ -81,10 +81,10 @@ class ValidatorSpec:
     def leaf(self) -> "ValidatorSpec":
         """The technique spec at the bottom of a combinator chain.
 
-        Combinators (sample, filter-family) wrap exactly one input; the
-        leaf carries the candidate-derivation parameters (source, protocol,
-        family), which is what combinators consult when no explicit
-        candidates are passed.
+        ``sample`` wraps exactly one input and ``consensus`` follows its
+        first; the leaf carries the candidate-derivation parameters
+        (source, protocol, family), which is what combinators consult when
+        no explicit candidates are passed.
         """
         spec = self
         while spec.inputs:
@@ -181,11 +181,6 @@ def sample(
     if max_size is not None:
         params["max_size"] = max_size
     return ValidatorSpec.create("sample", inputs=(spec,), label=label, **params)
-
-
-def family_subset(spec: ValidatorSpec, family: str, label: str | None = None) -> ValidatorSpec:
-    """Restrict every candidate set to one address family before validating."""
-    return ValidatorSpec.create("filter-family", inputs=(spec,), label=label, family=family)
 
 
 def consensus(

@@ -7,7 +7,6 @@ from repro.core.validation import (
     ValidationResult,
     cross_validate,
     ground_truth_accuracy,
-    validate_against_reference,
 )
 from repro.errors import ValidationError
 from repro.simnet.device import ServiceType
@@ -64,15 +63,6 @@ class TestCrossValidate:
     def test_agreement_rate_zero_sample(self):
         result = ValidationResult("a", "b", common_addresses=0, sample_size=0, agree=0, disagree=0)
         assert result.agreement_rate == 0.0
-
-
-class TestReferenceValidation:
-    def test_against_raw_sets(self):
-        a = collection("ssh", [["10.0.0.1", "10.0.0.2"], ["10.1.0.1", "10.1.0.2"]])
-        result = validate_against_reference(a, [frozenset({"10.0.0.1", "10.0.0.2"})], "midar")
-        assert result.technique_b == "midar"
-        assert result.sample_size == 1
-        assert result.agree == 1
 
 
 class TestGroundTruthAccuracy:

@@ -6,9 +6,8 @@ import textwrap
 from pathlib import Path
 
 from repro.cli import main
-from repro.devtools.baseline import DEFAULT_BASELINE_NAME
-from repro.devtools.rules import ALL_RULES, rule_ids
-from repro.devtools.runner import known_rule_ids, lint_paths
+from repro.devtools.rules import ALL_RULES
+from repro.devtools.runner import lint_paths
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -44,11 +43,16 @@ class TestRunner:
         assert paths == sorted(paths)
         assert paths[0] == "src/repro/core/a_first.py"
 
-    def test_known_rule_ids_cover_rule_set_and_runner(self):
-        ids = known_rule_ids()
-        assert set(rule_ids()) <= set(ids)
-        assert "parse-error" in ids
-        assert len(ids) == len(set(ids))
+    def test_disable_comment_does_not_hide_a_finding(self, tmp_path):
+        _write_tree(
+            tmp_path,
+            source=BAD_SOURCE.replace(
+                "time.time()",
+                "time.time()  # repro-lint: disable=no-wall-clock -- reason",
+            ),
+        )
+        result = lint_paths([tmp_path / "src"], root=tmp_path)
+        assert [f.rule for f in result.findings] == ["no-wall-clock"]
 
 
 class TestJsonDocument:
@@ -58,22 +62,20 @@ class TestJsonDocument:
         document = result.to_json()
         assert set(document) == {"version", "rules", "findings", "summary"}
         assert document["version"] == 1
-        assert [rule["id"] for rule in document["rules"]] == list(rule_ids())
+        assert [rule["id"] for rule in document["rules"]] == [rule.rule_id for rule in ALL_RULES]
         for rule in document["rules"]:
             assert set(rule) == {"id", "description", "fixit"}
         [finding] = document["findings"]
         assert set(finding) == {
             "path", "line", "column", "rule", "message", "fixit", "snippet",
         }
-        assert document["summary"] == {
-            "files": 1, "reported": 1, "suppressed": 0, "baselined": 0,
-        }
+        assert document["summary"] == {"files": 1, "reported": 1}
 
     def test_text_report_summary_line(self, tmp_path):
         _write_tree(tmp_path)
         result = lint_paths([tmp_path / "src"], root=tmp_path)
         text = result.render_text()
-        assert text.endswith("1 finding(s) in 1 file(s) (0 suppressed, 0 baselined)")
+        assert text.endswith("1 finding(s) in 1 file(s)")
         assert "no-wall-clock" in text
 
 
@@ -105,53 +107,9 @@ class TestCli:
         for rule in ALL_RULES:
             assert rule.rule_id in out
 
-    def test_default_baseline_under_root_is_used(self, tmp_path, capsys):
-        _write_tree(tmp_path)
-        dirty = lint_paths([tmp_path / "src"], root=tmp_path)
-        from repro.devtools.baseline import render_baseline
-
-        (tmp_path / DEFAULT_BASELINE_NAME).write_text(
-            render_baseline(dirty.findings, reason="grandfathered"),
-            encoding="utf-8",
-        )
-        assert main(["lint", "--root", str(tmp_path)]) == 0
-        assert "1 baselined" in capsys.readouterr().out
-
-    def test_no_baseline_flag_reports_everything(self, tmp_path, capsys):
-        _write_tree(tmp_path)
-        dirty = lint_paths([tmp_path / "src"], root=tmp_path)
-        from repro.devtools.baseline import render_baseline
-
-        (tmp_path / DEFAULT_BASELINE_NAME).write_text(
-            render_baseline(dirty.findings, reason="grandfathered"),
-            encoding="utf-8",
-        )
-        assert main(["lint", "--root", str(tmp_path), "--no-baseline"]) == 2
-
-    def test_explicit_missing_baseline_is_exit_two(self, tmp_path, capsys):
-        _write_tree(tmp_path)
-        code = main(
-            ["lint", "--root", str(tmp_path), "--baseline", str(tmp_path / "no.json")]
-        )
-        assert code == 2
-        assert "does not exist" in capsys.readouterr().err
-
 
 class TestSelfLint:
     def test_repo_source_tree_is_lint_clean(self):
         """The acceptance gate: `repro lint` reports zero findings on src/."""
-        baseline_path = REPO_ROOT / DEFAULT_BASELINE_NAME
-        baseline = None
-        if baseline_path.exists():
-            from repro.devtools.baseline import Baseline
-
-            baseline = Baseline.load(baseline_path)
-        result = lint_paths([REPO_ROOT / "src"], root=REPO_ROOT, baseline=baseline)
+        result = lint_paths([REPO_ROOT / "src"], root=REPO_ROOT)
         assert result.clean, result.render_text()
-
-    def test_committed_baseline_is_empty(self):
-        """The tree is fully paid down; keep it that way."""
-        document = json.loads(
-            (REPO_ROOT / DEFAULT_BASELINE_NAME).read_text(encoding="utf-8")
-        )
-        assert document["entries"] == []

@@ -88,6 +88,17 @@ class TestObservationSerialisation:
         with pytest.raises(DatasetError):
             observation_from_dict(record)
 
+    @pytest.mark.parametrize(
+        "bad_address",
+        [167772161, "not-an-ip", "", None, ["10.0.0.1"]],
+        ids=["int", "not-an-ip", "empty", "null", "list"],
+    )
+    def test_malformed_address_raises(self, bad_address):
+        record = observation_to_dict(sample_observation())
+        record["address"] = bad_address
+        with pytest.raises(DatasetError, match="address"):
+            observation_from_dict(record)
+
     def test_non_string_field_value_raises(self):
         record = observation_to_dict(sample_observation())
         record["fields"] = {"hold_time": 180}

@@ -12,6 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.aliasset import AliasSet, AliasSetCollection
+from repro.core.engine import ResolutionEngine
+from repro.errors import DatasetError
 from repro.io.datasets import (
     load_alias_sets,
     load_observations,
@@ -109,6 +111,54 @@ class TestObservationRoundTripProperties:
         save_observations(once, base / "two.jsonl")
         twice = load_observations(base / "two.jsonl")
         assert list(twice) == list(once) == list(dataset)
+
+
+#: Any JSON value the reader can meet, nested a little.
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=6,
+)
+
+#: Identifier fields each protocol resolves on, so records can merge.
+_IDENTIFYING_FIELDS = {
+    ServiceType.SSH: {"host_key_fingerprint": "SHA256:abc", "capability_signature": "c"},
+    ServiceType.BGP: {"bgp_identifier": "192.0.2.1", "asn": "64512", "version": "4"},
+    ServiceType.SNMPV3: {"engine_id": "80001f8880"},
+}
+
+
+class TestMalformedRecordFuzz:
+    """One field of a valid record replaced with arbitrary JSON: the loader
+    raises DatasetError, or what it returns resolves."""
+
+    @given(
+        protocol=st.sampled_from(list(_IDENTIFYING_FIELDS)),
+        key=st.sampled_from(["address", "protocol", "source", "port", "timestamp", "asn", "fields"]),
+        value=_JSON,
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_one_bad_field_fails_typed_or_resolves(self, protocol, key, value):
+        def observation(address):
+            return Observation(
+                address=address,
+                protocol=protocol,
+                source="active",
+                port=22,
+                fields=tuple(sorted(_IDENTIFYING_FIELDS[protocol].items())),
+            )
+
+        record = observation_to_dict(observation("10.0.0.1"))
+        record[key] = value
+        try:
+            loaded = observation_from_dict(record)
+        except DatasetError:
+            return
+        # Siblings of both families share the identifier, so the resolver
+        # groups and sorts the loaded address together with them.
+        siblings = [observation("10.0.0.2"), observation("2001:db8::2")]
+        ResolutionEngine().resolve([loaded, *siblings])
 
 
 class TestAliasSetRoundTripProperties:

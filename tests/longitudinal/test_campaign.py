@@ -36,6 +36,11 @@ class TestConfigValidation:
         with pytest.raises(SimulationError):
             LongitudinalConfig(interval=-1.0)
 
+    @pytest.mark.parametrize("interval", [float("nan"), float("inf")])
+    def test_non_finite_interval_rejected(self, interval):
+        with pytest.raises(SimulationError, match="positive and finite"):
+            LongitudinalConfig(interval=interval)
+
 
 class TestQuietCampaign:
     """Without churn or loss, every snapshot is identical."""

@@ -1,21 +1,6 @@
-"""Tests for packet and ICMP models."""
+"""Tests for the ICMP message model."""
 
 from repro.net.icmp import IcmpMessage, IcmpType
-from repro.net.packet import ProbePacket, ProbeType, ResponsePacket, ResponseType
-
-
-class TestPackets:
-    def test_response_responded_flag(self):
-        probe = ProbePacket(target="192.0.2.1", probe_type=ProbeType.TCP_SYN, dport=22)
-        hit = ResponsePacket(probe=probe, response_type=ResponseType.TCP_SYNACK, source="192.0.2.1")
-        miss = ResponsePacket(probe=probe, response_type=ResponseType.NO_RESPONSE)
-        assert hit.responded
-        assert not miss.responded
-
-    def test_probe_defaults(self):
-        probe = ProbePacket(target="2001:db8::1", probe_type=ProbeType.ICMP_ECHO)
-        assert probe.dport == 0
-        assert probe.timestamp == 0.0
 
 
 class TestIcmp:

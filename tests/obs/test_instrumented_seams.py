@@ -27,16 +27,6 @@ class TestIndexSeams:
             "index.symbols.interned", kind="identifier"
         ) == index.identifier_symbols
 
-    def test_apply_delta_counts_both_directions(self, observations):
-        head, tail = observations[:50], observations[50:80]
-        index = ObservationIndex.build(head + tail)
-        with obs.observed() as registry:
-            index.apply_delta(removed=tail, added=[])
-        assert registry.counter_total("index.delta.removed") == len(tail)
-        assert registry.counter_total("index.delta.added") == 0
-        # net counters are never decremented by removals
-        assert registry.counter_total("index.observations.observed") == 0
-
 
 class TestSessionSeams:
     def test_cache_hit_miss_counters(self):

@@ -1,12 +1,6 @@
-"""Tests for span tracing, the enable switch, and the event sink."""
-
-import io
-import json
-
-import pytest
+"""Tests for span tracing and the enable switch."""
 
 from repro import obs
-from repro.errors import DatasetError
 from repro.obs.trace import NOOP_SPAN, TRACER
 
 
@@ -104,99 +98,3 @@ class TestSpans:
                 pass
             assert TRACER.depth() == 0
         assert registry.spans[0]["name"] == "failing"
-
-
-class TestEventSink:
-    def test_emit_writes_jsonl(self):
-        stream = io.StringIO()
-        with obs.observed(sink=obs.EventSink(stream)):
-            obs.emit("index.ingest", observations=5, source="union")
-        [line] = stream.getvalue().strip().splitlines()
-        assert json.loads(line) == {
-            "event": "index.ingest", "observations": 5, "source": "union",
-        }
-
-    def test_emit_without_sink_is_noop(self):
-        with obs.observed():
-            obs.emit("quiet", n=1)  # no sink installed: must not raise
-
-    def test_emit_when_disabled_is_noop(self):
-        stream = io.StringIO()
-        sink = obs.EventSink(stream)
-        previous = obs.set_sink(sink)
-        try:
-            obs.emit("dropped")
-        finally:
-            obs.set_sink(previous)
-        assert stream.getvalue() == ""
-        assert sink.emitted == 0
-
-    def test_file_sink_appends(self, tmp_path):
-        path = tmp_path / "events.jsonl"
-        with obs.EventSink(path) as sink:
-            sink.emit("one", a=1)
-        with obs.EventSink(path) as sink:
-            sink.emit("two", b=2)
-        lines = path.read_text().strip().splitlines()
-        assert [json.loads(line)["event"] for line in lines] == ["one", "two"]
-
-
-class TestEventSinkLifecycle:
-    def test_emit_after_close_raises(self):
-        sink = obs.EventSink(io.StringIO())
-        sink.emit("before")
-        sink.close()
-        with pytest.raises(DatasetError, match="closed"):
-            sink.emit("after")
-
-    def test_emit_after_close_raises_for_path_target(self, tmp_path):
-        sink = obs.EventSink(tmp_path / "events.jsonl")
-        sink.close()
-        with pytest.raises(DatasetError, match="closed"):
-            sink.emit("after")
-
-    def test_close_is_idempotent(self):
-        sink = obs.EventSink(io.StringIO())
-        sink.close()
-        sink.close()
-        assert sink.closed
-
-    def test_closing_borrowed_stream_leaves_it_open(self):
-        stream = io.StringIO()
-        sink = obs.EventSink(stream)
-        sink.close()
-        assert not stream.closed  # borrowed: lifecycle belongs to the caller
-        stream.write("still usable\n")
-
-    def test_closing_owned_file_closes_it(self, tmp_path):
-        sink = obs.EventSink(tmp_path / "events.jsonl")
-        handle = sink._stream
-        sink.close()
-        assert handle.closed
-
-    def test_context_manager_reentry_rejected(self, tmp_path):
-        sink = obs.EventSink(tmp_path / "events.jsonl")
-        with sink:
-            sink.emit("inside")
-        with pytest.raises(DatasetError, match="re-enter"):
-            with sink:
-                pass
-
-    def test_each_line_is_flushed_durably(self, tmp_path):
-        # Per-line flush: every emitted event is on disk before the next
-        # emit, so a killed process leaves a readable prefix.
-        path = tmp_path / "events.jsonl"
-        sink = obs.EventSink(path)
-        for n in range(3):
-            sink.emit("tick", n=n)
-            lines = path.read_text().splitlines()
-            assert len(lines) == n + 1
-            assert json.loads(lines[-1]) == {"event": "tick", "n": n}
-        sink.close()
-
-    def test_closed_property_tracks_state(self):
-        sink = obs.EventSink(io.StringIO())
-        assert not sink.closed
-        with sink:
-            pass
-        assert sink.closed

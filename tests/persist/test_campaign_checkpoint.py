@@ -134,6 +134,20 @@ class TestCheckpointContents(ContentsCases):
             load_checkpoint(copy)
 
 
+    @pytest.mark.parametrize(
+        "key, value", [("stability", None), ("completed", float("inf"))]
+    )
+    def test_malformed_manifest_value_fails_load(
+        self, checkpoint_dir, tmp_path, key, value
+    ):
+        copy = copy_checkpoint(checkpoint_dir, tmp_path / "malformed")
+        manifest = json.loads((copy / CHECKPOINT_MANIFEST).read_text())
+        manifest[key] = value
+        (copy / CHECKPOINT_MANIFEST).write_text(json.dumps(manifest))
+        with pytest.raises(PersistError, match="malformed campaign checkpoint manifest"):
+            load_checkpoint(copy)
+
+
 class TestResumeParity(ResumeCases):
     def test_resumed_matches_uninterrupted_snapshot_for_snapshot(
         self, checkpoint_dir, uninterrupted

@@ -210,6 +210,30 @@ class TestSessionRoundTrip:
         with pytest.raises(PersistError, match="malformed session manifest"):
             load_session(copy)
 
+    def test_tampered_dataset_fails_digest(self, saved, tmp_path):
+        # Same name, same count, different host keys: only the content
+        # digest tells the file from the one the session saved.
+        _, directory = saved
+        copy = self._copy_session(directory, tmp_path / "tampered")
+        manifest = json.loads((copy / SESSION_MANIFEST).read_text())
+        path = copy / manifest["datasets"][0]["file"]
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        for record in records:
+            if "host_key_fingerprint" in record.get("fields", {}):
+                record["fields"]["host_key_fingerprint"] += "-tampered"
+        path.write_text("".join(json.dumps(record) + "\n" for record in records))
+        with pytest.raises(PersistError, match="content digest"):
+            load_session(copy)
+
+    def test_manifest_without_digest_loads(self, saved, tmp_path):
+        _, directory = saved
+        copy = self._copy_session(directory, tmp_path / "undigested")
+        manifest = json.loads((copy / SESSION_MANIFEST).read_text())
+        for entry in manifest["datasets"]:
+            del entry["digest"]
+        (copy / SESSION_MANIFEST).write_text(json.dumps(manifest))
+        assert _contents(load_session(copy)) == _contents(load_session(directory))
+
     def test_report_signature_mismatch_detected(self, saved, tmp_path):
         # A torn save pairing an old manifest with a new report file: the
         # file is internally consistent, but its signature differs from the

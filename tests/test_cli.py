@@ -113,6 +113,21 @@ class TestCliErrorPaths:
         assert exit_code == 2
         assert "does not exist" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("address", [167772161, "not-an-ip"])
+    def test_resolve_bad_address_exits_cleanly(self, tmp_path, capsys, address):
+        record = {
+            "address": address, "protocol": "ssh", "source": "active", "port": 22,
+            "fields": {"host_key_fingerprint": "SHA256:abc", "capability_signature": "c"},
+        }
+        sibling = {**record, "address": "10.0.0.2"}
+        dataset = tmp_path / "bad.jsonl"
+        dataset.write_text("".join(json.dumps(r) + "\n" for r in (record, sibling)))
+        exit_code = main(["resolve", str(dataset), "--output", str(tmp_path / "o")])
+        assert exit_code == 2
+        err = capsys.readouterr().err
+        assert f"address {address!r} is not" in err
+        assert "Traceback" not in err
+
     def test_longitudinal_rejects_zero_snapshots(self, capsys):
         exit_code = main(["longitudinal", "--scale", "0.05", "--snapshots", "0"])
         assert exit_code == 2
@@ -306,6 +321,17 @@ class TestLongitudinal:
         assert "resuming" not in captured.out
         assert _contents(checkpoint) == before
 
+    def test_longitudinal_resume_nan_interval_exits_cleanly(self, capsys, tmp_path):
+        checkpoint = _campaign_checkpoint(tmp_path)
+        manifest = json.loads((checkpoint / "checkpoint.json").read_text())
+        manifest["campaign"]["interval"] = float("nan")
+        (checkpoint / "checkpoint.json").write_text(json.dumps(manifest))
+        exit_code = main(["longitudinal", "--resume", str(checkpoint), "--snapshots", "3"])
+        assert exit_code == 2
+        captured = capsys.readouterr()
+        assert "interval must be positive and finite" in captured.err
+        assert "resuming" not in captured.out
+
     def test_longitudinal_resume_tampered_snapshot_exits_cleanly(self, capsys, tmp_path):
         checkpoint = _campaign_checkpoint(tmp_path)
         _tamper_fingerprint(checkpoint / "snapshot-0002.jsonl")
@@ -459,6 +485,49 @@ class TestSession:
         assert exit_code == 2
         assert "scale" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda entry: entry["spec"].update(kind=["active"]), "malformed source spec"),
+            (lambda entry: entry.update(name={"active": 1}), "is not a string"),
+        ],
+        ids=["list-kind", "dict-name"],
+    )
+    def test_session_load_unhashable_entry_exits_cleanly(
+        self, capsys, tmp_path, edit, message
+    ):
+        directory = tmp_path / "session"
+        assert main(
+            ["session", "save", str(directory), "--scale", "0.05", "--seed", "3",
+             "--reports", "active"]
+        ) == 0
+        capsys.readouterr()
+        manifest = json.loads((directory / "session.json").read_text())
+        edit(manifest["reports"][0])
+        (directory / "session.json").write_text(json.dumps(manifest))
+        exit_code = main(["session", "load", str(directory)])
+        assert exit_code == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+
+    def test_session_load_tampered_dataset_exits_cleanly(self, capsys, tmp_path):
+        # Same name, same count, different host keys: only the content
+        # digest tells the file from the one the session saved.
+        directory = tmp_path / "session"
+        assert main(
+            ["session", "save", str(directory), "--scale", "0.05", "--seed", "3",
+             "--reports", "active"]
+        ) == 0
+        capsys.readouterr()
+        manifest = json.loads((directory / "session.json").read_text())
+        for entry in manifest["datasets"]:
+            if entry["spec"]["kind"] == "active-ipv4":
+                _tamper_fingerprint(directory / entry["file"])
+        exit_code = main(["session", "load", str(directory)])
+        assert exit_code == 2
+        assert "content digest" in capsys.readouterr().err
+
     def test_session_load_unknown_experiment(self, capsys, tmp_path):
         directory = tmp_path / "session"
         assert main(
@@ -544,6 +613,24 @@ class TestCampaignFlagValidation:
         exit_code = main([command, "--scale", "0.05", "--interval-days", "-3"])
         assert exit_code == 2
         assert "--interval-days must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["longitudinal", "--snapshots", "2"],
+            ["validate", "--snapshots", "2"],
+            ["serve", "--max-batches", "2"],
+        ],
+    )
+    def test_non_finite_interval_days_rejected(self, capsys, command, value):
+        exit_code = main(
+            [*command, "--scale", "0.05", "--seed", "3", "--interval-days", value]
+        )
+        assert exit_code == 2
+        err = capsys.readouterr().err
+        assert "--interval-days must be positive and finite" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["longitudinal", "validate", "serve"])
     def test_out_of_range_churn_rejected(self, capsys, command):
@@ -660,6 +747,22 @@ class TestServe:
         captured = capsys.readouterr()
         assert message in captured.err
         assert "Traceback" not in captured.err
+
+    def test_serve_resume_event_counts_not_an_object_exits_cleanly(self, capsys, tmp_path):
+        checkpoint = tmp_path / "stream"
+        assert main(
+            ["serve", "--scale", "0.05", "--seed", "7", "--max-batches", "1",
+             "--ipv4-only", "--checkpoint", str(checkpoint)]
+        ) == 0
+        capsys.readouterr()
+        manifest = json.loads((checkpoint / "stream.json").read_text())
+        manifest["event_counts"] = [["report.emitted", 1]]
+        (checkpoint / "stream.json").write_text(json.dumps(manifest))
+        exit_code = main(["serve", "--max-batches", "2", "--resume", str(checkpoint)])
+        assert exit_code == 2
+        err = capsys.readouterr().err
+        assert "event_counts is not an object" in err
+        assert "Traceback" not in err
 
     def test_serve_resume_missing_checkpoint(self, capsys, tmp_path):
         exit_code = main(["serve", "--resume", str(tmp_path / "absent")])

@@ -9,7 +9,6 @@ from repro.validation.spec import (
     ValidatorSpec,
     ally,
     display_name,
-    family_subset,
     midar,
     named_validator,
     register_validator,
@@ -37,13 +36,13 @@ class TestValidatorSpec:
 
     def test_leaf_descends_combinators(self):
         leaf = midar(protocol="bgp")
-        assert sample(family_subset(leaf, "ipv6"), size=2).leaf() == leaf
+        assert sample(sample(leaf, size=5), size=2).leaf() == leaf
         assert leaf.leaf() is leaf
 
 
 class TestRegistries:
     def test_builtin_kinds_registered(self):
-        for kind in ("midar", "ally", "speedtrap", "iffinder", "ptr", "sample", "filter-family"):
+        for kind in ("midar", "ally", "speedtrap", "iffinder", "ptr", "sample"):
             assert kind in VALIDATOR_KINDS
 
     def test_builtin_named_validators_registered(self):
@@ -85,8 +84,3 @@ class TestCombinators:
 
     def test_sample_without_max_size_omits_param(self):
         assert sample(midar(), size=10).param("max_size") is None
-
-    def test_family_subset(self):
-        spec = family_subset(midar(), "ipv6")
-        assert spec.kind == "filter-family"
-        assert spec.param("family") == "ipv6"

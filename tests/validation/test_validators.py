@@ -10,7 +10,6 @@ from repro.validation.budget import DEFAULT_VELOCITY_TTL
 from repro.validation.runner import ValidationRun, run_validator
 from repro.validation.spec import (
     ally,
-    family_subset,
     iffinder,
     midar,
     ptr,
@@ -142,25 +141,6 @@ class TestSampleCombinator:
         )
         assert report.candidates == 1
         assert report.verdicts[0].candidate == TRUE_SET
-
-
-class TestFamilyCombinator:
-    def test_projects_members_to_family(self, network):
-        spec = family_subset(_spec_vantage(midar), "ipv6")
-        report = run_validator(
-            ValidationRun(network), spec, candidates=(V6_MIXED_SET,), start_time=0.0
-        )
-        (verdict,) = report.verdicts
-        assert verdict.candidate == frozenset({"2001:db80::11", "2001:db80::12"})
-
-    def test_rejects_unknown_family(self, network):
-        with pytest.raises(ValidationError, match="unknown address family"):
-            run_validator(
-                ValidationRun(network),
-                family_subset(_spec_vantage(midar), "ipv9"),
-                candidates=(TRUE_SET,),
-                start_time=0.0,
-            )
 
 
 class TestIffinderAndPtrValidators:
