@@ -5,9 +5,13 @@ longitudinal code the checkpoint loaders call into — promise callers a
 typed failure surface: the CLI maps :class:`~repro.errors.DatasetError` /
 :class:`~repro.errors.PersistError` / :class:`~repro.errors.RegistryError`
 to ``exit 2`` with a message, and library callers catch
-:class:`~repro.errors.ReproError` as one base.  A bare ``ValueError`` or
-``Exception`` raised on those paths escapes that contract and surfaces as
-a traceback, so raises there must use :mod:`repro.errors` types.
+:class:`~repro.errors.ReproError` as one base.  The protocol codecs make
+the same promise to the scan clients, which catch
+:class:`~repro.errors.ProtocolError` so that one device's bad bytes
+degrade its record instead of aborting the campaign.  A bare
+``ValueError`` or ``Exception`` raised on those paths escapes that
+contract and surfaces as a traceback, so raises there must use
+:mod:`repro.errors` types.
 """
 
 from __future__ import annotations
@@ -18,8 +22,9 @@ from typing import Iterator
 from repro.devtools.findings import Finding, ModuleUnderLint
 from repro.devtools.rules.base import Rule, module_in, qualified_name, walk_with_imports
 
-#: Modules and packages holding registry/persist/io contract paths, and
-#: the packages whose restore code the campaign and stream loaders run.
+#: Modules and packages holding registry/persist/io contract paths, the
+#: packages whose restore code the campaign and stream loaders run, and
+#: the wire codecs the scan clients call.
 TYPED_ERROR_PATHS: tuple[str, ...] = (
     "repro.persist",
     "repro.io",
@@ -28,6 +33,7 @@ TYPED_ERROR_PATHS: tuple[str, ...] = (
     "repro.core.symbols",
     "repro.stream",
     "repro.longitudinal",
+    "repro.protocols",
 )
 
 #: Builtin exception types that break the typed failure surface.

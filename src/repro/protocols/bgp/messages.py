@@ -13,7 +13,7 @@ import enum
 import ipaddress
 import struct
 
-from repro.errors import MalformedMessageError, TruncatedMessageError
+from repro.errors import MalformedMessageError, ProtocolError, TruncatedMessageError
 from repro.protocols.bgp.capabilities import (
     Capability,
     encode_optional_parameters,
@@ -190,13 +190,18 @@ def parse_message(data: bytes) -> tuple[BgpMessage, bytes]:
 
 
 def parse_messages(data: bytes) -> list[BgpMessage]:
-    """Parse every complete message in ``data``; trailing garbage is ignored."""
+    """Parse every complete message in ``data``; trailing garbage is ignored.
+
+    Parsing stops at the first truncated or malformed message and keeps
+    the messages before it, so a speaker's bad bytes degrade its scan
+    record instead of aborting the campaign.
+    """
     messages: list[BgpMessage] = []
     rest = data
     while rest:
         try:
             message, rest = parse_message(rest)
-        except TruncatedMessageError:
+        except ProtocolError:
             break
         messages.append(message)
     return messages

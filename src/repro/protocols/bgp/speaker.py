@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 
 from repro.net.endpoint import ServerBehavior
 from repro.protocols.bgp.capabilities import Capability
@@ -67,6 +68,15 @@ class BgpSpeakerConfig:
             capabilities=tuple(capabilities),
         )
 
+    @functools.cached_property
+    def flight(self) -> bytes:
+        """The OPEN + NOTIFICATION an ``OPEN_THEN_NOTIFY`` speaker sends.
+
+        A pure function of this frozen config, encoded once and shared by
+        every connection to the device.
+        """
+        return self.open_message().build() + BgpNotification().build()
+
 
 class BgpSpeakerBehavior(ServerBehavior):
     """Per-connection behaviour of a simulated BGP speaker."""
@@ -83,9 +93,7 @@ class BgpSpeakerBehavior(ServerBehavior):
         if style is BgpSpeakerStyle.SILENT:
             return b""
         self._closed = True
-        open_bytes = self._config.open_message().build()
-        notification = BgpNotification().build()
-        return open_bytes + notification
+        return self._config.flight
 
     def on_data(self, data: bytes) -> bytes:
         # An unsolicited peer sending data does not change the behaviour; a

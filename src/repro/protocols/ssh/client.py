@@ -109,10 +109,14 @@ class SshScanClient:
         host_key_blob = None
         host_key_fingerprint = None
         if kex_reply is not None:
-            host_key = parse_host_key_blob(kex_reply.host_key_blob)
-            host_key_algorithm = host_key.algorithm
-            host_key_blob = kex_reply.host_key_blob
-            host_key_fingerprint = host_key.fingerprint()
+            try:
+                host_key = parse_host_key_blob(kex_reply.host_key_blob)
+            except ProtocolError:
+                pass  # an unparseable blob counts as no host key
+            else:
+                host_key_algorithm = host_key.algorithm
+                host_key_blob = kex_reply.host_key_blob
+                host_key_fingerprint = host_key.fingerprint()
 
         return SshScanRecord(
             address=address,

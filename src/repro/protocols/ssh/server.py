@@ -8,13 +8,16 @@ the key exchange reply carrying the host key blob.
 
 A device in the simulated Internet owns one :class:`SshServerConfig`; every
 interface on which the service is exposed answers with the *same* config,
-which is precisely the property the paper's identifier exploits.
+which is precisely the property the paper's identifier exploits.  The
+server's two flights are pure functions of that frozen config, so each is
+encoded once per config and shared by every connection.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import hashlib
 
 from repro.net.endpoint import ServerBehavior
@@ -67,6 +70,25 @@ class SshServerConfig:
             style=style,
         )
 
+    @functools.cached_property
+    def greeting(self) -> bytes:
+        """What the server sends on connect: its banner, then its framed KEXINIT.
+
+        A ``BANNER_ONLY`` server sends the banner alone.
+        """
+        banner = self.banner.render_wire()
+        if self.style is SshServerStyle.BANNER_ONLY:
+            return banner
+        return banner + frame_packet(self.kex_init.build())
+
+    @functools.cached_property
+    def kex_reply(self) -> bytes:
+        """The framed KEX_ECDH_REPLY carrying this server's host key."""
+        reply = KexEcdhReply.for_host_key(
+            self.host_key.encode_blob(), seed=self.host_key.fingerprint()
+        )
+        return frame_packet(reply.build())
+
 
 class SshServerBehavior(ServerBehavior):
     """Per-connection server behaviour for a given :class:`SshServerConfig`."""
@@ -81,11 +103,9 @@ class SshServerBehavior(ServerBehavior):
     def on_connect(self) -> bytes:
         if self._config.style is SshServerStyle.SILENT:
             return b""
-        banner = self._config.banner.render_wire()
         if self._config.style is SshServerStyle.BANNER_ONLY:
             self._closed = True
-            return banner
-        return banner + frame_packet(self._config.kex_init.build())
+        return self._config.greeting
 
     def on_data(self, data: bytes) -> bytes:
         if self._closed or self._config.style is not SshServerStyle.FULL:
@@ -101,9 +121,7 @@ class SshServerBehavior(ServerBehavior):
         for payload in iter_packets(self._client_buffer):
             if payload and payload[0] == SSH_MSG_KEX_ECDH_INIT and not self._sent_reply:
                 self._sent_reply = True
-                seed = self._config.host_key.fingerprint()
-                kex_reply = KexEcdhReply.for_host_key(self._config.host_key.encode_blob(), seed=seed)
-                reply += frame_packet(kex_reply.build())
+                reply += self._config.kex_reply
         if reply:
             self._client_buffer = b""
         return reply

@@ -71,18 +71,15 @@ class SshReader:
         self._data = data
         self._offset = 0
 
-    @property
-    def remaining(self) -> int:
-        return len(self._data) - self._offset
-
     def _take(self, count: int) -> bytes:
-        if self.remaining < count:
+        start = self._offset
+        end = start + count
+        if end > len(self._data):
             raise TruncatedMessageError(
-                f"needed {count} bytes, only {self.remaining} remain"
+                f"needed {count} bytes, only {len(self._data) - start} remain"
             )
-        chunk = self._data[self._offset : self._offset + count]
-        self._offset += count
-        return chunk
+        self._offset = end
+        return self._data[start:end]
 
     def read_byte(self) -> int:
         return self._take(1)[0]

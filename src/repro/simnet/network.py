@@ -82,7 +82,7 @@ class SimulatedInternet:
         self._owner_by_address: dict[str, str] = {}
         self._asn_by_address: dict[str, int] = {}
         self._churn = churn or ChurnModel()
-        self._seed = seed
+        self._chance_suffix = f"|{seed}"  # ends every _chance key string
         self._loss_rate = loss_rate
         self._rate_limit_drop_probability = rate_limit_drop_probability
         self._rate_limit_window = rate_limit_window
@@ -174,8 +174,7 @@ class SimulatedInternet:
     def _chance(self, *key: object) -> float:
         """Deterministic value in [0, 1) derived from the seed and ``key``."""
         digest = hashlib.blake2b(
-            ("|".join(str(part) for part in key) + f"|{self._seed}").encode(),
-            digest_size=8,
+            ("|".join(map(str, key)) + self._chance_suffix).encode(), digest_size=8
         ).digest()
         return int.from_bytes(digest, "big") / float(1 << 64)
 

@@ -328,6 +328,17 @@ class TestTypedErrors:
         """
         assert _rules(_lint(source, module)) == ["typed-errors"]
 
+    @pytest.mark.parametrize(
+        "module", ["repro.protocols.ssh.wire", "repro.protocols.bgp.messages", "repro.protocols.snmp.ber"]
+    )
+    def test_fires_in_the_codecs_the_scan_clients_call(self, module):
+        source = """
+            def parse(data):
+                if len(data) < 19:
+                    raise ValueError("header incomplete")
+        """
+        assert _rules(_lint(source, module)) == ["typed-errors"]
+
     def test_typed_raise_is_quiet(self):
         source = """
             from repro.errors import PersistError

@@ -115,6 +115,11 @@ class TestStreamParsing:
     def test_empty_stream(self):
         assert parse_messages(b"") == []
 
+    def test_parse_messages_stops_at_the_first_malformed_message(self):
+        unsupported = b"\xff" * 16 + (19).to_bytes(2, "big") + b"\x07"
+        stream = BgpOpen().build() + unsupported + BgpNotification().build()
+        assert parse_messages(stream) == [BgpOpen()]
+
 
 @given(
     asn=st.integers(min_value=1, max_value=0xFFFF),

@@ -1,8 +1,8 @@
 """End-to-end tests of the BGP speaker behaviour and scanning client."""
 
-from repro.net.endpoint import LoopbackConnection
+from repro.net.endpoint import LoopbackConnection, ServerBehavior
 from repro.protocols.bgp.client import BgpScanClient
-from repro.protocols.bgp.messages import AS_TRANS, BgpErrorCode, CeaseSubcode
+from repro.protocols.bgp.messages import AS_TRANS, MARKER, BgpErrorCode, BgpOpen, CeaseSubcode
 from repro.protocols.bgp.speaker import BgpSpeakerBehavior, BgpSpeakerConfig, BgpSpeakerStyle
 
 
@@ -55,3 +55,42 @@ class TestOtherStyles:
         behavior = BgpSpeakerBehavior(BgpSpeakerConfig())
         behavior.on_connect()
         assert behavior.on_data(b"\x00" * 19) == b""
+
+
+class _RawSpeaker(ServerBehavior):
+    """Sends ``flight`` on connect and closes."""
+
+    def __init__(self, flight: bytes) -> None:
+        self._flight = flight
+
+    def on_connect(self) -> bytes:
+        return self._flight
+
+    def on_data(self, data: bytes) -> bytes:
+        return b""
+
+    @property
+    def closed(self) -> bool:
+        return True
+
+
+def scan_raw(flight):
+    return BgpScanClient().scan("198.51.100.2", LoopbackConnection(_RawSpeaker(flight)))
+
+
+class TestMalformedFlights:
+    """Malformed speaker data degrades the record; the scan never raises."""
+
+    def test_update_after_open_keeps_the_open(self):
+        update = MARKER + (23).to_bytes(2, "big") + b"\x02" + b"\x00" * 4
+        record = scan_raw(BgpOpen(my_as=3320, bgp_identifier="193.0.0.1").build() + update)
+        assert record.success
+        assert record.has_identifier
+        assert record.open_message.bgp_identifier == "193.0.0.1"
+        assert record.notification is None
+
+    def test_zero_bytes_yield_no_message(self):
+        record = scan_raw(b"\x00" * 19)
+        assert record.success
+        assert not record.has_identifier
+        assert record.notification is None

@@ -89,6 +89,25 @@ class TestErrors:
         with pytest.raises(MalformedMessageError):
             ber.decode(b"\x05\x01\x00")
 
+    def test_truncated_member_inside_a_complete_sequence_raises(self):
+        member = ber.encode_octet_string(b"engine")
+        for cut in range(1, len(member)):
+            with pytest.raises(TruncatedMessageError):
+                ber.decode(ber.encode_tlv(ber.TAG_SEQUENCE, member[:cut]))
+
+    def test_long_form_length_errors(self):
+        with pytest.raises(MalformedMessageError):
+            ber.decode(b"\x04\x85" + b"\x00" * 8)
+        with pytest.raises(MalformedMessageError):
+            ber.decode(b"\x04\x80\x00")
+        with pytest.raises(TruncatedMessageError):
+            ber.decode(b"\x04\x82\x01")
+
+    def test_unterminated_oid_subidentifier_rejected(self):
+        # X.690 8.19.2: the last octet of every sub-identifier has bit 8 clear.
+        with pytest.raises(MalformedMessageError):
+            ber.decode_exact(bytes([0x06, 0x03, 0x2B, 0x06, 0x81]))
+
 
 @given(st.integers(min_value=-(2**63), max_value=2**63 - 1))
 def test_integer_roundtrip_property(value):

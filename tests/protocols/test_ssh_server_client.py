@@ -1,11 +1,16 @@
 """End-to-end tests of the SSH server behaviour and scanning client."""
 
-from repro.net.endpoint import LoopbackConnection
+import struct
+
+import pytest
+
+from repro.net.endpoint import LoopbackConnection, ServerBehavior
 from repro.protocols.ssh.banner import SshBanner
 from repro.protocols.ssh.client import SshScanClient
 from repro.protocols.ssh.kex import KexInit
 from repro.protocols.ssh.messages import KexEcdhReply
 from repro.protocols.ssh.server import SshServerBehavior, SshServerConfig, SshServerStyle
+from repro.protocols.ssh.wire import SshWriter, frame_packet
 
 
 def scan(config):
@@ -74,3 +79,44 @@ class TestDegradedServers:
         config = SshServerConfig.generate("device-9", kex_init=kex)
         record = scan(config)
         assert record.kex_init.kex_algorithms == ("diffie-hellman-group14-sha1",)
+
+
+class _RawKexReplyServer(ServerBehavior):
+    """Sends a well-formed banner and KEXINIT, then a KEX reply with ``host_key_blob``."""
+
+    def __init__(self, host_key_blob: bytes) -> None:
+        self._host_key_blob = host_key_blob
+
+    def on_connect(self) -> bytes:
+        return SshBanner().render_wire() + frame_packet(KexInit().build())
+
+    def on_data(self, data: bytes) -> bytes:
+        return frame_packet(KexEcdhReply(host_key_blob=self._host_key_blob).build())
+
+    @property
+    def closed(self) -> bool:
+        return False
+
+
+class TestMalformedHostKey:
+    """An unparseable host-key blob degrades the record; the scan never raises."""
+
+    @pytest.mark.parametrize(
+        "blob",
+        [
+            # ssh-ed25519 with a 5-byte key (MalformedMessageError at parse).
+            SshWriter().write_string(b"ssh-ed25519").write_string(b"\x01" * 5).getvalue(),
+            # ssh-ed25519 whose key string is cut short (TruncatedMessageError).
+            SshWriter().write_string(b"ssh-ed25519").getvalue() + struct.pack(">I", 32) + b"\x01" * 5,
+        ],
+        ids=["short-ed25519-key", "truncated-key-string"],
+    )
+    def test_unparseable_blob_is_no_host_key(self, blob):
+        record = SshScanClient().scan("192.0.2.30", LoopbackConnection(_RawKexReplyServer(blob)))
+        assert record.success
+        assert record.banner == SshBanner().render()
+        assert record.capability_signature == KexInit().capability_signature()
+        assert record.host_key_algorithm is None
+        assert record.host_key_blob is None
+        assert record.host_key_fingerprint is None
+        assert not record.has_identifier

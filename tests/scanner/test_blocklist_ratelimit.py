@@ -38,6 +38,15 @@ class TestBlocklist:
         blocklist = Blocklist(["0.0.0.0/0"])
         assert "2001:db8::1" not in blocklist
 
+    def test_empty_blocklist_rejects_a_malformed_target(self):
+        with pytest.raises(ValueError):
+            Blocklist().filter(["192.0.2.1", "not-an-ip"])
+
+    def test_non_canonical_spelling_matches_its_entry(self):
+        blocklist = Blocklist(["2001:db8::1"])
+        assert "2001:DB8:0::1" in blocklist
+        assert blocklist.filter(["2001:DB8:0::1", "2001:db8::2"]) == ["2001:db8::2"]
+
 
 class TestTokenBucket:
     def test_first_probe_at_start_time(self):
