@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
 """Streaming resolution: watch alias-set change events arrive live.
 
-The batch campaign (``examples/longitudinal_churn.py``) collects every
-snapshot first and resolves afterwards.  The streaming service inverts
-that: a resident ``StreamingEngine`` ingests each scan as it happens,
-emits an incremental resolution at every poll, and publishes typed
-change events — born / dissolved / grown / shrunk / migrated alias
-sets, coverage changes, and a closing report — to any subscriber.
+A resident ``StreamingEngine`` ingests each scan as it happens, emits an
+incremental resolution at every poll, and publishes typed change events —
+born / dissolved / grown / shrunk / migrated alias sets, coverage changes,
+and a closing report — to any subscriber.  Every longitudinal run polls
+it: ``repro longitudinal`` and ``repro serve`` alike, and
+``examples/longitudinal_churn.py``.
 
 This example drives the engine the same way ``repro serve`` does:
 
@@ -14,15 +14,15 @@ This example drives the engine the same way ``repro serve`` does:
 2. poll it like a daemon: scan, ``sync`` the scan into the stream,
    ``flush`` an incremental report,
 3. print every alias-set change event as it is published, and
-4. show that the streamed reports are byte-identical to the batch
-   campaign's — equivalence is by construction, not by luck.
+4. show that every streamed report is byte-identical to a from-scratch
+   resolution of its poll's scan.
 
 Run with::
 
     python examples/stream_watch.py
 """
 
-from repro.core.engine import report_signature
+from repro.core.engine import ResolutionEngine, report_signature
 from repro.longitudinal import LongitudinalCampaign, LongitudinalConfig
 from repro.simnet.topology import generate_topology, small_topology_config
 from repro.stream import StreamConfig, StreamingEngine
@@ -63,21 +63,19 @@ def main() -> None:
     }
     unsubscribe = stream.subscribe(lambda e: print(describe(e)), kinds=kinds)
 
-    updates = []
-    previous = None
+    polls = []
     for poll in range(SNAPSHOTS):
-        capture = campaign.capture(poll, previous)
+        capture = campaign.capture(poll)
         stream.sync(capture.observations)
         print(f"poll {poll}: scanned {len(capture.observations)} observations")
         update = stream.flush()
-        updates.append(update)
+        polls.append((capture, update))
         report = update.events[-1]
         print(
             f"  -> emit {update.emit} ({update.name}): "
             f"{report.ipv4_sets} IPv4 sets, +{report.added}/-{report.removed}, "
             f"churn~{update.churn_rate if update.churn_rate is not None else 'n/a'}"
         )
-        previous = capture.observations
     unsubscribe()
 
     estimate = stream.estimator.rate
@@ -87,12 +85,12 @@ def main() -> None:
     )
     print(f"events published: {dict(stream.publisher.counts)}")
 
-    # The streamed reports equal the batch campaign's, byte for byte.
-    batch = make_campaign()
-    result = batch.resolve(batch.collect())
-    for resolved, update in zip(result.snapshots, updates, strict=True):
-        assert report_signature(update.report) == report_signature(resolved.report)
-    print("\nstreamed reports match the batch campaign signature for signature")
+    # Each streamed report equals a from-scratch resolution of its scan.
+    engine = ResolutionEngine(campaign.options)
+    for capture, update in polls:
+        reference = engine.resolve(capture.observations, name=capture.name)
+        assert report_signature(update.report) == report_signature(reference)
+    print("\nstreamed reports match a from-scratch resolution signature for signature")
 
 
 if __name__ == "__main__":

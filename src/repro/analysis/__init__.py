@@ -17,7 +17,11 @@ These are the building blocks of the paper's evaluation section:
 from repro.analysis.aslevel import multi_as_fraction, role_split, top_as_table
 from repro.analysis.ecdf import Ecdf
 from repro.analysis.setstats import set_size_summary
-from repro.analysis.stability import stability_markdown, stability_rows, stability_table
+from repro.analysis.stability import (
+    stability_markdown_from,
+    stability_rows_from,
+    stability_table_from,
+)
 from repro.analysis.tables import format_count, render_table
 from repro.analysis.validation import (
     snapshot_validation_table,
@@ -33,9 +37,9 @@ __all__ = [
     "set_size_summary",
     "format_count",
     "render_table",
-    "stability_markdown",
-    "stability_rows",
-    "stability_table",
+    "stability_markdown_from",
+    "stability_rows_from",
+    "stability_table_from",
     "snapshot_validation_table",
     "validation_markdown",
     "validation_table",

@@ -59,7 +59,3 @@ class Ecdf:
         """
         xs = sorted(set(self._values)) if points is None else list(points)
         return [(x, self.evaluate(x)) for x in xs]
-
-    def fraction_between(self, low: float, high: float) -> float:
-        """Fraction of the sample with ``low < value <= high``."""
-        return self.evaluate(high) - self.evaluate(low)

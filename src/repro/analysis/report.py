@@ -11,7 +11,6 @@ from repro.analysis.aslevel import top_as_table
 from repro.analysis.setstats import set_size_summary
 from repro.analysis.tables import format_count
 from repro.core.engine import AliasReport
-from repro.net.addresses import AddressFamily
 from repro.simnet.asn import AsRegistry
 from repro.simnet.device import ServiceType
 
@@ -77,23 +76,3 @@ def alias_report_markdown(report: AliasReport, registry: AsRegistry | None = Non
         lines.append(f"| {entry.rank} | AS{entry.asn} | {format_count(entry.set_count)} | {role} |")
     lines.append("")
     return "\n".join(lines)
-
-
-def covered_address_summary(report: AliasReport) -> dict[str, int]:
-    """Covered-address counts used by examples and tests."""
-    return {
-        "ipv4_union_sets": len(report.ipv4_union.non_singleton()),
-        "ipv4_union_addresses": len(report.ipv4_union.non_singleton().addresses()),
-        "ipv6_union_sets": len(report.ipv6_union.non_singleton()),
-        "dual_stack_sets": len(report.dual_stack_union),
-        "dual_stack_ipv4": len(report.dual_stack_union.ipv4_addresses()),
-        "dual_stack_ipv6": len(report.dual_stack_union.ipv6_addresses()),
-    }
-
-
-def family_breakdown(report: AliasReport) -> dict[str, dict[str, int]]:
-    """Per-family non-singleton counts keyed by protocol name."""
-    return {
-        "ipv4": report.non_singleton_counts(AddressFamily.IPV4),
-        "ipv6": report.non_singleton_counts(AddressFamily.IPV6),
-    }

@@ -1,6 +1,7 @@
 """Rendering of longitudinal stability metrics.
 
-Turns a :class:`~repro.longitudinal.campaign.CampaignResult` into the
+Turns a campaign's :class:`~repro.longitudinal.campaign.SnapshotStability`
+rows (its :class:`~repro.longitudinal.campaign.CampaignLog`) into the
 per-snapshot stability table the ``repro longitudinal`` CLI subcommand and
 the example script print: how many non-singleton union sets each snapshot
 found, how its sets evolved (born / dissolved / grown / shrunk /
@@ -15,7 +16,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from repro.analysis.tables import render_table
-from repro.longitudinal.campaign import CampaignResult, LongitudinalConfig, SnapshotStability
+from repro.longitudinal.campaign import LongitudinalConfig, SnapshotStability
 from repro.net.addresses import AddressFamily
 
 _HEADERS = [
@@ -36,20 +37,8 @@ _HEADERS = [
 ]
 
 
-def stability_rows(
-    result: CampaignResult, family: AddressFamily = AddressFamily.IPV4
-) -> list[list[object]]:
-    """The stability table rows for one family (first snapshot has no delta)."""
-    return stability_rows_from(result.stability(family))
-
-
 def stability_rows_from(stabilities: Iterable[SnapshotStability]) -> list[list[object]]:
-    """Stability table rows from bare metric records.
-
-    Takes the metrics rather than a :class:`CampaignResult` so a resumed
-    campaign can render one table over checkpointed rows plus the rows it
-    just produced (see :mod:`repro.persist.campaign`).
-    """
+    """The stability table rows (the first snapshot has no delta columns)."""
     rows: list[list[object]] = []
     for stability in stabilities:
         if stability.snapshot == 0:
@@ -93,19 +82,12 @@ def stability_rows_from(stabilities: Iterable[SnapshotStability]) -> list[list[o
     return rows
 
 
-def stability_table(
-    result: CampaignResult, family: AddressFamily = AddressFamily.IPV4
-) -> str:
-    """Render the per-snapshot stability table as aligned plain text."""
-    return stability_table_from(result.stability(family), result.config, family)
-
-
 def stability_table_from(
     stabilities: Iterable[SnapshotStability],
     config: LongitudinalConfig,
     family: AddressFamily = AddressFamily.IPV4,
 ) -> str:
-    """Render a stability table from bare metric records (resume path)."""
+    """Render one family's per-snapshot stability table as aligned plain text."""
     family_tag = "IPv4" if family is AddressFamily.IPV4 else "IPv6"
     title = (
         f"Longitudinal stability ({family_tag} union, "
@@ -115,20 +97,10 @@ def stability_table_from(
     return render_table(_HEADERS, stability_rows_from(stabilities), title=title)
 
 
-def stability_markdown(result: CampaignResult) -> str:
-    """Render both families' stability tables as a markdown document."""
-    return stability_markdown_from(
-        {
-            family: result.stability(family)
-            for family in (AddressFamily.IPV4, AddressFamily.IPV6)
-        }
-    )
-
-
 def stability_markdown_from(
     rows_by_family: dict[AddressFamily, Iterable[SnapshotStability]],
 ) -> str:
-    """Markdown stability report from bare metric records (resume path)."""
+    """Render each family's stability table into one markdown document."""
     lines = ["# Longitudinal stability report", ""]
     for family, stabilities in rows_by_family.items():
         family_tag = "IPv4" if family is AddressFamily.IPV4 else "IPv6"

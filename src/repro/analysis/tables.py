@@ -24,11 +24,6 @@ def format_count(value: int | float) -> str:
     return f"{value:.1f}"
 
 
-def format_fraction(value: float, digits: int = 1) -> str:
-    """Format a fraction as a percentage string."""
-    return f"{100 * value:.{digits}f}%"
-
-
 def render_table(headers: Sequence[str], rows: Sequence[Sequence[object]], title: str | None = None) -> str:
     """Render a table with aligned columns as plain text."""
     text_rows = [[str(cell) for cell in row] for row in rows]

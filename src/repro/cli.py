@@ -15,20 +15,22 @@ The CLI mirrors how the paper's artifacts would be used in practice:
 * ``repro plan`` — run a multi-vantage scan plan into one shared index and
   print per-vantage vs merged coverage.
 * ``repro longitudinal`` — run a multi-snapshot campaign over a churning
-  simulated Internet, resolve it incrementally, and print per-snapshot
-  stability tables (``--checkpoint`` persists a resumable state after every
-  snapshot; ``--resume`` continues an interrupted campaign in a new
-  process, snapshot-for-snapshot identical to the uninterrupted run).
+  simulated Internet on the stream's poll loop, resolving each snapshot
+  incrementally, and print per-snapshot stability tables (``--checkpoint``
+  persists a resumable state after every snapshot; ``--resume`` continues
+  an interrupted campaign in a new process, snapshot-for-snapshot
+  identical to the uninterrupted run).
 * ``repro validate`` — run registered validator compositions (MIDAR, Ally,
   Speedtrap, iffinder, PTR — ``--list-validators`` enumerates the
   registry) against the session's alias sets, sharing one IPID sample
   bank; ``--snapshots N`` instead validates every snapshot of a churning
   longitudinal campaign (the paper's MIDAR-disagreement series).
-* ``repro serve`` — run the streaming resolution daemon: poll the
-  simulated Internet as a live event source, keep the alias report
-  current through the incremental engine, publish typed change events,
-  and infer the churn rate online (``--checkpoint``/``--resume`` give the
-  daemon kill-and-resume durability).
+* ``repro serve`` — run the same poll loop as a streaming resolution
+  daemon: poll the simulated Internet as a live event source, keep the
+  alias report current through the incremental engine, publish typed
+  change events, and infer the churn rate online
+  (``--checkpoint``/``--resume`` give the daemon kill-and-resume
+  durability).
 * ``repro session save`` / ``repro session load`` — persist a measurement
   session (datasets, resolved reports, validations, configuration) and
   restore it in another process with its caches warm.
@@ -54,12 +56,7 @@ from pathlib import Path
 
 from repro import obs
 from repro.analysis.report import alias_report_markdown
-from repro.analysis.stability import (
-    stability_markdown,
-    stability_markdown_from,
-    stability_table,
-    stability_table_from,
-)
+from repro.analysis.stability import stability_markdown_from, stability_table_from
 from repro.analysis.validation import (
     probe_accounting_summary,
     snapshot_validation_table,
@@ -76,10 +73,11 @@ from repro.devtools.cli import add_lint_parser, run_lint
 from repro.errors import DatasetError, RegistryError
 from repro.experiments import runner
 from repro.io.datasets import load_observations, save_alias_sets, save_observations
+from repro.longitudinal.campaign import CampaignLog, LongitudinalCampaign
 from repro.net.addresses import AddressFamily
-from repro.persist.campaign import CampaignCheckpointer, load_checkpoint, resume_campaign
 from repro.persist.files import write_atomic
 from repro.persist.stream import (
+    CAMPAIGN_LAYOUT,
     StreamCheckpointer,
     load_stream_checkpoint,
     resume_stream,
@@ -584,13 +582,21 @@ def _command_plan(args: argparse.Namespace) -> int:
     return 0
 
 
-def _campaign_delta_totals(result) -> tuple[int, int]:
-    """Observations added/removed across a campaign result's deltas."""
-    added = sum(len(s.capture.delta.added) for s in result.snapshots if s.capture.delta)
-    removed = sum(
-        len(s.capture.delta.removed) for s in result.snapshots if s.capture.delta
+def _fresh_loop(
+    args: argparse.Namespace, session: ReproSession, snapshots: int
+) -> tuple[LongitudinalCampaign, StreamingEngine]:
+    """The campaign event source and stream of a fresh poll loop."""
+    campaign = session.longitudinal(
+        snapshots=snapshots,
+        churn_fraction=args.churn,
+        interval=args.interval_days * 86400.0,
+        include_ipv6=not args.ipv4_only,
     )
-    return added, removed
+    stream = StreamingEngine(
+        config=StreamConfig(churn_interval=campaign.config.interval),
+        options=campaign.options,
+    )
+    return campaign, stream
 
 
 def _write_stability_markdown(output: Path | None, markdown: str) -> None:
@@ -611,87 +617,62 @@ def _command_longitudinal(args: argparse.Namespace) -> int:
         print(error, file=sys.stderr)
         return 2
     if args.resume is not None:
-        return _longitudinal_resume(args)
-    snapshots = args.snapshots if args.snapshots is not None else 4
-    if snapshots < 1:
-        print("a campaign needs at least one snapshot", file=sys.stderr)
-        return 2
-    session = _session(args)
-    campaign = session.longitudinal(
-        snapshots=snapshots,
-        churn_fraction=args.churn,
-        interval=args.interval_days * 86400.0,
-        include_ipv6=not args.ipv4_only,
-    )
-    checkpointer = None
-    if args.checkpoint is not None:
-        checkpointer = CampaignCheckpointer(args.checkpoint, session.config, keep=args.keep)
-    result = campaign.run(checkpointer=checkpointer)
-    print(stability_table(result, AddressFamily.IPV4))
-    if not args.ipv4_only:
-        print()
-        print(stability_table(result, AddressFamily.IPV6))
-    final = result.final_report
-    total_added, total_removed = _campaign_delta_totals(result)
-    print()
-    print(
-        f"incrementally re-resolved {snapshots - 1} deltas "
-        f"(+{total_added}/-{total_removed} observations) on top of "
-        f"{len(result.snapshots[0].capture.observations)} bootstrap observations"
-    )
-    print(f"final IPv4 non-singleton union sets: {len(final.ipv4_union.non_singleton())}")
-    if checkpointer is not None:
-        print(f"checkpointed {len(result.snapshots)} snapshots to {args.checkpoint}")
-    _write_stability_markdown(args.output, stability_markdown(result))
-    return 0
-
-
-def _longitudinal_resume(args: argparse.Namespace) -> int:
-    try:
-        checkpoint = load_checkpoint(args.resume)
-        campaign, engine = resume_campaign(checkpoint, snapshots=args.snapshots)
-    except DatasetError as error:  # PersistError included — it subclasses this
-        print(str(error), file=sys.stderr)
-        return 2
-    print(
-        f"resuming after snapshot {checkpoint.completed - 1} "
-        f"({checkpoint.completed}/{campaign.config.snapshots} snapshots completed)"
-    )
+        try:
+            checkpoint = load_stream_checkpoint(args.resume, CAMPAIGN_LAYOUT)
+            campaign, stream = resume_stream(checkpoint, snapshots=args.snapshots)
+        except DatasetError as error:  # PersistError included — it subclasses this
+            print(str(error), file=sys.stderr)
+            return 2
+        print(
+            f"resuming after snapshot {checkpoint.completed - 1} "
+            f"({checkpoint.completed}/{campaign.config.snapshots} snapshots completed)"
+        )
+        scenario, log, include_ipv6 = checkpoint.scenario, checkpoint.log, checkpoint.include_ipv6
+    else:
+        snapshots = args.snapshots if args.snapshots is not None else 4
+        if snapshots < 1:
+            print("a campaign needs at least one snapshot", file=sys.stderr)
+            return 2
+        session = _session(args)
+        campaign, stream = _fresh_loop(args, session, snapshots)
+        scenario, log, include_ipv6 = session.config, CampaignLog(), not args.ipv4_only
+    start = stream.emitted
     checkpoint_dir = args.checkpoint if args.checkpoint is not None else args.resume
-    checkpointer = CampaignCheckpointer(
-        checkpoint_dir,
-        checkpoint.scenario,
-        prior_stability=checkpoint.stability,
-        keep=args.keep,
-        prior_metric_series=checkpoint.metric_series,
-    )
-    result = campaign.run(
-        checkpointer=checkpointer,
-        start=checkpoint.completed,
-        previous=checkpoint.last_observations,
-        engine=engine,
-    )
-    families = [AddressFamily.IPV4]
-    if checkpoint.include_ipv6:
-        families.append(AddressFamily.IPV6)
-    combined = {
-        family: checkpoint.stability_rows(family)
-        + [snapshot.stability(family) for snapshot in result.snapshots]
-        for family in families
-    }
+    checkpointer = None
+    if checkpoint_dir is not None:
+        checkpointer = StreamCheckpointer(checkpoint_dir, scenario, keep=args.keep, log=log)
+    if campaign.config.snapshots > start:
+        StreamDaemon(
+            campaign,
+            stream,
+            DaemonConfig(max_polls=campaign.config.snapshots - start),
+            checkpointer=checkpointer,
+            log=log,
+        ).run()
+    families = [AddressFamily.IPV4, AddressFamily.IPV6] if include_ipv6 else [AddressFamily.IPV4]
     for position, family in enumerate(families):
         if position:
             print()
-        print(stability_table_from(combined[family], campaign.config, family))
-    final = result.final_report if result.snapshots else engine.report
-    total_added, total_removed = _campaign_delta_totals(result)
+        print(stability_table_from(log.stability[family], campaign.config, family))
+    polled = log.stability[AddressFamily.IPV4][start:]
+    added = sum(row.added for row in polled)
+    removed = sum(row.removed for row in polled)
     print()
-    print(
-        f"resumed {len(result.snapshots)} snapshots "
-        f"(+{total_added}/-{total_removed} observations) on the restored index"
-    )
-    print(f"final IPv4 non-singleton union sets: {len(final.ipv4_union.non_singleton())}")
-    _write_stability_markdown(args.output, stability_markdown_from(combined))
+    if args.resume is None:
+        print(
+            f"incrementally re-resolved {len(polled) - 1} deltas "
+            f"(+{added}/-{removed} observations) on top of "
+            f"{polled[0].observations} bootstrap observations"
+        )
+    else:
+        print(
+            f"resumed {len(polled)} snapshots "
+            f"(+{added}/-{removed} observations) on the restored index"
+        )
+    print(f"final IPv4 non-singleton union sets: {len(stream.report.ipv4_union.non_singleton())}")
+    if checkpointer is not None and args.resume is None:
+        print(f"checkpointed {len(polled)} snapshots to {args.checkpoint}")
+    _write_stability_markdown(args.output, stability_markdown_from(log.stability))
     return 0
 
 
@@ -751,13 +732,8 @@ def _validate_snapshots(args: argparse.Namespace, session, names) -> int:
     if args.snapshots < 1:
         print("a campaign needs at least one snapshot", file=sys.stderr)
         return 2
-    campaign = session.longitudinal(
-        snapshots=args.snapshots,
-        churn_fraction=args.churn,
-        interval=args.interval_days * 86400.0,
-        include_ipv6=not args.ipv4_only,
-    )
-    result = campaign.run()
+    campaign, stream = _fresh_loop(args, session, args.snapshots)
+    updates = StreamDaemon(campaign, stream, DaemonConfig(max_polls=args.snapshots)).run()
     # One shared run across validators: later ones answer pair tests from
     # the banks the earlier ones filled, exactly like single-shot mode.
     shared_run = ValidationRun(campaign.network)
@@ -773,7 +749,7 @@ def _validate_snapshots(args: argparse.Namespace, session, names) -> int:
         if position:
             print()
         rows = validate_snapshots(
-            campaign, result, spec, run=shared_run, optimizer=optimizer
+            campaign, updates, spec, run=shared_run, optimizer=optimizer
         )
         series[name] = rows
         print(snapshot_validation_table(rows, name))
@@ -817,16 +793,7 @@ def _command_serve(args: argparse.Namespace) -> int:
     else:
         session = _session(args)
         scenario = session.config
-        interval = args.interval_days * 86400.0
-        campaign = session.longitudinal(
-            snapshots=args.max_batches,
-            churn_fraction=args.churn,
-            interval=interval,
-            include_ipv6=not args.ipv4_only,
-        )
-        stream = StreamingEngine(
-            config=StreamConfig(churn_interval=interval), options=campaign.options
-        )
+        campaign, stream = _fresh_loop(args, session, args.max_batches)
     start = stream.emitted
     checkpointer = None
     checkpoint_dir = args.checkpoint if args.checkpoint is not None else args.resume

@@ -137,10 +137,6 @@ class AliasSetCollection:
         """Set sizes, in collection order (input for the ECDF figures)."""
         return [alias_set.size for alias_set in self._sets]
 
-    def size_histogram(self) -> Counter:
-        """Number of sets of each size."""
-        return Counter(self.sizes())
-
     # ------------------------------------------------------------------ #
     # AS-level views
     # ------------------------------------------------------------------ #
@@ -184,12 +180,3 @@ class AliasSetCollection:
         """
         ranked = sorted(self.sets_per_asn().items(), key=lambda item: (-item[1], item[0]))
         return ranked[:count]
-
-    # ------------------------------------------------------------------ #
-    # Merging helpers
-    # ------------------------------------------------------------------ #
-    def merged_address_asn(self, other: "AliasSetCollection") -> dict[str, int]:
-        """Union of the two collections' address→ASN mappings."""
-        merged = dict(self._address_asn)
-        merged.update(other._address_asn)
-        return merged

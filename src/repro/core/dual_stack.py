@@ -93,16 +93,6 @@ class DualStackCollection:
             return 0.0
         return sum(1 for dual_set in self._sets if dual_set.is_one_to_one) / len(self._sets)
 
-    def size_fractions(self) -> dict[str, float]:
-        """Fractions of sets by total size bucket (1+1, 2-10, >10 addresses)."""
-        if not self._sets:
-            return {"1+1": 0.0, "2-10": 0.0, ">10": 0.0}
-        one_to_one = sum(1 for s in self._sets if s.is_one_to_one)
-        medium = sum(1 for s in self._sets if not s.is_one_to_one and s.size <= 10)
-        large = len(self._sets) - one_to_one - medium
-        total = len(self._sets)
-        return {"1+1": one_to_one / total, "2-10": medium / total, ">10": large / total}
-
     def sets_per_asn(self) -> dict[int, int]:
         """Number of dual-stack sets attributed to each AS."""
         counts: dict[int, int] = defaultdict(int)

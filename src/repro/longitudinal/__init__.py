@@ -5,22 +5,26 @@ The subsystem has three layers:
 * :mod:`repro.longitudinal.delta` — observation- and alias-set-level
   diffing between snapshots,
 * :mod:`repro.longitudinal.engine` — the incremental
-  :class:`~repro.longitudinal.engine.LongitudinalEngine`, which replays
-  observation deltas against a live
+  :class:`~repro.longitudinal.engine.LongitudinalEngine`, which stages
+  observation deltas on a live
   :class:`~repro.core.engine.ObservationIndex` and re-derives only what
   changed, and
 * :mod:`repro.longitudinal.campaign` — the
-  :class:`~repro.longitudinal.campaign.LongitudinalCampaign` driver that
-  schedules N active-scan snapshots over a churning simulated Internet
-  and computes per-snapshot stability metrics.
+  :class:`~repro.longitudinal.campaign.LongitudinalCampaign` event source
+  that injects churn and scans one snapshot per poll, and the
+  :class:`~repro.longitudinal.campaign.CampaignLog` of per-snapshot
+  stability metrics.
+
+The loop that joins them is the stream's poll
+(:class:`~repro.stream.daemon.StreamDaemon`): capture, sync, flush,
+checkpoint.
 """
 
 from repro.longitudinal.campaign import (
-    CampaignResult,
+    CampaignLog,
     LongitudinalCampaign,
     LongitudinalConfig,
     SnapshotCapture,
-    SnapshotResolution,
     SnapshotStability,
 )
 from repro.longitudinal.delta import (
@@ -34,14 +38,13 @@ from repro.longitudinal.engine import IncrementalResolution, LongitudinalEngine
 
 __all__ = [
     "AliasDelta",
-    "CampaignResult",
+    "CampaignLog",
     "IncrementalResolution",
     "LongitudinalCampaign",
     "LongitudinalConfig",
     "LongitudinalEngine",
     "ObservationDelta",
     "SnapshotCapture",
-    "SnapshotResolution",
     "SnapshotStability",
     "diff_alias_sets",
     "diff_observations",

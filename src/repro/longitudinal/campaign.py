@@ -3,17 +3,15 @@
 The paper's MIDAR validation ran for three weeks, and the few-percent
 disagreement with the SSH-derived sets is attributed to addresses that
 moved between devices during that window.  This module makes that
-mechanism measurable end to end: a :class:`LongitudinalCampaign` schedules
-N active-scan snapshots, injects sampled churn between consecutive
-snapshots (:meth:`~repro.simnet.churn.ChurnModel.sample`), diffs each
-snapshot against its predecessor, feeds the delta through the incremental
-:class:`~repro.longitudinal.engine.LongitudinalEngine`, and reports
+mechanism measurable end to end.  A :class:`LongitudinalCampaign` is the
+event source: :meth:`~LongitudinalCampaign.capture` injects sampled churn
+for one interval (:meth:`~repro.simnet.churn.ChurnModel.sample`), scans,
+and records which addresses churned.  The poll loop of
+:class:`~repro.stream.daemon.StreamDaemon` resolves each capture
+incrementally — for ``repro longitudinal`` and ``repro serve`` alike — and
+a :class:`CampaignLog` turns every poll's capture and update into
 per-snapshot stability: how many alias sets persisted, split, migrated —
 and how many of those disruptions are attributable to the injected churn.
-
-Collection and resolution are separate phases (:meth:`collect` /
-:meth:`resolve`) so re-resolution can be timed or tested without
-re-running the simulated scans.
 """
 
 from __future__ import annotations
@@ -21,19 +19,19 @@ from __future__ import annotations
 import dataclasses
 import math
 import random
-from typing import Iterable
+from typing import TYPE_CHECKING
 
 from repro import obs
-from repro.core.engine import AliasReport
 from repro.core.identifiers import DEFAULT_OPTIONS, IdentifierOptions
 from repro.errors import SimulationError
-from repro.longitudinal.delta import AliasDelta, ObservationDelta, diff_observations
-from repro.longitudinal.engine import IncrementalResolution, LongitudinalEngine
 from repro.net.addresses import AddressFamily
 from repro.simnet.churn import ChurnModel
 from repro.simnet.network import SimulatedInternet, VantagePoint
 from repro.sources.active import ActiveMeasurement
 from repro.sources.records import Observation
+
+if TYPE_CHECKING:  # pragma: no cover - types only
+    from repro.stream.engine import StreamUpdate
 
 
 @dataclasses.dataclass(frozen=True)
@@ -67,6 +65,10 @@ class LongitudinalConfig:
                 f"interval must be positive and finite (got {self.interval})"
             )
 
+    def time_of(self, snapshot: int) -> float:
+        """Simulation time at which snapshot ``snapshot`` scans."""
+        return self.start_time + snapshot * self.interval
+
 
 @dataclasses.dataclass(frozen=True)
 class SnapshotCapture:
@@ -76,8 +78,6 @@ class SnapshotCapture:
         index: snapshot number (0-based).
         time: simulation time the snapshot's scan started.
         observations: every observation of the snapshot.
-        delta: difference against the previous snapshot (``None`` for the
-            first snapshot).
         churned: addresses whose churn switch time falls inside the
             interval ending at this snapshot — the ground truth against
             which set disruptions are attributed.
@@ -86,7 +86,6 @@ class SnapshotCapture:
     index: int
     time: float
     observations: tuple[Observation, ...]
-    delta: ObservationDelta | None
     churned: frozenset[str]
 
     @property
@@ -149,113 +148,106 @@ def _churn_attributed(
     return count
 
 
-@dataclasses.dataclass(frozen=True)
-class SnapshotResolution:
-    """One snapshot's capture plus its (incremental) resolution."""
+def _snapshot_stability(
+    capture: SnapshotCapture, update: "StreamUpdate", family: AddressFamily
+) -> SnapshotStability:
+    """Stability of one poll's non-singleton union sets for one family.
 
-    capture: SnapshotCapture
-    resolution: IncrementalResolution
-
-    @property
-    def report(self) -> AliasReport:
-        """The snapshot's full alias report."""
-        return self.resolution.report
-
-    def alias_delta(self, family: AddressFamily = AddressFamily.IPV4) -> AliasDelta:
-        """The union-set delta of one family."""
-        if family is AddressFamily.IPV4:
-            return self.resolution.ipv4_delta
-        return self.resolution.ipv6_delta
-
-    def stability(self, family: AddressFamily = AddressFamily.IPV4) -> SnapshotStability:
-        """Stability metrics of this snapshot for one family."""
-        delta = self.alias_delta(family)
-        union = (
-            self.report.ipv4_union
-            if family is AddressFamily.IPV4
-            else self.report.ipv6_union
-        )
-        churned = self.capture.churned
-        observation_delta = self.capture.delta
-        changed_current = delta.born + delta.grown + delta.shrunk + delta.migrated
-        return SnapshotStability(
-            snapshot=self.capture.index,
-            time=self.capture.time,
-            observations=len(self.capture.observations),
-            added=len(observation_delta.added) if observation_delta else 0,
-            removed=len(observation_delta.removed) if observation_delta else 0,
-            sets=len(union.non_singleton()),
-            born=len(delta.born),
-            dissolved=len(delta.dissolved),
-            grown=len(delta.grown),
-            shrunk=len(delta.shrunk),
-            migrated=len(delta.migrated),
-            persistence=delta.persistence,
-            splits=len(delta.split_origins),
-            churn_attributed_splits=_churn_attributed(
-                delta.split_origins, changed_current, churned
-            ),
-            disrupted=len(delta.disrupted_previous),
-            churn_attributed_disruptions=_churn_attributed(
-                delta.disrupted_previous, changed_current, churned
-            ),
-        )
+    The set evolution comes from the update's resolution, and the
+    observation delta from its closing
+    :class:`~repro.stream.events.ReportEmitted`.  The first snapshot has
+    no predecessor and so no observation delta.
+    """
+    resolution = update.resolution
+    if family is AddressFamily.IPV4:
+        delta, union = resolution.ipv4_delta, resolution.report.ipv4_union
+    else:
+        delta, union = resolution.ipv6_delta, resolution.report.ipv6_union
+    emitted = update.events[-1]
+    churned = capture.churned
+    changed_current = delta.born + delta.grown + delta.shrunk + delta.migrated
+    return SnapshotStability(
+        snapshot=capture.index,
+        time=capture.time,
+        observations=len(capture.observations),
+        added=emitted.added if capture.index else 0,
+        removed=emitted.removed if capture.index else 0,
+        sets=len(union.non_singleton()),
+        born=len(delta.born),
+        dissolved=len(delta.dissolved),
+        grown=len(delta.grown),
+        shrunk=len(delta.shrunk),
+        migrated=len(delta.migrated),
+        persistence=delta.persistence,
+        splits=len(delta.split_origins),
+        churn_attributed_splits=_churn_attributed(
+            delta.split_origins, changed_current, churned
+        ),
+        disrupted=len(delta.disrupted_previous),
+        churn_attributed_disruptions=_churn_attributed(
+            delta.disrupted_previous, changed_current, churned
+        ),
+    )
 
 
 #: Name of the registry series longitudinal campaigns publish rows to.
 CAMPAIGN_SERIES = "campaign.snapshots"
 
 
-def snapshot_metrics_row(
-    campaign: "LongitudinalCampaign", resolved: SnapshotResolution
-) -> dict:
-    """One metric-series row for a resolved snapshot.
+class CampaignLog:
+    """The per-snapshot record a ``repro longitudinal`` campaign keeps.
 
-    Every field is a function of the campaign's deterministic state —
-    simulated time, observation/delta counts, IPv4 union-set stability, and
-    the network's cumulative IDS probe spend.  No wall-clock quantity ever
-    enters a row (timings belong to spans), which is what
-    lets a resumed campaign's persisted series equal the uninterrupted
-    run's snapshot-for-snapshot.
+    One :class:`SnapshotStability` row per family and one metric-series row
+    per poll, in poll order; a resumed campaign starts from the rows its
+    checkpoint carried.  Every field is a function of the campaign's
+    deterministic state — simulated time, observation and delta counts,
+    set stability, and the network's cumulative IDS probe spend.  No
+    wall-clock quantity ever enters a row (timings belong to spans), which
+    is what lets a resumed campaign's rows equal the uninterrupted run's.
     """
-    stability = resolved.stability()
-    return {
-        "snapshot": resolved.capture.index,
-        "time": resolved.capture.time,
-        "observations": len(resolved.capture.observations),
-        "added": stability.added,
-        "removed": stability.removed,
-        "churned": len(resolved.capture.churned),
-        "sets": stability.sets,
-        "splits": stability.splits,
-        "churn_attributed_splits": stability.churn_attributed_splits,
-        "disrupted": stability.disrupted,
-        "persistence": stability.persistence,
-        "probes": sum(campaign.network.export_probe_counts().values()),
-    }
 
+    def __init__(
+        self,
+        stability: dict[AddressFamily, list[SnapshotStability]] | None = None,
+        metric_series: list[dict] | None = None,
+    ) -> None:
+        self.stability: dict[AddressFamily, list[SnapshotStability]] = {
+            family: list((stability or {}).get(family, ()))
+            for family in (AddressFamily.IPV4, AddressFamily.IPV6)
+        }
+        self.metric_series: list[dict] = list(metric_series or ())
 
-@dataclasses.dataclass(frozen=True)
-class CampaignResult:
-    """Everything a longitudinal campaign produced."""
-
-    config: LongitudinalConfig
-    snapshots: tuple[SnapshotResolution, ...]
-
-    def stability(
-        self, family: AddressFamily = AddressFamily.IPV4
-    ) -> list[SnapshotStability]:
-        """Per-snapshot stability rows (the first snapshot has no delta)."""
-        return [snapshot.stability(family) for snapshot in self.snapshots]
-
-    @property
-    def final_report(self) -> AliasReport:
-        """The last snapshot's report."""
-        return self.snapshots[-1].report
+    def record(
+        self,
+        campaign: "LongitudinalCampaign",
+        capture: SnapshotCapture,
+        update: "StreamUpdate",
+    ) -> None:
+        """Append one poll's rows (and publish its series row when observed)."""
+        for family, rows in self.stability.items():
+            rows.append(_snapshot_stability(capture, update, family))
+        stability = self.stability[AddressFamily.IPV4][-1]
+        row = {
+            "snapshot": stability.snapshot,
+            "time": stability.time,
+            "observations": stability.observations,
+            "added": stability.added,
+            "removed": stability.removed,
+            "churned": len(capture.churned),
+            "sets": stability.sets,
+            "splits": stability.splits,
+            "churn_attributed_splits": stability.churn_attributed_splits,
+            "disrupted": stability.disrupted,
+            "persistence": stability.persistence,
+            "probes": sum(campaign.network.export_probe_counts().values()),
+        }
+        self.metric_series.append(row)
+        if obs.is_enabled():
+            obs.metrics().append_series(CAMPAIGN_SERIES, row)
 
 
 class LongitudinalCampaign:
-    """Schedules snapshots, injects churn, and resolves incrementally."""
+    """Schedules snapshots over a network it churns between them."""
 
     def __init__(
         self,
@@ -296,9 +288,6 @@ class LongitudinalCampaign:
         """The identifier construction options in use."""
         return self._options
 
-    # ------------------------------------------------------------------ #
-    # Phase 1: data collection
-    # ------------------------------------------------------------------ #
     def _inject_churn(self, snapshot: int, switch_time: float) -> None:
         """Sample churn for one interval and merge it into the network."""
         config = self._config
@@ -350,13 +339,11 @@ class LongitudinalCampaign:
         """
         config = self._config
         for snapshot in range(1, upto):
-            time = config.start_time + snapshot * config.interval
+            time = config.time_of(snapshot)
             self._inject_churn(snapshot, switch_time=time - config.interval / 2)
 
-    def capture(
-        self, snapshot: int, previous: tuple[Observation, ...] | None
-    ) -> SnapshotCapture:
-        """Inject churn, scan, and diff one snapshot against ``previous``.
+    def capture(self, snapshot: int) -> SnapshotCapture:
+        """Inject churn and scan one snapshot.
 
         Churn for the interval ``(t_k-1, t_k]`` is injected before snapshot
         ``k`` scans, with the switch in the middle of the interval.  The
@@ -364,13 +351,11 @@ class LongitudinalCampaign:
         network already carried (e.g. the topology generator's built-in
         events) whose switch time falls inside the interval.
 
-        Public because the streaming daemon (:mod:`repro.stream.daemon`)
-        drives the simnet as a live event source through exactly this
-        method — one poll is one capture — so a daemon poll sequence is
-        observation-for-observation the campaign's snapshot sequence.
+        One daemon poll (:mod:`repro.stream.daemon`) is one capture: the
+        stream diffs the scan against the previous one when it syncs it.
         """
         config = self._config
-        time = config.start_time + snapshot * config.interval
+        time = config.time_of(snapshot)
         churned = frozenset()
         if snapshot:
             self._inject_churn(snapshot, switch_time=time - config.interval / 2)
@@ -380,102 +365,13 @@ class LongitudinalCampaign:
                 for event in self._network.churn.events()
                 if window_start < event.switch_time <= time
             )
-        observations = tuple(self._scan(snapshot, time))
-        delta = diff_observations(previous, observations) if snapshot else None
         return SnapshotCapture(
             index=snapshot,
             time=time,
-            observations=observations,
-            delta=delta,
+            observations=tuple(self._scan(snapshot, time)),
             churned=churned,
         )
 
-    def collect(
-        self,
-        start: int = 0,
-        previous: tuple[Observation, ...] | None = None,
-    ) -> list[SnapshotCapture]:
-        """Run the snapshot scans from ``start`` and compute the deltas.
-
-        ``start > 0`` resumes a campaign mid-run: ``previous`` must be the
-        observations of snapshot ``start - 1`` (what a checkpoint stores)
-        and the network must already carry the earlier intervals' churn
-        (see :meth:`replay_churn`).
-        """
-        if start and previous is None:
-            raise SimulationError(
-                "resuming collection needs the previous snapshot's observations"
-            )
-        captures: list[SnapshotCapture] = []
-        for snapshot in range(start, self._config.snapshots):
-            capture = self.capture(snapshot, previous)
-            captures.append(capture)
-            previous = capture.observations
-        return captures
-
-    # ------------------------------------------------------------------ #
-    # Phase 2: incremental resolution
-    # ------------------------------------------------------------------ #
-    @staticmethod
-    def _resolve_one(
-        engine: LongitudinalEngine, capture: SnapshotCapture
-    ) -> SnapshotResolution:
-        """Resolve one capture: bootstrap without a delta, replay with one."""
-        if capture.delta is None:
-            resolution = engine.bootstrap(capture.observations, name=capture.name)
-        else:
-            resolution = engine.apply(capture.delta, name=capture.name)
-        return SnapshotResolution(capture=capture, resolution=resolution)
-
-    def resolve(
-        self,
-        captures: Iterable[SnapshotCapture],
-        engine: LongitudinalEngine | None = None,
-    ) -> CampaignResult:
-        """Resolve a capture sequence incrementally.
-
-        Pass a restored ``engine`` (:meth:`LongitudinalEngine.restore`) to
-        continue a checkpointed campaign: the first capture then carries a
-        delta and replays against the restored index instead of
-        bootstrapping.
-        """
-        engine = engine or LongitudinalEngine(self._options)
-        resolutions = [self._resolve_one(engine, capture) for capture in captures]
-        return CampaignResult(config=self._config, snapshots=tuple(resolutions))
-
-    def run(
-        self,
-        checkpointer=None,
-        start: int = 0,
-        previous: tuple[Observation, ...] | None = None,
-        engine: LongitudinalEngine | None = None,
-    ) -> CampaignResult:
-        """Collect and resolve the campaign, snapshot by snapshot.
-
-        Unlike ``resolve(collect())`` — which separates the two phases —
-        this interleaves collection and resolution, so a ``checkpointer``
-        (:class:`repro.persist.campaign.CampaignCheckpointer`) can persist
-        a consistent state after every snapshot.  ``start``, ``previous``
-        and ``engine`` resume a checkpointed campaign mid-run.
-        """
-        if start and (previous is None or engine is None):
-            raise SimulationError(
-                "resuming a campaign needs the previous snapshot's observations "
-                "and a restored engine"
-            )
-        engine = engine or LongitudinalEngine(self._options)
-        resolutions: list[SnapshotResolution] = []
-        for snapshot in range(start, self._config.snapshots):
-            with obs.span("campaign.snapshot", snapshot=snapshot):
-                capture = self.capture(snapshot, previous)
-                resolved = self._resolve_one(engine, capture)
-            resolutions.append(resolved)
-            previous = capture.observations
-            if obs.is_enabled():
-                row = snapshot_metrics_row(self, resolved)
-                obs.metrics().append_series(CAMPAIGN_SERIES, row)
-                obs.add("campaign.snapshots.resolved", 1)
-                obs.add("campaign.observations", row["observations"])
-            if checkpointer is not None:
-                checkpointer.save(self, engine, resolved)
-        return CampaignResult(config=self._config, snapshots=tuple(resolutions))
+    def collect(self) -> list[SnapshotCapture]:
+        """Capture every snapshot of the campaign, in order."""
+        return [self.capture(snapshot) for snapshot in range(self._config.snapshots)]

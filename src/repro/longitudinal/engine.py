@@ -2,10 +2,12 @@
 
 A :class:`LongitudinalEngine` owns one
 :class:`~repro.core.engine.ObservationIndex` across the whole measurement
-campaign.  For every new snapshot it replays the observation delta against
-the index (removals are exact inverses of additions, per-address
-reference counts make that safe) and re-derives only what the delta
-touched:
+campaign.  The stream (:mod:`repro.stream.engine`) stages every synced
+scan's observation delta on the index (:meth:`LongitudinalEngine.stage`:
+removals are exact inverses of additions, per-address reference counts
+make that safe) and derives a report at every emit
+(:meth:`LongitudinalEngine.derive`), re-deriving only what the staged
+deltas touched:
 
 * identifier extraction is cached across snapshots by observation content,
   so replaying a delta never re-extracts an identifier the campaign has
@@ -37,9 +39,10 @@ delta replay is linear in the index size with a small constant rather
 than linear in the delta — dropping that floor means relaxing the
 report-object contract (the ROADMAP's streaming-mode follow-on).
 
-The result of each step is the full :class:`~repro.core.engine.AliasReport`
-plus per-family :class:`~repro.longitudinal.delta.AliasDelta` objects
-describing how the non-singleton union sets evolved.
+The result of each derivation is the full
+:class:`~repro.core.engine.AliasReport` plus per-family
+:class:`~repro.longitudinal.delta.AliasDelta` objects describing how the
+non-singleton union sets evolved.
 """
 
 from __future__ import annotations
@@ -61,13 +64,7 @@ from repro.core.identifiers import (
     IdentifierOptions,
     extract_identifier,
 )
-from repro.errors import DatasetError
-from repro.longitudinal.delta import (
-    AliasDelta,
-    ObservationDelta,
-    diff_alias_sets,
-    observation_key,
-)
+from repro.longitudinal.delta import AliasDelta, diff_alias_sets, observation_key
 from repro.net.addresses import AddressFamily
 from repro.simnet.device import ServiceType
 from repro.sources.records import Observation
@@ -273,29 +270,14 @@ class LongitudinalEngine:
         merged ASN mapping exactly as the original engine held them after
         resolving the snapshot called ``name``.  The engine's identifier
         cache starts empty — the first delta replay re-extracts what it
-        touches and re-populates it — and :meth:`apply` continues from
-        ``name`` as if the process had never exited.
+        touches and re-populates it — and the next :meth:`stage` and
+        :meth:`derive` continue from ``name`` as if the process had never
+        exited.
         """
         engine = cls(index.options)
         engine._index = index
         engine._refresh(name)
         return engine
-
-    def bootstrap(
-        self, observations: Iterable[Observation], name: str = "snapshot-0"
-    ) -> IncrementalResolution:
-        """Resolve the first snapshot (a plain full index build)."""
-        if self._previous is not None:
-            raise DatasetError("engine already bootstrapped; apply() deltas instead")
-        self.stage((), observations)
-        return self._refresh(name)
-
-    def apply(self, delta: ObservationDelta, name: str) -> IncrementalResolution:
-        """Re-resolve after one snapshot's observation delta."""
-        if self._previous is None:
-            raise DatasetError("engine not bootstrapped; call bootstrap() first")
-        self.stage(delta.removed, delta.added)
-        return self._refresh(name)
 
     def stage(
         self,
@@ -304,11 +286,10 @@ class LongitudinalEngine:
     ) -> None:
         """Replay an observation delta against the index without deriving.
 
-        This is the ingest half of :meth:`apply`, split out so the
-        streaming engine can stage each synced scan's delta and pay for
-        collection derivation when it emits (:meth:`derive`).
-        Removals replay before additions so an identifier whose membership
-        merely rotates passes through a consistent intermediate state.
+        The streaming engine stages each synced scan's delta and pays for
+        collection derivation when it emits (:meth:`derive`).  Removals
+        replay before additions so an identifier whose membership merely
+        rotates passes through a consistent intermediate state.
         """
         identifiers = self._identifiers
         for observation in removed:
@@ -326,10 +307,8 @@ class LongitudinalEngine:
     def derive(self, name: str) -> IncrementalResolution:
         """Derive the report of everything staged since the last derivation.
 
-        The first derivation doubles as the bootstrap; later ones re-derive
-        only what the staged deltas dirtied, exactly like :meth:`apply` —
-        ``stage(removed, added)`` followed by ``derive(name)`` is
-        equivalent to ``apply(delta, name)`` step for step.
+        The first derivation is the bootstrap, a plain full build; later
+        ones re-derive only what the staged deltas dirtied.
         """
         return self._refresh(name)
 

@@ -13,7 +13,7 @@ import enum
 import functools
 import ipaddress
 import random
-from typing import Iterable, Iterator, Union
+from typing import Iterator, Union
 
 IPAddress = Union[ipaddress.IPv4Address, ipaddress.IPv6Address]
 IPNetwork = Union[ipaddress.IPv4Network, ipaddress.IPv6Network]
@@ -122,19 +122,3 @@ def random_addresses_in_prefix(prefix: str, count: int, rng: random.Random) -> l
             chosen.add(rng.randint(offset_low, offset_high))
     base = int(network.network_address)
     return [str(ipaddress.ip_address(base + offset)) for offset in sorted(chosen)]
-
-
-def addresses_in_any(addresses: Iterable[str], prefixes: Iterable[str]) -> list[str]:
-    """Return the subset of ``addresses`` contained in any of ``prefixes``."""
-    networks = [parse_network(prefix) for prefix in prefixes]
-    selected = []
-    for value in addresses:
-        address = parse_address(value)
-        if any(address.version == network.version and address in network for network in networks):
-            selected.append(value)
-    return selected
-
-
-def sort_addresses(addresses: Iterable[str]) -> list[str]:
-    """Sort addresses numerically, IPv4 before IPv6."""
-    return sorted(addresses, key=lambda value: (parse_address(value).version, int(parse_address(value))))

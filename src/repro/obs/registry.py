@@ -24,7 +24,7 @@ they commute: rendering the rebuilt registry yields byte-identical text.
 from __future__ import annotations
 
 import re
-from typing import Any, Iterator, Mapping
+from typing import Any, Mapping
 
 from repro.errors import DatasetError
 
@@ -131,10 +131,6 @@ class MetricsRegistry:
     def spans(self) -> list[dict[str, Any]]:
         """Completed root spans, in completion order."""
         return self._spans
-
-    def counter_names(self) -> Iterator[str]:
-        """Registered counter metric names."""
-        return iter(self._counters)
 
     # ------------------------------------------------------------------ #
     # Maintenance

@@ -1,4 +1,4 @@
-"""Persistence and resume: sessions, reports, campaigns, streams.
+"""Persistence and resume: sessions, reports, poll-loop checkpoints.
 
 The paper's longitudinal analysis compares snapshots and alias-set reports
 across collection runs, which assumes measurement state survives the
@@ -19,11 +19,9 @@ the byte-faithful observation round-trip of :mod:`repro.io`:
   observations once; the live
   :class:`~repro.core.engine.ObservationIndex` is rebuilt from them and
   checked against the manifest's :func:`state_signature_digest` pin.
-* :mod:`repro.persist.campaign` — longitudinal campaign checkpoints:
-  stop after snapshot *k*, resume to *k+n* with incremental
-  re-resolution intact (``repro longitudinal --checkpoint/--resume``).
-* :mod:`repro.persist.stream` — streaming-daemon checkpoints
-  (``repro serve --checkpoint/--resume``).
+* :mod:`repro.persist.stream` — the poll loop's checkpoints, one writer
+  and one loader for ``repro longitudinal`` (stop after snapshot *k*,
+  resume to *k+n*) and ``repro serve`` (``--checkpoint/--resume``).
 * :mod:`repro.persist.bank` — validation sample-bank documents
   (:meth:`~repro.validation.bank.IpidSampleBank.export_state`),
   signature-verified on load; what lets a reloaded session re-score
@@ -39,12 +37,6 @@ from repro.persist.bank import (
     bank_state_from_document,
     bank_state_signature,
     bank_state_to_document,
-)
-from repro.persist.campaign import (
-    CampaignCheckpointer,
-    LoadedCheckpoint,
-    load_checkpoint,
-    resume_campaign,
 )
 from repro.persist.chain import state_signature_digest
 from repro.persist.report import (
@@ -67,17 +59,13 @@ from repro.persist.validation import (
 )
 
 __all__ = [
-    "CampaignCheckpointer",
-    "LoadedCheckpoint",
     "bank_state_from_document",
     "bank_state_signature",
     "bank_state_to_document",
-    "load_checkpoint",
     "load_session",
     "report_from_document",
     "report_signature_digest",
     "report_to_document",
-    "resume_campaign",
     "save_session",
     "spec_from_document",
     "spec_to_document",

@@ -1,14 +1,15 @@
-"""The checkpoint chain behind campaign and stream checkpoints.
+"""The checkpoint chain: numbered generations under one manifest.
 
-A longitudinal campaign (:mod:`repro.persist.campaign`) and the streaming
-daemon (:mod:`repro.persist.stream`) checkpoint the same state after every
-step — a snapshot or a poll — and only add their own manifest fields.  A
-checkpoint directory holds numbered generations ``NNNN`` (the completed
-step count) of data files:
+The poll loop (:mod:`repro.stream.daemon`) checkpoints the same state
+after every step whether ``repro longitudinal`` or ``repro serve`` drives
+it, through one writer (:mod:`repro.persist.stream`).  The two commands
+keep their own on-disk names, a :class:`ChainLayout` each: a campaign's
+``checkpoint.json`` over ``snapshot-NNNN.jsonl`` files, a daemon's
+``stream.json`` over ``poll-NNNN.jsonl``.  A checkpoint directory holds
+numbered generations ``NNNN`` (the completed step count) of data files:
 
-* ``<step>-NNNN.jsonl`` — the observations of step ``NNNN - 1``
-  (``snapshot-`` or ``poll-``): the only copy of the generation's
-  resolution state.  The live
+* ``<step>-NNNN.jsonl`` — the observations of step ``NNNN - 1``: the only
+  copy of the generation's resolution state.  The live
   :class:`~repro.core.engine.ObservationIndex` after a step indexes
   exactly that step's observations, so a resume rebuilds it from this
   file, and the same observations are the diff baseline of the first
@@ -66,6 +67,23 @@ from repro.sources.records import Observation, ObservationDataset
 
 #: Current checkpoint format version, campaign and stream manifests alike.
 CHECKPOINT_FORMAT_VERSION = 1
+
+
+@dataclasses.dataclass(frozen=True)
+class ChainLayout:
+    """The on-disk names of one kind of checkpoint directory.
+
+    Attributes:
+        manifest: the manifest file name.
+        step: what one generation records (``snapshot``/``poll``); it
+            prefixes the observation files and names the manifest key
+            pointing at the newest one.
+        kind: what error messages call the directory.
+    """
+
+    manifest: str
+    step: str
+    kind: str
 
 
 def _bucket_tag(bucket_key: tuple[ServiceType, AddressFamily]) -> str:
@@ -137,30 +155,26 @@ Loaded = TypeVar("Loaded", bound=LoadedChain)
 class CheckpointChain:
     """Writes numbered checkpoint generations under one manifest.
 
-    Subclasses name their manifest file, their ``step`` (which prefixes the
-    observation files and the manifest key naming them) and their ``kind``
-    (for error messages), and pass their own manifest fields to
-    :meth:`write`.  ``keep`` rotates the generations: the newest ``keep``
-    survive each save (the manifest points at the newest, which is what a
-    resume loads; retaining more keeps fallback generations around if the
-    latest files are damaged after the fact).
+    ``layout`` names the files; subclasses pass their own manifest fields
+    to :meth:`write`.  ``keep`` rotates the generations: the newest
+    ``keep`` survive each save (the manifest points at the newest, which
+    is what a resume loads; retaining more keeps fallback generations
+    around if the latest files are damaged after the fact).
     """
-
-    manifest: str
-    step: str
-    kind: str
 
     def __init__(
         self,
         directory: str | Path,
         scenario: ScenarioConfig,
+        layout: ChainLayout,
         keep: int = 1,
         validation_run=None,
     ) -> None:
         if keep < 1:
-            raise PersistError(f"a checkpointer must keep at least one {self.step}")
+            raise PersistError(f"a checkpointer must keep at least one {layout.step}")
         self.directory = Path(directory)
         self.scenario = scenario
+        self.layout = layout
         self.keep = keep
         #: An optional :class:`~repro.validation.runner.ValidationRun`
         #: whose sample banks are persisted with each generation.
@@ -180,8 +194,9 @@ class CheckpointChain:
         ``fields`` are the subclass's own manifest entries.
         """
         directory = self.directory
+        step = self.layout.step
         directory.mkdir(parents=True, exist_ok=True)
-        observations_file = f"{self.step}-{completed:04d}.jsonl"
+        observations_file = f"{step}-{completed:04d}.jsonl"
         save_observations_atomic(
             ObservationDataset(last_name, observations), directory / observations_file
         )
@@ -219,7 +234,7 @@ class CheckpointChain:
             "completed": completed,
             "last_name": last_name,
             "observations": len(observations),
-            f"last_{self.step}_file": observations_file,
+            f"last_{step}_file": observations_file,
             "index_signature": state_signature_digest(index),
             "probe_counts": [
                 [vantage_name, asn, window, count]
@@ -232,7 +247,7 @@ class CheckpointChain:
             "retained": retained,
         }
         # The manifest lands last: whatever it describes is already on disk.
-        write_atomic(directory / self.manifest, json.dumps(manifest, indent=2))
+        write_atomic(directory / self.layout.manifest, json.dumps(manifest, indent=2))
         for number, paths in generations.items():
             if number not in retained:
                 for stale in paths:
@@ -248,7 +263,7 @@ class CheckpointChain:
         are pruned with their generation.
         """
         pattern = re.compile(
-            rf"(?:index|{self.step})-(\d+)\.jsonl?|bank-(\d+)-\d+\.json"
+            rf"(?:index|{self.layout.step})-(\d+)\.jsonl?|bank-(\d+)-\d+\.json"
         )
         generations: dict[int, list[Path]] = {}
         for path in self.directory.iterdir():
@@ -257,10 +272,10 @@ class CheckpointChain:
                 generations.setdefault(int(match[1] or match[2]), []).append(path)
         return generations
 
-    @classmethod
+    @staticmethod
     def read(
-        cls,
         directory: str | Path,
+        layout: ChainLayout,
         loaded_type: type[Loaded],
         own_fields: Callable[[dict], dict],
     ) -> Loaded:
@@ -280,14 +295,15 @@ class CheckpointChain:
                 checkpoint torn between file writes).
         """
         directory = Path(directory)
-        manifest_path = directory / cls.manifest
+        kind, step = layout.kind, layout.step
+        manifest_path = directory / layout.manifest
         if not manifest_path.exists():
-            raise PersistError(f"{directory} is not a {cls.kind} (no {cls.manifest})")
-        manifest = read_json_document(manifest_path, f"{cls.kind} manifest")
+            raise PersistError(f"{directory} is not a {kind} (no {layout.manifest})")
+        manifest = read_json_document(manifest_path, f"{kind} manifest")
         try:
             version = manifest["version"]
             if version != CHECKPOINT_FORMAT_VERSION:
-                raise PersistError(f"unsupported {cls.kind} version {version!r}")
+                raise PersistError(f"unsupported {kind} version {version!r}")
             fields = {
                 "scenario": ScenarioConfig(**manifest["scenario"]),
                 "campaign": LongitudinalConfig(**manifest["campaign"]),
@@ -305,7 +321,7 @@ class CheckpointChain:
                 **own_fields(manifest),
             }
             expected_observations = int(manifest["observations"])
-            observations_file = str(manifest[f"last_{cls.step}_file"])
+            observations_file = str(manifest[f"last_{step}_file"])
             index_signature = str(manifest["index_signature"])
             bank_pins = [
                 (str(entry["file"]), entry.get("signature"))
@@ -314,29 +330,29 @@ class CheckpointChain:
         except PersistError:
             raise
         except (KeyError, TypeError, ValueError, OverflowError, SimulationError) as exc:
-            raise PersistError(f"malformed {cls.kind} manifest {manifest_path}: {exc}") from exc
+            raise PersistError(f"malformed {kind} manifest {manifest_path}: {exc}") from exc
         try:
             dataset = load_observations(directory / observations_file)
         except PersistError:
             raise
         except DatasetError as exc:
-            raise PersistError(f"{cls.kind} {cls.step} file is unreadable: {exc}") from exc
+            raise PersistError(f"{kind} {step} file is unreadable: {exc}") from exc
         if len(dataset) != expected_observations:
             raise PersistError(
-                f"{cls.kind} {cls.step} file holds {len(dataset)} observations, "
+                f"{kind} {step} file holds {len(dataset)} observations, "
                 f"manifest expects {expected_observations}"
             )
         index = ObservationIndex.build(dataset, fields["options"])
         rebuilt_signature = state_signature_digest(index)
         if rebuilt_signature != index_signature:
             raise PersistError(
-                f"{cls.kind} {cls.step} file {directory / observations_file} does not match the "
+                f"{kind} {step} file {directory / observations_file} does not match the "
                 f"manifest (manifest {index_signature[:12]}…, rebuilt index "
-                f"{rebuilt_signature[:12]}…); the {cls.kind} was likely torn mid-save"
+                f"{rebuilt_signature[:12]}…); the {kind} was likely torn mid-save"
             )
         bank_states = [
             bank_state_from_document(
-                read_pinned_document(directory / file, "bank document", signature, cls.kind)
+                read_pinned_document(directory / file, "bank document", signature, kind)
             )
             for file, signature in bank_pins
         ]

@@ -1,54 +1,82 @@
-"""Checkpoint and resume of the streaming resolution daemon.
+"""Checkpoint and resume of the poll loop, for campaigns and daemons alike.
 
-The daemon (:mod:`repro.stream.daemon`) checkpoints after every poll, so
-a killed process resumes exactly where the stream left off: same live
+The poll loop (:mod:`repro.stream.daemon`) checkpoints after every poll,
+so a killed process resumes exactly where the stream left off: same live
 index, same emit sequence, same estimator series, same cumulative event
-counts.  Its files, their rotation and the resume rebuild are the
-checkpoint chain's (:mod:`repro.persist.chain`): ``poll-NNNN.jsonl`` per
-poll (the live index is rebuilt from it on load, and it is the diff
-baseline of the next poll), ``bank-NNNN-PPP.json`` when a validation run
-rides along, and the ``stream.json`` manifest.  The stream adds to the
-manifest its config (``churn_interval``), the emit-window state of the
-streaming engine (clock, window accounting, estimator; parsed into an
-:class:`~repro.stream.engine.EmitWindow` on load) and the cumulative
-published-event counts.
+counts.  ``repro longitudinal`` and ``repro serve`` write through the same
+:class:`StreamCheckpointer` and resume through the same
+:func:`load_stream_checkpoint` and :func:`resume_stream`; each keeps its
+own on-disk names (:data:`CAMPAIGN_LAYOUT`, :data:`STREAM_LAYOUT`).  The
+files, their rotation and the resume rebuild are the checkpoint chain's
+(:mod:`repro.persist.chain`): ``<step>-NNNN.jsonl`` per poll (the live
+index is rebuilt from it on load, and it is the diff baseline of the next
+poll), ``bank-NNNN-PPP.json`` when a validation run rides along, and the
+manifest.
+
+The manifest adds the streaming engine's emit window (its clock and
+estimator; parsed into an :class:`~repro.stream.engine.EmitWindow` on
+load) and the cumulative published-event counts.  A campaign checkpoint
+also carries its :class:`~repro.longitudinal.campaign.CampaignLog`: the
+stability rows of both families and the metric series.  A daemon's
+carries no log, or its manifest would grow by a row every poll.  The
+reader requires only the keys every campaign and stream manifest ever
+held: a campaign checkpoint without a window or event counts never ran
+an estimator or published an event, and resumes in exactly that state.
+Other keys older manifests carry are ignored.
 
 Every poll emits one report labelled ``snapshot-<poll>``, so a loaded
-checkpoint must have emitted ``completed`` reports, the last labelled
-``snapshot-<completed - 1>``; anything else fails the load.  Window and
-config keys that older manifests carry beyond these are ignored.
-
-A resumed daemon's reports equal the uninterrupted run's poll for poll —
-the resume gate in ``tests/persist/test_stream_checkpoint.py`` asserts
-signature equality.
+checkpoint has emitted ``completed`` reports, the last labelled
+``snapshot-<completed - 1>``; a manifest naming another label fails the
+load.  A resumed loop's reports equal the uninterrupted run's poll for
+poll — the resume gates in ``tests/persist/`` assert signature equality.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
+import math
 from pathlib import Path
 
+from repro.api.config import ScenarioConfig
 from repro.errors import PersistError
-from repro.longitudinal.campaign import LongitudinalCampaign
-from repro.persist.chain import CheckpointChain, LoadedChain, restore_campaign
+from repro.longitudinal.campaign import CampaignLog, LongitudinalCampaign, SnapshotStability
+from repro.net.addresses import AddressFamily
+from repro.persist.chain import ChainLayout, CheckpointChain, LoadedChain, restore_campaign
 from repro.sources.records import Observation
-from repro.stream.engine import EmitWindow, StreamConfig, StreamingEngine, emit_label
+from repro.stream.engine import EmitWindow, StreamingEngine, emit_label
 from repro.stream.estimator import ChurnRateEstimator
 
-#: Manifest file name inside a stream checkpoint directory.
-STREAM_MANIFEST = "stream.json"
+#: ``repro serve``'s checkpoint directory: ``stream.json`` over ``poll-NNNN.jsonl``.
+STREAM_LAYOUT = ChainLayout(manifest="stream.json", step="poll", kind="stream checkpoint")
+
+#: ``repro longitudinal``'s checkpoint directory: ``checkpoint.json`` over
+#: ``snapshot-NNNN.jsonl``.
+CAMPAIGN_LAYOUT = ChainLayout(
+    manifest="checkpoint.json", step="snapshot", kind="campaign checkpoint"
+)
 
 
 class StreamCheckpointer(CheckpointChain):
-    """Persists a resumable daemon state after every completed poll.
+    """Persists a resumable poll-loop state after every completed poll.
 
+    With a ``log`` — the one the loop records into — the checkpointer
+    writes the campaign layout and adds the log's rows to the manifest.
     ``keep`` and ``validation_run`` are the chain's
     (:class:`~repro.persist.chain.CheckpointChain`).
     """
 
-    manifest = STREAM_MANIFEST
-    step = "poll"
-    kind = "stream checkpoint"
+    def __init__(
+        self,
+        directory: str | Path,
+        scenario: ScenarioConfig,
+        keep: int = 1,
+        validation_run=None,
+        log: CampaignLog | None = None,
+    ) -> None:
+        layout = STREAM_LAYOUT if log is None else CAMPAIGN_LAYOUT
+        super().__init__(directory, scenario, layout, keep=keep, validation_run=validation_run)
+        self.log = log
 
     def save(
         self,
@@ -65,103 +93,130 @@ class StreamCheckpointer(CheckpointChain):
         ``last_name`` must be the stream's emit count and last label,
         which the loader checks.
         """
-        self.write(
-            campaign,
-            stream.engine.index,
-            completed,
-            last_name,
-            observations,
-            {
-                "stream": dataclasses.asdict(stream.config),
-                "window": stream.window_state(),
-                "event_counts": dict(stream.publisher.counts),
-            },
-        )
+        fields = {
+            "window": stream.window_state(),
+            "event_counts": dict(stream.publisher.counts),
+        }
+        if self.log is not None:
+            fields["stability"] = {
+                family.value: [dataclasses.asdict(row) for row in rows]
+                for family, rows in self.log.stability.items()
+            }
+            fields["metric_series"] = self.log.metric_series
+        self.write(campaign, stream.engine.index, completed, last_name, observations, fields)
 
 
 @dataclasses.dataclass(frozen=True)
 class LoadedStreamCheckpoint(LoadedChain):
-    """A verified stream checkpoint, ready to resume from.
+    """A verified poll-loop checkpoint, ready to resume from.
 
     Attributes (beyond :class:`~repro.persist.chain.LoadedChain`'s):
-        stream: configuration of the streaming engine.
-        window: the streaming engine's parsed emit-window state.
+        window: the streaming engine's parsed emit window, or ``None`` for
+            a campaign checkpoint whose loop never ran an estimator.
         event_counts: cumulative published-event counts at the checkpoint.
+        log: the campaign's stability rows and metric series (campaign
+            layout only).
     """
 
-    stream: StreamConfig
-    window: EmitWindow
+    window: EmitWindow | None
     event_counts: dict[str, int]
+    log: CampaignLog | None
 
 
-def _optional_float(value: float | None) -> float | None:
-    return None if value is None else float(value)
+def _window(layout: ChainLayout, window: dict) -> EmitWindow:
+    clock = float(window["clock"])
+    if not math.isfinite(clock):
+        raise PersistError(
+            f"malformed {layout.kind} manifest: the window clock must be finite (got {clock})"
+        )
+    return EmitWindow(clock=clock, estimator=ChurnRateEstimator.restore(window["estimator"]))
 
 
-def _stream_fields(manifest: dict) -> dict:
-    window = manifest["window"]
+def _log(manifest: dict) -> CampaignLog:
+    stability = manifest["stability"]
+    if not isinstance(stability, dict):
+        raise PersistError(
+            f"malformed campaign checkpoint manifest: stability is not an object ({stability!r})"
+        )
+    return CampaignLog(
+        stability={
+            family: [SnapshotStability(**row) for row in stability.get(family.value, ())]
+            for family in (AddressFamily.IPV4, AddressFamily.IPV6)
+        },
+        metric_series=[dict(row) for row in manifest.get("metric_series", ())],
+    )
+
+
+def _stream_fields(layout: ChainLayout, manifest: dict) -> dict:
     completed = int(manifest["completed"])
-    emitted = int(window["emitted"])
-    if emitted != completed:
-        raise PersistError(
-            f"stream checkpoint emitted {emitted} reports over {completed} polls; "
-            "a stream emits one report per poll"
-        )
-    event_counts = manifest["event_counts"]
-    if not isinstance(event_counts, dict):
-        raise PersistError(
-            f"malformed stream checkpoint manifest: event_counts is not an object ({event_counts!r})"
-        )
     expected_name = emit_label(completed - 1)
     if manifest["last_name"] != expected_name:
         raise PersistError(
-            f"stream checkpoint's last report is {manifest['last_name']!r}, "
+            f"{layout.kind}'s last report is {manifest['last_name']!r}, "
             f"expected {expected_name!r}"
         )
+    event_counts = manifest.get("event_counts", {})
+    if not isinstance(event_counts, dict):
+        raise PersistError(
+            f"malformed {layout.kind} manifest: event_counts is not an object ({event_counts!r})"
+        )
+    window = manifest.get("window")
     return {
-        "stream": StreamConfig(churn_interval=float(manifest["stream"]["churn_interval"])),
-        "window": EmitWindow(
-            emitted=emitted,
-            clock=float(window["clock"]),
-            tracked_at_emit=int(window["tracked_at_emit"]),
-            clock_at_emit=_optional_float(window["clock_at_emit"]),
-            coverage={
-                str(family): int(count)
-                for family, count in dict(window["coverage"]).items()
-            },
-            estimator=ChurnRateEstimator.restore(window["estimator"]),
-        ),
+        "window": None if window is None else _window(layout, window),
         "event_counts": {str(kind): int(count) for kind, count in event_counts.items()},
+        "log": _log(manifest) if layout == CAMPAIGN_LAYOUT else None,
     }
 
 
-def load_stream_checkpoint(directory: str | Path) -> LoadedStreamCheckpoint:
-    """Load and verify a stream checkpoint.
+def load_stream_checkpoint(
+    directory: str | Path, layout: ChainLayout = STREAM_LAYOUT
+) -> LoadedStreamCheckpoint:
+    """Load and verify the checkpoint ``layout`` names in ``directory``.
 
     Raises:
         PersistError: see :meth:`~repro.persist.chain.CheckpointChain.read`;
-            also when the checkpoint did not emit one report per poll.
+            also when the last report is not the last poll's, or a window
+            or log value is malformed or out of range.
     """
-    return StreamCheckpointer.read(directory, LoadedStreamCheckpoint, _stream_fields)
+    return CheckpointChain.read(
+        directory,
+        layout,
+        LoadedStreamCheckpoint,
+        functools.partial(_stream_fields, layout),
+    )
 
 
 def resume_stream(
-    checkpoint: LoadedStreamCheckpoint,
+    checkpoint: LoadedStreamCheckpoint, snapshots: int | None = None
 ) -> tuple[LongitudinalCampaign, StreamingEngine]:
     """Rebuild the campaign event source and streaming engine of a checkpoint.
 
-    Returns the campaign (network regenerated, completed churn
-    re-injected, IDS probe counters restored) and a streaming engine
-    whose live index, emit window, estimator, and cumulative event counts
-    equal the interrupted daemon's.  Continue with
-    ``StreamDaemon(campaign, stream, ...)``.
+    ``snapshots`` extends (or sets) the campaign's total snapshot count —
+    resuming with the stored count finishes the interrupted campaign; a
+    larger count keeps measuring past the original horizon.  Returns the
+    campaign (network regenerated, completed churn re-injected, IDS probe
+    counters restored) and a streaming engine whose live index, emit
+    window, estimator, and cumulative event counts equal the interrupted
+    loop's.  Continue with ``StreamDaemon(campaign, stream, ...)``.
+
+    Raises:
+        PersistError: when ``snapshots`` is smaller than the completed count.
     """
-    campaign, engine = restore_campaign(checkpoint, checkpoint.campaign)
+    config = checkpoint.campaign
+    if snapshots is not None:
+        if snapshots < checkpoint.completed:
+            raise PersistError(
+                f"cannot resume to {snapshots} snapshots: "
+                f"{checkpoint.completed} already completed"
+            )
+        config = dataclasses.replace(config, snapshots=snapshots)
+    campaign, engine = restore_campaign(checkpoint, config)
+    window = checkpoint.window or EmitWindow(
+        clock=max((o.timestamp for o in checkpoint.last_observations), default=0.0),
+        estimator=ChurnRateEstimator(interval=config.interval),
+    )
     stream = StreamingEngine.resume(
-        config=checkpoint.stream,
-        engine=engine,
-        observations=checkpoint.last_observations,
-        window=checkpoint.window,
+        engine, checkpoint.last_observations, checkpoint.completed, window
     )
     stream.publisher.counts.update(checkpoint.event_counts)
     return campaign, stream

@@ -13,7 +13,6 @@ from __future__ import annotations
 import dataclasses
 import enum
 import hashlib
-import ipaddress
 
 from repro.errors import MalformedMessageError
 
@@ -80,18 +79,6 @@ class EngineId:
         if len(mac) != 6:
             raise MalformedMessageError("MAC addresses are 6 octets")
         return cls(enterprise=enterprise, id_format=EngineIdFormat.MAC, data=mac)
-
-    @classmethod
-    def from_ipv4(cls, enterprise: int, address: str) -> "EngineId":
-        """Build an IPv4-address-based engine ID."""
-        packed = ipaddress.IPv4Address(address).packed
-        return cls(enterprise=enterprise, id_format=EngineIdFormat.IPV4, data=packed)
-
-    @classmethod
-    def from_text(cls, enterprise: int, text: str) -> "EngineId":
-        """Build a text-based engine ID (e.g. a hostname)."""
-        data = text.encode("ascii")[:27]
-        return cls(enterprise=enterprise, id_format=EngineIdFormat.TEXT, data=data)
 
     @classmethod
     def generate(cls, seed: str, enterprise: int = ENTERPRISE_NETSNMP) -> "EngineId":

@@ -51,10 +51,6 @@ class ChurnModel:
             return None
         return event.new_device_id
 
-    def churned_addresses(self) -> list[str]:
-        """Every address with a registered churn event."""
-        return sorted(self._events)
-
     def events(self) -> list[ChurnEvent]:
         """Every registered churn event, ordered by address.
 

@@ -121,21 +121,6 @@ class Device:
         """IPv6 addresses of the device."""
         return [address for address in self.addresses() if is_ipv6(address)]
 
-    def interface_for(self, address: str) -> Interface:
-        """Return the interface carrying ``address``."""
-        for interface in self.interfaces:
-            if interface.address == address:
-                return interface
-        raise SimulationError(f"device {self.device_id} has no interface with address {address}")
-
-    def add_interface(self, interface: Interface) -> None:
-        """Attach a new interface, keeping name/address uniqueness."""
-        if any(existing.name == interface.name for existing in self.interfaces):
-            raise SimulationError(f"duplicate interface name {interface.name} on {self.device_id}")
-        if any(existing.address == interface.address for existing in self.interfaces):
-            raise SimulationError(f"duplicate address {interface.address} on {self.device_id}")
-        self.interfaces.append(interface)
-
     @property
     def is_dual_stack(self) -> bool:
         """Whether the device has at least one IPv4 and one IPv6 address."""

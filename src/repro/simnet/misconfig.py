@@ -100,17 +100,3 @@ def apply_service_acl(
         exposed = frozenset(rng.sample(addresses, exposed_count))
         device.service_acl[service] = exposed
     return affected
-
-
-def copy_ssh_config_to_group(source: Device, targets: list[Device]) -> None:
-    """Clone one device's full SSH configuration onto other devices.
-
-    Models administrators copying the same key pair (and sshd configuration)
-    across multiple hosts — the strongest over-merge case the paper
-    acknowledges, where even the capability signature cannot split the
-    devices.
-    """
-    if source.ssh_config is None:
-        return
-    for target in targets:
-        target.ssh_config = dataclasses.replace(source.ssh_config)

@@ -159,15 +159,6 @@ class SimulatedInternet:
                 sets.append(frozenset(addresses))
         return sets
 
-    def service_address_count(self, service: ServiceType, family: AddressFamily) -> int:
-        """Number of addresses on which ``service`` answers (ground truth)."""
-        count = 0
-        for device in self._devices.values():
-            for address in device.service_addresses(service):
-                if family_of(address) is family:
-                    count += 1
-        return count
-
     # ------------------------------------------------------------------ #
     # Deterministic pseudo-randomness and rate limiting
     # ------------------------------------------------------------------ #
@@ -207,10 +198,10 @@ class SimulatedInternet:
     def export_probe_counts(self) -> dict[tuple[str, int, int], int]:
         """Copy of the per-(vantage, AS, window) IDS probe counters.
 
-        Campaign checkpoints persist these so a resumed campaign whose next
+        Checkpoints persist these so a resumed campaign whose next
         snapshot falls inside an already-probed rate-limit window sees the
         same IDS state the uninterrupted run would (see
-        :mod:`repro.persist.campaign`).
+        :mod:`repro.persist.chain`).
         """
         return dict(self._probe_counts)
 

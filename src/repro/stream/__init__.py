@@ -1,15 +1,16 @@
-"""Streaming resolution service: full-scan ingest, typed events, churn inference.
+"""Streaming resolution: full-scan ingest, typed events, churn inference.
 
-The batch pipeline answers "what did the campaign see"; this package
-answers "what is changing right now".  A
+Every longitudinal run goes through this package.  A
 :class:`~repro.stream.engine.StreamingEngine` keeps a live alias report
 current over a sequence of full scans through the longitudinal delta
 machinery — each scan is synced, then flushed as one emit — publishes
 typed change events (:mod:`repro.stream.events`) on every emit, and
 infers the network's churn rate online (:mod:`repro.stream.estimator`).
-The :class:`~repro.stream.daemon.StreamDaemon` (``repro serve``) drives
-the simnet as a live event source, one scan and one emit per poll, with
-graceful shutdown and checkpointed resume (:mod:`repro.persist.stream`).
+The :class:`~repro.stream.daemon.StreamDaemon` poll loop drives the simnet
+as a live event source, one scan and one emit per poll, with graceful
+shutdown and checkpointed resume (:mod:`repro.persist.stream`):
+``repro longitudinal`` runs it for a bounded campaign, ``repro serve``
+until stopped.
 """
 
 from repro.stream.daemon import DaemonConfig, StreamDaemon

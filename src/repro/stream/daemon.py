@@ -1,15 +1,16 @@
-"""Always-on resolution daemon driving the simnet as a live event source.
+"""The poll loop every longitudinal run drives, from a campaign to a daemon.
 
-One daemon poll is one simulated scan: it advances the simnet by one
-churn interval through
+One poll is one simulated scan: it advances the simnet by one churn
+interval through
 :meth:`~repro.longitudinal.campaign.LongitudinalCampaign.capture` (churn
 injection, both-family scan, ground-truth attribution), syncs the scan
-into the :class:`~repro.stream.engine.StreamingEngine` and flushes one
-report.  Every poll emits exactly once, so the stream records the
+into the :class:`~repro.stream.engine.StreamingEngine`, flushes one
+report, records the poll's stability rows when a
+:class:`~repro.longitudinal.campaign.CampaignLog` rides along, and
+checkpoints.  Every poll emits exactly once, so the stream records the
 daemon's position: its emit count is the number of completed polls and
-its live observations are the last poll's scan.  The emitted labels are
-the campaign's snapshot labels, which keeps the daemon's reports
-byte-comparable to a batch campaign over the same simnet.
+its live observations are the last poll's scan.  ``repro longitudinal``
+runs a bounded loop with a log; ``repro serve`` runs one without.
 
 The loop is built to be killed:
 
@@ -17,10 +18,10 @@ The loop is built to be killed:
   :meth:`StreamDaemon.install_signal_handlers` ran) finishes the poll in
   flight, cuts short the wait before the next one, and exits cleanly;
 * a :class:`~repro.persist.stream.StreamCheckpointer` persists a
-  consistent state after every poll, so a daemon killed between polls
+  consistent state after every poll, so a loop killed between polls
   resumes from its checkpoint to the same reports an uninterrupted run
-  produces (``repro serve --resume``);
-* ``max_polls`` bounds the run for smoke tests and CI.
+  produces (``--resume``);
+* ``max_polls`` bounds the run for campaigns, smoke tests and CI.
 
 Wall-clock pacing (``poll_interval`` seconds between polls) exists for
 running against a terminal as a live demo; tests and benchmarks leave it
@@ -36,7 +37,7 @@ from typing import Iterator
 
 from repro import obs
 from repro.errors import SimulationError
-from repro.longitudinal.campaign import LongitudinalCampaign
+from repro.longitudinal.campaign import CampaignLog, LongitudinalCampaign
 
 from repro.stream.engine import StreamingEngine, StreamUpdate
 
@@ -71,17 +72,21 @@ class StreamDaemon:
         stream: StreamingEngine,
         config: DaemonConfig | None = None,
         checkpointer=None,
+        log: CampaignLog | None = None,
     ) -> None:
         """Wire a daemon to its event source.
 
         A resumed daemon takes the campaign and stream that
         :func:`repro.persist.stream.resume_stream` rebuilt, and continues
-        after the stream's last emit.
+        after the stream's last emit.  A ``log`` records every poll's
+        stability rows before the poll is checkpointed; a checkpointer
+        that persists them holds the same log.
         """
         self._campaign = campaign
         self._stream = stream
         self._config = config or DaemonConfig()
         self._checkpointer = checkpointer
+        self._log = log
         self._stop = threading.Event()
 
     @property
@@ -130,13 +135,15 @@ class StreamDaemon:
         return restore
 
     def poll_once(self) -> StreamUpdate:
-        """Run one poll: capture, sync, flush, checkpoint."""
+        """Run one poll: capture, sync, flush, log, checkpoint."""
         stream = self._stream
         poll = stream.emitted
         with obs.span("stream.poll", poll=poll):
-            capture = self._campaign.capture(poll, stream.live_observations())
+            capture = self._campaign.capture(poll)
             stream.sync(capture.observations)
             update = stream.flush()
+        if self._log is not None:
+            self._log.record(self._campaign, capture, update)
         if obs.is_enabled():
             obs.add("stream.polls")
             obs.add("stream.observations", len(capture.observations))

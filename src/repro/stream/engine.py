@@ -1,28 +1,25 @@
 """Streaming resolution over a sequence of full scans.
 
-Where the batch :class:`~repro.longitudinal.campaign.LongitudinalCampaign`
-collects every snapshot before resolving, a :class:`StreamingEngine` stays
-resident and takes one full scan at a time — the shape ``repro serve``
-polls.  :meth:`StreamingEngine.sync` diffs the scan against the previous
-one (content-keyed and multiset-exact:
-:func:`~repro.longitudinal.delta.diff_observations`) and stages the delta
-on the live :class:`~repro.core.engine.ObservationIndex` through
-:meth:`~repro.longitudinal.engine.LongitudinalEngine.stage`, without
-deriving.  :meth:`StreamingEngine.flush` then emits.
+A :class:`StreamingEngine` stays resident and takes one full scan at a
+time — the shape every longitudinal loop polls (``repro longitudinal``,
+``repro serve``; :mod:`repro.stream.daemon`).  :meth:`StreamingEngine.sync`
+diffs the scan against the previous one (content-keyed and
+multiset-exact: :func:`~repro.longitudinal.delta.diff_observations`) and
+stages the delta on the live :class:`~repro.core.engine.ObservationIndex`
+through :meth:`~repro.longitudinal.engine.LongitudinalEngine.stage`,
+without deriving.  :meth:`StreamingEngine.flush` then emits.
 
 An emit derives the full report incrementally, classifies how the union
 sets evolved since the previous emit, publishes the typed change events
 (:mod:`repro.stream.events`), folds the window into the online churn-rate
 estimator (:mod:`repro.stream.estimator`), and returns everything as a
-:class:`StreamUpdate` labelled ``snapshot-<emit>``, the batch campaign's
+:class:`StreamUpdate` labelled ``snapshot-<emit>``, the campaign's
 snapshot labels.
 
-The equivalence contract with the batch campaign is exact: syncing each
-snapshot's observations and flushing yields, emit for emit, the same
-:func:`~repro.core.engine.report_signature` and the same
-born/dissolved/grown/shrunk/migrated counts as ``bootstrap``/``apply``
-over the campaign's deltas — ``tests/stream/test_stream_engine.py``
-asserts both.
+Every emitted report equals a from-scratch
+:meth:`~repro.core.engine.ResolutionEngine.resolve` of the last synced
+scan (:func:`~repro.core.engine.report_signature` equality) —
+``tests/stream/test_stream_engine.py`` asserts it emit for emit.
 """
 
 from __future__ import annotations
@@ -49,7 +46,7 @@ from repro.stream.events import (
 
 
 def emit_label(emit: int) -> str:
-    """Label of the ``emit``-th report: the batch campaign's snapshot label."""
+    """Label of the ``emit``-th report: the campaign's snapshot label."""
     return f"snapshot-{emit}"
 
 
@@ -100,15 +97,23 @@ class EmitWindow:
     :meth:`StreamingEngine.window_state` renders it for the manifest, the
     stream checkpoint loader parses it back (:mod:`repro.persist.stream`),
     and :meth:`StreamingEngine.resume` continues from it.  The resumed
-    engine takes ownership of ``estimator``.
+    engine takes ownership of ``estimator``.  The rest of the window is
+    fixed by construction, because a checkpoint follows an emit: the emit
+    count is the completed polls, the clock at the emit is ``clock``, and
+    the tracked addresses and the coverage come from the last scan and
+    the restored report.
     """
 
-    emitted: int
     clock: float
-    tracked_at_emit: int
-    clock_at_emit: float | None
-    coverage: dict[str, int]
     estimator: ChurnRateEstimator
+
+
+def _coverage(report: AliasReport) -> dict[str, int]:
+    """Addresses each family's union sets cover."""
+    return {
+        "ipv4": sum(len(s.addresses) for s in report.ipv4_union),
+        "ipv6": sum(len(s.addresses) for s in report.ipv6_union),
+    }
 
 
 class StreamingEngine:
@@ -227,10 +232,7 @@ class StreamingEngine:
             ("ipv6", resolution.ipv6_delta),
         ):
             events.extend(events_from_delta(delta, emit, label, family))
-        coverage = {
-            "ipv4": sum(len(s.addresses) for s in resolution.report.ipv4_union),
-            "ipv6": sum(len(s.addresses) for s in resolution.report.ipv6_union),
-        }
+        coverage = _coverage(resolution.report)
         for family, current in coverage.items():
             previous = self._coverage.get(family)
             if previous is not None and previous != current:
@@ -285,41 +287,38 @@ class StreamingEngine:
         """JSON-serialisable emit-window state (no index, no observations).
 
         The last synced scan is persisted separately
-        (:mod:`repro.persist.stream`); this carries the small scalars a
-        resumed engine needs to continue the same emit sequence and the
-        same estimator series (an :class:`EmitWindow` once parsed).
+        (:mod:`repro.persist.stream`); this carries what a resumed engine
+        needs to continue the same clock and the same estimator series
+        (an :class:`EmitWindow` once parsed).
         """
-        return {
-            "emitted": self._emitted,
-            "clock": self._clock,
-            "tracked_at_emit": self._tracked_at_emit,
-            "clock_at_emit": self._clock_at_emit,
-            "coverage": dict(self._coverage),
-            "estimator": self._estimator.state(),
-        }
+        return {"clock": self._clock, "estimator": self._estimator.state()}
 
     @classmethod
     def resume(
         cls,
-        config: StreamConfig,
         engine: LongitudinalEngine,
         observations: Iterable[Observation],
+        emitted: int,
         window: EmitWindow,
     ) -> "StreamingEngine":
         """Rebuild a streaming engine around a restored incremental engine.
 
         ``engine`` must already hold the checkpointed index and report
         (:meth:`~repro.longitudinal.engine.LongitudinalEngine.restore`);
-        ``observations`` are the last synced scan at the checkpoint, and
-        ``window`` is the parsed :meth:`window_state`.  The checkpoint
-        writer runs right after an emit, so no window is in flight.
+        ``observations`` are the last synced scan at the checkpoint,
+        ``emitted`` the number of emits so far, and ``window`` the parsed
+        :meth:`window_state`.  The checkpoint writer runs right after an
+        emit, so no window is in flight, and the estimator's interval is
+        the stream's.
         """
-        streaming = cls(config=config, engine=engine)
+        streaming = cls(
+            config=StreamConfig(churn_interval=window.estimator.interval), engine=engine
+        )
         streaming._live = tuple(observations)
-        streaming._emitted = window.emitted
+        streaming._emitted = emitted
         streaming._clock = window.clock
-        streaming._tracked_at_emit = window.tracked_at_emit
-        streaming._clock_at_emit = window.clock_at_emit
-        streaming._coverage = dict(window.coverage)
+        streaming._tracked_at_emit = len({o.address for o in streaming._live})
+        streaming._clock_at_emit = window.clock
+        streaming._coverage = _coverage(engine.report)
         streaming._estimator = window.estimator
         return streaming

@@ -1,6 +1,6 @@
 """Online churn-rate inference from observed address-reassignment deltas.
 
-The batch campaign *knows* the churn it injected; a live service only
+The simulated campaign *knows* the churn it injected; a live service only
 sees its consequences.  Between two emits, an address that was being
 tracked and got reassigned to another device either answers with a new
 identity (its observations are replaced) or stops answering (its
@@ -25,6 +25,8 @@ daemon continues the same smoothed series.
 
 from __future__ import annotations
 
+import math
+
 from repro.errors import SimulationError
 
 
@@ -39,8 +41,10 @@ class ChurnRateEstimator:
     """
 
     def __init__(self, interval: float, window: int = 8) -> None:
-        if interval <= 0:
-            raise SimulationError("estimator interval must be positive")
+        if not (interval > 0 and math.isfinite(interval)):
+            raise SimulationError(
+                f"estimator interval must be positive and finite (got {interval})"
+            )
         if window < 1:
             raise SimulationError("estimator window must be at least 1")
         self.interval = interval
@@ -97,9 +101,22 @@ class ChurnRateEstimator:
 
     @classmethod
     def restore(cls, state: dict) -> "ChurnRateEstimator":
-        """Rebuild an estimator from :meth:`state` output."""
-        estimator = cls(interval=state["interval"], window=int(state["window"]))
+        """Rebuild an estimator from :meth:`state` output.
+
+        Raises:
+            SimulationError: when the interval is not positive and finite,
+                the rate is neither finite nor null, or the window count is
+                negative.
+        """
+        estimator = cls(interval=float(state["interval"]), window=int(state["window"]))
         rate = state["rate"]
-        estimator._rate = None if rate is None else float(rate)
-        estimator._windows = int(state["windows"])
+        if rate is not None:
+            rate = float(rate)
+            if not math.isfinite(rate):
+                raise SimulationError(f"estimator rate must be finite (got {rate})")
+        windows = int(state["windows"])
+        if windows < 0:
+            raise SimulationError(f"estimator window count cannot be negative (got {windows})")
+        estimator._rate = rate
+        estimator._windows = windows
         return estimator

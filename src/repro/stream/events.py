@@ -1,9 +1,9 @@
 """Typed change events of the streaming resolution service.
 
-The batch campaign reports how alias sets evolved as per-snapshot
+Every emit classifies how alias sets evolved as per-family
 :class:`~repro.longitudinal.delta.AliasDelta` tables; the streaming
-service turns the same classification into *events* a subscriber can act
-on the moment they happen: an alias set was born, dissolved, grew,
+service turns that classification into *events* a subscriber can act on
+the moment they happen: an alias set was born, dissolved, grew,
 shrank or migrated, the covered address count moved, a report was
 emitted.  Every event is a frozen dataclass with a stable ``kind`` tag
 and a flat :meth:`StreamEvent.to_fields` rendering, so the same object

@@ -4,14 +4,16 @@ The paper attributes part of its SSH/MIDAR disagreement to the three-week
 MIDAR run itself: addresses that moved between devices after the scan but
 before (or during) the IPID probing split under corroboration even though
 the identifier evidence was correct when collected.  This module makes
-that mechanism measurable on the registry: take a finished
-:class:`~repro.longitudinal.campaign.CampaignResult`, and for every
-snapshot re-run one registered validator over that snapshot's
+that mechanism measurable on the registry: take the updates a campaign's
+poll loop emitted (:class:`~repro.stream.daemon.StreamDaemon`), and for
+every snapshot re-run one registered validator over that snapshot's
 index-derived sets — probing at ``snapshot time + probe_lag``, which
 defaults to the campaign interval, i.e. right before the *next* snapshot's
 scan.  Addresses churned mid-interval answer IPID probes from their new
 device, so the per-snapshot disagreement series exposes exactly the
-paper's churn-driven MIDAR-disagreement effect.
+paper's churn-driven MIDAR-disagreement effect.  That is also why the
+validation runs after the last poll, not as each poll lands: the probes
+of snapshot *k* must see the churn that poll *k + 1* injects.
 
 All snapshots share one :class:`~repro.validation.runner.ValidationRun`
 (and therefore one sample bank per vantage), but banked evidence is only
@@ -24,8 +26,10 @@ interval away always re-probes.
 from __future__ import annotations
 
 import dataclasses
+from typing import Sequence
 
-from repro.longitudinal.campaign import CampaignResult, LongitudinalCampaign
+from repro.longitudinal.campaign import LongitudinalCampaign
+from repro.stream.engine import StreamUpdate
 from repro.validation.budget import ProbeBudgetOptimizer
 from repro.validation.report import ValidationReport
 from repro.validation.runner import ValidationRun, candidate_sets, run_validator
@@ -44,7 +48,7 @@ class SnapshotValidation:
 
 def validate_snapshots(
     campaign: LongitudinalCampaign,
-    result: CampaignResult,
+    updates: Sequence[StreamUpdate],
     validator: str | ValidatorSpec = "midar",
     probe_lag: float | None = None,
     run: ValidationRun | None = None,
@@ -53,9 +57,9 @@ def validate_snapshots(
     """Run one validator over every snapshot's index-derived sets.
 
     Args:
-        campaign: the campaign that produced ``result`` (its network — with
-            all injected churn — is what gets probed).
-        result: the resolved campaign.
+        campaign: the campaign whose polls emitted ``updates`` (its
+            network — with all injected churn — is what gets probed).
+        updates: one emitted update per snapshot, in poll order.
         validator: a registered validator name or an explicit spec; its
             leaf's ``protocol``/``family`` parameters select which of each
             snapshot's collections provides the candidate sets.
@@ -89,18 +93,13 @@ def validate_snapshots(
         run.optimizer = optimizer
     rows: list[SnapshotValidation] = []
     try:
-        for resolved in result.snapshots:
-            capture = resolved.capture
-            candidates = candidate_sets(resolved.report, leaf)
-            report = run_validator(
-                run, spec, candidates=candidates, start_time=capture.time + lag
-            )
+        for update in updates:
+            time = campaign.config.time_of(update.emit)
+            candidates = candidate_sets(update.report, leaf)
+            report = run_validator(run, spec, candidates=candidates, start_time=time + lag)
             rows.append(
                 SnapshotValidation(
-                    snapshot=capture.index,
-                    time=capture.time,
-                    probed_at=capture.time + lag,
-                    report=report,
+                    snapshot=update.emit, time=time, probed_at=time + lag, report=report
                 )
             )
     finally:

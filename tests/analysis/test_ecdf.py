@@ -20,10 +20,6 @@ class TestEvaluate:
         assert Ecdf([]).evaluate(5) == 0.0
         assert len(Ecdf([])) == 0
 
-    def test_fraction_between(self):
-        ecdf = Ecdf([1, 2, 3, 4])
-        assert ecdf.fraction_between(1, 3) == 0.5
-
 
 class TestQuantiles:
     def test_median_odd(self):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis.report import alias_report_markdown, covered_address_summary, family_breakdown
+from repro.analysis.report import alias_report_markdown
 from repro.core.engine import ResolutionEngine
 from repro.simnet.topology import generate_topology, small_topology_config
 from repro.sources.active import ActiveMeasurement
@@ -42,23 +42,3 @@ class TestMarkdownReport:
     def test_without_registry_roles_unknown(self, report):
         text = alias_report_markdown(report)
         assert "unknown" in text
-
-
-class TestSummaries:
-    def test_covered_address_summary_keys_and_consistency(self, report):
-        summary = covered_address_summary(report)
-        assert set(summary) == {
-            "ipv4_union_sets",
-            "ipv4_union_addresses",
-            "ipv6_union_sets",
-            "dual_stack_sets",
-            "dual_stack_ipv4",
-            "dual_stack_ipv6",
-        }
-        assert summary["ipv4_union_addresses"] >= 2 * summary["ipv4_union_sets"] > 0
-        assert summary["dual_stack_ipv4"] >= summary["dual_stack_sets"] > 0
-
-    def test_family_breakdown_matches_report(self, report):
-        breakdown = family_breakdown(report)
-        assert breakdown["ipv4"]["union"] == len(report.ipv4_union.non_singleton())
-        assert breakdown["ipv6"]["union"] == len(report.ipv6_union.non_singleton())

@@ -2,7 +2,7 @@
 
 from repro.analysis.aslevel import multi_as_fraction, role_split, sets_per_as_values, top_as_table
 from repro.analysis.setstats import set_size_summary
-from repro.analysis.tables import format_count, format_fraction, render_table
+from repro.analysis.tables import format_count, render_table
 from repro.core.aliasset import AliasSet, AliasSetCollection
 from repro.core.dual_stack import DualStackCollection, DualStackSet
 from repro.simnet.asn import AsRegistry, AsRole, AutonomousSystem
@@ -89,9 +89,6 @@ class TestTables:
         assert format_count(15_900) == "16k"
         assert format_count(3_200_000) == "3.2M"
         assert format_count(24_400_000) == "24M"
-
-    def test_format_fraction(self):
-        assert format_fraction(0.964) == "96.4%"
 
     def test_render_table_alignment(self):
         text = render_table(["Name", "Count"], [["ssh", 10], ["bgp", 2]], title="Demo")

@@ -58,7 +58,6 @@ class TestAliasSetCollection:
         collection = self.build()
         assert len(collection.addresses()) == 6
         assert sorted(collection.sizes()) == [1, 2, 3]
-        assert collection.size_histogram()[2] == 1
 
     def test_asns_per_set(self):
         collection = self.build()
@@ -80,10 +79,7 @@ class TestAliasSetCollection:
         collection = self.build().filter(lambda s: s.size >= 3)
         assert len(collection) == 1
 
-    def test_asn_of_and_merged_mapping(self):
+    def test_asn_of(self):
         collection = self.build()
-        other = AliasSetCollection("other", [], {"10.9.0.1": 999})
-        merged = collection.merged_address_asn(other)
-        assert merged["10.9.0.1"] == 999
         assert collection.asn_of("10.0.0.1") == 100
         assert collection.asn_of("10.254.0.1") is None

@@ -63,7 +63,7 @@ class TestInference:
         assert len(ssh_only) == 1
         assert ssh_only.sets[0].protocols == frozenset({ServiceType.SSH})
 
-    def test_size_fractions_and_one_to_one(self):
+    def test_one_to_one_fraction(self):
         observations = [
             ssh_obs("10.0.0.1", "key-A"),
             ssh_obs("2001:db8::1", "key-A"),
@@ -72,9 +72,6 @@ class TestInference:
             ssh_obs("2001:db8::b", "key-B"),
         ]
         collection = dual_stack(observations)
-        fractions = collection.size_fractions()
-        assert fractions["1+1"] == 0.5
-        assert fractions["2-10"] == 0.5
         assert collection.one_to_one_fraction() == 0.5
 
     def test_address_accessors(self):
@@ -86,7 +83,6 @@ class TestInference:
     def test_empty_collection_fractions(self):
         collection = dual_stack([])
         assert collection.one_to_one_fraction() == 0.0
-        assert collection.size_fractions()[">10"] == 0.0
 
 
 class TestUnion:

@@ -1,4 +1,6 @@
-"""Tests for the longitudinal campaign driver."""
+"""Tests for the longitudinal campaign: its event source and its stability log."""
+
+from itertools import pairwise
 
 import pytest
 
@@ -6,9 +8,15 @@ from repro.api import ReproSession, ScenarioConfig
 from repro.core.engine import ResolutionEngine, report_signature
 from repro.core.identifiers import count_extractions
 from repro.errors import SimulationError
-from repro.longitudinal import LongitudinalCampaign, LongitudinalConfig, LongitudinalEngine
+from repro.longitudinal import (
+    CampaignLog,
+    LongitudinalCampaign,
+    LongitudinalConfig,
+    diff_observations,
+)
 from repro.net.addresses import AddressFamily
 from repro.simnet.topology import generate_topology, small_topology_config
+from repro.stream import DaemonConfig, StreamDaemon, StreamingEngine
 
 
 def quiet_network(seed=31):
@@ -21,6 +29,15 @@ def quiet_network(seed=31):
         churn_fraction=0.0,
     )
     return generate_topology(config)
+
+
+def poll(campaign):
+    """Poll ``campaign`` to its horizon: its updates and its stability log."""
+    log = CampaignLog()
+    daemon = StreamDaemon(
+        campaign, StreamingEngine(), DaemonConfig(max_polls=campaign.config.snapshots), log=log
+    )
+    return daemon.run(), log
 
 
 class TestConfigValidation:
@@ -47,86 +64,106 @@ class TestQuietCampaign:
 
     @pytest.fixture(scope="class")
     def result(self):
-        campaign = LongitudinalCampaign(
-            quiet_network(),
-            config=LongitudinalConfig(snapshots=3, churn_fraction=0.0, seed=5),
+        return poll(
+            LongitudinalCampaign(
+                quiet_network(),
+                config=LongitudinalConfig(snapshots=3, churn_fraction=0.0, seed=5),
+            )
         )
-        return campaign.run()
 
     def test_snapshot_count(self, result):
-        assert len(result.snapshots) == 3
+        updates, log = result
+        assert len(updates) == len(log.stability[AddressFamily.IPV4]) == 3
 
     def test_deltas_empty(self, result):
-        for snapshot in result.snapshots[1:]:
-            assert snapshot.capture.delta.is_empty
+        updates, log = result
+        for update, stability in zip(updates[1:], log.stability[AddressFamily.IPV4][1:], strict=True):
+            assert update.events[-1].added == update.events[-1].removed == 0
+            assert stability.added == stability.removed == 0
 
     def test_full_persistence(self, result):
-        for stability in result.stability(AddressFamily.IPV4)[1:]:
+        _, log = result
+        for stability in log.stability[AddressFamily.IPV4][1:]:
             assert stability.persistence == 1.0
             assert stability.born == 0
             assert stability.dissolved == 0
             assert stability.splits == 0
 
     def test_reports_identical_across_snapshots(self, result):
-        first = result.snapshots[0].report
-        last = result.final_report
+        updates, _ = result
+        first = updates[0].report
+        last = updates[-1].report
         assert len(first.ipv4_union.non_singleton()) == len(
             last.ipv4_union.non_singleton()
         )
 
 
 class TestChurningCampaign:
-    @pytest.fixture(scope="class")
-    def campaign(self):
+    @staticmethod
+    def make_campaign():
         return LongitudinalCampaign(
             quiet_network(seed=77),
             config=LongitudinalConfig(snapshots=3, churn_fraction=0.1, seed=9),
         )
 
     @pytest.fixture(scope="class")
+    def campaign(self):
+        return self.make_campaign()
+
+    @pytest.fixture(scope="class")
     def captures(self, campaign):
         return campaign.collect()
 
     @pytest.fixture(scope="class")
-    def result(self, campaign, captures):
-        return campaign.resolve(captures)
+    def result(self):
+        # Same seed: the poll loop captures exactly the collected sequence.
+        return poll(self.make_campaign())
 
     def test_churn_produces_deltas(self, captures):
-        for capture in captures[1:]:
+        for previous, capture in pairwise(captures):
+            delta = diff_observations(previous.observations, capture.observations)
             assert capture.churned
-            assert capture.delta.added and capture.delta.removed
+            assert delta.added and delta.removed
             # Churn touches a few percent of the snapshot, not most of it.
-            assert capture.delta.unchanged > len(capture.delta.added)
+            assert delta.unchanged > len(delta.added)
 
     def test_incremental_matches_from_scratch_every_snapshot(self, captures, result):
+        updates, _ = result
         reference_engine = ResolutionEngine()
-        for capture, snapshot in zip(captures, result.snapshots, strict=True):
+        for capture, update in zip(captures, updates, strict=True):
             reference = reference_engine.resolve(capture.observations, name=capture.name)
-            assert report_signature(snapshot.report) == report_signature(reference)
+            assert report_signature(update.report) == report_signature(reference)
 
     def test_delta_replay_extracts_only_added_observations(self, captures):
         # Removed observations reuse the identifier cached when they were
         # added, so a delta replay extracts only the added ones; a rebuild
         # re-extracts every observation of every snapshot.
-        engine = LongitudinalEngine()
-        engine.bootstrap(captures[0].observations, name=captures[0].name)
+        stream = StreamingEngine()
+        stream.sync(captures[0].observations)
+        stream.flush()
         with count_extractions() as replay:
             for capture in captures[1:]:
-                engine.apply(capture.delta, name=capture.name)
+                stream.sync(capture.observations)
+                stream.flush()
         with count_extractions() as rebuild:
             for capture in captures[1:]:
                 ResolutionEngine().resolve(capture.observations, name=capture.name)
-        added = sum(len(capture.delta.added) for capture in captures[1:])
+        added = sum(
+            len(diff_observations(previous.observations, capture.observations).added)
+            for previous, capture in pairwise(captures)
+        )
         observed = sum(len(capture.observations) for capture in captures[1:])
         assert (replay.count, rebuild.count) == (added, observed) == (114, 1_327)
 
     def test_stability_reflects_disruption(self, result):
-        rows = result.stability(AddressFamily.IPV4)[1:]
+        _, log = result
+        rows = log.stability[AddressFamily.IPV4][1:]
         assert any(row.persistence < 1.0 for row in rows)
         assert all(0.0 <= row.persistence <= 1.0 for row in rows)
 
     def test_disruptions_attributed_to_churn(self, result):
-        rows = result.stability(AddressFamily.IPV4)[1:]
+        _, log = result
+        rows = log.stability[AddressFamily.IPV4][1:]
         # With churn as the only noise source, every disruption traces back
         # to a churned address.
         for row in rows:

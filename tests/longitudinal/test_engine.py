@@ -1,9 +1,6 @@
 """Tests for the incremental LongitudinalEngine."""
 
-import pytest
-
 from repro.core.engine import ResolutionEngine, report_signature
-from repro.errors import DatasetError
 from repro.longitudinal.delta import diff_observations
 from repro.longitudinal.engine import LongitudinalEngine
 from repro.simnet.device import ServiceType
@@ -60,37 +57,40 @@ SNAPSHOT_1 = [
 ]
 
 
+def step(engine, previous, current, name):
+    """Stage the delta from ``previous`` to ``current``, then derive ``name``."""
+    delta = diff_observations(previous, current)
+    engine.stage(delta.removed, delta.added)
+    return engine.derive(name)
+
+
 def test_bootstrap_matches_from_scratch():
     engine = LongitudinalEngine()
-    resolution = engine.bootstrap(SNAPSHOT_0, name="s0")
+    resolution = step(engine, [], SNAPSHOT_0, "s0")
     reference = ResolutionEngine().resolve(SNAPSHOT_0, name="s0")
     assert report_signature(resolution.report) == report_signature(reference)
 
 
 def test_apply_matches_from_scratch():
     engine = LongitudinalEngine()
-    engine.bootstrap(SNAPSHOT_0, name="s0")
-    delta = diff_observations(SNAPSHOT_0, SNAPSHOT_1)
-    resolution = engine.apply(delta, name="s1")
+    step(engine, [], SNAPSHOT_0, "s0")
+    resolution = step(engine, SNAPSHOT_0, SNAPSHOT_1, "s1")
     reference = ResolutionEngine().resolve(SNAPSHOT_1, name="s1")
     assert report_signature(resolution.report) == report_signature(reference)
 
 
 def test_apply_back_and_forth_restores_original_report():
     engine = LongitudinalEngine()
-    first = engine.bootstrap(SNAPSHOT_0, name="s")
-    forward = diff_observations(SNAPSHOT_0, SNAPSHOT_1)
-    engine.apply(forward, name="s")
-    backward = diff_observations(SNAPSHOT_1, SNAPSHOT_0)
-    restored = engine.apply(backward, name="s")
+    first = step(engine, [], SNAPSHOT_0, "s")
+    step(engine, SNAPSHOT_0, SNAPSHOT_1, "s")
+    restored = step(engine, SNAPSHOT_1, SNAPSHOT_0, "s")
     assert report_signature(restored.report) == report_signature(first.report)
 
 
 def test_unchanged_sets_are_reused_by_identity():
     engine = LongitudinalEngine()
-    before = engine.bootstrap(SNAPSHOT_0, name="s")
-    delta = diff_observations(SNAPSHOT_0, SNAPSHOT_1)
-    after = engine.apply(delta, name="s")
+    before = step(engine, [], SNAPSHOT_0, "s")
+    after = step(engine, SNAPSHOT_0, SNAPSHOT_1, "s")
     # Device beta's SNMP set is untouched by the delta: the exact same
     # AliasSet object must appear in both snapshots' collections.
     def snmp_sets(report):
@@ -107,8 +107,8 @@ def test_unchanged_sets_are_reused_by_identity():
 
 def test_untouched_union_components_are_reused_by_identity():
     engine = LongitudinalEngine()
-    before = engine.bootstrap(SNAPSHOT_0, name="s")
-    after = engine.apply(diff_observations(SNAPSHOT_0, SNAPSHOT_1), name="s")
+    before = step(engine, [], SNAPSHOT_0, "s")
+    after = step(engine, SNAPSHOT_0, SNAPSHOT_1, "s")
     # Alpha's IPv6 component is untouched by the delta: same object.
     before_v6 = {s.identifier: s for s in before.report.ipv6_union}
     after_v6 = {s.identifier: s for s in after.report.ipv6_union}
@@ -126,8 +126,8 @@ def test_untouched_union_components_are_reused_by_identity():
 
 def test_alias_delta_reports_churn_movement():
     engine = LongitudinalEngine()
-    engine.bootstrap(SNAPSHOT_0, name="s")
-    resolution = engine.apply(diff_observations(SNAPSHOT_0, SNAPSHOT_1), name="s")
+    step(engine, [], SNAPSHOT_0, "s")
+    resolution = step(engine, SNAPSHOT_0, SNAPSHOT_1, "s")
     delta = resolution.ipv4_delta
     # Device delta's pair is brand new.
     assert frozenset({"10.0.0.7", "10.0.0.8"}) in delta.born
@@ -139,23 +139,10 @@ def test_alias_delta_reports_churn_movement():
     assert frozenset({"10.0.0.1", "10.0.0.2"}) in delta.disrupted_previous
 
 
-def test_apply_before_bootstrap_rejected():
-    engine = LongitudinalEngine()
-    with pytest.raises(DatasetError):
-        engine.apply(diff_observations([], SNAPSHOT_0), name="s")
-
-
-def test_double_bootstrap_rejected():
-    engine = LongitudinalEngine()
-    engine.bootstrap(SNAPSHOT_0, name="s")
-    with pytest.raises(DatasetError):
-        engine.bootstrap(SNAPSHOT_1, name="s")
-
-
 def test_report_property_tracks_latest():
     engine = LongitudinalEngine()
     assert engine.report is None
-    engine.bootstrap(SNAPSHOT_0, name="s0")
+    step(engine, [], SNAPSHOT_0, "s0")
     assert engine.report is not None and engine.report.name == "s0"
-    engine.apply(diff_observations(SNAPSHOT_0, SNAPSHOT_1), name="s1")
+    step(engine, SNAPSHOT_0, SNAPSHOT_1, "s1")
     assert engine.report.name == "s1"

@@ -6,9 +6,9 @@ Two layers are exercised with hypothesis-generated observation streams:
   sequences leave the index in exactly the state a fresh build of the
   surviving observations produces (``state_signature`` equality, multiset
   semantics included), and
-* :class:`~repro.longitudinal.engine.LongitudinalEngine` — bootstrapping
-  on snapshot A and applying the diff to snapshot B yields a report
-  identical to resolving B from scratch
+* :class:`~repro.longitudinal.engine.LongitudinalEngine` — deriving
+  snapshot A, then staging the diff to snapshot B and deriving again,
+  yields a report identical to resolving B from scratch
   (:func:`~repro.core.engine.report_signature` equality).
 
 Observation generation respects the documented ASN-stability constraint:
@@ -82,6 +82,13 @@ def _observation(draw):
 _streams = st.lists(_observation(), min_size=0, max_size=30)
 
 
+def _step(engine, previous, current):
+    """Stage the delta from ``previous`` to ``current`` and derive."""
+    delta = diff_observations(previous, current)
+    engine.stage(delta.removed, delta.added)
+    return engine.derive("s")
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     stream=_streams,
@@ -119,11 +126,10 @@ def test_index_add_remove_equals_from_scratch_build(stream, removals, order_seed
 @settings(max_examples=60, deadline=None)
 @given(snapshot_a=_streams, snapshot_b=_streams)
 def test_engine_delta_replay_equals_from_scratch_resolve(snapshot_a, snapshot_b):
-    """bootstrap(A) + apply(diff(A, B)) == resolve(B)."""
+    """derive(A), then stage(diff(A, B)) + derive == resolve(B)."""
     engine = LongitudinalEngine()
-    engine.bootstrap(snapshot_a, name="s")
-    delta = diff_observations(snapshot_a, snapshot_b)
-    resolution = engine.apply(delta, name="s")
+    _step(engine, [], snapshot_a)
+    resolution = _step(engine, snapshot_a, snapshot_b)
     reference = ResolutionEngine().resolve(snapshot_b, name="s")
     assert report_signature(resolution.report) == report_signature(reference)
 
@@ -133,11 +139,11 @@ def test_engine_delta_replay_equals_from_scratch_resolve(snapshot_a, snapshot_b)
 def test_engine_delta_chain_equals_from_scratch_resolve(snapshots):
     """Parity holds across a whole chain of deltas, not just one step."""
     engine = LongitudinalEngine()
-    engine.bootstrap(snapshots[0], name="s")
+    _step(engine, [], snapshots[0])
     previous = snapshots[0]
     resolution = None
     for snapshot in snapshots[1:]:
-        resolution = engine.apply(diff_observations(previous, snapshot), name="s")
+        resolution = _step(engine, previous, snapshot)
         previous = snapshot
     reference = ResolutionEngine().resolve(snapshots[-1], name="s")
     assert report_signature(resolution.report) == report_signature(reference)

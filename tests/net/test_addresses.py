@@ -86,17 +86,6 @@ class TestRandomAddresses:
         assert all(addresses.is_ipv6(value) for value in chosen)
 
 
-class TestSelectionHelpers:
-    def test_addresses_in_any(self):
-        pool = ["10.0.0.1", "10.1.0.1", "192.0.2.9", "2001:db8::5"]
-        selected = addresses.addresses_in_any(pool, ["10.0.0.0/16", "2001:db8::/32"])
-        assert selected == ["10.0.0.1", "2001:db8::5"]
-
-    def test_sort_addresses_ipv4_before_ipv6(self):
-        unsorted = ["2001:db8::1", "10.0.0.2", "10.0.0.1"]
-        assert addresses.sort_addresses(unsorted) == ["10.0.0.1", "10.0.0.2", "2001:db8::1"]
-
-
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 def test_canonical_roundtrip_ipv4(value):
     import ipaddress

@@ -1,7 +1,8 @@
 """Checkpoint-chain cases shared by the campaign and stream checkpoint tests.
 
-Both checkpointers write through one chain (:mod:`repro.persist.chain`), so
-the same cases run over each.  A test module binds them to its chain with a
+Both layouts — a campaign's and a daemon's — are written by one
+checkpointer over one chain (:mod:`repro.persist.chain`), so the same
+cases run over each.  A test module binds them to its layout with a
 ``chain`` fixture: an object with
 
 * ``manifest`` and ``step`` — the manifest file name and the step that

@@ -308,15 +308,27 @@ class TestSessionBankRoundTrip:
 
 class TestCheckpointerBanks:
     def test_campaign_checkpoint_round_trips_banks(self, tmp_path):
-        from repro.persist.campaign import CampaignCheckpointer, load_checkpoint
+        from repro.longitudinal.campaign import CampaignLog
+        from repro.persist.stream import (
+            CAMPAIGN_LAYOUT,
+            StreamCheckpointer,
+            load_stream_checkpoint,
+        )
+        from repro.stream.daemon import DaemonConfig, StreamDaemon
+        from repro.stream.engine import StreamingEngine
 
         run = _warm_run()
         campaign = ReproSession(_CONFIG).longitudinal(snapshots=2, churn_fraction=0.05)
         directory = tmp_path / "campaign"
-        campaign.run(
-            checkpointer=CampaignCheckpointer(directory, _CONFIG, validation_run=run)
-        )
-        checkpoint = load_checkpoint(directory)
+        log = CampaignLog()
+        StreamDaemon(
+            campaign,
+            StreamingEngine(options=campaign.options),
+            config=DaemonConfig(max_polls=2),
+            checkpointer=StreamCheckpointer(directory, _CONFIG, validation_run=run, log=log),
+            log=log,
+        ).run()
+        checkpoint = load_stream_checkpoint(directory, CAMPAIGN_LAYOUT)
         assert len(checkpoint.bank_states) == 1
         restored = ValidationRun(build_network())
         bank = restored.restore_bank(checkpoint.bank_states[0])

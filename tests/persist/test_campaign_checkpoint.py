@@ -1,4 +1,9 @@
-"""Campaign checkpoints: stop after snapshot k, resume to k+n, exact parity."""
+"""Campaign checkpoints: stop after snapshot k, resume to k+n, exact parity.
+
+A campaign checkpoints through the poll loop's one writer with its
+:class:`~repro.longitudinal.campaign.CampaignLog`, in the campaign layout
+(``checkpoint.json`` over ``snapshot-NNNN.jsonl``).
+"""
 
 import dataclasses
 import json
@@ -11,18 +16,21 @@ from repro.api.session import ReproSession
 from repro.core.engine import report_signature
 from repro.core.identifiers import IdentifierOptions
 from repro.errors import PersistError
-from repro.longitudinal.campaign import LongitudinalCampaign
+from repro.longitudinal.campaign import CampaignLog, LongitudinalCampaign
 from repro.net.addresses import AddressFamily
-from repro.persist.campaign import (
-    CHECKPOINT_MANIFEST,
-    CampaignCheckpointer,
-    load_checkpoint,
-    resume_campaign,
+from repro.persist.stream import (
+    CAMPAIGN_LAYOUT,
+    StreamCheckpointer,
+    load_stream_checkpoint,
+    resume_stream,
 )
+from repro.stream.daemon import DaemonConfig, StreamDaemon
+from repro.stream.engine import StreamingEngine
 
 _CONFIG = ScenarioConfig(scale=0.05, seed=7)
 _SNAPSHOTS = 4
 _CHURN = 0.05
+CHECKPOINT_MANIFEST = CAMPAIGN_LAYOUT.manifest
 
 
 def _campaign(snapshots=_SNAPSHOTS):
@@ -31,41 +39,59 @@ def _campaign(snapshots=_SNAPSHOTS):
     )
 
 
+def _load(directory):
+    return load_stream_checkpoint(directory, CAMPAIGN_LAYOUT)
+
+
+def _poll(campaign, log, stream=None, checkpointer=None):
+    """Poll ``campaign`` to its horizon; return the updates and the stream."""
+    stream = stream or StreamingEngine(options=campaign.options)
+    polls = campaign.config.snapshots - stream.emitted
+    if not polls:
+        return [], stream
+    daemon = StreamDaemon(
+        campaign, stream, DaemonConfig(max_polls=polls), checkpointer=checkpointer, log=log
+    )
+    return daemon.run(), stream
+
+
+def _checkpointed(directory, campaign, keep=1, validation_run=None):
+    log = CampaignLog()
+    checkpointer = StreamCheckpointer(
+        directory, _CONFIG, keep=keep, validation_run=validation_run, log=log
+    )
+    _poll(campaign, log, checkpointer=checkpointer)
+
+
+def _resume(checkpoint, snapshots=None, directory=None, validation_run=None):
+    """Resume ``checkpoint`` to ``snapshots``; return the updates and stream."""
+    campaign, stream = resume_stream(checkpoint, snapshots=snapshots)
+    checkpointer = None
+    if directory is not None:
+        checkpointer = StreamCheckpointer(
+            directory, checkpoint.scenario, validation_run=validation_run, log=checkpoint.log
+        )
+    return _poll(campaign, checkpoint.log, stream=stream, checkpointer=checkpointer)
+
+
 class CampaignChain:
     """The campaign checkpoint chain, driven for the shared chain cases."""
 
     manifest = CHECKPOINT_MANIFEST
     step = "snapshot"
-    load = staticmethod(load_checkpoint)
+    load = staticmethod(_load)
 
     def run(self, directory, steps, keep=1, validation_run=None):
-        _campaign(snapshots=steps).run(
-            checkpointer=CampaignCheckpointer(
-                directory, _CONFIG, keep=keep, validation_run=validation_run
-            )
-        )
+        _checkpointed(directory, _campaign(snapshots=steps), keep, validation_run)
 
     def resume(self, checkpoint, steps, directory=None, validation_run=None):
-        campaign, engine = resume_campaign(checkpoint, snapshots=steps)
-        checkpointer = None
-        if directory is not None:
-            checkpointer = CampaignCheckpointer(
-                directory,
-                checkpoint.scenario,
-                prior_stability=checkpoint.stability,
-                validation_run=validation_run,
-            )
-        result = campaign.run(
-            checkpointer=checkpointer,
-            start=checkpoint.completed,
-            previous=checkpoint.last_observations,
-            engine=engine,
-        )
-        return [report_signature(resolved.report) for resolved in result.snapshots]
+        updates, _ = _resume(checkpoint, steps, directory, validation_run)
+        return [report_signature(update.report) for update in updates]
 
     @staticmethod
     def signatures(uninterrupted):
-        return [report_signature(resolved.report) for resolved in uninterrupted.snapshots]
+        updates, _ = uninterrupted
+        return [report_signature(update.report) for update in updates]
 
 
 @pytest.fixture(scope="module")
@@ -75,35 +101,36 @@ def chain():
 
 @pytest.fixture(scope="module")
 def uninterrupted():
-    """The reference: one campaign run start to finish."""
-    return _campaign().run()
+    """The reference: one campaign polled start to finish, and its log."""
+    log = CampaignLog()
+    updates, _ = _poll(_campaign(), log)
+    return updates, log
 
 
 @pytest.fixture(scope="module")
 def checkpoint_dir(tmp_path_factory):
     """A campaign stopped after two snapshots, checkpointing as it goes."""
     directory = tmp_path_factory.mktemp("campaign") / "checkpoint"
-    campaign = _campaign(snapshots=2)
-    campaign.run(checkpointer=CampaignCheckpointer(directory, _CONFIG))
+    _checkpointed(directory, _campaign(snapshots=2))
     return directory
 
 
 class TestCheckpointContents(ContentsCases):
     def test_manifest_round_trip(self, checkpoint_dir):
-        checkpoint = load_checkpoint(checkpoint_dir)
+        checkpoint = _load(checkpoint_dir)
         assert checkpoint.completed == 2
         assert checkpoint.last_name == "snapshot-1"
         assert checkpoint.scenario == _CONFIG
         assert checkpoint.campaign.churn_fraction == _CHURN
         assert checkpoint.include_ipv6 is True
-        assert len(checkpoint.stability["ipv4"]) == 2
+        assert len(checkpoint.log.stability[AddressFamily.IPV4]) == 2
         assert len(checkpoint.last_observations) > 0
 
     def test_stability_rows_restore_as_objects(self, checkpoint_dir, uninterrupted):
-        checkpoint = load_checkpoint(checkpoint_dir)
-        restored = checkpoint.stability_rows(AddressFamily.IPV4)
-        reference = [s.stability() for s in uninterrupted.snapshots[:2]]
-        assert restored == reference
+        checkpoint = _load(checkpoint_dir)
+        _, log = uninterrupted
+        for family in (AddressFamily.IPV4, AddressFamily.IPV6):
+            assert checkpoint.log.stability[family] == log.stability[family][:2]
 
     def test_index_rebuilt_with_manifest_options(self, tmp_path):
         options = IdentifierOptions(ssh_include_banner=False, bgp_include_hold_time=False)
@@ -115,8 +142,8 @@ class TestCheckpointContents(ContentsCases):
             config=default.config,
             options=options,
         )
-        campaign.run(checkpointer=CampaignCheckpointer(tmp_path / "options", _CONFIG))
-        checkpoint = load_checkpoint(tmp_path / "options")
+        _checkpointed(tmp_path / "options", campaign)
+        checkpoint = _load(tmp_path / "options")
         assert checkpoint.options == options
         assert checkpoint.index.options == options
 
@@ -131,7 +158,7 @@ class TestCheckpointContents(ContentsCases):
             rows[0] = ["not", "a", "row"]
         (copy / CHECKPOINT_MANIFEST).write_text(json.dumps(manifest))
         with pytest.raises(PersistError, match="malformed campaign checkpoint manifest"):
-            load_checkpoint(copy)
+            _load(copy)
 
 
     @pytest.mark.parametrize(
@@ -145,50 +172,33 @@ class TestCheckpointContents(ContentsCases):
         manifest[key] = value
         (copy / CHECKPOINT_MANIFEST).write_text(json.dumps(manifest))
         with pytest.raises(PersistError, match="malformed campaign checkpoint manifest"):
-            load_checkpoint(copy)
+            _load(copy)
 
 
 class TestResumeParity(ResumeCases):
     def test_resumed_matches_uninterrupted_snapshot_for_snapshot(
         self, checkpoint_dir, uninterrupted
     ):
-        checkpoint = load_checkpoint(checkpoint_dir)
-        campaign, engine = resume_campaign(checkpoint, snapshots=_SNAPSHOTS)
-        resumed = campaign.run(
-            start=checkpoint.completed,
-            previous=checkpoint.last_observations,
-            engine=engine,
-        )
-        assert len(resumed.snapshots) == _SNAPSHOTS - checkpoint.completed
-        for resolved, reference in zip(
-            resumed.snapshots,
-            uninterrupted.snapshots[checkpoint.completed :],
-            strict=True,
+        checkpoint = _load(checkpoint_dir)
+        resumed, _ = _resume(checkpoint, snapshots=_SNAPSHOTS)
+        assert len(resumed) == _SNAPSHOTS - checkpoint.completed
+        updates, log = uninterrupted
+        for update, reference in zip(
+            resumed, updates[checkpoint.completed :], strict=True
         ):
-            assert report_signature(resolved.report) == report_signature(
+            assert report_signature(update.report) == report_signature(
                 reference.report
             )
-            assert resolved.stability() == reference.stability()
-            assert resolved.stability(AddressFamily.IPV6) == reference.stability(
-                AddressFamily.IPV6
-            )
+        for family in (AddressFamily.IPV4, AddressFamily.IPV6):
+            assert checkpoint.log.stability[family] == log.stability[family]
 
     def test_resume_continues_checkpointing(self, checkpoint_dir, tmp_path):
-        checkpoint = load_checkpoint(checkpoint_dir)
-        campaign, engine = resume_campaign(checkpoint, snapshots=3)
+        checkpoint = _load(checkpoint_dir)
         target = tmp_path / "continued"
-        checkpointer = CampaignCheckpointer(
-            target, checkpoint.scenario, prior_stability=checkpoint.stability
-        )
-        campaign.run(
-            checkpointer=checkpointer,
-            start=checkpoint.completed,
-            previous=checkpoint.last_observations,
-            engine=engine,
-        )
-        final = load_checkpoint(target)
+        _resume(checkpoint, snapshots=3, directory=target)
+        final = _load(target)
         assert final.completed == 3
-        assert len(final.stability["ipv4"]) == 3
+        assert len(final.log.stability[AddressFamily.IPV4]) == 3
 
     def test_resume_parity_within_one_ids_window(self, tmp_path):
         """Snapshots closer together than the IDS rate-limit window.
@@ -207,75 +217,37 @@ class TestResumeParity(ResumeCases):
                 snapshots=horizon, churn_fraction=_CHURN, interval=interval
             )
 
-        uninterrupted = campaign(2).run()
+        uninterrupted, uninterrupted_stream = _poll(campaign(2), CampaignLog())
         directory = tmp_path / "subwindow"
-        campaign(1).run(checkpointer=CampaignCheckpointer(directory, config))
-        checkpoint = load_checkpoint(directory)
+        log = CampaignLog()
+        _poll(campaign(1), log, checkpointer=StreamCheckpointer(directory, config, log=log))
+        checkpoint = _load(directory)
         assert checkpoint.probe_counts  # same-window counters were persisted
-        resumed_campaign, engine = resume_campaign(checkpoint, snapshots=2)
-        resumed = resumed_campaign.run(
-            start=checkpoint.completed,
-            previous=checkpoint.last_observations,
-            engine=engine,
+        resumed, resumed_stream = _resume(checkpoint, snapshots=2)
+        assert list(resumed_stream.live_observations()) == list(
+            uninterrupted_stream.live_observations()
         )
-        assert list(resumed.snapshots[0].capture.observations) == list(
-            uninterrupted.snapshots[1].capture.observations
-        )
-        assert report_signature(resumed.snapshots[0].report) == report_signature(
-            uninterrupted.snapshots[1].report
+        assert report_signature(resumed[0].report) == report_signature(
+            uninterrupted[1].report
         )
 
     def test_resume_below_completed_raises(self, checkpoint_dir):
-        checkpoint = load_checkpoint(checkpoint_dir)
+        checkpoint = _load(checkpoint_dir)
         with pytest.raises(PersistError, match="already completed"):
-            resume_campaign(checkpoint, snapshots=1)
+            resume_stream(checkpoint, snapshots=1)
 
     def test_resume_with_nothing_to_do(self, checkpoint_dir):
-        checkpoint = load_checkpoint(checkpoint_dir)
-        campaign, engine = resume_campaign(checkpoint)
-        result = campaign.run(
-            start=checkpoint.completed,
-            previous=checkpoint.last_observations,
-            engine=engine,
-        )
-        assert result.snapshots == ()
-        assert engine.report is not None
-
-    def test_restored_engine_refuses_bootstrap(self, checkpoint_dir):
-        from repro.errors import DatasetError
-
-        checkpoint = load_checkpoint(checkpoint_dir)
-        _, engine = resume_campaign(checkpoint)
-        with pytest.raises(DatasetError, match="bootstrapped"):
-            engine.bootstrap([])
+        checkpoint = _load(checkpoint_dir)
+        updates, stream = _resume(checkpoint)
+        assert updates == []
+        assert stream.emitted == checkpoint.completed
+        assert stream.report is not None
 
 
 class TestRunInterleaving:
-    def test_run_equals_collect_then_resolve(self, uninterrupted):
-        campaign = _campaign()
-        phased = campaign.resolve(campaign.collect())
-        for resolved, reference in zip(phased.snapshots, uninterrupted.snapshots, strict=True):
-            assert report_signature(resolved.report) == report_signature(
-                reference.report
-            )
-
-    def test_run_resume_guard(self):
-        from repro.errors import SimulationError
-
-        campaign = _campaign()
-        with pytest.raises(SimulationError, match="restored engine"):
-            campaign.run(start=1)
-
-    def test_collect_resume_guard(self):
-        from repro.errors import SimulationError
-
-        campaign = _campaign()
-        with pytest.raises(SimulationError, match="previous snapshot"):
-            campaign.collect(start=1)
-
     def test_snapshots_override_recorded_in_manifest(self, checkpoint_dir, tmp_path):
-        checkpoint = load_checkpoint(checkpoint_dir)
-        campaign, engine = resume_campaign(checkpoint, snapshots=3)
+        checkpoint = _load(checkpoint_dir)
+        campaign, _ = resume_stream(checkpoint, snapshots=3)
         assert campaign.config == dataclasses.replace(checkpoint.campaign, snapshots=3)
 
 
@@ -288,4 +260,4 @@ class TestCheckpointRotation(RotationCases):
 
     def test_keep_must_be_positive(self, tmp_path):
         with pytest.raises(PersistError, match="at least one snapshot"):
-            CampaignCheckpointer(tmp_path, _CONFIG, keep=0)
+            StreamCheckpointer(tmp_path, _CONFIG, keep=0, log=CampaignLog())

@@ -14,9 +14,14 @@ from hypothesis import strategies as st
 from repro.api.config import ScenarioConfig
 from repro.api.session import ReproSession
 from repro.errors import ReproError
-from repro.persist.campaign import CHECKPOINT_MANIFEST, CampaignCheckpointer, load_checkpoint
+from repro.longitudinal.campaign import CampaignLog
 from repro.persist.session import SESSION_MANIFEST, load_session, save_session
-from repro.persist.stream import STREAM_MANIFEST, StreamCheckpointer, load_stream_checkpoint
+from repro.persist.stream import (
+    CAMPAIGN_LAYOUT,
+    STREAM_LAYOUT,
+    StreamCheckpointer,
+    load_stream_checkpoint,
+)
 from repro.stream.daemon import DaemonConfig, StreamDaemon
 from repro.stream.engine import StreamConfig, StreamingEngine
 
@@ -38,25 +43,29 @@ def _save_session(directory):
     save_session(session, directory)
 
 
-def _save_campaign(directory):
-    campaign = ReproSession(_CONFIG).longitudinal(snapshots=2, churn_fraction=0.05)
-    campaign.run(checkpointer=CampaignCheckpointer(directory, _CONFIG))
-
-
-def _save_stream(directory):
+def _save_loop(directory, log=None):
     campaign = ReproSession(_CONFIG).longitudinal(snapshots=2, churn_fraction=0.05)
     StreamDaemon(
         campaign,
         StreamingEngine(StreamConfig(), options=campaign.options),
         config=DaemonConfig(max_polls=2),
-        checkpointer=StreamCheckpointer(directory, _CONFIG),
+        checkpointer=StreamCheckpointer(directory, _CONFIG, log=log),
+        log=log,
     ).run()
+
+
+def _save_campaign(directory):
+    _save_loop(directory, log=CampaignLog())
+
+
+def _load_campaign(directory):
+    return load_stream_checkpoint(directory, CAMPAIGN_LAYOUT)
 
 
 _CHAINS = {
     "session": (_save_session, SESSION_MANIFEST, load_session),
-    "campaign": (_save_campaign, CHECKPOINT_MANIFEST, load_checkpoint),
-    "stream": (_save_stream, STREAM_MANIFEST, load_stream_checkpoint),
+    "campaign": (_save_campaign, CAMPAIGN_LAYOUT.manifest, _load_campaign),
+    "stream": (_save_loop, STREAM_LAYOUT.manifest, load_stream_checkpoint),
 }
 
 

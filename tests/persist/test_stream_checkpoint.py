@@ -10,7 +10,7 @@ from repro.api.session import ReproSession
 from repro.core.engine import report_signature
 from repro.errors import PersistError
 from repro.persist.stream import (
-    STREAM_MANIFEST,
+    STREAM_LAYOUT,
     StreamCheckpointer,
     load_stream_checkpoint,
     resume_stream,
@@ -19,6 +19,7 @@ from repro.stream.daemon import DaemonConfig, StreamDaemon
 from repro.stream.engine import StreamConfig, StreamingEngine
 
 _CONFIG = ScenarioConfig(scale=0.05, seed=7)
+STREAM_MANIFEST = STREAM_LAYOUT.manifest
 _POLLS = 4
 _CHURN = 0.05
 
@@ -74,11 +75,7 @@ class StreamChain:
 
 #: Every emit-window entry a resume reads, estimator state included.
 _WINDOW_FIELDS = [
-    "emitted",
     "clock",
-    "tracked_at_emit",
-    "clock_at_emit",
-    "coverage",
     "estimator",
     "estimator.interval",
     "estimator.window",
@@ -120,10 +117,10 @@ class TestCheckpointContents(ContentsCases):
         assert checkpoint.last_name == "snapshot-1"
         assert checkpoint.scenario == _CONFIG
         assert checkpoint.campaign.churn_fraction == _CHURN
-        assert checkpoint.stream == StreamConfig()
+        assert checkpoint.window.estimator.interval == StreamConfig().churn_interval
         assert checkpoint.include_ipv6 is True
-        assert checkpoint.window.emitted == 2
         assert checkpoint.event_counts["report.emitted"] == 2
+        assert checkpoint.log is None
         assert len(checkpoint.last_observations) > 0
         # The malformed-window cases below cover every entry written.
         window = json.loads((checkpoint_dir / STREAM_MANIFEST).read_text())["window"]
@@ -141,13 +138,16 @@ class TestCheckpointContents(ContentsCases):
         "field, value",
         [(field, _MISSING) for field in _WINDOW_FIELDS]
         + [
-            ("emitted", "two"),
             ("clock", None),
-            ("coverage", [1, 2]),
+            ("clock", float("nan")),
             ("estimator", "ewma"),
             ("estimator.interval", 0),
+            ("estimator.interval", float("nan")),
+            ("estimator.interval", float("inf")),
             ("estimator.window", 0),
             ("estimator.rate", "fast"),
+            ("estimator.rate", float("inf")),
+            ("estimator.windows", -1),
         ],
     )
     def test_malformed_window_fails_load(self, checkpoint_dir, tmp_path, field, value):
@@ -165,21 +165,30 @@ class TestCheckpointContents(ContentsCases):
             load_stream_checkpoint(copy)
 
     def test_legacy_manifest_keys_are_ignored(self, checkpoint_dir, tmp_path, uninterrupted):
-        """Manifests written before the stream had one ingest path carry
-        trigger config and emit-boundary window keys; they load and resume
-        like the uninterrupted run."""
+        """Older manifests carry a stream config (trigger knobs, and a churn
+        interval that the estimator's own interval supersedes) and window
+        entries a resume now derives; whatever those hold, the checkpoint
+        loads and resumes like the uninterrupted run."""
         copy = copy_checkpoint(checkpoint_dir, tmp_path / "legacy")
         manifest = json.loads((copy / STREAM_MANIFEST).read_text())
-        manifest["stream"].update(
-            emit_every_changes=5,
-            emit_every_seconds=None,
-            name_format="snapshot-{}",
-            estimator_window=8,
+        manifest["stream"] = {
+            "churn_interval": 0,
+            "emit_every_changes": 5,
+            "emit_every_seconds": None,
+            "name_format": "snapshot-{}",
+            "estimator_window": 8,
+        }
+        manifest["window"].update(
+            emitted="two",
+            tracked_at_emit=None,
+            clock_at_emit="later",
+            coverage=[1, 2],
+            epoch=0.0,
+            next_emit_clock=None,
         )
-        manifest["window"].update(epoch=0.0, next_emit_clock=None)
         (copy / STREAM_MANIFEST).write_text(json.dumps(manifest))
         checkpoint = load_stream_checkpoint(copy)
-        assert checkpoint.stream == StreamConfig()
+        assert checkpoint.window.estimator.interval == StreamConfig().churn_interval
         reference_updates, _ = uninterrupted
         campaign, stream = resume_stream(checkpoint)
         resumed = _daemon(campaign, _POLLS - checkpoint.completed, stream=stream).run()
@@ -190,20 +199,18 @@ class TestCheckpointContents(ContentsCases):
 
     @pytest.mark.parametrize(
         "entry, value",
-        [("emitted", 3), ("emitted", 1), ("last_name", "live-1")],
+        [("completed", 3), ("completed", 1), ("last_name", "live-1")],
         ids=["emitted-ahead", "emitted-behind", "foreign-label"],
     )
     def test_one_emit_per_poll_enforced(self, checkpoint_dir, tmp_path, entry, value):
-        """Every poll emits one ``snapshot-<poll>`` report: a checkpoint
-        whose emit count or last label says otherwise fails the load."""
+        """Every poll emits one ``snapshot-<poll>`` report, so the emit count
+        is the completed poll count: a checkpoint whose count or last label
+        says otherwise fails the load."""
         copy = copy_checkpoint(checkpoint_dir, tmp_path / "foreign")
         manifest = json.loads((copy / STREAM_MANIFEST).read_text())
-        if entry == "emitted":
-            manifest["window"]["emitted"] = value
-        else:
-            manifest[entry] = value
+        manifest[entry] = value
         (copy / STREAM_MANIFEST).write_text(json.dumps(manifest))
-        with pytest.raises(PersistError, match="one report per poll|expected 'snapshot-1'"):
+        with pytest.raises(PersistError, match="last report is '[^']*', expected 'snapshot-"):
             load_stream_checkpoint(copy)
 
     def test_keep_must_be_positive(self, tmp_path):
@@ -254,7 +261,6 @@ class TestResumeGate(ResumeCases):
         daemon.run()
         final = load_stream_checkpoint(target)
         assert final.completed == 3
-        assert final.window.emitted == 3
         assert final.event_counts["report.emitted"] == 3
 
 

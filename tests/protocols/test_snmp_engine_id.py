@@ -18,13 +18,19 @@ class TestEncodeParse:
         assert parsed == original
 
     def test_ipv4_roundtrip(self):
-        original = EngineId.from_ipv4(ENTERPRISE_NETSNMP, "192.0.2.33")
+        original = EngineId(
+            enterprise=ENTERPRISE_NETSNMP,
+            id_format=EngineIdFormat.IPV4,
+            data=bytes([192, 0, 2, 33]),
+        )
         parsed = EngineId.parse(original.encode())
         assert parsed.id_format is EngineIdFormat.IPV4
         assert parsed.data == bytes([192, 0, 2, 33])
 
     def test_text_roundtrip(self):
-        original = EngineId.from_text(ENTERPRISE_NETSNMP, "core-router-01")
+        original = EngineId(
+            enterprise=ENTERPRISE_NETSNMP, id_format=EngineIdFormat.TEXT, data=b"core-router-01"
+        )
         parsed = EngineId.parse(original.encode())
         assert parsed.id_format is EngineIdFormat.TEXT
         assert parsed.data == b"core-router-01"

@@ -10,7 +10,6 @@ from repro.simnet.misconfig import (
     apply_service_acl,
     assign_duplicate_bgp_identifiers,
     assign_shared_ssh_keys,
-    copy_ssh_config_to_group,
 )
 
 
@@ -37,7 +36,7 @@ class TestChurnModel:
         addresses = [f"10.0.0.{i}" for i in range(1, 101)]
         model = ChurnModel.sample(addresses, ["d1", "d2"], fraction=0.1, switch_time=5.0, rng=random.Random(1))
         assert len(model) == 10
-        assert set(model.churned_addresses()) <= set(addresses)
+        assert {event.address for event in model.events()} <= set(addresses)
 
     def test_sample_zero_fraction_empty(self):
         model = ChurnModel.sample(["10.0.0.1"], ["d1"], fraction=0.0, switch_time=5.0, rng=random.Random(1))
@@ -63,14 +62,6 @@ class TestSharedSshKeys:
     def test_too_few_devices_no_groups(self):
         devices = [ssh_device(0)]
         assert assign_shared_ssh_keys(devices, fraction=1.0, group_count=2, rng=random.Random(3)) == []
-
-    def test_copy_ssh_config_to_group(self):
-        source = ssh_device(0)
-        targets = [ssh_device(1), ssh_device(2)]
-        copy_ssh_config_to_group(source, targets)
-        for target in targets:
-            assert target.ssh_config.host_key == source.ssh_config.host_key
-            assert target.ssh_config.kex_init == source.ssh_config.kex_init
 
 
 class TestDuplicateBgpIdentifiers:

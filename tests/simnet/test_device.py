@@ -34,12 +34,6 @@ class TestAddresses:
         device = make_device(interfaces=[Interface(name="e0", address="10.1.0.1", asn=1)])
         assert not device.is_dual_stack
 
-    def test_interface_for(self):
-        device = make_device()
-        assert device.interface_for("10.0.0.2").name == "ge-0/0/1"
-        with pytest.raises(SimulationError):
-            device.interface_for("192.0.2.99")
-
     def test_asns(self):
         device = make_device(
             interfaces=[
@@ -66,13 +60,6 @@ class TestAddresses:
                     Interface(name="e1", address="10.0.0.1", asn=1),
                 ]
             )
-
-    def test_add_interface_checks_uniqueness(self):
-        device = make_device()
-        device.add_interface(Interface(name="new0", address="10.0.0.9", asn=3320))
-        assert "10.0.0.9" in device.addresses()
-        with pytest.raises(SimulationError):
-            device.add_interface(Interface(name="new0", address="10.0.0.10", asn=3320))
 
 
 class TestServices:

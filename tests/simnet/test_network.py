@@ -105,12 +105,6 @@ class TestOwnership:
         all_sets = network.ground_truth_alias_sets()
         assert frozenset({"10.0.0.1", "10.0.0.2", "2001:db8::1"}) in all_sets
 
-    def test_service_address_count(self):
-        network = build_network()
-        # Router SSH ACL restricts to one address; server adds one more.
-        assert network.service_address_count(ServiceType.SSH, AddressFamily.IPV4) == 2
-        assert network.service_address_count(ServiceType.SNMPV3, AddressFamily.IPV4) == 2
-
 
 class TestTcpProbing:
     def test_ssh_on_allowed_address_is_responsive(self):

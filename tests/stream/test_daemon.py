@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from repro.core.engine import report_signature
+from repro.core.engine import ResolutionEngine, report_signature
 from repro.errors import SimulationError
 from repro.longitudinal.campaign import LongitudinalCampaign, LongitudinalConfig
 from repro.simnet.topology import generate_topology, small_topology_config
@@ -162,12 +162,15 @@ class TestDaemonLoop:
 
 
 class TestDaemonEquivalence:
-    """A daemon run equals the batch campaign over the same simnet."""
+    """A daemon run equals a from-scratch batch resolution of the same scans."""
 
     def test_daemon_reports_match_batch_campaign(self):
         snapshots = 3
-        batch = make_campaign(snapshots=snapshots)
-        result = batch.resolve(batch.collect())
+        batch = ResolutionEngine()
+        references = [
+            batch.resolve(capture.observations, name=capture.name)
+            for capture in make_campaign(snapshots=snapshots).collect()
+        ]
 
         daemon = StreamDaemon(
             make_campaign(snapshots=snapshots),
@@ -175,5 +178,5 @@ class TestDaemonEquivalence:
             DaemonConfig(max_polls=snapshots),
         )
         updates = daemon.run()
-        for resolved, update in zip(result.snapshots, updates, strict=True):
-            assert report_signature(update.report) == report_signature(resolved.report)
+        for reference, update in zip(references, updates, strict=True):
+            assert report_signature(update.report) == report_signature(reference)

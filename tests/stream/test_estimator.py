@@ -95,12 +95,9 @@ class TestEstimatorGate:
             ),
         )
         stream = StreamingEngine(StreamConfig())
-        previous = None
         for poll in range(snapshots):
-            capture = campaign.capture(poll, previous)
-            stream.sync(capture.observations)
+            stream.sync(campaign.capture(poll).observations)
             stream.flush()
-            previous = capture.observations
         return stream
 
     def test_estimate_tracks_ground_truth(self):

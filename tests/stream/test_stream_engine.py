@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro.core.engine import report_signature
+from repro.core.engine import ResolutionEngine, report_signature
 from repro.errors import DatasetError
 from repro.longitudinal.campaign import LongitudinalCampaign, LongitudinalConfig
-from repro.longitudinal.engine import LongitudinalEngine
+from repro.longitudinal.delta import diff_alias_sets
 from repro.simnet.device import ServiceType
 from repro.simnet.topology import generate_topology, small_topology_config
 from repro.sources.records import Observation
@@ -120,7 +120,7 @@ class TestFlush:
 
 
 class TestBatchEquivalence:
-    """The equivalence gate: stream == batch campaign, byte for byte."""
+    """The equivalence gate: every emit == a from-scratch batch resolution."""
 
     def campaign(self, seed=31, snapshots=4, churn=0.05):
         return LongitudinalCampaign(
@@ -132,60 +132,34 @@ class TestBatchEquivalence:
 
     def test_stream_matches_batch_signatures_and_event_counts(self):
         snapshots = 4
-        batch = self.campaign()
-        result = batch.resolve(batch.collect())
-
-        streamed = self.campaign()  # same seed: identical capture sequence
+        campaign = self.campaign()
         stream = StreamingEngine()
-        updates = []
-        previous = None
+        batch = ResolutionEngine()
+        previous = {"ipv4": [], "ipv6": []}
         for poll in range(snapshots):
-            capture = streamed.capture(poll, previous)
+            capture = campaign.capture(poll)
             assert stream.sync(capture.observations) is None
-            updates.append(stream.flush())
-            previous = capture.observations
-
-        assert len(updates) == len(result.snapshots)
-        for resolved, update in zip(result.snapshots, updates, strict=True):
-            assert report_signature(update.report) == report_signature(
-                resolved.report
-            )
+            update = stream.flush()
+            reference = batch.resolve(capture.observations, name=capture.name)
+            assert report_signature(update.report) == report_signature(reference)
             for family in ("ipv4", "ipv6"):
-                batch_delta = getattr(resolved.resolution, f"{family}_delta")
+                current = getattr(reference, f"{family}_union").non_singleton().sets
+                batch_delta = diff_alias_sets(previous[family], current)
                 stream_delta = getattr(update.resolution, f"{family}_delta")
                 assert stream_delta.counts() == batch_delta.counts()
+                previous[family] = current
 
     def test_event_counts_match_delta_totals(self):
         snapshots = 3
         campaign = self.campaign(snapshots=snapshots)
         stream = StreamingEngine()
-        previous = None
         expected = {kind: 0 for kind in ("born", "dissolved", "grown", "shrunk", "migrated")}
         for poll in range(snapshots):
-            capture = campaign.capture(poll, previous)
-            stream.sync(capture.observations)
+            stream.sync(campaign.capture(poll).observations)
             update = stream.flush()
             for delta in (update.resolution.ipv4_delta, update.resolution.ipv6_delta):
                 for kind in expected:
                     expected[kind] += len(getattr(delta, kind))
-            previous = capture.observations
         for kind, total in expected.items():
             assert stream.publisher.counts.get(f"alias_set.{kind}", 0) == total
         assert stream.publisher.counts["report.emitted"] == snapshots
-
-    def test_stage_derive_equals_apply(self):
-        """The engine seam the stream relies on: stage+derive == apply."""
-        campaign = self.campaign(snapshots=2)
-        captures = campaign.collect()
-        applied = LongitudinalEngine()
-        applied.bootstrap(captures[0].observations, name="snapshot-0")
-        reference = applied.apply(captures[1].delta, name="snapshot-1")
-
-        staged = LongitudinalEngine()
-        staged.stage((), captures[0].observations)
-        staged.derive("snapshot-0")
-        staged.stage(captures[1].delta.removed, captures[1].delta.added)
-        resolution = staged.derive("snapshot-1")
-        assert report_signature(resolution.report) == report_signature(
-            reference.report
-        )

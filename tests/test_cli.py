@@ -342,6 +342,16 @@ class TestLongitudinal:
         assert "Traceback" not in captured.err
 
 
+def _serve_checkpoint(tmp_path):
+    """A daemon checkpointed after two polls (scale 0.05, seed 3)."""
+    checkpoint = tmp_path / "stream"
+    assert main(
+        ["serve", "--scale", "0.05", "--seed", "3", "--max-batches", "2",
+         "--ipv4-only", "--checkpoint", str(checkpoint)]
+    ) == 0
+    return checkpoint
+
+
 def _campaign_checkpoint(tmp_path):
     """A campaign checkpointed after two snapshots (scale 0.05, seed 7)."""
     checkpoint = tmp_path / "checkpoint"
@@ -700,13 +710,60 @@ class TestServe:
         ) == 0
         capsys.readouterr()
         manifest = json.loads((checkpoint / "stream.json").read_text())
-        del manifest["window"]["emitted"]
+        del manifest["window"]["clock"]
         (checkpoint / "stream.json").write_text(json.dumps(manifest))
         exit_code = main(["serve", "--max-batches", "3", "--resume", str(checkpoint)])
         assert exit_code == 2
         captured = capsys.readouterr()
         assert "malformed stream checkpoint manifest" in captured.err
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize(
+        "entry, value",
+        [
+            ("clock", float("nan")),
+            ("interval", float("nan")),
+            ("interval", float("inf")),
+            ("rate", float("inf")),
+            ("windows", -1),
+        ],
+    )
+    def test_serve_resume_forged_window_value_exits_cleanly(
+        self, capsys, tmp_path, entry, value
+    ):
+        # A window value no run can write fails the load, before any poll.
+        checkpoint = _serve_checkpoint(tmp_path)
+        capsys.readouterr()
+        manifest = json.loads((checkpoint / "stream.json").read_text())
+        window = manifest["window"]
+        (window if entry == "clock" else window["estimator"])[entry] = value
+        (checkpoint / "stream.json").write_text(json.dumps(manifest))
+        exit_code = main(["serve", "--max-batches", "1", "--resume", str(checkpoint)])
+        assert exit_code == 2
+        captured = capsys.readouterr()
+        assert "malformed stream checkpoint manifest" in captured.err
+        assert "Traceback" not in captured.err
+        assert "resuming" not in captured.out
+
+    @pytest.mark.parametrize("interval", [0, -5])
+    def test_serve_resume_ignores_forged_churn_interval(self, capsys, tmp_path, interval):
+        # The estimator carries the churn interval; a stream config beside
+        # it is not read, whatever it holds.
+        checkpoint = _serve_checkpoint(tmp_path)
+        capsys.readouterr()
+        resume = ["serve", "--max-batches", "1", "--resume", str(checkpoint)]
+        pristine = tmp_path / "pristine"
+        pristine.mkdir()
+        for path in checkpoint.iterdir():
+            (pristine / path.name).write_bytes(path.read_bytes())
+        manifest = json.loads((checkpoint / "stream.json").read_text())
+        manifest["stream"] = {"churn_interval": interval}
+        (checkpoint / "stream.json").write_text(json.dumps(manifest))
+        assert main(resume) == 0
+        forged = capsys.readouterr().out
+        assert main(resume[:-1] + [str(pristine)]) == 0
+        expected = capsys.readouterr().out
+        assert forged == expected.replace(str(pristine), str(checkpoint))
 
     def test_serve_resume_malformed_scale_exits_cleanly(self, capsys, tmp_path):
         checkpoint = tmp_path / "stream"
@@ -723,7 +780,7 @@ class TestServe:
     @pytest.mark.parametrize(
         "edit, message",
         [
-            (lambda manifest: manifest["window"].update(emitted=1), "emitted 1 reports over 2 polls"),
+            (lambda manifest: manifest.update(completed=1), "'snapshot-1', expected 'snapshot-0'"),
             (lambda manifest: manifest.update(last_name="live-1"), "'live-1', expected 'snapshot-1'"),
         ],
         ids=["emitted-behind", "foreign-label"],
@@ -731,8 +788,9 @@ class TestServe:
     def test_serve_resume_not_one_emit_per_poll_exits_cleanly(
         self, capsys, tmp_path, edit, message
     ):
-        # A stream emits one snapshot-<poll> report per poll; a checkpoint
-        # whose emit count or last label says otherwise is refused.
+        # A stream emits one snapshot-<poll> report per poll, so its emit
+        # count is its completed poll count; a checkpoint whose count or last
+        # label says otherwise is refused.
         checkpoint = tmp_path / "stream"
         assert main(
             ["serve", "--scale", "0.05", "--seed", "7", "--max-batches", "2",

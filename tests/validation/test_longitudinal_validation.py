@@ -4,43 +4,47 @@ import pytest
 
 from repro.api.config import ScenarioConfig
 from repro.api.session import ReproSession
+from repro.stream.daemon import DaemonConfig, StreamDaemon
+from repro.stream.engine import StreamingEngine
 from repro.validation.longitudinal import validate_snapshots
 from repro.validation.spec import named_validator
 
 
 def _campaign(snapshots=2, churn=0.05):
+    """A campaign polled to its horizon, and the updates its polls emitted."""
     session = ReproSession(ScenarioConfig(scale=0.05, seed=3))
     campaign = session.longitudinal(
         snapshots=snapshots, churn_fraction=churn, include_ipv6=False
     )
-    return campaign, campaign.run()
+    daemon = StreamDaemon(campaign, StreamingEngine(), DaemonConfig(max_polls=snapshots))
+    return campaign, daemon.run()
 
 
 class TestValidateSnapshots:
     def test_one_row_per_snapshot(self):
-        campaign, result = _campaign()
-        rows = validate_snapshots(campaign, result, "midar")
+        campaign, updates = _campaign()
+        rows = validate_snapshots(campaign, updates, "midar")
         assert [row.snapshot for row in rows] == [0, 1]
         for row in rows:
             assert row.report.candidates == len(row.report.verdicts)
             assert row.probed_at == pytest.approx(row.time + campaign.config.interval)
 
     def test_probe_lag_override(self):
-        campaign, result = _campaign(snapshots=1)
-        (row,) = validate_snapshots(campaign, result, "midar", probe_lag=3600.0)
+        campaign, updates = _campaign(snapshots=1)
+        (row,) = validate_snapshots(campaign, updates, "midar", probe_lag=3600.0)
         assert row.probed_at == pytest.approx(row.time + 3600.0)
 
     def test_accepts_explicit_spec_and_is_deterministic(self):
         spec = named_validator("midar")
-        campaign_a, result_a = _campaign()
-        campaign_b, result_b = _campaign()
-        rows_a = validate_snapshots(campaign_a, result_a, spec)
-        rows_b = validate_snapshots(campaign_b, result_b, spec)
+        campaign_a, updates_a = _campaign()
+        campaign_b, updates_b = _campaign()
+        rows_a = validate_snapshots(campaign_a, updates_a, spec)
+        rows_b = validate_snapshots(campaign_b, updates_b, spec)
         assert [r.report.verdicts for r in rows_a] == [r.report.verdicts for r in rows_b]
 
     def test_shared_bank_spans_snapshots(self):
-        campaign, result = _campaign()
-        rows = validate_snapshots(campaign, result, "ally")
+        campaign, updates = _campaign()
+        rows = validate_snapshots(campaign, updates, "ally")
         # Ally alone has nothing to reuse in the first snapshot's bank, but
         # the run still reports its probe accounting.
         assert all(row.report.probes_issued > 0 for row in rows)
@@ -48,10 +52,10 @@ class TestValidateSnapshots:
     def test_shared_run_spans_validators(self):
         from repro.validation.runner import ValidationRun
 
-        campaign, result = _campaign()
+        campaign, updates = _campaign()
         shared = ValidationRun(campaign.network)
-        validate_snapshots(campaign, result, "midar", run=shared)
-        ally_rows = validate_snapshots(campaign, result, "ally", run=shared)
+        validate_snapshots(campaign, updates, "midar", run=shared)
+        ally_rows = validate_snapshots(campaign, updates, "ally", run=shared)
         # The ally pass answers pairs from the banks the midar pass filled.
         assert sum(row.report.probes_reused for row in ally_rows) > 0
 
@@ -87,10 +91,10 @@ class TestSnapshotEvidenceWindow:
 
         monkeypatch.setattr(IpidSampleBank, "cached_interleaved", recording_read)
         monkeypatch.setattr(longitudinal, "run_validator", windowed_run)
-        campaign, result = _campaign(snapshots=3)
+        campaign, updates = _campaign(snapshots=3)
         shared = ValidationRun(campaign.network)
-        validate_snapshots(campaign, result, "midar", run=shared)
-        validate_snapshots(campaign, result, "ally", run=shared)
+        validate_snapshots(campaign, updates, "midar", run=shared)
+        validate_snapshots(campaign, updates, "ally", run=shared)
 
         assert len(windows) == 6
         assert reads, "no validator read banked pair evidence"
