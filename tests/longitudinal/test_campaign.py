@@ -58,6 +58,10 @@ class TestConfigValidation:
         with pytest.raises(SimulationError, match="positive and finite"):
             LongitudinalConfig(interval=interval)
 
+    def test_time_of_spaces_snapshots_by_interval(self):
+        config = LongitudinalConfig(interval=600.0, start_time=1_000.0)
+        assert [config.time_of(k) for k in range(3)] == [1_000.0, 1_600.0, 2_200.0]
+
 
 class TestQuietCampaign:
     """Without churn or loss, every snapshot is identical."""
@@ -154,6 +158,32 @@ class TestChurningCampaign:
         )
         observed = sum(len(capture.observations) for capture in captures[1:])
         assert (replay.count, rebuild.count) == (added, observed) == (114, 1_327)
+
+    def test_log_deltas_equal_the_diff_of_consecutive_scans(self, captures, result):
+        # The rows read +Obs/-Obs off each poll's closing ReportEmitted; the
+        # first snapshot has no predecessor and records +0/-0.
+        updates, log = result
+        expected = [(0, 0)] + [
+            (len(delta.added), len(delta.removed))
+            for delta in (
+                diff_observations(previous.observations, capture.observations)
+                for previous, capture in pairwise(captures)
+            )
+        ]
+        for family in (AddressFamily.IPV4, AddressFamily.IPV6):
+            rows = log.stability[family]
+            assert [(row.added, row.removed) for row in rows] == expected
+            assert [row.snapshot for row in rows] == [c.index for c in captures]
+            assert [row.observations for row in rows] == [
+                len(c.observations) for c in captures
+            ]
+        assert [row.sets for row in log.stability[AddressFamily.IPV4]] == [
+            len(update.report.ipv4_union.non_singleton()) for update in updates
+        ]
+        assert [(row["added"], row["removed"]) for row in log.metric_series] == expected
+        assert [row["churned"] for row in log.metric_series] == [
+            len(c.churned) for c in captures
+        ]
 
     def test_stability_reflects_disruption(self, result):
         _, log = result

@@ -231,6 +231,39 @@ class TestResumeParity(ResumeCases):
             uninterrupted[1].report
         )
 
+    def test_manifest_without_window_resumes_like_uninterrupted(
+        self, checkpoint_dir, tmp_path, uninterrupted
+    ):
+        """A campaign checkpoint written before campaigns ran on the poll
+        loop holds no window and no event counts: it loads with no
+        estimator history and no published events, resumes with the clock
+        at its last scan, and the resumed reports and rows equal the
+        uninterrupted run's."""
+        copy = copy_checkpoint(checkpoint_dir, tmp_path / "windowless")
+        manifest = json.loads((copy / CHECKPOINT_MANIFEST).read_text())
+        clock = manifest.pop("window")["clock"]
+        del manifest["event_counts"]
+        (copy / CHECKPOINT_MANIFEST).write_text(json.dumps(manifest))
+        checkpoint = _load(copy)
+        assert checkpoint.window is None
+        assert checkpoint.event_counts == {}
+
+        campaign, stream = resume_stream(checkpoint, snapshots=_SNAPSHOTS)
+        window = stream.window_state()
+        assert window["clock"] == clock
+        assert window["estimator"]["windows"] == 0
+        assert window["estimator"]["interval"] == campaign.config.interval
+        assert stream.publisher.counts == {}
+
+        resumed, _ = _poll(campaign, checkpoint.log, stream=stream)
+        updates, log = uninterrupted
+        assert [report_signature(update.report) for update in resumed] == [
+            report_signature(update.report) for update in updates[checkpoint.completed :]
+        ]
+        for family in (AddressFamily.IPV4, AddressFamily.IPV6):
+            assert checkpoint.log.stability[family] == log.stability[family]
+        assert checkpoint.log.metric_series == log.metric_series
+
     def test_resume_below_completed_raises(self, checkpoint_dir):
         checkpoint = _load(checkpoint_dir)
         with pytest.raises(PersistError, match="already completed"):

@@ -18,6 +18,45 @@ class TestValidation:
         with pytest.raises(SimulationError):
             ChurnRateEstimator(interval=1.0, window=0)
 
+    def test_negative_interval_rejected(self):
+        with pytest.raises(SimulationError, match="positive and finite"):
+            ChurnRateEstimator(interval=-5.0)
+
+    @pytest.mark.parametrize("interval", [float("nan"), float("inf")])
+    def test_non_finite_interval_rejected(self, interval):
+        with pytest.raises(SimulationError, match="positive and finite"):
+            ChurnRateEstimator(interval=interval)
+
+
+class TestRestoreValidation:
+    """``restore`` reads checkpoint state, so it rejects what no live
+    estimator can reach instead of carrying it into every later emit."""
+
+    @staticmethod
+    def state(**overrides):
+        estimator = ChurnRateEstimator(interval=100.0)
+        estimator.update(reassigned=5, tracked=100, elapsed=100.0)
+        return {**estimator.state(), **overrides}
+
+    @pytest.mark.parametrize("interval", [0.0, float("nan"), float("inf")])
+    def test_interval_must_be_positive_and_finite(self, interval):
+        with pytest.raises(SimulationError, match="positive and finite"):
+            ChurnRateEstimator.restore(self.state(interval=interval))
+
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf"), float("-inf")])
+    def test_rate_must_be_finite(self, rate):
+        with pytest.raises(SimulationError, match="rate must be finite"):
+            ChurnRateEstimator.restore(self.state(rate=rate))
+
+    def test_window_count_cannot_be_negative(self):
+        with pytest.raises(SimulationError, match="cannot be negative"):
+            ChurnRateEstimator.restore(self.state(windows=-1))
+
+    def test_null_rate_and_zero_windows_restore(self):
+        restored = ChurnRateEstimator.restore(self.state(rate=None, windows=0))
+        assert restored.rate is None
+        assert restored.windows == 0
+
 
 class TestUpdate:
     def test_starts_without_an_estimate(self):
