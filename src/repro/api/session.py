@@ -31,6 +31,7 @@ from repro.api.sources import (
     SOURCES,
     SourceSpec,
     build_source,
+    streamed_specs,
 )
 from repro.core.engine import AliasReport, ResolutionEngine
 from repro.core.identifiers import DEFAULT_OPTIONS, IdentifierOptions
@@ -41,6 +42,7 @@ from repro.sources.hitlist import HitlistConfig, build_ipv6_hitlist
 from repro.sources.records import Observation, ObservationDataset, iter_observations
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
+    from repro.validation.bank import IpidSampleBank
     from repro.validation.report import ValidationReport
     from repro.validation.runner import ValidationRun
     from repro.validation.spec import ValidatorSpec
@@ -62,7 +64,7 @@ class ReproSession:
         self._reports: dict[tuple[SourceSpec, str], AliasReport] = {}
         self._validations: dict[tuple["ValidatorSpec", str], "ValidationReport"] = {}
         self._validation_run: "ValidationRun | None" = None
-        self._pending_bank_states: list[dict] = []
+        self._pending_banks: list["IpidSampleBank"] = []
 
     # ------------------------------------------------------------------ #
     # Shared measurement state
@@ -139,9 +141,7 @@ class ReproSession:
         Explicit ``dataset(concat_spec)`` calls (e.g. ``repro scan``, which
         needs a length and a name to write a file) still materialise.
         """
-        if spec.kind == "concat":
-            return iter_observations(*(self._stream(input_spec) for input_spec in spec.inputs))
-        return iter(self.dataset(spec))
+        return iter_observations(*(self.dataset(leaf) for leaf in streamed_specs(spec)))
 
     def _report_spec(self, source: str | SourceSpec) -> SourceSpec:
         if isinstance(source, SourceSpec):
@@ -212,8 +212,8 @@ class ReproSession:
             from repro.validation.runner import ValidationRun
 
             self._validation_run = ValidationRun(self.network, session=self)
-            for state in self._pending_bank_states:
-                self._validation_run.restore_bank(state)
+            for bank in self._pending_banks:
+                self._validation_run.restore_bank(bank)
         return self._validation_run
 
     def validate_budgeted(
@@ -289,41 +289,39 @@ class ReproSession:
         """Seed the dataset cache (used by :mod:`repro.persist` on load)."""
         self._datasets[spec] = dataset
 
-    def prime_report(self, spec: SourceSpec, name: str, report: AliasReport) -> None:
-        """Seed the report cache (used by :mod:`repro.persist` on load)."""
-        self._reports[(spec, name)] = report
-
     def prime_validation(
         self, spec: "ValidatorSpec", name: str, report: "ValidationReport"
     ) -> None:
         """Seed the validation cache (used by :mod:`repro.persist` on load)."""
         self._validations[(spec, name)] = report
 
-    def prime_bank_state(self, state: dict) -> None:
-        """Queue a persisted sample-bank state (used by persist on load).
+    def prime_bank(self, bank: "IpidSampleBank") -> None:
+        """Queue a restored sample bank (used by :mod:`repro.persist` on load).
 
-        The state is installed lazily when :attr:`validation_run` is first
-        built, so loading a session stays cheap when it never validates.
+        The bank is bound to the network when :attr:`validation_run` is
+        first built, so loading a session builds no topology when it never
+        validates.
         """
-        self._pending_bank_states.append(state)
+        self._pending_banks.append(bank)
 
     def validation_bank_states(self) -> list[dict]:
         """Exported states of every sample bank this session holds.
 
-        Live banks win over still-pending loaded states: once a run
-        exists, its banks already include everything restored plus any
-        probing since.
+        Live banks win over still-pending loaded ones: once a run exists,
+        its banks already include everything restored plus any probing
+        since.
         """
         if self._validation_run is not None:
             return [bank.export_state() for bank in self._validation_run.banks().values()]
-        return list(self._pending_bank_states)
+        return [bank.export_state() for bank in self._pending_banks]
 
     def save(self, directory) -> "ReproSession":
         """Persist this session's configuration and caches to ``directory``.
 
         The saved directory can be re-loaded in another process with
-        :meth:`load`; cached datasets and reports round-trip byte-faithfully
-        (see :mod:`repro.persist`).  Returns ``self`` for chaining.
+        :meth:`load`: measured datasets round-trip byte-faithfully, and
+        merged datasets and reports are rebuilt from them (see
+        :mod:`repro.persist.session`).  Returns ``self`` for chaining.
         """
         from repro.persist.session import save_session
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import dataclasses
 import os
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Iterator
 
 from repro.api.registry import Registry
 from repro.errors import DatasetError
@@ -134,6 +134,19 @@ def build_source(session: "ReproSession", spec: SourceSpec) -> ObservationDatase
 def concat(*specs: SourceSpec, label: str | None = None) -> SourceSpec:
     """Stream several sources one after the other (no deduplication)."""
     return SourceSpec(kind="concat", inputs=tuple(specs), label=label)
+
+
+def streamed_specs(spec: SourceSpec) -> Iterator[SourceSpec]:
+    """The datasets a stream over ``spec`` reads, in order.
+
+    A concat is pure sequencing: it streams its inputs back to back and
+    reads no materialised dataset of its own.
+    """
+    if spec.kind == "concat":
+        for input_spec in spec.inputs:
+            yield from streamed_specs(input_spec)
+    else:
+        yield spec
 
 
 def union_of(*specs: SourceSpec, label: str = "union") -> SourceSpec:

@@ -1,15 +1,17 @@
-"""Persistence and resume: sessions, reports, poll-loop checkpoints.
+"""Persistence and resume: sessions, poll-loop checkpoints.
 
 The paper's longitudinal analysis compares snapshots and alias-set reports
 across collection runs, which assumes measurement state survives the
 process that produced it.  This package provides that survival on top of
 the byte-faithful observation round-trip of :mod:`repro.io`:
 
-* :mod:`repro.persist.report` — full :class:`~repro.core.engine.AliasReport`
-  documents, signature-verified on load.
 * :mod:`repro.persist.session` — ``ReproSession.save(dir)`` /
-  ``ReproSession.load(dir)``: configuration plus the dataset, report and
-  validation caches, so a session survives across processes.
+  ``ReproSession.load(dir)``: configuration, the measured datasets and
+  the validation caches.  Merged datasets and alias reports are pure
+  functions of those and the identifier options, so a load rebuilds
+  them instead of reading a stored copy.
+* :mod:`repro.persist.report` — :func:`report_signature_digest`, a
+  content digest that compares reports across processes.
 * :mod:`repro.persist.validation` — :class:`~repro.validation.report.
   ValidationReport` documents (per-set verdicts plus the declarative
   validator spec), signature-verified on load.
@@ -39,11 +41,7 @@ from repro.persist.bank import (
     bank_state_to_document,
 )
 from repro.persist.chain import state_signature_digest
-from repro.persist.report import (
-    report_from_document,
-    report_signature_digest,
-    report_to_document,
-)
+from repro.persist.report import report_signature_digest
 from repro.persist.session import (
     load_session,
     save_session,
@@ -63,9 +61,7 @@ __all__ = [
     "bank_state_signature",
     "bank_state_to_document",
     "load_session",
-    "report_from_document",
     "report_signature_digest",
-    "report_to_document",
     "save_session",
     "spec_from_document",
     "spec_to_document",

@@ -130,9 +130,10 @@ class LoadedChain:
             sharing a rate-limit window with completed scans see the same
             IDS state as the uninterrupted run.
         bank_states: verified validation sample-bank states persisted with
-            the checkpoint (empty without an attached validation run); feed
-            each into ``ValidationRun.restore_bank`` to resume validation
-            without re-probing completed schedules.
+            the checkpoint (empty without an attached validation run); parse
+            each with ``IpidSampleBank.from_state`` and install it with
+            ``ValidationRun.restore_bank`` to resume validation without
+            re-probing completed schedules.
     """
 
     directory: Path

@@ -1,13 +1,11 @@
-"""Serialisation of full :class:`~repro.core.engine.AliasReport` objects.
+"""A content digest of an :class:`~repro.core.engine.AliasReport`.
 
-A report document carries every collection of the report — per-protocol
-alias sets for both families, the cross-protocol unions, and the
-dual-stack collections — preserving set order (the experiments render from
-collection order) and the address→ASN mappings.  Each document embeds a
-SHA-256 digest of the report's canonical
-:func:`~repro.core.engine.report_signature`, recomputed and verified on
-load so a corrupted or hand-edited report file cannot silently skew a
-restored session's rendered experiments.
+A saved session stores no report: every report is a pure function of the
+session's datasets and identifier options, so a load resolves it again
+(:mod:`repro.persist.session`).  What remains here is
+:func:`report_signature_digest`, a SHA-256 over the report's canonical
+:func:`~repro.core.engine.report_signature`, which compares reports
+across processes without shipping them.
 """
 
 from __future__ import annotations
@@ -16,14 +14,7 @@ import enum
 import hashlib
 import json
 
-from repro.core.aliasset import AliasSet, AliasSetCollection
-from repro.core.dual_stack import DualStackCollection, DualStackSet
 from repro.core.engine import AliasReport, report_signature
-from repro.errors import PersistError
-from repro.simnet.device import ServiceType
-
-#: Current report document format version.
-REPORT_FORMAT_VERSION = 1
 
 
 def _canonical(value: object) -> object:
@@ -47,136 +38,3 @@ def report_signature_digest(report: AliasReport) -> str:
     canonical = _canonical(report_signature(report))
     encoded = json.dumps(canonical, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(encoded.encode("utf-8")).hexdigest()
-
-
-def _collection_to_document(collection: AliasSetCollection) -> dict:
-    return {
-        "name": collection.name,
-        "address_asn": dict(collection.address_asn_items()),
-        "sets": [
-            {
-                "identifier": alias_set.identifier,
-                "addresses": sorted(alias_set.addresses),
-                "protocols": sorted(protocol.value for protocol in alias_set.protocols),
-            }
-            for alias_set in collection
-        ],
-    }
-
-
-def _collection_from_document(document: dict) -> AliasSetCollection:
-    return AliasSetCollection(
-        document["name"],
-        sets=[
-            AliasSet(
-                identifier=entry["identifier"],
-                addresses=frozenset(entry["addresses"]),
-                protocols=frozenset(ServiceType(value) for value in entry["protocols"]),
-            )
-            for entry in document["sets"]
-        ],
-        address_asn={address: int(asn) for address, asn in document["address_asn"].items()},
-    )
-
-
-def _dual_to_document(collection: DualStackCollection) -> dict:
-    return {
-        "name": collection.name,
-        "address_asn": dict(collection.address_asn_items()),
-        "sets": [
-            {
-                "identifier": dual_set.identifier,
-                "ipv4_addresses": sorted(dual_set.ipv4_addresses),
-                "ipv6_addresses": sorted(dual_set.ipv6_addresses),
-                "protocols": sorted(protocol.value for protocol in dual_set.protocols),
-            }
-            for dual_set in collection
-        ],
-    }
-
-
-def _dual_from_document(document: dict) -> DualStackCollection:
-    return DualStackCollection(
-        document["name"],
-        sets=[
-            DualStackSet(
-                identifier=entry["identifier"],
-                ipv4_addresses=frozenset(entry["ipv4_addresses"]),
-                ipv6_addresses=frozenset(entry["ipv6_addresses"]),
-                protocols=frozenset(ServiceType(value) for value in entry["protocols"]),
-            )
-            for entry in document["sets"]
-        ],
-        address_asn={address: int(asn) for address, asn in document["address_asn"].items()},
-    )
-
-
-def report_to_document(report: AliasReport) -> dict:
-    """Render a report as a JSON-serialisable document (order-preserving).
-
-    The embedded ``signature`` digest covers the report contents, not the
-    document bytes, so it verifies the reconstructed object on load.
-    """
-    return {
-        "version": REPORT_FORMAT_VERSION,
-        "name": report.name,
-        "ipv4": {
-            protocol.value: _collection_to_document(collection)
-            for protocol, collection in report.ipv4.items()
-        },
-        "ipv6": {
-            protocol.value: _collection_to_document(collection)
-            for protocol, collection in report.ipv6.items()
-        },
-        "ipv4_union": _collection_to_document(report.ipv4_union),
-        "ipv6_union": _collection_to_document(report.ipv6_union),
-        "dual_stack": {
-            protocol.value: _dual_to_document(collection)
-            for protocol, collection in report.dual_stack.items()
-        },
-        "dual_stack_union": _dual_to_document(report.dual_stack_union),
-        "signature": report_signature_digest(report),
-    }
-
-
-def report_from_document(document: dict) -> AliasReport:
-    """Rebuild a report from its document, asserting signature parity.
-
-    Raises:
-        PersistError: on an unsupported version, a malformed document, or a
-            restored report whose signature differs from the saved digest.
-    """
-    try:
-        version = document["version"]
-        if version != REPORT_FORMAT_VERSION:
-            raise PersistError(f"unsupported report document version {version!r}")
-        report = AliasReport(
-            name=document["name"],
-            ipv4={
-                ServiceType(value): _collection_from_document(entry)
-                for value, entry in document["ipv4"].items()
-            },
-            ipv6={
-                ServiceType(value): _collection_from_document(entry)
-                for value, entry in document["ipv6"].items()
-            },
-            ipv4_union=_collection_from_document(document["ipv4_union"]),
-            ipv6_union=_collection_from_document(document["ipv6_union"]),
-            dual_stack={
-                ServiceType(value): _dual_from_document(entry)
-                for value, entry in document["dual_stack"].items()
-            },
-            dual_stack_union=_dual_from_document(document["dual_stack_union"]),
-        )
-        expected = document["signature"]
-    except PersistError:
-        raise
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        raise PersistError(f"malformed report document: {exc}") from exc
-    actual = report_signature_digest(report)
-    if actual != expected:
-        raise PersistError(
-            "report document failed signature parity on load "
-            f"(saved {str(expected)[:12]}…, restored {actual[:12]}…)"
-        )
-    return report

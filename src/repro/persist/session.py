@@ -1,16 +1,17 @@
 """Persist and restore a :class:`~repro.api.session.ReproSession`.
 
-A saved session is a directory:
+A saved session stores what was measured and how to derive the rest.  It
+is a directory:
 
 * ``session.json`` — manifest: format version, the save's generation,
   the :class:`~repro.api.config.ScenarioConfig`, the identifier options,
-  and one entry per cached dataset and report (each carrying its
-  declarative :class:`~repro.api.sources.SourceSpec` tree).
-* ``datasets/GGGG-PPP.jsonl`` — one JSON-lines file per cached dataset
-  (the byte-faithful observation round-trip of :mod:`repro.io.datasets`),
-  pinned by the SHA-256 digest of its bytes.
-* ``reports/GGGG-PPP.json`` — one document per cached report
-  (:mod:`repro.persist.report`), signature-verified on load.
+  and one entry per cached dataset and report, each carrying its
+  declarative :class:`~repro.api.sources.SourceSpec` tree and name.
+* ``datasets/GGGG-PPP.jsonl`` — one JSON-lines file per measured dataset
+  (a spec without inputs: a scan or a ``file`` source), pinned by the
+  SHA-256 digest of its bytes.  A combinator dataset (``union``,
+  ``standard-ports``, a materialised ``concat``) has a manifest entry
+  with its name and count, and no file.
 * ``validations/GGGG-PPP.json`` — one document per cached validation
   report (:mod:`repro.persist.validation`), signature-verified on load.
 * ``banks/GGGG-PPP.json`` — one document per validation sample bank
@@ -24,13 +25,17 @@ save never overwrites a file the manifest on disk names, and the manifest
 lands last, so a save over an existing session that dies at any write
 leaves the previous session loadable.  Once the new manifest has landed,
 the data files of earlier saves — numbered, or the unnumbered ``PPP``
-names older saves used — are pruned; other files are left alone.
+names older saves used, and the ``reports/`` documents and merged-dataset
+files older saves wrote — are pruned; other files are left alone.
 
-``load_session`` rebuilds the session with both caches primed: a source
-that was collected before the save never re-runs, and a report that was
-resolved before the save never re-resolves — while anything *not* cached
-is rebuilt lazily from the session's (deterministic) configuration, so a
-restored session composes exactly like the live one did.
+``load_session`` rebuilds the session with its caches holding the same
+keys in the same order: measured datasets load from their files, then
+combinators are rebuilt from them and the reports resolved again under
+the saved options.  A load never measures; an entry that needs a dataset
+the manifest does not hold fails.  Anything *not* cached is built lazily
+from the session's (deterministic) configuration.  Older sessions load
+too: a report entry's ``file`` and ``signature`` are ignored, and a
+merged dataset saved as a file loads from it.
 """
 
 from __future__ import annotations
@@ -40,12 +45,12 @@ import hashlib
 import json
 import re
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 from repro.api.config import ScenarioConfig
-from repro.api.sources import SourceSpec
+from repro.api.sources import SourceSpec, streamed_specs
 from repro.core.identifiers import IdentifierOptions
-from repro.errors import DatasetError, PersistError
+from repro.errors import DatasetError, PersistError, ReproError
 from repro.io.datasets import load_observations
 from repro.persist.bank import bank_state_from_document, bank_state_to_document
 from repro.persist.files import (
@@ -55,13 +60,14 @@ from repro.persist.files import (
     save_observations_atomic,
     write_atomic,
 )
-from repro.persist.report import report_from_document, report_to_document
 from repro.persist.validation import (
     validation_from_document,
     validation_to_document,
     validator_spec_from_document,
     validator_spec_to_document,
 )
+from repro.sources.records import ObservationDataset
+from repro.validation.bank import IpidSampleBank
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.api.session import ReproSession
@@ -72,7 +78,9 @@ SESSION_FORMAT_VERSION = 1
 #: Manifest file name inside a session directory.
 SESSION_MANIFEST = "session.json"
 
-#: The data directories of a session and the suffix of their files.
+#: The data directories of a session and the suffix of their files.  A
+#: save writes nothing under ``reports/``; it stays here so a save over an
+#: older session prunes the report documents that session wrote.
 _DATA_SUFFIXES = {"datasets": "jsonl", "reports": "json", "validations": "json", "banks": "json"}
 
 
@@ -92,7 +100,7 @@ def spec_from_document(document: dict) -> SourceSpec:
 
 
 def save_session(session: "ReproSession", directory: str | Path) -> Path:
-    """Write a session's configuration and caches to ``directory``.
+    """Write a session's configuration, measured datasets and caches.
 
     Returns the directory path.  The directory (and parents) are created
     when missing; a session already saved there stays loadable until the
@@ -108,33 +116,18 @@ def save_session(session: "ReproSession", directory: str | Path) -> Path:
     # Every file lands atomically under a name the manifest on disk does not
     # use, and the manifest lands last; it additionally pins each data
     # file's identity (dataset header name, count and content digest,
-    # report signature digest), so a mismatched file fails loudly on load.
+    # document signature), so a mismatched file fails loudly on load.
     dataset_entries = []
     for position, (spec, dataset) in enumerate(session.cached_datasets().items()):
-        relative = data_file("datasets", position)
-        count = save_observations_atomic(dataset, directory / relative)
-        dataset_entries.append(
-            {
-                "spec": spec_to_document(spec),
-                "file": relative,
-                "name": dataset.name,
-                "count": count,
-                "digest": _file_digest(directory / relative),
-            }
-        )
-    report_entries = []
-    for position, ((spec, name), report) in enumerate(session.cached_reports().items()):
-        relative = data_file("reports", position)
-        document = report_to_document(report)
-        write_atomic(directory / relative, json.dumps(document))
-        report_entries.append(
-            {
-                "spec": spec_to_document(spec),
-                "name": name,
-                "file": relative,
-                "signature": document["signature"],
-            }
-        )
+        entry = {"spec": spec_to_document(spec), "name": dataset.name, "count": len(dataset)}
+        if not spec.inputs:
+            relative = data_file("datasets", position)
+            save_observations_atomic(dataset, directory / relative)
+            entry.update(file=relative, digest=_file_digest(directory / relative))
+        dataset_entries.append(entry)
+    report_entries = [
+        {"spec": spec_to_document(spec), "name": name} for spec, name in session.cached_reports()
+    ]
     validation_entries = []
     for position, ((spec, name), validation) in enumerate(
         session.cached_validations().items()
@@ -175,8 +168,9 @@ def save_session(session: "ReproSession", directory: str | Path) -> Path:
     write_atomic(directory / SESSION_MANIFEST, json.dumps(manifest, indent=2))
     named = {
         entry["file"]
-        for entries in (dataset_entries, report_entries, validation_entries, bank_entries)
+        for entries in (dataset_entries, validation_entries, bank_entries)
         for entry in entries
+        if "file" in entry
     }
     for folder, suffix in _DATA_SUFFIXES.items():
         if not (directory / folder).is_dir():
@@ -201,6 +195,21 @@ def _name(value: object) -> str:
     return value
 
 
+def _options(document: object) -> IdentifierOptions:
+    """The identifier options, every one a JSON ``true`` or ``false``.
+
+    The resolver tests each option by truthiness, so a coerced ``"no"``
+    would quietly turn an option on.
+    """
+    if not isinstance(document, dict) or not all(
+        isinstance(value, bool) for value in document.values()
+    ):
+        raise PersistError(
+            f"malformed session manifest: identifier options {document!r} are not all booleans"
+        )
+    return IdentifierOptions(**document)
+
+
 def _saved_generation(directory: Path) -> int:
     """The generation of the session saved in ``directory`` (0 for none).
 
@@ -214,15 +223,63 @@ def _saved_generation(directory: Path) -> int:
         return 0
 
 
+def _read_dataset(directory: Path, file: str, digest: str | None) -> ObservationDataset:
+    """Load one dataset file, checked against the manifest's content pin.
+
+    ``digest`` is ``None`` in sessions saved before datasets were pinned
+    by content; they load on name and count alone.
+    """
+    try:
+        dataset = load_observations(directory / file)
+    except PersistError:
+        raise
+    except DatasetError as exc:
+        raise PersistError(f"dataset {file} is unreadable: {exc}") from exc
+    if digest is not None:
+        actual = _file_digest(directory / file)
+        if actual != digest:
+            raise PersistError(
+                f"dataset {file} does not match the session manifest's content digest "
+                f"(manifest {str(digest)[:12]}…, file {actual[:12]}…)"
+            )
+    return dataset
+
+
+def _unsaved(session: "ReproSession", specs: Iterable[SourceSpec]) -> list[str]:
+    """The specs among ``specs`` the loaded session does not hold yet."""
+    loaded = session.cached_datasets()
+    return [spec.describe() for spec in specs if spec not in loaded]
+
+
+def _rebuild(session: "ReproSession", spec: SourceSpec) -> ObservationDataset:
+    """Rebuild a file-less combinator dataset from the datasets loaded so far.
+
+    The save orders every combinator after its inputs, so they are all
+    loaded by now; one that is missing would have to be measured, and a
+    load never measures.
+    """
+    missing = _unsaved(session, spec.inputs)
+    if not spec.inputs or missing:
+        raise PersistError(
+            f"dataset {spec.describe()} has no file and is not a combinator of the "
+            f"datasets saved before it (missing: {', '.join(missing) or 'its inputs'})"
+        )
+    try:
+        return session.dataset(spec)
+    except (ReproError, ValueError) as exc:
+        raise PersistError(f"dataset {spec.describe()} cannot be rebuilt: {exc}") from exc
+
+
 def load_session(directory: str | Path) -> "ReproSession":
-    """Rebuild a session from a saved directory, with both caches primed.
+    """Rebuild a session from a saved directory, with its caches primed.
 
     Raises:
         PersistError: when the directory is not a saved session, the format
             version is unsupported, the manifest or one of its entries is
-            malformed, a dataset's observation count, header name or content
-            digest differs from the manifest, or a report fails signature
-            verification.
+            malformed, an identifier option is not a boolean, a dataset's
+            observation count, header name or content digest differs from
+            the manifest, an entry reads a dataset the manifest does not
+            hold, or a validation or bank document fails verification.
     """
     from repro.api.session import ReproSession
 
@@ -236,21 +293,23 @@ def load_session(directory: str | Path) -> "ReproSession":
         if version != SESSION_FORMAT_VERSION:
             raise PersistError(f"unsupported session format version {version!r}")
         config = ScenarioConfig(**manifest["config"])
-        options = IdentifierOptions(**manifest["options"])
-        # ``digest`` is absent in sessions saved before datasets were
-        # pinned by content; they load on name and count alone.
+        options = _options(manifest["options"])
+        # A combinator dataset has no ``file``; a ``digest`` is absent in
+        # sessions saved before datasets were pinned by content.
         datasets = [
             (
                 spec_from_document(entry["spec"]),
-                str(entry["file"]),
+                None if entry.get("file") is None else str(entry["file"]),
                 entry.get("name"),
                 entry.get("count"),
                 entry.get("digest"),
             )
             for entry in manifest["datasets"]
         ]
+        # Older saves also name a report document and its signature; the
+        # report is resolved again, so neither is read.
         reports = [
-            (spec_from_document(entry["spec"]), _name(entry["name"]), str(entry["file"]), entry.get("signature"))
+            (spec_from_document(entry["spec"]), _name(entry["name"]))
             for entry in manifest["reports"]
         ]
         # Absent in pre-validation-subsystem sessions; they load fine.
@@ -271,37 +330,34 @@ def load_session(directory: str | Path) -> "ReproSession":
         raise PersistError(f"malformed session manifest {manifest_path}: {exc}") from exc
     session = ReproSession(config, options)
     for spec, file, expected_name, expected_count, expected_digest in datasets:
-        try:
-            dataset = load_observations(directory / file)
-        except PersistError:
-            raise
-        except DatasetError as exc:
-            raise PersistError(f"dataset {file} is unreadable: {exc}") from exc
-        if expected_digest is not None:
-            digest = _file_digest(directory / file)
-            if digest != expected_digest:
-                raise PersistError(
-                    f"dataset {file} does not match the session manifest's content digest "
-                    f"(manifest {str(expected_digest)[:12]}…, file {digest[:12]}…)"
-                )
+        if file is None:
+            where, dataset = spec.describe(), _rebuild(session, spec)
+        else:
+            where, dataset = file, _read_dataset(directory, file, expected_digest)
+            session.prime_dataset(spec, dataset)
         if expected_name is not None and dataset.name != expected_name:
             raise PersistError(
-                f"dataset {file} is named {dataset.name!r}, manifest "
+                f"dataset {where} is named {dataset.name!r}, manifest "
                 f"expects {expected_name!r}; the session was likely torn mid-save"
             )
         if expected_count is not None and len(dataset) != expected_count:
             raise PersistError(
-                f"dataset {file} holds {len(dataset)} observations, "
+                f"dataset {where} holds {len(dataset)} observations, "
                 f"manifest expects {expected_count}"
             )
-        session.prime_dataset(spec, dataset)
-    for spec, name, file, signature in reports:
-        document = read_pinned_document(directory / file, "report document", signature, "session")
-        session.prime_report(spec, name, report_from_document(document))
     for spec, name, file, signature in validations:
         document = read_pinned_document(directory / file, "validation document", signature, "session")
         session.prime_validation(spec, name, validation_from_document(document))
     for file, signature in banks:
         document = read_pinned_document(directory / file, "bank document", signature, "session")
-        session.prime_bank_state(bank_state_from_document(document))
+        session.prime_bank(IpidSampleBank.from_state(bank_state_from_document(document)))
+    # Last, as resolving is the one costly step: every check above has passed.
+    for spec, name in reports:
+        missing = _unsaved(session, streamed_specs(spec))
+        if missing:
+            raise PersistError(
+                f"report {name!r} reads datasets the session did not save "
+                f"({', '.join(missing)}); a load does not measure"
+            )
+        session.report(spec, name)
     return session

@@ -4,10 +4,9 @@ A validation document carries the declarative
 :class:`~repro.validation.spec.ValidatorSpec` tree the report was built
 from, every per-set verdict (candidate, partition, diagnostic classes,
 probing window) and the probe accounting.  Each document embeds a SHA-256
-digest of the report's canonical content, recomputed and verified on load
-— the same discipline as :mod:`repro.persist.report` — so a corrupted or
-hand-edited validation file cannot silently skew a restored session's
-Table 2.
+digest of the report's canonical content, recomputed and verified on load,
+so a corrupted or hand-edited validation file cannot silently skew a
+restored session's Table 2.
 """
 
 from __future__ import annotations
@@ -106,8 +105,13 @@ def validation_from_document(document: dict) -> ValidationReport:
         version = document["version"]
         if version != VALIDATION_FORMAT_VERSION:
             raise PersistError(f"unsupported validation document version {version!r}")
+        validator = document["validator"]
+        if not isinstance(validator, str):
+            raise PersistError(
+                f"malformed validation document: validator {validator!r} is not a string"
+            )
         report = ValidationReport(
-            validator=document["validator"],
+            validator=validator,
             spec=validator_spec_from_document(document["spec"]),
             candidates=int(document["candidates"]),
             verdicts=tuple(

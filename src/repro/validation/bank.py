@@ -18,6 +18,7 @@ so a banked sample never stands in for one taken across churn.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 from repro import obs
@@ -27,6 +28,7 @@ from repro.baselines.ipid import (
     collect_series,
     shared_counter_test,
 )
+from repro.errors import PersistError
 from repro.simnet.network import SimulatedInternet, VantagePoint
 
 #: Memoisation key of one collected series or interleaved collection.
@@ -41,7 +43,8 @@ class IpidSampleBank:
     they must not be conflated.  Cached series are treated as immutable.
     """
 
-    def __init__(self, network: SimulatedInternet, vantage: VantagePoint) -> None:
+    def __init__(self, network: SimulatedInternet | None, vantage: VantagePoint) -> None:
+        #: ``None`` until :meth:`bind` attaches a restored bank.
         self._network = network
         self._vantage = vantage
         self._series: dict[ScheduleKey, IpidTimeSeries] = {}
@@ -73,11 +76,6 @@ class IpidSampleBank:
             obs.add(
                 "validation.probes", probes, outcome=outcome, vantage=self._vantage.name
             )
-
-    @property
-    def network(self) -> SimulatedInternet:
-        """The network the bank probes."""
-        return self._network
 
     @property
     def vantage(self) -> VantagePoint:
@@ -338,67 +336,111 @@ class IpidSampleBank:
             ],
         }
 
+    def bind(self, network: SimulatedInternet) -> "IpidSampleBank":
+        """Attach a restored bank to the network it probes on a miss."""
+        self._network = network
+        return self
+
     @classmethod
-    def from_state(
-        cls, network: SimulatedInternet, state: dict
-    ) -> "IpidSampleBank":
-        """Rebuild a bank over ``network`` from :meth:`export_state` output.
+    def from_state(cls, state: dict) -> "IpidSampleBank":
+        """Rebuild a bank from :meth:`export_state` output, unbound.
 
         The restored bank answers every read its saved counterpart could —
         exact-key, pair-wise, and canonical-estimation — without touching
         the network, which is what makes reloaded sessions re-score
-        candidate sets with zero probes.
+        candidate sets with zero probes.  It probes nothing until
+        :meth:`bind` gives it a network, so a session parses its banks at
+        load without building the topology.
+
+        Raises:
+            PersistError: when an entry of ``state`` is missing or of the
+                wrong type, a number is not finite, a pair names a position
+                outside ``interleaved``, or an estimation entry names no
+                banked series.
         """
+        try:
+            return cls._parse(state)
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            raise PersistError(f"malformed bank state: {exc!r}") from exc
+
+    @classmethod
+    def _parse(cls, state: dict) -> "IpidSampleBank":
         vantage = VantagePoint(
-            name=str(state["vantage"]["name"]),
-            address=str(state["vantage"]["address"]),
-            distributed=bool(state["vantage"]["distributed"]),
+            name=_string(state["vantage"]["name"]),
+            address=_string(state["vantage"]["address"]),
+            distributed=_boolean(state["vantage"]["distributed"]),
         )
-        bank = cls(network, vantage)
-        bank._probes_issued = int(state["probes_issued"])
-        bank._probes_reused = int(state["probes_reused"])
+        bank = cls(None, vantage)
+        bank._probes_issued = _integer(state["probes_issued"])
+        bank._probes_reused = _integer(state["probes_reused"])
         for entry in state["series"]:
             key = (
                 "series",
-                str(entry["address"]),
-                int(entry["samples"]),
-                float(entry["interval"]),
-                float(entry["start_time"]),
+                _string(entry["address"]),
+                _integer(entry["samples"]),
+                _number(entry["interval"]),
+                _number(entry["start_time"]),
             )
-            series = IpidTimeSeries(address=str(entry["address"]))
-            series.samples = [
-                (float(timestamp), int(value)) for timestamp, value in entry["points"]
-            ]
-            bank._series[key] = series
+            bank._series[key] = IpidTimeSeries(address=key[1], samples=_points(entry["points"]))
         interleaved_keys: list[ScheduleKey] = []
         for entry in state["interleaved"]:
-            members = tuple(str(address) for address in entry["members"])
             key = (
                 "interleaved",
-                members,
-                int(entry["rounds"]),
-                float(entry["interval"]),
-                float(entry["start_time"]),
+                tuple(_string(address) for address in entry["members"]),
+                _integer(entry["rounds"]),
+                _number(entry["interval"]),
+                _number(entry["start_time"]),
             )
-            collection = {}
-            for address, points in entry["points"].items():
-                series = IpidTimeSeries(address=str(address))
-                series.samples = [
-                    (float(timestamp), int(value)) for timestamp, value in points
-                ]
-                collection[str(address)] = series
-            bank._interleaved[key] = collection
+            bank._interleaved[key] = {
+                _string(address): IpidTimeSeries(address=address, samples=_points(points))
+                for address, points in entry["points"].items()
+            }
             interleaved_keys.append(key)
         for left, right, position in state["pairs"]:
-            bank._pairs[frozenset((str(left), str(right)))] = interleaved_keys[
-                int(position)
-            ]
+            if not 0 <= _integer(position) < len(interleaved_keys):
+                raise ValueError(f"pair position {position} is outside interleaved")
+            bank._pairs[frozenset((_string(left), _string(right)))] = interleaved_keys[position]
         for address, samples, interval, start_time in state["estimation"]:
-            bank._estimation[(str(address), int(samples), float(interval))] = (
+            key = (
                 "series",
-                str(address),
-                int(samples),
-                float(interval),
-                float(start_time),
+                _string(address),
+                _integer(samples),
+                _number(interval),
+                _number(start_time),
             )
+            if key not in bank._series:
+                raise ValueError(f"estimation entry {key[1:]} names no banked series")
+            bank._estimation[key[1:4]] = key
         return bank
+
+
+def _string(value: object) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"{value!r} is not a string")
+    return value
+
+
+def _boolean(value: object) -> bool:
+    if not isinstance(value, bool):
+        raise TypeError(f"{value!r} is not a boolean")
+    return value
+
+
+def _integer(value: object) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{value!r} is not an integer")
+    return value
+
+
+def _number(value: object) -> float:
+    """A finite JSON number as a float (booleans and strings are not numbers)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{value!r} is not a number")
+    if not math.isfinite(value):
+        raise ValueError(f"{value!r} is not finite")
+    return float(value)
+
+
+def _points(points: list) -> list[tuple[float, int]]:
+    """One series' ``[timestamp, ipid]`` samples."""
+    return [(_number(timestamp), _integer(value)) for timestamp, value in points]

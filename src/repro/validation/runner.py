@@ -33,7 +33,7 @@ from repro import obs
 from repro.baselines.iffinder import IffinderProber
 from repro.baselines.ptr import PtrResolver
 from repro.core.engine import AliasReport
-from repro.errors import PersistError, ValidationError
+from repro.errors import ValidationError
 from repro.net.addresses import is_ipv6
 from repro.simnet.device import ServiceType
 from repro.simnet.network import SimulatedInternet, VantagePoint
@@ -111,22 +111,17 @@ class ValidationRun:
         """
         return self._banks
 
-    def restore_bank(self, state: dict) -> IpidSampleBank:
-        """Install a persisted bank state (replacing any bank of its vantage).
+    def restore_bank(self, bank: IpidSampleBank) -> IpidSampleBank:
+        """Install a restored bank (replacing any bank of its vantage).
 
-        The restored bank carries every banked series, pair and canonical
-        estimation entry of the saved run, so a reloaded session re-scores
-        matching validation specs fully offline — zero network probes.
-
-        Raises:
-            PersistError: when an entry of ``state`` is malformed.
+        ``bank`` comes from :meth:`IpidSampleBank.from_state` and is bound
+        to this run's network here.  It carries every banked series, pair
+        and canonical estimation entry of the saved run, so a reloaded
+        session re-scores matching validation specs fully offline — zero
+        network probes.
         """
-        try:
-            bank = IpidSampleBank.from_state(self.network, state)
-        except (KeyError, TypeError, ValueError, IndexError, AttributeError) as exc:
-            raise PersistError(f"malformed bank state: {exc!r}") from exc
         key = (bank.vantage.name, bank.vantage.address, bank.vantage.distributed)
-        self._banks[key] = bank
+        self._banks[key] = bank.bind(self.network)
         return bank
 
     def derived_start(self, after: str, lag: float) -> float:

@@ -8,6 +8,7 @@ import pytest
 
 from repro.api.config import ScenarioConfig
 from repro.api.session import ReproSession
+from repro.cli import main
 from repro.errors import PersistError
 from repro.net.ipid import MonotonicIpidCounter, RandomIpidCounter
 from repro.persist.bank import (
@@ -103,8 +104,8 @@ class TestBankDocuments:
         document = json.loads(json.dumps(bank_state_to_document(bank.export_state())))
         fresh_network = build_network()
         counter = _count_probes(fresh_network)
-        restored = IpidSampleBank.from_state(
-            fresh_network, bank_state_from_document(document)
+        restored = IpidSampleBank.from_state(bank_state_from_document(document)).bind(
+            fresh_network
         )
         assert restored.probes_issued == bank.probes_issued
         pair = sorted(TRUE_SET)[:2]
@@ -191,6 +192,26 @@ def _dangle_pair_position(state):
     state["pairs"][0][2] = len(state["interleaved"])
 
 
+def _negative_pair_position(state):
+    state["pairs"][0][2] = -1
+
+
+def _interval_not_a_number(state):
+    state["series"][0]["interval"] = "nan"
+
+
+def _interval_not_finite(state):
+    state["series"][0]["interval"] = float("nan")
+
+
+def _timestamp_not_finite(state):
+    next(entry for entry in state["series"] if entry["points"])["points"][0][0] = float("inf")
+
+
+def _estimation_names_no_series(state):
+    state["estimation"][0][3] += 1.0
+
+
 def _interleaved_points_not_object(state):
     state["interleaved"][0]["points"] = []
 
@@ -251,17 +272,38 @@ class TestSessionBankRoundTrip:
         [
             _drop_series_points,
             _dangle_pair_position,
+            _negative_pair_position,
             _interleaved_points_not_object,
             _probe_count_not_int,
             _series_not_list,
+            _interval_not_a_number,
+            _interval_not_finite,
+            _timestamp_not_finite,
+            _estimation_names_no_series,
         ],
     )
     def test_resigned_malformed_entry_raises_persist_error(
-        self, saved_session, tmp_path, mutate
+        self, saved_session, tmp_path, mutate, capsys
     ):
-        loaded = ReproSession.load(_resigned_copy(saved_session, tmp_path, mutate))
+        # Banks are parsed at load, so a forged state fails there, typed,
+        # and not at the first validation.
+        copy = _resigned_copy(saved_session, tmp_path, mutate)
         with pytest.raises(PersistError, match="malformed bank state"):
-            loaded.validate("midar")
+            ReproSession.load(copy)
+        assert main(["session", "load", str(copy)]) == 2
+        assert "malformed bank state" in capsys.readouterr().err
+
+    def test_load_parses_banks_without_building_the_topology(
+        self, saved_session, monkeypatch
+    ):
+        _, _, directory = saved_session
+
+        def refuse(config):
+            raise AssertionError("loading a session built the topology")
+
+        monkeypatch.setattr("repro.api.session.generate_topology", refuse)
+        loaded = ReproSession.load(directory)
+        assert loaded.validation_bank_states()
 
     def test_resave_numbers_every_data_file_by_generation(self, saved_session, tmp_path):
         """A re-save writes its validations and banks under the next
@@ -275,12 +317,12 @@ class TestSessionBankRoundTrip:
         manifest = json.loads((copy / SESSION_MANIFEST).read_text())
         named = {
             entry["file"]
-            for key in ("datasets", "reports", "validations", "banks")
+            for key in ("datasets", "validations", "banks")
             for entry in manifest[key]
+            if "file" in entry
         }
-        assert {name.split("/")[0] for name in named} == {
-            "datasets", "reports", "validations", "banks"
-        }
+        assert {name.split("/")[0] for name in named} == {"datasets", "validations", "banks"}
+        assert manifest["reports"] and all("file" not in entry for entry in manifest["reports"])
         assert all(name.split("/")[1].startswith("0002-") for name in named)
         assert {path.relative_to(copy).as_posix() for path in copy.glob("*/*")} == named
         assert ReproSession.load(copy).validation_bank_states() == (
@@ -331,7 +373,7 @@ class TestCheckpointerBanks:
         checkpoint = load_stream_checkpoint(directory, CAMPAIGN_LAYOUT)
         assert len(checkpoint.bank_states) == 1
         restored = ValidationRun(build_network())
-        bank = restored.restore_bank(checkpoint.bank_states[0])
+        bank = restored.restore_bank(IpidSampleBank.from_state(checkpoint.bank_states[0]))
         assert bank.probes_issued == next(iter(run.banks().values())).probes_issued
 
     def test_stream_checkpoint_round_trips_banks(self, tmp_path):
@@ -352,5 +394,5 @@ class TestCheckpointerBanks:
         checkpoint = load_stream_checkpoint(directory)
         assert len(checkpoint.bank_states) == 1
         restored = ValidationRun(build_network())
-        bank = restored.restore_bank(checkpoint.bank_states[0])
+        bank = restored.restore_bank(IpidSampleBank.from_state(checkpoint.bank_states[0]))
         assert bank.probes_reused == next(iter(run.banks().values())).probes_reused

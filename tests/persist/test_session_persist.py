@@ -15,11 +15,7 @@ from repro.api.sources import SourceSpec, concat, file_source, union_of
 from repro.core.engine import report_signature
 from repro.core.identifiers import IdentifierOptions
 from repro.errors import PersistError
-from repro.persist.report import (
-    report_from_document,
-    report_signature_digest,
-    report_to_document,
-)
+from repro.persist.report import report_signature_digest
 from repro.persist.session import (
     SESSION_MANIFEST,
     load_session,
@@ -81,24 +77,6 @@ class TestSpecDocuments:
         loaded = spec_from_document(json.loads(json.dumps(spec_to_document(spec))))
         assert loaded == spec
         assert [type(value) for _, value in loaded.params] == [bool, int, float, str]
-
-
-class TestReportDocuments:
-    def test_roundtrip_signature(self, saved):
-        session, _ = saved
-        report = session.report("active")
-        loaded = report_from_document(
-            json.loads(json.dumps(report_to_document(report)))
-        )
-        assert report_signature(loaded) == report_signature(report)
-        assert report_signature_digest(loaded) == report_signature_digest(report)
-
-    def test_tampered_report_fails_parity(self, saved):
-        session, _ = saved
-        document = report_to_document(session.report("active"))
-        document["name"] = "tampered"
-        with pytest.raises(PersistError, match="parity"):
-            report_from_document(document)
 
 
 class TestSessionRoundTrip:
@@ -190,15 +168,21 @@ class TestSessionRoundTrip:
             lambda manifest: manifest["config"].update(scale="x"),
             lambda manifest: manifest["config"].update(scale=-1),
             lambda manifest: manifest["datasets"][0].pop("spec"),
-            lambda manifest: manifest["reports"][0].pop("file"),
+            lambda manifest: manifest["reports"][0].pop("spec"),
             lambda manifest: manifest.update(banks="x"),
+            lambda manifest: manifest["options"].update(ssh_include_banner="no"),
+            lambda manifest: manifest["options"].update(bgp_include_hold_time=[1]),
+            lambda manifest: manifest["options"].update(ssh_include_capabilities=1),
         ],
         ids=[
             "scale-not-a-number",
             "scale-negative",
             "dataset-without-spec",
-            "report-without-file",
+            "report-without-spec",
             "banks-not-a-list",
+            "option-a-string",
+            "option-a-list",
+            "option-an-integer",
         ],
     )
     def test_malformed_manifest_raises(self, saved, tmp_path, corrupt):
@@ -233,18 +217,6 @@ class TestSessionRoundTrip:
             del entry["digest"]
         (copy / SESSION_MANIFEST).write_text(json.dumps(manifest))
         assert _contents(load_session(copy)) == _contents(load_session(directory))
-
-    def test_report_signature_mismatch_detected(self, saved, tmp_path):
-        # A torn save pairing an old manifest with a new report file: the
-        # file is internally consistent, but its signature differs from the
-        # manifest pin.
-        _, directory = saved
-        copy = self._copy_session(directory, tmp_path / "torn-report")
-        manifest = json.loads((copy / SESSION_MANIFEST).read_text())
-        manifest["reports"][0]["signature"] = "0" * 64
-        (copy / SESSION_MANIFEST).write_text(json.dumps(manifest))
-        with pytest.raises(PersistError, match="torn mid-save"):
-            load_session(copy)
 
 
 def _contents(session):
@@ -294,13 +266,17 @@ class TestResave:
     def test_resave_prunes_only_the_previous_files(self, sessions, tmp_path):
         directory = tmp_path / "saved"
         save_session(sessions[7], directory)
+        # A report document an older save wrote, beside files no save wrote.
+        stale = directory / "reports" / "0001-000.json"
+        stale.parent.mkdir()
+        stale.write_text("{}")
         foreign = [directory / "datasets" / "notes.txt", directory / "reports" / "keep.json"]
         for path in foreign:
             path.write_text("{}")
         save_session(sessions[8], directory)
         manifest = json.loads((directory / SESSION_MANIFEST).read_text())
         assert manifest["generation"] == 2
-        named = {entry["file"] for key in ("datasets", "reports") for entry in manifest[key]}
+        named = {entry["file"] for entry in manifest["datasets"] if "file" in entry}
         on_disk = {
             path.relative_to(directory).as_posix()
             for path in directory.glob("*/*")
@@ -322,38 +298,49 @@ class TestResave:
 
     def test_unnumbered_session_loads_and_resaves(self, sessions, tmp_path):
         """Sessions saved before generations (``datasets/000.jsonl``, no
-        ``generation`` key) still load, and a re-save prunes their files."""
+        ``generation`` key) still load, and a re-save prunes their files,
+        report documents included."""
         directory = tmp_path / "unnumbered"
         save_session(sessions[7], directory)
         manifest = json.loads((directory / SESSION_MANIFEST).read_text())
         del manifest["generation"]
-        for key in ("datasets", "reports"):
-            for entry in manifest[key]:
-                folder, name = entry["file"].split("/")
-                unnumbered = f"{folder}/{name.partition('-')[2]}"
+        for entry in manifest["datasets"]:
+            if "file" in entry:
+                unnumbered = f"datasets/{entry['file'].partition('-')[2]}"
                 (directory / entry["file"]).rename(directory / unnumbered)
                 entry["file"] = unnumbered
         (directory / SESSION_MANIFEST).write_text(json.dumps(manifest))
+        (directory / "reports").mkdir()
+        (directory / "reports" / "000.json").write_text("{}")
         assert _contents(load_session(directory)) == _contents(sessions[7])
         save_session(sessions[8], directory)
         assert _contents(load_session(directory)) == _contents(sessions[8])
         assert sorted(path.name for path in (directory / "datasets").iterdir()) == [
             f"0001-{position:03d}.jsonl"
-            for position in range(len(sessions[8].cached_datasets()))
+            for position, spec in enumerate(sessions[8].cached_datasets())
+            if not spec.inputs
         ]
+        assert list((directory / "reports").iterdir()) == []
 
 
 class TestFreshProcessParity:
-    def test_loaded_session_matches_in_fresh_process(self, saved, tmp_path):
+    def test_loaded_session_matches_in_fresh_process(self, tmp_path):
         """Save → load in a *new interpreter* → identical experiment text.
 
-        A small scenario proves the cross-process contract here; the
-        scale-1.0 save → load → render check of all ten experiments is
+        A load resolves every report again, so its collection order must
+        not depend on string hashing: two interpreters run under
+        ``PYTHONHASHSEED`` 0 and 1.  A small scenario proves the
+        cross-process contract here; the scale-1.0 save → load → render
+        check of all ten experiments is
         ``tests/experiments/test_paper_scale.py``.
         """
-        session, directory = saved
-        rendered = session.run_experiment("table3")
-        signature = report_signature_digest(session.report("active"))
+        session = ReproSession(_CONFIG)
+        for name in _COMPOSITIONS:
+            session.report(name)
+        rendered = session.run_experiments()
+        signature = report_signature_digest(session.report("union"))
+        directory = tmp_path / "saved"
+        save_session(session, directory)
         script = tmp_path / "replay.py"
         script.write_text(
             "import sys, json\n"
@@ -361,20 +348,139 @@ class TestFreshProcessParity:
             "from repro.persist.report import report_signature_digest\n"
             "session = ReproSession.load(sys.argv[1])\n"
             "print(json.dumps({\n"
-            "    'table3': session.run_experiment('table3'),\n"
-            "    'signature': report_signature_digest(session.report('active')),\n"
+            "    'renders': session.run_experiments(),\n"
+            "    'signature': report_signature_digest(session.report('union')),\n"
             "}))\n"
         )
-        result = subprocess.run(
-            [sys.executable, str(script), str(directory)],
-            capture_output=True,
-            text=True,
-            check=True,
-            env={"PYTHONPATH": str(Path(__file__).resolve().parents[2] / "src")},
+        assert len(rendered) == 10
+        for hash_seed in ("0", "1"):
+            result = subprocess.run(
+                [sys.executable, str(script), str(directory)],
+                capture_output=True,
+                text=True,
+                check=True,
+                env={
+                    "PYTHONPATH": str(Path(__file__).resolve().parents[2] / "src"),
+                    "PYTHONHASHSEED": hash_seed,
+                },
+            )
+            payload = json.loads(result.stdout)
+            assert payload["renders"] == rendered
+            assert payload["signature"] == signature
+
+
+@pytest.fixture(scope="module")
+def merged(tmp_path_factory):
+    """A saved session whose caches hold combinator datasets too: the
+    merged IPv4 ``union`` and the default-port Censys view."""
+    session = ReproSession(_CONFIG)
+    for name in _COMPOSITIONS:
+        session.report(name)
+    directory = tmp_path_factory.mktemp("merged") / "saved"
+    save_session(session, directory)
+    return session, directory
+
+
+def _edited_copy(directory, destination, edit):
+    """Copy a saved session and apply ``edit`` to its manifest."""
+    shutil.copytree(directory, destination)
+    manifest = json.loads((destination / SESSION_MANIFEST).read_text())
+    edit(manifest)
+    (destination / SESSION_MANIFEST).write_text(json.dumps(manifest))
+    return destination
+
+
+def _dataset_entry(manifest, kind):
+    return next(entry for entry in manifest["datasets"] if entry["spec"]["kind"] == kind)
+
+
+class TestDerivedEntries:
+    """A save stores the measured datasets; a load derives the rest.
+
+    Every test here runs with the topology unbuildable, so a load that
+    tried to measure would fail with an ``AssertionError`` rather than a
+    ``PersistError``.
+    """
+
+    @pytest.fixture(autouse=True)
+    def no_topology(self, monkeypatch):
+        def refuse(config):
+            raise AssertionError("loading a session built the topology")
+
+        monkeypatch.setattr("repro.api.session.generate_topology", refuse)
+
+    def test_save_writes_only_measured_datasets(self, merged):
+        session, directory = merged
+        manifest = json.loads((directory / SESSION_MANIFEST).read_text())
+        files = {
+            spec_from_document(entry["spec"]).kind: entry.get("file")
+            for entry in manifest["datasets"]
+        }
+        assert files.keys() == {
+            "active-ipv4", "active-ipv6", "censys-ipv4", "standard-ports", "union"
+        }
+        assert files["union"] is None and files["standard-ports"] is None
+        assert [entry["name"] for entry in manifest["reports"]] == list(_COMPOSITIONS)
+        assert all(entry.keys() == {"spec", "name"} for entry in manifest["reports"])
+        assert sorted(path.relative_to(directory).as_posix() for path in directory.glob("*/*")) == (
+            sorted(file for file in files.values() if file is not None)
         )
-        payload = json.loads(result.stdout)
-        assert payload["table3"] == rendered
-        assert payload["signature"] == signature
+
+    def test_load_holds_the_same_keys_in_the_same_order(self, merged):
+        session, directory = merged
+        loaded = load_session(directory)
+        assert list(loaded.cached_datasets()) == list(session.cached_datasets())
+        assert list(loaded.cached_reports()) == list(session.cached_reports())
+        assert _contents(loaded) == _contents(session)
+
+    def test_stale_report_document_keys_are_ignored(self, merged, tmp_path):
+        # A session saved with report documents names each one; the reader
+        # takes only the spec and the name.
+        session, directory = merged
+
+        def name_documents(manifest):
+            for position, entry in enumerate(manifest["reports"]):
+                entry.update(file=f"reports/0001-{position:03d}.json", signature="0" * 64)
+
+        copy = _edited_copy(directory, tmp_path / "stale", name_documents)
+        assert _contents(load_session(copy)) == _contents(session)
+
+    def test_report_reading_an_unsaved_dataset_fails(self, merged, tmp_path):
+        _, directory = merged
+
+        def read_censys_ipv6(manifest):
+            spec = concat(SourceSpec(kind="active-ipv4"), SourceSpec(kind="censys-ipv6"))
+            manifest["reports"][0]["spec"] = spec_to_document(spec)
+
+        copy = _edited_copy(directory, tmp_path / "unsaved", read_censys_ipv6)
+        with pytest.raises(PersistError, match="did not save"):
+            load_session(copy)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda manifest: _dataset_entry(manifest, "union")["spec"]["inputs"].__setitem__(
+                1, spec_to_document(SourceSpec(kind="censys-ipv6"))
+            ),
+            lambda manifest: _dataset_entry(manifest, "active-ipv4").pop("file"),
+        ],
+        ids=["combinator-of-an-unsaved-input", "measured-without-file"],
+    )
+    def test_file_less_dataset_that_would_measure_fails(self, merged, tmp_path, edit):
+        _, directory = merged
+        copy = _edited_copy(directory, tmp_path / "unsaved", edit)
+        with pytest.raises(PersistError, match="has no file"):
+            load_session(copy)
+
+    def test_file_less_dataset_count_mismatch_fails(self, merged, tmp_path):
+        _, directory = merged
+
+        def miscount(manifest):
+            _dataset_entry(manifest, "union")["count"] += 1
+
+        copy = _edited_copy(directory, tmp_path / "miscounted", miscount)
+        with pytest.raises(PersistError, match="observations, manifest expects"):
+            load_session(copy)
 
 
 class TestFileSourceKind:

@@ -1,11 +1,13 @@
 """Tests for validation-report persistence (documents and session round-trips)."""
 
+import dataclasses
 import json
 
 import pytest
 
 from repro.api.config import ScenarioConfig
 from repro.api.session import ReproSession
+from repro.cli import main
 from repro.errors import PersistError
 from repro.persist.validation import (
     validation_from_document,
@@ -117,6 +119,24 @@ class TestSessionValidationRoundTrip:
         target.write_text(json.dumps(document))
         with pytest.raises(PersistError, match="does not match the session manifest"):
             ReproSession.load(directory)
+
+    def test_resigned_validator_not_a_string_fails_the_load(self, tmp_path, capsys):
+        # The document and the manifest pin are re-signed over the forged
+        # report, so only the reader's type check stands in the way.
+        session = ReproSession(ScenarioConfig(scale=0.05, seed=3))
+        live = session.validate("midar")
+        directory = tmp_path / "session"
+        session.save(directory)
+        manifest = json.loads((directory / "session.json").read_text())
+        (entry,) = manifest["validations"]
+        document = validation_to_document(dataclasses.replace(live, validator=[1]))
+        (directory / entry["file"]).write_text(json.dumps(document))
+        entry["signature"] = document["signature"]
+        (directory / "session.json").write_text(json.dumps(manifest))
+        with pytest.raises(PersistError, match="is not a string"):
+            ReproSession.load(directory)
+        assert main(["session", "load", str(directory)]) == 2
+        assert "is not a string" in capsys.readouterr().err
 
     def test_pre_validation_sessions_still_load(self, tmp_path):
         session = ReproSession(ScenarioConfig(scale=0.05, seed=3))
