@@ -186,12 +186,9 @@ def merge_overlapping(items: Iterable, addresses_of) -> list[list]:
 def combine_alias_sets(component: list[AliasSet]) -> AliasSet:
     """Fold one union component into its output set.
 
-    The single definition of the union's output shape — the canonical,
-    churn-stable ``union:<smallest-address>`` label and the
-    singleton-component frozenset reuse — shared by the batch
-    :meth:`AliasResolver.union` and the incremental union maintenance in
-    :mod:`repro.longitudinal.engine`, whose outputs must stay exactly
-    interchangeable.
+    The union's output shape for :meth:`AliasResolver.union`: the
+    canonical, churn-stable ``union:<smallest-address>`` label, and the
+    member's own frozensets reused for a one-set component.
     """
     if len(component) == 1:
         # Most components are one set; reuse its frozensets rather than
@@ -225,10 +222,9 @@ class AliasResolver:
         set rather than per address — and the synthetic
         ``union:<smallest-address>`` labels are canonical and *stable*: a
         component keeps its label across snapshots unless its smallest
-        member changes, which is what lets incremental re-resolution reuse
-        unchanged union components.  Sets are ordered by the same smallest
-        member address, so the output is independent of collection
-        iteration order.
+        member changes.  Sets are ordered by the same smallest member
+        address, so the output is independent of collection iteration
+        order.
         """
         contributing: list[AliasSet] = []
         address_asn: dict[str, int] = {}

@@ -6,7 +6,7 @@ mapping per ``(protocol, family)`` bucket.  It is kept, unmodified in
 behaviour, as a correctness oracle: the hypothesis property suite
 (``tests/core/test_columnar_properties.py``) drives random
 add/remove/extend sequences against both cores and asserts identical
-derived reports, state signatures and dirty sets.
+derived reports and state signatures.
 
 It intentionally shares no storage code with :mod:`repro.core.engine`; only
 the public surface (and the exception contract) matches.
@@ -49,7 +49,6 @@ class DictObservationIndex:
         self._members: dict[_BucketKey, dict[str, dict[str, int]]] = {}
         self._asn: dict[_BucketKey, dict[str, int]] = {}
         self._asn_refs: dict[_BucketKey, dict[str, int]] = {}
-        self._dirty: dict[_BucketKey, set[str]] = {}
         self._observed = 0
         self._indexed = 0
 
@@ -96,7 +95,6 @@ class DictObservationIndex:
             members = self._members[bucket_key] = {}
             self._asn[bucket_key] = {}
             self._asn_refs[bucket_key] = {}
-            self._dirty[bucket_key] = set()
         addresses = members.get(identifier.value)
         if addresses is None:
             addresses = members[identifier.value] = {}
@@ -105,7 +103,6 @@ class DictObservationIndex:
             asn_refs = self._asn_refs[bucket_key]
             self._asn[bucket_key][observation.address] = observation.asn
             asn_refs[observation.address] = asn_refs.get(observation.address, 0) + 1
-        self._dirty[bucket_key].add(identifier.value)
         self._indexed += 1
         return True
 
@@ -152,7 +149,6 @@ class DictObservationIndex:
             else:
                 asn_refs.pop(observation.address, None)
                 self._asn[bucket_key].pop(observation.address, None)
-        self._dirty[bucket_key].add(identifier.value)
         self._observed -= 1
         self._indexed -= 1
         return True
@@ -161,23 +157,6 @@ class DictObservationIndex:
         """Index many observations."""
         for observation in observations:
             self.add(observation)
-
-    def consume_dirty(self) -> dict[_BucketKey, set[str]]:
-        """Return and clear the identifiers touched since the last drain."""
-        dirty = {key: set(values) for key, values in self._dirty.items() if values}
-        for values in self._dirty.values():
-            values.clear()
-        return dirty
-
-    def bucket_members(
-        self, protocol: ServiceType, family: AddressFamily
-    ) -> dict[str, dict[str, int]]:
-        """Live identifier→{address: refcount} mapping of one bucket."""
-        return self._members.get((protocol, family), {})
-
-    def bucket_asn(self, protocol: ServiceType, family: AddressFamily) -> dict[str, int]:
-        """Live address→ASN mapping of one bucket (treat as read-only)."""
-        return self._asn.get((protocol, family), {})
 
     def state_signature(self) -> dict:
         """Canonical, order-insensitive rendering of the index contents."""

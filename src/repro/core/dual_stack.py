@@ -114,10 +114,9 @@ class DualStackCollection:
 def combine_dual_sets(component: list[DualStackSet]) -> DualStackSet:
     """Fold one dual-stack union component into its output set.
 
-    The single definition of the dual union's output shape (canonical
-    ``union:<smallest-address>`` label, singleton frozenset reuse), shared
-    by :func:`union_dual_stack` and the incremental union maintenance in
-    :mod:`repro.longitudinal.engine`.
+    The dual union's output shape for :func:`union_dual_stack`: the
+    canonical ``union:<smallest-address>`` label, and the member's own
+    frozensets reused for a one-set component.
     """
     if len(component) == 1:
         # Most components are one set; reuse its frozensets rather than

@@ -23,18 +23,21 @@ tuple bucket keys), per-bucket membership is integer-keyed reference counts,
 and the per-address ASN columns are flat :mod:`array` columns indexed by
 address symbol.  An address's family is resolved once at intern time and
 read back as an array cell afterwards.  The public surface — ``add`` /
-``remove`` / ``extend`` / ``consume_dirty`` / ``state_signature`` and
-insertion-ordered enumeration — is unchanged from the dict core (now
-preserved as :class:`repro.core.dictcore.DictObservationIndex`, the
-property-test oracle), so the engine, longitudinal delta replay,
-persistence and validation layers run unmodified on top.
+``remove`` / ``extend`` / ``state_signature`` and insertion-ordered
+enumeration — is unchanged from the dict core (now preserved as
+:class:`repro.core.dictcore.DictObservationIndex`, the property-test
+oracle), so the engine, longitudinal delta replay, persistence and
+validation layers run unmodified on top.
 An index is never serialised: checkpoints store observations and rebuild
 the index from them (:mod:`repro.persist.chain`).
 
 :class:`ResolutionEngine` orchestrates the two stages and assembles the
 :class:`AliasReport` consumed by the experiments, the CLI and the analysis
 layer: ``ResolutionEngine(options).resolve(observations)`` is the one-call
-API.  Its outputs match the seed implementation's apart from the
+API, and :meth:`ResolutionEngine.report` is the one derivation of a report
+from an index — a batch resolve, every longitudinal emit over the live
+index (:mod:`repro.longitudinal.engine`) and a checkpoint resume all run
+it.  Its outputs match the seed implementation's apart from the
 cross-protocol union labels, which are now canonical (ordered by smallest
 member address) instead of union-find-root ordered.
 """
@@ -43,8 +46,7 @@ from __future__ import annotations
 
 import dataclasses
 from array import array
-from collections.abc import Mapping
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from repro import obs
 from repro.core.alias_resolution import AliasResolver
@@ -103,13 +105,12 @@ class _Bucket:
     decoded address→ASN dict between mutations.
     """
 
-    __slots__ = ("members", "asn_values", "asn_refs", "dirty", "asn_cache")
+    __slots__ = ("members", "asn_values", "asn_refs", "asn_cache")
 
     def __init__(self) -> None:
         self.members: dict[int, dict[int, int]] = {}
         self.asn_values = array("q")
         self.asn_refs = array("q")
-        self.dirty: set[int] = set()
         self.asn_cache: dict[str, int] | None = None
 
     def grow_asn(self, size: int) -> None:
@@ -119,72 +120,6 @@ class _Bucket:
             zeros = bytes(8 * missing)
             self.asn_refs.frombytes(zeros)
             self.asn_values.frombytes(zeros)
-
-
-class _AddressCounts(Mapping):
-    """Decoded read-only view of one identifier's {address: refcount} cell."""
-
-    __slots__ = ("_counts", "_addresses")
-
-    def __init__(self, counts: dict[int, int], addresses: SymbolTable) -> None:
-        self._counts = counts
-        self._addresses = addresses
-
-    def __len__(self) -> int:
-        return len(self._counts)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(list(map(self._addresses.values.__getitem__, self._counts)))
-
-    def __contains__(self, address: object) -> bool:
-        sym = self._addresses.ids.get(address)  # type: ignore[arg-type]
-        return sym is not None and sym in self._counts
-
-    def __getitem__(self, address: str) -> int:
-        sym = self._addresses.ids.get(address)
-        if sym is None:
-            raise KeyError(address)
-        return self._counts[sym]
-
-
-class _BucketMembers(Mapping):
-    """Decoded read-only view of one bucket's identifier→addresses mapping.
-
-    Enumerates identifier values in bucket insertion order (the order the
-    dict core preserved), decoding symbols lazily so incremental consumers
-    touching only dirty identifiers never pay for the full bucket.
-    """
-
-    __slots__ = ("_members", "_identifiers", "_addresses")
-
-    def __init__(
-        self,
-        members: dict[int, dict[int, int]],
-        identifiers: SymbolTable,
-        addresses: SymbolTable,
-    ) -> None:
-        self._members = members
-        self._identifiers = identifiers
-        self._addresses = addresses
-
-    def __len__(self) -> int:
-        return len(self._members)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(list(map(self._identifiers.values.__getitem__, self._members)))
-
-    def __contains__(self, value: object) -> bool:
-        sym = self._identifiers.ids.get(value)  # type: ignore[arg-type]
-        return sym is not None and sym in self._members
-
-    def __getitem__(self, value: str) -> _AddressCounts:
-        sym = self._identifiers.ids.get(value)
-        if sym is None:
-            raise KeyError(value)
-        counts = self._members.get(sym)
-        if counts is None:
-            raise KeyError(value)
-        return _AddressCounts(counts, self._addresses)
 
 
 class ObservationIndex:
@@ -203,8 +138,6 @@ class ObservationIndex:
     removal: :meth:`remove` is the exact inverse of :meth:`add`, which is
     what lets the longitudinal subsystem re-resolve a churned snapshot by
     replaying an observation delta instead of rebuilding the whole index.
-    Every mutation records the touched identifier in a dirty map that
-    incremental consumers drain via :meth:`consume_dirty`.
 
     Removal assumes an address's origin ASN is stable across the
     observations that mention it (true for every source in this repo: the
@@ -313,7 +246,6 @@ class ObservationIndex:
             bucket.asn_values[addr_sym] = asn
             refs[addr_sym] += 1
             bucket.asn_cache = None
-        bucket.dirty.add(ident_sym)
         self._indexed += 1
         return True
 
@@ -376,13 +308,12 @@ class ObservationIndex:
                 )
             refs[addr_sym] = remaining
             bucket.asn_cache = None
-        bucket.dirty.add(ident_sym)
         self._observed -= 1
         self._indexed -= 1
         return True
 
     def _publish_gauges(self) -> None:
-        """Publish symbol-table and dirty-set level gauges.
+        """Publish the symbol-table level gauges.
 
         Called at batch seams only (never per observation) so the enabled
         cost stays a handful of dict operations per ``extend``, and the
@@ -393,10 +324,6 @@ class ObservationIndex:
         obs.set_gauge("index.symbols.interned", len(self._addresses), kind="address")
         obs.set_gauge(
             "index.symbols.interned", len(self._identifiers), kind="identifier"
-        )
-        obs.set_gauge(
-            "index.dirty.identifiers",
-            sum(len(bucket.dirty) for bucket in self._buckets if bucket is not None),
         )
 
     def extend(self, observations: Iterable[Observation]) -> None:
@@ -412,39 +339,6 @@ class ObservationIndex:
         obs.add("index.observations.observed", self._observed - observed_before)
         obs.add("index.observations.indexed", self._indexed - indexed_before)
         self._publish_gauges()
-
-    # ------------------------------------------------------------------ #
-    # Incremental-consumer accessors
-    # ------------------------------------------------------------------ #
-    def consume_dirty(self) -> dict[_BucketKey, set[str]]:
-        """Return and clear the identifiers touched since the last drain.
-
-        Maps each ``(protocol, family)`` bucket to the identifier values
-        whose membership changed.  Buckets touched but emptied again still
-        appear (their identifiers may need dropping from derived caches).
-        """
-        ident_values = self._identifiers.values
-        dirty: dict[_BucketKey, set[str]] = {}
-        for code, bucket in enumerate(self._buckets):
-            if bucket is not None and bucket.dirty:
-                dirty[_BUCKET_KEYS[code]] = {
-                    ident_values[sym] for sym in bucket.dirty
-                }
-                bucket.dirty.clear()
-        return dirty
-
-    def bucket_members(
-        self, protocol: ServiceType, family: AddressFamily
-    ) -> Mapping[str, Mapping[str, int]]:
-        """Identifier→{address: refcount} mapping of one bucket.
-
-        A read-only decoded view over the live columnar storage: iteration
-        yields identifier values in insertion order, lookups decode lazily.
-        """
-        bucket = self._buckets[_bucket_code(protocol, family)]
-        if bucket is None:
-            return {}
-        return _BucketMembers(bucket.members, self._identifiers, self._addresses)
 
     def bucket_asn(self, protocol: ServiceType, family: AddressFamily) -> dict[str, int]:
         """Address→ASN mapping of one bucket.
@@ -632,9 +526,7 @@ def assemble_report(
     """Build the cross-protocol unions and assemble an :class:`AliasReport`.
 
     :meth:`ResolutionEngine.report` hands it the per-protocol collections
-    it derived from a fresh index.  The longitudinal engine maintains its
-    collections and unions incrementally and builds its own
-    :class:`AliasReport` from them.
+    it derived from an index.
     """
     ipv4_union = AliasResolver.union(ipv4.values(), name=f"{name}:union:ipv4")
     ipv6_union = AliasResolver.union(ipv6.values(), name=f"{name}:union:ipv6")
@@ -671,9 +563,10 @@ def _dual_signature(collection: DualStackCollection) -> dict:
 def report_signature(report: AliasReport) -> dict:
     """Canonical, order-insensitive rendering of an :class:`AliasReport`.
 
-    Incremental re-resolution enumerates identifiers in index insertion
-    order, which differs from the first-occurrence order of a from-scratch
-    stream even when the derived sets are identical.  Comparing signatures
+    A report derived from a live index that replayed deltas enumerates
+    identifiers in index insertion order, which differs from the
+    first-occurrence order of a from-scratch stream even when the derived
+    sets are identical.  Comparing signatures
     instead of collection lists makes report parity an exact equality.
     The synthetic ``union:<smallest-address>`` labels are already canonical,
     so union collections compare label-for-label.
@@ -696,8 +589,8 @@ class ResolutionEngine:
 
     ``resolve`` is the one-call entry point; ``index``/``report`` expose the
     two stages separately for callers that want to reuse or inspect the
-    intermediate :class:`ObservationIndex` (e.g. incremental workloads that
-    stream observations in batches via :meth:`ObservationIndex.extend`).
+    intermediate :class:`ObservationIndex` (e.g. the longitudinal engine,
+    which derives every emit's report from its live index).
     """
 
     def __init__(self, options: IdentifierOptions = DEFAULT_OPTIONS) -> None:

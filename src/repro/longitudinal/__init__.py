@@ -1,14 +1,14 @@
-"""Longitudinal resolution: multi-snapshot campaigns with incremental re-resolution.
+"""Longitudinal resolution: multi-snapshot campaigns over one live index.
 
 The subsystem has three layers:
 
 * :mod:`repro.longitudinal.delta` — observation- and alias-set-level
   diffing between snapshots,
-* :mod:`repro.longitudinal.engine` — the incremental
+* :mod:`repro.longitudinal.engine` — the
   :class:`~repro.longitudinal.engine.LongitudinalEngine`, which stages
   observation deltas on a live
-  :class:`~repro.core.engine.ObservationIndex` and re-derives only what
-  changed, and
+  :class:`~repro.core.engine.ObservationIndex` and derives each report
+  from it with :meth:`~repro.core.engine.ResolutionEngine.report`, and
 * :mod:`repro.longitudinal.campaign` — the
   :class:`~repro.longitudinal.campaign.LongitudinalCampaign` event source
   that injects churn and scans one snapshot per poll, and the

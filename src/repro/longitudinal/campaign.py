@@ -7,8 +7,9 @@ mechanism measurable end to end.  A :class:`LongitudinalCampaign` is the
 event source: :meth:`~LongitudinalCampaign.capture` injects sampled churn
 for one interval (:meth:`~repro.simnet.churn.ChurnModel.sample`), scans,
 and records which addresses churned.  The poll loop of
-:class:`~repro.stream.daemon.StreamDaemon` resolves each capture
-incrementally — for ``repro longitudinal`` and ``repro serve`` alike — and
+:class:`~repro.stream.daemon.StreamDaemon` resolves each capture by
+replaying its delta on the live index — for ``repro longitudinal`` and
+``repro serve`` alike — and
 a :class:`CampaignLog` turns every poll's capture and update into
 per-snapshot stability: how many alias sets persisted, split, migrated —
 and how many of those disruptions are attributable to the injected churn.

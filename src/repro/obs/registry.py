@@ -5,7 +5,7 @@ One :class:`MetricsRegistry` holds every measurement the pipeline publishes:
 * **Counters** — monotonically increasing totals (observations indexed,
   cache hits, probes issued), keyed by metric name plus a label set, so one
   metric carries many series (``session.cache{kind="report", outcome="hit"}``).
-* **Gauges** — point-in-time levels (dirty-set sizes, interned symbols).
+* **Gauges** — point-in-time levels (interned symbols, stream coverage).
 * **Series** — named append-only lists of record dicts: the longitudinal
   campaign publishes one deterministic row per snapshot here, and the same
   rows persist alongside campaign checkpoints so a resumed campaign's

@@ -14,7 +14,7 @@ the byte-faithful observation round-trip of :mod:`repro.io`:
   content digest that compares reports across processes.
 * :mod:`repro.persist.validation` — :class:`~repro.validation.report.
   ValidationReport` documents (per-set verdicts plus the declarative
-  validator spec), signature-verified on load.
+  validator spec), signature-verified and type-checked on load.
 * :mod:`repro.persist.chain` — the checkpoint chain: numbered data-file
   generations under a manifest that lands last, keep-rotation, and the
   deterministic rebuild on resume.  Each generation stores its step's

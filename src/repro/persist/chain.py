@@ -6,27 +6,23 @@ it, through one writer (:mod:`repro.persist.stream`).  The two commands
 keep their own on-disk names, a :class:`ChainLayout` each: a campaign's
 ``checkpoint.json`` over ``snapshot-NNNN.jsonl`` files, a daemon's
 ``stream.json`` over ``poll-NNNN.jsonl``.  A checkpoint directory holds
-numbered generations ``NNNN`` (the completed step count) of data files:
+numbered generations ``NNNN`` (the completed step count), one data file
+each: ``<step>-NNNN.jsonl``, the observations of step ``NNNN - 1``, the
+only copy of the generation's resolution state.  The live
+:class:`~repro.core.engine.ObservationIndex` after a step indexes exactly
+that step's observations, so a resume rebuilds it from this file, and the
+same observations are the diff baseline of the first resumed step.
 
-* ``<step>-NNNN.jsonl`` — the observations of step ``NNNN - 1``: the only
-  copy of the generation's resolution state.  The live
-  :class:`~repro.core.engine.ObservationIndex` after a step indexes
-  exactly that step's observations, so a resume rebuilds it from this
-  file, and the same observations are the diff baseline of the first
-  resumed step;
-* ``bank-NNNN-PPP.json`` — the sample banks of an attached
-  :class:`~repro.validation.runner.ValidationRun`
-  (:mod:`repro.persist.bank`), so a resumed validation series re-scores
-  already-probed schedules offline;
-
-plus one manifest naming the newest generation and pinning its files: the
-observations by count and by the state-signature digest of the live index
+One manifest names the newest generation and pins its file by count and
+by the state-signature digest of the live index
 (:func:`state_signature_digest`, recomputed from the rebuilt index on
-load), the banks by signature.  Data files land first and the atomically
-replaced manifest lands last, so a crash at any write leaves either the
-new checkpoint or the previous one loadable, never neither.  The newest
-``keep`` generations survive each save; older ones are pruned only after
-the new manifest is on disk.
+load).  The data file lands first and the atomically replaced manifest
+lands last, so a crash at any write leaves either the new checkpoint or
+the previous one loadable, never neither.  The newest ``keep``
+generations survive each save; older ones are pruned only after the new
+manifest is on disk.  Older checkpoints also hold ``bank-NNNN-PPP.json``
+sample-bank files, listed under the manifest's ``banks`` key; a load
+ignores both, and rotation prunes the files with their generation.
 
 Everything else a resume needs is deterministic: the topology regenerates
 from the scenario config and the IPv6 hitlist from the topology,
@@ -52,13 +48,7 @@ from repro.io.datasets import load_observations
 from repro.longitudinal.campaign import LongitudinalCampaign, LongitudinalConfig
 from repro.longitudinal.engine import LongitudinalEngine
 from repro.net.addresses import AddressFamily
-from repro.persist.bank import bank_state_from_document, bank_state_to_document
-from repro.persist.files import (
-    read_json_document,
-    read_pinned_document,
-    save_observations_atomic,
-    write_atomic,
-)
+from repro.persist.files import read_json_document, save_observations_atomic, write_atomic
 from repro.simnet.device import ServiceType
 from repro.simnet.network import VantagePoint
 from repro.simnet.topology import generate_topology
@@ -129,11 +119,6 @@ class LoadedChain:
             checkpoint, restored onto the regenerated network so steps
             sharing a rate-limit window with completed scans see the same
             IDS state as the uninterrupted run.
-        bank_states: verified validation sample-bank states persisted with
-            the checkpoint (empty without an attached validation run); parse
-            each with ``IpidSampleBank.from_state`` and install it with
-            ``ValidationRun.restore_bank`` to resume validation without
-            re-probing completed schedules.
     """
 
     directory: Path
@@ -147,7 +132,6 @@ class LoadedChain:
     last_observations: tuple[Observation, ...]
     index: ObservationIndex
     probe_counts: dict[tuple[str, int, int], int]
-    bank_states: list[dict]
 
 
 Loaded = TypeVar("Loaded", bound=LoadedChain)
@@ -169,7 +153,6 @@ class CheckpointChain:
         scenario: ScenarioConfig,
         layout: ChainLayout,
         keep: int = 1,
-        validation_run=None,
     ) -> None:
         if keep < 1:
             raise PersistError(f"a checkpointer must keep at least one {layout.step}")
@@ -177,9 +160,6 @@ class CheckpointChain:
         self.scenario = scenario
         self.layout = layout
         self.keep = keep
-        #: An optional :class:`~repro.validation.runner.ValidationRun`
-        #: whose sample banks are persisted with each generation.
-        self.validation_run = validation_run
 
     def write(
         self,
@@ -201,19 +181,6 @@ class CheckpointChain:
         save_observations_atomic(
             ObservationDataset(last_name, observations), directory / observations_file
         )
-        bank_entries = []
-        if self.validation_run is not None:
-            for position, bank in enumerate(self.validation_run.banks().values()):
-                bank_file = f"bank-{completed:04d}-{position:03d}.json"
-                bank_document = bank_state_to_document(bank.export_state())
-                write_atomic(directory / bank_file, json.dumps(bank_document))
-                bank_entries.append(
-                    {
-                        "file": bank_file,
-                        "signature": bank_document["signature"],
-                        "vantage": bank.vantage.name,
-                    }
-                )
         generations = self._generations()
         # Numbers above ``completed`` are leftovers of an older, unrelated run
         # in a reused directory; letting them outrank the fresh files would
@@ -243,7 +210,6 @@ class CheckpointChain:
                     campaign.network.export_probe_counts().items()
                 )
             ],
-            "banks": bank_entries,
             **fields,
             "retained": retained,
         }
@@ -257,11 +223,12 @@ class CheckpointChain:
     def _generations(self) -> dict[int, list[Path]]:
         """This chain's data files in the directory, by generation number.
 
-        Names outside the ``<step>-NNNN``/``bank-NNNN-PPP`` scheme (notes,
-        temp files, bank files of older checkpoints without a generation
-        number) are never pruned.  ``index-NNNN.json`` still matches: older
-        checkpoints stored an index snapshot per generation, and those files
-        are pruned with their generation.
+        Names outside the ``<step>-NNNN`` scheme (notes, temp files) are
+        never pruned.  ``index-NNNN.json`` and ``bank-NNNN-PPP.json`` still
+        match: older checkpoints stored an index snapshot and sample banks
+        per generation, and those files are pruned with their generation.
+        Unnumbered ``bank-PPP.json`` files of still older checkpoints are
+        left alone.
         """
         pattern = re.compile(
             rf"(?:index|{self.layout.step})-(\d+)\.jsonl?|bank-(\d+)-\d+\.json"
@@ -287,7 +254,8 @@ class CheckpointChain:
 
         The live index is rebuilt from the step file; its state-signature
         digest must equal the manifest's pin.  Older checkpoints also carry
-        an index snapshot file per generation, which is never read.
+        an index snapshot file and sample-bank files per generation, which
+        are never read.
 
         Raises:
             PersistError: when the directory holds no manifest, the format
@@ -324,10 +292,6 @@ class CheckpointChain:
             expected_observations = int(manifest["observations"])
             observations_file = str(manifest[f"last_{step}_file"])
             index_signature = str(manifest["index_signature"])
-            bank_pins = [
-                (str(entry["file"]), entry.get("signature"))
-                for entry in manifest.get("banks", ())
-            ]
         except PersistError:
             raise
         except (KeyError, TypeError, ValueError, OverflowError, SimulationError) as exc:
@@ -351,17 +315,10 @@ class CheckpointChain:
                 f"manifest (manifest {index_signature[:12]}…, rebuilt index "
                 f"{rebuilt_signature[:12]}…); the {kind} was likely torn mid-save"
             )
-        bank_states = [
-            bank_state_from_document(
-                read_pinned_document(directory / file, "bank document", signature, kind)
-            )
-            for file, signature in bank_pins
-        ]
         return loaded_type(
             directory=directory,
             last_observations=tuple(dataset),
             index=index,
-            bank_states=bank_states,
             **fields,
         )
 

@@ -10,8 +10,7 @@ own on-disk names (:data:`CAMPAIGN_LAYOUT`, :data:`STREAM_LAYOUT`).  The
 files, their rotation and the resume rebuild are the checkpoint chain's
 (:mod:`repro.persist.chain`): ``<step>-NNNN.jsonl`` per poll (the live
 index is rebuilt from it on load, and it is the diff baseline of the next
-poll), ``bank-NNNN-PPP.json`` when a validation run rides along, and the
-manifest.
+poll), and the manifest.
 
 The manifest adds the streaming engine's emit window (its clock and
 estimator; parsed into an :class:`~repro.stream.engine.EmitWindow` on
@@ -62,8 +61,7 @@ class StreamCheckpointer(CheckpointChain):
 
     With a ``log`` — the one the loop records into — the checkpointer
     writes the campaign layout and adds the log's rows to the manifest.
-    ``keep`` and ``validation_run`` are the chain's
-    (:class:`~repro.persist.chain.CheckpointChain`).
+    ``keep`` is the chain's (:class:`~repro.persist.chain.CheckpointChain`).
     """
 
     def __init__(
@@ -71,11 +69,10 @@ class StreamCheckpointer(CheckpointChain):
         directory: str | Path,
         scenario: ScenarioConfig,
         keep: int = 1,
-        validation_run=None,
         log: CampaignLog | None = None,
     ) -> None:
         layout = STREAM_LAYOUT if log is None else CAMPAIGN_LAYOUT
-        super().__init__(directory, scenario, layout, keep=keep, validation_run=validation_run)
+        super().__init__(directory, scenario, layout, keep=keep)
         self.log = log
 
     def save(

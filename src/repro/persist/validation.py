@@ -6,7 +6,9 @@ from, every per-set verdict (candidate, partition, diagnostic classes,
 probing window) and the probe accounting.  Each document embeds a SHA-256
 digest of the report's canonical content, recomputed and verified on load,
 so a corrupted or hand-edited validation file cannot silently skew a
-restored session's Table 2.
+restored session's Table 2.  The reader also checks every value's JSON
+type, so a re-signed forgery that names addresses by numbers, or states a
+verdict as a string, fails the load instead of being coerced.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import json
 
 from repro.errors import PersistError
 from repro.persist.files import read_spec
+from repro.validation.bank import json_boolean, json_integer, json_number, json_string
 from repro.validation.report import SetVerdict, ValidationReport
 from repro.validation.spec import ValidatorSpec
 
@@ -50,15 +53,41 @@ def _verdict_to_document(verdict: SetVerdict) -> dict:
     }
 
 
+def _list(value: object) -> list:
+    if not isinstance(value, list):
+        raise PersistError(f"malformed validation document: {value!r} is not a list")
+    return value
+
+
+def _strings(value: object) -> list[str]:
+    return [json_string(item) for item in _list(value)]
+
+
+def _class(value: object) -> tuple[str, str]:
+    pair = _strings(value)
+    if len(pair) != 2:
+        raise PersistError(
+            f"malformed validation document: class {value!r} is not an [address, label] pair"
+        )
+    return pair[0], pair[1]
+
+
+def _count(value: object) -> int:
+    count = json_integer(value)
+    if count < 0:
+        raise PersistError(f"malformed validation document: count {count} is negative")
+    return count
+
+
 def _verdict_from_document(document: dict) -> SetVerdict:
     return SetVerdict(
-        candidate=frozenset(document["candidate"]),
-        testable=bool(document["testable"]),
-        agrees=bool(document["agrees"]),
-        partition=tuple(frozenset(group) for group in document["partition"]),
-        classes=tuple((address, label) for address, label in document["classes"]),
-        started_at=float(document["started_at"]),
-        finished_at=float(document["finished_at"]),
+        candidate=frozenset(_strings(document["candidate"])),
+        testable=json_boolean(document["testable"]),
+        agrees=json_boolean(document["agrees"]),
+        partition=tuple(frozenset(_strings(group)) for group in _list(document["partition"])),
+        classes=tuple(_class(pair) for pair in _list(document["classes"])),
+        started_at=json_number(document["started_at"]),
+        finished_at=json_number(document["finished_at"]),
     )
 
 
@@ -98,29 +127,29 @@ def validation_from_document(document: dict) -> ValidationReport:
     """Rebuild a validation report, asserting signature parity.
 
     Raises:
-        PersistError: on an unsupported version, a malformed document, or a
-            restored report whose signature differs from the saved digest.
+        PersistError: on an unsupported version, a malformed document (a
+            missing entry, or a value of the wrong JSON type: candidates and
+            partition groups are lists of strings, ``testable`` and
+            ``agrees`` booleans, classes ``[string, string]`` pairs, every
+            timestamp a finite number, and the three counts non-negative
+            integers), or a restored report whose signature differs from
+            the saved digest.
     """
     try:
         version = document["version"]
         if version != VALIDATION_FORMAT_VERSION:
             raise PersistError(f"unsupported validation document version {version!r}")
-        validator = document["validator"]
-        if not isinstance(validator, str):
-            raise PersistError(
-                f"malformed validation document: validator {validator!r} is not a string"
-            )
         report = ValidationReport(
-            validator=validator,
+            validator=json_string(document["validator"]),
             spec=validator_spec_from_document(document["spec"]),
-            candidates=int(document["candidates"]),
+            candidates=_count(document["candidates"]),
             verdicts=tuple(
-                _verdict_from_document(entry) for entry in document["verdicts"]
+                _verdict_from_document(entry) for entry in _list(document["verdicts"])
             ),
-            probes_issued=int(document["probes_issued"]),
-            probes_reused=int(document["probes_reused"]),
-            started_at=float(document["started_at"]),
-            finished_at=float(document["finished_at"]),
+            probes_issued=_count(document["probes_issued"]),
+            probes_reused=_count(document["probes_reused"]),
+            started_at=json_number(document["started_at"]),
+            finished_at=json_number(document["finished_at"]),
         )
         expected = document["signature"]
     except PersistError:

@@ -9,8 +9,10 @@ stages the delta on the live :class:`~repro.core.engine.ObservationIndex`
 through :meth:`~repro.longitudinal.engine.LongitudinalEngine.stage`,
 without deriving.  :meth:`StreamingEngine.flush` then emits.
 
-An emit derives the full report incrementally, classifies how the union
-sets evolved since the previous emit, publishes the typed change events
+An emit derives the full report from the live index
+(:meth:`~repro.longitudinal.engine.LongitudinalEngine.derive`, which runs
+:meth:`~repro.core.engine.ResolutionEngine.report`), classifies how the
+union sets evolved since the previous emit, publishes the typed change events
 (:mod:`repro.stream.events`), folds the window into the online churn-rate
 estimator (:mod:`repro.stream.estimator`), and returns everything as a
 :class:`StreamUpdate` labelled ``snapshot-<emit>``, the campaign's
@@ -70,7 +72,7 @@ class StreamUpdate:
     Attributes:
         emit: 0-based emit sequence number.
         name: label of the derived report (:func:`emit_label`).
-        resolution: the incremental resolution (report + family deltas).
+        resolution: the derived resolution (report + family deltas).
         events: the typed change events published for this emit, in
             publication order (:class:`~repro.stream.events.ReportEmitted`
             always last).
@@ -151,7 +153,7 @@ class StreamingEngine:
 
     @property
     def engine(self) -> LongitudinalEngine:
-        """The wrapped incremental engine (shared live index)."""
+        """The wrapped longitudinal engine (shared live index)."""
         return self._engine
 
     @property
@@ -301,7 +303,7 @@ class StreamingEngine:
         emitted: int,
         window: EmitWindow,
     ) -> "StreamingEngine":
-        """Rebuild a streaming engine around a restored incremental engine.
+        """Rebuild a streaming engine around a restored longitudinal engine.
 
         ``engine`` must already hold the checkpointed index and report
         (:meth:`~repro.longitudinal.engine.LongitudinalEngine.restore`);

@@ -366,47 +366,47 @@ class IpidSampleBank:
     @classmethod
     def _parse(cls, state: dict) -> "IpidSampleBank":
         vantage = VantagePoint(
-            name=_string(state["vantage"]["name"]),
-            address=_string(state["vantage"]["address"]),
-            distributed=_boolean(state["vantage"]["distributed"]),
+            name=json_string(state["vantage"]["name"]),
+            address=json_string(state["vantage"]["address"]),
+            distributed=json_boolean(state["vantage"]["distributed"]),
         )
         bank = cls(None, vantage)
-        bank._probes_issued = _integer(state["probes_issued"])
-        bank._probes_reused = _integer(state["probes_reused"])
+        bank._probes_issued = json_integer(state["probes_issued"])
+        bank._probes_reused = json_integer(state["probes_reused"])
         for entry in state["series"]:
             key = (
                 "series",
-                _string(entry["address"]),
-                _integer(entry["samples"]),
-                _number(entry["interval"]),
-                _number(entry["start_time"]),
+                json_string(entry["address"]),
+                json_integer(entry["samples"]),
+                json_number(entry["interval"]),
+                json_number(entry["start_time"]),
             )
             bank._series[key] = IpidTimeSeries(address=key[1], samples=_points(entry["points"]))
         interleaved_keys: list[ScheduleKey] = []
         for entry in state["interleaved"]:
             key = (
                 "interleaved",
-                tuple(_string(address) for address in entry["members"]),
-                _integer(entry["rounds"]),
-                _number(entry["interval"]),
-                _number(entry["start_time"]),
+                tuple(json_string(address) for address in entry["members"]),
+                json_integer(entry["rounds"]),
+                json_number(entry["interval"]),
+                json_number(entry["start_time"]),
             )
             bank._interleaved[key] = {
-                _string(address): IpidTimeSeries(address=address, samples=_points(points))
+                json_string(address): IpidTimeSeries(address=address, samples=_points(points))
                 for address, points in entry["points"].items()
             }
             interleaved_keys.append(key)
         for left, right, position in state["pairs"]:
-            if not 0 <= _integer(position) < len(interleaved_keys):
+            if not 0 <= json_integer(position) < len(interleaved_keys):
                 raise ValueError(f"pair position {position} is outside interleaved")
-            bank._pairs[frozenset((_string(left), _string(right)))] = interleaved_keys[position]
+            bank._pairs[frozenset((json_string(left), json_string(right)))] = interleaved_keys[position]
         for address, samples, interval, start_time in state["estimation"]:
             key = (
                 "series",
-                _string(address),
-                _integer(samples),
-                _number(interval),
-                _number(start_time),
+                json_string(address),
+                json_integer(samples),
+                json_number(interval),
+                json_number(start_time),
             )
             if key not in bank._series:
                 raise ValueError(f"estimation entry {key[1:]} names no banked series")
@@ -414,25 +414,28 @@ class IpidSampleBank:
         return bank
 
 
-def _string(value: object) -> str:
+# JSON value checks of the persisted-document parsers: a wrong type raises
+# ``TypeError`` and a non-finite number ``ValueError``, which each parser
+# wraps in its ``PersistError``.
+def json_string(value: object) -> str:
     if not isinstance(value, str):
         raise TypeError(f"{value!r} is not a string")
     return value
 
 
-def _boolean(value: object) -> bool:
+def json_boolean(value: object) -> bool:
     if not isinstance(value, bool):
         raise TypeError(f"{value!r} is not a boolean")
     return value
 
 
-def _integer(value: object) -> int:
+def json_integer(value: object) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise TypeError(f"{value!r} is not an integer")
     return value
 
 
-def _number(value: object) -> float:
+def json_number(value: object) -> float:
     """A finite JSON number as a float (booleans and strings are not numbers)."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TypeError(f"{value!r} is not a number")
@@ -443,4 +446,4 @@ def _number(value: object) -> float:
 
 def _points(points: list) -> list[tuple[float, int]]:
     """One series' ``[timestamp, ipid]`` samples."""
-    return [(_number(timestamp), _integer(value)) for timestamp, value in points]
+    return [(json_number(timestamp), json_integer(value)) for timestamp, value in points]

@@ -7,16 +7,13 @@ oracle.  Hypothesis drives random interleavings of every public mutation —
 ``extend`` — through both cores in lockstep and asserts the
 observable surfaces stay identical at every step:
 
-* ``consume_dirty`` — the same dirty-identifier sets after every operation,
 * ``state_signature`` — identical decoded state, through to a final drain
   that removes every outstanding observation from both cores (which is
   where diverging ASN reference counts would show),
 * derived reports — :func:`~repro.core.engine.report_signature` equality
   through :class:`~repro.core.engine.ResolutionEngine` (both cores expose
-  the same ``alias_sets``/``dual_stack``/``bucket_*`` surface).
+  the same ``alias_sets``/``dual_stack`` surface).
 """
-
-import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -91,13 +88,8 @@ _operations = st.lists(
 )
 
 
-def _normalise_dirty(dirty):
-    return {key: values for key, values in dirty.items() if values}
-
-
-def _apply(columnar, oracle, operations, seed):
+def _apply(columnar, oracle, operations):
     """Drive both cores through ``operations``; compare after every step."""
-    rng = random.Random(seed)
     added: list[Observation] = []
     for operation, payload in operations:
         if operation == _ADD:
@@ -116,25 +108,18 @@ def _apply(columnar, oracle, operations, seed):
             columnar.extend(payload)
             oracle.extend(payload)
             added.extend(payload)
-        if rng.random() < 0.5:
-            assert _normalise_dirty(columnar.consume_dirty()) == _normalise_dirty(
-                oracle.consume_dirty()
-            )
         assert columnar.state_signature() == oracle.state_signature()
     return added
 
 
 @settings(max_examples=60, deadline=None)
-@given(operations=_operations, seed=st.integers(min_value=0, max_value=2**16))
-def test_random_mutations_match_reference_model(operations, seed):
+@given(operations=_operations)
+def test_random_mutations_match_reference_model(operations):
     columnar = ObservationIndex()
     oracle = DictObservationIndex()
-    outstanding = _apply(columnar, oracle, operations, seed)
+    outstanding = _apply(columnar, oracle, operations)
     assert columnar.observed == oracle.observed
     assert columnar.indexed == oracle.indexed
-    assert _normalise_dirty(columnar.consume_dirty()) == _normalise_dirty(
-        oracle.consume_dirty()
-    )
     for observation in outstanding:
         assert columnar.remove(observation) == oracle.remove(observation)
         assert columnar.state_signature() == oracle.state_signature()
@@ -147,11 +132,11 @@ def test_random_mutations_match_reference_model(operations, seed):
 
 
 @settings(max_examples=40, deadline=None)
-@given(operations=_operations, seed=st.integers(min_value=0, max_value=2**16))
-def test_derived_reports_match_reference_model(operations, seed):
+@given(operations=_operations)
+def test_derived_reports_match_reference_model(operations):
     columnar = ObservationIndex()
     oracle = DictObservationIndex()
-    _apply(columnar, oracle, operations, seed)
+    _apply(columnar, oracle, operations)
     engine = ResolutionEngine()
     assert report_signature(engine.report(columnar, name="x")) == report_signature(
         engine.report(oracle, name="x")

@@ -96,39 +96,6 @@ class TestRemoval:
         assert via_kwarg.indexed == 0
 
 
-class TestDirtyTracking:
-    def test_add_marks_identifier_dirty(self):
-        index = ObservationIndex()
-        observation = snmp_observation("10.0.0.1")
-        index.add(observation)
-        identifier = extract_identifier(observation)
-        dirty = index.consume_dirty()
-        assert dirty == {(ServiceType.SNMPV3, AddressFamily.IPV4): {identifier.value}}
-
-    def test_consume_clears(self):
-        index = ObservationIndex()
-        index.add(snmp_observation("10.0.0.1"))
-        index.consume_dirty()
-        assert index.consume_dirty() == {}
-
-    def test_remove_marks_dirty_again(self):
-        index = ObservationIndex()
-        observation = snmp_observation("10.0.0.1")
-        index.add(observation)
-        index.consume_dirty()
-        index.remove(observation)
-        dirty = index.consume_dirty()
-        assert (ServiceType.SNMPV3, AddressFamily.IPV4) in dirty
-
-    def test_consumed_dirty_is_a_snapshot(self):
-        index = ObservationIndex()
-        index.add(snmp_observation("10.0.0.1"))
-        dirty = index.consume_dirty()
-        index.add(snmp_observation("10.0.0.1", engine_id="engine-b"))
-        # Later mutations must not mutate the snapshot handed out earlier.
-        assert len(dirty[(ServiceType.SNMPV3, AddressFamily.IPV4)]) == 1
-
-
 class TestStateSignature:
     def test_incremental_equals_from_scratch(self):
         stream = [

@@ -1,5 +1,8 @@
 """Tests for observation and alias-set diffing between snapshots."""
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.core.aliasset import AliasSet
 from repro.longitudinal.delta import (
     diff_alias_sets,
@@ -229,3 +232,86 @@ class TestDiffAliasSetsEdgeCases:
         assert delta.is_empty if hasattr(delta, "is_empty") else True
         assert delta.changed == 0
         assert delta.persistence == 1.0
+
+
+_POOL = [f"10.0.0.{i}" for i in range(1, 9)]
+
+#: The AliasDelta fields that list address sets.
+_SET_CATEGORIES = (
+    "born",
+    "dissolved",
+    "grown",
+    "shrunk",
+    "migrated",
+    "split_origins",
+    "disrupted_previous",
+)
+
+
+@st.composite
+def _partition(draw):
+    """Disjoint non-empty sets over a random subset of the pool, in random order."""
+    labels = draw(
+        st.lists(
+            st.none() | st.integers(min_value=0, max_value=3),
+            min_size=len(_POOL),
+            max_size=len(_POOL),
+        )
+    )
+    groups: dict[int, set[str]] = {}
+    for address, label in zip(_POOL, labels, strict=True):
+        if label is not None:
+            groups.setdefault(label, set()).add(address)
+    return draw(st.permutations([frozenset(group) for group in groups.values()]))
+
+
+def _classify_by_brute_force(previous, current):
+    """Match every set against every set of the other snapshot it overlaps."""
+    delta = {category: [] for category in _SET_CATEGORIES}
+    unchanged = 0
+    for addresses in current:
+        matches = [before for before in previous if before & addresses]
+        if not matches:
+            delta["born"].append(addresses)
+        elif matches == [addresses]:
+            unchanged += 1
+        else:
+            matched = frozenset().union(*matches)
+            gained, lost = addresses - matched, matched - addresses
+            if gained and lost:
+                delta["migrated"].append(addresses)
+            elif lost:
+                delta["shrunk"].append(addresses)
+            else:
+                delta["grown"].append(addresses)
+    for addresses in previous:
+        destinations = [after for after in current if after & addresses]
+        if destinations == [addresses]:
+            continue
+        delta["disrupted_previous"].append(addresses)
+        if not destinations:
+            delta["dissolved"].append(addresses)
+        elif len(destinations) > 1:
+            delta["split_origins"].append(addresses)
+    return delta, unchanged
+
+
+class TestDiffAliasSetsAgainstBruteForce:
+    @settings(max_examples=300, deadline=None)
+    @given(previous=_partition(), current=_partition())
+    def test_changed_sets_only_matching_equals_brute_force(self, previous, current):
+        """The diff matches only changed sets, which the partition property
+        makes exact: every category equals the all-pairs classification."""
+        delta = diff_alias_sets(
+            [alias_set(*addresses) for addresses in previous],
+            [alias_set(*addresses) for addresses in current],
+        )
+        expected, unchanged = _classify_by_brute_force(previous, current)
+        for category in _SET_CATEGORIES:
+            assert sorted(map(sorted, getattr(delta, category))) == sorted(
+                map(sorted, expected[category])
+            ), category
+        assert delta.unchanged == unchanged
+        assert delta.changed == sum(
+            len(expected[category]) for category in ("born", "grown", "shrunk", "migrated")
+        )

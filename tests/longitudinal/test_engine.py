@@ -87,43 +87,6 @@ def test_apply_back_and_forth_restores_original_report():
     assert report_signature(restored.report) == report_signature(first.report)
 
 
-def test_unchanged_sets_are_reused_by_identity():
-    engine = LongitudinalEngine()
-    before = step(engine, [], SNAPSHOT_0, "s")
-    after = step(engine, SNAPSHOT_0, SNAPSHOT_1, "s")
-    # Device beta's SNMP set is untouched by the delta: the exact same
-    # AliasSet object must appear in both snapshots' collections.
-    def snmp_sets(report):
-        return {
-            alias_set.identifier: alias_set
-            for alias_set in report.ipv4[ServiceType.SNMPV3]
-        }
-    before_sets = snmp_sets(before.report)
-    after_sets = snmp_sets(after.report)
-    assert before_sets.keys() == after_sets.keys()
-    for identifier, alias_set in before_sets.items():
-        assert after_sets[identifier] is alias_set
-
-
-def test_untouched_union_components_are_reused_by_identity():
-    engine = LongitudinalEngine()
-    before = step(engine, [], SNAPSHOT_0, "s")
-    after = step(engine, SNAPSHOT_0, SNAPSHOT_1, "s")
-    # Alpha's IPv6 component is untouched by the delta: same object.
-    before_v6 = {s.identifier: s for s in before.report.ipv6_union}
-    after_v6 = {s.identifier: s for s in after.report.ipv6_union}
-    assert before_v6.keys() == after_v6.keys()
-    for identifier, alias_set in before_v6.items():
-        assert after_v6[identifier] is alias_set
-    # Any IPv4 component that survived with identical membership must also
-    # be carried over by reference, not rebuilt.
-    before_union = {s.identifier: s for s in before.report.ipv4_union}
-    after_union = {s.identifier: s for s in after.report.ipv4_union}
-    for identifier in before_union.keys() & after_union.keys():
-        if before_union[identifier].addresses == after_union[identifier].addresses:
-            assert before_union[identifier] is after_union[identifier]
-
-
 def test_alias_delta_reports_churn_movement():
     engine = LongitudinalEngine()
     step(engine, [], SNAPSHOT_0, "s")

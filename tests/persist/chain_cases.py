@@ -8,11 +8,11 @@ cases run over each.  A test module binds them to its layout with a
 * ``manifest`` and ``step`` — the manifest file name and the step that
   prefixes the observation files (``snapshot``/``poll``);
 * ``load(directory)`` — the chain's loader;
-* ``run(directory, steps, keep=1, validation_run=None)`` — checkpoint a
-  fresh run through ``steps`` steps;
-* ``resume(checkpoint, steps, directory=None, validation_run=None)`` —
-  resume to ``steps`` steps, checkpointing into ``directory`` when given,
-  and return the resumed steps' report signatures;
+* ``run(directory, steps, keep=1)`` — checkpoint a fresh run through
+  ``steps`` steps;
+* ``resume(checkpoint, steps, directory=None)`` — resume to ``steps``
+  steps, checkpointing into ``directory`` when given, and return the
+  resumed steps' report signatures;
 * ``signatures(uninterrupted)`` — the report signatures of the module's
   ``uninterrupted`` reference run;
 
@@ -29,6 +29,7 @@ import pytest
 from repro.errors import PersistError
 from repro.net.ipid import MonotonicIpidCounter
 from repro.persist import state_signature_digest
+from repro.persist.bank import bank_state_to_document
 from repro.simnet.asn import AsRegistry, AsRole, AutonomousSystem
 from repro.simnet.device import Device, DeviceRole, Interface
 from repro.simnet.network import SimulatedInternet
@@ -95,6 +96,21 @@ def crash_before_manifest(monkeypatch, manifest):
     monkeypatch.setattr(os, "replace", dying_replace)
 
 
+def plant_banks(directory, manifest_name, generation):
+    """Add a sample-bank file and its manifest entry, as older checkpoints
+    held them: ``bank-NNNN-000.json`` of generation ``NNNN``, pinned by
+    signature under the manifest's ``banks`` key."""
+    bank = next(iter(banked_run().banks().values()))
+    document = bank_state_to_document(bank.export_state())
+    bank_file = f"bank-{generation:04d}-000.json"
+    (directory / bank_file).write_text(json.dumps(document))
+    manifest = json.loads((directory / manifest_name).read_text())
+    manifest["banks"] = [
+        {"file": bank_file, "signature": document["signature"], "vantage": bank.vantage.name}
+    ]
+    (directory / manifest_name).write_text(json.dumps(manifest, indent=2))
+
+
 def banked_run():
     """A validation run whose sample bank holds one probed alias pair."""
     registry = AsRegistry()
@@ -112,18 +128,13 @@ def banked_run():
     run = ValidationRun(
         SimulatedInternet(registry=registry, devices=[router], seed=1, loss_rate=0.0)
     )
-    probe(run, start_time=0.0)
-    return run
-
-
-def probe(run, start_time):
-    """Validate the alias pair through ``run``, growing its sample bank."""
     run_validator(
         run,
         midar(vantage_name="chain-cases", vantage_address="192.0.2.31"),
         candidates=(_ALIASES,),
-        start_time=start_time,
+        start_time=0.0,
     )
+    return run
 
 
 def _names(directory, pattern):
@@ -160,23 +171,17 @@ class ContentsCases:
         assert "index_file" not in manifest
         assert _names(checkpoint_dir, "index-*") == []
 
-    def test_unnumbered_bank_files_still_load(self, chain, tmp_path):
-        """Checkpoints whose bank files predate generation numbers
-        (``bank-PPP.json``) still load and resume; the resumed save leaves
-        the unnumbered file alone."""
-        directory = tmp_path / "unnumbered"
-        chain.run(directory, 2, validation_run=banked_run())
-        manifest = json.loads((directory / chain.manifest).read_text())
-        for position, entry in enumerate(manifest["banks"]):
-            unnumbered = f"bank-{position:03d}.json"
-            (directory / entry["file"]).rename(directory / unnumbered)
-            entry["file"] = unnumbered
-        (directory / chain.manifest).write_text(json.dumps(manifest))
+    def test_checkpoint_listing_banks_loads_and_resumes(
+        self, chain, tmp_path, uninterrupted
+    ):
+        """A checkpoint whose manifest pins sample-bank files, as older
+        builds wrote it, loads and resumes to the uninterrupted run."""
+        directory = tmp_path / "banked"
+        chain.run(directory, 2)
+        plant_banks(directory, chain.manifest, 2)
         checkpoint = chain.load(directory)
-        assert len(checkpoint.bank_states) == 1
-        chain.resume(checkpoint, 3, directory=directory, validation_run=banked_run())
-        assert chain.load(directory).completed == 3
-        assert (directory / "bank-000.json").exists()
+        reference = chain.signatures(uninterrupted)
+        assert chain.resume(checkpoint, len(reference)) == reference[checkpoint.completed :]
 
 
 class ResumeCases:
@@ -204,50 +209,25 @@ class ResumeCases:
         assert after.completed == before.completed
         assert after.last_observations == before.last_observations
 
-    def test_crash_before_manifest_keeps_banked_checkpoint(
-        self, chain, tmp_path, monkeypatch
-    ):
-        """Bank files are versioned with their generation: a save that dies
-        before its manifest lands leaves the previous banks intact."""
-        run = banked_run()
-        directory = tmp_path / "banked"
-        chain.run(directory, 2, validation_run=run)
-        before = chain.load(directory)
-        probe(run, start_time=86400.0)  # the next save writes different banks
-        crash_before_manifest(monkeypatch, chain.manifest)
-        with pytest.raises(OSError, match="simulated crash"):
-            chain.resume(before, 3, directory=directory, validation_run=run)
-        after = chain.load(directory)
-        assert after.completed == before.completed
-        assert after.bank_states == before.bank_states
-
-    @pytest.mark.parametrize("banked", [False, True], ids=["plain", "banked"])
     def test_crash_at_every_replace_leaves_a_resumable_generation(
-        self, chain, tmp_path, monkeypatch, uninterrupted, banked
+        self, chain, tmp_path, monkeypatch, uninterrupted
     ):
         """A save that dies at its k-th ``os.replace``, for every k, leaves
         the previous or the new generation loadable, and a resume from it
         matches the uninterrupted run."""
         reference = chain.signatures(uninterrupted)
         base = tmp_path / "base"
-        chain.run(base, 2, validation_run=banked_run() if banked else None)
+        chain.run(base, 2)
 
         def save_next_step(directory):
-            run = None
-            if banked:
-                run = banked_run()
-                probe(run, start_time=86400.0)  # the next save writes different banks
-            chain.resume(chain.load(directory), 3, directory=directory, validation_run=run)
+            chain.resume(chain.load(directory), 3, directory=directory)
 
         finished = copy_checkpoint(base, tmp_path / "finished")
         replaced = crash_at_replace(monkeypatch)
         save_next_step(finished)
         monkeypatch.undo()
-        # The step file, each bank file, then the manifest.
-        expected_names = [f"{chain.step}-0003.jsonl"]
-        if banked:
-            expected_names.append("bank-0003-000.json")
-        assert replaced == expected_names + [chain.manifest]
+        # The step file, then the manifest.
+        assert replaced == [f"{chain.step}-0003.jsonl", chain.manifest]
         generations = {2: chain.load(base), 3: chain.load(finished)}
         for crash_at in range(1, len(replaced) + 1):
             directory = copy_checkpoint(base, tmp_path / f"crash-{crash_at}")
@@ -258,7 +238,6 @@ class ResumeCases:
             loaded = chain.load(directory)
             generation = generations[loaded.completed]
             assert loaded.last_observations == generation.last_observations
-            assert loaded.bank_states == generation.bank_states
             assert chain.resume(loaded, len(reference)) == reference[loaded.completed :]
 
 
@@ -275,14 +254,17 @@ class RotationCases:
         assert manifest["retained"] == [2, 3]
 
     def test_bank_files_rotate_with_their_generation(self, chain, tmp_path):
+        """Sample-bank files of older checkpoints are pruned with their
+        generation; unnumbered ones (``bank-PPP.json``) are left alone."""
         directory = tmp_path / "banked"
-        chain.run(directory, 3, keep=2, validation_run=banked_run())
-        assert _names(directory, "bank-*.json") == [
-            "bank-0002-000.json",
-            "bank-0003-000.json",
-        ]
+        chain.run(directory, 2)
+        plant_banks(directory, chain.manifest, 2)
+        (directory / "bank-0001-000.json").write_text("{}")
+        (directory / "bank-000.json").write_text("{}")
+        chain.resume(chain.load(directory), 3, directory=directory)
+        assert _names(directory, "bank-*.json") == ["bank-000.json"]
         manifest = json.loads((directory / chain.manifest).read_text())
-        assert [entry["file"] for entry in manifest["banks"]] == ["bank-0003-000.json"]
+        assert "banks" not in manifest
 
     def test_pruned_directory_still_resumes(self, chain, tmp_path, uninterrupted):
         directory = tmp_path / "rotated"

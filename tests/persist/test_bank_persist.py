@@ -346,53 +346,3 @@ class TestSessionBankRoundTrip:
         (copy / SESSION_MANIFEST).write_text(json.dumps(manifest))
         loaded = ReproSession.load(copy)
         assert loaded.validation_bank_states() == []
-
-
-class TestCheckpointerBanks:
-    def test_campaign_checkpoint_round_trips_banks(self, tmp_path):
-        from repro.longitudinal.campaign import CampaignLog
-        from repro.persist.stream import (
-            CAMPAIGN_LAYOUT,
-            StreamCheckpointer,
-            load_stream_checkpoint,
-        )
-        from repro.stream.daemon import DaemonConfig, StreamDaemon
-        from repro.stream.engine import StreamingEngine
-
-        run = _warm_run()
-        campaign = ReproSession(_CONFIG).longitudinal(snapshots=2, churn_fraction=0.05)
-        directory = tmp_path / "campaign"
-        log = CampaignLog()
-        StreamDaemon(
-            campaign,
-            StreamingEngine(options=campaign.options),
-            config=DaemonConfig(max_polls=2),
-            checkpointer=StreamCheckpointer(directory, _CONFIG, validation_run=run, log=log),
-            log=log,
-        ).run()
-        checkpoint = load_stream_checkpoint(directory, CAMPAIGN_LAYOUT)
-        assert len(checkpoint.bank_states) == 1
-        restored = ValidationRun(build_network())
-        bank = restored.restore_bank(IpidSampleBank.from_state(checkpoint.bank_states[0]))
-        assert bank.probes_issued == next(iter(run.banks().values())).probes_issued
-
-    def test_stream_checkpoint_round_trips_banks(self, tmp_path):
-        from repro.persist.stream import StreamCheckpointer, load_stream_checkpoint
-        from repro.stream.daemon import DaemonConfig, StreamDaemon
-        from repro.stream.engine import StreamConfig, StreamingEngine
-
-        run = _warm_run()
-        campaign = ReproSession(_CONFIG).longitudinal(snapshots=2, churn_fraction=0.05)
-        directory = tmp_path / "stream"
-        daemon = StreamDaemon(
-            campaign,
-            StreamingEngine(StreamConfig(), options=campaign.options),
-            config=DaemonConfig(max_polls=2),
-            checkpointer=StreamCheckpointer(directory, _CONFIG, validation_run=run),
-        )
-        daemon.run()
-        checkpoint = load_stream_checkpoint(directory)
-        assert len(checkpoint.bank_states) == 1
-        restored = ValidationRun(build_network())
-        bank = restored.restore_bank(IpidSampleBank.from_state(checkpoint.bank_states[0]))
-        assert bank.probes_reused == next(iter(run.banks().values())).probes_reused

@@ -55,22 +55,18 @@ def _poll(campaign, log, stream=None, checkpointer=None):
     return daemon.run(), stream
 
 
-def _checkpointed(directory, campaign, keep=1, validation_run=None):
+def _checkpointed(directory, campaign, keep=1):
     log = CampaignLog()
-    checkpointer = StreamCheckpointer(
-        directory, _CONFIG, keep=keep, validation_run=validation_run, log=log
-    )
+    checkpointer = StreamCheckpointer(directory, _CONFIG, keep=keep, log=log)
     _poll(campaign, log, checkpointer=checkpointer)
 
 
-def _resume(checkpoint, snapshots=None, directory=None, validation_run=None):
+def _resume(checkpoint, snapshots=None, directory=None):
     """Resume ``checkpoint`` to ``snapshots``; return the updates and stream."""
     campaign, stream = resume_stream(checkpoint, snapshots=snapshots)
     checkpointer = None
     if directory is not None:
-        checkpointer = StreamCheckpointer(
-            directory, checkpoint.scenario, validation_run=validation_run, log=checkpoint.log
-        )
+        checkpointer = StreamCheckpointer(directory, checkpoint.scenario, log=checkpoint.log)
     return _poll(campaign, checkpoint.log, stream=stream, checkpointer=checkpointer)
 
 
@@ -81,11 +77,11 @@ class CampaignChain:
     step = "snapshot"
     load = staticmethod(_load)
 
-    def run(self, directory, steps, keep=1, validation_run=None):
-        _checkpointed(directory, _campaign(snapshots=steps), keep, validation_run)
+    def run(self, directory, steps, keep=1):
+        _checkpointed(directory, _campaign(snapshots=steps), keep)
 
-    def resume(self, checkpoint, steps, directory=None, validation_run=None):
-        updates, _ = _resume(checkpoint, steps, directory, validation_run)
+    def resume(self, checkpoint, steps, directory=None):
+        updates, _ = _resume(checkpoint, steps, directory)
         return [report_signature(update.report) for update in updates]
 
     @staticmethod

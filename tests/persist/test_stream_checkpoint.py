@@ -46,19 +46,15 @@ class StreamChain:
     step = "poll"
     load = staticmethod(load_stream_checkpoint)
 
-    def run(self, directory, steps, keep=1, validation_run=None):
-        checkpointer = StreamCheckpointer(
-            directory, _CONFIG, keep=keep, validation_run=validation_run
-        )
+    def run(self, directory, steps, keep=1):
+        checkpointer = StreamCheckpointer(directory, _CONFIG, keep=keep)
         _daemon(_campaign(), steps, checkpointer=checkpointer).run()
 
-    def resume(self, checkpoint, steps, directory=None, validation_run=None):
+    def resume(self, checkpoint, steps, directory=None):
         campaign, stream = resume_stream(checkpoint)
         checkpointer = None
         if directory is not None:
-            checkpointer = StreamCheckpointer(
-                directory, checkpoint.scenario, validation_run=validation_run
-            )
+            checkpointer = StreamCheckpointer(directory, checkpoint.scenario)
         updates = _daemon(
             campaign,
             steps - checkpoint.completed,

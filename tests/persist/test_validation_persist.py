@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 
 import pytest
 
@@ -137,6 +138,69 @@ class TestSessionValidationRoundTrip:
             ReproSession.load(directory)
         assert main(["session", "load", str(directory)]) == 2
         assert "is not a string" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        ("verdict", "field", "forged", "coerced"),
+        [
+            (True, "candidate", [1, 2], frozenset({1, 2})),
+            (True, "candidate", "10.0.1.1", frozenset("10.0.1.1")),
+            (True, "testable", "no", True),
+            (True, "agrees", 1, True),
+            (True, "partition", [[7]], (frozenset({7}),)),
+            (True, "partition", ["10.0.1.1"], (frozenset("10.0.1.1"),)),
+            (True, "classes", [["10.0.1.1", 5]], (("10.0.1.1", 5),)),
+            (True, "started_at", "nan", math.nan),
+            (True, "finished_at", math.inf, math.inf),
+            (False, "started_at", True, 1.0),
+            (False, "candidates", True, 1),
+            (False, "probes_issued", -1, -1),
+            (False, "probes_reused", 2.5, 2),
+        ],
+        ids=[
+            "candidate-numbers",
+            "candidate-a-string",
+            "testable-a-string",
+            "agrees-an-integer",
+            "partition-numbers",
+            "partition-group-a-string",
+            "class-label-a-number",
+            "verdict-start-nan-string",
+            "verdict-finish-infinite",
+            "report-start-a-boolean",
+            "candidates-a-boolean",
+            "probes-issued-negative",
+            "probes-reused-a-fraction",
+        ],
+    )
+    def test_resigned_value_of_the_wrong_type_fails_the_load(
+        self, tmp_path, capsys, verdict, field, forged, coerced
+    ):
+        # The forged JSON value is signed as the report a coercing reader
+        # (``bool``, ``int``, ``float``, ``frozenset``) would rebuild from
+        # it, and the manifest pin re-signed, so only the reader's type
+        # checks stand in the way.
+        session = ReproSession(ScenarioConfig(scale=0.05, seed=3))
+        live = session.validate("midar")
+        directory = tmp_path / "session"
+        session.save(directory)
+        manifest = json.loads((directory / "session.json").read_text())
+        (entry,) = manifest["validations"]
+        if verdict:
+            first = dataclasses.replace(live.verdicts[0], **{field: coerced})
+            document = validation_to_document(
+                dataclasses.replace(live, verdicts=(first, *live.verdicts[1:]))
+            )
+            document["verdicts"][0][field] = forged
+        else:
+            document = validation_to_document(dataclasses.replace(live, **{field: coerced}))
+            document[field] = forged
+        (directory / entry["file"]).write_text(json.dumps(document))
+        entry["signature"] = document["signature"]
+        (directory / "session.json").write_text(json.dumps(manifest))
+        with pytest.raises(PersistError, match="malformed validation document"):
+            ReproSession.load(directory)
+        assert main(["session", "load", str(directory)]) == 2
+        assert "malformed validation document" in capsys.readouterr().err
 
     def test_pre_validation_sessions_still_load(self, tmp_path):
         session = ReproSession(ScenarioConfig(scale=0.05, seed=3))
