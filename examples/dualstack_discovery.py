@@ -1,14 +1,13 @@
 #!/usr/bin/env python3
-"""Dual-stack discovery: protocol identifiers vs the DNS PTR baseline.
+"""Dual-stack discovery: SSH and BGP identifiers vs SNMPv3 engine IDs.
 
 The paper's second headline result is that protocol-centric identifiers
 (SSH, BGP, SNMPv3) discover far more dual-stack hosts than earlier
-techniques.  This example compares three approaches on the same simulated
+techniques.  This example compares two approaches on the same simulated
 Internet:
 
-* SSH/BGP identifiers (this paper),
-* SNMPv3 engine IDs (the prior protocol-centric baseline), and
-* matching reverse-DNS names (a generic prior technique).
+* SSH/BGP identifiers (this paper), and
+* SNMPv3 engine IDs (the prior protocol-centric baseline).
 
 Run with::
 
@@ -17,7 +16,6 @@ Run with::
 
 from repro.analysis.tables import render_table
 from repro.api import ReproSession, ScenarioConfig
-from repro.baselines.ptr import PtrResolver, ptr_dual_stack_sets
 from repro.simnet.device import ServiceType
 
 
@@ -33,18 +31,12 @@ def main() -> None:
     snmp = report.dual_stack[ServiceType.SNMPV3]
     union = report.dual_stack_union
 
-    # The PTR baseline can only match addresses that have reverse DNS set up.
-    resolver = PtrResolver(session.network, coverage=0.55, seed=3)
-    scanned = sorted({observation.address for observation in observations})
-    ptr_sets = ptr_dual_stack_sets(resolver, scanned)
-
     rows = []
     for name, collection in (
         ("SSH", ssh),
         ("BGP", bgp),
         ("SNMPv3", snmp),
         ("SSH+BGP+SNMPv3 union", union),
-        ("DNS PTR matching", ptr_sets),
     ):
         rows.append(
             [

@@ -5,8 +5,8 @@ inference system: scan SSH (TCP/22), BGP (TCP/179) and SNMPv3 (UDP/161),
 extract host-wide identifiers from the application-layer responses, and group
 addresses sharing an identifier into alias and dual-stack sets.  Everything
 the paper's evaluation depends on — the scanned Internet, the scanners, the
-Censys-like secondary data source, and the MIDAR/Ally/iffinder baselines — is
-implemented here as well, so the whole evaluation runs offline.
+Censys-like secondary data source, and the MIDAR/Ally/Speedtrap validators —
+is implemented here as well, so the whole evaluation runs offline.
 
 See :mod:`repro.core` for the public inference API, :mod:`repro.experiments`
 for the drivers that regenerate each table and figure of the paper, the

@@ -21,10 +21,10 @@ The CLI mirrors how the paper's artifacts would be used in practice:
   an interrupted campaign in a new process, snapshot-for-snapshot
   identical to the uninterrupted run).
 * ``repro validate`` — run registered validator compositions (MIDAR, Ally,
-  Speedtrap, iffinder, PTR — ``--list-validators`` enumerates the
-  registry) against the session's alias sets, sharing one IPID sample
-  bank; ``--snapshots N`` instead validates every snapshot of a churning
-  longitudinal campaign (the paper's MIDAR-disagreement series).
+  Speedtrap — ``--list-validators`` enumerates the registry) against the
+  session's alias sets, sharing one IPID sample bank; ``--snapshots N``
+  instead validates every snapshot of a churning longitudinal campaign
+  (the paper's MIDAR-disagreement series).
 * ``repro serve`` — run the same poll loop as a streaming resolution
   daemon: poll the simulated Internet as a live event source, keep the
   alias report current through the incremental engine, publish typed
@@ -892,8 +892,8 @@ def _session_load(args: argparse.Namespace) -> int:
         f"{len(datasets)} datasets, {len(reports)} reports, "
         f"{len(validations)} validations)"
     )
-    for dataset in datasets.values():
-        print(f"  dataset {dataset.name}: {len(dataset)} observations")
+    for spec, dataset in datasets.items():
+        print(f"  dataset {spec.describe()}: {len(dataset)} observations")
     for (_, name), report in reports.items():
         print(
             f"  report {name}: "

@@ -5,7 +5,6 @@ implementations, the scanner, and the simulated Internet:
 
 * :mod:`repro.net.addresses` — IPv4/IPv6 address and prefix helpers built on
   the standard :mod:`ipaddress` module.
-* :mod:`repro.net.icmp` — ICMP message model (port unreachable, echo reply).
 * :mod:`repro.net.ipid` — IPID counter models used by the IPID-based
   alias-resolution baselines (MIDAR, Ally, Speedtrap).
 * :mod:`repro.net.endpoint` — the abstract connection interface between
@@ -23,7 +22,6 @@ from repro.net.addresses import (
     random_addresses_in_prefix,
 )
 from repro.net.endpoint import Connection, ConnectionClosed, LoopbackConnection, ServerBehavior
-from repro.net.icmp import IcmpMessage, IcmpType
 from repro.net.ipid import (
     ConstantIpidCounter,
     HighVelocityIpidCounter,
@@ -46,8 +44,6 @@ __all__ = [
     "ConnectionClosed",
     "LoopbackConnection",
     "ServerBehavior",
-    "IcmpMessage",
-    "IcmpType",
     "IpidCounter",
     "MonotonicIpidCounter",
     "PerInterfaceIpidCounter",

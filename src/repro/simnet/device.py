@@ -23,7 +23,6 @@ from repro.net.ipid import IpidCounter, MonotonicIpidCounter
 from repro.protocols.bgp.speaker import BgpSpeakerConfig
 from repro.protocols.snmp.engine import SnmpEngineConfig
 from repro.protocols.ssh.server import SshServerConfig
-from repro.simnet.icmp_policy import IcmpUnreachablePolicy
 
 
 class DeviceRole(enum.Enum):
@@ -79,10 +78,7 @@ class Device:
         service_acl: per-service set of addresses the service answers on;
             a service absent from the mapping answers on every interface.
         ipid_counter: the device's IPID behaviour (for the MIDAR baseline).
-        icmp_unreachable_policy: how the device sources ICMP port-unreachable
-            replies (for the iffinder baseline).
         vendor: vendor label used for misconfiguration modelling.
-        hostname: DNS host name (used by the PTR baseline).
     """
 
     device_id: str
@@ -94,9 +90,7 @@ class Device:
     snmp_config: SnmpEngineConfig | None = None
     service_acl: dict[ServiceType, frozenset[str]] = dataclasses.field(default_factory=dict)
     ipid_counter: IpidCounter = dataclasses.field(default_factory=MonotonicIpidCounter)
-    icmp_unreachable_policy: IcmpUnreachablePolicy = IcmpUnreachablePolicy.FROM_PROBED
     vendor: str = "generic"
-    hostname: str = ""
 
     def __post_init__(self) -> None:
         names = [interface.name for interface in self.interfaces]

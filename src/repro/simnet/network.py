@@ -1,9 +1,10 @@
 """Probe-level behaviour of the simulated Internet.
 
 :class:`SimulatedInternet` is the single object scanners and baselines talk
-to.  It owns the device population, answers TCP/UDP/ICMP probes, hands out
-application-layer connections wired to the probed device's service
-configuration, and models two effects that shape the paper's results:
+to.  It owns the device population, answers TCP SYN probes and IPID
+samples, hands out application-layer connections wired to the probed
+device's service configuration, and models two effects that shape the
+paper's results:
 
 * **packet loss** — a small, deterministic pseudo-random fraction of probes
   receives no answer, and
@@ -26,14 +27,12 @@ import hashlib
 from repro.errors import SimulationError
 from repro.net.addresses import AddressFamily, family_of
 from repro.net.endpoint import Connection, LoopbackConnection
-from repro.net.icmp import PORT_UNREACHABLE_CODE, IcmpMessage, IcmpType
 from repro.protocols.bgp.speaker import BgpSpeakerBehavior
 from repro.protocols.snmp.engine import SnmpEngineBehavior
 from repro.protocols.ssh.server import SshServerBehavior
 from repro.simnet.asn import AsRegistry
 from repro.simnet.churn import ChurnModel
 from repro.simnet.device import SERVICE_PORTS, Device, ServiceType
-from repro.simnet.icmp_policy import IcmpUnreachablePolicy
 
 
 class ProbeOutcome(enum.Enum):
@@ -295,42 +294,6 @@ class SimulatedInternet:
         if self._lost("ipid", vantage.name, address, int(now * 10)):
             return None
         return device.ipid_counter.sample(address, now)
-
-    def probe_udp_closed_port(
-        self, address: str, vantage: VantagePoint, now: float = 0.0, port: int = 33434
-    ) -> IcmpMessage | None:
-        """Probe a (very likely) closed UDP port, hoping for an ICMP error.
-
-        This is the iffinder / common-source-address primitive: some devices
-        source the ICMP port unreachable from their primary interface rather
-        than from the probed address.
-        """
-        device = self.device_for(address, now)
-        if device is None:
-            return None
-        if self._register_probe(vantage, address, now):
-            return None
-        if self._lost("icmp", vantage.name, address, port, int(now)):
-            return None
-        policy = device.icmp_unreachable_policy
-        if policy is IcmpUnreachablePolicy.SILENT:
-            return None
-        if policy is IcmpUnreachablePolicy.FROM_PRIMARY:
-            same_family = [
-                candidate
-                for candidate in device.addresses()
-                if family_of(candidate) is family_of(address)
-            ]
-            source = min(same_family) if same_family else address
-        else:
-            source = address
-        return IcmpMessage(
-            icmp_type=IcmpType.DEST_UNREACHABLE,
-            code=PORT_UNREACHABLE_CODE,
-            source=source,
-            quoted_destination=address,
-            ipid=device.ipid_counter.sample(source, now),
-        )
 
     @staticmethod
     def _service_on_port(port: int) -> ServiceType | None:

@@ -50,7 +50,6 @@ from repro.simnet.address_plan import InterfaceAddressPool, PrefixAllocator
 from repro.simnet.asn import AsRegistry, AsRole, AutonomousSystem
 from repro.simnet.churn import ChurnModel
 from repro.simnet.device import Device, DeviceRole, Interface, ServiceType
-from repro.simnet.icmp_policy import IcmpUnreachablePolicy
 from repro.simnet.misconfig import (
     apply_service_acl,
     assign_duplicate_bgp_identifiers,
@@ -295,6 +294,7 @@ class _TopologyBuilder:
         # counters are rare on hosts.
         roll = self.rng.random()
         seed_rng = random.Random(self.rng.randrange(1 << 30))
+        self.rng.random()  # unused draw: keeps the pinned topologies' RNG sequence
         if roll < 0.45:
             return RandomIpidCounter(rng=seed_rng)
         if roll < 0.72:
@@ -308,6 +308,7 @@ class _TopologyBuilder:
     def _router_ipid(self) -> IpidCounter:
         roll = self.rng.random()
         seed_rng = random.Random(self.rng.randrange(1 << 30))
+        self.rng.random()  # unused draw: keeps the pinned topologies' RNG sequence
         if roll < 0.60:
             return MonotonicIpidCounter(start=seed_rng.randrange(1 << 16), velocity=8.0, rng=seed_rng)
         if roll < 0.72:
@@ -317,18 +318,6 @@ class _TopologyBuilder:
         if roll < 0.92:
             return ConstantIpidCounter(value=0)
         return HighVelocityIpidCounter(start=seed_rng.randrange(1 << 16), rng=seed_rng)
-
-    def _icmp_policy(self, is_router: bool) -> IcmpUnreachablePolicy:
-        roll = self.rng.random()
-        if is_router:
-            if roll < 0.68:
-                return IcmpUnreachablePolicy.FROM_PROBED
-            if roll < 0.80:
-                return IcmpUnreachablePolicy.FROM_PRIMARY
-            return IcmpUnreachablePolicy.SILENT
-        if roll < 0.5:
-            return IcmpUnreachablePolicy.FROM_PROBED
-        return IcmpUnreachablePolicy.SILENT
 
     # -- SSH / SNMP / BGP config factories ------------------------------ #
     def _ssh_config(self, device_id: str, vendor_pool: list[int] | None = None) -> tuple[str, SshServerConfig]:
@@ -397,9 +386,7 @@ class _TopologyBuilder:
             ssh_config=ssh_config,
             snmp_config=snmp_config,
             ipid_counter=self._server_ipid(),
-            icmp_unreachable_policy=self._icmp_policy(is_router=False),
             vendor=vendor,
-            hostname=f"{device_id}.cloud{autonomous_system.asn}.example.net",
         )
 
     def _make_router(
@@ -481,9 +468,7 @@ class _TopologyBuilder:
             snmp_config=snmp_config,
             service_acl=service_acl,
             ipid_counter=self._router_ipid(),
-            icmp_unreachable_policy=self._icmp_policy(is_router=True),
             vendor=vendor if ssh_config is None else ssh_vendor,
-            hostname=f"{device_id}.{autonomous_system.name.lower()}.example.net",
         )
 
     def _make_cpe(self, autonomous_system: AutonomousSystem) -> Device:
@@ -504,9 +489,7 @@ class _TopologyBuilder:
             interfaces=interfaces,
             ssh_config=ssh_config,
             ipid_counter=self._server_ipid(),
-            icmp_unreachable_policy=self._icmp_policy(is_router=False),
             vendor=vendor,
-            hostname=f"{device_id}.dyn.{autonomous_system.name.lower()}.example.net",
         )
 
     # -- Per-role AS builders -------------------------------------------- #

@@ -15,16 +15,16 @@ already have:
 * :mod:`repro.validation.techniques` — the MIDAR and Ally pipelines over
   a bank (Speedtrap is MIDAR over IPv6 members, the ``speedtrap`` kind).
 * :mod:`repro.validation.runner` — builders for the built-in kinds
-  (midar, ally, speedtrap, iffinder, ptr), the one priority scheduler
-  the IPID kinds share, the :class:`ValidationRun` harness, and the
-  registered named compositions.
+  (midar, ally, speedtrap, sample), the one priority scheduler the IPID
+  kinds share, the :class:`ValidationRun` harness, and the registered
+  named compositions.
 * :mod:`repro.validation.report` — per-set verdicts and the
   :class:`ValidationReport` aggregates (testable coverage, agreement).
 * :mod:`repro.validation.longitudinal` — per-snapshot validation of a
   churning campaign (the paper's MIDAR-disagreement series).
 * :mod:`repro.validation.budget` — the probe-budget optimizer every
-  validation probes through: the velocity cache, the global
-  :class:`ProbeBudget`, and the ``consensus()`` majority-vote combinator.
+  validation probes through: the velocity cache and the global
+  :class:`ProbeBudget`.
 
 There is one validation path.  ``ReproSession.validate(spec_or_name)``
 (cached, persisted by :mod:`repro.persist`) runs under a fresh uncapped
@@ -38,15 +38,12 @@ from repro.validation.budget import (
     DEFAULT_VELOCITY_TTL,
     BudgetedValidation,
     BudgetRunResult,
-    ConsensusSetBreakdown,
     ProbeBudget,
     ProbeBudgetExhausted,
     ProbeBudgetOptimizer,
     SetOutcome,
     VelocityCache,
     VelocityEntry,
-    consensus_breakdown,
-    consensus_report,
     is_unresolved,
     run_budgeted,
     unresolved_verdict,
@@ -65,12 +62,9 @@ from repro.validation.spec import (
     VALIDATORS,
     ValidatorSpec,
     ally,
-    consensus,
     display_name,
-    iffinder,
     midar,
     named_validator,
-    ptr,
     register_validator,
     sample,
     speedtrap,
@@ -90,7 +84,6 @@ __all__ = [
     "BudgetRunResult",
     "BudgetedValidation",
     "CandidateSets",
-    "ConsensusSetBreakdown",
     "DEFAULT_VALIDATION_VANTAGE",
     "DEFAULT_VELOCITY_TTL",
     "IpidSampleBank",
@@ -112,15 +105,10 @@ __all__ = [
     "VelocityEntry",
     "ally",
     "candidate_sets",
-    "consensus",
-    "consensus_breakdown",
-    "consensus_report",
     "display_name",
-    "iffinder",
     "is_unresolved",
     "midar",
     "named_validator",
-    "ptr",
     "register_validator",
     "run_budgeted",
     "run_validator",

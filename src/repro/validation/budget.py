@@ -27,10 +27,8 @@ holds the state those pipelines share:
   and in spend order, whether it was probed, answered from the bank, or
   left unresolved.
 
-Entry points: :func:`run_budgeted` (also behind
-``ReproSession.validate_budgeted`` and ``repro validate --budget N``) and
-:func:`consensus_report`, the fold behind the ``consensus()`` validator
-kind (N techniques, one bank, per-set majority/conflict report).
+Entry point: :func:`run_budgeted` (also behind
+``ReproSession.validate_budgeted`` and ``repro validate --budget N``).
 """
 
 from __future__ import annotations
@@ -41,7 +39,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 from repro import obs
 from repro.baselines.ipid import IpidTimeSeries, TargetClass, classify_series
 from repro.errors import ValidationError
-from repro.validation.report import CandidateSets, SetVerdict, ValidationReport
+from repro.validation.report import SetVerdict, ValidationReport
 from repro.validation.spec import VALIDATORS, ValidatorSpec, display_name
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
@@ -56,9 +54,6 @@ DEFAULT_VELOCITY_TTL = 86_400.0
 
 #: Per-address class label marking a candidate set the budget left unprobed.
 UNRESOLVED_LABEL = "unresolved"
-
-#: Per-technique outcome labels a consensus verdict's ``classes`` carry.
-CONSENSUS_OUTCOMES = frozenset({"agree", "disagree", "untestable", UNRESOLVED_LABEL})
 
 
 class ProbeBudgetExhausted(ValidationError):
@@ -295,131 +290,6 @@ def is_unresolved(verdict: SetVerdict) -> bool:
 
 
 # --------------------------------------------------------------------------- #
-# Consensus: N techniques, one bank, per-set majority/conflict report
-# --------------------------------------------------------------------------- #
-def consensus_report(
-    spec: ValidatorSpec,
-    reports: Sequence[ValidationReport],
-    candidates: CandidateSets,
-    start: float,
-) -> ValidationReport:
-    """Fold N per-technique reports over one candidate list into one verdict.
-
-    Per candidate set, every technique casts a vote (``agree`` /
-    ``disagree``) or abstains (``untestable`` / ``unresolved``); the
-    consensus agrees when a strict majority of cast votes agree.  The
-    per-technique outcomes ride each verdict's ``classes`` as
-    ``("<position>:<validator>", outcome)`` pairs — the paper's
-    "techniques disagree" discussion as a first-class output, parsed back
-    by :func:`consensus_breakdown`.
-    """
-    for report in reports:
-        if len(report.verdicts) != len(candidates):
-            raise ValidationError(
-                f"consensus input {report.validator!r} produced "
-                f"{len(report.verdicts)} verdicts for {len(candidates)} candidates"
-            )
-    names = [f"{position}:{report.validator}" for position, report in enumerate(reports)]
-    verdicts: list[SetVerdict] = []
-    for index, candidate in enumerate(candidates):
-        outcomes: list[tuple[str, str]] = []
-        agree_votes = 0
-        disagree_votes = 0
-        agree_partition: tuple[frozenset[str], ...] | None = None
-        disagree_partition: tuple[frozenset[str], ...] | None = None
-        for name, report in zip(names, reports):
-            verdict = report.verdicts[index]
-            if is_unresolved(verdict):
-                outcomes.append((name, UNRESOLVED_LABEL))
-            elif not verdict.testable:
-                outcomes.append((name, "untestable"))
-            elif verdict.agrees:
-                agree_votes += 1
-                if agree_partition is None:
-                    agree_partition = verdict.partition
-                outcomes.append((name, "agree"))
-            else:
-                disagree_votes += 1
-                if disagree_partition is None:
-                    disagree_partition = verdict.partition
-                outcomes.append((name, "disagree"))
-        testable = (agree_votes + disagree_votes) > 0
-        agrees = testable and agree_votes > disagree_votes
-        if agrees and agree_partition is not None:
-            partition = agree_partition
-        elif disagree_partition is not None:
-            partition = disagree_partition
-        elif agree_partition is not None:
-            partition = agree_partition
-        else:
-            partition = ()
-        verdicts.append(
-            SetVerdict(
-                candidate=frozenset(candidate),
-                testable=testable,
-                agrees=agrees,
-                partition=partition,
-                classes=tuple(outcomes),
-                started_at=min(report.verdicts[index].started_at for report in reports),
-                finished_at=max(report.verdicts[index].finished_at for report in reports),
-            )
-        )
-    return ValidationReport(
-        validator=display_name(spec),
-        spec=spec,
-        candidates=len(candidates),
-        verdicts=tuple(verdicts),
-        probes_issued=sum(report.probes_issued for report in reports),
-        probes_reused=sum(report.probes_reused for report in reports),
-        started_at=start,
-        finished_at=max((report.finished_at for report in reports), default=start),
-    )
-
-
-@dataclasses.dataclass(frozen=True)
-class ConsensusSetBreakdown:
-    """One candidate set's per-technique consensus outcomes."""
-
-    candidate: frozenset[str]
-    outcomes: tuple[tuple[str, str], ...]
-    agree_votes: int
-    disagree_votes: int
-
-    @property
-    def conflict(self) -> bool:
-        """Whether the techniques cast opposing votes on this set."""
-        return self.agree_votes > 0 and self.disagree_votes > 0
-
-
-def consensus_breakdown(report: ValidationReport) -> tuple[ConsensusSetBreakdown, ...]:
-    """Parse a consensus report's per-technique outcomes back out.
-
-    Raises:
-        ValidationError: when the report's verdicts do not carry consensus
-            outcome labels (i.e. it is not a consensus report).
-    """
-    rows: list[ConsensusSetBreakdown] = []
-    for verdict in report.verdicts:
-        if not verdict.classes or not all(
-            label in CONSENSUS_OUTCOMES for _, label in verdict.classes
-        ):
-            raise ValidationError(
-                f"report {report.validator!r} does not carry consensus outcomes"
-            )
-        rows.append(
-            ConsensusSetBreakdown(
-                candidate=verdict.candidate,
-                outcomes=verdict.classes,
-                agree_votes=sum(1 for _, label in verdict.classes if label == "agree"),
-                disagree_votes=sum(
-                    1 for _, label in verdict.classes if label == "disagree"
-                ),
-            )
-        )
-    return tuple(rows)
-
-
-# --------------------------------------------------------------------------- #
 # The budgeted run entry point
 # --------------------------------------------------------------------------- #
 @dataclasses.dataclass(frozen=True)
@@ -470,12 +340,11 @@ def run_budgeted(
 ) -> BudgetRunResult:
     """Run validators under one shared optimizer and global probe budget.
 
-    The optimizer attaches to ``run`` for the duration: the IPID
-    validators (midar, speedtrap, ally) and iffinder's per-member probes
-    spend from the same budget, and PTR — DNS lookups, not network
-    probes — runs unbudgeted.  ``budget=None`` optimizes without a cap; a
-    capped run reports unaffordable sets as unresolved and never flips a
-    resolved verdict relative to the uncapped run.
+    The optimizer attaches to ``run`` for the duration, so every validator
+    (midar, speedtrap, ally) spends from the same budget.  ``budget=None``
+    optimizes without a cap; a capped run reports unaffordable sets as
+    unresolved and never flips a resolved verdict relative to the uncapped
+    run.
     """
     from repro.validation.runner import run_validator
 

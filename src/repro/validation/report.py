@@ -34,7 +34,7 @@ class SetVerdict:
         candidate: the members the technique examined (possibly truncated
             or family-filtered relative to the original candidate).
         testable: whether the technique could gather evidence at all
-            (e.g. ≥2 usable IPID counters, ≥2 PTR records).
+            (e.g. ≥2 usable IPID counters).
         agrees: whether the evidence keeps the candidate in one group.
         partition: the groups the technique formed over the members it
             could test, in canonical order.

@@ -8,11 +8,11 @@ vantage, shared across every validator of the run, which is what makes
 composed validations cheap), and optionally a session for candidate
 derivation.
 
-Candidate alias sets flow *down* the spec tree: combinators (sample,
-consensus) transform or share them and delegate to their inputs;
-technique leaves derive them from the session's resolved report when no
-enclosing combinator supplied any.  The start time flows the same way, so the
-longitudinal path can re-run one spec per snapshot at per-snapshot times.
+Candidate alias sets flow *down* the spec tree: the ``sample`` combinator
+draws from them and delegates to its input; technique leaves derive them
+from the session's resolved report when no enclosing combinator supplied
+any.  The start time flows the same way, so the longitudinal path can
+re-run one spec per snapshot at per-snapshot times.
 
 Every spec tree runs under the run's
 :class:`~repro.validation.budget.ProbeBudgetOptimizer`, a fresh uncapped
@@ -30,8 +30,6 @@ import random
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro import obs
-from repro.baselines.iffinder import IffinderProber
-from repro.baselines.ptr import PtrResolver
 from repro.core.engine import AliasReport
 from repro.errors import ValidationError
 from repro.net.addresses import is_ipv6
@@ -41,7 +39,6 @@ from repro.validation.bank import IpidSampleBank
 from repro.validation.budget import (
     ProbeBudgetExhausted,
     ProbeBudgetOptimizer,
-    consensus_report,
     unresolved_verdict,
 )
 from repro.validation.report import (
@@ -54,11 +51,8 @@ from repro.validation.spec import (
     VALIDATOR_KINDS,
     ValidatorSpec,
     ally,
-    consensus,
     display_name,
-    iffinder,
     midar,
-    ptr,
     register_validator,
     sample,
     speedtrap,
@@ -160,6 +154,14 @@ def run_validator(
     afterwards.
     """
     builder = VALIDATOR_KINDS.get(spec.kind)
+    # A combinator derives its candidate sets (collecting and resolving a
+    # source) before it runs its input, so resolve every kind in the tree
+    # first: an unregistered one fails before any of that work.
+    pending = list(spec.inputs)
+    while pending:
+        inner = pending.pop()
+        VALIDATOR_KINDS.get(inner.kind)
+        pending.extend(inner.inputs)
     with obs.span("validator.run", kind=spec.kind):
         if run.optimizer is not None:
             return builder(run, spec, candidates, start_time)
@@ -430,140 +432,8 @@ def _build_ally(run, spec, candidates, start_time):
 
 
 # --------------------------------------------------------------------------- #
-# Non-IPID technique kinds (iffinder / PTR)
+# The sample combinator
 # --------------------------------------------------------------------------- #
-@validator_kind("iffinder", "common-source-address probing per candidate set")
-def _build_iffinder(run, spec, candidates, start_time):
-    from repro.core.alias_resolution import UnionFind
-
-    if candidates is None:
-        candidates = _derive_candidates(run, spec)
-    start = start_time if start_time is not None else _derive_start(run, spec)
-    rate = float(spec.param("probes_per_second", 1_000.0))
-    prober = IffinderProber(run.network, _vantage_from(spec), probes_per_second=rate)
-    optimizer = run.optimizer
-    verdicts: list[SetVerdict] = []
-    now = start
-    probes = 0
-    for candidate in candidates:
-        members = sorted(candidate)
-        member_set = frozenset(members)
-        if not optimizer.request(len(members)):
-            verdicts.append(unresolved_verdict(members, now))
-            optimizer.record(display_name(spec), member_set, "unresolved", 0, 0)
-            continue
-        union_find = UnionFind()
-        set_start = now
-        revealed = 0
-        for address in members:
-            observation = prober.probe(address, now=now)
-            now += 1.0 / rate
-            probes += 1
-            union_find.add(address)
-            if observation.reveals_alias and observation.icmp_source in member_set:
-                union_find.union(address, observation.icmp_source)
-                revealed += 1
-        partition = canonical_partition(union_find.groups())
-        testable = revealed > 0
-        optimizer.charge(len(members))
-        optimizer.record(display_name(spec), member_set, "probed", len(members), 0)
-        verdicts.append(
-            SetVerdict(
-                candidate=member_set,
-                testable=testable,
-                agrees=testable and len(partition) == 1,
-                partition=partition,
-                started_at=set_start,
-                finished_at=now,
-            )
-        )
-    return ValidationReport(
-        validator=display_name(spec),
-        spec=spec,
-        candidates=len(candidates),
-        verdicts=tuple(verdicts),
-        probes_issued=probes,
-        probes_reused=0,
-        started_at=start,
-        finished_at=now,
-    )
-
-
-@validator_kind("ptr", "reverse-DNS name matching per candidate set")
-def _build_ptr(run, spec, candidates, start_time):
-    if candidates is None:
-        candidates = _derive_candidates(run, spec)
-    start = start_time if start_time is not None else _derive_start(run, spec)
-    default_seed = run.session.config.seed if run.session is not None else 0
-    resolver = PtrResolver(
-        run.network,
-        coverage=float(spec.param("coverage", 0.6)),
-        seed=int(spec.param("seed", default_seed)),
-    )
-    verdicts: list[SetVerdict] = []
-    queries = 0
-    for candidate in candidates:
-        members = sorted(candidate)
-        names: dict[str, list[str]] = {}
-        for address in members:
-            queries += 1
-            name = resolver.resolve(address)
-            if name is not None:
-                names.setdefault(name, []).append(address)
-        resolved = sum(len(addresses) for addresses in names.values())
-        partition = canonical_partition(names.values())
-        testable = resolved >= 2
-        verdicts.append(
-            SetVerdict(
-                candidate=frozenset(members),
-                testable=testable,
-                agrees=testable and len(partition) == 1,
-                partition=partition,
-                started_at=start,
-                finished_at=start,
-            )
-        )
-    return ValidationReport(
-        validator=display_name(spec),
-        spec=spec,
-        candidates=len(candidates),
-        verdicts=tuple(verdicts),
-        probes_issued=queries,
-        probes_reused=0,
-        started_at=start,
-        finished_at=start,
-    )
-
-
-# --------------------------------------------------------------------------- #
-# Combinator kinds
-# --------------------------------------------------------------------------- #
-@validator_kind(
-    "consensus", "run N techniques over one candidate list; per-set majority vote"
-)
-def _build_consensus(run, spec, candidates, start_time):
-    if len(spec.inputs) < 2:
-        raise ValidationError(
-            f"validator combinator 'consensus' takes at least two inputs "
-            f"(got {len(spec.inputs)})"
-        )
-    if candidates is None:
-        candidates = _derive_candidates(run, spec)
-    start = start_time
-    if start is None and (
-        spec.param("start_time") is not None or spec.param("start_after") is not None
-    ):
-        start = _derive_start(run, spec)
-    reports = [
-        run_validator(run, inner, candidates=candidates, start_time=start)
-        for inner in spec.inputs
-    ]
-    overall_start = (
-        start if start is not None else min(report.started_at for report in reports)
-    )
-    return consensus_report(spec, reports, candidates, overall_start)
-
-
 @validator_kind("sample", "validate a seeded random sample of the candidate sets")
 def _build_sample(run, spec, candidates, start_time):
     if len(spec.inputs) != 1:
@@ -617,32 +487,6 @@ SPEEDTRAP_UNION_SAMPLE = sample(
     seed=7,
     max_size=10,
 )
-#: iffinder over the same SSH sample (no IPID dependence at all).
-IFFINDER_SSH_SAMPLE = sample(
-    iffinder(source="active", protocol="ssh", family="ipv4"),
-    size=150,
-    seed=7,
-    max_size=10,
-)
-#: PTR name matching over the same SSH sample.
-PTR_SSH_SAMPLE = sample(
-    ptr(source="active", protocol="ssh", family="ipv4"),
-    size=150,
-    seed=7,
-    max_size=10,
-)
-#: MIDAR, Ally and iffinder voting over the same SSH sample through one
-#: shared bank — the "techniques disagree" discussion as a report.
-CONSENSUS_SSH_SAMPLE = sample(
-    consensus(
-        midar(source="active", protocol="ssh", family="ipv4", start_after="active-ipv6"),
-        ally(source="active", protocol="ssh", family="ipv4", start_after="active-ipv6"),
-        iffinder(source="active", protocol="ssh", family="ipv4"),
-    ),
-    size=150,
-    seed=7,
-    max_size=10,
-)
 
 register_validator(
     "midar", MIDAR_SSH_SAMPLE, "MIDAR over sampled SSH IPv4 sets (the Table 2 validation)"
@@ -652,15 +496,4 @@ register_validator(
 )
 register_validator(
     "speedtrap", SPEEDTRAP_UNION_SAMPLE, "Speedtrap over sampled IPv6 union sets"
-)
-register_validator(
-    "iffinder", IFFINDER_SSH_SAMPLE, "common source address probing over the SSH sample"
-)
-register_validator(
-    "ptr", PTR_SSH_SAMPLE, "reverse-DNS name matching over the SSH sample"
-)
-register_validator(
-    "consensus",
-    CONSENSUS_SSH_SAMPLE,
-    "MIDAR + Ally + iffinder majority vote over the SSH sample",
 )

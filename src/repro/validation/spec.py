@@ -81,10 +81,9 @@ class ValidatorSpec:
     def leaf(self) -> "ValidatorSpec":
         """The technique spec at the bottom of a combinator chain.
 
-        ``sample`` wraps exactly one input and ``consensus`` follows its
-        first; the leaf carries the candidate-derivation parameters
-        (source, protocol, family), which is what combinators consult when
-        no explicit candidates are passed.
+        ``sample`` wraps exactly one input; the leaf carries the
+        candidate-derivation parameters (source, protocol, family), which is
+        what ``sample`` consults when no explicit candidates are passed.
         """
         spec = self
         while spec.inputs:
@@ -152,18 +151,8 @@ def speedtrap(label: str | None = None, **params: ParamValue) -> ValidatorSpec:
     return ValidatorSpec.create("speedtrap", label=label, **params)
 
 
-def iffinder(label: str | None = None, **params: ParamValue) -> ValidatorSpec:
-    """Common-source-address probing per candidate set."""
-    return ValidatorSpec.create("iffinder", label=label, **params)
-
-
-def ptr(label: str | None = None, **params: ParamValue) -> ValidatorSpec:
-    """Reverse-DNS name matching per candidate set."""
-    return ValidatorSpec.create("ptr", label=label, **params)
-
-
 # --------------------------------------------------------------------------- #
-# Combinator constructors
+# Combinator constructor
 # --------------------------------------------------------------------------- #
 def sample(
     spec: ValidatorSpec,
@@ -182,16 +171,3 @@ def sample(
         params["max_size"] = max_size
     return ValidatorSpec.create("sample", inputs=(spec,), label=label, **params)
 
-
-def consensus(
-    *specs: ValidatorSpec, label: str | None = None, **params: ParamValue
-) -> ValidatorSpec:
-    """Run N techniques over one candidate list and fold a majority verdict.
-
-    Every input validates the *same* candidate sets through the run's
-    shared banks; the per-set report records each technique's vote
-    (agree / disagree / untestable / unresolved) and agrees when a strict
-    majority of the cast votes agree — the paper's "techniques disagree"
-    discussion as a first-class output.
-    """
-    return ValidatorSpec.create("consensus", inputs=tuple(specs), label=label, **params)

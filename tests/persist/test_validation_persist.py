@@ -9,7 +9,7 @@ import pytest
 from repro.api.config import ScenarioConfig
 from repro.api.session import ReproSession
 from repro.cli import main
-from repro.errors import PersistError
+from repro.errors import PersistError, RegistryError
 from repro.persist.validation import (
     validation_from_document,
     validation_signature_digest,
@@ -18,7 +18,7 @@ from repro.persist.validation import (
     validator_spec_to_document,
 )
 from repro.validation.report import SetVerdict, ValidationReport
-from repro.validation.spec import midar, sample
+from repro.validation.spec import ValidatorSpec, midar, sample
 
 
 def _report():
@@ -213,3 +213,47 @@ class TestSessionValidationRoundTrip:
         restored = ReproSession.load(directory)
         assert restored.cached_validations() == {}
         assert len(restored.cached_reports()) == 1
+
+    def test_saved_report_of_an_unregistered_kind_loads_but_does_not_rerun(
+        self, tmp_path, capsys
+    ):
+        # A validation document names its spec, not a registered builder,
+        # so a session holding a report of a kind this build does not
+        # register (here ``iffinder``) still loads and lists it; re-running
+        # the spec needs the builder and fails as an unknown kind.
+        leaf = ValidatorSpec.create("iffinder", source="active", protocol="ssh", family="ipv4")
+        spec = sample(leaf, size=150, seed=7, max_size=10)
+        members = frozenset({"10.0.1.1", "10.0.1.2"})
+        report = ValidationReport(
+            validator="iffinder",
+            spec=spec,
+            candidates=1,
+            verdicts=(
+                SetVerdict(
+                    candidate=members,
+                    testable=True,
+                    agrees=True,
+                    partition=(members,),
+                    started_at=0.0,
+                    finished_at=0.002,
+                ),
+            ),
+            probes_issued=2,
+            probes_reused=0,
+            started_at=0.0,
+            finished_at=0.002,
+        )
+        session = ReproSession(ScenarioConfig(scale=0.05, seed=3))
+        session.report("active")
+        session.prime_validation(spec, "iffinder", report)
+        directory = tmp_path / "session"
+        session.save(directory)
+
+        assert main(["session", "load", str(directory)]) == 0
+        assert "validation iffinder: 1/1 testable, 1 agree" in capsys.readouterr().out
+        restored = ReproSession.load(directory)
+        assert restored.cached_validations() == {(spec, "iffinder"): report}
+        with pytest.raises(RegistryError, match="unknown validator kind 'iffinder'"):
+            restored.validate(spec)
+        assert main(["validate", "--validators", "iffinder"]) == 2
+        assert "unknown validator 'iffinder'" in capsys.readouterr().err

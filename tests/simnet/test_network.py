@@ -13,7 +13,6 @@ from repro.protocols.ssh.server import SshServerConfig
 from repro.simnet.asn import AsRegistry, AsRole, AutonomousSystem
 from repro.simnet.churn import ChurnEvent, ChurnModel
 from repro.simnet.device import Device, DeviceRole, Interface, ServiceType
-from repro.simnet.icmp_policy import IcmpUnreachablePolicy
 from repro.simnet.network import ProbeOutcome, SimulatedInternet, VantagePoint
 
 VP = VantagePoint(name="test-vp")
@@ -40,7 +39,6 @@ def build_network(rate_limit_threshold=None, loss_rate=0.0, churn=None):
         bgp_config=BgpSpeakerConfig(asn=3320, bgp_identifier="10.0.0.1"),
         snmp_config=SnmpEngineConfig.generate("rtr-1"),
         service_acl={ServiceType.SSH: frozenset({"10.0.0.1"})},
-        icmp_unreachable_policy=IcmpUnreachablePolicy.FROM_PRIMARY,
     )
     server = Device(
         device_id="srv-1",
@@ -192,7 +190,7 @@ class TestLossAndChurn:
         assert network.device_for("100.64.0.10", now=200.0).device_id == "rtr-1"
 
 
-class TestIpidAndIcmp:
+class TestIpidSampling:
     def test_sample_ipid_returns_value(self):
         network = build_network()
         value = network.sample_ipid("10.0.0.1", VP, now=1.0)
@@ -202,18 +200,3 @@ class TestIpidAndIcmp:
     def test_sample_ipid_unknown_address(self):
         network = build_network()
         assert network.sample_ipid("198.18.0.1", VP) is None
-
-    def test_icmp_from_primary_interface(self):
-        network = build_network()
-        message = network.probe_udp_closed_port("10.0.0.2", VP)
-        assert message is not None
-        assert message.is_port_unreachable
-        # FROM_PRIMARY: lowest same-family address is 10.0.0.1.
-        assert message.source == "10.0.0.1"
-        assert message.quoted_destination == "10.0.0.2"
-
-    def test_icmp_from_probed_address_for_servers(self):
-        network = build_network()
-        message = network.probe_udp_closed_port("100.64.0.10", VP)
-        # Server policy in this fixture is FROM_PROBED (default).
-        assert message.source == "100.64.0.10"

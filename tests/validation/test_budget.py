@@ -17,14 +17,12 @@ from repro.validation.budget import (
     ProbeBudgetExhausted,
     ProbeBudgetOptimizer,
     VelocityCache,
-    consensus_breakdown,
-    consensus_report,
     is_unresolved,
     run_budgeted,
     unresolved_verdict,
 )
 from repro.validation.runner import ValidationRun, run_validator
-from repro.validation.spec import ally, consensus, iffinder, midar, speedtrap
+from repro.validation.spec import ally, midar, speedtrap
 from repro.validation.techniques import MidarConfig
 
 TRUE_SET = frozenset({"10.0.1.1", "10.0.1.2", "10.0.1.3"})
@@ -249,6 +247,24 @@ class TestCappedDegradation:
         outcomes = [outcome.outcome for outcome in run.optimizer.outcomes]
         assert outcomes == ["unresolved"] * len(CANDIDATES)
 
+    @pytest.mark.parametrize(
+        "spec_fn, candidates",
+        [(ally, CANDIDATES), (speedtrap, (V6_TRUE_SET,))],
+        ids=["ally", "speedtrap"],
+    )
+    def test_zero_budget_gates_ally_and_speedtrap(
+        self, network, count_probes, spec_fn, candidates
+    ):
+        counter = count_probes(network)
+        run = ValidationRun(network)
+        run.optimizer = ProbeBudgetOptimizer(budget=0)
+        report = run_validator(
+            run, _spec_vantage(spec_fn), candidates=candidates, start_time=0.0
+        )
+        assert counter["probes"] == 0
+        assert all(is_unresolved(v) for v in report.verdicts)
+        assert len(report.verdicts) == len(candidates)
+
     def test_zero_budget_still_answers_from_the_bank(self, network, count_probes):
         warm = ValidationRun(network)
         warm.optimizer = ProbeBudgetOptimizer()
@@ -262,15 +278,6 @@ class TestCappedDegradation:
         assert not any(is_unresolved(v) for v in report.verdicts)
         assert {o.outcome for o in warm.optimizer.outcomes} == {"cached"}
         assert report.probes_issued == 0
-
-    def test_iffinder_gated_by_budget(self, network):
-        run = ValidationRun(network)
-        run.optimizer = ProbeBudgetOptimizer(budget=0)
-        report = run_validator(
-            run, _spec_vantage(iffinder), candidates=(TRUE_SET,), start_time=0.0
-        )
-        (verdict,) = report.verdicts
-        assert is_unresolved(verdict)
 
     def test_exhaustion_escapes_outside_a_runner(self, network, vantage):
         from repro.validation.bank import IpidSampleBank
@@ -339,81 +346,6 @@ class TestRunBudgeted:
 
         with pytest.raises(RegistryError, match="unknown validator"):
             run_budgeted(ValidationRun(network), ["no-such-validator"])
-
-
-class TestConsensus:
-    def _reports(self, network):
-        run = ValidationRun(network)
-        specs = (_spec_vantage(midar), _spec_vantage(ally))
-        reports = [
-            run_validator(run, spec, candidates=CANDIDATES, start_time=0.0)
-            for spec in specs
-        ]
-        return consensus(*specs), reports
-
-    def test_majority_fold(self, network):
-        spec, reports = self._reports(network)
-        folded = consensus_report(spec, reports, CANDIDATES, 0.0)
-        assert folded.candidates == len(CANDIDATES)
-        true_verdict, false_verdict, random_verdict = folded.verdicts
-        assert true_verdict.testable and true_verdict.agrees
-        assert false_verdict.testable and not false_verdict.agrees
-        # MIDAR abstains on the random-IPID device; Ally still casts a
-        # disagree vote, which alone decides the set.
-        assert random_verdict.testable and not random_verdict.agrees
-        assert ("0:midar", "untestable") in random_verdict.classes
-        assert folded.probes_issued == sum(r.probes_issued for r in reports)
-
-    def test_breakdown_round_trip(self, network):
-        spec, reports = self._reports(network)
-        folded = consensus_report(spec, reports, CANDIDATES, 0.0)
-        rows = consensus_breakdown(folded)
-        assert [row.candidate for row in rows] == [frozenset(c) for c in CANDIDATES]
-        names = [name for name, _ in rows[0].outcomes]
-        assert names == ["0:midar", "1:ally"]
-        assert rows[0].agree_votes == 2 and not rows[0].conflict
-        assert rows[1].disagree_votes == 2
-
-    def test_unresolved_votes_abstain(self, network):
-        import dataclasses
-
-        spec, reports = self._reports(network)
-        unresolved = tuple(
-            unresolved_verdict(candidate, 0.0) for candidate in CANDIDATES
-        )
-        starved = [reports[0], dataclasses.replace(reports[1], verdicts=unresolved)]
-        folded = consensus_report(spec, starved, CANDIDATES, 0.0)
-        # With one technique starved out the other decides alone.
-        assert folded.verdicts[0].agrees
-        assert ("1:ally", "unresolved") in folded.verdicts[0].classes
-
-    def test_verdict_count_mismatch_raises(self, network):
-        spec, reports = self._reports(network)
-        with pytest.raises(ValidationError, match="verdicts"):
-            consensus_report(spec, reports, CANDIDATES[:1], 0.0)
-
-    def test_breakdown_rejects_non_consensus_report(self, network):
-        _, reports = self._reports(network)
-        with pytest.raises(ValidationError, match="consensus"):
-            consensus_breakdown(reports[0])
-
-    def test_consensus_spec_requires_two_inputs(self, network):
-        with pytest.raises(ValidationError, match="two"):
-            run_validator(
-                ValidationRun(network),
-                consensus(_spec_vantage(midar)),
-                candidates=CANDIDATES,
-                start_time=0.0,
-            )
-
-    def test_consensus_runs_through_the_runner(self, network):
-        spec = consensus(_spec_vantage(midar), _spec_vantage(ally))
-        report = run_validator(
-            ValidationRun(network), spec, candidates=CANDIDATES, start_time=0.0
-        )
-        assert report.validator == "consensus"
-        assert report.verdicts[0].agrees
-        assert not report.verdicts[1].agrees
 
 
 class TestDerivedStartMemoisation:

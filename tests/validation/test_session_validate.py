@@ -12,7 +12,7 @@ from repro.simnet.device import ServiceType
 from repro.simnet.network import VantagePoint
 from repro.validation.bank import IpidSampleBank
 from repro.validation.runner import table2_midar_spec
-from repro.validation.spec import named_validator
+from repro.validation.spec import ValidatorSpec, named_validator, sample
 from repro.validation.techniques import MidarPipeline
 
 
@@ -35,6 +35,14 @@ class TestValidateCaching:
     def test_unknown_validator_lists_alternatives(self, session):
         with pytest.raises(RegistryError, match="unknown validator 'bogus'"):
             session.validate("bogus")
+
+    def test_unregistered_inner_kind_fails_before_any_collection(self):
+        fresh = ReproSession(ScenarioConfig(scale=0.1, seed=5))
+        spec = sample(ValidatorSpec.create("nonsense", source="active"))
+        with pytest.raises(RegistryError, match="unknown validator kind 'nonsense'"):
+            fresh.validate(spec)
+        assert fresh.cached_datasets() == {}
+        assert fresh.cached_reports() == {}
 
     def test_shared_bank_across_validators(self, session):
         session.validate("midar")

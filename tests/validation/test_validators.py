@@ -4,15 +4,14 @@ import random
 
 import pytest
 
-from repro.errors import ValidationError
+from repro.errors import RegistryError, ValidationError
 from repro.validation.bank import IpidSampleBank
 from repro.validation.budget import DEFAULT_VELOCITY_TTL
 from repro.validation.runner import ValidationRun, run_validator
 from repro.validation.spec import (
+    ValidatorSpec,
     ally,
-    iffinder,
     midar,
-    ptr,
     sample,
     speedtrap,
 )
@@ -143,24 +142,6 @@ class TestSampleCombinator:
         assert report.verdicts[0].candidate == TRUE_SET
 
 
-class TestIffinderAndPtrValidators:
-    def test_iffinder_counts_probes(self, network):
-        report = run_validator(
-            ValidationRun(network), _spec_vantage(iffinder), candidates=(TRUE_SET,), start_time=0.0
-        )
-        assert report.candidates == 1
-        assert report.probes_issued == len(TRUE_SET)
-
-    def test_ptr_unresolvable_members_untestable(self, network):
-        # The controlled devices carry no hostnames, so PTR cannot test them.
-        report = run_validator(
-            ValidationRun(network), _spec_vantage(ptr, coverage=1.0), candidates=(TRUE_SET,), start_time=0.0
-        )
-        (verdict,) = report.verdicts
-        assert not verdict.testable
-        assert not verdict.agrees
-
-
 class TestSessionlessDerivation:
     def test_missing_session_raises(self, network):
         with pytest.raises(ValidationError, match="needs a session"):
@@ -173,3 +154,15 @@ class TestSessionlessDerivation:
                 _spec_vantage(midar, start_after="active-ipv6"),
                 candidates=(TRUE_SET,),
             )
+
+
+class TestUnregisteredKind:
+    @pytest.mark.parametrize("depth", [1, 2], ids=["sample", "nested-sample"])
+    def test_inner_kind_rejected_before_candidates_are_derived(self, network, depth):
+        # Sessionless and without candidates, deriving the sample's sets
+        # would raise "needs a session"; the unknown kind must fail first.
+        spec = ValidatorSpec.create("nonsense", source="active")
+        for _ in range(depth):
+            spec = sample(spec)
+        with pytest.raises(RegistryError, match="unknown validator kind 'nonsense'"):
+            run_validator(ValidationRun(network), spec)
