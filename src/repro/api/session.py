@@ -3,7 +3,10 @@
 A session owns the shared state a reproduction is built from (the simulated
 Internet, the IPv6 hitlist) and the caches that make composition cheap
 (datasets per :class:`~repro.api.sources.SourceSpec`, alias reports per
-composition).  Everything else goes through the registries:
+composition).  The simulated Internet is built on first use: a session
+loaded from disk re-scores from its saved sample banks and renders Tables
+5 and 6 from its saved AS table without building it.  Everything else goes
+through the registries:
 
 * ``session.dataset("censys")`` / ``session.dataset(spec)`` — collect (or
   fetch from cache) one observation dataset,
@@ -36,6 +39,7 @@ from repro.api.sources import (
 from repro.core.engine import AliasReport, ResolutionEngine
 from repro.core.identifiers import DEFAULT_OPTIONS, IdentifierOptions
 from repro.longitudinal.campaign import LongitudinalCampaign, LongitudinalConfig
+from repro.simnet.asn import AsRegistry
 from repro.simnet.network import SimulatedInternet, VantagePoint
 from repro.simnet.topology import TopologyConfig, generate_topology
 from repro.sources.hitlist import HitlistConfig, build_ipv6_hitlist
@@ -59,12 +63,13 @@ class ReproSession:
         self.config = config or ScenarioConfig()
         self.options = options
         self._network: SimulatedInternet | None = None
+        #: The AS table a load read; ``None`` reads the network's registry.
+        self._as_registry: AsRegistry | None = None
         self._hitlist: list[str] | None = None
         self._datasets: dict[SourceSpec, ObservationDataset] = {}
         self._reports: dict[tuple[SourceSpec, str], AliasReport] = {}
         self._validations: dict[tuple["ValidatorSpec", str], "ValidationReport"] = {}
         self._validation_run: "ValidationRun | None" = None
-        self._pending_banks: list["IpidSampleBank"] = []
 
     # ------------------------------------------------------------------ #
     # Shared measurement state
@@ -79,6 +84,18 @@ class ReproSession:
     def topology_config(self) -> TopologyConfig:
         """The topology configuration implied by the session config."""
         return self.config.topology_config()
+
+    @property
+    def as_registry(self) -> AsRegistry:
+        """Every AS's number, name and role: what Tables 5 and 6 join on.
+
+        A loaded session reads the table its save stored (names and roles
+        only, no prefixes), so rendering those tables builds no topology;
+        otherwise this is :attr:`network`'s registry.
+        """
+        if self._as_registry is None:
+            return self.network.registry
+        return self._as_registry
 
     @property
     def hitlist(self) -> list[str]:
@@ -206,14 +223,14 @@ class ReproSession:
         Built once per session, so successive :meth:`validate` calls share
         collected IPID series: a ``validate("ally")`` after
         ``validate("midar")`` answers most pair tests from MIDAR's banked
-        corroboration instead of the network.
+        corroboration instead of the network.  The run reads
+        :attr:`network` only when a bank first misses, so building it, and
+        re-scoring wholly from restored banks, builds no topology.
         """
         if self._validation_run is None:
             from repro.validation.runner import ValidationRun
 
-            self._validation_run = ValidationRun(self.network, session=self)
-            for bank in self._pending_banks:
-                self._validation_run.restore_bank(bank)
+            self._validation_run = ValidationRun(session=self)
         return self._validation_run
 
     def validate_budgeted(
@@ -296,24 +313,30 @@ class ReproSession:
         self._validations[(spec, name)] = report
 
     def prime_bank(self, bank: "IpidSampleBank") -> None:
-        """Queue a restored sample bank (used by :mod:`repro.persist` on load).
+        """Install a restored sample bank (used by :mod:`repro.persist` on load).
 
-        The bank is bound to the network when :attr:`validation_run` is
-        first built, so loading a session builds no topology when it never
-        validates.
+        The bank joins :attr:`validation_run`, bound to the session's
+        network, which it builds only at its first miss: a load builds no
+        topology, and neither does a re-score its banks answer.
         """
-        self._pending_banks.append(bank)
+        self.validation_run.restore_bank(bank)
+
+    def prime_as_registry(self, registry: AsRegistry) -> None:
+        """Seed the AS table (used by :mod:`repro.persist` on load)."""
+        self._as_registry = registry
+
+    def cached_as_registry(self) -> AsRegistry | None:
+        """The AS table if the session holds one, loaded or from its built
+        network; ``None`` otherwise (this never builds the topology)."""
+        if self._as_registry is None and self._network is not None:
+            return self._network.registry
+        return self._as_registry
 
     def validation_bank_states(self) -> list[dict]:
-        """Exported states of every sample bank this session holds.
-
-        Live banks win over still-pending loaded ones: once a run exists,
-        its banks already include everything restored plus any probing
-        since.
-        """
-        if self._validation_run is not None:
-            return [bank.export_state() for bank in self._validation_run.banks().values()]
-        return [bank.export_state() for bank in self._pending_banks]
+        """Exported states of every sample bank this session holds."""
+        if self._validation_run is None:
+            return []
+        return [bank.export_state() for bank in self._validation_run.banks().values()]
 
     def save(self, directory) -> "ReproSession":
         """Persist this session's configuration and caches to ``directory``.
@@ -321,7 +344,9 @@ class ReproSession:
         The saved directory can be re-loaded in another process with
         :meth:`load`: measured datasets round-trip byte-faithfully, and
         merged datasets and reports are rebuilt from them (see
-        :mod:`repro.persist.session`).  Returns ``self`` for chaining.
+        :mod:`repro.persist.session`).  The AS table is saved when the
+        session holds one; a save never builds the topology to get it.
+        Returns ``self`` for chaining.
         """
         from repro.persist.session import save_session
 

@@ -40,7 +40,7 @@ class Table5Result:
 def build(session: ReproSession, count: int = 10) -> Table5Result:
     """Build Table 5 from the union report's IPv4 collections."""
     report = session.report("union")
-    registry = session.network.registry
+    registry = session.as_registry
     columns: dict[str, list[TopAsEntry]] = {}
     for protocol in (ServiceType.SSH, ServiceType.BGP, ServiceType.SNMPV3):
         columns[_LABELS[protocol]] = top_as_table(report.ipv4[protocol], registry, count=count)

@@ -36,7 +36,7 @@ class Table6Result:
 def build(session: ReproSession, count: int = 10) -> Table6Result:
     """Build Table 6 from the union report."""
     report = session.report("union")
-    registry = session.network.registry
+    registry = session.as_registry
     ipv6_entries = top_as_table(report.ipv6_union, registry, count=count)
     dual_entries = top_as_table(report.dual_stack_union, registry, count=count)
     total = len(report.dual_stack_union)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from pathlib import Path
 
 from repro.core.aliasset import AliasSet, AliasSetCollection
@@ -73,6 +74,26 @@ def _coerce_int(value: object, field: str, record: dict) -> int:
     )
 
 
+def _coerce_timestamp(value: object, record: dict) -> float:
+    """Coerce a timestamp to a finite float; reject bools, ``inf`` and ``NaN``.
+
+    A quoted number loads, as a quoted ASN does.  A boolean is no time, and
+    a non-finite one would sort after (or compare unequal to) every real
+    observation time.
+    """
+    if not isinstance(value, bool) and isinstance(value, (int, float, str)):
+        try:
+            timestamp = float(value)
+        except (ValueError, OverflowError):
+            pass
+        else:
+            if math.isfinite(timestamp):
+                return timestamp
+    raise DatasetError(
+        f"malformed observation record (timestamp {value!r} is not a finite number): {record!r}"
+    )
+
+
 def _exact_fields(record: dict) -> tuple[tuple[str, str], ...]:
     """Validate and normalise the identifier fields of one record.
 
@@ -107,6 +128,11 @@ def observation_from_dict(record: dict) -> Observation:
         raise DatasetError(
             f"malformed observation record (address {address!r} is not an IP address): {record!r}"
         ) from exc
+    source = record.get("source")
+    if not isinstance(source, str):
+        raise DatasetError(
+            f"malformed observation record (source {source!r} is not a string): {record!r}"
+        )
     asn = record.get("asn")
     if asn is not None:
         asn = _coerce_int(asn, "asn", record)
@@ -114,9 +140,9 @@ def observation_from_dict(record: dict) -> Observation:
         return Observation(
             address=address,
             protocol=ServiceType(record["protocol"]),
-            source=record["source"],
+            source=source,
             port=_coerce_int(record["port"], "port", record),
-            timestamp=float(record.get("timestamp", 0.0)),
+            timestamp=_coerce_timestamp(record.get("timestamp", 0.0), record),
             asn=asn,
             fields=_exact_fields(record),
         )

@@ -1,12 +1,17 @@
 """Persist and restore a :class:`~repro.api.session.ReproSession`.
 
-A saved session stores what was measured and how to derive the rest.  It
-is a directory:
+A saved session stores what was measured, the AS table, and how to
+derive the rest.  It is a directory:
 
 * ``session.json`` — manifest: format version, the save's generation,
   the :class:`~repro.api.config.ScenarioConfig`, the identifier options,
   and one entry per cached dataset and report, each carrying its
-  declarative :class:`~repro.api.sources.SourceSpec` tree and name.
+  declarative :class:`~repro.api.sources.SourceSpec` tree and name.  When
+  the session holds the topology or a loaded table, ``as_table`` lists one
+  ``[asn, name, role]`` row per AS: Tables 5 and 6 join on it, and the
+  registry cannot be rebuilt without the whole topology (each ASN is
+  drawn from the topology generator's random stream after the previous
+  AS's devices).  A save never builds the topology to write the table.
 * ``datasets/GGGG-PPP.jsonl`` — one JSON-lines file per measured dataset
   (a spec without inputs: a scan or a ``file`` source), pinned by the
   SHA-256 digest of its bytes.  A combinator dataset (``union``,
@@ -31,11 +36,14 @@ files older saves wrote — are pruned; other files are left alone.
 ``load_session`` rebuilds the session with its caches holding the same
 keys in the same order: measured datasets load from their files, then
 combinators are rebuilt from them and the reports resolved again under
-the saved options.  A load never measures; an entry that needs a dataset
-the manifest does not hold fails.  Anything *not* cached is built lazily
-from the session's (deterministic) configuration.  Older sessions load
-too: a report entry's ``file`` and ``signature`` are ignored, and a
-merged dataset saved as a file loads from it.
+the saved options.  A load never measures and builds no topology; an
+entry that needs a dataset the manifest does not hold fails.  Anything
+*not* cached is built lazily from the session's (deterministic)
+configuration: the topology is built at the first bank miss, scan, or AS
+read the saved table cannot answer.  Older sessions load too: a report
+entry's ``file`` and ``signature`` are ignored, a merged dataset saved as
+a file loads from it, and a manifest without ``as_table`` reads the AS
+registry from the topology, built at the first AS read.
 """
 
 from __future__ import annotations
@@ -66,8 +74,9 @@ from repro.persist.validation import (
     validator_spec_from_document,
     validator_spec_to_document,
 )
+from repro.simnet.asn import AsRegistry, AsRole, AutonomousSystem
 from repro.sources.records import ObservationDataset
-from repro.validation.bank import IpidSampleBank
+from repro.validation.bank import IpidSampleBank, json_integer, json_string
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.api.session import ReproSession
@@ -165,6 +174,11 @@ def save_session(session: "ReproSession", directory: str | Path) -> Path:
         "validations": validation_entries,
         "banks": bank_entries,
     }
+    registry = session.cached_as_registry()
+    if registry is not None:
+        manifest["as_table"] = [
+            [system.asn, system.name, system.role.value] for system in registry
+        ]
     write_atomic(directory / SESSION_MANIFEST, json.dumps(manifest, indent=2))
     named = {
         entry["file"]
@@ -208,6 +222,30 @@ def _options(document: object) -> IdentifierOptions:
             f"malformed session manifest: identifier options {document!r} are not all booleans"
         )
     return IdentifierOptions(**document)
+
+
+def _as_table(rows: object) -> AsRegistry:
+    """The manifest's AS table: one ``[asn, name, role]`` row per AS.
+
+    Each row must hold a positive integer ASN listed once, a string name
+    and an :class:`AsRole` value; a wrong type raises ``TypeError`` or
+    ``ValueError``, which the manifest reader wraps in its ``PersistError``.
+    """
+    if not isinstance(rows, list):
+        raise PersistError(f"malformed session manifest: AS table {rows!r} is not a list")
+    registry = AsRegistry()
+    for row in rows:
+        if not isinstance(row, list) or len(row) != 3:
+            raise PersistError(
+                f"malformed session manifest: AS table row {row!r} is not an [asn, name, role] list"
+            )
+        asn, name, role = json_integer(row[0]), json_string(row[1]), AsRole(json_string(row[2]))
+        if asn <= 0 or asn in registry:
+            raise PersistError(
+                f"malformed session manifest: AS table row {row!r} has a non-positive or repeated ASN"
+            )
+        registry.add(AutonomousSystem(asn=asn, name=name, role=role))
+    return registry
 
 
 def _saved_generation(directory: Path) -> int:
@@ -276,10 +314,12 @@ def load_session(directory: str | Path) -> "ReproSession":
     Raises:
         PersistError: when the directory is not a saved session, the format
             version is unsupported, the manifest or one of its entries is
-            malformed, an identifier option is not a boolean, a dataset's
-            observation count, header name or content digest differs from
-            the manifest, an entry reads a dataset the manifest does not
-            hold, or a validation or bank document fails verification.
+            malformed, an identifier option is not a boolean, an AS table
+            row is not a positive unique ASN, a string name and a role, a
+            dataset's observation count, header name or content digest
+            differs from the manifest, an entry reads a dataset the
+            manifest does not hold, or a validation or bank document fails
+            verification.
     """
     from repro.api.session import ReproSession
 
@@ -324,11 +364,15 @@ def load_session(directory: str | Path) -> "ReproSession":
         ]
         # Absent in pre-probe-budget sessions; they load fine too.
         banks = [(str(entry["file"]), entry.get("signature")) for entry in manifest.get("banks", [])]
+        # Absent in sessions saved before the table was, or without a topology.
+        as_table = _as_table(manifest["as_table"]) if "as_table" in manifest else None
     except PersistError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise PersistError(f"malformed session manifest {manifest_path}: {exc}") from exc
     session = ReproSession(config, options)
+    if as_table is not None:
+        session.prime_as_registry(as_table)
     for spec, file, expected_name, expected_count, expected_digest in datasets:
         if file is None:
             where, dataset = spec.describe(), _rebuild(session, spec)

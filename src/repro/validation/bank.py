@@ -19,7 +19,7 @@ so a banked sample never stands in for one taken across churn.
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Callable, Sequence
 
 from repro import obs
 from repro.baselines.ipid import (
@@ -28,7 +28,7 @@ from repro.baselines.ipid import (
     collect_series,
     shared_counter_test,
 )
-from repro.errors import PersistError
+from repro.errors import PersistError, ValidationError
 from repro.simnet.network import SimulatedInternet, VantagePoint
 
 #: Memoisation key of one collected series or interleaved collection.
@@ -44,8 +44,10 @@ class IpidSampleBank:
     """
 
     def __init__(self, network: SimulatedInternet | None, vantage: VantagePoint) -> None:
-        #: ``None`` until :meth:`bind` attaches a restored bank.
+        #: ``None`` until :meth:`bind` attaches one, or until the first miss
+        #: fetches it through the bound ``_connect``.
         self._network = network
+        self._connect: Callable[[], SimulatedInternet] | None = None
         self._vantage = vantage
         self._series: dict[ScheduleKey, IpidTimeSeries] = {}
         self._interleaved: dict[ScheduleKey, dict[str, IpidTimeSeries]] = {}
@@ -77,6 +79,17 @@ class IpidSampleBank:
                 "validation.probes", probes, outcome=outcome, vantage=self._vantage.name
             )
 
+    def _live_network(self) -> SimulatedInternet:
+        """The network a miss probes, fetched through the binding at the first miss."""
+        if self._network is None:
+            if self._connect is None:
+                raise ValidationError(
+                    f"the sample bank of vantage {self._vantage.name!r} missed "
+                    "and is bound to no network"
+                )
+            self._network = self._connect()
+        return self._network
+
     @property
     def vantage(self) -> VantagePoint:
         """The vantage point every collection probes from."""
@@ -102,7 +115,7 @@ class IpidSampleBank:
             self._count("reused", samples)
             return cached
         collected = collect_series(
-            self._network,
+            self._live_network(),
             address,
             self._vantage,
             samples=samples,
@@ -128,7 +141,7 @@ class IpidSampleBank:
             self._count("reused", rounds * len(members))
             return cached
         collected = collect_interleaved(
-            self._network,
+            self._live_network(),
             list(members),
             self._vantage,
             rounds=rounds,
@@ -267,11 +280,12 @@ class IpidSampleBank:
         tighter bound, and velocities are only ever read for ``USABLE``
         addresses, which are never truncated.
         """
+        network = self._live_network()
         series = IpidTimeSeries(address=address)
         issued = 0
         for index in range(samples):
             timestamp = start_time + index * interval
-            series.add(timestamp, self._network.sample_ipid(address, self._vantage, now=timestamp))
+            series.add(timestamp, network.sample_ipid(address, self._vantage, now=timestamp))
             issued += 1
             if series.response_count >= min_responses and not shared_counter_test(
                 series.samples, max_velocity=max_velocity
@@ -336,9 +350,21 @@ class IpidSampleBank:
             ],
         }
 
-    def bind(self, network: SimulatedInternet) -> "IpidSampleBank":
-        """Attach a restored bank to the network it probes on a miss."""
-        self._network = network
+    def bind(
+        self, network: SimulatedInternet | Callable[[], SimulatedInternet]
+    ) -> "IpidSampleBank":
+        """Attach the network this bank probes on a miss.
+
+        ``network`` is the network itself, or a callable that returns it.
+        The bank calls a callable at its first miss, not here, so a bank
+        that answers every read from its restored samples never asks for
+        a network: that is how a session re-scores from saved banks
+        without building the topology.
+        """
+        if callable(network):
+            self._network, self._connect = None, network
+        else:
+            self._network, self._connect = network, None
         return self
 
     @classmethod
@@ -348,9 +374,11 @@ class IpidSampleBank:
         The restored bank answers every read its saved counterpart could —
         exact-key, pair-wise, and canonical-estimation — without touching
         the network, which is what makes reloaded sessions re-score
-        candidate sets with zero probes.  It probes nothing until
-        :meth:`bind` gives it a network, so a session parses its banks at
-        load without building the topology.
+        candidate sets with zero probes.  A miss needs a network, which
+        :meth:`bind` attaches; a session binds a callable that builds the
+        topology at the first miss, so neither a load nor a re-score that
+        never misses builds it.  A miss on an unbound bank raises
+        :class:`~repro.errors.ValidationError`.
 
         Raises:
             PersistError: when an entry of ``state`` is missing or of the

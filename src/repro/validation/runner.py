@@ -75,11 +75,19 @@ class ValidationRun:
     A session owns one run (``session.validation_run``) so successive
     ``session.validate(...)`` calls share banks; the longitudinal path
     builds one per campaign.  ``session`` may be ``None`` — then every
-    spec must be given explicit candidates and start times.
+    spec must be given explicit candidates and start times.  ``network``
+    may be ``None`` when a session is given: the run then probes the
+    session's network, read at the first bank miss (see :attr:`network`).
     """
 
-    def __init__(self, network: SimulatedInternet, session: "ReproSession | None" = None) -> None:
-        self.network = network
+    def __init__(
+        self,
+        network: SimulatedInternet | None = None,
+        session: "ReproSession | None" = None,
+    ) -> None:
+        if network is None and session is None:
+            raise ValidationError("a validation run needs a network or a session")
+        self._network = network
         self.session = session
         self._banks: dict[tuple[str, str, bool], IpidSampleBank] = {}
         #: The optimizer every validator probes through; set for the span
@@ -88,12 +96,24 @@ class ValidationRun:
         self.optimizer: ProbeBudgetOptimizer | None = None
         self._start_cache: dict[tuple[str, float], float] = {}
 
+    @property
+    def network(self) -> SimulatedInternet:
+        """The network every bank of this run probes on a miss.
+
+        The one the run was built with, else the session's, read when a
+        bank first misses: a run whose banks answer every read from
+        restored samples never builds the session's topology.
+        """
+        if self._network is None:
+            self._network = self.session.network
+        return self._network
+
     def bank(self, vantage: VantagePoint) -> IpidSampleBank:
         """The shared sample bank of one vantage point (built once)."""
         key = (vantage.name, vantage.address, vantage.distributed)
         bank = self._banks.get(key)
         if bank is None:
-            bank = self._banks[key] = IpidSampleBank(self.network, vantage)
+            bank = self._banks[key] = IpidSampleBank(None, vantage).bind(lambda: self.network)
         return bank
 
     def banks(self) -> dict[tuple[str, str, bool], IpidSampleBank]:
@@ -109,13 +129,14 @@ class ValidationRun:
         """Install a restored bank (replacing any bank of its vantage).
 
         ``bank`` comes from :meth:`IpidSampleBank.from_state` and is bound
-        to this run's network here.  It carries every banked series, pair
-        and canonical estimation entry of the saved run, so a reloaded
-        session re-scores matching validation specs fully offline — zero
-        network probes.
+        here to this run's :attr:`network`, which it reads at its first
+        miss.  It carries every banked series, pair and canonical
+        estimation entry of the saved run, so a reloaded session re-scores
+        matching validation specs fully offline — zero network probes and
+        no topology built.
         """
         key = (bank.vantage.name, bank.vantage.address, bank.vantage.distributed)
-        self._banks[key] = bank.bind(self.network)
+        self._banks[key] = bank.bind(lambda: self.network)
         return bank
 
     def derived_start(self, after: str, lag: float) -> float:

@@ -1,5 +1,7 @@
 """Tests for JSONL helpers and dataset persistence."""
 
+import json
+
 import pytest
 
 from repro.core.aliasset import AliasSet, AliasSetCollection
@@ -81,6 +83,53 @@ class TestObservationSerialisation:
         with pytest.raises(DatasetError):
             observation_from_dict(record)
 
+    @pytest.mark.parametrize(
+        "bad_timestamp",
+        ["inf", "-inf", "nan", "1e400", float("inf"), float("nan"), 10**400, True, False, [12.5]],
+        ids=[
+            "quoted-inf",
+            "quoted-minus-inf",
+            "quoted-nan",
+            "quoted-overflow",
+            "inf",
+            "nan",
+            "int-overflow",
+            "true",
+            "false",
+            "list",
+        ],
+    )
+    def test_malformed_timestamp_raises(self, bad_timestamp):
+        record = observation_to_dict(sample_observation())
+        record["timestamp"] = bad_timestamp
+        with pytest.raises(DatasetError, match="timestamp"):
+            observation_from_dict(record)
+
+    @pytest.mark.parametrize("quoted, expected", [("12.5", 12.5), ("7", 7.0), ("-3e2", -300.0)])
+    def test_quoted_timestamp_coerced_to_float(self, quoted, expected):
+        record = observation_to_dict(sample_observation())
+        record["timestamp"] = quoted
+        assert observation_from_dict(record).timestamp == expected
+
+    @pytest.mark.parametrize(
+        "bad_source",
+        [["active"], {"name": "active"}, 7, True, None],
+        ids=["list", "object", "int", "bool", "null"],
+    )
+    def test_non_string_source_raises(self, bad_source):
+        # An object source would make the frozen observation unhashable.
+        record = observation_to_dict(sample_observation())
+        record["source"] = bad_source
+        with pytest.raises(DatasetError, match="source"):
+            observation_from_dict(record)
+
+    def test_non_finite_timestamp_in_a_file_raises(self, tmp_path):
+        path = tmp_path / "infinite.jsonl"
+        record = observation_to_dict(sample_observation())
+        path.write_text(json.dumps(record).replace("12.5", "Infinity") + "\n")
+        with pytest.raises(DatasetError, match="timestamp"):
+            load_observations(path)
+
     @pytest.mark.parametrize("bad_port", [22.0, "twenty-two", None, False])
     def test_malformed_port_raises(self, bad_port):
         record = observation_to_dict(sample_observation())
@@ -118,8 +167,6 @@ class TestObservationSerialisation:
 
     @pytest.mark.parametrize("bad_line", ["5", '"text"', "[1, 2]"])
     def test_non_object_line_raises_dataset_error(self, tmp_path, bad_line):
-        import json
-
         path = tmp_path / "bad.jsonl"
         path.write_text(
             bad_line + "\n" + json.dumps(observation_to_dict(sample_observation())) + "\n"

@@ -9,7 +9,7 @@ import pytest
 from repro.api.config import ScenarioConfig
 from repro.api.session import ReproSession
 from repro.cli import main
-from repro.errors import PersistError
+from repro.errors import PersistError, ValidationError
 from repro.net.ipid import MonotonicIpidCounter, RandomIpidCounter
 from repro.persist.bank import (
     BANK_FORMAT_VERSION,
@@ -116,6 +116,32 @@ class TestBankDocuments:
             is not None
         )
         assert counter["probes"] == 0
+
+    def test_restored_bank_gets_its_network_at_the_first_miss(self):
+        run = _warm_run()
+        (bank,) = run.banks().values()
+        state = bank_state_from_document(
+            json.loads(json.dumps(bank_state_to_document(bank.export_state())))
+        )
+        address = sorted(TRUE_SET)[0]
+        with pytest.raises(ValidationError, match="bound to no network"):
+            IpidSampleBank.from_state(state).series(address, 2, 1.0, start_time=5000.0)
+        built = []
+
+        def connect():
+            built.append(build_network())
+            return built[-1]
+
+        restored = IpidSampleBank.from_state(state).bind(connect)
+        pair = sorted(TRUE_SET)[:2]
+        assert restored.cached_interleaved(
+            pair[0], pair[1], requested_probes=6, now=0.0, max_age=DEFAULT_VELOCITY_TTL
+        )
+        assert built == []
+        restored.series(address, 2, 1.0, start_time=5000.0)
+        restored.series(address, 2, 1.0, start_time=6000.0)
+        assert len(built) == 1
+        assert restored.probes_issued == bank.probes_issued + 4
 
     def test_tampered_state_fails_signature(self):
         run = _warm_run()

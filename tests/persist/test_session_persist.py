@@ -12,6 +12,7 @@ from chain_cases import SimulatedCrash, crash_at_replace
 from repro.api.config import ScenarioConfig
 from repro.api.session import ReproSession
 from repro.api.sources import SourceSpec, concat, file_source, union_of
+from repro.cli import main
 from repro.core.engine import report_signature
 from repro.core.identifiers import IdentifierOptions
 from repro.errors import PersistError
@@ -24,6 +25,8 @@ from repro.persist.session import (
     spec_to_document,
 )
 from repro.simnet.network import SimulatedInternet
+from repro.simnet.topology import generate_topology
+from repro.validation.spec import midar
 
 _CONFIG = ScenarioConfig(scale=0.05, seed=7)
 
@@ -46,6 +49,16 @@ def _count_network_calls(monkeypatch) -> dict[str, int]:
 
         monkeypatch.setattr(SimulatedInternet, name, counting)
     return calls
+
+
+def _as_cell(column, value):
+    """A manifest edit setting one cell of the AS table's first row."""
+
+    def edit(manifest):
+        row = manifest["as_table"][0]
+        row[column] = value(row)
+
+    return edit
 
 
 @pytest.fixture(scope="module")
@@ -193,6 +206,58 @@ class TestSessionRoundTrip:
         (copy / SESSION_MANIFEST).write_text(json.dumps(manifest))
         with pytest.raises(PersistError, match="malformed session manifest"):
             load_session(copy)
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            _as_cell(0, lambda row: True),
+            _as_cell(0, lambda row: float(row[0])),
+            _as_cell(0, lambda row: str(row[0])),
+            _as_cell(0, lambda row: 0),
+            _as_cell(0, lambda row: -row[0]),
+            _as_cell(1, lambda row: 7),
+            _as_cell(1, lambda row: None),
+            _as_cell(2, lambda row: "hyperscaler"),
+            _as_cell(2, lambda row: "CLOUD"),
+            lambda manifest: manifest["as_table"][1].__setitem__(0, manifest["as_table"][0][0]),
+            lambda manifest: manifest["as_table"][0].pop(),
+            lambda manifest: manifest["as_table"][0].append("extra"),
+            lambda manifest: manifest["as_table"].__setitem__(
+                0, dict(zip(("asn", "name", "role"), manifest["as_table"][0]))
+            ),
+            lambda manifest: manifest.update(as_table={}),
+            lambda manifest: manifest.update(as_table=None),
+            lambda manifest: manifest.update(as_table="as-table.json"),
+        ],
+        ids=[
+            "asn-a-boolean",
+            "asn-a-float",
+            "asn-a-string",
+            "asn-zero",
+            "asn-negative",
+            "name-an-integer",
+            "name-null",
+            "role-unknown",
+            "role-not-a-value",
+            "asn-repeated",
+            "row-of-two",
+            "row-of-four",
+            "row-an-object",
+            "table-an-object",
+            "table-null",
+            "table-a-string",
+        ],
+    )
+    def test_malformed_as_table_fails_the_load(self, saved, tmp_path, capsys, corrupt):
+        _, directory = saved
+        copy = self._copy_session(directory, tmp_path / "malformed")
+        manifest = json.loads((copy / SESSION_MANIFEST).read_text())
+        corrupt(manifest)
+        (copy / SESSION_MANIFEST).write_text(json.dumps(manifest))
+        with pytest.raises(PersistError, match="malformed session manifest"):
+            load_session(copy)
+        assert main(["session", "load", str(copy)]) == 2
+        assert "malformed session manifest" in capsys.readouterr().err
 
     def test_tampered_dataset_fails_digest(self, saved, tmp_path):
         # Same name, same count, different host keys: only the content
@@ -529,3 +594,114 @@ class TestFileSourceKind:
         fresh = ReproSession(_CONFIG)
         with pytest.raises(DatasetError, match="path"):
             fresh.dataset(SourceSpec(kind="file"))
+
+
+#: The validators a warm restore re-scores from its saved banks.
+_VALIDATORS = ("midar", "ally", "speedtrap")
+
+
+@pytest.fixture(scope="module")
+def validated(tmp_path_factory):
+    """A session saved after every experiment and a budgeted run of the
+    validators, with its renders and the budgeted reports."""
+    session = ReproSession(_CONFIG)
+    for name in _COMPOSITIONS:
+        session.report(name)
+    renders = session.run_experiments()
+    budgeted = session.validate_budgeted(list(_VALIDATORS))
+    directory = tmp_path_factory.mktemp("validated") / "saved"
+    save_session(session, directory)
+    return session, directory, renders, budgeted
+
+
+def _decisions(report):
+    return [
+        (verdict.candidate, verdict.testable, verdict.agrees, verdict.partition, verdict.classes)
+        for verdict in report.verdicts
+    ]
+
+
+def _count_topology_builds(monkeypatch) -> list:
+    """Record every topology a session builds."""
+    builds = []
+
+    def counting(config):
+        builds.append(config)
+        return generate_topology(config)
+
+    monkeypatch.setattr("repro.api.session.generate_topology", counting)
+    return builds
+
+
+class TestWarmLoadBuildsNoTopology:
+    """A saved session re-scores from its banks and renders every table
+    without building the topology; a bank miss builds it then, once."""
+
+    def test_saved_table_is_the_network_registry(self, validated):
+        session, directory, _, _ = validated
+        manifest = json.loads((directory / SESSION_MANIFEST).read_text())
+        assert manifest["as_table"] == [
+            [system.asn, system.name, system.role.value] for system in session.network.registry
+        ]
+
+    def test_warm_restore_sequence(self, validated, tmp_path, monkeypatch):
+        session, directory, renders, budgeted = validated
+
+        def refuse(config):
+            raise AssertionError("a warm restore built the topology")
+
+        monkeypatch.setattr("repro.api.session.generate_topology", refuse)
+        loaded = load_session(directory)
+        for name in _COMPOSITIONS:
+            assert report_signature(loaded.report(name)) == report_signature(session.report(name))
+        rescored = loaded.validate_budgeted(list(_VALIDATORS))
+        assert [_decisions(entry.report) for entry in rescored.validations] == [
+            _decisions(entry.report) for entry in budgeted.validations
+        ]
+        assert sum(entry.report.probes_issued for entry in rescored.validations) == 0
+        assert loaded.run_experiments() == renders
+        loaded.save(tmp_path / "resaved")
+        resaved = json.loads((tmp_path / "resaved" / SESSION_MANIFEST).read_text())
+        original = json.loads((directory / SESSION_MANIFEST).read_text())
+        assert resaved["as_table"] == original["as_table"]
+
+    def test_bank_miss_builds_the_topology_once(self, validated, monkeypatch):
+        _, directory, _, _ = validated
+        # Union candidate sets hold members the saved SSH sample never probed.
+        misses = [
+            midar(source="active", protocol="union", family="ipv4", start_after="active-ipv6"),
+            midar(source="censys", protocol="union", family="ipv4", start_after="active-ipv6"),
+        ]
+        built_first = load_session(directory)
+        built_first.network
+        expected = [built_first.validate(spec) for spec in misses]
+        builds = _count_topology_builds(monkeypatch)
+        loaded = load_session(directory)
+        loaded.validate_budgeted(list(_VALIDATORS))
+        assert builds == []
+        first = loaded.validate(misses[0])
+        assert len(builds) == 1
+        second = loaded.validate(misses[1])
+        assert len(builds) == 1
+        assert [first, second] == expected
+        assert expected[0].probes_issued > 0
+
+    def test_manifest_without_the_table_renders_tables_5_and_6_identically(
+        self, validated, tmp_path, monkeypatch
+    ):
+        _, directory, renders, _ = validated
+        copy = _edited_copy(directory, tmp_path / "untabled", lambda manifest: manifest.pop("as_table"))
+        builds = _count_topology_builds(monkeypatch)
+        loaded = load_session(copy)
+        assert builds == []
+        tables = ("table5", "table6")
+        assert loaded.run_experiments(tables) == {name: renders[name] for name in tables}
+        assert len(builds) == 1
+
+    def test_save_writes_no_table_it_would_have_to_build(self, validated, tmp_path, monkeypatch):
+        _, directory, _, _ = validated
+        copy = _edited_copy(directory, tmp_path / "untabled", lambda manifest: manifest.pop("as_table"))
+        builds = _count_topology_builds(monkeypatch)
+        save_session(load_session(copy), tmp_path / "resaved")
+        assert builds == []
+        assert "as_table" not in json.loads((tmp_path / "resaved" / SESSION_MANIFEST).read_text())

@@ -374,3 +374,7 @@ class TestDerivedStartMemoisation:
     def test_without_session_raises(self, network):
         with pytest.raises(ValidationError, match="session"):
             ValidationRun(network).derived_start("active-ipv6", 3600.0)
+
+    def test_run_without_network_or_session_raises(self):
+        with pytest.raises(ValidationError, match="network or a session"):
+            ValidationRun()
