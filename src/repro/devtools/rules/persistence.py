@@ -5,7 +5,10 @@ Every persisted artifact must go through
 manifest written last) so an interrupted save never tears a previously
 valid file — the invariant PR 4's torn-write hardening established.  Any
 direct write under ``repro.persist`` (outside ``files.py`` itself) or in
-the CLI, which writes user-facing artifacts, is an error.
+the CLI, which writes user-facing artifacts, is an error.  So is a
+direct ``os.replace``, ``os.rename`` or ``os.symlink``: renames and links
+are how the primitives make a write atomic, and the crash sweeps count
+them there.
 """
 
 from __future__ import annotations
@@ -23,6 +26,9 @@ ATOMIC_WRITE_PACKAGES: tuple[str, ...] = ("repro.persist", "repro.cli")
 ATOMIC_WRITE_PRIMITIVE = "repro.persist.files"
 
 _WRITE_MODES = frozenset("wax")
+
+#: Calls that move or link files: only the primitives may make them.
+_FILE_SWAPS = frozenset({"os.replace", "os.rename", "os.symlink"})
 
 
 def _mode_is_write(node: ast.Call) -> bool:
@@ -45,11 +51,13 @@ class AtomicWriteOnly(Rule):
 
     rule_id = "atomic-write-only"
     description = (
-        "no direct open(..., 'w')/write_text/json.dump on persistence paths"
+        "no direct open(..., 'w')/write_text/json.dump/os.replace/os.symlink "
+        "on persistence paths"
     )
     fixit = (
         "route the write through repro.persist.files.write_atomic (or "
-        "save_observations_atomic) so interrupted saves cannot tear the file"
+        "save_observations_atomic, link_atomic) so interrupted saves cannot "
+        "tear the file"
     )
 
     def check(self, module: ModuleUnderLint) -> Iterator[Finding]:
@@ -77,6 +85,10 @@ class AtomicWriteOnly(Rule):
                     module,
                     node,
                     f"direct Path.{node.func.attr}() on a persistence path",
+                )
+            elif name in _FILE_SWAPS:
+                yield self.finding(
+                    module, node, f"direct {name}() on a persistence path"
                 )
             elif name == "json.dump":
                 yield self.finding(

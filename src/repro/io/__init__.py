@@ -12,21 +12,22 @@ from repro.io.datasets import (
     load_alias_sets,
     load_observations,
     observation_from_dict,
+    observation_json,
     observation_to_dict,
     save_alias_sets,
     save_observations,
 )
-from repro.io.jsonl import read_jsonl, write_jsonl
+from repro.io.jsonl import read_jsonl
 
 __all__ = [
     "DATASET_FORMAT_VERSION",
     "DATASET_HEADER_KEY",
     "dataset_header",
     "read_jsonl",
-    "write_jsonl",
     "load_alias_sets",
     "load_observations",
     "observation_from_dict",
+    "observation_json",
     "observation_to_dict",
     "save_alias_sets",
     "save_observations",

@@ -19,14 +19,13 @@ the file stem.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from pathlib import Path
 
 from repro.core.aliasset import AliasSet, AliasSetCollection
 from repro.errors import DatasetError
-from repro.io.jsonl import read_jsonl, write_jsonl
+from repro.io.jsonl import read_jsonl
 from repro.net.addresses import family_of
 from repro.simnet.device import ServiceType
 from repro.sources.records import Observation, ObservationDataset
@@ -50,6 +49,53 @@ def observation_to_dict(observation: Observation) -> dict:
         "asn": observation.asn,
         "fields": observation.fields_dict(),
     }
+
+
+#: ``json.dumps``'s own string encoder (its C implementation when built).
+_encode_string = json.encoder.encode_basestring_ascii
+
+
+def _json_value(value: object) -> str:
+    """``value`` as ``json.dumps(value, sort_keys=True)`` writes it.
+
+    A ``str``, an ``int``, a finite ``float`` (each of exactly that type)
+    and ``None`` are written directly; anything else (a bool, a non-finite
+    float, a subclass) goes through ``json.dumps``.
+    """
+    kind = type(value)
+    if kind is str:
+        return _encode_string(value)
+    if kind is int or (kind is float and math.isfinite(value)):
+        return repr(value)
+    if value is None:
+        return "null"
+    return json.dumps(value, sort_keys=True)
+
+
+def observation_json(observation: Observation) -> str:
+    """One observation's dataset-file line, without its newline.
+
+    The line is exactly ``json.dumps(observation_to_dict(observation),
+    sort_keys=True)``, built without the intermediate dicts: the keys in
+    sorted order, ``json.dumps``'s separators, strings through its ASCII
+    string encoder and numbers through ``repr``.  Identifier field names
+    must be strings, as the type says; another name raises ``TypeError``.
+    """
+    fields = ", ".join(
+        [
+            f"{_encode_string(key)}: {_json_value(value)}"
+            for key, value in sorted(observation.fields_dict().items())
+        ]
+    )
+    return (
+        f'{{"address": {_json_value(observation.address)}, '
+        f'"asn": {_json_value(observation.asn)}, '
+        f'"fields": {{{fields}}}, '
+        f'"port": {_json_value(observation.port)}, '
+        f'"protocol": {_json_value(observation.protocol.value)}, '
+        f'"source": {_json_value(observation.source)}, '
+        f'"timestamp": {_json_value(observation.timestamp)}}}'
+    )
 
 
 def _coerce_int(value: object, field: str, record: dict) -> int:
@@ -160,13 +206,18 @@ def save_observations(dataset: ObservationDataset, path: str | Path) -> int:
 
     The first line is a header record carrying the dataset name, so the
     file can be renamed or copied without relabelling the source (parent
-    directories are created, matching :func:`save_alias_sets`).
+    directories are created, matching :func:`save_alias_sets`).  Every
+    observation is written by :func:`observation_json`.
     """
-    records = itertools.chain(
-        (dataset_header(dataset.name),),
-        (observation_to_dict(observation) for observation in dataset),
-    )
-    return write_jsonl(path, records) - 1
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    count = 0
+    with path.open("w", encoding="utf-8") as handle:
+        handle.write(json.dumps(dataset_header(dataset.name), sort_keys=True) + "\n")
+        for observation in dataset:
+            handle.write(observation_json(observation) + "\n")
+            count += 1
+    return count
 
 
 def load_observations(path: str | Path, name: str | None = None) -> ObservationDataset:

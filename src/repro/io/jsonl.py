@@ -1,32 +1,17 @@
-"""JSON-lines helpers.
+"""JSON-lines reading.
 
 Scan datasets are append-friendly streams of records, so JSON-lines is the
 natural on-disk format (it is also what ZGrab2 and Censys exports use).
+Dataset files are written by :func:`repro.io.datasets.save_observations`.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from repro.errors import DatasetError
-
-
-def write_jsonl(path: str | Path, records: Iterable[dict]) -> int:
-    """Write ``records`` to ``path``, one JSON object per line.
-
-    Returns the number of records written.
-    """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    count = 0
-    with path.open("w", encoding="utf-8") as handle:
-        for record in records:
-            handle.write(json.dumps(record, sort_keys=True))
-            handle.write("\n")
-            count += 1
-    return count
 
 
 def read_jsonl(path: str | Path) -> Iterator[dict]:

@@ -15,9 +15,10 @@ the byte-faithful observation round-trip of :mod:`repro.io`:
 * :mod:`repro.persist.validation` — :class:`~repro.validation.report.
   ValidationReport` documents (per-set verdicts plus the declarative
   validator spec), signature-verified and type-checked on load.
-* :mod:`repro.persist.chain` — the checkpoint chain: numbered data-file
-  generations under a manifest that lands last, keep-rotation, and the
-  deterministic rebuild on resume.  Each generation stores its step's
+* :mod:`repro.persist.chain` — the checkpoint chain: numbered
+  generations, each a data file and a manifest file, under a manifest
+  link swapped on last, keep-rotation, and the deterministic rebuild on
+  resume.  Each generation stores its step's
   observations once; the live
   :class:`~repro.core.engine.ObservationIndex` is rebuilt from them and
   checked against the manifest's :func:`state_signature_digest` pin.

@@ -57,11 +57,11 @@ from typing import TYPE_CHECKING, Iterable
 
 from repro.api.config import ScenarioConfig
 from repro.api.sources import SourceSpec, streamed_specs
-from repro.core.identifiers import IdentifierOptions
 from repro.errors import DatasetError, PersistError, ReproError
 from repro.io.datasets import load_observations
 from repro.persist.bank import bank_state_from_document, bank_state_to_document
 from repro.persist.files import (
+    read_identifier_options,
     read_json_document,
     read_pinned_document,
     read_spec,
@@ -209,21 +209,6 @@ def _name(value: object) -> str:
     return value
 
 
-def _options(document: object) -> IdentifierOptions:
-    """The identifier options, every one a JSON ``true`` or ``false``.
-
-    The resolver tests each option by truthiness, so a coerced ``"no"``
-    would quietly turn an option on.
-    """
-    if not isinstance(document, dict) or not all(
-        isinstance(value, bool) for value in document.values()
-    ):
-        raise PersistError(
-            f"malformed session manifest: identifier options {document!r} are not all booleans"
-        )
-    return IdentifierOptions(**document)
-
-
 def _as_table(rows: object) -> AsRegistry:
     """The manifest's AS table: one ``[asn, name, role]`` row per AS.
 
@@ -333,7 +318,7 @@ def load_session(directory: str | Path) -> "ReproSession":
         if version != SESSION_FORMAT_VERSION:
             raise PersistError(f"unsupported session format version {version!r}")
         config = ScenarioConfig(**manifest["config"])
-        options = _options(manifest["options"])
+        options = read_identifier_options(manifest["options"], "session manifest")
         # A combinator dataset has no ``file``; a ``digest`` is absent in
         # sessions saved before datasets were pinned by content.
         datasets = [

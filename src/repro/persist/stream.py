@@ -10,7 +10,8 @@ own on-disk names (:data:`CAMPAIGN_LAYOUT`, :data:`STREAM_LAYOUT`).  The
 files, their rotation and the resume rebuild are the checkpoint chain's
 (:mod:`repro.persist.chain`): ``<step>-NNNN.jsonl`` per poll (the live
 index is rebuilt from it on load, and it is the diff baseline of the next
-poll), and the manifest.
+poll), ``<manifest stem>-NNNN.json`` per poll, and the manifest: a link
+to the newest of those.
 
 The manifest adds the streaming engine's emit window (its clock and
 estimator; parsed into an :class:`~repro.stream.engine.EmitWindow` on

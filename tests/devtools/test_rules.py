@@ -175,6 +175,40 @@ class TestAtomicWriteOnly:
     def test_quiet_outside_persistence_packages(self):
         assert _lint(self.BAD, "repro.api.session") == []
 
+    SWAPS = """
+        import os
+        from os import rename as move
+
+        def swap(source, target):
+            os.replace(source, target)
+            move(source, target)
+            os.symlink(target, source)
+    """
+
+    def test_renames_and_links_fire_on_persistence_paths(self):
+        findings = _lint(self.SWAPS, "repro.persist.store")
+        assert _rules(findings) == ["atomic-write-only"] * 3
+        assert [finding.message for finding in findings] == [
+            "direct os.replace() on a persistence path",
+            "direct os.rename() on a persistence path",
+            "direct os.symlink() on a persistence path",
+        ]
+        assert _rules(_lint(self.SWAPS, "repro.cli")) == ["atomic-write-only"] * 3
+        assert _lint(self.SWAPS, "repro.persist.files") == []
+        assert _lint(self.SWAPS, "repro.api.session") == []
+
+    def test_str_and_dataclass_replace_are_quiet(self):
+        source = """
+            import dataclasses
+            from dataclasses import replace
+
+            def edit(text, config):
+                dataclasses.replace(config, snapshots=3)
+                replace(config, snapshots=4)
+                return text.replace("a", "b"), str.replace(text, "c", "d")
+        """
+        assert _lint(source, "repro.persist.store") == []
+
 
 class TestObsFastPath:
     def test_unguarded_call_fires(self):

@@ -15,7 +15,7 @@ from repro.io.datasets import (
     save_alias_sets,
     save_observations,
 )
-from repro.io.jsonl import read_jsonl, write_jsonl
+from repro.io.jsonl import read_jsonl
 from repro.simnet.device import ServiceType
 from repro.sources.records import Observation, ObservationDataset
 
@@ -33,12 +33,6 @@ def sample_observation(address="10.0.0.1"):
 
 
 class TestJsonl:
-    def test_roundtrip(self, tmp_path):
-        path = tmp_path / "records.jsonl"
-        count = write_jsonl(path, [{"a": 1}, {"b": [1, 2]}])
-        assert count == 2
-        assert list(read_jsonl(path)) == [{"a": 1}, {"b": [1, 2]}]
-
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(DatasetError):
             list(read_jsonl(tmp_path / "absent.jsonl"))

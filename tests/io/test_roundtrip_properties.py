@@ -5,8 +5,12 @@ all protocols, arbitrary ports, unicode field values, present and absent
 ASNs and timestamps — and the same for alias-set documents.  This is the
 byte-faithfulness contract the persistence subsystem (:mod:`repro.persist`)
 builds on: a restored session may only produce byte-identical reports if
-the observations underneath round-trip exactly.
+the observations underneath round-trip exactly.  The observation encoder
+writes exactly the line ``json.dumps`` writes for the record's dict, so
+the bytes of a dataset file do not depend on which of the two wrote it.
 """
+
+import json
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +22,7 @@ from repro.io.datasets import (
     load_alias_sets,
     load_observations,
     observation_from_dict,
+    observation_json,
     observation_to_dict,
     save_alias_sets,
     save_observations,
@@ -54,6 +59,53 @@ def _observation(draw):
         asn=draw(st.one_of(st.none(), st.integers(min_value=1, max_value=4_294_967_295))),
         fields=tuple(sorted(fields.items())),
     )
+
+
+#: Text JSON must escape: non-ASCII (astral too), quotes, backslashes and
+#: control characters, mixed with plain letters.
+_ESCAPED_TEXT = st.text(
+    alphabet=st.one_of(
+        st.characters(),
+        st.sampled_from('"\\/\x00\x08\x1f\x7f\n\r\t\u00e9\u2028\U0001f600'),
+    ),
+    max_size=12,
+)
+
+
+@st.composite
+def _encodable_observation(draw):
+    """An observation whose every string field needs escaping, with empty,
+    unsorted or repeated identifier fields, absent or huge ASNs and ports,
+    and int, float, non-finite or boolean timestamps."""
+    return Observation(
+        address=draw(_ESCAPED_TEXT),
+        protocol=draw(st.sampled_from(list(ServiceType))),
+        source=draw(_ESCAPED_TEXT),
+        port=draw(st.integers(min_value=-(2**70), max_value=2**70)),
+        timestamp=draw(
+            st.one_of(st.integers(min_value=-(2**80), max_value=2**80), st.floats(), st.booleans())
+        ),
+        asn=draw(st.one_of(st.none(), st.integers(min_value=0, max_value=2**64))),
+        fields=tuple(draw(st.lists(st.tuples(_ESCAPED_TEXT, _ESCAPED_TEXT), max_size=4))),
+    )
+
+
+class TestObservationEncoder:
+    @given(observation=_encodable_observation())
+    @settings(max_examples=400, deadline=None)
+    def test_line_is_json_dumps_of_the_record(self, observation):
+        expected = json.dumps(observation_to_dict(observation), sort_keys=True)
+        assert observation_json(observation) == expected
+
+    @given(observations=st.lists(_observation(), max_size=8), name=_NAMES)
+    @settings(max_examples=25, deadline=None)
+    def test_dataset_file_is_header_then_records(self, tmp_path_factory, observations, name):
+        path = tmp_path_factory.mktemp("encoded") / "dataset.jsonl"
+        save_observations(ObservationDataset(name, observations), path)
+        records = [{"__repro_dataset__": 1, "name": name}]
+        records += [observation_to_dict(observation) for observation in observations]
+        expected = "".join(json.dumps(record, sort_keys=True) + "\n" for record in records)
+        assert path.read_text(encoding="utf-8") == expected
 
 
 @st.composite

@@ -22,6 +22,7 @@ plus ``checkpoint_dir`` (a run checkpointed after two steps) and
 
 import json
 import os
+import shutil
 from pathlib import Path
 
 import pytest
@@ -40,11 +41,24 @@ _ALIASES = frozenset({"10.7.1.1", "10.7.1.2"})
 
 
 def copy_checkpoint(source, target):
-    """A flat copy of a checkpoint directory."""
-    target.mkdir()
-    for path in source.iterdir():
-        (target / path.name).write_bytes(path.read_bytes())
+    """A copy of a checkpoint directory, its manifest link kept a link."""
+    shutil.copytree(source, target, symlinks=True)
     return target
+
+
+def generation_manifest(manifest, generation):
+    """The name of generation ``generation``'s manifest file."""
+    return f"{Path(manifest).stem}-{generation:04d}.json"
+
+
+def write_older_manifest(directory, manifest):
+    """Lay a checkpoint out as older builds wrote it: the manifest a
+    regular file, no per-generation manifest beside it."""
+    link = directory / manifest
+    target = directory / os.readlink(link)
+    link.unlink()
+    link.write_bytes(target.read_bytes())
+    target.unlink()
 
 
 class SimulatedCrash(Exception):
@@ -85,7 +99,7 @@ def tamper_fingerprint(path):
 
 
 def crash_before_manifest(monkeypatch, manifest):
-    """Make every save die before its manifest replaces the previous one."""
+    """Make every save die before its manifest link replaces the previous one."""
     real_replace = os.replace
 
     def dying_replace(source, target):
@@ -163,6 +177,24 @@ class ContentsCases:
         with pytest.raises(PersistError, match="torn"):
             chain.load(copy)
 
+    def test_manifest_is_a_relative_link(self, chain, checkpoint_dir):
+        checkpoint = chain.load(checkpoint_dir)
+        assert os.readlink(checkpoint_dir / chain.manifest) == generation_manifest(
+            chain.manifest, checkpoint.completed
+        )
+
+    def test_copy_with_links_loads_on_its_own(self, chain, checkpoint_dir, tmp_path):
+        """A copy made with its links loads after the original is gone."""
+        original = copy_checkpoint(checkpoint_dir, tmp_path / "original")
+        copy = tmp_path / "copy"
+        shutil.copytree(original, copy, symlinks=True)
+        shutil.rmtree(original)
+        assert (copy / chain.manifest).is_symlink()
+        loaded, expected = chain.load(copy), chain.load(checkpoint_dir)
+        assert loaded.directory == copy
+        assert loaded.completed == expected.completed
+        assert loaded.last_observations == expected.last_observations
+
     def test_index_rebuilt_from_step_file(self, chain, checkpoint_dir):
         checkpoint = chain.load(checkpoint_dir)
         manifest = json.loads((checkpoint_dir / chain.manifest).read_text())
@@ -209,15 +241,20 @@ class ResumeCases:
         assert after.completed == before.completed
         assert after.last_observations == before.last_observations
 
+    @pytest.mark.parametrize("manifest", ["link", "older regular file"])
     def test_crash_at_every_replace_leaves_a_resumable_generation(
-        self, chain, tmp_path, monkeypatch, uninterrupted
+        self, chain, tmp_path, monkeypatch, uninterrupted, manifest
     ):
         """A save that dies at its k-th ``os.replace``, for every k, leaves
         the previous or the new generation loadable, and a resume from it
-        matches the uninterrupted run."""
+        matches the uninterrupted run, checkpointing over whatever the
+        crash left.  The save starts from a manifest link, or from the
+        regular manifest file older builds wrote."""
         reference = chain.signatures(uninterrupted)
         base = tmp_path / "base"
         chain.run(base, 2)
+        if manifest == "older regular file":
+            write_older_manifest(base, chain.manifest)
 
         def save_next_step(directory):
             chain.resume(chain.load(directory), 3, directory=directory)
@@ -226,8 +263,10 @@ class ResumeCases:
         replaced = crash_at_replace(monkeypatch)
         save_next_step(finished)
         monkeypatch.undo()
-        # The step file, then the manifest.
-        assert replaced == [f"{chain.step}-0003.jsonl", chain.manifest]
+        # The step file, then the generation's manifest, then the link.
+        manifest_file = generation_manifest(chain.manifest, 3)
+        assert replaced == [f"{chain.step}-0003.jsonl", manifest_file, chain.manifest]
+        assert os.readlink(finished / chain.manifest) == manifest_file
         generations = {2: chain.load(base), 3: chain.load(finished)}
         for crash_at in range(1, len(replaced) + 1):
             directory = copy_checkpoint(base, tmp_path / f"crash-{crash_at}")
@@ -238,7 +277,28 @@ class ResumeCases:
             loaded = chain.load(directory)
             generation = generations[loaded.completed]
             assert loaded.last_observations == generation.last_observations
-            assert chain.resume(loaded, len(reference)) == reference[loaded.completed :]
+            resumed = chain.resume(loaded, len(reference), directory=directory)
+            assert resumed == reference[loaded.completed :]
+            assert chain.load(directory).completed == len(reference)
+            assert _names(directory, "*.tmp") == []
+
+    @pytest.mark.parametrize("leftover", ["older manifest temp", "link temp"])
+    def test_leftover_temp_does_not_break_the_next_save(self, chain, tmp_path, leftover):
+        """A crashed save's temp: the torn ``<manifest>.tmp`` an older
+        build's manifest write left, or a link temp that never replaced
+        the manifest."""
+        directory = tmp_path / "crashed"
+        chain.run(directory, 2)
+        temporary = directory / f"{chain.manifest}.tmp"
+        if leftover == "older manifest temp":
+            write_older_manifest(directory, chain.manifest)
+            temporary.write_text((directory / chain.manifest).read_text()[:-40])
+        else:
+            os.symlink(generation_manifest(chain.manifest, 9), temporary)
+        chain.resume(chain.load(directory), 3, directory=directory)
+        assert os.readlink(directory / chain.manifest) == generation_manifest(chain.manifest, 3)
+        assert chain.load(directory).completed == 3
+        assert _names(directory, "*.tmp") == []
 
 
 class RotationCases:
@@ -252,6 +312,19 @@ class RotationCases:
         ]
         manifest = json.loads((directory / chain.manifest).read_text())
         assert manifest["retained"] == [2, 3]
+
+    @pytest.mark.parametrize("keep", [1, 2])
+    def test_generation_manifests_rotate_with_their_step_files(self, chain, tmp_path, keep):
+        directory = tmp_path / "rotated"
+        chain.run(directory, 3, keep=keep)
+        retained = range(4 - keep, 4)
+        assert _names(directory, f"{chain.step}-*.jsonl") == [
+            f"{chain.step}-{number:04d}.jsonl" for number in retained
+        ]
+        assert _names(directory, f"{Path(chain.manifest).stem}-*.json") == [
+            generation_manifest(chain.manifest, number) for number in retained
+        ]
+        assert os.readlink(directory / chain.manifest) == generation_manifest(chain.manifest, 3)
 
     def test_bank_files_rotate_with_their_generation(self, chain, tmp_path):
         """Sample-bank files of older checkpoints are pruned with their

@@ -1,11 +1,17 @@
 """The shared file primitives: atomic writes and guarded JSON reads."""
 
 import json
+import os
 
 import pytest
 
 from repro.errors import PersistError
-from repro.persist.files import read_json_document, read_pinned_document, write_atomic
+from repro.persist.files import (
+    link_atomic,
+    read_json_document,
+    read_pinned_document,
+    write_atomic,
+)
 
 
 class TestWriteAtomic:
@@ -19,6 +25,34 @@ class TestWriteAtomic:
         write_atomic(target, "old")
         write_atomic(target, "new")
         assert target.read_text() == "new"
+        assert list(tmp_path.glob("*.tmp")) == []
+
+
+class TestLinkAtomic:
+    @pytest.mark.parametrize("previous", ["absent", "regular file", "link"])
+    def test_swaps_a_relative_link_onto_the_name(self, tmp_path, previous):
+        target = tmp_path / "doc.json"
+        if previous == "regular file":
+            target.write_text("older")
+        elif previous == "link":
+            (tmp_path / "doc-0001.json").write_text("first")
+            os.symlink("doc-0001.json", target)
+        (tmp_path / "doc-0002.json").write_text("second")
+        link_atomic(target, "doc-0002.json")
+        assert os.readlink(target) == "doc-0002.json"
+        assert target.read_text() == "second"
+        assert list(tmp_path.glob("*.tmp")) == []
+
+    @pytest.mark.parametrize("stale", ["regular file", "dangling link"])
+    def test_removes_a_stale_temp_first(self, tmp_path, stale):
+        temporary = tmp_path / "doc.json.tmp"
+        if stale == "regular file":
+            temporary.write_text("{torn")
+        else:
+            os.symlink("doc-0009.json", temporary)
+        (tmp_path / "doc-0001.json").write_text("first")
+        link_atomic(tmp_path / "doc.json", "doc-0001.json")
+        assert (tmp_path / "doc.json").read_text() == "first"
         assert list(tmp_path.glob("*.tmp")) == []
 
 

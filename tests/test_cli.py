@@ -14,6 +14,33 @@ def _set_manifest_scale(manifest_path, section, scale):
     manifest_path.write_text(json.dumps(manifest))
 
 
+def _forge_manifest(manifest_path, forge):
+    """Apply ``forge`` to a saved manifest, in place."""
+    manifest = json.loads(manifest_path.read_text())
+    forge(manifest)
+    manifest_path.write_text(json.dumps(manifest))
+
+
+#: A checkpoint manifest value of the wrong JSON type, and the field the
+#: refusal names.  Each once resumed, coerced: ``"no"`` as true, 2.5 as 2.
+_FORGED_CHAIN_FIELDS = [
+    pytest.param(
+        lambda manifest: manifest["options"].update(ssh_include_banner="no"),
+        "identifier options",
+        id="option-string",
+    ),
+    pytest.param(
+        lambda manifest: manifest.update(include_ipv6="no"), "include_ipv6", id="include-ipv6-string"
+    ),
+    pytest.param(lambda manifest: manifest.update(completed=2.5), "completed", id="completed-float"),
+    pytest.param(
+        lambda manifest: manifest.update(observations=float(manifest["observations"])),
+        "observations",
+        id="observations-float",
+    ),
+]
+
+
 class TestScanAndResolve:
     def test_scan_writes_datasets(self, tmp_path):
         exit_code = main(
@@ -340,6 +367,21 @@ class TestLongitudinal:
         captured = capsys.readouterr()
         assert "torn" in captured.err
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("forge, field", _FORGED_CHAIN_FIELDS)
+    def test_longitudinal_resume_forged_chain_field_exits_cleanly(
+        self, capsys, tmp_path, forge, field
+    ):
+        checkpoint = _campaign_checkpoint(tmp_path)
+        capsys.readouterr()
+        _forge_manifest(checkpoint / "checkpoint.json", forge)
+        exit_code = main(["longitudinal", "--resume", str(checkpoint), "--snapshots", "3"])
+        assert exit_code == 2
+        captured = capsys.readouterr()
+        assert "malformed campaign checkpoint manifest" in captured.err
+        assert field in captured.err
+        assert "Traceback" not in captured.err
+        assert "resuming" not in captured.out
 
 
 def _serve_checkpoint(tmp_path):
@@ -836,6 +878,21 @@ class TestServe:
         err = capsys.readouterr().err
         assert "event_counts is not an object" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("forge, field", _FORGED_CHAIN_FIELDS)
+    def test_serve_resume_forged_chain_field_exits_cleanly(
+        self, capsys, tmp_path, forge, field
+    ):
+        checkpoint = _serve_checkpoint(tmp_path)
+        capsys.readouterr()
+        _forge_manifest(checkpoint / "stream.json", forge)
+        exit_code = main(["serve", "--max-batches", "1", "--resume", str(checkpoint)])
+        assert exit_code == 2
+        captured = capsys.readouterr()
+        assert "malformed stream checkpoint manifest" in captured.err
+        assert field in captured.err
+        assert "Traceback" not in captured.err
+        assert "resuming" not in captured.out
 
     def test_serve_resume_missing_checkpoint(self, capsys, tmp_path):
         exit_code = main(["serve", "--resume", str(tmp_path / "absent")])
