@@ -2,19 +2,18 @@
 
 The canonical way to assemble and run a reproduction:
 
->>> from repro.api import ReproSession, ScanPlan, ScenarioConfig
+>>> from repro.api import ReproSession, ScenarioConfig
 >>> session = ReproSession(ScenarioConfig(scale=0.1, seed=7))
->>> report = session.report("union")              # paper composition
->>> result = session.run_plan(ScanPlan.spread(3))  # multi-vantage
->>> text = session.run_experiment("table3")        # registered experiment
+>>> report = session.report("union")            # paper composition
+>>> text = session.run_experiment("table3")      # registered experiment
 
 Submodules:
 
 * :mod:`repro.api.registry` — the generic name → value registry primitive.
 * :mod:`repro.api.sources` — declarative :class:`SourceSpec` observation
-  sources, combinators, and the pluggable source registries.
-* :mod:`repro.api.plan` — multi-vantage :class:`ScanPlan` execution over one
-  shared observation index.
+  sources, combinators, and the pluggable source registries.  The built-in
+  collection kinds take no parameters: the paper scans from one active
+  vantage point and takes one Censys snapshot.
 * :mod:`repro.api.experiments` — the ``@experiment`` registry behind the
   runner and the CLI.
 * :mod:`repro.api.session` — the :class:`ReproSession` facade tying it all
@@ -34,7 +33,6 @@ from repro.api.experiments import (
     get_experiment,
     register_experiment,
 )
-from repro.api.plan import Coverage, PlanResult, ScanPlan, VantageSpec
 from repro.api.registry import Registry, RegistryEntry
 from repro.api.session import ReproSession
 from repro.api.sources import (
@@ -74,14 +72,11 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
-    "Coverage",
     "Experiment",
     "IpidSampleBank",
-    "PlanResult",
     "Registry",
     "RegistryEntry",
     "ReproSession",
-    "ScanPlan",
     "ScenarioConfig",
     "SourceSpec",
     "SOURCE_KINDS",
@@ -90,7 +85,6 @@ __all__ = [
     "VALIDATORS",
     "ValidationReport",
     "ValidatorSpec",
-    "VantageSpec",
     "concat",
     "experiment",
     "file_source",

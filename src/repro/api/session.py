@@ -12,12 +12,11 @@ through the registries:
   fetch from cache) one observation dataset,
 * ``session.report("union")`` — resolve a source composition into an
   :class:`~repro.core.engine.AliasReport`,
-* ``session.run_plan(ScanPlan.spread(3))`` — run a multi-vantage scan plan
-  into one shared index,
 * ``session.run_experiment("table3")`` — build and render a registered
   experiment,
 * ``session.longitudinal(...)`` — a churn campaign over a fresh network of
-  the same configuration.
+  the same configuration, scanned from the active sources' one vantage
+  point.
 """
 
 from __future__ import annotations
@@ -26,22 +25,14 @@ from typing import TYPE_CHECKING, Iterable, Iterator
 
 from repro import obs
 from repro.api.config import ScenarioConfig
-from repro.api.plan import PlanResult, ScanPlan, run_scan_plan
-from repro.api.sources import (
-    DEFAULT_VANTAGE_ADDRESS,
-    DEFAULT_VANTAGE_NAME,
-    REPORT_SPECS,
-    SOURCES,
-    SourceSpec,
-    build_source,
-    streamed_specs,
-)
+from repro.api.sources import REPORT_SPECS, SOURCES, SourceSpec, build_source, streamed_specs
 from repro.core.engine import AliasReport, ResolutionEngine
 from repro.core.identifiers import DEFAULT_OPTIONS, IdentifierOptions
 from repro.longitudinal.campaign import LongitudinalCampaign, LongitudinalConfig
 from repro.simnet.asn import AsRegistry
-from repro.simnet.network import SimulatedInternet, VantagePoint
+from repro.simnet.network import SimulatedInternet
 from repro.simnet.topology import TopologyConfig, generate_topology
+from repro.sources.active import ACTIVE_VANTAGE
 from repro.sources.hitlist import HitlistConfig, build_ipv6_hitlist
 from repro.sources.records import Observation, ObservationDataset, iter_observations
 
@@ -111,11 +102,6 @@ class ReproSession:
             router_coverage=self.config.hitlist_router_coverage,
             seed=self.config.seed,
         )
-
-    @property
-    def active_vantage(self) -> VantagePoint:
-        """The default vantage point of single-vantage active sources."""
-        return VantagePoint(name=DEFAULT_VANTAGE_NAME, address=DEFAULT_VANTAGE_ADDRESS)
 
     # ------------------------------------------------------------------ #
     # Sources and datasets
@@ -208,10 +194,6 @@ class ReproSession:
             if obs.is_enabled():
                 obs.add("session.cache", 1, kind="report", outcome="hit")
         return self._reports[key]
-
-    def run_plan(self, plan: ScanPlan | None = None) -> PlanResult:
-        """Run a multi-vantage scan plan into one shared observation index."""
-        return run_scan_plan(self, plan or ScanPlan.default())
 
     # ------------------------------------------------------------------ #
     # Validation
@@ -405,7 +387,7 @@ class ReproSession:
         )
         return LongitudinalCampaign(
             network,
-            vantage=self.active_vantage,
+            vantage=ACTIVE_VANTAGE,
             hitlist=hitlist,
             config=LongitudinalConfig(
                 snapshots=snapshots,

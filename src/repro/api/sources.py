@@ -27,8 +27,7 @@ from typing import TYPE_CHECKING, Callable, Iterator
 
 from repro.api.registry import Registry
 from repro.errors import DatasetError
-from repro.simnet.network import VantagePoint
-from repro.sources.active import ActiveMeasurement
+from repro.sources.active import ACTIVE_VANTAGE, ActiveMeasurement
 from repro.sources.censys import CensysSource
 from repro.sources.merge import filter_standard_ports, merge_datasets
 from repro.sources.records import ObservationDataset, iter_observations
@@ -39,17 +38,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
 #: Simulated duration between the Censys snapshot and the active scan
 #: (the paper pairs an April 18 active scan with a March 28 snapshot).
 CENSYS_SNAPSHOT_LEAD = 21 * 86400.0
-
-#: Defaults of the active-scan builders.  Single source of truth shared with
-#: :mod:`repro.api.plan`'s default-pruning and ``ReproSession.active_vantage``
-#: — if these drifted apart, a spec that explicitly names the default value
-#: would silently resolve to something else.
-DEFAULT_VANTAGE_NAME = "active-de"
-DEFAULT_VANTAGE_ADDRESS = "192.0.2.250"
-ACTIVE_IPV4_SEED_OFFSET = 0
-ACTIVE_IPV6_SEED_OFFSET = 1
-#: The scenario schedules the IPv6 hitlist scan a day after the IPv4 scan.
-ACTIVE_IPV6_LAG = 86400.0
 
 #: Parameter values must be hashable so specs can key session caches.
 ParamValue = str | int | float | bool
@@ -178,68 +166,58 @@ def file_source(path: str | "os.PathLike[str]", label: str | None = None) -> Sou
 # --------------------------------------------------------------------------- #
 # Built-in collection kinds
 # --------------------------------------------------------------------------- #
-def _vantage_from(session: "ReproSession", spec: SourceSpec) -> VantagePoint:
-    """The vantage point a spec scans from (the session default unless set)."""
-    default = session.active_vantage
-    return VantagePoint(
-        name=str(spec.param("vantage_name", default.name)),
-        address=str(spec.param("vantage_address", default.address)),
-        distributed=bool(spec.param("distributed", default.distributed)),
-    )
+def _without_params(spec: SourceSpec) -> None:
+    """Refuse parameters on a built-in collection kind.
+
+    The paper scans from one vantage point on one schedule, so the
+    built-in kinds take none; a parameter a spec still carries would
+    otherwise be ignored, and its dataset would silently be the default's.
+    """
+    if spec.params:
+        names = ", ".join(key for key, _ in spec.params)
+        raise DatasetError(f"source kind {spec.kind!r} takes no parameters (got {names})")
 
 
 @source_kind("active-ipv4", "single-vantage Internet-wide IPv4 scan (SSH/BGP/SNMPv3)")
 def _build_active_ipv4(session: "ReproSession", spec: SourceSpec) -> ObservationDataset:
+    _without_params(spec)
     # Each campaign starts from a clean IDS slate: probe budgets are keyed
     # per (vantage, AS, time window) on the shared network, so without the
-    # reset a spec's dataset would depend on which other campaigns the
-    # session happened to run first in the same window — breaking the
-    # cache's assumption that a dataset is a function of (config, spec).
-    # The paper compositions are window-disjoint, so they are unaffected.
+    # reset this dataset would depend on whether the session first ran a
+    # user-registered kind scanning from the same vantage in the same
+    # window — breaking the cache's assumption that a dataset is a function
+    # of (config, spec).  The two active scans fall in windows a day apart.
     session.network.reset_rate_limits()
-    campaign = ActiveMeasurement(
-        session.network,
-        vantage=_vantage_from(session, spec),
-        seed=session.config.seed + int(spec.param("seed_offset", ACTIVE_IPV4_SEED_OFFSET)),
-    )
-    return campaign.run_ipv4(start_time=float(spec.param("start_time", CENSYS_SNAPSHOT_LEAD)))
+    campaign = ActiveMeasurement(session.network, vantage=ACTIVE_VANTAGE, seed=session.config.seed)
+    return campaign.run_ipv4(start_time=CENSYS_SNAPSHOT_LEAD)
 
 
 @source_kind("active-ipv6", "single-vantage IPv6 scan over the hitlist (SSH/BGP/SNMPv3)")
 def _build_active_ipv6(session: "ReproSession", spec: SourceSpec) -> ObservationDataset:
+    _without_params(spec)
     # The scenario schedules the IPv6 scan a day after the IPv4 scan with its
-    # own seed; both defaults are preserved here for golden parity.  The
-    # rate-limit reset mirrors active-ipv4 (campaign isolation).
+    # own seed.  The rate-limit reset mirrors active-ipv4 (campaign isolation).
     session.network.reset_rate_limits()
-    campaign = ActiveMeasurement(
-        session.network,
-        vantage=_vantage_from(session, spec),
-        seed=session.config.seed + int(spec.param("seed_offset", ACTIVE_IPV6_SEED_OFFSET)),
-    )
-    return campaign.run_ipv6(
-        session.hitlist,
-        start_time=float(spec.param("start_time", CENSYS_SNAPSHOT_LEAD + ACTIVE_IPV6_LAG)),
-    )
+    campaign = ActiveMeasurement(session.network, vantage=ACTIVE_VANTAGE, seed=session.config.seed + 1)
+    return campaign.run_ipv6(session.hitlist, start_time=CENSYS_SNAPSHOT_LEAD + 86400.0)
 
 
 @source_kind("censys-ipv4", "distributed Censys-like IPv4 snapshot (SSH/BGP, three weeks earlier)")
 def _build_censys_ipv4(session: "ReproSession", spec: SourceSpec) -> ObservationDataset:
+    _without_params(spec)
     source = CensysSource(
         session.network,
-        miss_rate=float(spec.param("miss_rate", session.config.censys_miss_rate)),
-        snapshot_time=float(spec.param("snapshot_time", 0.0)),
-        seed=session.config.seed + int(spec.param("seed_offset", 2)),
+        miss_rate=session.config.censys_miss_rate,
+        snapshot_time=0.0,
+        seed=session.config.seed + 2,
     )
     return source.snapshot_ipv4()
 
 
 @source_kind("censys-ipv6", "Censys-like IPv6 snapshot (negligible, non-standard ports)")
 def _build_censys_ipv6(session: "ReproSession", spec: SourceSpec) -> ObservationDataset:
-    source = CensysSource(
-        session.network,
-        snapshot_time=float(spec.param("snapshot_time", 0.0)),
-        seed=session.config.seed + int(spec.param("seed_offset", 3)),
-    )
+    _without_params(spec)
+    source = CensysSource(session.network, snapshot_time=0.0, seed=session.config.seed + 3)
     return source.snapshot_ipv6()
 
 

@@ -4,7 +4,9 @@ The CLI mirrors how the paper's artifacts would be used in practice:
 
 * ``repro scan`` — generate a simulated Internet and run measurement
   campaigns for any registered observation source, writing datasets to
-  disk (``--list-sources`` enumerates the source registry).
+  disk (``--list-sources`` enumerates the source registry).  The paper's
+  sources scan from one active vantage point and take one distributed
+  Censys-like snapshot.
 * ``repro resolve`` — run alias resolution and dual-stack inference over
   one or more observation datasets and write alias sets plus a markdown
   report.
@@ -12,8 +14,6 @@ The CLI mirrors how the paper's artifacts would be used in practice:
   (``--list`` enumerates the experiment registry).
 * ``repro claims`` — evaluate the paper's headline claims against the
   measured numbers.
-* ``repro plan`` — run a multi-vantage scan plan into one shared index and
-  print per-vantage vs merged coverage.
 * ``repro longitudinal`` — run a multi-snapshot campaign over a churning
   simulated Internet on the stream's poll loop, resolving each snapshot
   incrementally, and print per-snapshot stability tables (``--checkpoint``
@@ -65,7 +65,6 @@ from repro.analysis.validation import (
 )
 from repro.api.config import ScenarioConfig
 from repro.api.experiments import all_experiments, get_experiment
-from repro.api.plan import ScanPlan
 from repro.api.session import ReproSession
 from repro.api.sources import SOURCES
 from repro.core.engine import ResolutionEngine
@@ -150,21 +149,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     subparsers.add_parser(
         "claims", parents=[scenario], help="evaluate the paper's headline claims"
-    )
-
-    plan = subparsers.add_parser(
-        "plan",
-        parents=[scenario],
-        help="run a multi-vantage scan plan into one shared observation index",
-    )
-    plan.add_argument(
-        "--vantages", type=int, default=2, help="number of vantage points (default 2)"
-    )
-    plan.add_argument(
-        "--ipv4-only", action="store_true", help="skip the IPv6 hitlist scans"
-    )
-    plan.add_argument(
-        "--output", type=_output_directory, default=None, help="optional directory for coverage.md"
     )
 
     longitudinal = subparsers.add_parser(
@@ -565,23 +549,6 @@ def _command_claims(args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
-def _command_plan(args: argparse.Namespace) -> int:
-    if args.vantages < 1:
-        print("a scan plan needs at least one vantage point", file=sys.stderr)
-        return 2
-    session = _session(args)
-    result = session.run_plan(
-        ScanPlan.spread(args.vantages, include_ipv6=not args.ipv4_only)
-    )
-    print(result.coverage_markdown())
-    if args.output is not None:
-        args.output.mkdir(parents=True, exist_ok=True)
-        path = args.output / "coverage.md"
-        write_atomic(path, result.coverage_markdown())
-        print(f"wrote {path}")
-    return 0
-
-
 def _fresh_loop(
     args: argparse.Namespace, session: ReproSession, snapshots: int
 ) -> tuple[LongitudinalCampaign, StreamingEngine]:
@@ -929,7 +896,6 @@ _COMMANDS = {
     "resolve": _command_resolve,
     "experiments": _command_experiments,
     "claims": _command_claims,
-    "plan": _command_plan,
     "longitudinal": _command_longitudinal,
     "validate": _command_validate,
     "serve": _command_serve,

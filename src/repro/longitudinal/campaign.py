@@ -28,7 +28,7 @@ from repro.errors import SimulationError
 from repro.net.addresses import AddressFamily
 from repro.simnet.churn import ChurnModel
 from repro.simnet.network import SimulatedInternet, VantagePoint
-from repro.sources.active import ActiveMeasurement
+from repro.sources.active import ACTIVE_VANTAGE, ActiveMeasurement
 from repro.sources.records import Observation
 
 if TYPE_CHECKING:  # pragma: no cover - types only
@@ -253,13 +253,13 @@ class LongitudinalCampaign:
     def __init__(
         self,
         network: SimulatedInternet,
-        vantage: VantagePoint | None = None,
+        vantage: VantagePoint = ACTIVE_VANTAGE,
         hitlist: list[str] | None = None,
         config: LongitudinalConfig | None = None,
         options: IdentifierOptions = DEFAULT_OPTIONS,
     ) -> None:
         self._network = network
-        self._vantage = vantage or VantagePoint(name="active-de", address="192.0.2.250")
+        self._vantage = vantage
         self._hitlist = list(hitlist) if hitlist else None
         self._config = config or LongitudinalConfig()
         self._options = options

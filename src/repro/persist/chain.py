@@ -82,7 +82,7 @@ from repro.simnet.network import VantagePoint
 from repro.simnet.topology import generate_topology
 from repro.sources.hitlist import HitlistConfig, build_ipv6_hitlist
 from repro.sources.records import Observation, ObservationDataset
-from repro.validation.bank import json_boolean, json_integer
+from repro.validation.bank import json_boolean, json_count, json_integer, json_string
 
 #: Current checkpoint format version, campaign and stream manifests alike.
 CHECKPOINT_FORMAT_VERSION = 1
@@ -167,12 +167,28 @@ Loaded = TypeVar("Loaded", bound=LoadedChain)
 Parsed = TypeVar("Parsed")
 
 
-def _typed(manifest: dict, key: str, parse: Callable[[object], Parsed], where: str) -> Parsed:
-    """``parse(manifest[key])``; a value of the wrong JSON type fails naming ``key``."""
+def read_field(value: object, parse: Callable[[object], Parsed], field: str, where: str) -> Parsed:
+    """``parse(value)``; a value of the wrong JSON type or out of range fails
+    naming ``field``."""
     try:
-        return parse(manifest[key])
-    except TypeError as exc:
-        raise PersistError(f"malformed {where}: {key} {exc}") from exc
+        return parse(value)
+    except (TypeError, ValueError) as exc:
+        raise PersistError(f"malformed {where}: {field} {exc}") from exc
+
+
+def _probe_counts(rows: object, where: str) -> dict[tuple[str, int, int], int]:
+    """The IDS probe counters: one ``[vantage, asn, window, count]`` row each."""
+    if not isinstance(rows, list):
+        raise PersistError(f"malformed {where}: probe_counts {rows!r} is not a list")
+    counts: dict[tuple[str, int, int], int] = {}
+    for row in rows:
+        try:
+            vantage_name, asn, window, count = row
+            key = (json_string(vantage_name), json_integer(asn), json_integer(window))
+            counts[key] = json_count(count)
+        except (TypeError, ValueError) as exc:
+            raise PersistError(f"malformed {where}: probe_counts row {row!r}: {exc}") from exc
+    return counts
 
 
 class CheckpointChain:
@@ -323,7 +339,7 @@ class CheckpointChain:
             version = manifest["version"]
             if version != CHECKPOINT_FORMAT_VERSION:
                 raise PersistError(f"unsupported {kind} version {version!r}")
-            completed = _typed(manifest, "completed", json_integer, where)
+            completed = read_field(manifest["completed"], json_integer, "completed", where)
             if completed < 1:
                 raise PersistError(f"malformed {where}: completed {completed} is below 1")
             fields = {
@@ -331,18 +347,13 @@ class CheckpointChain:
                 "campaign": LongitudinalConfig(**manifest["campaign"]),
                 "options": read_identifier_options(manifest["options"], where),
                 "vantage": VantagePoint(**manifest["vantage"]),
-                "include_ipv6": _typed(manifest, "include_ipv6", json_boolean, where),
+                "include_ipv6": read_field(manifest["include_ipv6"], json_boolean, "include_ipv6", where),
                 "completed": completed,
                 "last_name": manifest["last_name"],
-                "probe_counts": {
-                    (str(vantage_name), int(asn), int(window)): int(count)
-                    for vantage_name, asn, window, count in manifest.get(
-                        "probe_counts", ()
-                    )
-                },
+                "probe_counts": _probe_counts(manifest.get("probe_counts", []), where),
                 **own_fields(manifest),
             }
-            expected_observations = _typed(manifest, "observations", json_integer, where)
+            expected_observations = read_field(manifest["observations"], json_integer, "observations", where)
             observations_file = str(manifest[f"last_{step}_file"])
             index_signature = str(manifest["index_signature"])
         except PersistError:

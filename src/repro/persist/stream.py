@@ -35,17 +35,17 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import math
 from pathlib import Path
 
 from repro.api.config import ScenarioConfig
 from repro.errors import PersistError
 from repro.longitudinal.campaign import CampaignLog, LongitudinalCampaign, SnapshotStability
 from repro.net.addresses import AddressFamily
-from repro.persist.chain import ChainLayout, CheckpointChain, LoadedChain, restore_campaign
+from repro.persist.chain import ChainLayout, CheckpointChain, LoadedChain, read_field, restore_campaign
 from repro.sources.records import Observation
 from repro.stream.engine import EmitWindow, StreamingEngine, emit_label
 from repro.stream.estimator import ChurnRateEstimator
+from repro.validation.bank import json_count, json_number
 
 #: ``repro serve``'s checkpoint directory: ``stream.json`` over ``poll-NNNN.jsonl``.
 STREAM_LAYOUT = ChainLayout(manifest="stream.json", step="poll", kind="stream checkpoint")
@@ -122,11 +122,7 @@ class LoadedStreamCheckpoint(LoadedChain):
 
 
 def _window(layout: ChainLayout, window: dict) -> EmitWindow:
-    clock = float(window["clock"])
-    if not math.isfinite(clock):
-        raise PersistError(
-            f"malformed {layout.kind} manifest: the window clock must be finite (got {clock})"
-        )
+    clock = read_field(window["clock"], json_number, "window clock", f"{layout.kind} manifest")
     return EmitWindow(clock=clock, estimator=ChurnRateEstimator.restore(window["estimator"]))
 
 
@@ -161,7 +157,10 @@ def _stream_fields(layout: ChainLayout, manifest: dict) -> dict:
     window = manifest.get("window")
     return {
         "window": None if window is None else _window(layout, window),
-        "event_counts": {str(kind): int(count) for kind, count in event_counts.items()},
+        "event_counts": {
+            kind: read_field(count, json_count, f"event_counts {kind!r}", f"{layout.kind} manifest")
+            for kind, count in event_counts.items()
+        },
         "log": _log(manifest) if layout == CAMPAIGN_LAYOUT else None,
     }
 

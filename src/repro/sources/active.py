@@ -19,6 +19,9 @@ from repro.sources.records import Observation, ObservationDataset, observation_f
 
 DEFAULT_SERVICES = (ServiceType.SSH, ServiceType.BGP, ServiceType.SNMPV3)
 
+#: The paper's one active vantage point.
+ACTIVE_VANTAGE = VantagePoint(name="active-de", address="192.0.2.250")
+
 
 class ActiveMeasurement:
     """Runs the paper's active measurement from a single vantage point."""
@@ -26,7 +29,7 @@ class ActiveMeasurement:
     def __init__(
         self,
         network: SimulatedInternet,
-        vantage: VantagePoint | None = None,
+        vantage: VantagePoint = ACTIVE_VANTAGE,
         blocklist: Blocklist | None = None,
         syn_rate: float = 50_000.0,
         grab_rate: float = 10_000.0,
@@ -34,7 +37,7 @@ class ActiveMeasurement:
         source_name: str = "active",
     ) -> None:
         self._network = network
-        self._vantage = vantage or VantagePoint(name="active-de", address="192.0.2.250")
+        self._vantage = vantage
         self._campaign = ScanCampaign(
             network,
             self._vantage,

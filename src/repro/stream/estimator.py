@@ -26,8 +26,11 @@ daemon continues the same smoothed series.
 from __future__ import annotations
 
 import math
+from typing import Callable, TypeVar
 
 from repro.errors import SimulationError
+
+Parsed = TypeVar("Parsed")
 
 
 class ChurnRateEstimator:
@@ -104,19 +107,29 @@ class ChurnRateEstimator:
         """Rebuild an estimator from :meth:`state` output.
 
         Raises:
-            SimulationError: when the interval is not positive and finite,
-                the rate is neither finite nor null, or the window count is
-                negative.
+            SimulationError: naming the field, when the interval is not a
+                positive finite number, the window not a positive integer,
+                the rate neither a finite number nor null, or the window
+                count not a non-negative integer.
         """
-        estimator = cls(interval=float(state["interval"]), window=int(state["window"]))
-        rate = state["rate"]
-        if rate is not None:
-            rate = float(rate)
-            if not math.isfinite(rate):
-                raise SimulationError(f"estimator rate must be finite (got {rate})")
-        windows = int(state["windows"])
-        if windows < 0:
-            raise SimulationError(f"estimator window count cannot be negative (got {windows})")
-        estimator._rate = rate
-        estimator._windows = windows
+        # Imported here, not at module top: repro.validation imports the
+        # stream engine, which imports this module.
+        from repro.validation.bank import json_count, json_integer, json_number
+
+        def field(key: str, parse: Callable[[object], Parsed], requirement: str) -> Parsed:
+            value = state[key]
+            try:
+                return parse(value)
+            except TypeError as exc:
+                raise SimulationError(f"estimator {key} {exc}") from exc
+            except ValueError as exc:
+                raise SimulationError(f"estimator {key} {requirement} (got {value!r})") from exc
+
+        estimator = cls(
+            interval=field("interval", json_number, "must be positive and finite"),
+            window=field("window", json_integer, "must be at least 1"),
+        )
+        if state["rate"] is not None:
+            estimator._rate = field("rate", json_number, "must be finite")
+        estimator._windows = field("windows", json_count, "cannot be negative")
         return estimator

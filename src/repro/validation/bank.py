@@ -443,8 +443,8 @@ class IpidSampleBank:
 
 
 # JSON value checks of the persisted-document parsers: a wrong type raises
-# ``TypeError`` and a non-finite number ``ValueError``, which each parser
-# wraps in its ``PersistError``.
+# ``TypeError``, and a non-finite number or a negative count ``ValueError``,
+# which each parser wraps in its typed error.
 def json_string(value: object) -> str:
     if not isinstance(value, str):
         raise TypeError(f"{value!r} is not a string")
@@ -461,6 +461,14 @@ def json_integer(value: object) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise TypeError(f"{value!r} is not an integer")
     return value
+
+
+def json_count(value: object) -> int:
+    """A JSON integer that counts something, so never negative."""
+    count = json_integer(value)
+    if count < 0:
+        raise ValueError(f"{count} is negative")
+    return count
 
 
 def json_number(value: object) -> float:

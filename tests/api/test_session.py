@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.api import ScanPlan, ScenarioConfig
-from repro.core.engine import report_signature
+from repro.api import ScenarioConfig
 
 
 class TestSessionState:
@@ -38,10 +37,6 @@ class TestSessionState:
     def test_scale_must_be_finite_and_positive(self, scale):
         with pytest.raises(ValueError, match="scale"):
             ScenarioConfig(scale=scale)
-
-    def test_default_plan_reproduces_active_report(self, session):
-        result = session.run_plan(ScanPlan.default())
-        assert report_signature(result.report) == report_signature(session.report("active"))
 
     def test_experiments_run_on_plain_session(self, session):
         text = session.run_experiment("table3")

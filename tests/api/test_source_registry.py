@@ -3,22 +3,51 @@
 import pytest
 
 from repro.api import ReproSession, ScenarioConfig, SourceSpec, concat, standard_ports, union_of
-from repro.api.sources import ACTIVE_IPV4, SOURCES, register_source, source_kind
-from repro.errors import RegistryError
+from repro.api.sources import (
+    ACTIVE_IPV4,
+    CENSYS_SNAPSHOT_LEAD,
+    SOURCE_KINDS,
+    SOURCES,
+    register_source,
+    source_kind,
+)
+from repro.errors import DatasetError, RegistryError
 from repro.simnet.device import ServiceType
+from repro.sources.active import ActiveMeasurement
 from repro.sources.records import Observation, ObservationDataset
+
+#: Parameters the built-in collection kinds once took, with values a
+#: second vantage point's specs carried.
+_RETIRED_PARAMS = [
+    *(
+        (kind, param, value)
+        for kind in ("active-ipv4", "active-ipv6")
+        for param, value in (
+            ("seed_offset", 10),
+            ("start_time", 0.0),
+            ("vantage_name", "vantage-2"),
+            ("vantage_address", "203.0.113.2"),
+            ("distributed", True),
+        )
+    ),
+    *(
+        (kind, param, value)
+        for kind in ("censys-ipv4", "censys-ipv6")
+        for param, value in (("miss_rate", 0.5), ("snapshot_time", 0.0), ("seed_offset", 3))
+    ),
+]
 
 
 class TestSourceSpec:
     def test_create_sorts_params(self):
-        spec = SourceSpec.create("active-ipv4", seed_offset=3, start_time=0.0)
+        spec = SourceSpec.create("user-kind", seed_offset=3, start_time=0.0)
         assert spec.params == (("seed_offset", 3), ("start_time", 0.0))
         assert spec.param("seed_offset") == 3
         assert spec.param("missing", "fallback") == "fallback"
 
     def test_specs_are_hashable_cache_keys(self):
-        a = SourceSpec.create("active-ipv4", seed_offset=1)
-        b = SourceSpec.create("active-ipv4", seed_offset=1)
+        a = SourceSpec.create("user-kind", seed_offset=1)
+        b = SourceSpec.create("user-kind", seed_offset=1)
         assert a == b and hash(a) == hash(b)
         assert {a: "cached"}[b] == "cached"
 
@@ -68,14 +97,32 @@ class TestBuiltinSources:
 
     def test_dataset_independent_of_build_order(self):
         # Campaigns share the network's per-(vantage, AS, window) IDS
-        # budgets; the active builders reset them so a cached dataset is a
-        # pure function of (config, spec), not of what ran before it.
-        spec = SourceSpec.create("active-ipv4", seed_offset=5)
-        alone = ReproSession(ScenarioConfig(scale=0.05, seed=7)).dataset(spec)
+        # budgets.  A user-registered kind may scan from the active vantage
+        # in active-ipv4's window; the active builders reset the budgets,
+        # so a cached dataset is a pure function of (config, spec), not of
+        # what ran before it.
+        @source_kind("active-ipv4-reseeded", "the active IPv4 scan under another seed")
+        def build_reseeded(session, spec):
+            campaign = ActiveMeasurement(session.network, seed=session.config.seed + 5)
+            return campaign.run_ipv4(start_time=CENSYS_SNAPSHOT_LEAD)
+
+        try:
+            alone = ReproSession(ScenarioConfig(scale=0.05, seed=7)).dataset("active-ipv4")
+            session = ReproSession(ScenarioConfig(scale=0.05, seed=7))
+            session.dataset(SourceSpec(kind="active-ipv4-reseeded"))  # same vantage and window
+            after_other_campaign = session.dataset("active-ipv4")
+            assert list(alone) == list(after_other_campaign)
+        finally:
+            SOURCE_KINDS._entries.pop("active-ipv4-reseeded")
+
+    @pytest.mark.parametrize("kind, param, value", _RETIRED_PARAMS)
+    def test_builtin_collection_kind_refuses_a_parameter(self, kind, param, value):
+        # One vantage point, one schedule: a parameter is refused by name,
+        # rather than ignored for the default's dataset.
         session = ReproSession(ScenarioConfig(scale=0.05, seed=7))
-        session.dataset("active-ipv4")  # same vantage, same time window
-        after_other_campaign = session.dataset(spec)
-        assert list(alone) == list(after_other_campaign)
+        with pytest.raises(DatasetError, match=f"{kind!r} takes no parameters \\(got {param}\\)"):
+            session.dataset(SourceSpec.create(kind, **{param: value}))
+        assert session.cached_datasets() == {}
 
 
 class TestUserRegisteredSources:

@@ -15,7 +15,7 @@ from repro.api.sources import SourceSpec, concat, file_source, union_of
 from repro.cli import main
 from repro.core.engine import report_signature
 from repro.core.identifiers import IdentifierOptions
-from repro.errors import PersistError
+from repro.errors import DatasetError, PersistError
 from repro.persist.report import report_signature_digest
 from repro.persist.session import (
     SESSION_MANIFEST,
@@ -74,7 +74,7 @@ def saved(tmp_path_factory):
 
 class TestSpecDocuments:
     def test_roundtrip_simple(self):
-        spec = SourceSpec.create("active-ipv4", seed_offset=3, start_time=1.5)
+        spec = SourceSpec.create("user-kind", seed_offset=3, start_time=1.5)
         assert spec_from_document(spec_to_document(spec)) == spec
 
     def test_roundtrip_nested(self):
@@ -546,6 +546,37 @@ class TestDerivedEntries:
         copy = _edited_copy(directory, tmp_path / "miscounted", miscount)
         with pytest.raises(PersistError, match="observations, manifest expects"):
             load_session(copy)
+
+
+class TestRetiredSourceParameters:
+    def test_dataset_of_a_parameterised_builtin_spec_loads_but_does_not_rebuild(
+        self, tmp_path, capsys
+    ):
+        # Sessions once saved datasets of a second vantage point under
+        # parameterised active-ipv4 specs.  The built-in kinds take no
+        # parameters now, but a saved dataset loads from its file whatever
+        # its spec says: the session loads, lists it and renders, and only
+        # collecting the spec in a fresh session fails, naming the parameter.
+        session = ReproSession(_CONFIG)
+        measured = session.dataset("active-ipv4")
+        save_session(session, tmp_path / "saved")
+        spec = SourceSpec.create(
+            "active-ipv4", seed_offset=10, vantage_address="203.0.113.2", vantage_name="vantage-2"
+        )
+
+        def second_vantage(manifest):
+            _dataset_entry(manifest, "active-ipv4")["spec"] = spec_to_document(spec)
+
+        copy = _edited_copy(tmp_path / "saved", tmp_path / "forged", second_vantage)
+        loaded = load_session(copy)
+        assert list(loaded.cached_datasets()) == [spec]
+        assert list(loaded.cached_datasets()[spec]) == list(measured)
+        assert main(["session", "load", str(copy), "--experiments", "table3"]) == 0
+        output = capsys.readouterr().out
+        assert f"dataset {spec.describe()}: {len(measured)} observations" in output
+        assert "Table 3" in output
+        with pytest.raises(DatasetError, match="seed_offset, vantage_address, vantage_name"):
+            ReproSession(loaded.config).dataset(spec)
 
 
 class TestFileSourceKind:

@@ -1,10 +1,13 @@
 """Tests for the command-line interface."""
 
+import argparse
 import json
+import re
+from pathlib import Path
 
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 
 
 def _set_manifest_scale(manifest_path, section, scale):
@@ -21,8 +24,27 @@ def _forge_manifest(manifest_path, forge):
     manifest_path.write_text(json.dumps(manifest))
 
 
-#: A checkpoint manifest value of the wrong JSON type, and the field the
-#: refusal names.  Each once resumed, coerced: ``"no"`` as true, 2.5 as 2.
+def _forge_probe_count(column, value):
+    """A manifest edit setting one cell of the first IDS probe-counter row."""
+
+    def forge(manifest):
+        manifest["probe_counts"][0][column] = value(manifest["probe_counts"][0][column])
+
+    return forge
+
+
+def _forge_event_count(value):
+    """A manifest edit setting the published-report count."""
+
+    def forge(manifest):
+        manifest["event_counts"]["report.emitted"] = value
+
+    return forge
+
+
+#: A checkpoint manifest value of the wrong JSON type or out of range, and
+#: the field the refusal names.  Each once resumed, coerced: ``"no"`` as
+#: true, 2.5 as 2, a negative count as itself.
 _FORGED_CHAIN_FIELDS = [
     pytest.param(
         lambda manifest: manifest["options"].update(ssh_include_banner="no"),
@@ -38,6 +60,16 @@ _FORGED_CHAIN_FIELDS = [
         "observations",
         id="observations-float",
     ),
+    pytest.param(_forge_probe_count(3, lambda count: 34.5), "probe_counts", id="probe-count-float"),
+    pytest.param(_forge_probe_count(3, str), "probe_counts", id="probe-count-string"),
+    pytest.param(_forge_probe_count(3, lambda count: True), "probe_counts", id="probe-count-boolean"),
+    pytest.param(_forge_probe_count(3, lambda count: -5), "probe_counts", id="probe-count-negative"),
+    pytest.param(_forge_probe_count(1, float), "probe_counts", id="probe-asn-float"),
+    pytest.param(_forge_probe_count(0, lambda name: 7), "probe_counts", id="probe-vantage-integer"),
+    pytest.param(_forge_event_count(2.5), "event_counts", id="event-count-float"),
+    pytest.param(_forge_event_count("2"), "event_counts", id="event-count-string"),
+    pytest.param(_forge_event_count(True), "event_counts", id="event-count-boolean"),
+    pytest.param(_forge_event_count(-3), "event_counts", id="event-count-negative"),
 ]
 
 
@@ -177,23 +209,6 @@ class TestRegistryListings:
         for name in ("table1", "table6", "figure3", "figure6"):
             assert name in output
         assert "ECDF" in output  # descriptions, not just names
-
-
-class TestPlan:
-    def test_plan_prints_coverage(self, capsys, tmp_path):
-        exit_code = main(
-            ["plan", "--scale", "0.05", "--seed", "3", "--vantages", "2", "--output", str(tmp_path)]
-        )
-        assert exit_code == 0
-        output = capsys.readouterr().out
-        assert "vantage-1" in output
-        assert "vantage-2" in output
-        assert "merged" in output
-        assert (tmp_path / "coverage.md").read_text().startswith("# Scan plan coverage")
-
-    def test_plan_rejects_zero_vantages(self, capsys):
-        assert main(["plan", "--scale", "0.05", "--vantages", "0"]) == 2
-        assert "at least one vantage" in capsys.readouterr().err
 
 
 class TestExperimentsAndClaims:
@@ -614,10 +629,24 @@ class TestParser:
             main([])
 
     def test_scan_defaults_to_full_scale(self):
-        from repro.cli import build_parser
-
         args = build_parser().parse_args(["scan", "--output", "out"])
         assert args.scale == 1.0
+
+    def test_readme_cli_table_lists_exactly_the_subcommands(self):
+        # A deleted command cannot leave its README row behind, nor a new
+        # one go undocumented.  ``session save`` / ``session load`` is one
+        # row of the ``session`` command.
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        table = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+        documented = [
+            re.match(r"\| `(\w+)", line)[1] for line in table.splitlines() if line.startswith("| `")
+        ]
+        (subcommands,) = [
+            action.choices
+            for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        assert sorted(documented) == sorted(subcommands)
 
     @pytest.mark.parametrize(
         "verb",
@@ -625,7 +654,6 @@ class TestParser:
             ["scan"],
             ["experiments"],
             ["claims"],
-            ["plan"],
             ["longitudinal"],
             ["validate"],
             ["serve"],
@@ -648,7 +676,6 @@ class TestParser:
         [
             ["scan", "--scale", "0.05"],
             ["resolve", "absent.jsonl"],
-            ["plan", "--scale", "0.05"],
             ["longitudinal", "--scale", "0.05"],
             ["validate", "--scale", "0.05"],
         ],
@@ -714,8 +741,6 @@ class TestCampaignFlagValidation:
     def test_shared_flag_defined_once(self):
         # The duplicated definitions collapsed into one helper: every
         # campaign-shaped parser carries the same default.
-        from repro.cli import build_parser
-
         parser = build_parser()
         for command in ("longitudinal", "validate", "serve"):
             args = parser.parse_args([command])
@@ -783,12 +808,21 @@ class TestServe:
             ("interval", float("inf")),
             ("rate", float("inf")),
             ("windows", -1),
+            pytest.param("clock", True, id="clock-boolean"),
+            pytest.param("clock", "5", id="clock-string"),
+            pytest.param("windows", 2.5, id="windows-float"),
+            pytest.param("windows", "1", id="windows-string"),
+            pytest.param("interval", "604800", id="interval-string"),
+            pytest.param("window", True, id="window-boolean"),
+            pytest.param("rate", "0.1", id="rate-string"),
+            pytest.param("rate", True, id="rate-boolean"),
         ],
     )
     def test_serve_resume_forged_window_value_exits_cleanly(
         self, capsys, tmp_path, entry, value
     ):
-        # A window value no run can write fails the load, before any poll.
+        # A window value no run can write fails the load, naming the value,
+        # before any poll.
         checkpoint = _serve_checkpoint(tmp_path)
         capsys.readouterr()
         manifest = json.loads((checkpoint / "stream.json").read_text())
@@ -799,6 +833,7 @@ class TestServe:
         assert exit_code == 2
         captured = capsys.readouterr()
         assert "malformed stream checkpoint manifest" in captured.err
+        assert entry in captured.err
         assert "Traceback" not in captured.err
         assert "resuming" not in captured.out
 
