@@ -200,12 +200,13 @@ class ReproSession:
     # ------------------------------------------------------------------ #
     @property
     def validation_run(self) -> "ValidationRun":
-        """The shared validation state: one sample bank per vantage.
+        """The shared validation state: the session's one sample bank.
 
         Built once per session, so successive :meth:`validate` calls share
-        collected IPID series: a ``validate("ally")`` after
-        ``validate("midar")`` answers most pair tests from MIDAR's banked
-        corroboration instead of the network.  The run reads
+        collected IPID series, all probed from
+        :data:`~repro.validation.runner.VALIDATION_VANTAGE`: a
+        ``validate("ally")`` after ``validate("midar")`` answers most pair
+        tests from MIDAR's banked corroboration instead of the network.  The run reads
         :attr:`network` only when a bank first misses, so building it, and
         re-scoring wholly from restored banks, builds no topology.
         """
@@ -297,9 +298,10 @@ class ReproSession:
     def prime_bank(self, bank: "IpidSampleBank") -> None:
         """Install a restored sample bank (used by :mod:`repro.persist` on load).
 
-        The bank joins :attr:`validation_run`, bound to the session's
+        The bank becomes :attr:`validation_run`'s, bound to the session's
         network, which it builds only at its first miss: a load builds no
-        topology, and neither does a re-score its banks answer.
+        topology, and neither does a re-score its bank answers.  It must be
+        a bank of :data:`~repro.validation.runner.VALIDATION_VANTAGE`.
         """
         self.validation_run.restore_bank(bank)
 
@@ -315,7 +317,7 @@ class ReproSession:
         return self._as_registry
 
     def validation_bank_states(self) -> list[dict]:
-        """Exported states of every sample bank this session holds."""
+        """The exported state of the session's sample bank, if it has one."""
         if self._validation_run is None:
             return []
         return [bank.export_state() for bank in self._validation_run.banks().values()]

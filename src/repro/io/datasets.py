@@ -98,6 +98,11 @@ def observation_json(observation: Observation) -> str:
     )
 
 
+#: The largest AS number: they are four octets (RFC 6793), and the index
+#: stores them in a signed 64-bit column.
+_MAX_ASN = 2**32 - 1
+
+
 def _coerce_int(value: object, field: str, record: dict) -> int:
     """Coerce an integer field exactly; reject bools, floats and junk.
 
@@ -182,6 +187,10 @@ def observation_from_dict(record: dict) -> Observation:
     asn = record.get("asn")
     if asn is not None:
         asn = _coerce_int(asn, "asn", record)
+        if not 0 <= asn <= _MAX_ASN:
+            raise DatasetError(
+                f"malformed observation record (asn {asn} is not a 32-bit AS number): {record!r}"
+            )
     try:
         return Observation(
             address=address,

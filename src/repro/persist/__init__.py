@@ -42,19 +42,14 @@ from repro.persist.bank import (
     bank_state_to_document,
 )
 from repro.persist.chain import state_signature_digest
+from repro.persist.files import spec_to_document
 from repro.persist.report import report_signature_digest
-from repro.persist.session import (
-    load_session,
-    save_session,
-    spec_from_document,
-    spec_to_document,
-)
+from repro.persist.session import load_session, save_session, spec_from_document
 from repro.persist.validation import (
     validation_from_document,
     validation_signature_digest,
     validation_to_document,
     validator_spec_from_document,
-    validator_spec_to_document,
 )
 
 __all__ = [
@@ -71,5 +66,4 @@ __all__ = [
     "validation_signature_digest",
     "validation_to_document",
     "validator_spec_from_document",
-    "validator_spec_to_document",
 ]

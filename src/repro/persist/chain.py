@@ -67,6 +67,7 @@ from repro.core.engine import ObservationIndex
 from repro.core.identifiers import IdentifierOptions
 from repro.errors import DatasetError, PersistError, SimulationError
 from repro.io.datasets import load_observations
+from repro.jsonvalues import json_boolean, json_count, json_integer, json_string
 from repro.longitudinal.campaign import LongitudinalCampaign, LongitudinalConfig
 from repro.longitudinal.engine import LongitudinalEngine
 from repro.net.addresses import AddressFamily
@@ -82,7 +83,6 @@ from repro.simnet.network import VantagePoint
 from repro.simnet.topology import generate_topology
 from repro.sources.hitlist import HitlistConfig, build_ipv6_hitlist
 from repro.sources.records import Observation, ObservationDataset
-from repro.validation.bank import json_boolean, json_count, json_integer, json_string
 
 #: Current checkpoint format version, campaign and stream manifests alike.
 CHECKPOINT_FORMAT_VERSION = 1

@@ -7,8 +7,9 @@ files and invalid JSON all surface as :class:`~repro.errors.PersistError`
 with consistent wording.  A document whose signature a manifest pins is
 read through :func:`read_pinned_document`, which is how every loader
 detects a save torn between a data file and its manifest.  Source and
-validator spec trees are read through :func:`read_spec`, and identifier
-options through :func:`read_identifier_options`.
+validator spec trees are written with :func:`spec_to_document` and read
+through :func:`read_spec`, and identifier options through
+:func:`read_identifier_options`.
 
 Durability: a save survives the process dying at any write (the crash
 sweeps in ``tests/persist/`` kill a save at each ``os.replace``).  Nothing
@@ -30,7 +31,9 @@ from repro.core.identifiers import IdentifierOptions
 from repro.errors import PersistError
 
 if TYPE_CHECKING:  # pragma: no cover - types only
+    from repro.api.sources import SourceSpec
     from repro.sources.records import ObservationDataset
+    from repro.validation.spec import ValidatorSpec
 
 SpecT = TypeVar("SpecT")
 
@@ -133,6 +136,16 @@ def read_identifier_options(document: object, what: str) -> IdentifierOptions:
             f"malformed {what}: identifier options {document!r} are not all booleans"
         )
     return IdentifierOptions(**document)
+
+
+def spec_to_document(spec: "SourceSpec | ValidatorSpec") -> dict[str, Any]:
+    """Render a source or validator spec tree as the document :func:`read_spec` reads."""
+    return {
+        "kind": spec.kind,
+        "params": [[key, value] for key, value in spec.params],
+        "inputs": [spec_to_document(input_spec) for input_spec in spec.inputs],
+        "label": spec.label,
+    }
 
 
 def read_spec(spec_type: Callable[..., SpecT], document: object, what: str) -> SpecT:

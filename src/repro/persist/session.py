@@ -19,10 +19,12 @@ derive the rest.  It is a directory:
   with its name and count, and no file.
 * ``validations/GGGG-PPP.json`` — one document per cached validation
   report (:mod:`repro.persist.validation`), signature-verified on load.
-* ``banks/GGGG-PPP.json`` — one document per validation sample bank
-  (:mod:`repro.persist.bank`), signature-verified on load; a reloaded
-  session re-scores matching validation schedules from these with zero
-  network probes.
+* ``banks/GGGG-PPP.json`` — the document of the session's validation
+  sample bank (:mod:`repro.persist.bank`), signature-verified on load; a
+  reloaded session re-scores matching validation schedules from it with
+  zero network probes.  Older saves may hold banks of other vantages too:
+  each is verified, and only the bank of
+  :data:`~repro.validation.runner.VALIDATION_VANTAGE` is restored.
 
 ``GGGG`` is the save's generation, one above the manifest it replaces (a
 manifest without one counts as 0), and ``PPP`` the entry's position.  A
@@ -59,6 +61,7 @@ from repro.api.config import ScenarioConfig
 from repro.api.sources import SourceSpec, streamed_specs
 from repro.errors import DatasetError, PersistError, ReproError
 from repro.io.datasets import load_observations
+from repro.jsonvalues import json_integer, json_string
 from repro.persist.bank import bank_state_from_document, bank_state_to_document
 from repro.persist.files import (
     read_identifier_options,
@@ -66,17 +69,18 @@ from repro.persist.files import (
     read_pinned_document,
     read_spec,
     save_observations_atomic,
+    spec_to_document,
     write_atomic,
 )
 from repro.persist.validation import (
     validation_from_document,
     validation_to_document,
     validator_spec_from_document,
-    validator_spec_to_document,
 )
 from repro.simnet.asn import AsRegistry, AsRole, AutonomousSystem
 from repro.sources.records import ObservationDataset
-from repro.validation.bank import IpidSampleBank, json_integer, json_string
+from repro.validation.bank import IpidSampleBank
+from repro.validation.runner import VALIDATION_VANTAGE
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.api.session import ReproSession
@@ -91,16 +95,6 @@ SESSION_MANIFEST = "session.json"
 #: save writes nothing under ``reports/``; it stays here so a save over an
 #: older session prunes the report documents that session wrote.
 _DATA_SUFFIXES = {"datasets": "jsonl", "reports": "json", "validations": "json", "banks": "json"}
-
-
-def spec_to_document(spec: SourceSpec) -> dict:
-    """Render a spec tree as a JSON-serialisable document."""
-    return {
-        "kind": spec.kind,
-        "params": [[key, value] for key, value in spec.params],
-        "inputs": [spec_to_document(input_spec) for input_spec in spec.inputs],
-        "label": spec.label,
-    }
 
 
 def spec_from_document(document: dict) -> SourceSpec:
@@ -146,7 +140,7 @@ def save_session(session: "ReproSession", directory: str | Path) -> Path:
         write_atomic(directory / relative, json.dumps(document))
         validation_entries.append(
             {
-                "spec": validator_spec_to_document(spec),
+                "spec": spec_to_document(spec),
                 "name": name,
                 "file": relative,
                 "signature": document["signature"],
@@ -379,7 +373,12 @@ def load_session(directory: str | Path) -> "ReproSession":
         session.prime_validation(spec, name, validation_from_document(document))
     for file, signature in banks:
         document = read_pinned_document(directory / file, "bank document", signature, "session")
-        session.prime_bank(IpidSampleBank.from_state(bank_state_from_document(document)))
+        bank = IpidSampleBank.from_state(bank_state_from_document(document))
+        # Validation probes from one vantage.  A bank of another, which only
+        # a since-removed spec override made, is not restored, so the next
+        # save drops it.
+        if bank.vantage == VALIDATION_VANTAGE:
+            session.prime_bank(bank)
     # Last, as resolving is the one costly step: every check above has passed.
     for spec, name in reports:
         missing = _unsaved(session, streamed_specs(spec))

@@ -39,13 +39,13 @@ from pathlib import Path
 
 from repro.api.config import ScenarioConfig
 from repro.errors import PersistError
+from repro.jsonvalues import json_count, json_number
 from repro.longitudinal.campaign import CampaignLog, LongitudinalCampaign, SnapshotStability
 from repro.net.addresses import AddressFamily
 from repro.persist.chain import ChainLayout, CheckpointChain, LoadedChain, read_field, restore_campaign
 from repro.sources.records import Observation
 from repro.stream.engine import EmitWindow, StreamingEngine, emit_label
 from repro.stream.estimator import ChurnRateEstimator
-from repro.validation.bank import json_count, json_number
 
 #: ``repro serve``'s checkpoint directory: ``stream.json`` over ``poll-NNNN.jsonl``.
 STREAM_LAYOUT = ChainLayout(manifest="stream.json", step="poll", kind="stream checkpoint")

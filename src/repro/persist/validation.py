@@ -17,23 +17,13 @@ import hashlib
 import json
 
 from repro.errors import PersistError
-from repro.persist.files import read_spec
-from repro.validation.bank import json_boolean, json_integer, json_number, json_string
+from repro.jsonvalues import json_boolean, json_count, json_number, json_string
+from repro.persist.files import read_spec, spec_to_document
 from repro.validation.report import SetVerdict, ValidationReport
 from repro.validation.spec import ValidatorSpec
 
 #: Current validation document format version.
 VALIDATION_FORMAT_VERSION = 1
-
-
-def validator_spec_to_document(spec: ValidatorSpec) -> dict:
-    """Render a validator spec tree as a JSON-serialisable document."""
-    return {
-        "kind": spec.kind,
-        "params": [[key, value] for key, value in spec.params],
-        "inputs": [validator_spec_to_document(input_spec) for input_spec in spec.inputs],
-        "label": spec.label,
-    }
 
 
 def validator_spec_from_document(document: dict) -> ValidatorSpec:
@@ -70,13 +60,6 @@ def _class(value: object) -> tuple[str, str]:
             f"malformed validation document: class {value!r} is not an [address, label] pair"
         )
     return pair[0], pair[1]
-
-
-def _count(value: object) -> int:
-    count = json_integer(value)
-    if count < 0:
-        raise PersistError(f"malformed validation document: count {count} is negative")
-    return count
 
 
 def _verdict_from_document(document: dict) -> SetVerdict:
@@ -118,7 +101,7 @@ def validation_to_document(report: ValidationReport) -> dict:
     """
     document = _canonical_content(report)
     document["version"] = VALIDATION_FORMAT_VERSION
-    document["spec"] = validator_spec_to_document(report.spec)
+    document["spec"] = spec_to_document(report.spec)
     document["signature"] = validation_signature_digest(report)
     return document
 
@@ -142,12 +125,12 @@ def validation_from_document(document: dict) -> ValidationReport:
         report = ValidationReport(
             validator=json_string(document["validator"]),
             spec=validator_spec_from_document(document["spec"]),
-            candidates=_count(document["candidates"]),
+            candidates=json_count(document["candidates"]),
             verdicts=tuple(
                 _verdict_from_document(entry) for entry in _list(document["verdicts"])
             ),
-            probes_issued=_count(document["probes_issued"]),
-            probes_reused=_count(document["probes_reused"]),
+            probes_issued=json_count(document["probes_issued"]),
+            probes_reused=json_count(document["probes_reused"]),
             started_at=json_number(document["started_at"]),
             finished_at=json_number(document["finished_at"]),
         )

@@ -29,6 +29,7 @@ import math
 from typing import Callable, TypeVar
 
 from repro.errors import SimulationError
+from repro.jsonvalues import json_count, json_integer, json_number
 
 Parsed = TypeVar("Parsed")
 
@@ -112,10 +113,6 @@ class ChurnRateEstimator:
                 the rate neither a finite number nor null, or the window
                 count not a non-negative integer.
         """
-        # Imported here, not at module top: repro.validation imports the
-        # stream engine, which imports this module.
-        from repro.validation.bank import json_count, json_integer, json_number
-
         def field(key: str, parse: Callable[[object], Parsed], requirement: str) -> Parsed:
             value = state[key]
             try:

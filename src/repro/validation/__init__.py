@@ -13,11 +13,12 @@ already have:
   IPID time series collected once per (addresses, schedule) and shared
   across validators, so composed validations cut probe counts.
 * :mod:`repro.validation.techniques` — the MIDAR and Ally pipelines over
-  a bank (Speedtrap is MIDAR over IPv6 members, the ``speedtrap`` kind).
+  a bank, each returning one :class:`SetVerdict` per set (Speedtrap is
+  MIDAR over IPv6 members, the ``speedtrap`` kind).
 * :mod:`repro.validation.runner` — builders for the built-in kinds
   (midar, ally, speedtrap, sample), the one priority scheduler the IPID
-  kinds share, the :class:`ValidationRun` harness, and the registered
-  named compositions.
+  kinds share, the :class:`ValidationRun` harness with its one bank of
+  :data:`VALIDATION_VANTAGE`, and the registered named compositions.
 * :mod:`repro.validation.report` — per-set verdicts and the
   :class:`ValidationReport` aggregates (testable coverage, agreement).
 * :mod:`repro.validation.longitudinal` — per-snapshot validation of a
@@ -51,7 +52,7 @@ from repro.validation.budget import (
 from repro.validation.longitudinal import SnapshotValidation, validate_snapshots
 from repro.validation.report import CandidateSets, SetVerdict, ValidationReport
 from repro.validation.runner import (
-    DEFAULT_VALIDATION_VANTAGE,
+    VALIDATION_VANTAGE,
     ValidationRun,
     candidate_sets,
     run_validator,
@@ -70,26 +71,17 @@ from repro.validation.spec import (
     speedtrap,
     validator_kind,
 )
-from repro.validation.techniques import (
-    AllyPipeline,
-    AllySetResult,
-    MidarConfig,
-    MidarPipeline,
-    MidarSetVerdict,
-)
+from repro.validation.techniques import AllyPipeline, MidarConfig, MidarPipeline
 
 __all__ = [
     "AllyPipeline",
-    "AllySetResult",
     "BudgetRunResult",
     "BudgetedValidation",
     "CandidateSets",
-    "DEFAULT_VALIDATION_VANTAGE",
     "DEFAULT_VELOCITY_TTL",
     "IpidSampleBank",
     "MidarConfig",
     "MidarPipeline",
-    "MidarSetVerdict",
     "ProbeBudget",
     "ProbeBudgetExhausted",
     "ProbeBudgetOptimizer",
@@ -98,6 +90,7 @@ __all__ = [
     "SnapshotValidation",
     "ValidationReport",
     "ValidationRun",
+    "VALIDATION_VANTAGE",
     "ValidatorSpec",
     "VALIDATOR_KINDS",
     "VALIDATORS",

@@ -18,7 +18,6 @@ so a banked sample never stands in for one taken across churn.
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Sequence
 
 from repro import obs
@@ -29,6 +28,7 @@ from repro.baselines.ipid import (
     shared_counter_test,
 )
 from repro.errors import PersistError, ValidationError
+from repro.jsonvalues import json_boolean, json_integer, json_number, json_string
 from repro.simnet.network import SimulatedInternet, VantagePoint
 
 #: Memoisation key of one collected series or interleaved collection.
@@ -40,7 +40,10 @@ class IpidSampleBank:
 
     One bank wraps one (network, vantage) pair — samples taken from
     different vantage points see different loss and rate-limit state, so
-    they must not be conflated.  Cached series are treated as immutable.
+    they must not be conflated.  A :class:`~repro.validation.runner.
+    ValidationRun`, and so a session, holds one bank, of
+    :data:`~repro.validation.runner.VALIDATION_VANTAGE`.  Cached series are
+    treated as immutable.
     """
 
     def __init__(self, network: SimulatedInternet | None, vantage: VantagePoint) -> None:
@@ -56,7 +59,7 @@ class IpidSampleBank:
         self._pairs: dict[frozenset[str], ScheduleKey] = {}
         #: (address, samples, interval) -> key of the canonical estimation
         #: series for that schedule shape, whatever its start time.  One
-        #: canonical collection per vantage serves every validator whose
+        #: canonical collection per bank serves every validator whose
         #: estimation window aligns (same sample count and spacing),
         #: replacing the per-validator series collection the exact-key path
         #: would require.
@@ -440,44 +443,6 @@ class IpidSampleBank:
                 raise ValueError(f"estimation entry {key[1:]} names no banked series")
             bank._estimation[key[1:4]] = key
         return bank
-
-
-# JSON value checks of the persisted-document parsers: a wrong type raises
-# ``TypeError``, and a non-finite number or a negative count ``ValueError``,
-# which each parser wraps in its typed error.
-def json_string(value: object) -> str:
-    if not isinstance(value, str):
-        raise TypeError(f"{value!r} is not a string")
-    return value
-
-
-def json_boolean(value: object) -> bool:
-    if not isinstance(value, bool):
-        raise TypeError(f"{value!r} is not a boolean")
-    return value
-
-
-def json_integer(value: object) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"{value!r} is not an integer")
-    return value
-
-
-def json_count(value: object) -> int:
-    """A JSON integer that counts something, so never negative."""
-    count = json_integer(value)
-    if count < 0:
-        raise ValueError(f"{count} is negative")
-    return count
-
-
-def json_number(value: object) -> float:
-    """A finite JSON number as a float (booleans and strings are not numbers)."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"{value!r} is not a number")
-    if not math.isfinite(value):
-        raise ValueError(f"{value!r} is not finite")
-    return float(value)
 
 
 def _points(points: list) -> list[tuple[float, int]]:

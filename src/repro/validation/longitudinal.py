@@ -16,7 +16,7 @@ validation runs after the last poll, not as each poll lands: the probes
 of snapshot *k* must see the churn that poll *k + 1* injects.
 
 All snapshots share one :class:`~repro.validation.runner.ValidationRun`
-(and therefore one sample bank per vantage), but banked evidence is only
+(and therefore its one sample bank), but banked evidence is only
 read within :data:`~repro.validation.budget.DEFAULT_VELOCITY_TTL` (one
 simulated day) of the read.  Validators sharing the run therefore share
 probes within a snapshot's validation window, while a snapshot a campaign

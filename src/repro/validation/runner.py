@@ -2,11 +2,14 @@
 
 :func:`run_validator` resolves a :class:`~repro.validation.spec.
 ValidatorSpec` tree against a :class:`ValidationRun` — the shared state a
-validation probes through: a network, per-vantage
-:class:`~repro.validation.bank.IpidSampleBank` instances (one bank per
-vantage, shared across every validator of the run, which is what makes
-composed validations cheap), and optionally a session for candidate
-derivation.
+validation probes through: a network, the one
+:class:`~repro.validation.bank.IpidSampleBank` of
+:data:`VALIDATION_VANTAGE` (shared across every validator of the run,
+which is what makes composed validations cheap), and optionally a session
+for candidate derivation.  The paper validates from one vantage with one
+MIDAR configuration, so each built-in kind takes only the parameters in
+:data:`KIND_PARAMETERS`, and a spec that carries any other fails before
+any work.
 
 Candidate alias sets flow *down* the spec tree: the ``sample`` combinator
 draws from them and delegates to its input; technique leaves derive them
@@ -41,12 +44,7 @@ from repro.validation.budget import (
     ProbeBudgetOptimizer,
     unresolved_verdict,
 )
-from repro.validation.report import (
-    CandidateSets,
-    SetVerdict,
-    ValidationReport,
-    canonical_partition,
-)
+from repro.validation.report import CandidateSets, SetVerdict, ValidationReport
 from repro.validation.spec import (
     VALIDATOR_KINDS,
     ValidatorSpec,
@@ -58,22 +56,45 @@ from repro.validation.spec import (
     speedtrap,
     validator_kind,
 )
-from repro.validation.techniques import AllyPipeline, MidarConfig, MidarPipeline
+from repro.validation.techniques import (
+    ALLY_MAX_SET_SIZE,
+    AllyPipeline,
+    MidarConfig,
+    MidarPipeline,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.api.session import ReproSession
 
-#: The vantage point bank-based validators probe from unless a spec
-#: overrides it.  One shared vantage is what lets validators share one
-#: bank; it matches the vantage the paper's Table 2 MIDAR run used.
-DEFAULT_VALIDATION_VANTAGE = VantagePoint(name="midar-vp", address="192.0.2.251")
+#: The vantage point every validation probes from, as the paper's Table 2
+#: MIDAR run did; one vantage is what lets validators share one bank.
+VALIDATION_VANTAGE = VantagePoint(name="midar-vp", address="192.0.2.251")
+
+#: The parameters each built-in kind reads: a technique's select its
+#: candidate sets and when probing starts, and ``sample``'s draw the
+#: sample.  :func:`run_validator` rejects any other on these kinds.
+_LEAF_PARAMETERS = frozenset({"source", "protocol", "family", "start_after"})
+KIND_PARAMETERS: dict[str, frozenset[str]] = {
+    "midar": _LEAF_PARAMETERS,
+    "speedtrap": _LEAF_PARAMETERS,
+    "ally": _LEAF_PARAMETERS,
+    "sample": frozenset({"size", "seed", "max_size"}),
+}
+
+#: Speedtrap's schedule: MIDAR's, with a shorter estimation and
+#: corroboration, over a set's IPv6 members only.
+SPEEDTRAP_CONFIG = MidarConfig(estimation_samples=6, corroboration_rounds=5)
+
+#: How long after the ``start_after`` dataset's last observation probing
+#: starts.
+_START_LAG = 3600.0
 
 
 class ValidationRun:
     """Shared probing state for one or more validator executions.
 
     A session owns one run (``session.validation_run``) so successive
-    ``session.validate(...)`` calls share banks; the longitudinal path
+    ``session.validate(...)`` calls share the bank; the longitudinal path
     builds one per campaign.  ``session`` may be ``None`` — then every
     spec must be given explicit candidates and start times.  ``network``
     may be ``None`` when a session is given: the run then probes the
@@ -89,7 +110,7 @@ class ValidationRun:
             raise ValidationError("a validation run needs a network or a session")
         self._network = network
         self.session = session
-        self._banks: dict[tuple[str, str, bool], IpidSampleBank] = {}
+        self._bank: IpidSampleBank | None = None
         #: The optimizer every validator probes through; set for the span
         #: of one :func:`run_validator` call (or a
         #: :func:`repro.validation.budget.run_budgeted` run).
@@ -98,35 +119,33 @@ class ValidationRun:
 
     @property
     def network(self) -> SimulatedInternet:
-        """The network every bank of this run probes on a miss.
+        """The network the bank probes on a miss.
 
-        The one the run was built with, else the session's, read when a
-        bank first misses: a run whose banks answer every read from
+        The one the run was built with, else the session's, read when the
+        bank first misses: a run whose bank answers every read from
         restored samples never builds the session's topology.
         """
         if self._network is None:
             self._network = self.session.network
         return self._network
 
-    def bank(self, vantage: VantagePoint) -> IpidSampleBank:
-        """The shared sample bank of one vantage point (built once)."""
-        key = (vantage.name, vantage.address, vantage.distributed)
-        bank = self._banks.get(key)
-        if bank is None:
-            bank = self._banks[key] = IpidSampleBank(None, vantage).bind(lambda: self.network)
-        return bank
+    def bank(self) -> IpidSampleBank:
+        """The run's sample bank, of :data:`VALIDATION_VANTAGE` (built once)."""
+        if self._bank is None:
+            self._bank = IpidSampleBank(None, VALIDATION_VANTAGE).bind(lambda: self.network)
+        return self._bank
 
-    def banks(self) -> dict[tuple[str, str, bool], IpidSampleBank]:
-        """Every bank built so far, keyed by vantage identity (read-only).
+    def banks(self) -> dict[VantagePoint, IpidSampleBank]:
+        """The bank once built, keyed by its vantage (at most one entry).
 
         The probe-accounting surface: summing ``probes_issued`` /
         ``probes_reused`` over the values gives the run's total spend, the
         same totals the obs layer's ``validation.probes`` counters carry.
         """
-        return self._banks
+        return {} if self._bank is None else {VALIDATION_VANTAGE: self._bank}
 
     def restore_bank(self, bank: IpidSampleBank) -> IpidSampleBank:
-        """Install a restored bank (replacing any bank of its vantage).
+        """Install a restored bank of :data:`VALIDATION_VANTAGE` as the run's.
 
         ``bank`` comes from :meth:`IpidSampleBank.from_state` and is bound
         here to this run's :attr:`network`, which it reads at its first
@@ -134,19 +153,25 @@ class ValidationRun:
         estimation entry of the saved run, so a reloaded session re-scores
         matching validation specs fully offline — zero network probes and
         no topology built.
+
+        Raises:
+            ValidationError: when ``bank`` probed from another vantage.
         """
-        key = (bank.vantage.name, bank.vantage.address, bank.vantage.distributed)
-        self._banks[key] = bank.bind(lambda: self.network)
+        if bank.vantage != VALIDATION_VANTAGE:
+            raise ValidationError(
+                f"a bank of vantage {bank.vantage.name!r} is not this run's "
+                f"({VALIDATION_VANTAGE.name!r})"
+            )
+        self._bank = bank.bind(lambda: self.network)
         return bank
 
     def derived_start(self, after: str, lag: float) -> float:
         """Dataset-relative start times, memoised per (dataset, lag).
 
-        Validators that compute equal ``start_after``/``start_lag``
-        schedules must land on float-identical start times so their
-        estimation and corroboration collections hit one bank key instead
-        of near-miss duplicates — a measured contributor to the old ~7%
-        reuse rate.
+        Validators that compute equal ``start_after`` schedules must land
+        on float-identical start times so their estimation and
+        corroboration collections hit one bank key instead of near-miss
+        duplicates — a measured contributor to the old ~7% reuse rate.
         """
         key = (after, lag)
         start = self._start_cache.get(key)
@@ -173,15 +198,29 @@ def run_validator(
     With no optimizer attached to ``run``, the spec tree probes through a
     fresh uncapped one, shared by every validator inside it and detached
     afterwards.
+
+    Raises:
+        RegistryError: when a kind in the tree is not registered.
+        ValidationError: when a built-in kind in the tree carries a
+            parameter it does not take (see :data:`KIND_PARAMETERS`).
     """
     builder = VALIDATOR_KINDS.get(spec.kind)
     # A combinator derives its candidate sets (collecting and resolving a
-    # source) before it runs its input, so resolve every kind in the tree
-    # first: an unregistered one fails before any of that work.
-    pending = list(spec.inputs)
+    # source) before it runs its input, so check every spec in the tree
+    # first: an unregistered kind or an unknown parameter fails before any
+    # of that work.
+    pending = [spec]
     while pending:
         inner = pending.pop()
         VALIDATOR_KINDS.get(inner.kind)
+        accepted = KIND_PARAMETERS.get(inner.kind)
+        unknown = [key for key, _ in inner.params if accepted is not None and key not in accepted]
+        if unknown:
+            raise ValidationError(
+                f"validator kind {inner.kind!r} takes no parameter "
+                + ", ".join(repr(key) for key in unknown)
+                + f" (it takes {', '.join(sorted(accepted))})"
+            )
         pending.extend(inner.inputs)
     with obs.span("validator.run", kind=spec.kind):
         if run.optimizer is not None:
@@ -236,15 +275,12 @@ def _derive_candidates(run: ValidationRun, spec: ValidatorSpec) -> CandidateSets
 
 
 def _derive_start(run: ValidationRun, spec: ValidatorSpec) -> float:
-    """When probing starts: explicit param, dataset-relative, or zero.
+    """When probing starts: dataset-relative, or zero.
 
-    ``start_time`` wins; otherwise ``start_after`` names a dataset and the
-    run starts ``start_lag`` (default one hour) after its last observation
-    — how Table 2 schedules the MIDAR run right after the active campaign.
+    ``start_after`` names a dataset, and the run starts one hour after its
+    last observation — how Table 2 schedules the MIDAR run right after the
+    active campaign.
     """
-    explicit = spec.param("start_time")
-    if explicit is not None:
-        return float(explicit)
     after = spec.param("start_after")
     if after is None:
         return 0.0
@@ -253,40 +289,12 @@ def _derive_start(run: ValidationRun, spec: ValidatorSpec) -> float:
             f"validator {spec.describe()} derives its start time from dataset "
             f"{after!r}, which needs a session; pass start_time explicitly"
         )
-    return run.derived_start(str(after), float(spec.param("start_lag", 3600.0)))
-
-
-def _vantage_from(spec: ValidatorSpec) -> VantagePoint:
-    """The vantage a spec probes from (the shared default unless overridden)."""
-    default = DEFAULT_VALIDATION_VANTAGE
-    return VantagePoint(
-        name=str(spec.param("vantage_name", default.name)),
-        address=str(spec.param("vantage_address", default.address)),
-        distributed=bool(spec.param("distributed", default.distributed)),
-    )
+    return run.derived_start(str(after), _START_LAG)
 
 
 # --------------------------------------------------------------------------- #
 # IPID technique kinds (MIDAR / Speedtrap / Ally)
 # --------------------------------------------------------------------------- #
-def _midar_config_from(spec: ValidatorSpec, default: MidarConfig) -> MidarConfig:
-    return MidarConfig(
-        estimation_samples=int(spec.param("estimation_samples", default.estimation_samples)),
-        estimation_interval=float(spec.param("estimation_interval", default.estimation_interval)),
-        corroboration_rounds=int(spec.param("corroboration_rounds", default.corroboration_rounds)),
-        corroboration_interval=float(
-            spec.param("corroboration_interval", default.corroboration_interval)
-        ),
-        corroboration_passes=int(spec.param("corroboration_passes", default.corroboration_passes)),
-        min_responses=int(spec.param("min_responses", default.min_responses)),
-        max_velocity=float(spec.param("max_velocity", default.max_velocity)),
-        velocity_ratio_bound=float(
-            spec.param("velocity_ratio_bound", default.velocity_ratio_bound)
-        ),
-        max_set_size=int(spec.param("max_set_size", default.max_set_size)),
-    )
-
-
 def _priority_order(
     members_per_set: Sequence[tuple[str, ...]],
     uncertainty: Sequence[int] | None = None,
@@ -311,7 +319,6 @@ def _run_scheduled(
     run: ValidationRun,
     spec: ValidatorSpec,
     start: float,
-    bank: IpidSampleBank,
     members_per_set: Sequence[tuple[str, ...]],
     verify: Callable[[tuple[str, ...], float], SetVerdict],
     uncertainty: Sequence[int] | None = None,
@@ -324,6 +331,7 @@ def _run_scheduled(
     stays banked for later validators.
     """
     optimizer = run.optimizer
+    bank = run.bank()
     validator = display_name(spec)
     verdicts: list[SetVerdict | None] = [None] * len(members_per_set)
     issued_total, reused_total = bank.probes_issued, bank.probes_reused
@@ -364,15 +372,13 @@ def _run_midar_like(
     spec: ValidatorSpec,
     candidates: CandidateSets | None,
     start_time: float | None,
-    default_config: MidarConfig,
+    config: MidarConfig,
     ipv6_only: bool,
 ) -> ValidationReport:
     if candidates is None:
         candidates = _derive_candidates(run, spec)
     start = start_time if start_time is not None else _derive_start(run, spec)
-    bank = run.bank(_vantage_from(spec))
-    config = _midar_config_from(spec, default_config)
-    pipeline = MidarPipeline(bank, config, run.optimizer)
+    pipeline = MidarPipeline(run.bank(), config, run.optimizer)
     members_per_set = []
     for candidate in candidates:
         members = [address for address in candidate if is_ipv6(address)] if ipv6_only else candidate
@@ -382,44 +388,17 @@ def _run_midar_like(
         sum(1 for address in members if cache.fresh(address, config, start) is None)
         for members in members_per_set
     ]
-
-    def verify(members: tuple[str, ...], now: float) -> SetVerdict:
-        verdict = pipeline.verify_set(members, start_time=now)
-        return SetVerdict(
-            candidate=verdict.candidate,
-            testable=verdict.testable,
-            agrees=verdict.agrees,
-            partition=canonical_partition(verdict.partition),
-            classes=tuple(
-                sorted(
-                    (address, target.value)
-                    for address, target in verdict.target_classes.items()
-                )
-            ),
-            started_at=verdict.started_at,
-            finished_at=verdict.finished_at,
-        )
-
-    return _run_scheduled(run, spec, start, bank, members_per_set, verify, uncertainty)
+    return _run_scheduled(run, spec, start, members_per_set, pipeline.verify_set, uncertainty)
 
 
 @validator_kind("midar", "MIDAR estimation → elimination → corroboration per candidate set")
 def _build_midar(run, spec, candidates, start_time):
-    return _run_midar_like(
-        run, spec, candidates, start_time, default_config=MidarConfig(), ipv6_only=False
-    )
+    return _run_midar_like(run, spec, candidates, start_time, MidarConfig(), ipv6_only=False)
 
 
 @validator_kind("speedtrap", "Speedtrap-style IPv6 fragment-ID verification (IPv6 members only)")
 def _build_speedtrap(run, spec, candidates, start_time):
-    return _run_midar_like(
-        run,
-        spec,
-        candidates,
-        start_time,
-        default_config=MidarConfig(estimation_samples=6, corroboration_rounds=5),
-        ipv6_only=True,
-    )
+    return _run_midar_like(run, spec, candidates, start_time, SPEEDTRAP_CONFIG, ipv6_only=True)
 
 
 @validator_kind("ally", "pairwise Ally tests per candidate set (reuses banked IPID series)")
@@ -427,29 +406,9 @@ def _build_ally(run, spec, candidates, start_time):
     if candidates is None:
         candidates = _derive_candidates(run, spec)
     start = start_time if start_time is not None else _derive_start(run, spec)
-    bank = run.bank(_vantage_from(spec))
-    max_set_size = int(spec.param("max_set_size", 10))
-    pipeline = AllyPipeline(
-        bank,
-        rounds=int(spec.param("rounds", 3)),
-        interval=float(spec.param("interval", 0.5)),
-        max_velocity=float(spec.param("max_velocity", 2_000.0)),
-        optimizer=run.optimizer,
-    )
-
-    def verify(members, now):
-        result = pipeline.verify_set(members, start_time=now, max_set_size=max_set_size)
-        return SetVerdict(
-            candidate=frozenset(result.members),
-            testable=result.testable,
-            agrees=result.agrees,
-            partition=canonical_partition(result.partition),
-            started_at=result.started_at,
-            finished_at=result.finished_at,
-        )
-
-    members_per_set = [tuple(sorted(candidate)[:max_set_size]) for candidate in candidates]
-    return _run_scheduled(run, spec, start, bank, members_per_set, verify)
+    pipeline = AllyPipeline(run.bank(), optimizer=run.optimizer)
+    members_per_set = [tuple(sorted(candidate)[:ALLY_MAX_SET_SIZE]) for candidate in candidates]
+    return _run_scheduled(run, spec, start, members_per_set, pipeline.verify_set)
 
 
 # --------------------------------------------------------------------------- #

@@ -7,8 +7,10 @@ series.  Both probe through a :class:`~repro.validation.budget.
 ProbeBudgetOptimizer`: banked evidence is read only while it is within
 :data:`~repro.validation.budget.DEFAULT_VELOCITY_TTL` of the read, and
 every fresh collection is requested from and charged to the optimizer's
-budget.  Run one over a private bank (and its own uncapped optimizer) for
-a self-contained prober::
+budget.  Both return each set's :class:`~repro.validation.report.
+SetVerdict`, the type every validation report lists.  Run one over a
+private bank (and its own uncapped optimizer) for a self-contained
+prober::
 
     MidarPipeline(IpidSampleBank(network, vantage)).verify_sets(candidates)
 """
@@ -26,6 +28,11 @@ from repro.validation.budget import (
     ProbeBudgetExhausted,
     ProbeBudgetOptimizer,
 )
+from repro.validation.report import SetVerdict, canonical_partition
+
+#: The most members of one candidate set Ally tests: the paper's sample
+#: bound, as :attr:`MidarConfig.max_set_size` is MIDAR's.
+ALLY_MAX_SET_SIZE = 10
 
 
 @dataclasses.dataclass(frozen=True)
@@ -41,30 +48,6 @@ class MidarConfig:
     max_velocity: float = 2_000.0
     velocity_ratio_bound: float = 20.0
     max_set_size: int = 10
-
-
-@dataclasses.dataclass
-class MidarSetVerdict:
-    """MIDAR's verdict on one candidate alias set.
-
-    Attributes:
-        candidate: the input set.
-        target_classes: per-address estimation-stage classification.
-        testable: whether at least two members were usable.
-        partition: the partition of the usable members produced by pairwise
-            corroboration (empty when not testable).
-        agrees: whether the partition keeps all usable members in one group,
-            i.e. MIDAR confirms the candidate set.
-        started_at / finished_at: simulation time window of the probing.
-    """
-
-    candidate: frozenset[str]
-    target_classes: dict[str, TargetClass]
-    testable: bool
-    partition: list[frozenset[str]]
-    agrees: bool
-    started_at: float
-    finished_at: float
 
 
 class MidarPipeline:
@@ -210,8 +193,13 @@ class MidarPipeline:
         optimizer.charge(self._bank.probes_issued - issued_before)
         return shares, start_time + per_pass * config.corroboration_interval
 
-    def verify_set(self, candidate: Iterable[str], start_time: float = 0.0) -> MidarSetVerdict:
+    def verify_set(self, candidate: Iterable[str], start_time: float = 0.0) -> SetVerdict:
         """Run the full pipeline on one candidate alias set.
+
+        The verdict's ``classes`` are every member's estimation-stage
+        :class:`~repro.baselines.ipid.TargetClass` value, and its
+        ``partition`` the usable members grouped by corroboration (empty
+        when fewer than two are usable).
 
         Raises:
             ProbeBudgetExhausted: when the optimizer's budget denies a
@@ -220,13 +208,14 @@ class MidarPipeline:
         members = sorted(candidate)[: self._config.max_set_size]
         classes, velocities, now = self.estimate(members, start_time)
         usable = [address for address in members if classes[address] is TargetClass.USABLE]
+        labels = tuple(sorted((address, target.value) for address, target in classes.items()))
         if len(usable) < 2:
-            return MidarSetVerdict(
+            return SetVerdict(
                 candidate=frozenset(members),
-                target_classes=classes,
                 testable=False,
-                partition=[],
                 agrees=False,
+                partition=(),
+                classes=labels,
                 started_at=start_time,
                 finished_at=now,
             )
@@ -245,20 +234,20 @@ class MidarPipeline:
                 shares, now = self._pair_shares_counter(left, right, now)
                 if shares:
                     union_find.union(left, right)
-        partition = [frozenset(group) for group in union_find.groups()]
-        return MidarSetVerdict(
+        partition = canonical_partition(union_find.groups())
+        return SetVerdict(
             candidate=frozenset(members),
-            target_classes=classes,
             testable=True,
-            partition=partition,
             agrees=len(partition) == 1,
+            partition=partition,
+            classes=labels,
             started_at=start_time,
             finished_at=now,
         )
 
     def verify_sets(
         self, candidates: Iterable[Iterable[str]], start_time: float = 0.0
-    ) -> list[MidarSetVerdict]:
+    ) -> list[SetVerdict]:
         """Verify many candidate sets sequentially (a MIDAR "run").
 
         The sets are probed one after another, so a long run exposes later
@@ -294,38 +283,6 @@ class AllyPairResult:
     def responded(self) -> bool:
         """Whether both sides produced enough samples to test."""
         return self.left_responded and self.right_responded
-
-
-@dataclasses.dataclass(frozen=True)
-class AllySetResult:
-    """Ally's set-level outcome: the pairwise tests folded into a partition.
-
-    Attributes:
-        members: the (sorted, possibly truncated) members actually tested.
-        responded: members that answered with ≥2 samples in some pair test.
-        partition: union-find groups restricted to the responded members.
-        reused_pairs / tested_pairs: how many pair tests were answered from
-            the bank vs probed fresh.
-        started_at / finished_at: simulation time window of fresh probing.
-    """
-
-    members: tuple[str, ...]
-    responded: frozenset[str]
-    partition: tuple[frozenset[str], ...]
-    reused_pairs: int
-    tested_pairs: int
-    started_at: float
-    finished_at: float
-
-    @property
-    def testable(self) -> bool:
-        """Whether at least two members responded to pair probing."""
-        return len(self.responded) >= 2
-
-    @property
-    def agrees(self) -> bool:
-        """Whether all responded members fold into one group."""
-        return self.testable and len(self.partition) == 1
 
 
 class AllyPipeline:
@@ -412,30 +369,26 @@ class AllyPipeline:
         self._optimizer.charge(self._bank.probes_issued - issued_before)
         return self._decide(series, left, right, reused=False)
 
-    def verify_set(
-        self,
-        candidate: Iterable[str],
-        start_time: float = 0.0,
-        max_set_size: int = 10,
-    ) -> AllySetResult:
-        """Run the pairwise loop over one candidate set."""
-        members = tuple(sorted(candidate)[:max_set_size])
+    def verify_set(self, candidate: Iterable[str], start_time: float = 0.0) -> SetVerdict:
+        """Run the pairwise loop over one candidate set's first
+        :data:`ALLY_MAX_SET_SIZE` members.
+
+        The set is testable when at least two members answered some pair
+        test with two or more samples; the verdict's ``partition`` groups
+        those members by passing pair tests.
+        """
+        members = tuple(sorted(candidate)[:ALLY_MAX_SET_SIZE])
         union_find = UnionFind()
         responded: set[str] = set()
         for address in members:
             union_find.add(address)
         now = start_time
-        reused_pairs = 0
-        tested_pairs = 0
         for index, left in enumerate(members):
             for right in members[index + 1 :]:
                 if union_find.find(left) == union_find.find(right):
                     continue
                 verdict = self.test_pair(left, right, start_time=now)
-                tested_pairs += 1
-                if verdict.reused:
-                    reused_pairs += 1
-                else:
+                if not verdict.reused:
                     now += self.pair_duration
                 if verdict.left_responded:
                     responded.add(left)
@@ -443,17 +396,15 @@ class AllyPipeline:
                     responded.add(right)
                 if verdict.aliases:
                     union_find.union(left, right)
-        partition = tuple(
-            frozenset(group & responded)
-            for group in union_find.groups()
-            if group & responded
+        partition = canonical_partition(
+            group & responded for group in union_find.groups() if group & responded
         )
-        return AllySetResult(
-            members=members,
-            responded=frozenset(responded),
+        testable = len(responded) >= 2
+        return SetVerdict(
+            candidate=frozenset(members),
+            testable=testable,
+            agrees=testable and len(partition) == 1,
             partition=partition,
-            reused_pairs=reused_pairs,
-            tested_pairs=tested_pairs,
             started_at=start_time,
             finished_at=now,
         )

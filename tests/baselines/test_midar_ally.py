@@ -104,7 +104,7 @@ def ally_pipeline(network):
 def speedtrap_verdict(candidate):
     report = run_validator(
         ValidationRun(build_network()),
-        speedtrap(vantage_name="speedtrap-vp", vantage_address="192.0.2.253"),
+        speedtrap(),
         candidates=(frozenset(candidate),),
         start_time=0.0,
     )
@@ -118,7 +118,7 @@ class TestMidar:
         verdict = pipeline.verify_set(["10.0.1.1", "10.0.1.2", "10.0.1.3"])
         assert verdict.testable
         assert verdict.agrees
-        assert verdict.partition == [frozenset({"10.0.1.1", "10.0.1.2", "10.0.1.3"})]
+        assert verdict.partition == (frozenset({"10.0.1.1", "10.0.1.2", "10.0.1.3"}),)
 
     def test_splits_false_alias_set(self):
         pipeline = midar_pipeline(build_network())
@@ -138,7 +138,7 @@ class TestMidar:
         pipeline = midar_pipeline(build_network())
         verdict = pipeline.verify_set(["10.0.4.1", "10.0.4.2"])
         assert not verdict.testable
-        assert verdict.target_classes["10.0.4.1"] is TargetClass.NON_MONOTONIC
+        assert dict(verdict.classes)["10.0.4.1"] == TargetClass.NON_MONOTONIC.value
 
     def test_constant_ipid_set_untestable(self):
         pipeline = midar_pipeline(build_network())
@@ -148,7 +148,7 @@ class TestMidar:
     def test_unknown_address_unresponsive(self):
         pipeline = midar_pipeline(build_network())
         verdict = pipeline.verify_set(["10.0.1.1", "198.18.0.1"])
-        assert verdict.target_classes["198.18.0.1"] is TargetClass.UNRESPONSIVE
+        assert dict(verdict.classes)["198.18.0.1"] == TargetClass.UNRESPONSIVE.value
         assert not verdict.testable
 
     def test_verify_sets_advances_time(self):

@@ -78,6 +78,24 @@ class TestObservationSerialisation:
             observation_from_dict(record)
 
     @pytest.mark.parametrize(
+        "asn",
+        [-1, 2**32, 2**63, "9223372036854775808"],
+        ids=["negative", "2**32", "2**63", "quoted-2**63"],
+    )
+    def test_asn_outside_32_bits_raises(self, asn):
+        # 2**63 does not fit the index's signed 64-bit ASN column either.
+        record = observation_to_dict(sample_observation())
+        record["asn"] = asn
+        with pytest.raises(DatasetError, match="not a 32-bit AS number"):
+            observation_from_dict(record)
+
+    @pytest.mark.parametrize("asn", [0, 2**32 - 1])
+    def test_asn_bounds_load(self, asn):
+        record = observation_to_dict(sample_observation())
+        record["asn"] = asn
+        assert observation_from_dict(record).asn == asn
+
+    @pytest.mark.parametrize(
         "bad_timestamp",
         ["inf", "-inf", "nan", "1e400", float("inf"), float("nan"), 10**400, True, False, [12.5]],
         ids=[

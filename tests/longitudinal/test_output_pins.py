@@ -1,12 +1,15 @@
-"""Byte pins of what the longitudinal poll loop prints.
+"""Byte pins of what the longitudinal poll loop and validation print.
 
 ``repro longitudinal``, ``repro serve`` and ``repro validate --snapshots``
 all run the stream's poll loop.  These pins are SHA-256 digests of each
 command's stdout at scale 0.1, invoked in-process, and of the
 ``stability.md`` the first one writes.  They were computed while
 ``repro longitudinal`` still ran a batch driver of its own, and read the
-same under Python 3.11, 3.12 and 3.13.  A pin may change only with a
-change that means to change that output, and says so.
+same under Python 3.11, 3.12 and 3.13.  One more pin covers single-shot
+``repro validate`` over the three registered validators: its validation
+table and its probe accounting by validator kind and by vantage, computed
+while validator specs could still override the vantage.  A pin may
+change only with a change that means to change that output, and says so.
 """
 
 import hashlib
@@ -59,8 +62,13 @@ def test_longitudinal_churn_stdout_and_stability_markdown(capsys, tmp_path):
             ["validate", "--scale", "0.1", "--seed", "42", "--snapshots", "3"],
             "fef8372a2d0f71811d0891ab43e94b7ded6e60966f475aece5877a2741ac4253",
         ),
+        (
+            ["validate", "--scale", "0.1", "--seed", "42", "--validators", "midar", "ally",
+             "speedtrap"],
+            "dbd8cce5cbdd088bc657fde84d8a4bb6ac0050d7854966f6a20846e1a7f4d940",
+        ),
     ],
-    ids=["longitudinal-ipv4-only", "serve-churn", "validate-snapshots"],
+    ids=["longitudinal-ipv4-only", "serve-churn", "validate-snapshots", "validate"],
 )
 def test_stdout_pinned(capsys, argv, digest):
     assert _digest(_stdout(capsys, argv)) == digest

@@ -144,7 +144,7 @@ def banked_run():
     )
     run_validator(
         run,
-        midar(vantage_name="chain-cases", vantage_address="192.0.2.31"),
+        midar(),
         candidates=(_ALIASES,),
         start_time=0.0,
     )

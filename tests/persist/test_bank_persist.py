@@ -1,5 +1,6 @@
 """Validation sample-bank persistence: signed documents, zero-probe reloads."""
 
+import dataclasses
 import json
 import random
 import shutil
@@ -17,14 +18,17 @@ from repro.persist.bank import (
     bank_state_signature,
     bank_state_to_document,
 )
+from repro.persist.files import spec_to_document
 from repro.persist.session import SESSION_MANIFEST
+from repro.persist.validation import validation_to_document
 from repro.simnet.asn import AsRegistry, AsRole, AutonomousSystem
 from repro.simnet.device import Device, DeviceRole, Interface
-from repro.simnet.network import SimulatedInternet
+from repro.simnet.network import SimulatedInternet, VantagePoint
 from repro.validation.bank import IpidSampleBank
 from repro.validation.budget import DEFAULT_VELOCITY_TTL
-from repro.validation.runner import ValidationRun, run_validator
-from repro.validation.spec import midar
+from repro.validation.runner import VALIDATION_VANTAGE, ValidationRun, run_validator
+from repro.validation.spec import midar, sample
+from repro.validation.techniques import MidarPipeline
 
 _CONFIG = ScenarioConfig(scale=0.05, seed=7)
 
@@ -70,7 +74,7 @@ def _warm_run():
     run = ValidationRun(build_network())
     run_validator(
         run,
-        midar(vantage_name="bank-persist", vantage_address="192.0.2.31"),
+        midar(),
         candidates=(TRUE_SET, FALSE_SET),
         start_time=0.0,
     )
@@ -372,3 +376,116 @@ class TestSessionBankRoundTrip:
         (copy / SESSION_MANIFEST).write_text(json.dumps(manifest))
         loaded = ReproSession.load(copy)
         assert loaded.validation_bank_states() == []
+
+
+#: A vantage only a validator spec override could probe from.
+_OTHER_VANTAGE = VantagePoint(name="vantage-2", address="192.0.2.9")
+
+#: The Table 2 MIDAR composition with that override, as earlier builds ran it.
+_OVERRIDE_SPEC = sample(
+    midar(
+        source="active",
+        protocol="ssh",
+        family="ipv4",
+        start_after="active-ipv6",
+        vantage_name=_OTHER_VANTAGE.name,
+        vantage_address=_OTHER_VANTAGE.address,
+    ),
+    size=150,
+    seed=7,
+    max_size=10,
+)
+
+
+@pytest.fixture(scope="module")
+def two_vantage_session(tmp_path_factory):
+    """A session directory as earlier builds saved one after validating from
+    two vantages: ``midar`` from the validation vantage, then the same sets
+    from another vantage under :data:`_OVERRIDE_SPEC`, each with its bank.
+    The other vantage's bank is listed first."""
+    session = ReproSession(_CONFIG)
+    report = session.validate("midar")
+    directory = tmp_path_factory.mktemp("two-vantage") / "saved"
+    session.save(directory)
+    (bank,) = session.validation_run.banks().values()
+    other = IpidSampleBank(session.network, _OTHER_VANTAGE)
+    MidarPipeline(other).verify_sets(
+        [verdict.candidate for verdict in report.verdicts], start_time=report.started_at
+    )
+    manifest = json.loads((directory / SESSION_MANIFEST).read_text())
+    validation = validation_to_document(
+        dataclasses.replace(report, validator="sample", spec=_OVERRIDE_SPEC)
+    )
+    (directory / "validations/0001-001.json").write_text(json.dumps(validation))
+    manifest["validations"].append(
+        {
+            "spec": spec_to_document(_OVERRIDE_SPEC),
+            "name": "midar-vantage-2",
+            "file": "validations/0001-001.json",
+            "signature": validation["signature"],
+        }
+    )
+    other_bank = bank_state_to_document(other.export_state())
+    (directory / "banks/0001-001.json").write_text(json.dumps(other_bank))
+    manifest["banks"].insert(
+        0,
+        {
+            "file": "banks/0001-001.json",
+            "signature": other_bank["signature"],
+            "vantage": _OTHER_VANTAGE.name,
+        },
+    )
+    (directory / SESSION_MANIFEST).write_text(json.dumps(manifest, indent=2))
+    return directory, bank.probes_issued
+
+
+class TestOtherVantageBank:
+    """Validation probes from one vantage; a saved bank of another loads
+    past, unrestored, and the next save drops it."""
+
+    def test_loads_and_lists_both_validations(self, two_vantage_session, capsys):
+        directory, _ = two_vantage_session
+        loaded = ReproSession.load(directory)
+        assert [name for _, name in loaded.cached_validations()] == ["midar", "midar-vantage-2"]
+        assert main(["session", "load", str(directory)]) == 0
+        out = capsys.readouterr().out
+        assert "validation midar:" in out
+        assert "validation midar-vantage-2:" in out
+
+    def test_restores_only_the_validation_vantage_bank(self, two_vantage_session):
+        directory, issued = two_vantage_session
+        banks = ReproSession.load(directory).validation_run.banks()
+        assert list(banks) == [VALIDATION_VANTAGE]
+        assert banks[VALIDATION_VANTAGE].probes_issued == issued
+
+    def test_budgeted_rescore_spends_no_fresh_probes(self, two_vantage_session, monkeypatch):
+        directory, issued = two_vantage_session
+        loaded = ReproSession.load(directory)
+
+        def refuse(config):
+            raise AssertionError("re-scoring from the restored bank built the topology")
+
+        monkeypatch.setattr("repro.api.session.generate_topology", refuse)
+        result = loaded.validate_budgeted(["midar"])
+        assert result.spent == 0
+        assert [bank.probes_issued for bank in loaded.validation_run.banks().values()] == [issued]
+
+    def test_rerunning_the_override_raises(self, two_vantage_session):
+        loaded = ReproSession.load(two_vantage_session[0])
+        with pytest.raises(ValidationError, match="'vantage_address', 'vantage_name'"):
+            loaded.validate(_OVERRIDE_SPEC)
+
+    def test_resave_writes_one_bank_file(self, two_vantage_session, tmp_path):
+        copy = shutil.copytree(two_vantage_session[0], tmp_path / "resaved")
+        ReproSession.load(copy).save(copy)
+        manifest = json.loads((copy / SESSION_MANIFEST).read_text())
+        assert [entry["vantage"] for entry in manifest["banks"]] == [VALIDATION_VANTAGE.name]
+        assert [path.name for path in (copy / "banks").iterdir()] == ["0002-000.json"]
+        assert len(manifest["validations"]) == 2
+
+
+def test_run_refuses_a_bank_of_another_vantage():
+    run = ValidationRun(build_network())
+    with pytest.raises(ValidationError, match="vantage-2"):
+        run.restore_bank(IpidSampleBank(None, _OTHER_VANTAGE))
+    assert run.banks() == {}

@@ -10,12 +10,12 @@ from repro.api.config import ScenarioConfig
 from repro.api.session import ReproSession
 from repro.cli import main
 from repro.errors import PersistError, RegistryError
+from repro.persist.files import spec_to_document
 from repro.persist.validation import (
     validation_from_document,
     validation_signature_digest,
     validation_to_document,
     validator_spec_from_document,
-    validator_spec_to_document,
 )
 from repro.validation.report import SetVerdict, ValidationReport
 from repro.validation.spec import ValidatorSpec, midar, sample
@@ -58,7 +58,7 @@ def _report():
 class TestValidatorSpecDocuments:
     def test_round_trip(self):
         spec = sample(midar(protocol="ssh", start_after="active-ipv6"), size=5, seed=2)
-        assert validator_spec_from_document(validator_spec_to_document(spec)) == spec
+        assert validator_spec_from_document(spec_to_document(spec)) == spec
 
     def test_malformed_document_raises(self):
         with pytest.raises(PersistError, match="malformed validator spec"):

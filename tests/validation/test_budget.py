@@ -32,10 +32,6 @@ V6_TRUE_SET = frozenset({"2001:db80::11", "2001:db80::12"})
 CANDIDATES = (TRUE_SET, FALSE_SET, RANDOM_SET)
 
 
-def _spec_vantage(spec_fn, **params):
-    return spec_fn(vantage_name="validation-test", vantage_address="192.0.2.9", **params)
-
-
 def _decisions(report):
     return [
         (v.candidate, v.testable, v.agrees, v.partition) for v in report.verdicts
@@ -122,7 +118,7 @@ class TestUnresolvedVerdict:
 
     def test_normal_verdicts_not_flagged(self, network):
         report = run_validator(
-            ValidationRun(network), _spec_vantage(midar), candidates=CANDIDATES, start_time=0.0
+            ValidationRun(network), midar(), candidates=CANDIDATES, start_time=0.0
         )
         assert not any(is_unresolved(v) for v in report.verdicts)
 
@@ -147,7 +143,7 @@ class TestUncappedParity:
     def test_fresh_probes_are_exact(
         self, make_network, count_probes, spec_fn, candidates, probes
     ):
-        spec = _spec_vantage(spec_fn)
+        spec = spec_fn()
         default_network = make_network()
         default_counter = count_probes(default_network)
         default = run_validator(
@@ -172,7 +168,7 @@ class TestUncappedParity:
         counter = count_probes(network)
         pair = frozenset(sorted(TRUE_SET)[:2])
         report = run_validator(
-            ValidationRun(network), _spec_vantage(midar), candidates=(pair,), start_time=0.0
+            ValidationRun(network), midar(), candidates=(pair,), start_time=0.0
         )
         config = MidarConfig()
         one_pass = 2 * config.estimation_samples + 2 * config.corroboration_rounds
@@ -184,18 +180,18 @@ class TestUncappedParity:
         counter = count_probes(network)
         run = ValidationRun(network)
         run.optimizer = ProbeBudgetOptimizer()
-        run_validator(run, _spec_vantage(midar), candidates=CANDIDATES, start_time=0.0)
+        run_validator(run, midar(), candidates=CANDIDATES, start_time=0.0)
         after_midar = counter["probes"]
         independent_network = make_network()
         independent_counter = count_probes(independent_network)
         run_validator(
             ValidationRun(independent_network),
-            _spec_vantage(ally),
+            ally(),
             candidates=CANDIDATES,
             start_time=0.0,
         )
         ally_report = run_validator(
-            run, _spec_vantage(ally), candidates=CANDIDATES, start_time=0.0
+            run, ally(), candidates=CANDIDATES, start_time=0.0
         )
         # Most Ally pairs are answered from banked MIDAR corroboration;
         # only pairs the transitive skip left unprobed go to the network.
@@ -205,7 +201,7 @@ class TestUncappedParity:
 
 class TestCappedDegradation:
     def test_skipped_sets_unresolved_resolved_verdicts_identical(self, make_network):
-        spec = _spec_vantage(midar)
+        spec = midar()
         uncapped_run = ValidationRun(make_network())
         uncapped_run.optimizer = ProbeBudgetOptimizer()
         uncapped = run_validator(
@@ -240,7 +236,7 @@ class TestCappedDegradation:
         run = ValidationRun(network)
         run.optimizer = ProbeBudgetOptimizer(budget=0)
         report = run_validator(
-            run, _spec_vantage(midar), candidates=CANDIDATES, start_time=0.0
+            run, midar(), candidates=CANDIDATES, start_time=0.0
         )
         assert counter["probes"] == 0
         assert all(is_unresolved(v) for v in report.verdicts)
@@ -259,7 +255,7 @@ class TestCappedDegradation:
         run = ValidationRun(network)
         run.optimizer = ProbeBudgetOptimizer(budget=0)
         report = run_validator(
-            run, _spec_vantage(spec_fn), candidates=candidates, start_time=0.0
+            run, spec_fn(), candidates=candidates, start_time=0.0
         )
         assert counter["probes"] == 0
         assert all(is_unresolved(v) for v in report.verdicts)
@@ -268,11 +264,11 @@ class TestCappedDegradation:
     def test_zero_budget_still_answers_from_the_bank(self, network, count_probes):
         warm = ValidationRun(network)
         warm.optimizer = ProbeBudgetOptimizer()
-        run_validator(warm, _spec_vantage(midar), candidates=CANDIDATES, start_time=0.0)
+        run_validator(warm, midar(), candidates=CANDIDATES, start_time=0.0)
         counter = count_probes(network)
         warm.optimizer = ProbeBudgetOptimizer(budget=0)
         report = run_validator(
-            warm, _spec_vantage(midar), candidates=CANDIDATES, start_time=0.0
+            warm, midar(), candidates=CANDIDATES, start_time=0.0
         )
         assert counter["probes"] == 0
         assert not any(is_unresolved(v) for v in report.verdicts)
@@ -294,12 +290,12 @@ class TestVelocityTtl:
     def test_expired_velocity_always_reprobes(self, network, count_probes):
         run = ValidationRun(network)
         run.optimizer = ProbeBudgetOptimizer()
-        run_validator(run, _spec_vantage(midar), candidates=(TRUE_SET,), start_time=0.0)
+        run_validator(run, midar(), candidates=(TRUE_SET,), start_time=0.0)
         counter = count_probes(network)
         # Past one day: the cached velocities must not be reused.
         run_validator(
             run,
-            _spec_vantage(midar),
+            midar(),
             candidates=(TRUE_SET,),
             start_time=2 * DEFAULT_VELOCITY_TTL,
         )
@@ -308,9 +304,9 @@ class TestVelocityTtl:
     def test_fresh_velocity_rescores_free(self, network, count_probes):
         run = ValidationRun(network)
         run.optimizer = ProbeBudgetOptimizer()
-        run_validator(run, _spec_vantage(midar), candidates=(TRUE_SET,), start_time=0.0)
+        run_validator(run, midar(), candidates=(TRUE_SET,), start_time=0.0)
         counter = count_probes(network)
-        run_validator(run, _spec_vantage(midar), candidates=(TRUE_SET,), start_time=0.0)
+        run_validator(run, midar(), candidates=(TRUE_SET,), start_time=0.0)
         assert counter["probes"] == 0
 
 
@@ -321,7 +317,7 @@ class TestObsAccounting:
             run = ValidationRun(network)
             run.optimizer = ProbeBudgetOptimizer()
             run_validator(
-                run, _spec_vantage(midar), candidates=CANDIDATES, start_time=0.0
+                run, midar(), candidates=CANDIDATES, start_time=0.0
             )
             probed = registry.counter_value(
                 "validation.budget", outcome="probed", validator="midar"
@@ -336,8 +332,8 @@ class TestRunBudgeted:
         run = ValidationRun(network)
         sentinel = ProbeBudgetOptimizer()
         run.optimizer = sentinel
-        spec = _spec_vantage(midar, start_time=0.0)
-        with pytest.raises(ValidationError):
+        spec = midar()
+        with pytest.raises(ValidationError, match="needs a session"):
             run_budgeted(run, [spec])  # no session: candidate derivation fails
         assert run.optimizer is sentinel
 

@@ -21,12 +21,11 @@ from hypothesis import strategies as st
 from repro.net.ipid import MonotonicIpidCounter, RandomIpidCounter
 from repro.simnet.asn import AsRegistry, AsRole, AutonomousSystem
 from repro.simnet.device import Device, DeviceRole, Interface
-from repro.simnet.network import SimulatedInternet, VantagePoint
+from repro.simnet.network import SimulatedInternet
 from repro.validation.budget import DEFAULT_VELOCITY_TTL, ProbeBudgetOptimizer
 from repro.validation.runner import ValidationRun, run_validator
 from repro.validation.spec import midar
 
-VP_PARAMS = dict(vantage_name="budget-prop", vantage_address="192.0.2.77")
 
 #: Every probe-responsive address of the property network, grouped by device.
 DEVICE_ADDRESSES = {
@@ -115,7 +114,7 @@ def test_staleness_bound_is_honest(fraction, within):
     collection.
     """
     ttl = DEFAULT_VELOCITY_TTL
-    spec = midar(**VP_PARAMS)
+    spec = midar()
     candidates = (frozenset(DEVICE_ADDRESSES["shared"]),)
     network = build_network()
     run = ValidationRun(network)
@@ -139,7 +138,7 @@ def test_staleness_bound_is_honest(fraction, within):
 @settings(max_examples=25, deadline=None)
 def test_scheduler_is_deterministic(candidates, budget):
     """Same candidates + same budget -> same spend order, same verdicts."""
-    spec = midar(**VP_PARAMS)
+    spec = midar()
 
     def one_run():
         run = ValidationRun(build_network())

@@ -7,13 +7,35 @@ import pytest
 from repro.api.config import ScenarioConfig
 from repro.api.experiments import get_experiment
 from repro.api.session import ReproSession
-from repro.errors import RegistryError
+from repro.errors import RegistryError, ValidationError
 from repro.simnet.device import ServiceType
 from repro.simnet.network import VantagePoint
 from repro.validation.bank import IpidSampleBank
 from repro.validation.runner import table2_midar_spec
 from repro.validation.spec import ValidatorSpec, named_validator, sample
 from repro.validation.techniques import MidarPipeline
+
+#: Parameters the built-in technique kinds once read, each with a value a
+#: caller could have set, and one misspelt parameter.
+_UNTAKEN_PARAMETERS = {
+    "vantage_name": "vantage-2",
+    "vantage_address": "192.0.2.9",
+    "distributed": True,
+    "estimation_samples": 2,
+    "estimation_interval": 2.0,
+    "corroboration_rounds": 6,
+    "corroboration_interval": 1.0,
+    "corroboration_passes": 2,
+    "min_responses": 3,
+    "max_velocity": 2_000.0,
+    "velocity_ratio_bound": 20.0,
+    "max_set_size": 10,
+    "rounds": 3,
+    "interval": 0.5,
+    "start_time": 0.0,
+    "start_lag": 3600.0,
+    "famly": "ipv6",
+}
 
 
 @pytest.fixture(scope="module")
@@ -48,6 +70,38 @@ class TestValidateCaching:
         session.validate("midar")
         ally_report = session.validate("ally")
         assert ally_report.probes_reused > 0
+
+
+class TestUntakenParameters:
+    """A built-in kind takes only the parameters it reads; any other fails
+    by name before a candidate set is derived."""
+
+    @pytest.mark.parametrize("nested", [False, True], ids=["bare", "in-sample"])
+    @pytest.mark.parametrize("parameter", sorted(_UNTAKEN_PARAMETERS))
+    @pytest.mark.parametrize("kind", ["midar", "speedtrap", "ally"])
+    def test_rejected_before_any_collection(self, kind, parameter, nested):
+        fresh = ReproSession(ScenarioConfig(scale=0.1, seed=5))
+        spec = ValidatorSpec.create(
+            kind, source="active", protocol="ssh", **{parameter: _UNTAKEN_PARAMETERS[parameter]}
+        )
+        if nested:
+            spec = sample(spec, size=5, seed=3, max_size=10)
+        with pytest.raises(ValidationError, match=f"{kind!r} takes no parameter {parameter!r}"):
+            fresh.validate(spec)
+        assert fresh.cached_datasets() == {}
+        assert fresh.cached_reports() == {}
+        assert fresh.cached_validations() == {}
+
+    @pytest.mark.parametrize("parameter", ["family", "source", "start_after", "famly"])
+    def test_sample_takes_only_its_draw(self, parameter):
+        fresh = ReproSession(ScenarioConfig(scale=0.1, seed=5))
+        spec = ValidatorSpec.create(
+            "sample", inputs=(ValidatorSpec.create("midar"),), size=5, **{parameter: "active"}
+        )
+        with pytest.raises(ValidationError, match=f"'sample' takes no parameter {parameter!r}"):
+            fresh.validate(spec)
+        assert fresh.cached_datasets() == {}
+        assert fresh.cached_reports() == {}
 
 
 class TestTable2RegistryParity:

@@ -23,16 +23,11 @@ RANDOM_SET = frozenset({"10.0.4.1", "10.0.4.2"})
 V6_MIXED_SET = frozenset({"10.0.1.1", "2001:db80::11", "2001:db80::12"})
 
 
-def _spec_vantage(spec_fn, **params):
-    """A technique spec probing from the test vantage."""
-    return spec_fn(vantage_name="validation-test", vantage_address="192.0.2.9", **params)
-
-
 class TestMidarValidator:
     def test_matches_direct_prober(self, network, make_network, vantage):
         run = ValidationRun(network)
         report = run_validator(
-            run, _spec_vantage(midar), candidates=(TRUE_SET, FALSE_SET), start_time=0.0
+            run, midar(), candidates=(TRUE_SET, FALSE_SET), start_time=0.0
         )
         direct = MidarPipeline(IpidSampleBank(make_network(), vantage)).verify_sets(
             [TRUE_SET, FALSE_SET]
@@ -48,7 +43,7 @@ class TestMidarValidator:
     def test_untestable_set_counted_in_coverage(self, network):
         report = run_validator(
             ValidationRun(network),
-            _spec_vantage(midar),
+            midar(),
             candidates=(TRUE_SET, RANDOM_SET),
             start_time=0.0,
         )
@@ -59,7 +54,7 @@ class TestMidarValidator:
     def test_probe_accounting(self, network, count_probes):
         counter = count_probes(network)
         report = run_validator(
-            ValidationRun(network), _spec_vantage(midar), candidates=(TRUE_SET,), start_time=0.0
+            ValidationRun(network), midar(), candidates=(TRUE_SET,), start_time=0.0
         )
         assert report.probes_issued == counter["probes"]
         assert report.probes_reused == 0
@@ -68,9 +63,9 @@ class TestMidarValidator:
 class TestAllyValidator:
     def test_reuses_midar_series_with_zero_fresh_probes(self, network, count_probes):
         run = ValidationRun(network)
-        run_validator(run, _spec_vantage(midar), candidates=(TRUE_SET,), start_time=0.0)
+        run_validator(run, midar(), candidates=(TRUE_SET,), start_time=0.0)
         counter = count_probes(network)
-        report = run_validator(run, _spec_vantage(ally), candidates=(TRUE_SET,), start_time=0.0)
+        report = run_validator(run, ally(), candidates=(TRUE_SET,), start_time=0.0)
         assert counter["probes"] == 0  # every pair answered from the bank
         assert report.probes_issued == 0
         assert report.probes_reused > 0
@@ -82,11 +77,11 @@ class TestAllyValidator:
     def test_without_reuse_probes_fresh(self, network, count_probes):
         # Banked pairs older than the staleness bound are never reused.
         run = ValidationRun(network)
-        run_validator(run, _spec_vantage(midar), candidates=(TRUE_SET,), start_time=0.0)
+        run_validator(run, midar(), candidates=(TRUE_SET,), start_time=0.0)
         counter = count_probes(network)
         report = run_validator(
             run,
-            _spec_vantage(ally),
+            ally(),
             candidates=(TRUE_SET,),
             start_time=2 * DEFAULT_VELOCITY_TTL,
         )
@@ -96,7 +91,7 @@ class TestAllyValidator:
 
     def test_splits_false_set(self, network):
         report = run_validator(
-            ValidationRun(network), _spec_vantage(ally), candidates=(FALSE_SET,), start_time=0.0
+            ValidationRun(network), ally(), candidates=(FALSE_SET,), start_time=0.0
         )
         (verdict,) = report.verdicts
         assert verdict.testable
@@ -108,7 +103,7 @@ class TestSpeedtrapValidator:
     def test_drops_ipv4_members(self, network):
         report = run_validator(
             ValidationRun(network),
-            _spec_vantage(speedtrap),
+            speedtrap(),
             candidates=(V6_MIXED_SET,),
             start_time=0.0,
         )
@@ -121,7 +116,7 @@ class TestSpeedtrapValidator:
 class TestSampleCombinator:
     def test_matches_seeded_random_sample(self, network):
         base = tuple(frozenset({f"10.9.{i}.1", f"10.9.{i}.2"}) for i in range(20))
-        spec = sample(_spec_vantage(midar), size=5, seed=13)
+        spec = sample(midar(), size=5, seed=13)
         report = run_validator(ValidationRun(network), spec, candidates=base, start_time=0.0)
         expected = random.Random(13).sample(list(base), 5)
         assert [v.candidate for v in report.verdicts] == [frozenset(c) for c in expected]
@@ -134,7 +129,7 @@ class TestSampleCombinator:
         base = (TRUE_SET, big)
         report = run_validator(
             ValidationRun(network),
-            sample(_spec_vantage(midar), size=10, seed=1, max_size=10),
+            sample(midar(), size=10, seed=1, max_size=10),
             candidates=base,
             start_time=0.0,
         )
@@ -145,13 +140,13 @@ class TestSampleCombinator:
 class TestSessionlessDerivation:
     def test_missing_session_raises(self, network):
         with pytest.raises(ValidationError, match="needs a session"):
-            run_validator(ValidationRun(network), _spec_vantage(midar))
+            run_validator(ValidationRun(network), midar())
 
     def test_missing_session_start_after_raises(self, network):
         with pytest.raises(ValidationError, match="start_time"):
             run_validator(
                 ValidationRun(network),
-                _spec_vantage(midar, start_after="active-ipv6"),
+                midar(start_after="active-ipv6"),
                 candidates=(TRUE_SET,),
             )
 
