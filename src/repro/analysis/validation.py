@@ -68,18 +68,15 @@ def validation_table(
     return render_table(_HEADERS, validation_rows(reports), title=title)
 
 
-def probe_accounting_summary(
-    reports: Iterable[ValidationReport],
-    banks: Iterable | None = None,
-) -> str:
+def probe_accounting_summary(reports: Iterable[ValidationReport]) -> str:
     """The CLI's bank probe-accounting lines for a composed validation.
 
     The first line sums probe spend across the reports and states the
     composed-validator saving: what fraction of the total sample demand
     the shared IPID bank answered without touching the network.  The
-    breakdown lines show *where* the budget goes — per validator kind
-    (from each report's leaf spec) and, when the run's banks are passed,
-    per vantage — instead of hiding everything behind one aggregate.
+    second shows *where* the budget goes, per validator kind (from each
+    report's leaf spec), instead of hiding everything behind one
+    aggregate.
     """
     reports = list(reports)
     issued = sum(report.probes_issued for report in reports)
@@ -91,7 +88,6 @@ def probe_accounting_summary(
     )
     if reused and demanded:
         line += f" ({100 * reused / demanded:.1f}% of sample demand saved)"
-    lines = [line]
     by_kind: dict[str, tuple[int, int]] = {}
     for report in reports:
         kind = report.spec.leaf().kind
@@ -100,23 +96,13 @@ def probe_accounting_summary(
             kind_issued + report.probes_issued,
             kind_reused + report.probes_reused,
         )
-    if len(by_kind) > 1 or banks is not None:
-        lines.append(
-            "  by validator kind: "
-            + "; ".join(
-                f"{kind} issued {kind_issued}, reused {kind_reused}"
-                for kind, (kind_issued, kind_reused) in sorted(by_kind.items())
-            )
+    return (
+        f"{line}\n  by validator kind: "
+        + "; ".join(
+            f"{kind} issued {kind_issued}, reused {kind_reused}"
+            for kind, (kind_issued, kind_reused) in sorted(by_kind.items())
         )
-    if banks is not None:
-        bank_parts = [
-            f"{bank.vantage.name} issued {bank.probes_issued}, "
-            f"reused {bank.probes_reused}"
-            for bank in banks
-        ]
-        if bank_parts:
-            lines.append("  by vantage: " + "; ".join(bank_parts))
-    return "\n".join(lines)
+    )
 
 
 def snapshot_validation_rows(rows: Iterable[SnapshotValidation]) -> list[list[object]]:

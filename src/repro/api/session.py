@@ -97,11 +97,7 @@ class ReproSession:
 
     def hitlist_config(self) -> HitlistConfig:
         """The hitlist configuration implied by the session config."""
-        return HitlistConfig(
-            server_coverage=self.config.hitlist_server_coverage,
-            router_coverage=self.config.hitlist_router_coverage,
-            seed=self.config.seed,
-        )
+        return self.config.hitlist_config()
 
     # ------------------------------------------------------------------ #
     # Sources and datasets

@@ -192,14 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--churn/--interval-days/--ipv4-only: they come from the checkpoint)",
     )
     _add_metrics_flag(longitudinal)
-    longitudinal.add_argument(
-        "--keep",
-        type=int,
-        default=1,
-        metavar="N",
-        help="retain the newest N snapshot checkpoints in the checkpoint "
-        "directory, pruning older ones (default 1)",
-    )
 
     validate = subparsers.add_parser(
         "validate",
@@ -577,9 +569,6 @@ def _write_stability_markdown(output: Path | None, markdown: str) -> None:
 
 
 def _command_longitudinal(args: argparse.Namespace) -> int:
-    if args.keep < 1:
-        print("--keep must retain at least one snapshot checkpoint", file=sys.stderr)
-        return 2
     if (error := _campaign_rate_error(args)) is not None:
         print(error, file=sys.stderr)
         return 2
@@ -607,7 +596,7 @@ def _command_longitudinal(args: argparse.Namespace) -> int:
     checkpoint_dir = args.checkpoint if args.checkpoint is not None else args.resume
     checkpointer = None
     if checkpoint_dir is not None:
-        checkpointer = StreamCheckpointer(checkpoint_dir, scenario, keep=args.keep, log=log)
+        checkpointer = StreamCheckpointer(checkpoint_dir, scenario, log=log)
     if campaign.config.snapshots > start:
         StreamDaemon(
             campaign,
@@ -675,8 +664,7 @@ def _command_validate(args: argparse.Namespace) -> int:
         reports = [session.validate(name) for name, _ in names]
     print(validation_table(reports))
     print()
-    banks = session.validation_run.banks().values()
-    print(probe_accounting_summary(reports, banks=banks))
+    print(probe_accounting_summary(reports))
     if args.budget is not None:
         print(
             f"probe budget: spent {result.spent} of {result.limit} fresh probes"

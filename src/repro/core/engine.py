@@ -29,7 +29,7 @@ enumeration — is unchanged from the dict core (now preserved as
 oracle), so the engine, longitudinal delta replay, persistence and
 validation layers run unmodified on top.
 An index is never serialised: checkpoints store observations and rebuild
-the index from them (:mod:`repro.persist.chain`).
+the index from them (:mod:`repro.persist.stream`).
 
 :class:`ResolutionEngine` orchestrates the two stages and assembles the
 :class:`AliasReport` consumed by the experiments, the CLI and the analysis

@@ -1,9 +1,8 @@
-"""Run every experiment and summarise paper-vs-measured.
+"""The paper's headline claims checked against the reproduction.
 
-``run_all`` renders every table and figure (``repro experiments``);
 ``headline_claims`` evaluates the paper's qualitative claims against the
-measured numbers (``repro claims``), and ``experiments_markdown`` renders
-both as one markdown document.
+measured numbers (``repro claims``); ``ReproSession.run_experiments``
+renders the tables and figures they are read from (``repro experiments``).
 """
 
 from __future__ import annotations
@@ -13,11 +12,6 @@ import dataclasses
 from repro.api.session import ReproSession
 from repro.experiments import figure3, figure5, table1, table2, table3, table4, table5, table6
 from repro.simnet.asn import AsRole
-
-
-def run_all(session: ReproSession) -> dict[str, str]:
-    """Build and render every registered experiment; returns name -> text."""
-    return session.run_experiments()
 
 
 @dataclasses.dataclass(frozen=True)
@@ -166,38 +160,3 @@ def headline_claims(scenario: ReproSession) -> list[Claim]:
         )
     )
     return claims
-
-
-def experiments_markdown(scenario: ReproSession) -> str:
-    """One markdown document: claims, then every rendered table."""
-    lines = [
-        "# EXPERIMENTS — paper vs reproduction",
-        "",
-        f"Scenario: scale={scenario.config.scale}, seed={scenario.config.seed} "
-        f"({len(scenario.network.devices())} devices, {len(scenario.network.all_addresses())} addresses, "
-        f"{len(scenario.network.registry)} ASes).",
-        "",
-        "Absolute numbers are scaled down by construction (the simulated Internet has",
-        "tens of thousands of addresses, not tens of millions); the checks below are",
-        "about relative structure: who wins, by roughly what factor, and where the",
-        "distributions bend.",
-        "",
-        "## Headline claims",
-        "",
-        "| Claim | Paper | Reproduction | Holds |",
-        "|---|---|---|---|",
-    ]
-    for claim in headline_claims(scenario):
-        status = "yes" if claim.holds else "no"
-        lines.append(f"| {claim.identifier}: {claim.description} | {claim.paper} | {claim.measured} | {status} |")
-    lines.append("")
-    lines.append("## Regenerated tables and figures")
-    lines.append("")
-    for name, text in run_all(scenario).items():
-        lines.append(f"### {name}")
-        lines.append("")
-        lines.append("```")
-        lines.append(text)
-        lines.append("```")
-        lines.append("")
-    return "\n".join(lines)

@@ -15,16 +15,15 @@ the byte-faithful observation round-trip of :mod:`repro.io`:
 * :mod:`repro.persist.validation` — :class:`~repro.validation.report.
   ValidationReport` documents (per-set verdicts plus the declarative
   validator spec), signature-verified and type-checked on load.
-* :mod:`repro.persist.chain` — the checkpoint chain: numbered
-  generations, each a data file and a manifest file, under a manifest
-  link swapped on last, keep-rotation, and the deterministic rebuild on
-  resume.  Each generation stores its step's
-  observations once; the live
-  :class:`~repro.core.engine.ObservationIndex` is rebuilt from them and
-  checked against the manifest's :func:`state_signature_digest` pin.
 * :mod:`repro.persist.stream` — the poll loop's checkpoints, one writer
   and one loader for ``repro longitudinal`` (stop after snapshot *k*,
-  resume to *k+n*) and ``repro serve`` (``--checkpoint/--resume``).
+  resume to *k+n*) and ``repro serve`` (``--checkpoint/--resume``).  A
+  checkpoint holds one generation: the last poll's observations and a
+  manifest, under a manifest link swapped on last.  A resume rebuilds the
+  live :class:`~repro.core.engine.ObservationIndex` from those
+  observations, checks it against the manifest's
+  :func:`state_signature_digest` pin, and regenerates the rest
+  deterministically.
 * :mod:`repro.persist.bank` — validation sample-bank documents
   (:meth:`~repro.validation.bank.IpidSampleBank.export_state`),
   signature-verified on load; what lets a reloaded session re-score
@@ -41,10 +40,10 @@ from repro.persist.bank import (
     bank_state_signature,
     bank_state_to_document,
 )
-from repro.persist.chain import state_signature_digest
 from repro.persist.files import spec_to_document
 from repro.persist.report import report_signature_digest
 from repro.persist.session import load_session, save_session, spec_from_document
+from repro.persist.stream import state_signature_digest
 from repro.persist.validation import (
     validation_from_document,
     validation_signature_digest,

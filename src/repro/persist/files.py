@@ -17,7 +17,7 @@ here calls ``fsync``, which measured 27–30 ms per write on ext4, so a
 power loss may lose or empty a file written shortly before it.  A
 checkpoint's manifest is a relative symbolic link swapped onto a
 per-generation file with :func:`link_atomic`; see
-:mod:`repro.persist.chain`.
+:mod:`repro.persist.stream`.
 """
 
 from __future__ import annotations

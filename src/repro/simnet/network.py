@@ -200,7 +200,7 @@ class SimulatedInternet:
         Checkpoints persist these so a resumed campaign whose next
         snapshot falls inside an already-probed rate-limit window sees the
         same IDS state the uninterrupted run would (see
-        :mod:`repro.persist.chain`).
+        :mod:`repro.persist.stream`).
         """
         return dict(self._probe_counts)
 

@@ -92,24 +92,6 @@ class StreamUpdate:
         return self.resolution.report
 
 
-@dataclasses.dataclass(frozen=True)
-class EmitWindow:
-    """The emit-window state a stream checkpoint carries.
-
-    :meth:`StreamingEngine.window_state` renders it for the manifest, the
-    stream checkpoint loader parses it back (:mod:`repro.persist.stream`),
-    and :meth:`StreamingEngine.resume` continues from it.  The resumed
-    engine takes ownership of ``estimator``.  The rest of the window is
-    fixed by construction, because a checkpoint follows an emit: the emit
-    count is the completed polls, the clock at the emit is ``clock``, and
-    the tracked addresses and the coverage come from the last scan and
-    the restored report.
-    """
-
-    clock: float
-    estimator: ChurnRateEstimator
-
-
 def _coverage(report: AliasReport) -> dict[str, int]:
     """Addresses each family's union sets cover."""
     return {
@@ -285,42 +267,35 @@ class StreamingEngine:
     # ------------------------------------------------------------------ #
     # Checkpoint support
     # ------------------------------------------------------------------ #
-    def window_state(self) -> dict:
-        """JSON-serialisable emit-window state (no index, no observations).
-
-        The last synced scan is persisted separately
-        (:mod:`repro.persist.stream`); this carries what a resumed engine
-        needs to continue the same clock and the same estimator series
-        (an :class:`EmitWindow` once parsed).
-        """
-        return {"clock": self._clock, "estimator": self._estimator.state()}
-
     @classmethod
     def resume(
         cls,
         engine: LongitudinalEngine,
         observations: Iterable[Observation],
         emitted: int,
-        window: EmitWindow,
+        clock: float,
+        estimator: ChurnRateEstimator,
     ) -> "StreamingEngine":
         """Rebuild a streaming engine around a restored longitudinal engine.
 
         ``engine`` must already hold the checkpointed index and report
         (:meth:`~repro.longitudinal.engine.LongitudinalEngine.restore`);
         ``observations`` are the last synced scan at the checkpoint,
-        ``emitted`` the number of emits so far, and ``window`` the parsed
-        :meth:`window_state`.  The checkpoint writer runs right after an
-        emit, so no window is in flight, and the estimator's interval is
+        ``emitted`` the number of emits so far, ``clock`` the clock at the
+        last emit, and ``estimator`` the churn-rate estimator, which the
+        resumed engine takes ownership of (:mod:`repro.persist.stream`
+        checkpoints both).  The rest of the window is fixed by
+        construction, because a checkpoint follows an emit: no window is
+        in flight, the tracked addresses and the coverage come from the
+        last scan and the restored report, and the estimator's interval is
         the stream's.
         """
-        streaming = cls(
-            config=StreamConfig(churn_interval=window.estimator.interval), engine=engine
-        )
+        streaming = cls(config=StreamConfig(churn_interval=estimator.interval), engine=engine)
         streaming._live = tuple(observations)
         streaming._emitted = emitted
-        streaming._clock = window.clock
+        streaming._clock = clock
         streaming._tracked_at_emit = len({o.address for o in streaming._live})
-        streaming._clock_at_emit = window.clock
+        streaming._clock_at_emit = clock
         streaming._coverage = _coverage(engine.report)
-        streaming._estimator = window.estimator
+        streaming._estimator = estimator
         return streaming

@@ -7,11 +7,11 @@ the identifier evidence was correct when collected.  This module makes
 that mechanism measurable on the registry: take the updates a campaign's
 poll loop emitted (:class:`~repro.stream.daemon.StreamDaemon`), and for
 every snapshot re-run one registered validator over that snapshot's
-index-derived sets — probing at ``snapshot time + probe_lag``, which
-defaults to the campaign interval, i.e. right before the *next* snapshot's
-scan.  Addresses churned mid-interval answer IPID probes from their new
-device, so the per-snapshot disagreement series exposes exactly the
-paper's churn-driven MIDAR-disagreement effect.  That is also why the
+index-derived sets — probing one campaign interval after the snapshot's
+scan, i.e. right before the *next* snapshot's scan.  Addresses churned
+mid-interval answer IPID probes from their new device, so the
+per-snapshot disagreement series exposes exactly the paper's
+churn-driven MIDAR-disagreement effect.  That is also why the
 validation runs after the last poll, not as each poll lands: the probes
 of snapshot *k* must see the churn that poll *k + 1* injects.
 
@@ -50,11 +50,11 @@ def validate_snapshots(
     campaign: LongitudinalCampaign,
     updates: Sequence[StreamUpdate],
     validator: str | ValidatorSpec = "midar",
-    probe_lag: float | None = None,
     run: ValidationRun | None = None,
     optimizer: ProbeBudgetOptimizer | None = None,
 ) -> list[SnapshotValidation]:
-    """Run one validator over every snapshot's index-derived sets.
+    """Run one validator over every snapshot's index-derived sets, each
+    probed one campaign interval after its scan.
 
     Args:
         campaign: the campaign whose polls emitted ``updates`` (its
@@ -63,11 +63,6 @@ def validate_snapshots(
         validator: a registered validator name or an explicit spec; its
             leaf's ``protocol``/``family`` parameters select which of each
             snapshot's collections provides the candidate sets.
-        probe_lag: simulated seconds between a snapshot's scan and its
-            validation probing.  Defaults to the campaign interval — the
-            probing lands right before the next scan, after the
-            mid-interval churn switch, which is what surfaces the paper's
-            MIDAR-disagreement mechanism.
         run: the shared probing state.  Pass the same
             :class:`~repro.validation.runner.ValidationRun` (over
             ``campaign.network``) across several ``validate_snapshots``
@@ -84,7 +79,6 @@ def validate_snapshots(
             churn-driven disagreement mechanism stays observable.
     """
     spec = validator if isinstance(validator, ValidatorSpec) else named_validator(validator)
-    lag = probe_lag if probe_lag is not None else campaign.config.interval
     if run is None:
         run = ValidationRun(campaign.network)
     leaf = spec.leaf()
@@ -95,11 +89,12 @@ def validate_snapshots(
     try:
         for update in updates:
             time = campaign.config.time_of(update.emit)
+            probed_at = time + campaign.config.interval
             candidates = candidate_sets(update.report, leaf)
-            report = run_validator(run, spec, candidates=candidates, start_time=time + lag)
+            report = run_validator(run, spec, candidates=candidates, start_time=probed_at)
             rows.append(
                 SnapshotValidation(
-                    snapshot=update.emit, time=time, probed_at=time + lag, report=report
+                    snapshot=update.emit, time=time, probed_at=probed_at, report=report
                 )
             )
     finally:

@@ -38,6 +38,33 @@ class TestSessionState:
         with pytest.raises(ValueError, match="scale"):
             ScenarioConfig(scale=scale)
 
+    @pytest.mark.parametrize("seed", ["3", 3.0, True, None])
+    def test_seed_must_be_an_integer(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            ScenarioConfig(seed=seed)
+
+    @pytest.mark.parametrize(
+        "field",
+        ["loss_rate", "hitlist_server_coverage", "hitlist_router_coverage", "censys_miss_rate"],
+    )
+    @pytest.mark.parametrize("value", [-0.1, 1.5, float("nan"), float("inf"), "x", [1], True])
+    def test_rates_and_coverages_are_fractions(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ScenarioConfig(**{field: value})
+
+    @pytest.mark.parametrize("value", [0, 1, 0.0, 1.0])
+    def test_fraction_bounds_are_inclusive(self, value):
+        config = ScenarioConfig(loss_rate=value, censys_miss_rate=value)
+        assert config.loss_rate == config.censys_miss_rate == value
+
+    def test_hitlist_config_follows_the_scenario(self, session):
+        config = ScenarioConfig(
+            scale=0.1, seed=9, hitlist_server_coverage=0.5, hitlist_router_coverage=0.25
+        )
+        hitlist = config.hitlist_config()
+        assert (hitlist.server_coverage, hitlist.router_coverage, hitlist.seed) == (0.5, 0.25, 9)
+        assert session.hitlist_config() == session.config.hitlist_config()
+
     def test_experiments_run_on_plain_session(self, session):
         text = session.run_experiment("table3")
         assert text.startswith("Table 3")

@@ -1,11 +1,11 @@
-"""Tests for the experiment runner and the EXPERIMENTS.md generator."""
+"""Tests for the experiment runner and the headline claims."""
 
-from repro.experiments.runner import experiments_markdown, headline_claims, run_all
+from repro.experiments.runner import headline_claims
 
 
 class TestRunner:
     def test_run_all_produces_every_experiment(self, scenario):
-        rendered = run_all(scenario)
+        rendered = scenario.run_experiments()
         assert set(rendered) == {
             "table1",
             "table2",
@@ -29,10 +29,3 @@ class TestRunner:
         # (test_paper_scale.py requires all ten at scale 1.0).
         holding = sum(1 for claim in claims if claim.holds)
         assert holding >= 6
-
-    def test_markdown_contains_claims_and_tables(self, scenario):
-        text = experiments_markdown(scenario)
-        assert text.startswith("# EXPERIMENTS")
-        assert "| C1" in text
-        assert "### table5" in text
-        assert "### figure6" in text

@@ -1,15 +1,15 @@
 """Checkpoint-chain cases shared by the campaign and stream checkpoint tests.
 
 Both layouts — a campaign's and a daemon's — are written by one
-checkpointer over one chain (:mod:`repro.persist.chain`), so the same
-cases run over each.  A test module binds them to its layout with a
+checkpointer and read by one loader (:mod:`repro.persist.stream`), so the
+same cases run over each.  A test module binds them to its layout with a
 ``chain`` fixture: an object with
 
 * ``manifest`` and ``step`` — the manifest file name and the step that
   prefixes the observation files (``snapshot``/``poll``);
 * ``load(directory)`` — the chain's loader;
-* ``run(directory, steps, keep=1)`` — checkpoint a fresh run through
-  ``steps`` steps;
+* ``run(directory, steps)`` — checkpoint a fresh run through ``steps``
+  steps;
 * ``resume(checkpoint, steps, directory=None)`` — resume to ``steps``
   steps, checkpointing into ``directory`` when given, and return the
   resumed steps' report signatures;
@@ -302,29 +302,50 @@ class ResumeCases:
 
 
 class RotationCases:
-    def test_keep_retains_newest_n(self, chain, tmp_path):
+    def test_generation_manifests_rotate_with_their_step_files(self, chain, tmp_path):
         directory = tmp_path / "rotated"
-        chain.run(directory, 3, keep=2)
-        assert _names(directory, "index-*") == []
-        assert _names(directory, f"{chain.step}-*.jsonl") == [
-            f"{chain.step}-0002.jsonl",
-            f"{chain.step}-0003.jsonl",
-        ]
-        manifest = json.loads((directory / chain.manifest).read_text())
-        assert manifest["retained"] == [2, 3]
-
-    @pytest.mark.parametrize("keep", [1, 2])
-    def test_generation_manifests_rotate_with_their_step_files(self, chain, tmp_path, keep):
-        directory = tmp_path / "rotated"
-        chain.run(directory, 3, keep=keep)
-        retained = range(4 - keep, 4)
-        assert _names(directory, f"{chain.step}-*.jsonl") == [
-            f"{chain.step}-{number:04d}.jsonl" for number in retained
-        ]
+        chain.run(directory, 3)
+        assert _names(directory, f"{chain.step}-*.jsonl") == [f"{chain.step}-0003.jsonl"]
         assert _names(directory, f"{Path(chain.manifest).stem}-*.json") == [
-            generation_manifest(chain.manifest, number) for number in retained
+            generation_manifest(chain.manifest, 3)
         ]
         assert os.readlink(directory / chain.manifest) == generation_manifest(chain.manifest, 3)
+        assert "retained" not in json.loads((directory / chain.manifest).read_text())
+
+    def test_older_two_generation_directory_loads_and_resumes(
+        self, chain, tmp_path, uninterrupted
+    ):
+        """A directory an older build kept two generations in (``--keep
+        2``): both generations' step files and manifests, and ``retained:
+        [1, 2]`` in the manifest.  It loads the newest generation, resumes
+        to the uninterrupted run's reports, and the first resumed save
+        leaves only its own generation."""
+        directory = tmp_path / "kept"
+        chain.run(directory, 1)
+        first = [f"{chain.step}-0001.jsonl", generation_manifest(chain.manifest, 1)]
+        saved = {name: (directory / name).read_bytes() for name in first}
+        chain.resume(chain.load(directory), 2, directory=directory)
+        for name, data in saved.items():
+            (directory / name).write_bytes(data)
+        newest = directory / generation_manifest(chain.manifest, 2)
+        manifest = json.loads(newest.read_text())
+        manifest["retained"] = [1, 2]
+        newest.write_text(json.dumps(manifest, indent=2))
+        assert _names(directory, f"{chain.step}-*.jsonl") == [
+            f"{chain.step}-0001.jsonl",
+            f"{chain.step}-0002.jsonl",
+        ]
+
+        checkpoint = chain.load(directory)
+        assert checkpoint.completed == 2
+        reference = chain.signatures(uninterrupted)
+        assert chain.resume(checkpoint, 3, directory=directory) == reference[2:3]
+        assert _names(directory, f"{chain.step}-*.jsonl") == [f"{chain.step}-0003.jsonl"]
+        assert _names(directory, f"{Path(chain.manifest).stem}-*.json") == [
+            generation_manifest(chain.manifest, 3)
+        ]
+        resumed = chain.resume(chain.load(directory), len(reference), directory=directory)
+        assert resumed == reference[3:]
 
     def test_bank_files_rotate_with_their_generation(self, chain, tmp_path):
         """Sample-bank files of older checkpoints are pruned with their
@@ -341,7 +362,7 @@ class RotationCases:
 
     def test_pruned_directory_still_resumes(self, chain, tmp_path, uninterrupted):
         directory = tmp_path / "rotated"
-        chain.run(directory, 2, keep=2)
+        chain.run(directory, 2)
         checkpoint = chain.load(directory)
         reference = chain.signatures(uninterrupted)
         resumed = chain.resume(checkpoint, len(reference))
@@ -353,7 +374,7 @@ class RotationCases:
         directory.mkdir()
         (directory / "index-0005.json").write_text("{}")
         (directory / f"{chain.step}-0005.jsonl").write_text("")
-        chain.run(directory, 2, keep=1)
+        chain.run(directory, 2)
         assert _names(directory, "index-*") == []
         assert _names(directory, f"{chain.step}-*.jsonl") == [f"{chain.step}-0002.jsonl"]
         # The manifest references files that actually exist: resume works.
@@ -364,7 +385,7 @@ class RotationCases:
         (``index-NNNN.json``, named by the manifest's ``index_file``).  They
         load without it, and the next save prunes it with its generation."""
         directory = tmp_path / "older"
-        chain.run(directory, 2, keep=1)
+        chain.run(directory, 2)
         manifest = json.loads((directory / chain.manifest).read_text())
         manifest["index_file"] = "index-0002.json"
         (directory / chain.manifest).write_text(json.dumps(manifest))
@@ -379,5 +400,5 @@ class RotationCases:
         directory.mkdir()
         keepsake = directory / "index-notes.json"
         keepsake.write_text("{}")
-        chain.run(directory, 2, keep=1)
+        chain.run(directory, 2)
         assert keepsake.exists()  # non-NNNN names are never pruned

@@ -55,9 +55,9 @@ def _poll(campaign, log, stream=None, checkpointer=None):
     return daemon.run(), stream
 
 
-def _checkpointed(directory, campaign, keep=1):
+def _checkpointed(directory, campaign):
     log = CampaignLog()
-    checkpointer = StreamCheckpointer(directory, _CONFIG, keep=keep, log=log)
+    checkpointer = StreamCheckpointer(directory, _CONFIG, log=log)
     _poll(campaign, log, checkpointer=checkpointer)
 
 
@@ -77,8 +77,8 @@ class CampaignChain:
     step = "snapshot"
     load = staticmethod(_load)
 
-    def run(self, directory, steps, keep=1):
-        _checkpointed(directory, _campaign(snapshots=steps), keep)
+    def run(self, directory, steps):
+        _checkpointed(directory, _campaign(snapshots=steps))
 
     def resume(self, checkpoint, steps, directory=None):
         updates, _ = _resume(checkpoint, steps, directory)
@@ -241,14 +241,14 @@ class TestResumeParity(ResumeCases):
         del manifest["event_counts"]
         (copy / CHECKPOINT_MANIFEST).write_text(json.dumps(manifest))
         checkpoint = _load(copy)
-        assert checkpoint.window is None
+        assert checkpoint.clock == clock
+        assert checkpoint.estimator.windows == 0
         assert checkpoint.event_counts == {}
 
         campaign, stream = resume_stream(checkpoint, snapshots=_SNAPSHOTS)
-        window = stream.window_state()
-        assert window["clock"] == clock
-        assert window["estimator"]["windows"] == 0
-        assert window["estimator"]["interval"] == campaign.config.interval
+        assert stream.clock == clock
+        assert stream.estimator.windows == 0
+        assert stream.estimator.interval == campaign.config.interval
         assert stream.publisher.counts == {}
 
         resumed, _ = _poll(campaign, checkpoint.log, stream=stream)
@@ -286,7 +286,3 @@ class TestCheckpointRotation(RotationCases):
         assert sorted(p.name for p in checkpoint_dir.glob("snapshot-*.jsonl")) == [
             "snapshot-0002.jsonl"
         ]
-
-    def test_keep_must_be_positive(self, tmp_path):
-        with pytest.raises(PersistError, match="at least one snapshot"):
-            StreamCheckpointer(tmp_path, _CONFIG, keep=0, log=CampaignLog())

@@ -46,8 +46,8 @@ class StreamChain:
     step = "poll"
     load = staticmethod(load_stream_checkpoint)
 
-    def run(self, directory, steps, keep=1):
-        checkpointer = StreamCheckpointer(directory, _CONFIG, keep=keep)
+    def run(self, directory, steps):
+        checkpointer = StreamCheckpointer(directory, _CONFIG)
         _daemon(_campaign(), steps, checkpointer=checkpointer).run()
 
     def resume(self, checkpoint, steps, directory=None):
@@ -113,7 +113,7 @@ class TestCheckpointContents(ContentsCases):
         assert checkpoint.last_name == "snapshot-1"
         assert checkpoint.scenario == _CONFIG
         assert checkpoint.campaign.churn_fraction == _CHURN
-        assert checkpoint.window.estimator.interval == StreamConfig().churn_interval
+        assert checkpoint.estimator.interval == StreamConfig().churn_interval
         assert checkpoint.include_ipv6 is True
         assert checkpoint.event_counts["report.emitted"] == 2
         assert checkpoint.log is None
@@ -184,7 +184,7 @@ class TestCheckpointContents(ContentsCases):
         )
         (copy / STREAM_MANIFEST).write_text(json.dumps(manifest))
         checkpoint = load_stream_checkpoint(copy)
-        assert checkpoint.window.estimator.interval == StreamConfig().churn_interval
+        assert checkpoint.estimator.interval == StreamConfig().churn_interval
         reference_updates, _ = uninterrupted
         campaign, stream = resume_stream(checkpoint)
         resumed = _daemon(campaign, _POLLS - checkpoint.completed, stream=stream).run()
@@ -208,10 +208,6 @@ class TestCheckpointContents(ContentsCases):
         (copy / STREAM_MANIFEST).write_text(json.dumps(manifest))
         with pytest.raises(PersistError, match="last report is '[^']*', expected 'snapshot-"):
             load_stream_checkpoint(copy)
-
-    def test_keep_must_be_positive(self, tmp_path):
-        with pytest.raises(PersistError, match="at least one poll"):
-            StreamCheckpointer(tmp_path, _CONFIG, keep=0)
 
 
 class TestResumeGate(ResumeCases):

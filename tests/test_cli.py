@@ -3,6 +3,7 @@
 import argparse
 import json
 import re
+import shutil
 from pathlib import Path
 
 import pytest
@@ -71,6 +72,32 @@ _FORGED_CHAIN_FIELDS = [
     pytest.param(_forge_event_count(True), "event_counts", id="event-count-boolean"),
     pytest.param(_forge_event_count(-3), "event_counts", id="event-count-negative"),
 ]
+
+#: A scenario config value of the wrong JSON type or out of range, read
+#: from a session or checkpoint manifest.  A string or boolean seed once
+#: regenerated another topology and a loss rate of 2.0 loaded as is; a
+#: string loss rate crashed with a ``TypeError`` traceback once the
+#: network was built.
+_FORGED_SCENARIO_FIELDS = [
+    pytest.param("seed", "3", id="seed-string"),
+    pytest.param("seed", True, id="seed-boolean"),
+    pytest.param("loss_rate", "x", id="loss-rate-string"),
+    pytest.param("loss_rate", 2.0, id="loss-rate-above-one"),
+]
+
+
+@pytest.fixture(scope="module")
+def saved_session(tmp_path_factory):
+    """A session saved at scale 0.05, seed 3, with the default reports."""
+    directory = tmp_path_factory.mktemp("session") / "session"
+    assert main(["session", "save", str(directory), "--scale", "0.05", "--seed", "3"]) == 0
+    return directory
+
+
+@pytest.fixture(scope="module")
+def serve_checkpoint(tmp_path_factory):
+    """A daemon checkpointed after two polls; copy it before editing."""
+    return _serve_checkpoint(tmp_path_factory.mktemp("serve"))
 
 
 class TestScanAndResolve:
@@ -280,28 +307,6 @@ class TestLongitudinal:
         assert markdown.startswith("# Longitudinal stability report")
         # The checkpoint advanced in place.
         assert json.loads((checkpoint / "checkpoint.json").read_text())["completed"] == 3
-
-    def test_longitudinal_keep_retains_newest_checkpoints(self, capsys, tmp_path):
-        checkpoint = tmp_path / "checkpoint"
-        exit_code = main(
-            ["longitudinal", "--scale", "0.05", "--seed", "3", "--snapshots", "3",
-             "--ipv4-only", "--checkpoint", str(checkpoint), "--keep", "2"]
-        )
-        assert exit_code == 0
-        assert sorted(p.name for p in checkpoint.glob("snapshot-*.jsonl")) == [
-            "snapshot-0002.jsonl",
-            "snapshot-0003.jsonl",
-        ]
-        assert sorted(p.name for p in checkpoint.glob("index-*")) == []
-        # A pruned directory still resumes from the newest checkpoint.
-        capsys.readouterr()
-        assert main(["longitudinal", "--resume", str(checkpoint), "--snapshots", "4"]) == 0
-        assert "resuming after snapshot 2" in capsys.readouterr().out
-
-    def test_longitudinal_rejects_zero_keep(self, capsys):
-        exit_code = main(["longitudinal", "--scale", "0.05", "--keep", "0"])
-        assert exit_code == 2
-        assert "--keep" in capsys.readouterr().err
 
     def test_longitudinal_resume_missing_checkpoint(self, capsys, tmp_path):
         exit_code = main(["longitudinal", "--resume", str(tmp_path / "absent")])
@@ -566,6 +571,23 @@ class TestSession:
         exit_code = main(["session", "load", str(directory)])
         assert exit_code == 2
         assert "scale" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value", _FORGED_SCENARIO_FIELDS)
+    def test_session_load_forged_config_exits_cleanly(
+        self, capsys, saved_session, tmp_path, field, value
+    ):
+        directory = shutil.copytree(saved_session, tmp_path / "session")
+        capsys.readouterr()
+        _forge_manifest(
+            directory / "session.json", lambda manifest: manifest["config"].update({field: value})
+        )
+        exit_code = main(["session", "load", str(directory), "--experiments", "table2"])
+        assert exit_code == 2
+        captured = capsys.readouterr()
+        assert "malformed session manifest" in captured.err
+        assert field in captured.err
+        assert "Traceback" not in captured.err
+        assert "=== table2" not in captured.out
 
     @pytest.mark.parametrize(
         "edit, message",
@@ -921,6 +943,23 @@ class TestServe:
         checkpoint = _serve_checkpoint(tmp_path)
         capsys.readouterr()
         _forge_manifest(checkpoint / "stream.json", forge)
+        exit_code = main(["serve", "--max-batches", "1", "--resume", str(checkpoint)])
+        assert exit_code == 2
+        captured = capsys.readouterr()
+        assert "malformed stream checkpoint manifest" in captured.err
+        assert field in captured.err
+        assert "Traceback" not in captured.err
+        assert "resuming" not in captured.out
+
+    @pytest.mark.parametrize("field, value", _FORGED_SCENARIO_FIELDS)
+    def test_serve_resume_forged_scenario_exits_cleanly(
+        self, capsys, serve_checkpoint, tmp_path, field, value
+    ):
+        checkpoint = shutil.copytree(serve_checkpoint, tmp_path / "stream", symlinks=True)
+        capsys.readouterr()
+        _forge_manifest(
+            checkpoint / "stream.json", lambda manifest: manifest["scenario"].update({field: value})
+        )
         exit_code = main(["serve", "--max-batches", "1", "--resume", str(checkpoint)])
         assert exit_code == 2
         captured = capsys.readouterr()

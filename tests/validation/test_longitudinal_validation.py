@@ -29,11 +29,6 @@ class TestValidateSnapshots:
             assert row.report.candidates == len(row.report.verdicts)
             assert row.probed_at == pytest.approx(row.time + campaign.config.interval)
 
-    def test_probe_lag_override(self):
-        campaign, updates = _campaign(snapshots=1)
-        (row,) = validate_snapshots(campaign, updates, "midar", probe_lag=3600.0)
-        assert row.probed_at == pytest.approx(row.time + 3600.0)
-
     def test_accepts_explicit_spec_and_is_deterministic(self):
         spec = named_validator("midar")
         campaign_a, updates_a = _campaign()
