@@ -21,6 +21,7 @@ through the registries:
 
 from __future__ import annotations
 
+from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 from repro import obs
@@ -58,6 +59,12 @@ class ReproSession:
         self._as_registry: AsRegistry | None = None
         self._hitlist: list[str] | None = None
         self._datasets: dict[SourceSpec, ObservationDataset] = {}
+        #: The file each primed dataset was loaded from or last saved to,
+        #: the SHA-256 pin its bytes were checked against, and the dataset
+        #: with the name and length it had then (see :meth:`dataset_file`).
+        self._dataset_files: dict[
+            SourceSpec, tuple[Path, str, ObservationDataset, str, int]
+        ] = {}
         self._reports: dict[tuple[SourceSpec, str], AliasReport] = {}
         self._validations: dict[tuple["ValidatorSpec", str], "ValidationReport"] = {}
         self._validation_run: "ValidationRun | None" = None
@@ -281,9 +288,40 @@ class ReproSession:
         """The validation cache, keyed by (spec, name) (shared reference, read-only)."""
         return self._validations
 
-    def prime_dataset(self, spec: SourceSpec, dataset: ObservationDataset) -> None:
-        """Seed the dataset cache (used by :mod:`repro.persist` on load)."""
+    def prime_dataset(
+        self,
+        spec: SourceSpec,
+        dataset: ObservationDataset,
+        file: tuple[Path, str] | None = None,
+    ) -> None:
+        """Seed the dataset cache (used by :mod:`repro.persist`).
+
+        ``file`` is the path ``dataset`` was loaded from, or saved to, and
+        the SHA-256 pin its bytes matched; a later save copies that file
+        while its bytes still match.  Priming without a file clears the
+        record, so the next save encodes the dataset.
+        """
         self._datasets[spec] = dataset
+        if file is None:
+            self._dataset_files.pop(spec, None)
+        else:
+            self._dataset_files[spec] = (*file, dataset, dataset.name, len(dataset))
+
+    def dataset_file(self, spec: SourceSpec) -> tuple[Path, str] | None:
+        """The file and pin :meth:`prime_dataset` recorded for ``spec``, if any.
+
+        ``None`` once the cached dataset is another object, or has another
+        name or length than it had when recorded: ``add`` and ``extend``
+        only grow a dataset, so the file no longer holds it.
+        """
+        record = self._dataset_files.get(spec)
+        if record is None:
+            return None
+        path, digest, dataset, name, count = record
+        current = self._datasets.get(spec)
+        if current is not dataset or current.name != name or len(current) != count:
+            return None
+        return path, digest
 
     def prime_validation(
         self, spec: "ValidatorSpec", name: str, report: "ValidationReport"
@@ -324,9 +362,12 @@ class ReproSession:
         The saved directory can be re-loaded in another process with
         :meth:`load`: measured datasets round-trip byte-faithfully, and
         merged datasets and reports are rebuilt from them (see
-        :mod:`repro.persist.session`).  The AS table is saved when the
-        session holds one; a save never builds the topology to get it.
-        Returns ``self`` for chaining.
+        :mod:`repro.persist.session`).  A measured dataset this session
+        loaded, or last saved, from a pinned file is written by copying
+        that file's bytes once they match the pin again, unless the
+        dataset has grown or been renamed since; any other is encoded.
+        The AS table is saved when the session holds one; a save never
+        builds the topology to get it.  Returns ``self`` for chaining.
         """
         from repro.persist.session import save_session
 

@@ -19,13 +19,14 @@ the file stem.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 from pathlib import Path
 
 from repro.core.aliasset import AliasSet, AliasSetCollection
-from repro.errors import DatasetError
-from repro.io.jsonl import read_jsonl
+from repro.errors import DatasetError, PersistError
+from repro.io.jsonl import dataset_text, parse_jsonl, read_dataset_bytes
 from repro.net.addresses import family_of
 from repro.simnet.device import ServiceType
 from repro.sources.records import Observation, ObservationDataset
@@ -111,7 +112,7 @@ def _coerce_int(value: object, field: str, record: dict) -> int:
     is never a valid ASN or port, and truncating one would corrupt the
     round-trip silently.
     """
-    if isinstance(value, int) and not isinstance(value, bool):
+    if type(value) is int or (isinstance(value, int) and not isinstance(value, bool)):
         return value
     if isinstance(value, str):
         try:
@@ -132,6 +133,8 @@ def _coerce_timestamp(value: object, record: dict) -> float:
     a non-finite one would sort after (or compare unequal to) every real
     observation time.
     """
+    if type(value) is float and math.isfinite(value):
+        return value
     if not isinstance(value, bool) and isinstance(value, (int, float, str)):
         try:
             timestamp = float(value)
@@ -163,6 +166,11 @@ def _exact_fields(record: dict) -> tuple[tuple[str, str], ...]:
     return tuple(sorted(fields.items()))
 
 
+#: Each protocol by its value: the lookup ``ServiceType(value)`` makes,
+#: without the enum machinery, for the values a dataset file holds.
+_PROTOCOLS = {protocol.value: protocol for protocol in ServiceType}
+
+
 def observation_from_dict(record: dict) -> Observation:
     """Rebuild an observation from its dict form (exact inverse of
     :func:`observation_to_dict`)."""
@@ -192,14 +200,18 @@ def observation_from_dict(record: dict) -> Observation:
                 f"malformed observation record (asn {asn} is not a 32-bit AS number): {record!r}"
             )
     try:
+        protocol = record["protocol"]
+        # An unhashable value raises TypeError here, as the enum lookup
+        # raises ValueError: both are the record's error below.
+        protocol = _PROTOCOLS.get(protocol) or ServiceType(protocol)
         return Observation(
-            address=address,
-            protocol=ServiceType(record["protocol"]),
-            source=source,
-            port=_coerce_int(record["port"], "port", record),
-            timestamp=_coerce_timestamp(record.get("timestamp", 0.0), record),
-            asn=asn,
-            fields=_exact_fields(record),
+            address,
+            protocol,
+            source,
+            _coerce_int(record["port"], "port", record),
+            _coerce_timestamp(record.get("timestamp", 0.0), record),
+            asn,
+            _exact_fields(record),
         )
     except (KeyError, ValueError, TypeError) as exc:
         raise DatasetError(f"malformed observation record: {record!r}") from exc
@@ -229,16 +241,41 @@ def save_observations(dataset: ObservationDataset, path: str | Path) -> int:
     return count
 
 
-def load_observations(path: str | Path, name: str | None = None) -> ObservationDataset:
+def load_observations(
+    path: str | Path, name: str | None = None, digest: str | None = None
+) -> ObservationDataset:
     """Load a dataset from a JSON-lines file.
 
     The dataset name is taken from (in order of preference) the ``name``
     argument, the file's header record, and — for headerless files — the
     file stem.
+
+    The file is read once.  With a ``digest`` (the SHA-256 hex digest a
+    manifest pins), the bytes are hashed and compared first, and the same
+    bytes are then decoded and parsed; the bytes are dropped once decoded.
+    Each record is read by :func:`observation_from_dict`.
+
+    Raises:
+        PersistError: if the bytes do not match ``digest``.
+        DatasetError: if the file is missing or unreadable, is not UTF-8,
+            or holds a line that is not JSON, a bad header or a malformed
+            record.
     """
+    # The header errors name ``path`` as given, as they always have.
+    file = Path(path)
+    data = read_dataset_bytes(file)
+    if digest is not None:
+        actual = hashlib.sha256(data).hexdigest()
+        if actual != digest:
+            raise PersistError(
+                f"dataset {file} does not match its pinned content digest "
+                f"(pinned {str(digest)[:12]}…, file {actual[:12]}…)"
+            )
+    text = dataset_text(data, file)
+    del data  # parsed from ``text`` alone
     observations: list[Observation] = []
     header_name: str | None = None
-    for position, record in enumerate(read_jsonl(path)):
+    for position, record in enumerate(parse_jsonl(text, file)):
         if position == 0 and isinstance(record, dict) and DATASET_HEADER_KEY in record:
             version = record[DATASET_HEADER_KEY]
             if not isinstance(version, int) or version > DATASET_FORMAT_VERSION:
@@ -250,7 +287,7 @@ def load_observations(path: str | Path, name: str | None = None) -> ObservationD
                 raise DatasetError(f"{path}: dataset header carries no name: {record!r}")
             continue
         observations.append(observation_from_dict(record))
-    return ObservationDataset(name or header_name or Path(path).stem, observations)
+    return ObservationDataset(name or header_name or file.stem, observations)
 
 
 def save_alias_sets(collection: AliasSetCollection, path: str | Path) -> None:

@@ -48,6 +48,11 @@ class LongitudinalConfig:
             range is a few percent per window).
         start_time: simulation time of the first snapshot.
         seed: drives churn sampling and the per-snapshot scans.
+
+    ``snapshots`` and ``seed`` must be integers, and ``interval``,
+    ``churn_fraction`` and ``start_time`` finite numbers (a boolean is
+    neither), so a config read back from a checkpoint manifest is held to
+    the rules a run's own config meets; each refusal names its field.
     """
 
     snapshots: int = 4
@@ -57,6 +62,20 @@ class LongitudinalConfig:
     seed: int = 42
 
     def __post_init__(self) -> None:
+        for name in ("snapshots", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise SimulationError(f"{name} must be an integer, got {value!r}")
+        for name in ("interval", "churn_fraction", "start_time"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise SimulationError(f"{name} must be a number, got {value!r}")
+            try:
+                float(value)  # the finiteness checks below convert it
+            except OverflowError:
+                raise SimulationError(f"{name} is too large for a float") from None
+        if not math.isfinite(self.start_time):
+            raise SimulationError(f"start_time must be finite (got {self.start_time})")
         if self.snapshots < 1:
             raise SimulationError("a campaign needs at least one snapshot")
         if not 0.0 <= self.churn_fraction < 1.0:

@@ -9,7 +9,10 @@ index.  Each document embeds a SHA-256 digest of its canonical content,
 recomputed and verified on load — the same discipline as
 :mod:`repro.persist.validation` — so a corrupted or hand-edited bank file
 cannot silently change which probes a restored session believes it
-already issued.
+already issued.  A save writes the document with
+:func:`bank_document_text`, whose ``state`` is the canonical text the
+signature hashes, so the state is encoded once per save; the reader
+parses any JSON layout of the same document.
 
 Restoring a bank is what makes reloaded sessions probe-free: a validation
 spec whose schedule matches the saved run's is answered entirely from the
@@ -41,19 +44,43 @@ _REQUIRED_KEYS = (
 )
 
 
+def _canonical(state: dict[str, Any]) -> str:
+    """The canonical JSON rendering of a bank state: what its signature hashes."""
+    return json.dumps(state, sort_keys=True, separators=(",", ":"))
+
+
+def _signature(canonical: str) -> str:
+    """SHA-256 of a bank state's canonical rendering."""
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
 def bank_state_signature(state: dict[str, Any]) -> str:
     """SHA-256 over the canonical JSON rendering of a bank state."""
-    encoded = json.dumps(state, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(encoded.encode("utf-8")).hexdigest()
+    return _signature(_canonical(state))
+
+
+def bank_document_text(state: dict[str, Any]) -> tuple[str, str]:
+    """A bank state's signed, versioned document as file text, and its signature.
+
+    ``state`` is encoded once: the document's ``state`` is the canonical
+    rendering the signature hashes, written as it was hashed.
+    """
+    canonical = _canonical(state)
+    signature = _signature(canonical)
+    text = (
+        f'{{"version": {BANK_FORMAT_VERSION}, "state": {canonical}, '
+        f'"signature": "{signature}"}}'
+    )
+    return text, signature
 
 
 def bank_state_to_document(state: dict[str, Any]) -> dict[str, Any]:
-    """Render an exported bank state as a signed, versioned document."""
-    return {
-        "version": BANK_FORMAT_VERSION,
-        "state": state,
-        "signature": bank_state_signature(state),
-    }
+    """Render an exported bank state as a signed, versioned document.
+
+    The document is the text :func:`bank_document_text` writes, parsed.
+    """
+    document: dict[str, Any] = json.loads(bank_document_text(state)[0])
+    return document
 
 
 def bank_state_from_document(document: dict[str, Any]) -> dict[str, Any]:

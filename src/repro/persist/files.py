@@ -9,7 +9,9 @@ read through :func:`read_pinned_document`, which is how every loader
 detects a save torn between a data file and its manifest.  Source and
 validator spec trees are written with :func:`spec_to_document` and read
 through :func:`read_spec`, and identifier options through
-:func:`read_identifier_options`.
+:func:`read_identifier_options`.  A dataset file a load verified against
+its SHA-256 pin is re-saved with :func:`copy_pinned`, which checks the
+pin again and writes the same bytes through :func:`write_atomic`.
 
 Durability: a save survives the process dying at any write (the crash
 sweeps in ``tests/persist/`` kill a save at each ``os.replace``).  Nothing
@@ -22,6 +24,7 @@ per-generation file with :func:`link_atomic`; see
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 from pathlib import Path
@@ -41,13 +44,38 @@ SpecT = TypeVar("SpecT")
 _PARAM_TYPES = (str, int, float, bool)
 
 
-def write_atomic(path: str | Path, text: str) -> None:
-    """Write ``text`` then atomically replace ``path`` (parents created)."""
+def write_atomic(path: str | Path, text: str | bytes) -> None:
+    """Write ``text`` then atomically replace ``path`` (parents created).
+
+    ``text`` is encoded as UTF-8; ``bytes`` are written as they are, which
+    is how :func:`copy_pinned` copies a file.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     temporary = path.with_suffix(path.suffix + ".tmp")
-    temporary.write_text(text, encoding="utf-8")
+    if isinstance(text, bytes):
+        temporary.write_bytes(text)
+    else:
+        temporary.write_text(text, encoding="utf-8")
     os.replace(temporary, path)
+
+
+def copy_pinned(source: Path, digest: str, target: Path) -> bool:
+    """Copy ``source`` to ``target`` atomically if its bytes match ``digest``.
+
+    ``digest`` is the SHA-256 pin the bytes were checked against when the
+    file was last loaded or written.  Returns ``False``, writing nothing,
+    when ``source`` is gone, unreadable, or no longer matches the pin:
+    the caller then writes the data itself.
+    """
+    try:
+        data = source.read_bytes()
+    except OSError:
+        return False
+    if hashlib.sha256(data).hexdigest() != digest:
+        return False
+    write_atomic(target, data)
+    return True
 
 
 def link_atomic(path: str | Path, target: str) -> None:

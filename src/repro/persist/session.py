@@ -16,11 +16,21 @@ derive the rest.  It is a directory:
   (a spec without inputs: a scan or a ``file`` source), pinned by the
   SHA-256 digest of its bytes.  A combinator dataset (``union``,
   ``standard-ports``, a materialised ``concat``) has a manifest entry
-  with its name and count, and no file.
+  with its name and count, and no file.  A load reads each file once,
+  hashing the bytes it then parses, and records the file and its pin on
+  the session (:meth:`~repro.api.session.ReproSession.prime_dataset`); a
+  save points the record at the file it wrote.  A save copies a recorded
+  file whose bytes still match the pin
+  (:func:`~repro.persist.files.copy_pinned`), so a loaded session's
+  re-save writes the dataset files it loaded byte for byte, and encodes
+  the dataset otherwise: a fresh scan, a ``file`` source, a session saved
+  before pins, a file edited, replaced or deleted since, or a dataset
+  grown or renamed since (the record keeps its name and length).
 * ``validations/GGGG-PPP.json`` — one document per cached validation
   report (:mod:`repro.persist.validation`), signature-verified on load.
 * ``banks/GGGG-PPP.json`` — the document of the session's validation
-  sample bank (:mod:`repro.persist.bank`), signature-verified on load; a
+  sample bank (:mod:`repro.persist.bank`), whose ``state`` is written as
+  the canonical text its signature hashes, signature-verified on load; a
   reloaded session re-scores matching validation schedules from it with
   zero network probes.  Older saves may hold banks of other vantages too:
   each is verified, and only the bank of
@@ -62,8 +72,9 @@ from repro.api.sources import SourceSpec, streamed_specs
 from repro.errors import DatasetError, PersistError, ReproError
 from repro.io.datasets import load_observations
 from repro.jsonvalues import json_integer, json_string
-from repro.persist.bank import bank_state_from_document, bank_state_to_document
+from repro.persist.bank import bank_document_text, bank_state_from_document
 from repro.persist.files import (
+    copy_pinned,
     read_identifier_options,
     read_json_document,
     read_pinned_document,
@@ -120,13 +131,23 @@ def save_session(session: "ReproSession", directory: str | Path) -> Path:
     # use, and the manifest lands last; it additionally pins each data
     # file's identity (dataset header name, count and content digest,
     # document signature), so a mismatched file fails loudly on load.
+    # A measured dataset whose file a load verified, or a save wrote, is
+    # copied from that file while its bytes still match their pin and the
+    # dataset keeps the name and length it had then.
     dataset_entries = []
     for position, (spec, dataset) in enumerate(session.cached_datasets().items()):
         entry = {"spec": spec_to_document(spec), "name": dataset.name, "count": len(dataset)}
         if not spec.inputs:
             relative = data_file("datasets", position)
-            save_observations_atomic(dataset, directory / relative)
-            entry.update(file=relative, digest=_file_digest(directory / relative))
+            path = directory / relative
+            file = session.dataset_file(spec)
+            if file is not None and copy_pinned(file[0], file[1], path):
+                digest = file[1]
+            else:
+                save_observations_atomic(dataset, path)
+                digest = _file_digest(path)
+            session.prime_dataset(spec, dataset, (path, digest))
+            entry.update(file=relative, digest=digest)
         dataset_entries.append(entry)
     report_entries = [
         {"spec": spec_to_document(spec), "name": name} for spec, name in session.cached_reports()
@@ -149,12 +170,12 @@ def save_session(session: "ReproSession", directory: str | Path) -> Path:
     bank_entries = []
     for position, state in enumerate(session.validation_bank_states()):
         relative = data_file("banks", position)
-        document = bank_state_to_document(state)
-        write_atomic(directory / relative, json.dumps(document))
+        text, signature = bank_document_text(state)
+        write_atomic(directory / relative, text)
         bank_entries.append(
             {
                 "file": relative,
-                "signature": document["signature"],
+                "signature": signature,
                 "vantage": state.get("vantage", {}).get("name"),
             }
         )
@@ -243,23 +264,16 @@ def _saved_generation(directory: Path) -> int:
 def _read_dataset(directory: Path, file: str, digest: str | None) -> ObservationDataset:
     """Load one dataset file, checked against the manifest's content pin.
 
-    ``digest`` is ``None`` in sessions saved before datasets were pinned
-    by content; they load on name and count alone.
+    The file is read once: its bytes are hashed and compared with the pin,
+    then parsed.  ``digest`` is ``None`` in sessions saved before datasets
+    were pinned by content; they load on name and count alone.
     """
     try:
-        dataset = load_observations(directory / file)
+        return load_observations(directory / file, digest=digest)
     except PersistError:
         raise
     except DatasetError as exc:
         raise PersistError(f"dataset {file} is unreadable: {exc}") from exc
-    if digest is not None:
-        actual = _file_digest(directory / file)
-        if actual != digest:
-            raise PersistError(
-                f"dataset {file} does not match the session manifest's content digest "
-                f"(manifest {str(digest)[:12]}…, file {actual[:12]}…)"
-            )
-    return dataset
 
 
 def _unsaved(session: "ReproSession", specs: Iterable[SourceSpec]) -> list[str]:
@@ -357,7 +371,13 @@ def load_session(directory: str | Path) -> "ReproSession":
             where, dataset = spec.describe(), _rebuild(session, spec)
         else:
             where, dataset = file, _read_dataset(directory, file, expected_digest)
-            session.prime_dataset(spec, dataset)
+            # A save copies the file while its bytes match the pin.  A
+            # headerless file names its dataset after its own path, so a
+            # copy under another name would rename it: it is encoded.
+            pinned = expected_digest is not None and dataset.name != Path(file).stem
+            session.prime_dataset(
+                spec, dataset, (directory / file, expected_digest) if pinned else None
+            )
         if expected_name is not None and dataset.name != expected_name:
             raise PersistError(
                 f"dataset {where} is named {dataset.name!r}, manifest "

@@ -58,6 +58,37 @@ class TestConfigValidation:
         with pytest.raises(SimulationError, match="positive and finite"):
             LongitudinalConfig(interval=interval)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("snapshots", 2.5),
+            ("snapshots", True),
+            ("snapshots", "3"),
+            ("seed", True),
+            ("seed", 3.0),
+            ("seed", "3"),
+            ("seed", None),
+            ("interval", True),
+            ("interval", "604800"),
+            ("churn_fraction", False),
+            ("churn_fraction", "0.02"),
+            ("start_time", "x"),
+            ("start_time", True),
+            ("start_time", float("nan")),
+            ("start_time", float("inf")),
+            pytest.param("start_time", 10**400, id="start_time-beyond-float"),
+            pytest.param("interval", 10**400, id="interval-beyond-float"),
+            pytest.param("churn_fraction", 10**400, id="churn_fraction-beyond-float"),
+        ],
+    )
+    def test_wrongly_typed_field_rejected_by_name(self, field, value):
+        with pytest.raises(SimulationError, match=field):
+            LongitudinalConfig(**{field: value})
+
+    def test_integral_numbers_accepted(self):
+        config = LongitudinalConfig(interval=600, churn_fraction=0, start_time=-5)
+        assert (config.interval, config.churn_fraction, config.start_time) == (600, 0, -5)
+
     def test_time_of_spaces_snapshots_by_interval(self):
         config = LongitudinalConfig(interval=600.0, start_time=1_000.0)
         assert [config.time_of(k) for k in range(3)] == [1_000.0, 1_600.0, 2_200.0]

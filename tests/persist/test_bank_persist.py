@@ -14,6 +14,7 @@ from repro.errors import PersistError, ValidationError
 from repro.net.ipid import MonotonicIpidCounter, RandomIpidCounter
 from repro.persist.bank import (
     BANK_FORMAT_VERSION,
+    bank_document_text,
     bank_state_from_document,
     bank_state_signature,
     bank_state_to_document,
@@ -101,6 +102,19 @@ class TestBankDocuments:
         document = json.loads(json.dumps(bank_state_to_document(state)))
         assert document["version"] == BANK_FORMAT_VERSION
         assert bank_state_from_document(document) == state
+
+    def test_document_text_is_the_signed_document(self):
+        (bank,) = _warm_run().banks().values()
+        state = bank.export_state()
+        text, signature = bank_document_text(state)
+        assert json.loads(text) == {
+            "version": BANK_FORMAT_VERSION,
+            "state": state,
+            "signature": bank_state_signature(state),
+        }
+        assert json.loads(text) == bank_state_to_document(state)
+        assert signature == bank_state_signature(state)
+        assert bank_state_from_document(json.loads(text)) == state
 
     def test_restored_bank_answers_offline(self):
         run = _warm_run()
@@ -255,6 +269,21 @@ def _series_not_list(state):
 
 
 class TestSessionBankRoundTrip:
+    def test_bank_file_text_parses_to_the_document(self, tmp_path):
+        # The save encodes the state once: the file's ``state`` is the
+        # canonical text its signature hashes, and the reader is unchanged.
+        session = ReproSession(_CONFIG)
+        session.validate_budgeted(["midar"])
+        session.save(tmp_path / "saved")
+        (state,) = session.validation_bank_states()
+        (entry,) = json.loads((tmp_path / "saved" / SESSION_MANIFEST).read_text())["banks"]
+        text = (tmp_path / "saved" / entry["file"]).read_text()
+        assert json.loads(text) == bank_state_to_document(state)
+        assert text == bank_document_text(state)[0]
+        assert json.dumps(state, sort_keys=True, separators=(",", ":")) in text
+        assert entry["signature"] == bank_state_signature(state)
+        assert bank_state_from_document(json.loads(text)) == state
+
     def test_manifest_carries_banks(self, saved_session):
         _, _, directory = saved_session
         manifest = json.loads((directory / SESSION_MANIFEST).read_text())

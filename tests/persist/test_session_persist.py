@@ -1,5 +1,7 @@
 """Session persistence: caches survive across processes, byte-faithfully."""
 
+import dataclasses
+import hashlib
 import json
 import shutil
 import subprocess
@@ -7,7 +9,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from chain_cases import SimulatedCrash, crash_at_replace
+from chain_cases import SimulatedCrash, crash_at_replace, tamper_fingerprint
 
 from repro.api.config import ScenarioConfig
 from repro.api.session import ReproSession
@@ -16,6 +18,7 @@ from repro.cli import main
 from repro.core.engine import report_signature
 from repro.core.identifiers import IdentifierOptions
 from repro.errors import DatasetError, PersistError
+from repro.persist import session as persist_session
 from repro.persist.report import report_signature_digest
 from repro.persist.session import (
     SESSION_MANIFEST,
@@ -309,24 +312,33 @@ class TestResave:
         self, sessions, tmp_path, monkeypatch
     ):
         """A re-save that dies at its k-th ``os.replace``, for every k,
-        leaves the old or the new session loadable."""
+        leaves the old or the new session loadable: a save that encodes its
+        datasets, and a loaded session's save, which copies the files it
+        loaded."""
         expected = {seed: _contents(session) for seed, session in sessions.items()}
         base = tmp_path / "base"
         save_session(sessions[7], base)
-        finished = shutil.copytree(base, tmp_path / "finished")
-        replaced = crash_at_replace(monkeypatch)
-        save_session(sessions[8], finished)
-        monkeypatch.undo()
-        assert replaced[-1] == SESSION_MANIFEST
-        assert _contents(load_session(finished)) == expected[8]
-        for crash_at in range(1, len(replaced) + 1):
-            directory = shutil.copytree(base, tmp_path / f"crash-{crash_at}")
-            crash_at_replace(monkeypatch, crash_at)
-            with pytest.raises(SimulatedCrash):
-                save_session(sessions[8], directory)
-            monkeypatch.undo()
-            loaded = load_session(directory)
-            assert _contents(loaded) == expected[loaded.config.seed]
+        loaded_8 = load_session(save_session(sessions[8], tmp_path / "saved-8"))
+        for label, session in (("encoded", sessions[8]), ("copied", loaded_8)):
+            with pytest.MonkeyPatch.context() as patch:
+                encoded = _count_encodes(patch)
+                finished = shutil.copytree(base, tmp_path / f"{label}-finished")
+                replaced = crash_at_replace(monkeypatch)
+                save_session(_unrecorded(session) if label == "encoded" else session, finished)
+                monkeypatch.undo()
+                assert replaced[-1] == SESSION_MANIFEST
+                assert _contents(load_session(finished)) == expected[8]
+                for crash_at in range(1, len(replaced) + 1):
+                    directory = shutil.copytree(base, tmp_path / f"{label}-crash-{crash_at}")
+                    crash_at_replace(monkeypatch, crash_at)
+                    with pytest.raises(SimulatedCrash):
+                        save_session(
+                            _unrecorded(session) if label == "encoded" else session, directory
+                        )
+                    monkeypatch.undo()
+                    loaded = load_session(directory)
+                    assert _contents(loaded) == expected[loaded.config.seed]
+            assert (encoded == []) == (label == "copied")
 
     def test_resave_prunes_only_the_previous_files(self, sessions, tmp_path):
         directory = tmp_path / "saved"
@@ -386,6 +398,148 @@ class TestResave:
             if not spec.inputs
         ]
         assert list((directory / "reports").iterdir()) == []
+
+
+def _unrecorded(session):
+    """``session`` with no dataset file recorded, so that its save encodes."""
+    for spec, dataset in list(session.cached_datasets().items()):
+        session.prime_dataset(spec, dataset)
+    return session
+
+
+def _count_encodes(monkeypatch) -> list[str]:
+    """The names of the datasets a save encodes, as it encodes them."""
+    encode = persist_session.save_observations_atomic
+    encoded = []
+
+    def counting(dataset, path):
+        encoded.append(dataset.name)
+        return encode(dataset, path)
+
+    monkeypatch.setattr(persist_session, "save_observations_atomic", counting)
+    return encoded
+
+
+def _dataset_files(directory) -> list[tuple[str, bytes]]:
+    """Each measured dataset's name and file bytes, in manifest order."""
+    manifest = json.loads((Path(directory) / SESSION_MANIFEST).read_text())
+    return [
+        (entry["name"], (Path(directory) / entry["file"]).read_bytes())
+        for entry in manifest["datasets"]
+        if "file" in entry
+    ]
+
+
+class TestResaveCopiesVerifiedFiles:
+    """A loaded session's save copies the dataset files its load verified."""
+
+    def test_resave_writes_the_loaded_files(self, saved, tmp_path, monkeypatch):
+        _, directory = saved
+        loaded = load_session(directory)
+        encoded = _count_encodes(monkeypatch)
+        save_session(loaded, tmp_path / "resaved")
+        assert encoded == []
+        assert _dataset_files(tmp_path / "resaved") == _dataset_files(directory)
+        assert _contents(load_session(tmp_path / "resaved")) == _contents(loaded)
+
+    @pytest.mark.parametrize("change", ["edited", "deleted", "replaced", "reprimed"])
+    def test_changed_file_is_encoded(self, saved, tmp_path, monkeypatch, change):
+        # A file edited, deleted or replaced after the load no longer matches
+        # its pin, and a dataset primed again without a file has none: the
+        # save encodes the dataset it holds, which loads equal.
+        _, directory = saved
+        copy = shutil.copytree(directory, tmp_path / "copy")
+        loaded = load_session(copy)
+        manifest = json.loads((copy / SESSION_MANIFEST).read_text())
+        entries = [entry for entry in manifest["datasets"] if "file" in entry]
+        path = copy / entries[0]["file"]
+        if change == "edited":
+            tamper_fingerprint(path)
+        elif change == "deleted":
+            path.unlink()
+        elif change == "replaced":
+            path.write_bytes((copy / entries[1]["file"]).read_bytes())
+        else:
+            spec = spec_from_document(entries[0]["spec"])
+            loaded.prime_dataset(spec, loaded.cached_datasets()[spec])
+        encoded = _count_encodes(monkeypatch)
+        save_session(loaded, tmp_path / "resaved")
+        assert encoded == [entries[0]["name"]]
+        assert _dataset_files(tmp_path / "resaved") == _dataset_files(directory)
+        assert _contents(load_session(tmp_path / "resaved")) == _contents(loaded)
+
+    def test_save_in_place_then_elsewhere_both_copy(self, saved, tmp_path, monkeypatch):
+        _, directory = saved
+        copy = shutil.copytree(directory, tmp_path / "copy")
+        loaded = load_session(copy)
+        encoded = _count_encodes(monkeypatch)
+        save_session(loaded, copy)
+        save_session(loaded, tmp_path / "elsewhere")
+        assert encoded == []
+        manifest = json.loads((copy / SESSION_MANIFEST).read_text())
+        assert manifest["generation"] == 2
+        assert sorted(path.name for path in (copy / "datasets").iterdir()) == sorted(
+            Path(entry["file"]).name for entry in manifest["datasets"] if "file" in entry
+        )
+        files = _dataset_files(directory)
+        assert _dataset_files(copy) == files == _dataset_files(tmp_path / "elsewhere")
+        assert _contents(load_session(tmp_path / "elsewhere")) == _contents(loaded)
+
+    @pytest.mark.parametrize("change", ["loaded-added", "loaded-renamed", "fresh-added"])
+    def test_dataset_changed_in_memory_is_encoded(self, saved, tmp_path, monkeypatch, change):
+        # The recorded file holds the dataset as it was loaded or saved; once
+        # ``add`` grows it or its name changes, the save encodes it, and the
+        # result loads equal to the dataset in memory.
+        _, directory = saved
+        if change.startswith("loaded"):
+            session = load_session(directory)
+        else:
+            session = ReproSession(_CONFIG)
+            session.dataset("censys")
+            save_session(session, tmp_path / "first")
+        dataset = session.dataset("censys")
+        if change.endswith("added"):
+            first = next(iter(dataset))
+            dataset.add(dataclasses.replace(first, timestamp=first.timestamp + 1.0))
+        else:
+            dataset.name = "renamed"
+        encoded = _count_encodes(monkeypatch)
+        save_session(session, tmp_path / "resaved")
+        assert encoded == [dataset.name]
+        reloaded = load_session(tmp_path / "resaved").dataset("censys")
+        assert (reloaded.name, list(reloaded)) == (dataset.name, list(dataset))
+
+    def test_unpinned_dataset_is_encoded(self, saved, tmp_path, monkeypatch):
+        # A session saved before datasets were pinned records no file.
+        _, directory = saved
+        copy = shutil.copytree(directory, tmp_path / "undigested")
+        manifest = json.loads((copy / SESSION_MANIFEST).read_text())
+        for entry in manifest["datasets"]:
+            entry.pop("digest", None)
+        (copy / SESSION_MANIFEST).write_text(json.dumps(manifest))
+        loaded = load_session(copy)
+        encoded = _count_encodes(monkeypatch)
+        save_session(loaded, tmp_path / "resaved")
+        assert encoded == [name for name, _ in _dataset_files(directory)]
+        assert _dataset_files(tmp_path / "resaved") == _dataset_files(directory)
+
+    def test_headerless_file_is_encoded_under_its_name(self, saved, tmp_path, monkeypatch):
+        # A headerless file names its dataset after its path; a copy under
+        # the next generation's name would rename it, so it is encoded.
+        _, directory = saved
+        copy = shutil.copytree(directory, tmp_path / "headerless")
+        manifest = json.loads((copy / SESSION_MANIFEST).read_text())
+        entry = next(entry for entry in manifest["datasets"] if "file" in entry)
+        path = copy / entry["file"]
+        path.write_bytes(path.read_bytes().split(b"\n", 1)[1])
+        entry["name"] = path.stem
+        entry["digest"] = hashlib.sha256(path.read_bytes()).hexdigest()
+        (copy / SESSION_MANIFEST).write_text(json.dumps(manifest))
+        loaded = load_session(copy)
+        encoded = _count_encodes(monkeypatch)
+        save_session(loaded, tmp_path / "resaved")
+        assert encoded == [path.stem]
+        assert _contents(load_session(tmp_path / "resaved")) == _contents(loaded)
 
 
 class TestFreshProcessParity:

@@ -94,6 +94,36 @@ def saved_session(tmp_path_factory):
     return directory
 
 
+#: Forged ``campaign`` values of a campaign checkpoint, and the field each
+#: refusal names.  Before ``LongitudinalConfig`` checked types, ``seed`` and
+#: ``interval`` of ``true`` resumed with other churn, the snapshot counts
+#: loaded, the wrongly typed rest failed mid-resume with a ``TypeError``,
+#: and an integer too large for a float failed without naming its field.
+_FORGED_CAMPAIGN_FIELDS = [
+    pytest.param("seed", True, id="seed-boolean"),
+    pytest.param("interval", True, id="interval-boolean"),
+    pytest.param("seed", "3", id="seed-string"),
+    pytest.param("seed", 3.0, id="seed-float"),
+    pytest.param("start_time", "x", id="start-time-string"),
+    pytest.param("snapshots", 2.5, id="snapshots-float"),
+    pytest.param("snapshots", True, id="snapshots-boolean"),
+    pytest.param("start_time", 10**400, id="start-time-beyond-float"),
+    pytest.param("interval", 10**400, id="interval-beyond-float"),
+]
+
+
+@pytest.fixture(scope="module")
+def campaign_checkpoint(tmp_path_factory):
+    """A campaign checkpointed after two snapshots (scale 0.05, seed 3); copy it
+    before editing."""
+    checkpoint = tmp_path_factory.mktemp("campaign") / "checkpoint"
+    assert main(
+        ["longitudinal", "--scale", "0.05", "--seed", "3", "--snapshots", "2",
+         "--checkpoint", str(checkpoint)]
+    ) == 0
+    return checkpoint
+
+
 @pytest.fixture(scope="module")
 def serve_checkpoint(tmp_path_factory):
     """A daemon checkpointed after two polls; copy it before editing."""
@@ -212,6 +242,23 @@ class TestCliErrorPaths:
         assert exit_code == 2
         err = capsys.readouterr().err
         assert f"address {address!r} is not" in err
+        assert "Traceback" not in err
+
+    def test_resolve_directory_exits_cleanly(self, tmp_path, capsys):
+        exit_code = main(["resolve", str(tmp_path), "--output", str(tmp_path / "o")])
+        assert exit_code == 2
+        err = capsys.readouterr().err
+        assert f"cannot read dataset file {tmp_path}" in err
+        assert "Traceback" not in err
+
+    def test_resolve_non_utf8_dataset_exits_cleanly(self, tmp_path, capsys):
+        dataset = tmp_path / "binary.jsonl"
+        record = {"address": "10.0.0.1", "protocol": "ssh", "source": "active", "port": 22}
+        dataset.write_bytes(json.dumps(record).encode() + b"\n" + b'{"source": "\xff"}\n')
+        exit_code = main(["resolve", str(dataset), "--output", str(tmp_path / "o")])
+        assert exit_code == 2
+        err = capsys.readouterr().err
+        assert f"{dataset}:2: not UTF-8 text" in err
         assert "Traceback" not in err
 
     def test_longitudinal_rejects_zero_snapshots(self, capsys):
@@ -387,6 +434,24 @@ class TestLongitudinal:
         captured = capsys.readouterr()
         assert "torn" in captured.err
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("field, value", _FORGED_CAMPAIGN_FIELDS)
+    def test_longitudinal_resume_forged_campaign_exits_cleanly(
+        self, capsys, campaign_checkpoint, tmp_path, field, value
+    ):
+        checkpoint = shutil.copytree(campaign_checkpoint, tmp_path / "checkpoint", symlinks=True)
+        capsys.readouterr()
+        _forge_manifest(
+            checkpoint / "checkpoint.json",
+            lambda manifest: manifest["campaign"].update({field: value}),
+        )
+        exit_code = main(["longitudinal", "--resume", str(checkpoint), "--snapshots", "3"])
+        assert exit_code == 2
+        captured = capsys.readouterr()
+        assert "malformed campaign checkpoint manifest" in captured.err
+        assert field in captured.err
+        assert "Traceback" not in captured.err
+        assert "resuming" not in captured.out
 
     @pytest.mark.parametrize("forge, field", _FORGED_CHAIN_FIELDS)
     def test_longitudinal_resume_forged_chain_field_exits_cleanly(
@@ -965,6 +1030,21 @@ class TestServe:
         captured = capsys.readouterr()
         assert "malformed stream checkpoint manifest" in captured.err
         assert field in captured.err
+        assert "Traceback" not in captured.err
+        assert "resuming" not in captured.out
+
+    def test_serve_resume_non_utf8_poll_file_exits_cleanly(
+        self, capsys, serve_checkpoint, tmp_path
+    ):
+        checkpoint = shutil.copytree(serve_checkpoint, tmp_path / "stream", symlinks=True)
+        capsys.readouterr()
+        poll = checkpoint / "poll-0002.jsonl"
+        poll.write_bytes(poll.read_bytes() + b'{"source": "\xff"}\n')
+        exit_code = main(["serve", "--max-batches", "1", "--resume", str(checkpoint)])
+        assert exit_code == 2
+        captured = capsys.readouterr()
+        assert "not UTF-8 text" in captured.err
+        assert "poll-0002.jsonl" in captured.err
         assert "Traceback" not in captured.err
         assert "resuming" not in captured.out
 
