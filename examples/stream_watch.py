@@ -2,10 +2,10 @@
 """Streaming resolution: watch alias-set change events arrive live.
 
 A resident ``StreamingEngine`` ingests each scan as it happens, emits an
-incremental resolution at every poll, and publishes typed change events —
-born / dissolved / grown / shrunk / migrated alias sets, coverage changes,
-and a closing report — to any subscriber.  Every longitudinal run polls
-it: ``repro longitudinal`` and ``repro serve`` alike, and
+incremental resolution at every poll, and returns that emit's typed change
+events — born / dissolved / grown / shrunk / migrated alias sets, coverage
+changes, and a closing report — on the update.  Every longitudinal run
+polls it: ``repro longitudinal`` and ``repro serve`` alike, and
 ``examples/longitudinal_churn.py``.
 
 This example drives the engine the same way ``repro serve`` does:
@@ -13,7 +13,7 @@ This example drives the engine the same way ``repro serve`` does:
 1. generate a small churning simulated Internet,
 2. poll it like a daemon: scan, ``sync`` the scan into the stream,
    ``flush`` an incremental report,
-3. print every alias-set change event as it is published, and
+3. print every alias-set change event each emit returns, and
 4. show that every streamed report is byte-identical to a from-scratch
    resolution of its poll's scan.
 
@@ -25,7 +25,7 @@ Run with::
 from repro.core.engine import ResolutionEngine, report_signature
 from repro.longitudinal import LongitudinalCampaign, LongitudinalConfig
 from repro.simnet.topology import generate_topology, small_topology_config
-from repro.stream import StreamConfig, StreamingEngine
+from repro.stream import AliasSetEvent, StreamConfig, StreamingEngine
 
 SNAPSHOTS = 4
 CHURN = 0.05
@@ -51,18 +51,6 @@ def main() -> None:
     campaign = make_campaign()
     stream = StreamingEngine(StreamConfig(), options=campaign.options)
 
-    # Subscribe to the change-event feed.  A watcher can filter by kind;
-    # here we watch every alias-set mutation but skip the per-emit
-    # coverage/report bookkeeping events.
-    kinds = {
-        "alias_set.born",
-        "alias_set.dissolved",
-        "alias_set.grown",
-        "alias_set.shrunk",
-        "alias_set.migrated",
-    }
-    unsubscribe = stream.subscribe(lambda e: print(describe(e)), kinds=kinds)
-
     polls = []
     for poll in range(SNAPSHOTS):
         capture = campaign.capture(poll)
@@ -70,20 +58,25 @@ def main() -> None:
         print(f"poll {poll}: scanned {len(capture.observations)} observations")
         update = stream.flush()
         polls.append((capture, update))
+        # Each update carries its emit's events in order.  Print every
+        # alias-set mutation but skip the per-emit coverage/report
+        # bookkeeping events.
+        for event in update.events:
+            if isinstance(event, AliasSetEvent):
+                print(describe(event))
         report = update.events[-1]
         print(
             f"  -> emit {update.emit} ({update.name}): "
             f"{report.ipv4_sets} IPv4 sets, +{report.added}/-{report.removed}, "
             f"churn~{update.churn_rate if update.churn_rate is not None else 'n/a'}"
         )
-    unsubscribe()
 
     estimate = stream.estimator.rate
     print(
         f"\nonline churn estimate after {stream.estimator.windows} windows: "
         f"{estimate:.3f} (ground truth {CHURN})"
     )
-    print(f"events published: {dict(stream.publisher.counts)}")
+    print(f"events published: {stream.event_counts}")
 
     # Each streamed report equals a from-scratch resolution of its scan.
     engine = ResolutionEngine(campaign.options)

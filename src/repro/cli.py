@@ -27,8 +27,8 @@ The CLI mirrors how the paper's artifacts would be used in practice:
   (the paper's MIDAR-disagreement series).
 * ``repro serve`` — run the same poll loop as a streaming resolution
   daemon: poll the simulated Internet as a live event source, keep the
-  alias report current through the incremental engine, publish typed
-  change events, and infer the churn rate online
+  alias report current through the incremental engine, count each
+  poll's typed change events, and infer the churn rate online
   (``--checkpoint``/``--resume`` give the daemon kill-and-resume
   durability).
 * ``repro session save`` / ``repro session load`` — persist a measurement
@@ -778,7 +778,7 @@ def _command_serve(args: argparse.Namespace) -> int:
             )
     finally:
         restore_handlers()
-    published = sum(stream.publisher.counts.values())
+    published = sum(stream.event_counts.values())
     print(
         f"served {daemon.polls - start} polls, {stream.emitted} reports, "
         f"{published} events published"

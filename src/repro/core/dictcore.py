@@ -18,12 +18,7 @@ from typing import Iterable
 
 from repro.core.aliasset import AliasSet, AliasSetCollection
 from repro.core.dual_stack import DualStackCollection, DualStackSet
-from repro.core.identifiers import (
-    DEFAULT_OPTIONS,
-    DeviceIdentifier,
-    IdentifierOptions,
-    extract_identifier,
-)
+from repro.core.identifiers import DEFAULT_OPTIONS, IdentifierOptions, extract_identifier
 from repro.errors import DatasetError
 from repro.net.addresses import AddressFamily
 from repro.simnet.device import ServiceType
@@ -31,9 +26,6 @@ from repro.sources.records import Observation
 
 #: Bucket key: one (protocol, family) stratum of the index.
 _BucketKey = tuple[ServiceType, AddressFamily]
-
-#: Sentinel for "extract the identifier yourself" in add/remove.
-_UNEXTRACTED: "DeviceIdentifier | None" = object()  # type: ignore[assignment]
 
 
 class DictObservationIndex:
@@ -78,15 +70,10 @@ class DictObservationIndex:
         """Observations that contributed an identifier to the index."""
         return self._indexed
 
-    def add(
-        self,
-        observation: Observation,
-        identifier: DeviceIdentifier | None = _UNEXTRACTED,
-    ) -> bool:
+    def add(self, observation: Observation) -> bool:
         """Index one observation; returns whether it carried an identifier."""
         self._observed += 1
-        if identifier is _UNEXTRACTED:
-            identifier = extract_identifier(observation, self._options)
+        identifier = extract_identifier(observation, self._options)
         if identifier is None:
             return False
         bucket_key = (observation.protocol, observation.family)
@@ -106,14 +93,9 @@ class DictObservationIndex:
         self._indexed += 1
         return True
 
-    def remove(
-        self,
-        observation: Observation,
-        identifier: DeviceIdentifier | None = _UNEXTRACTED,
-    ) -> bool:
+    def remove(self, observation: Observation) -> bool:
         """Un-index one previously-added observation (exact inverse of :meth:`add`)."""
-        if identifier is _UNEXTRACTED:
-            identifier = extract_identifier(observation, self._options)
+        identifier = extract_identifier(observation, self._options)
         if identifier is None:
             if self._observed <= self._indexed:
                 raise DatasetError(

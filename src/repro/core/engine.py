@@ -52,12 +52,7 @@ from repro import obs
 from repro.core.alias_resolution import AliasResolver
 from repro.core.aliasset import AliasSet, AliasSetCollection
 from repro.core.dual_stack import DualStackCollection, DualStackSet, union_dual_stack
-from repro.core.identifiers import (
-    DEFAULT_OPTIONS,
-    DeviceIdentifier,
-    IdentifierOptions,
-    extract_identifier,
-)
+from repro.core.identifiers import DEFAULT_OPTIONS, IdentifierOptions, extract_identifier
 from repro.core.symbols import SymbolTable
 from repro.errors import DatasetError
 from repro.net.addresses import AddressFamily, family_of
@@ -69,9 +64,6 @@ PROTOCOLS = (ServiceType.SSH, ServiceType.BGP, ServiceType.SNMPV3)
 
 #: Bucket key: one (protocol, family) stratum of the index.
 _BucketKey = tuple[ServiceType, AddressFamily]
-
-#: Sentinel for "extract the identifier yourself" in add/remove.
-_UNEXTRACTED: "DeviceIdentifier | None" = object()  # type: ignore[assignment]
 
 # ---------------------------------------------------------------------- #
 # Flat bucket codes: protocol_code * 2 + family_code.  Keyed off the enum
@@ -203,21 +195,10 @@ class ObservationIndex:
             self._family_codes.append(_FAMILY_CODE[family_of(address)])
         return sym
 
-    def add(
-        self,
-        observation: Observation,
-        identifier: DeviceIdentifier | None = _UNEXTRACTED,
-    ) -> bool:
-        """Index one observation; returns whether it carried an identifier.
-
-        ``identifier`` lets callers that already extracted the observation's
-        identifier (with the same options) pass it in instead of paying for
-        a second extraction — the longitudinal engine caches identifiers
-        across snapshots this way.
-        """
+    def add(self, observation: Observation) -> bool:
+        """Index one observation; returns whether it carried an identifier."""
         self._observed += 1
-        if identifier is _UNEXTRACTED:
-            identifier = extract_identifier(observation, self._options)
+        identifier = extract_identifier(observation, self._options)
         if identifier is None:
             return False
         address = observation.address
@@ -249,22 +230,17 @@ class ObservationIndex:
         self._indexed += 1
         return True
 
-    def remove(
-        self,
-        observation: Observation,
-        identifier: DeviceIdentifier | None = _UNEXTRACTED,
-    ) -> bool:
+    def remove(self, observation: Observation) -> bool:
         """Un-index one previously-added observation (exact inverse of :meth:`add`).
 
         Returns whether the observation carried an identifier (mirroring
         :meth:`add`'s return value for the same observation).  Raises
         :class:`~repro.errors.DatasetError` when the observation was never
         indexed — incremental drivers replay deltas, so an unknown removal
-        is a bookkeeping bug worth failing loudly on.  ``identifier`` works
-        as in :meth:`add`.
+        is a bookkeeping bug worth failing loudly on.  Extraction is
+        deterministic, so re-extracting finds exactly what :meth:`add` indexed.
         """
-        if identifier is _UNEXTRACTED:
-            identifier = extract_identifier(observation, self._options)
+        identifier = extract_identifier(observation, self._options)
         if identifier is None:
             # Identifier-less observations are only counted in aggregate, so
             # the strongest possible check is that one is outstanding at all.

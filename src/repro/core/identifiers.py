@@ -128,7 +128,8 @@ _EXTRACTORS = {
 
 #: Observers notified on every :func:`extract_identifier` call.  Tests use
 #: them to pin extraction counts: the single-pass engine extracts each
-#: observation's identifier exactly once, a delta replay only the added ones.
+#: observation's identifier exactly once, a delta replay each added and each
+#: removed observation's once.
 _extraction_hooks: list[Callable[[Observation], None]] = []
 
 

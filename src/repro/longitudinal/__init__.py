@@ -32,7 +32,6 @@ from repro.longitudinal.delta import (
     ObservationDelta,
     diff_alias_sets,
     diff_observations,
-    observation_key,
 )
 from repro.longitudinal.engine import IncrementalResolution, LongitudinalEngine
 
@@ -48,5 +47,4 @@ __all__ = [
     "SnapshotStability",
     "diff_alias_sets",
     "diff_observations",
-    "observation_key",
 ]

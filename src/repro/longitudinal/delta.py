@@ -23,24 +23,6 @@ from typing import Iterable
 from repro.core.aliasset import AliasSet
 from repro.sources.records import Observation
 
-#: Content key under which snapshot observations are matched.  Excludes the
-#: timestamp and source label: identifier extraction depends only on the
-#: protocol and fields, bucketing on (protocol, address family), and the
-#: ASN annotation rides along.
-_ObservationKey = tuple
-
-
-def observation_key(observation: Observation) -> _ObservationKey:
-    """The resolution-relevant content of an observation."""
-    return (
-        observation.address,
-        observation.protocol,
-        observation.port,
-        observation.fields,
-        observation.asn,
-    )
-
-
 @dataclasses.dataclass(frozen=True)
 class ObservationDelta:
     """The observation-level difference between two snapshots.
@@ -50,7 +32,7 @@ class ObservationDelta:
         removed: observations present in the older snapshot only (the
             original objects, so replaying the removal un-indexes exactly
             what was indexed).
-        unchanged: number of observations whose content key appears in both
+        unchanged: number of observations whose content appears in both
             snapshots (multiset semantics: two copies in both count twice).
     """
 

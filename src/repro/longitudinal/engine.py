@@ -5,9 +5,9 @@ A :class:`LongitudinalEngine` owns one
 campaign.  The stream (:mod:`repro.stream.engine`) stages every synced
 scan's observation delta on the index (:meth:`LongitudinalEngine.stage`:
 removals are exact inverses of additions, per-address reference counts
-make that safe).  Identifier extraction is cached by observation content,
-so replaying a delta never re-extracts an identifier the live index
-already holds.
+make that safe).  A replay extracts the identifier of each added and each
+removed observation once, so a poll's work depends only on its delta, not
+on what the process saw before.
 
 Every emit derives the report from the live index
 (:meth:`LongitudinalEngine.derive`) with
@@ -28,17 +28,9 @@ from typing import Iterable
 
 from repro.core.aliasset import AliasSet
 from repro.core.engine import AliasReport, ObservationIndex, ResolutionEngine
-from repro.core.identifiers import (
-    DEFAULT_OPTIONS,
-    DeviceIdentifier,
-    IdentifierOptions,
-    extract_identifier,
-)
-from repro.longitudinal.delta import AliasDelta, diff_alias_sets, observation_key
+from repro.core.identifiers import DEFAULT_OPTIONS, IdentifierOptions
+from repro.longitudinal.delta import AliasDelta, diff_alias_sets
 from repro.sources.records import Observation
-
-#: Sentinel distinguishing "not cached" from a cached ``None`` identifier.
-_MISSING: DeviceIdentifier = object()  # type: ignore[assignment]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -63,9 +55,6 @@ class LongitudinalEngine:
         self._options = options
         self._index = ObservationIndex(options)
         self._resolver = ResolutionEngine(options)
-        #: observation content key -> extracted identifier (or None); lets a
-        #: delta replay skip re-extraction for observations seen before.
-        self._identifiers: dict[tuple, DeviceIdentifier | None] = {}
         self._previous: AliasReport | None = None
         # Non-singleton union sets of the previous derive, kept as plain
         # lists: ``AliasSetCollection.non_singleton()`` builds a new
@@ -93,11 +82,10 @@ class LongitudinalEngine:
         """Rebuild an engine around a restored index (checkpoint resume).
 
         Derives the report called ``name`` from ``index``, exactly as the
-        original engine held it after resolving that snapshot.  The
-        engine's identifier cache starts empty — the first delta replay
-        re-extracts what it touches and re-populates it — and the next
-        :meth:`stage` and :meth:`derive` continue from ``name`` as if the
-        process had never exited.
+        original engine held it after resolving that snapshot.  The engine
+        holds nothing else, so the next :meth:`stage` and :meth:`derive`
+        continue from ``name`` as if the process had never exited, with
+        the same work.
         """
         engine = cls(index.options)
         engine._index = index
@@ -114,20 +102,15 @@ class LongitudinalEngine:
         The streaming engine stages each synced scan's delta and pays for
         collection derivation when it emits (:meth:`derive`).  Removals
         replay before additions so an identifier whose membership merely
-        rotates passes through a consistent intermediate state.
+        rotates passes through a consistent intermediate state.  A removed
+        observation is the object the index took, so extracting its
+        identifier again finds exactly what was indexed.
         """
-        identifiers = self._identifiers
+        index = self._index
         for observation in removed:
-            # pop, not get: evicting on removal keeps the cache bounded by
-            # the live index plus the current delta instead of growing with
-            # every content key the campaign has ever seen.  A duplicate
-            # copy or a returning observation just re-extracts once.
-            identifier = identifiers.pop(observation_key(observation), _MISSING)
-            if identifier is _MISSING:
-                identifier = extract_identifier(observation, self._options)
-            self._index.remove(observation, identifier)
+            index.remove(observation)
         for observation in added:
-            self._add(observation)
+            index.add(observation)
 
     def derive(self, name: str) -> IncrementalResolution:
         """Derive the report of the live index, labelled ``name``.
@@ -147,11 +130,3 @@ class LongitudinalEngine:
         return IncrementalResolution(
             report=report, ipv4_delta=ipv4_delta, ipv6_delta=ipv6_delta
         )
-
-    def _add(self, observation: Observation) -> None:
-        key = observation_key(observation)
-        identifier = self._identifiers.get(key, _MISSING)
-        if identifier is _MISSING:
-            identifier = extract_identifier(observation, self._options)
-            self._identifiers[key] = identifier
-        self._index.add(observation, identifier)

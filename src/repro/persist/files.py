@@ -119,6 +119,8 @@ def read_json_document(path: str | Path, what: str) -> dict[str, Any]:
         document = json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise PersistError(f"cannot read {what} {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise PersistError(f"{what} {path} is not UTF-8 text ({exc.reason})") from exc
     except json.JSONDecodeError as exc:
         raise PersistError(f"{what} {path} is not valid JSON") from exc
     if not isinstance(document, dict):

@@ -47,13 +47,13 @@ relative, so a directory copied with its links (``cp -a``,
 exercised on Linux only.
 
 The manifest also carries the streaming engine's emit window (its clock
-and estimator) and the cumulative published-event counts.  A campaign
+and estimator) and the events it has emitted so far, by kind.  A campaign
 checkpoint carries its :class:`~repro.longitudinal.campaign.CampaignLog`:
 the stability rows of both families and the metric series.  A daemon's
 carries no log, or its manifest would grow by a row every poll.  The
 reader requires only the keys every campaign and stream manifest ever
 held: a campaign checkpoint without a window or event counts never ran
-an estimator or published an event, and resumes in exactly that state,
+an estimator or emitted an event, and resumes in exactly that state,
 its clock at its last scan.  Other keys older manifests carry are ignored.
 
 Everything else a resume needs is deterministic: the topology regenerates
@@ -250,7 +250,7 @@ class StreamCheckpointer:
                 )
             ],
             "window": {"clock": stream.clock, "estimator": stream.estimator.state()},
-            "event_counts": dict(stream.publisher.counts),
+            "event_counts": stream.event_counts,
         }
         if self.log is not None:
             manifest["stability"] = {
@@ -291,7 +291,7 @@ class LoadedStreamCheckpoint:
         estimator: the churn-rate estimator at the last emit (a fresh one
             over the campaign interval for such a checkpoint).  The
             resumed engine takes ownership of it.
-        event_counts: cumulative published-event counts at the checkpoint.
+        event_counts: events emitted so far by kind, at the checkpoint.
         log: the campaign's stability rows and metric series (campaign
             layout only).
     """
@@ -335,6 +335,20 @@ def _probe_counts(rows: object, where: str) -> dict[tuple[str, int, int], int]:
         except (TypeError, ValueError) as exc:
             raise PersistError(f"malformed {where}: probe_counts row {row!r}: {exc}") from exc
     return counts
+
+
+def _vantage(document: object, where: str) -> VantagePoint:
+    """The vantage point every poll scans from: a string ``name`` and
+    ``address`` and a boolean ``distributed``, each required."""
+    if not isinstance(document, dict) or document.keys() != {"name", "address", "distributed"}:
+        raise PersistError(
+            f"malformed {where}: vantage {document!r} is not an object of name, address and distributed"
+        )
+    return VantagePoint(
+        name=_field(document["name"], json_string, "vantage name", where),
+        address=_field(document["address"], json_string, "vantage address", where),
+        distributed=_field(document["distributed"], json_boolean, "vantage distributed", where),
+    )
 
 
 def _log(manifest: dict) -> CampaignLog:
@@ -384,7 +398,7 @@ def load_stream_checkpoint(
         scenario = ScenarioConfig(**manifest["scenario"])
         campaign = LongitudinalConfig(**manifest["campaign"])
         options = read_identifier_options(manifest["options"], where)
-        vantage = VantagePoint(**manifest["vantage"])
+        vantage = _vantage(manifest["vantage"], where)
         include_ipv6 = _field(manifest["include_ipv6"], json_boolean, "include_ipv6", where)
         last_name = manifest["last_name"]
         probe_counts = _probe_counts(manifest.get("probe_counts", []), where)
@@ -500,6 +514,6 @@ def resume_stream(
         checkpoint.completed,
         checkpoint.clock,
         checkpoint.estimator,
+        checkpoint.event_counts,
     )
-    stream.publisher.counts.update(checkpoint.event_counts)
     return campaign, stream

@@ -3,9 +3,10 @@
 Every longitudinal run goes through this package.  A
 :class:`~repro.stream.engine.StreamingEngine` keeps a live alias report
 current over a sequence of full scans through the longitudinal delta
-machinery — each scan is synced, then flushed as one emit — publishes
-typed change events (:mod:`repro.stream.events`) on every emit, and
-infers the network's churn rate online (:mod:`repro.stream.estimator`).
+machinery — each scan is synced, then flushed as one emit — returns each
+emit's typed change events (:mod:`repro.stream.events`) on its
+:class:`~repro.stream.engine.StreamUpdate`, and infers the network's churn
+rate online (:mod:`repro.stream.estimator`).
 The :class:`~repro.stream.daemon.StreamDaemon` poll loop drives the simnet
 as a live event source, one scan and one emit per poll, with graceful
 shutdown and checkpointed resume (:mod:`repro.persist.stream`):
@@ -26,7 +27,6 @@ from repro.stream.events import (
     CoverageChanged,
     ReportEmitted,
     StreamEvent,
-    StreamPublisher,
     events_from_delta,
 )
 
@@ -44,7 +44,6 @@ __all__ = [
     "StreamConfig",
     "StreamDaemon",
     "StreamEvent",
-    "StreamPublisher",
     "StreamUpdate",
     "StreamingEngine",
     "events_from_delta",

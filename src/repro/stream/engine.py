@@ -12,11 +12,13 @@ without deriving.  :meth:`StreamingEngine.flush` then emits.
 An emit derives the full report from the live index
 (:meth:`~repro.longitudinal.engine.LongitudinalEngine.derive`, which runs
 :meth:`~repro.core.engine.ResolutionEngine.report`), classifies how the
-union sets evolved since the previous emit, publishes the typed change events
-(:mod:`repro.stream.events`), folds the window into the online churn-rate
-estimator (:mod:`repro.stream.estimator`), and returns everything as a
+union sets evolved since the previous emit as typed change events
+(:mod:`repro.stream.events`), counts them by kind and mirrors them to
+:mod:`repro.obs`, folds the window into the online churn-rate estimator
+(:mod:`repro.stream.estimator`), and returns everything as a
 :class:`StreamUpdate` labelled ``snapshot-<emit>``, the campaign's
-snapshot labels.
+snapshot labels.  The update is where the events arrive: the CLI, the
+campaign log and the examples read ``update.events``.
 
 Every emitted report equals a from-scratch
 :meth:`~repro.core.engine.ResolutionEngine.resolve` of the last synced
@@ -27,7 +29,7 @@ scan (:func:`~repro.core.engine.report_signature` equality) —
 from __future__ import annotations
 
 import dataclasses
-from typing import Iterable
+from typing import Iterable, Mapping
 
 from repro import obs
 from repro.core.engine import AliasReport
@@ -39,10 +41,11 @@ from repro.sources.records import Observation
 
 from repro.stream.estimator import ChurnRateEstimator
 from repro.stream.events import (
+    STREAM_COUNTER,
+    STREAM_SERIES,
     CoverageChanged,
     ReportEmitted,
     StreamEvent,
-    StreamPublisher,
     events_from_delta,
 )
 
@@ -73,9 +76,8 @@ class StreamUpdate:
         emit: 0-based emit sequence number.
         name: label of the derived report (:func:`emit_label`).
         resolution: the derived resolution (report + family deltas).
-        events: the typed change events published for this emit, in
-            publication order (:class:`~repro.stream.events.ReportEmitted`
-            always last).
+        events: the typed change events of this emit, in order
+            (:class:`~repro.stream.events.ReportEmitted` always last).
         churn_rate: the online churn-rate estimate after this emit
             (``None`` until the estimator has seen one window).
     """
@@ -111,7 +113,8 @@ class StreamingEngine:
     ) -> None:
         self._config = config or StreamConfig()
         self._engine = engine or LongitudinalEngine(options)
-        self._publisher = StreamPublisher()
+        #: kind -> events emitted so far (a resume restores the checkpoint's).
+        self._event_counts: dict[str, int] = {}
         self._estimator = ChurnRateEstimator(interval=self._config.churn_interval)
         #: The last synced scan: the content-keyed diff baseline.
         self._live: tuple[Observation, ...] = ()
@@ -139,11 +142,6 @@ class StreamingEngine:
         return self._engine
 
     @property
-    def publisher(self) -> StreamPublisher:
-        """The event publisher watchers subscribe through."""
-        return self._publisher
-
-    @property
     def estimator(self) -> ChurnRateEstimator:
         """The online churn-rate estimator."""
         return self._estimator
@@ -163,9 +161,10 @@ class StreamingEngine:
         """Largest observation timestamp synced so far."""
         return self._clock
 
-    def subscribe(self, watcher, kinds=None):
-        """Shorthand for ``publisher.subscribe`` (returns unsubscribe)."""
-        return self._publisher.subscribe(watcher, kinds)
+    @property
+    def event_counts(self) -> dict[str, int]:
+        """Events emitted so far by kind, in order of each kind's first emit."""
+        return dict(self._event_counts)
 
     def live_observations(self) -> tuple[Observation, ...]:
         """The last synced scan (the stream's current world view)."""
@@ -192,7 +191,7 @@ class StreamingEngine:
         self._pending_removed_addresses.update(o.address for o in delta.removed)
 
     def flush(self) -> StreamUpdate:
-        """Derive and publish a report of everything synced so far.
+        """Derive and emit a report of everything synced so far.
 
         Raises:
             DatasetError: when no observation was ever synced.
@@ -242,8 +241,13 @@ class StreamingEngine:
                 churn_rate=churn_rate,
             )
         )
-        self._publisher.publish_all(events)
+        counts = self._event_counts
+        for event in events:
+            counts[event.kind] = counts.get(event.kind, 0) + 1
         if obs.is_enabled():
+            for event in events:
+                obs.add(STREAM_COUNTER, kind=event.kind)
+                obs.metrics().append_series(STREAM_SERIES, event.to_fields())
             obs.add("stream.emits")
             obs.set_gauge("stream.clock", self._clock)
             for family, current in coverage.items():
@@ -275,6 +279,7 @@ class StreamingEngine:
         emitted: int,
         clock: float,
         estimator: ChurnRateEstimator,
+        event_counts: Mapping[str, int],
     ) -> "StreamingEngine":
         """Rebuild a streaming engine around a restored longitudinal engine.
 
@@ -282,9 +287,10 @@ class StreamingEngine:
         (:meth:`~repro.longitudinal.engine.LongitudinalEngine.restore`);
         ``observations`` are the last synced scan at the checkpoint,
         ``emitted`` the number of emits so far, ``clock`` the clock at the
-        last emit, and ``estimator`` the churn-rate estimator, which the
-        resumed engine takes ownership of (:mod:`repro.persist.stream`
-        checkpoints both).  The rest of the window is fixed by
+        last emit, ``estimator`` the churn-rate estimator, which the
+        resumed engine takes ownership of, and ``event_counts`` the events
+        emitted so far by kind (:mod:`repro.persist.stream` checkpoints
+        all three).  The rest of the window is fixed by
         construction, because a checkpoint follows an emit: no window is
         in flight, the tracked addresses and the coverage come from the
         last scan and the restored report, and the estimator's interval is
@@ -298,4 +304,5 @@ class StreamingEngine:
         streaming._clock_at_emit = clock
         streaming._coverage = _coverage(engine.report)
         streaming._estimator = estimator
+        streaming._event_counts = dict(event_counts)
         return streaming

@@ -2,15 +2,14 @@
 
 Every emit classifies how alias sets evolved as per-family
 :class:`~repro.longitudinal.delta.AliasDelta` tables; the streaming
-service turns that classification into *events* a subscriber can act on
-the moment they happen: an alias set was born, dissolved, grew,
-shrank or migrated, the covered address count moved, a report was
-emitted.  Every event is a frozen dataclass with a stable ``kind`` tag
-and a flat :meth:`StreamEvent.to_fields` rendering, so the same object
-feeds two surfaces at once:
+service turns that classification into *events*: an alias set was born,
+dissolved, grew, shrank or migrated, the covered address count moved, a
+report was emitted.  Every event is a frozen dataclass with a stable
+``kind`` tag and a flat :meth:`StreamEvent.to_fields` rendering, so the
+same object feeds two surfaces at once:
 
-* registered watchers (:meth:`StreamPublisher.subscribe`) receive the
-  typed object, and
+* each emit's :class:`~repro.stream.engine.StreamUpdate` carries its
+  events in order (``update.events``), and
 * the :class:`~repro.obs.registry.MetricsRegistry` receives a
   ``stream.events{kind=...}`` counter tick plus a row in the
   ``stream.events`` series — so ``--metrics FILE`` captures the whole
@@ -18,21 +17,19 @@ feeds two surfaces at once:
 
 Mirroring is gated on :func:`repro.obs.is_enabled` like every other obs
 seam: a daemon run without ``--metrics`` pays one boolean check per
-event.
+emit.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Iterable
 
-from repro import obs
 from repro.longitudinal.delta import AliasDelta
 
 #: Name of the registry series stream events are mirrored into.
 STREAM_SERIES = "stream.events"
 
-#: Counter ticked (with a ``kind`` label) for every published event.
+#: Counter ticked (with a ``kind`` label) for every emitted event.
 STREAM_COUNTER = "stream.events"
 
 
@@ -154,7 +151,7 @@ class ReportEmitted(StreamEvent):
     kind = "report.emitted"
 
 
-#: AliasDelta attribute -> event class, in publication order.
+#: AliasDelta attribute -> event class, in emit order.
 _DELTA_EVENTS: tuple[tuple[str, type[AliasSetEvent]], ...] = (
     ("born", AliasSetBorn),
     ("dissolved", AliasSetDissolved),
@@ -180,66 +177,3 @@ def events_from_delta(
                 event_class(emit=emit, name=name, family=family, addresses=addresses)
             )
     return events
-
-
-#: A subscriber: any callable taking one event.
-Watcher = Callable[[StreamEvent], None]
-
-
-class StreamPublisher:
-    """Dispatches stream events to watchers and mirrors them to obs.
-
-    Subscribing returns an unsubscribe callable (the Home Assistant
-    listener idiom), so a watcher's lifetime is one ``unsubscribe()``
-    away regardless of how many others are registered::
-
-        unsubscribe = publisher.subscribe(print, kinds={"alias_set.born"})
-        ...
-        unsubscribe()
-
-    Watcher exceptions propagate to the publishing caller — the stream is
-    deterministic and a broken subscriber should fail loudly, not drop
-    events silently.
-    """
-
-    def __init__(self) -> None:
-        self._watchers: dict[int, tuple[Watcher, frozenset[str] | None]] = {}
-        self._next_token = 0
-        #: kind -> number of events published (watchers or not).
-        self.counts: dict[str, int] = {}
-
-    def subscribe(
-        self, watcher: Watcher, kinds: Iterable[str] | None = None
-    ) -> Callable[[], None]:
-        """Register ``watcher`` for every event (or only ``kinds``)."""
-        token = self._next_token
-        self._next_token += 1
-        self._watchers[token] = (
-            watcher,
-            frozenset(kinds) if kinds is not None else None,
-        )
-
-        def unsubscribe() -> None:
-            self._watchers.pop(token, None)
-
-        return unsubscribe
-
-    def __len__(self) -> int:
-        return len(self._watchers)
-
-    def publish(self, event: StreamEvent) -> None:
-        """Dispatch one event to watchers and the obs mirrors."""
-        kind = event.kind
-        self.counts[kind] = self.counts.get(kind, 0) + 1
-        for watcher, kinds in list(self._watchers.values()):
-            if kinds is None or kind in kinds:
-                watcher(event)
-        if obs.is_enabled():
-            fields = event.to_fields()
-            obs.add(STREAM_COUNTER, kind=kind)
-            obs.metrics().append_series(STREAM_SERIES, fields)
-
-    def publish_all(self, events: Iterable[StreamEvent]) -> None:
-        """Publish a batch of events in order."""
-        for event in events:
-            self.publish(event)

@@ -3,9 +3,8 @@
 :class:`~repro.core.dictcore.DictObservationIndex` is the pre-columnar
 ``ObservationIndex`` implementation, kept verbatim as the correctness
 oracle.  Hypothesis drives random interleavings of every public mutation —
-``add`` (with and without a pre-extracted identifier), ``remove`` and
-``extend`` — through both cores in lockstep and asserts the
-observable surfaces stay identical at every step:
+``add``, ``remove`` and ``extend`` — through both cores in lockstep and
+asserts the observable surfaces stay identical at every step:
 
 * ``state_signature`` — identical decoded state, through to a final drain
   that removes every outstanding observation from both cores (which is
@@ -20,7 +19,6 @@ from hypothesis import strategies as st
 
 from repro.core.dictcore import DictObservationIndex
 from repro.core.engine import ObservationIndex, ResolutionEngine, report_signature
-from repro.core.identifiers import extract_identifier
 from repro.simnet.device import ServiceType
 from repro.sources.records import Observation
 
@@ -75,12 +73,11 @@ def _observation(draw):
     )
 
 
-_ADD, _ADD_CACHED, _REMOVE, _EXTEND = range(4)
+_ADD, _REMOVE, _EXTEND = range(3)
 
 _operations = st.lists(
     st.one_of(
         st.tuples(st.just(_ADD), _observation()),
-        st.tuples(st.just(_ADD_CACHED), _observation()),
         st.tuples(st.just(_REMOVE), st.integers(min_value=0, max_value=2**16)),
         st.tuples(st.just(_EXTEND), st.lists(_observation(), max_size=6)),
     ),
@@ -94,10 +91,6 @@ def _apply(columnar, oracle, operations):
     for operation, payload in operations:
         if operation == _ADD:
             assert columnar.add(payload) == oracle.add(payload)
-            added.append(payload)
-        elif operation == _ADD_CACHED:
-            identifier = extract_identifier(payload, columnar.options)
-            assert columnar.add(payload, identifier) == oracle.add(payload, identifier)
             added.append(payload)
         elif operation == _REMOVE:
             if not added:

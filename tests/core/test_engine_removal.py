@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.engine import ObservationIndex
-from repro.core.identifiers import extract_identifier
 from repro.errors import DatasetError
 from repro.net.addresses import AddressFamily
 from repro.simnet.device import ServiceType
@@ -83,17 +82,6 @@ class TestRemoval:
         # (exactly as a from-scratch build of the survivor would have it).
         assert collection.address_asn == {}
         assert collection.sets[0].addresses == frozenset({"10.0.0.1"})
-
-    def test_precomputed_identifier_matches_internal_extraction(self):
-        observation = snmp_observation("10.0.0.1")
-        identifier = extract_identifier(observation)
-        via_kwarg = ObservationIndex()
-        via_kwarg.add(observation, identifier)
-        internally = ObservationIndex()
-        internally.add(observation)
-        assert via_kwarg.state_signature() == internally.state_signature()
-        via_kwarg.remove(observation, identifier)
-        assert via_kwarg.indexed == 0
 
 
 class TestStateSignature:

@@ -169,10 +169,10 @@ class TestChurningCampaign:
             reference = reference_engine.resolve(capture.observations, name=capture.name)
             assert report_signature(update.report) == report_signature(reference)
 
-    def test_delta_replay_extracts_only_added_observations(self, captures):
-        # Removed observations reuse the identifier cached when they were
-        # added, so a delta replay extracts only the added ones; a rebuild
-        # re-extracts every observation of every snapshot.
+    def test_delta_replay_extracts_each_delta_observation_once(self, captures):
+        # A delta replay extracts the identifier of each added and each
+        # removed observation once; a rebuild re-extracts every observation
+        # of every snapshot.
         stream = StreamingEngine()
         stream.sync(captures[0].observations)
         stream.flush()
@@ -183,12 +183,13 @@ class TestChurningCampaign:
         with count_extractions() as rebuild:
             for capture in captures[1:]:
                 ResolutionEngine().resolve(capture.observations, name=capture.name)
-        added = sum(
-            len(diff_observations(previous.observations, capture.observations).added)
+        deltas = [
+            diff_observations(previous.observations, capture.observations)
             for previous, capture in pairwise(captures)
-        )
+        ]
+        replayed = sum(len(delta.added) + len(delta.removed) for delta in deltas)
         observed = sum(len(capture.observations) for capture in captures[1:])
-        assert (replay.count, rebuild.count) == (added, observed) == (114, 1_327)
+        assert (replay.count, rebuild.count) == (replayed, observed) == (236, 1_327)
 
     def test_log_deltas_equal_the_diff_of_consecutive_scans(self, captures, result):
         # The rows read +Obs/-Obs off each poll's closing ReportEmitted; the

@@ -4,11 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.aliasset import AliasSet
-from repro.longitudinal.delta import (
-    diff_alias_sets,
-    diff_observations,
-    observation_key,
-)
+from repro.longitudinal.delta import diff_alias_sets, diff_observations
 from repro.simnet.device import ServiceType
 from repro.sources.records import Observation
 
@@ -33,25 +29,6 @@ def alias_set(*addresses):
     )
 
 
-class TestObservationKey:
-    def test_timestamp_and_source_excluded(self):
-        early = observation("10.0.0.1", timestamp=0.0)
-        late = Observation(
-            address="10.0.0.1",
-            protocol=ServiceType.SNMPV3,
-            source="another-source",
-            port=161,
-            timestamp=999.0,
-            fields=early.fields,
-        )
-        assert observation_key(early) == observation_key(late)
-
-    def test_fields_included(self):
-        assert observation_key(observation("10.0.0.1", engine_id="a")) != observation_key(
-            observation("10.0.0.1", engine_id="b")
-        )
-
-
 class TestDiffObservations:
     def test_identical_snapshots_empty_delta(self):
         snapshot = [observation("10.0.0.1"), observation("10.0.0.2")]
@@ -65,6 +42,21 @@ class TestDiffObservations:
             [observation("10.0.0.1", timestamp=604800.0)],
         )
         assert delta.is_empty
+
+    def test_source_change_is_not_a_delta(self):
+        # A re-observation of the same service by another source, later.
+        early = observation("10.0.0.1", timestamp=0.0)
+        late = Observation(
+            address="10.0.0.1",
+            protocol=ServiceType.SNMPV3,
+            source="another-source",
+            port=161,
+            timestamp=999.0,
+            fields=early.fields,
+        )
+        delta = diff_observations([early], [late])
+        assert delta.is_empty
+        assert delta.unchanged == 1
 
     def test_added_and_removed(self):
         delta = diff_observations(

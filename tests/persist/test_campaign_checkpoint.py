@@ -232,7 +232,7 @@ class TestResumeParity(ResumeCases):
     ):
         """A campaign checkpoint written before campaigns ran on the poll
         loop holds no window and no event counts: it loads with no
-        estimator history and no published events, resumes with the clock
+        estimator history and no emitted events, resumes with the clock
         at its last scan, and the resumed reports and rows equal the
         uninterrupted run's."""
         copy = copy_checkpoint(checkpoint_dir, tmp_path / "windowless")
@@ -249,7 +249,7 @@ class TestResumeParity(ResumeCases):
         assert stream.clock == clock
         assert stream.estimator.windows == 0
         assert stream.estimator.interval == campaign.config.interval
-        assert stream.publisher.counts == {}
+        assert stream.event_counts == {}
 
         resumed, _ = _poll(campaign, checkpoint.log, stream=stream)
         updates, log = uninterrupted

@@ -890,3 +890,20 @@ class TestWarmLoadBuildsNoTopology:
         save_session(load_session(copy), tmp_path / "resaved")
         assert builds == []
         assert "as_table" not in json.loads((tmp_path / "resaved" / SESSION_MANIFEST).read_text())
+
+
+class TestNonUtf8Documents:
+    """A document holding a byte that is not UTF-8 fails the load naming it."""
+
+    @pytest.mark.parametrize(
+        "entries, what",
+        [("validations", "validation document"), ("banks", "bank document")],
+    )
+    def test_non_utf8_document_fails_the_load(self, validated, tmp_path, entries, what):
+        _, directory, _, _ = validated
+        copy = shutil.copytree(directory, tmp_path / "copy")
+        manifest = json.loads((copy / SESSION_MANIFEST).read_text())
+        path = copy / manifest[entries][0]["file"]
+        path.write_bytes(path.read_bytes() + b"\xff")
+        with pytest.raises(PersistError, match=f"{what} .*{path.name} is not UTF-8 text"):
+            load_session(copy)

@@ -8,6 +8,7 @@ from chain_cases import ContentsCases, ResumeCases, RotationCases, copy_checkpoi
 from repro.api.config import ScenarioConfig
 from repro.api.session import ReproSession
 from repro.core.engine import report_signature
+from repro.core.identifiers import count_extractions
 from repro.errors import PersistError
 from repro.persist.stream import (
     STREAM_LAYOUT,
@@ -37,6 +38,18 @@ def _daemon(campaign, polls, checkpointer=None, stream=None):
         config=DaemonConfig(max_polls=polls),
         checkpointer=checkpointer,
     )
+
+
+def _extractions_per_poll(daemon):
+    """Each poll's identifier extractions and update, in poll order."""
+    polls = []
+    updates = daemon.updates()
+    while True:
+        with count_extractions() as extractions:
+            update = next(updates, None)
+        if update is None:
+            return polls
+        polls.append((extractions.count, update))
 
 
 class StreamChain:
@@ -160,6 +173,26 @@ class TestCheckpointContents(ContentsCases):
         with pytest.raises(PersistError, match="malformed stream checkpoint manifest"):
             load_stream_checkpoint(copy)
 
+    @pytest.mark.parametrize(
+        "vantage",
+        [
+            "active-vp",
+            {"name": "active-vp", "address": "192.0.2.250"},
+            {"name": "active-vp", "address": "192.0.2.250", "distributed": False, "port": 1},
+        ],
+        ids=["not-an-object", "field-missing", "field-unknown"],
+    )
+    def test_malformed_vantage_fails_load(self, checkpoint_dir, tmp_path, vantage):
+        copy = copy_checkpoint(checkpoint_dir, tmp_path / "malformed")
+        manifest = json.loads((copy / STREAM_MANIFEST).read_text())
+        manifest["vantage"] = vantage
+        (copy / STREAM_MANIFEST).write_text(json.dumps(manifest))
+        with pytest.raises(
+            PersistError,
+            match="malformed stream checkpoint manifest .*: vantage .* is not an object of name, address and distributed",
+        ):
+            load_stream_checkpoint(copy)
+
     def test_legacy_manifest_keys_are_ignored(self, checkpoint_dir, tmp_path, uninterrupted):
         """Older manifests carry a stream config (trigger knobs, and a churn
         interval that the estimator's own interval supersedes) and window
@@ -233,12 +266,31 @@ class TestResumeGate(ResumeCases):
                 reference.report
             )
         # Cumulative event counts converge to the uninterrupted run's.
-        assert stream.publisher.counts == reference_stream.publisher.counts
+        assert stream.event_counts == reference_stream.event_counts
         # The estimator series continues as if never interrupted.
         assert stream.estimator.rate == pytest.approx(
             reference_stream.estimator.rate
         )
         assert stream.estimator.windows == reference_stream.estimator.windows
+
+    def test_resumed_loop_extracts_as_many_identifiers_per_poll(self, checkpoint_dir):
+        # A poll's work depends on its delta, not on the process's history:
+        # each replay extracts every added and every removed observation's
+        # identifier once, so a loop resumed after two polls extracts what
+        # the uninterrupted loop does for the same polls.
+        uninterrupted = _extractions_per_poll(_daemon(_campaign(), _POLLS))
+        for count, update in uninterrupted:
+            report = update.events[-1]
+            assert count == report.added + report.removed
+        checkpoint = load_stream_checkpoint(checkpoint_dir)
+        campaign, stream = resume_stream(checkpoint)
+        resumed = _extractions_per_poll(
+            _daemon(campaign, _POLLS - checkpoint.completed, stream=stream)
+        )
+        assert [update.name for _, update in resumed] == ["snapshot-2", "snapshot-3"]
+        assert [count for count, _ in resumed] == [
+            count for count, _ in uninterrupted[checkpoint.completed :]
+        ]
 
     def test_resume_continues_checkpointing(self, checkpoint_dir, tmp_path):
         checkpoint = load_stream_checkpoint(checkpoint_dir)

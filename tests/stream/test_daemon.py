@@ -58,16 +58,13 @@ class TestDaemonLoop:
         daemon = StreamDaemon(
             make_campaign(), StreamingEngine(), DaemonConfig(max_polls=10)
         )
-        seen = []
-
-        def stop_after_two(update):
-            seen.append(update)
-            if len(seen) == 2:
+        updates = []
+        for update in daemon.updates():
+            updates.append(update)
+            if len(updates) == 2:
                 daemon.stop()
-
-        daemon.stream.subscribe(stop_after_two, kinds={"report.emitted"})
-        updates = daemon.run()
         assert len(updates) == 2
+        assert daemon.polls == 2
         assert daemon.stopped
 
     def test_updates_generator_yields_incrementally(self):
@@ -126,13 +123,12 @@ class TestDaemonLoop:
             signalled_at.append(time.monotonic())
             os.kill(os.getpid(), signal.SIGTERM)
 
-        def terminate_soon(_event):
-            threading.Timer(0.1, terminate).start()
-
-        daemon.stream.subscribe(terminate_soon, kinds={"report.emitted"})
+        updates = []
         restore = daemon.install_signal_handlers()
         try:
-            updates = daemon.run()
+            for update in daemon.updates():
+                updates.append(update)
+                threading.Timer(0.1, terminate).start()
         finally:
             restore()
         assert time.monotonic() - signalled_at[0] < 2.0
@@ -152,11 +148,10 @@ class TestDaemonLoop:
             stopped_at.append(time.monotonic())
             daemon.stop()
 
-        def stop_soon(_event):
+        updates = []
+        for update in daemon.updates():
+            updates.append(update)
             threading.Timer(0.1, stop).start()
-
-        daemon.stream.subscribe(stop_soon, kinds={"report.emitted"})
-        updates = daemon.run()
         assert time.monotonic() - stopped_at[0] < 2.0
         assert [update.name for update in updates] == ["snapshot-0"]
 

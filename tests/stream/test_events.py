@@ -1,10 +1,7 @@
-"""Tests for the typed stream event surface and its publisher."""
+"""Tests for the typed stream event surface."""
 
 import json
 
-import pytest
-
-from repro import obs
 from repro.longitudinal.delta import AliasDelta
 from repro.stream.events import (
     AliasSetBorn,
@@ -14,7 +11,6 @@ from repro.stream.events import (
     AliasSetShrunk,
     CoverageChanged,
     ReportEmitted,
-    StreamPublisher,
     events_from_delta,
 )
 
@@ -106,69 +102,3 @@ class TestEventsFromDelta:
 
     def test_empty_delta_no_events(self):
         assert events_from_delta(make_delta(), 0, "s", "ipv6") == []
-
-
-class TestStreamPublisher:
-    def event(self, kind_class=AliasSetBorn, emit=0):
-        return kind_class(
-            emit=emit, name=f"snapshot-{emit}", family="ipv4", addresses=frozenset({"a"})
-        )
-
-    def test_watchers_receive_published_events(self):
-        publisher = StreamPublisher()
-        seen = []
-        publisher.subscribe(seen.append)
-        event = self.event()
-        publisher.publish(event)
-        assert seen == [event]
-
-    def test_kind_filter(self):
-        publisher = StreamPublisher()
-        seen = []
-        publisher.subscribe(seen.append, kinds={"alias_set.dissolved"})
-        publisher.publish(self.event(AliasSetBorn))
-        publisher.publish(self.event(AliasSetDissolved))
-        assert [e.kind for e in seen] == ["alias_set.dissolved"]
-
-    def test_unsubscribe_stops_delivery(self):
-        publisher = StreamPublisher()
-        seen = []
-        unsubscribe = publisher.subscribe(seen.append)
-        publisher.publish(self.event())
-        unsubscribe()
-        unsubscribe()  # idempotent
-        publisher.publish(self.event())
-        assert len(seen) == 1
-        assert len(publisher) == 0
-
-    def test_counts_accumulate_without_watchers(self):
-        publisher = StreamPublisher()
-        publisher.publish_all([self.event(), self.event(AliasSetDissolved)])
-        assert publisher.counts == {
-            "alias_set.born": 1,
-            "alias_set.dissolved": 1,
-        }
-
-    def test_watcher_exceptions_propagate(self):
-        publisher = StreamPublisher()
-
-        def broken(_event):
-            raise RuntimeError("watcher broke")
-
-        publisher.subscribe(broken)
-        with pytest.raises(RuntimeError):
-            publisher.publish(self.event())
-
-    def test_obs_mirroring_when_enabled(self):
-        publisher = StreamPublisher()
-        with obs.observed() as registry:
-            publisher.publish(self.event())
-        assert registry.counter_value("stream.events", kind="alias_set.born") == 1
-        rows = registry.series("stream.events")
-        assert rows and rows[0]["kind"] == "alias_set.born"
-        assert rows[0]["addresses"] == ["a"]
-
-    def test_no_obs_traffic_when_disabled(self):
-        publisher = StreamPublisher()
-        publisher.publish(self.event())
-        assert obs.metrics().counter_value("stream.events", kind="alias_set.born") == 0

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import obs
 from repro.core.engine import ResolutionEngine, report_signature
 from repro.errors import DatasetError
 from repro.longitudinal.campaign import LongitudinalCampaign, LongitudinalConfig
@@ -119,6 +120,43 @@ class TestFlush:
         assert isinstance(update.events[-1], ReportEmitted)
 
 
+class TestEventCounts:
+    """Each flush counts its events by kind and mirrors them to obs."""
+
+    def two_emits(self, stream):
+        stream.sync([ssh("10.0.0.1", "alpha"), ssh("10.0.0.2", "alpha")])
+        first = stream.flush()
+        stream.sync([ssh("10.0.0.1", "alpha"), ssh("10.0.0.3", "beta"), ssh("10.0.0.4", "beta")])
+        return [first, stream.flush()]
+
+    def test_counts_accumulate_by_kind(self):
+        stream = StreamingEngine()
+        updates = self.two_emits(stream)
+        expected: dict[str, int] = {}
+        for update in updates:
+            for event in update.events:
+                expected[event.kind] = expected.get(event.kind, 0) + 1
+        assert stream.event_counts == expected
+        assert list(stream.event_counts) == list(expected)
+        assert expected["report.emitted"] == 2
+        assert expected["alias_set.born"] == 2
+
+    def test_obs_mirroring_when_enabled(self):
+        stream = StreamingEngine()
+        with obs.observed() as registry:
+            updates = self.two_emits(stream)
+        for kind, count in stream.event_counts.items():
+            assert registry.counter_value("stream.events", kind=kind) == count
+        assert registry.series("stream.events") == [
+            event.to_fields() for update in updates for event in update.events
+        ]
+
+    def test_no_obs_traffic_when_disabled(self):
+        stream = StreamingEngine()
+        self.two_emits(stream)
+        assert obs.metrics().counter_value("stream.events", kind="report.emitted") == 0
+
+
 class TestBatchEquivalence:
     """The equivalence gate: every emit == a from-scratch batch resolution."""
 
@@ -161,5 +199,5 @@ class TestBatchEquivalence:
                 for kind in expected:
                     expected[kind] += len(getattr(delta, kind))
         for kind, total in expected.items():
-            assert stream.publisher.counts.get(f"alias_set.{kind}", 0) == total
-        assert stream.publisher.counts["report.emitted"] == snapshots
+            assert stream.event_counts.get(f"alias_set.{kind}", 0) == total
+        assert stream.event_counts["report.emitted"] == snapshots

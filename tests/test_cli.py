@@ -43,9 +43,19 @@ def _forge_event_count(value):
     return forge
 
 
+def _forge_vantage(field, value):
+    """A manifest edit setting one field of the vantage point."""
+
+    def forge(manifest):
+        manifest["vantage"][field] = value
+
+    return forge
+
+
 #: A checkpoint manifest value of the wrong JSON type or out of range, and
 #: the field the refusal names.  Each once resumed, coerced: ``"no"`` as
-#: true, 2.5 as 2, a negative count as itself.
+#: true, 2.5 as 2, a negative count as itself; a vantage name of 5 failed
+#: with a ``TypeError`` traceback instead.
 _FORGED_CHAIN_FIELDS = [
     pytest.param(
         lambda manifest: manifest["options"].update(ssh_include_banner="no"),
@@ -71,6 +81,11 @@ _FORGED_CHAIN_FIELDS = [
     pytest.param(_forge_event_count("2"), "event_counts", id="event-count-string"),
     pytest.param(_forge_event_count(True), "event_counts", id="event-count-boolean"),
     pytest.param(_forge_event_count(-3), "event_counts", id="event-count-negative"),
+    pytest.param(_forge_vantage("name", 5), "vantage name", id="vantage-name-integer"),
+    pytest.param(_forge_vantage("address", [1]), "vantage address", id="vantage-address-list"),
+    pytest.param(
+        _forge_vantage("distributed", "no"), "vantage distributed", id="vantage-distributed-string"
+    ),
 ]
 
 #: A scenario config value of the wrong JSON type or out of range, read
@@ -697,6 +712,17 @@ class TestSession:
         assert exit_code == 2
         assert "content digest" in capsys.readouterr().err
 
+    def test_session_load_non_utf8_manifest_exits_cleanly(self, capsys, saved_session, tmp_path):
+        directory = shutil.copytree(saved_session, tmp_path / "session")
+        capsys.readouterr()
+        manifest = directory / "session.json"
+        manifest.write_bytes(manifest.read_bytes() + b"\xff")
+        exit_code = main(["session", "load", str(directory)])
+        assert exit_code == 2
+        err = capsys.readouterr().err
+        assert "session.json is not UTF-8 text" in err
+        assert "Traceback" not in err
+
     def test_session_load_unknown_experiment(self, capsys, tmp_path):
         directory = tmp_path / "session"
         assert main(
@@ -1030,6 +1056,21 @@ class TestServe:
         captured = capsys.readouterr()
         assert "malformed stream checkpoint manifest" in captured.err
         assert field in captured.err
+        assert "Traceback" not in captured.err
+        assert "resuming" not in captured.out
+
+    def test_serve_resume_non_utf8_manifest_exits_cleanly(
+        self, capsys, serve_checkpoint, tmp_path
+    ):
+        checkpoint = shutil.copytree(serve_checkpoint, tmp_path / "stream", symlinks=True)
+        capsys.readouterr()
+        # Written through the link: the generation's manifest file.
+        manifest = checkpoint / "stream.json"
+        manifest.write_bytes(manifest.read_bytes() + b"\xff")
+        exit_code = main(["serve", "--max-batches", "1", "--resume", str(checkpoint)])
+        assert exit_code == 2
+        captured = capsys.readouterr()
+        assert "stream.json is not UTF-8 text" in captured.err
         assert "Traceback" not in captured.err
         assert "resuming" not in captured.out
 
