@@ -6,7 +6,8 @@ and 3: a single-vantage-point active scan is rate-limited by some networks'
 intrusion detection, the distributed Censys-like snapshot is not, and the
 union of both sources yields the most complete view.  The script also writes
 the observations and the resulting alias sets to disk in the same formats
-the library uses for published artifacts.
+the library uses for published artifacts, in a temporary directory that is
+removed when it exits.
 
 Run with::
 
@@ -57,19 +58,20 @@ def main() -> None:
     ))
 
     # Persist the union dataset and its alias sets like a published artifact.
-    output_dir = Path(tempfile.mkdtemp(prefix="repro-campaign-"))
-    observations_path = output_dir / "union_observations.jsonl"
-    sets_path = output_dir / "union_alias_sets.json"
-    union_report = session.report("union")
-    save_observations(session.dataset("union-ipv4"), observations_path)
-    save_alias_sets(union_report.ipv4_union, sets_path)
-    print(f"\nWrote {observations_path}")
-    print(f"Wrote {sets_path}")
+    with tempfile.TemporaryDirectory(prefix="repro-campaign-") as directory:
+        output_dir = Path(directory)
+        observations_path = output_dir / "union_observations.jsonl"
+        sets_path = output_dir / "union_alias_sets.json"
+        union_report = session.report("union")
+        save_observations(session.dataset("union-ipv4"), observations_path)
+        save_alias_sets(union_report.ipv4_union, sets_path)
+        print(f"\nWrote {observations_path}")
+        print(f"Wrote {sets_path}")
 
-    # A compact markdown report of everything the union data shows.
-    markdown_path = output_dir / "report.md"
-    markdown_path.write_text(alias_report_markdown(union_report, session.network.registry))
-    print(f"Wrote {markdown_path}")
+        # A compact markdown report of everything the union data shows.
+        markdown_path = output_dir / "report.md"
+        markdown_path.write_text(alias_report_markdown(union_report, session.network.registry))
+        print(f"Wrote {markdown_path}")
 
 
 if __name__ == "__main__":

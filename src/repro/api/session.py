@@ -224,17 +224,19 @@ class ReproSession:
         validators: "Iterable[str | ValidatorSpec]",
         budget: int | None = None,
     ):
-        """Run several validators under one probe-budget optimizer.
+        """Run several validators in order under one global probe budget.
 
-        One optimizer — one velocity cache and one global fresh-probe
-        budget (``budget=None`` is uncapped) — spans every validator, and
-        candidate sets are processed in priority order.  Sets the budget
-        cannot afford are reported ``unresolved``; a session restored from
-        :meth:`save` answers matching schedules from its persisted banks —
-        zero network probes.  Returns a :class:`~repro.validation.budget.
-        BudgetRunResult`; reports are *not* entered into the
-        :meth:`validate` cache (budgeted runs are explicit experiments,
-        not the canonical per-spec verdicts).
+        One :class:`~repro.validation.budget.ProbeBudget` (``budget=None``
+        is uncapped) spans every validator, and each validator's candidate
+        sets are processed largest first.  Uncapped on a fresh session, each
+        report equals the one :meth:`validate` gives when the validators
+        are validated one after another.  Sets the budget cannot afford are
+        reported ``unresolved``; a session restored from :meth:`save`
+        answers matching schedules from its persisted banks — zero network
+        probes, so ``budget=0`` re-scores from them.  Returns a
+        :class:`~repro.validation.budget.BudgetRunResult`; reports are
+        *not* entered into the :meth:`validate` cache (budgeted runs are
+        explicit experiments, not the canonical per-spec verdicts).
         """
         from repro.validation.budget import run_budgeted
 
@@ -250,7 +252,7 @@ class ReproSession:
         an explicit :class:`~repro.validation.spec.ValidatorSpec`.  Like
         datasets and reports, results cache under the spec: the Table 2
         experiment and a later ``validate("midar")`` share one run.  The
-        run probes through a fresh uncapped optimizer, so the report equals
+        run spends from a fresh uncapped probe budget, so the report equals
         ``validate_budgeted([validator]).validations[0].report``.
         Validations probe the live network sequentially (IPID counters are
         stateful), so a cached report reflects the session state at the

@@ -112,22 +112,6 @@ def classify_series(
     return TargetClass.USABLE
 
 
-def collect_series(
-    network: SimulatedInternet,
-    address: str,
-    vantage: VantagePoint,
-    samples: int,
-    interval: float,
-    start_time: float,
-) -> IpidTimeSeries:
-    """Probe one address ``samples`` times, ``interval`` seconds apart."""
-    series = IpidTimeSeries(address=address)
-    for index in range(samples):
-        timestamp = start_time + index * interval
-        series.add(timestamp, network.sample_ipid(address, vantage, now=timestamp))
-    return series
-
-
 def collect_interleaved(
     network: SimulatedInternet,
     addresses: list[str],

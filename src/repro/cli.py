@@ -236,10 +236,10 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="run the requested validators under one probe-budget optimizer "
-        "capped at N fresh network probes (N=0 re-scores from persisted "
-        "banks only); candidate sets the budget cannot afford are reported "
-        "unresolved, never mis-verdicted",
+        help="run the requested validators under one probe budget capped at "
+        "N fresh network probes; candidate sets the budget cannot afford are "
+        "reported unresolved, never mis-verdicted (the session is fresh, so "
+        "N=0 leaves every set that needs a fresh probe unresolved)",
     )
     validate.add_argument(
         "--output", type=_output_directory, default=None, help="optional directory for validation.md"
@@ -692,28 +692,24 @@ def _validate_snapshots(args: argparse.Namespace, session, names) -> int:
     # One shared run across validators: later ones answer pair tests from
     # the banks the earlier ones filled, exactly like single-shot mode.
     shared_run = ValidationRun(campaign.network)
-    optimizer = None
+    budget = None
     if args.budget is not None:
-        from repro.validation.budget import ProbeBudgetOptimizer
+        from repro.validation.budget import ProbeBudget
 
-        # One optimizer (and one global budget) across every validator and
-        # snapshot; the staleness bound keeps cross-snapshot reuse honest.
-        optimizer = ProbeBudgetOptimizer(budget=args.budget)
+        # One global budget across every validator and snapshot.
+        budget = ProbeBudget(limit=args.budget)
     series = {}
     for position, (name, spec) in enumerate(names):
         if position:
             print()
         rows = validate_snapshots(
-            campaign, updates, spec, run=shared_run, optimizer=optimizer
+            campaign, updates, spec, run=shared_run, budget=budget
         )
         series[name] = rows
         print(snapshot_validation_table(rows, name))
-    if optimizer is not None:
+    if budget is not None:
         print()
-        print(
-            f"probe budget: spent {optimizer.budget.spent} of "
-            f"{optimizer.budget.limit} fresh probes"
-        )
+        print(f"probe budget: spent {budget.spent} of {budget.limit} fresh probes")
     if args.output is not None:
         args.output.mkdir(parents=True, exist_ok=True)
         path = args.output / "validation.md"

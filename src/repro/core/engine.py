@@ -288,11 +288,12 @@ class ObservationIndex:
         self._indexed -= 1
         return True
 
-    def _publish_gauges(self) -> None:
+    def publish_gauges(self) -> None:
         """Publish the symbol-table level gauges.
 
-        Called at batch seams only (never per observation) so the enabled
-        cost stays a handful of dict operations per ``extend``, and the
+        Called at batch seams only (never per observation): after an
+        ``extend`` and after a longitudinal delta replay, so the enabled
+        cost stays a handful of dict operations per batch, and the
         disabled cost is one boolean check.
         """
         if not obs.is_enabled():
@@ -314,7 +315,7 @@ class ObservationIndex:
             add(observation)
         obs.add("index.observations.observed", self._observed - observed_before)
         obs.add("index.observations.indexed", self._indexed - indexed_before)
-        self._publish_gauges()
+        self.publish_gauges()
 
     def bucket_asn(self, protocol: ServiceType, family: AddressFamily) -> dict[str, int]:
         """Address→ASN mapping of one bucket.

@@ -24,8 +24,9 @@ non-singleton union sets evolved since the previous derive.
 from __future__ import annotations
 
 import dataclasses
-from typing import Iterable
+from typing import Sequence
 
+from repro import obs
 from repro.core.aliasset import AliasSet
 from repro.core.engine import AliasReport, ObservationIndex, ResolutionEngine
 from repro.core.identifiers import DEFAULT_OPTIONS, IdentifierOptions
@@ -94,8 +95,8 @@ class LongitudinalEngine:
 
     def stage(
         self,
-        removed: Iterable[Observation],
-        added: Iterable[Observation],
+        removed: Sequence[Observation],
+        added: Sequence[Observation],
     ) -> None:
         """Replay an observation delta against the index without deriving.
 
@@ -104,13 +105,20 @@ class LongitudinalEngine:
         replay before additions so an identifier whose membership merely
         rotates passes through a consistent intermediate state.  A removed
         observation is the object the index took, so extracting its
-        identifier again finds exactly what was indexed.
+        identifier again finds exactly what was indexed.  With obs enabled,
+        ``index.delta.removed``/``index.delta.added`` count the replayed
+        observations and the ``index.symbols.interned`` gauges are set, as
+        a bulk build sets them.
         """
         index = self._index
         for observation in removed:
             index.remove(observation)
         for observation in added:
             index.add(observation)
+        if obs.is_enabled():
+            obs.add("index.delta.removed", len(removed))
+            obs.add("index.delta.added", len(added))
+            index.publish_gauges()
 
     def derive(self, name: str) -> IncrementalResolution:
         """Derive the report of the live index, labelled ``name``.

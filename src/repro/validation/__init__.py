@@ -11,27 +11,30 @@ already have:
   ``sample`` combinator.
 * :mod:`repro.validation.bank` — the shared :class:`IpidSampleBank`:
   IPID time series collected once per (addresses, schedule) and shared
-  across validators, so composed validations cut probe counts.
+  across validators, so composed validations cut probe counts.  It is
+  the one cache of IPID evidence.
 * :mod:`repro.validation.techniques` — the MIDAR and Ally pipelines over
   a bank, each returning one :class:`SetVerdict` per set (Speedtrap is
   MIDAR over IPv6 members, the ``speedtrap`` kind).
 * :mod:`repro.validation.runner` — builders for the built-in kinds
-  (midar, ally, speedtrap, sample), the one priority scheduler the IPID
-  kinds share, the :class:`ValidationRun` harness with its one bank of
-  :data:`VALIDATION_VANTAGE`, and the registered named compositions.
+  (midar, ally, speedtrap, sample), the one largest-first scheduler the
+  IPID kinds share, the :class:`ValidationRun` harness with its one bank
+  of :data:`VALIDATION_VANTAGE` and its :class:`ProbeBudget`, and the
+  registered named compositions.
 * :mod:`repro.validation.report` — per-set verdicts and the
   :class:`ValidationReport` aggregates (testable coverage, agreement).
 * :mod:`repro.validation.longitudinal` — per-snapshot validation of a
   churning campaign (the paper's MIDAR-disagreement series).
-* :mod:`repro.validation.budget` — the probe-budget optimizer every
-  validation probes through: the velocity cache and the global
-  :class:`ProbeBudget`.
+* :mod:`repro.validation.budget` — the global :class:`ProbeBudget`
+  every validation spends from, and :func:`run_budgeted`.
 
 There is one validation path.  ``ReproSession.validate(spec_or_name)``
-(cached, persisted by :mod:`repro.persist`) runs under a fresh uncapped
-optimizer; ``ReproSession.validate_budgeted(..., budget=N)`` runs several
-validators under one optimizer with an optional cap; the ``repro
-validate`` CLI subcommand exposes both (``--budget N``).
+(cached, persisted by :mod:`repro.persist`) spends from a fresh uncapped
+budget; ``ReproSession.validate_budgeted(..., budget=N)`` runs several
+validators under one budget with an optional cap.  Uncapped,
+``validate_budgeted([a, b])`` reports ``b`` exactly as ``validate(a)``
+followed by ``validate(b)`` does.  The ``repro validate`` CLI subcommand
+exposes both (``--budget N``).
 """
 
 from repro.validation.bank import IpidSampleBank
@@ -41,10 +44,6 @@ from repro.validation.budget import (
     BudgetRunResult,
     ProbeBudget,
     ProbeBudgetExhausted,
-    ProbeBudgetOptimizer,
-    SetOutcome,
-    VelocityCache,
-    VelocityEntry,
     is_unresolved,
     run_budgeted,
     unresolved_verdict,
@@ -84,8 +83,6 @@ __all__ = [
     "MidarPipeline",
     "ProbeBudget",
     "ProbeBudgetExhausted",
-    "ProbeBudgetOptimizer",
-    "SetOutcome",
     "SetVerdict",
     "SnapshotValidation",
     "ValidationReport",
@@ -94,8 +91,6 @@ __all__ = [
     "ValidatorSpec",
     "VALIDATOR_KINDS",
     "VALIDATORS",
-    "VelocityCache",
-    "VelocityEntry",
     "ally",
     "candidate_sets",
     "display_name",

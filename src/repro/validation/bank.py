@@ -12,8 +12,13 @@ MIDAR followed by Ally over the same sampled sets, see
 requests from the bank instead of the network.  Two reads are
 schedule-agnostic — one canonical estimation series per (address,
 schedule shape), and any interleaved collection that probed a pair — and
-both serve only evidence within a caller-given ``max_age`` of the read,
+both serve only evidence within a caller-given ``max_age`` of the read
+(the pipelines pass :data:`~repro.validation.budget.DEFAULT_VELOCITY_TTL`),
 so a banked sample never stands in for one taken across churn.
+
+The bank is a validation run's one store and one reuse of IPID evidence:
+nothing else memoises a sample or a classification of one, and a session
+reloaded with its banks re-scores from them with zero fresh probes.
 """
 
 from __future__ import annotations
@@ -21,12 +26,7 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 from repro import obs
-from repro.baselines.ipid import (
-    IpidTimeSeries,
-    collect_interleaved,
-    collect_series,
-    shared_counter_test,
-)
+from repro.baselines.ipid import IpidTimeSeries, collect_interleaved, shared_counter_test
 from repro.errors import PersistError, ValidationError
 from repro.jsonvalues import json_boolean, json_integer, json_number, json_string
 from repro.simnet.network import SimulatedInternet, VantagePoint
@@ -107,27 +107,6 @@ class IpidSampleBank:
     def probes_reused(self) -> int:
         """Probes answered from the bank instead of the network."""
         return self._probes_reused
-
-    def series(
-        self, address: str, samples: int, interval: float, start_time: float
-    ) -> IpidTimeSeries:
-        """One address probed ``samples`` times, memoised on the exact schedule."""
-        key = ("series", address, samples, interval, start_time)
-        cached = self._series.get(key)
-        if cached is not None:
-            self._count("reused", samples)
-            return cached
-        collected = collect_series(
-            self._live_network(),
-            address,
-            self._vantage,
-            samples=samples,
-            interval=interval,
-            start_time=start_time,
-        )
-        self._count("issued", samples)
-        self._series[key] = collected
-        return collected
 
     def interleaved(
         self,
@@ -215,17 +194,17 @@ class IpidSampleBank:
         start_time: float,
         max_age: float,
         early_stop: tuple[int, float],
-    ) -> tuple[IpidTimeSeries, float, int]:
+    ) -> tuple[IpidTimeSeries, int]:
         """One canonical estimation read per (address, schedule shape).
 
-        Unlike :meth:`series`, which memoises on the exact start time, this
-        serves *any* banked canonical collection whose window aligns (same
-        sample count and interval) and is no older than ``max_age``
+        This serves *any* banked canonical collection whose window aligns
+        (same sample count and interval) and is no older than ``max_age``
         relative to ``start_time`` — MIDAR and Speedtrap estimation read
         from one schedule per vantage instead of collecting per-validator
         series.  A staleness-expired canonical entry is never silently
-        reused: the read falls back to a live collection, which then
-        becomes the new canonical series.
+        reused: the read falls back to the series banked for exactly this
+        start time, else to a live collection, which then becomes the new
+        canonical series.
 
         ``early_stop=(min_responses, max_velocity)`` lets a *fresh*
         collection stop as soon as the caller's
@@ -233,28 +212,26 @@ class IpidSampleBank:
         decided (see :meth:`_collect_estimation`); banked reads are
         unaffected.
 
-        Returns ``(series, collected_at, issued)`` where ``issued`` counts
-        the fresh network probes spent (the quantity a probe budget must
-        be charged and the simulated clock advanced for; zero for a read
-        served from the bank).
+        Returns ``(series, issued)`` where ``issued`` counts the fresh
+        network probes spent (the quantity a probe budget must be charged
+        and the simulated clock advanced for; zero for a read served from
+        the bank).
         """
         canonical = self._estimation.get((address, samples, interval))
-        if canonical is not None:
-            collected_at = float(canonical[4])
-            if abs(start_time - collected_at) <= max_age:
-                self._count("reused", samples)
-                return self._series[canonical], collected_at, 0
-        issued_before = self._probes_issued
+        if canonical is not None and abs(start_time - float(canonical[4])) <= max_age:
+            self._count("reused", samples)
+            return self._series[canonical], 0
         key = ("series", address, samples, interval, start_time)
-        if key in self._series:
-            collected = self.series(address, samples, interval, start_time)
-        else:
-            collected = self._collect_estimation(
+        issued_before = self._probes_issued
+        collected = self._series.get(key)
+        if collected is None:
+            collected = self._series[key] = self._collect_estimation(
                 address, samples, interval, start_time, *early_stop
             )
-            self._series[key] = collected
+        else:
+            self._count("reused", samples)
         self._estimation[(address, samples, interval)] = key
-        return collected, start_time, self._probes_issued - issued_before
+        return collected, self._probes_issued - issued_before
 
     def _collect_estimation(
         self,

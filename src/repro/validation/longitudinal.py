@@ -16,11 +16,13 @@ validation runs after the last poll, not as each poll lands: the probes
 of snapshot *k* must see the churn that poll *k + 1* injects.
 
 All snapshots share one :class:`~repro.validation.runner.ValidationRun`
-(and therefore its one sample bank), but banked evidence is only
-read within :data:`~repro.validation.budget.DEFAULT_VELOCITY_TTL` (one
+(and therefore its one sample bank), but banked evidence is only read
+within :data:`~repro.validation.budget.DEFAULT_VELOCITY_TTL` (one
 simulated day) of the read.  Validators sharing the run therefore share
-probes within a snapshot's validation window, while a snapshot a campaign
-interval away always re-probes.
+probes within a snapshot's validation window.  A snapshot re-reads an
+earlier snapshot's samples only when they were collected within a day of
+the read: never at the default week-long campaign interval, but at an
+interval of a day or less it re-reads most of them.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from typing import Sequence
 
 from repro.longitudinal.campaign import LongitudinalCampaign
 from repro.stream.engine import StreamUpdate
-from repro.validation.budget import ProbeBudgetOptimizer
+from repro.validation.budget import ProbeBudget
 from repro.validation.report import ValidationReport
 from repro.validation.runner import ValidationRun, candidate_sets, run_validator
 from repro.validation.spec import ValidatorSpec, named_validator
@@ -51,7 +53,7 @@ def validate_snapshots(
     updates: Sequence[StreamUpdate],
     validator: str | ValidatorSpec = "midar",
     run: ValidationRun | None = None,
-    optimizer: ProbeBudgetOptimizer | None = None,
+    budget: ProbeBudget | None = None,
 ) -> list[SnapshotValidation]:
     """Run one validator over every snapshot's index-derived sets, each
     probed one campaign interval after its scan.
@@ -69,22 +71,26 @@ def validate_snapshots(
             calls so later validators reuse, within each snapshot, the
             banked series of earlier ones; by default each call builds a
             fresh run.
-        optimizer: a :class:`~repro.validation.budget.
-            ProbeBudgetOptimizer` to attach for the whole series (one
-            budget across every snapshot); by default each snapshot probes
-            through a fresh uncapped one.  Either way the staleness bound
-            is shorter than any realistic campaign interval, so snapshot
-            N's velocities and pair evidence are expired by snapshot N+1's
-            probing time and every snapshot re-probes live — the
-            churn-driven disagreement mechanism stays observable.
+        budget: a :class:`~repro.validation.budget.ProbeBudget` to
+            attach for the whole series (one budget across every snapshot);
+            by default each snapshot spends from a fresh uncapped one.
+            Either way, when the campaign interval exceeds one day (the
+            staleness bound) plus the length of one snapshot's probing, as
+            the default week does, snapshot N's estimation and pair
+            evidence is expired by snapshot N+1's reads and every snapshot
+            re-probes live — the churn-driven disagreement mechanism stays
+            observable.  At an interval of a day or less, a snapshot reads
+            the banked evidence of earlier snapshots still within the
+            bound, so it issues fewer fresh probes and sees less of the
+            churn since.
     """
     spec = validator if isinstance(validator, ValidatorSpec) else named_validator(validator)
     if run is None:
         run = ValidationRun(campaign.network)
     leaf = spec.leaf()
-    previous = run.optimizer
-    if optimizer is not None:
-        run.optimizer = optimizer
+    previous = run.budget
+    if budget is not None:
+        run.budget = budget
     rows: list[SnapshotValidation] = []
     try:
         for update in updates:
@@ -98,5 +104,5 @@ def validate_snapshots(
                 )
             )
     finally:
-        run.optimizer = previous
+        run.budget = previous
     return rows

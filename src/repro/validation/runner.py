@@ -17,13 +17,13 @@ from the session's resolved report when no enclosing combinator supplied
 any.  The start time flows the same way, so the longitudinal path can
 re-run one spec per snapshot at per-snapshot times.
 
-Every spec tree runs under the run's
-:class:`~repro.validation.budget.ProbeBudgetOptimizer`, a fresh uncapped
-one unless the caller attached one (see
-:func:`~repro.validation.budget.run_budgeted`).  The IPID kinds share one
-scheduler, :func:`_run_scheduled`: candidate sets are verified in
-priority order, a set the budget cannot finish is reported unresolved,
-and the report lists verdicts in candidate order.
+Every spec tree spends from the run's
+:class:`~repro.validation.budget.ProbeBudget`, a fresh uncapped one unless
+the caller attached one (see :func:`~repro.validation.budget.
+run_budgeted`).  The IPID kinds share one scheduler,
+:func:`_run_scheduled`: candidate sets are verified largest first, a set
+the budget cannot finish is reported unresolved, and the report lists
+verdicts in candidate order.
 """
 
 from __future__ import annotations
@@ -39,11 +39,7 @@ from repro.net.addresses import is_ipv6
 from repro.simnet.device import ServiceType
 from repro.simnet.network import SimulatedInternet, VantagePoint
 from repro.validation.bank import IpidSampleBank
-from repro.validation.budget import (
-    ProbeBudgetExhausted,
-    ProbeBudgetOptimizer,
-    unresolved_verdict,
-)
+from repro.validation.budget import ProbeBudget, ProbeBudgetExhausted, unresolved_verdict
 from repro.validation.report import CandidateSets, SetVerdict, ValidationReport
 from repro.validation.spec import (
     VALIDATOR_KINDS,
@@ -111,10 +107,10 @@ class ValidationRun:
         self._network = network
         self.session = session
         self._bank: IpidSampleBank | None = None
-        #: The optimizer every validator probes through; set for the span
-        #: of one :func:`run_validator` call (or a
+        #: The budget every validator spends from; set for the span of one
+        #: :func:`run_validator` call (or a
         #: :func:`repro.validation.budget.run_budgeted` run).
-        self.optimizer: ProbeBudgetOptimizer | None = None
+        self.budget: ProbeBudget | None = None
         self._start_cache: dict[tuple[str, float], float] = {}
 
     @property
@@ -195,9 +191,9 @@ def run_validator(
 ) -> ValidationReport:
     """Execute one validator spec tree and return its report.
 
-    With no optimizer attached to ``run``, the spec tree probes through a
-    fresh uncapped one, shared by every validator inside it and detached
-    afterwards.
+    With no budget attached to ``run``, the spec tree spends from a fresh
+    uncapped :class:`~repro.validation.budget.ProbeBudget`, shared by every
+    validator inside it and detached afterwards.
 
     Raises:
         RegistryError: when a kind in the tree is not registered.
@@ -223,13 +219,13 @@ def run_validator(
             )
         pending.extend(inner.inputs)
     with obs.span("validator.run", kind=spec.kind):
-        if run.optimizer is not None:
+        if run.budget is not None:
             return builder(run, spec, candidates, start_time)
-        run.optimizer = ProbeBudgetOptimizer()
+        run.budget = ProbeBudget()
         try:
             return builder(run, spec, candidates, start_time)
         finally:
-            run.optimizer = None
+            run.budget = None
 
 
 # --------------------------------------------------------------------------- #
@@ -295,50 +291,36 @@ def _derive_start(run: ValidationRun, spec: ValidatorSpec) -> float:
 # --------------------------------------------------------------------------- #
 # IPID technique kinds (MIDAR / Speedtrap / Ally)
 # --------------------------------------------------------------------------- #
-def _priority_order(
-    members_per_set: Sequence[tuple[str, ...]],
-    uncertainty: Sequence[int] | None = None,
-) -> list[int]:
-    """Candidate-set processing order: largest / most-uncertain first.
-
-    The budget drains over this order like a sliding window — big,
-    unknown sets (the most information per probe) spend first, and the
-    sorted-members tiebreak keeps the order fully deterministic, which the
-    scheduler-determinism property test pins.
-    """
-
-    def key(position: int) -> tuple[int, int, tuple[str, ...]]:
-        members = members_per_set[position]
-        unknown = uncertainty[position] if uncertainty is not None else 0
-        return (-len(members), -unknown, members)
-
-    return sorted(range(len(members_per_set)), key=key)
-
-
 def _run_scheduled(
     run: ValidationRun,
     spec: ValidatorSpec,
     start: float,
     members_per_set: Sequence[tuple[str, ...]],
     verify: Callable[[tuple[str, ...], float], SetVerdict],
-    uncertainty: Sequence[int] | None = None,
 ) -> ValidationReport:
-    """Verify each candidate set's members under the run's optimizer.
+    """Verify each candidate set's members under the run's budget.
 
-    Sets are verified in priority order but reported in candidate order,
+    Sets are verified largest first, then by sorted members, so the budget
+    drains over big sets (the most information per probe) first and the
+    order is fully deterministic.  They are reported in candidate order,
     so reports stay comparable set-for-set whatever the budget.  A set the
-    budget cannot finish is reported unresolved; its partial probing
-    stays banked for later validators.
+    budget cannot finish is reported unresolved; its partial probing stays
+    banked for later validators.  The ``validation.budget`` counter counts
+    sets per outcome: ``probed`` (fresh probes spent), ``cached`` (answered
+    entirely from the bank) and ``unresolved``.
     """
-    optimizer = run.optimizer
     bank = run.bank()
     validator = display_name(spec)
     verdicts: list[SetVerdict | None] = [None] * len(members_per_set)
     issued_total, reused_total = bank.probes_issued, bank.probes_reused
     now = start
-    for position in _priority_order(members_per_set, uncertainty):
+    order = sorted(
+        range(len(members_per_set)),
+        key=lambda position: (-len(members_per_set[position]), members_per_set[position]),
+    )
+    for position in order:
         members = members_per_set[position]
-        issued_before, reused_before = bank.probes_issued, bank.probes_reused
+        issued_before = bank.probes_issued
         try:
             verdict = verify(members, now)
         except ProbeBudgetExhausted:
@@ -348,13 +330,8 @@ def _run_scheduled(
             now = verdict.finished_at
             outcome = "probed" if bank.probes_issued > issued_before else "cached"
         verdicts[position] = verdict
-        optimizer.record(
-            validator,
-            verdict.candidate,
-            outcome,
-            bank.probes_issued - issued_before,
-            bank.probes_reused - reused_before,
-        )
+        if obs.is_enabled():
+            obs.add("validation.budget", 1, outcome=outcome, validator=validator)
     return ValidationReport(
         validator=validator,
         spec=spec,
@@ -378,17 +355,12 @@ def _run_midar_like(
     if candidates is None:
         candidates = _derive_candidates(run, spec)
     start = start_time if start_time is not None else _derive_start(run, spec)
-    pipeline = MidarPipeline(run.bank(), config, run.optimizer)
+    pipeline = MidarPipeline(run.bank(), config, run.budget)
     members_per_set = []
     for candidate in candidates:
         members = [address for address in candidate if is_ipv6(address)] if ipv6_only else candidate
         members_per_set.append(tuple(sorted(members)[: config.max_set_size]))
-    cache = run.optimizer.velocity_cache
-    uncertainty = [
-        sum(1 for address in members if cache.fresh(address, config, start) is None)
-        for members in members_per_set
-    ]
-    return _run_scheduled(run, spec, start, members_per_set, pipeline.verify_set, uncertainty)
+    return _run_scheduled(run, spec, start, members_per_set, pipeline.verify_set)
 
 
 @validator_kind("midar", "MIDAR estimation → elimination → corroboration per candidate set")
@@ -406,7 +378,7 @@ def _build_ally(run, spec, candidates, start_time):
     if candidates is None:
         candidates = _derive_candidates(run, spec)
     start = start_time if start_time is not None else _derive_start(run, spec)
-    pipeline = AllyPipeline(run.bank(), optimizer=run.optimizer)
+    pipeline = AllyPipeline(run.bank(), run.budget)
     members_per_set = [tuple(sorted(candidate)[:ALLY_MAX_SET_SIZE]) for candidate in candidates]
     return _run_scheduled(run, spec, start, members_per_set, pipeline.verify_set)
 

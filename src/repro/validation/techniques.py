@@ -3,14 +3,13 @@
 The MIDAR estimation → elimination → corroboration pipeline and the
 pairwise Ally test are engines over an :class:`~repro.validation.bank.
 IpidSampleBank`, which is what lets composed validations share collected
-series.  Both probe through a :class:`~repro.validation.budget.
-ProbeBudgetOptimizer`: banked evidence is read only while it is within
+series.  Banked evidence is read only while it is within
 :data:`~repro.validation.budget.DEFAULT_VELOCITY_TTL` of the read, and
-every fresh collection is requested from and charged to the optimizer's
-budget.  Both return each set's :class:`~repro.validation.report.
-SetVerdict`, the type every validation report lists.  Run one over a
-private bank (and its own uncapped optimizer) for a self-contained
-prober::
+every fresh collection is requested from and charged to a
+:class:`~repro.validation.budget.ProbeBudget`.  Both return each set's
+:class:`~repro.validation.report.SetVerdict`, the type every validation
+report lists.  Run one over a private bank (and its own uncapped budget)
+for a self-contained prober::
 
     MidarPipeline(IpidSampleBank(network, vantage)).verify_sets(candidates)
 """
@@ -20,19 +19,25 @@ from __future__ import annotations
 import dataclasses
 from typing import Iterable, Sequence
 
-from repro.baselines.ipid import IpidTimeSeries, TargetClass, shared_counter_test
+from repro.baselines.ipid import (
+    IpidTimeSeries,
+    TargetClass,
+    classify_series,
+    shared_counter_test,
+)
 from repro.core.alias_resolution import UnionFind
 from repro.validation.bank import IpidSampleBank
-from repro.validation.budget import (
-    DEFAULT_VELOCITY_TTL,
-    ProbeBudgetExhausted,
-    ProbeBudgetOptimizer,
-)
+from repro.validation.budget import DEFAULT_VELOCITY_TTL, ProbeBudget, ProbeBudgetExhausted
 from repro.validation.report import SetVerdict, canonical_partition
 
 #: The most members of one candidate set Ally tests: the paper's sample
 #: bound, as :attr:`MidarConfig.max_set_size` is MIDAR's.
 ALLY_MAX_SET_SIZE = 10
+#: Ally's pair test: rounds of one probe per member, seconds between
+#: probes, and the counter velocity the monotonic bounds test allows.
+ALLY_ROUNDS = 3
+ALLY_INTERVAL = 0.5
+ALLY_MAX_VELOCITY = 2_000.0
 
 
 @dataclasses.dataclass(frozen=True)
@@ -67,11 +72,11 @@ class MidarPipeline:
         self,
         bank: IpidSampleBank,
         config: MidarConfig | None = None,
-        optimizer: ProbeBudgetOptimizer | None = None,
+        budget: ProbeBudget | None = None,
     ) -> None:
         self._bank = bank
         self._config = config or MidarConfig()
-        self._optimizer = optimizer if optimizer is not None else ProbeBudgetOptimizer()
+        self._budget = budget if budget is not None else ProbeBudget()
 
     @property
     def bank(self) -> IpidSampleBank:
@@ -100,8 +105,7 @@ class MidarPipeline:
         bank) are free in both probes and simulated time.
         """
         config = self._config
-        optimizer = self._optimizer
-        cache = optimizer.velocity_cache
+        budget = self._budget
         classes: dict[str, TargetClass] = {}
         velocities: dict[str, float] = {}
         now = start_time
@@ -110,12 +114,12 @@ class MidarPipeline:
             free = self._bank.estimation_free(
                 address, cost, config.estimation_interval, now, max_age=DEFAULT_VELOCITY_TTL
             )
-            if not free and not optimizer.request(cost):
+            if not free and not budget.request(cost):
                 raise ProbeBudgetExhausted(
                     f"estimating {address} needs {cost} fresh probes; "
                     "the probe budget is exhausted"
                 )
-            series, observed_at, issued = self._bank.estimation_series(
+            series, issued = self._bank.estimation_series(
                 address,
                 cost,
                 config.estimation_interval,
@@ -124,12 +128,14 @@ class MidarPipeline:
                 early_stop=(config.min_responses, config.max_velocity),
             )
             if issued:
-                optimizer.charge(issued)
+                budget.charge(issued)
                 now += issued * config.estimation_interval
-            entry = cache.classify(address, series, observed_at, config)
-            classes[address] = entry.target_class
-            if entry.velocity is not None:
-                velocities[address] = entry.velocity
+            classes[address] = classify_series(
+                series, min_responses=config.min_responses, max_velocity=config.max_velocity
+            )
+            velocity = series.velocity()
+            if velocity is not None:
+                velocities[address] = velocity
         return classes, velocities, now
 
     # ------------------------------------------------------------------ #
@@ -166,7 +172,7 @@ class MidarPipeline:
         decision — which halves the per-pair corroboration cost.
         """
         config = self._config
-        optimizer = self._optimizer
+        budget = self._budget
         per_pass = 2 * config.corroboration_rounds
         banked = self._bank.cached_interleaved(
             left,
@@ -177,7 +183,7 @@ class MidarPipeline:
         )
         if banked is not None:
             return self._pair_decision(banked, left, right), start_time
-        if not optimizer.request(per_pass):
+        if not budget.request(per_pass):
             raise ProbeBudgetExhausted(
                 f"corroborating {left}/{right} needs {per_pass} fresh "
                 "probes; the probe budget is exhausted"
@@ -190,7 +196,7 @@ class MidarPipeline:
             start_time=start_time,
         )
         shares = self._pair_decision(series, left, right)
-        optimizer.charge(self._bank.probes_issued - issued_before)
+        budget.charge(self._bank.probes_issued - issued_before)
         return shares, start_time + per_pass * config.corroboration_interval
 
     def verify_set(self, candidate: Iterable[str], start_time: float = 0.0) -> SetVerdict:
@@ -202,8 +208,8 @@ class MidarPipeline:
         when fewer than two are usable).
 
         Raises:
-            ProbeBudgetExhausted: when the optimizer's budget denies a
-                fresh collection the set needs.
+            ProbeBudgetExhausted: when the budget denies a fresh
+                collection the set needs.
         """
         members = sorted(candidate)[: self._config.max_set_size]
         classes, velocities, now = self.estimate(members, start_time)
@@ -291,22 +297,12 @@ class AllyPipeline:
     A pair that some validator already probed together (any interleaved
     schedule) within the staleness bound is decided from the banked series
     without touching the network; older evidence is re-probed, and fresh
-    pair tests go through the optimizer's budget.
+    pair tests spend from the budget.
     """
 
-    def __init__(
-        self,
-        bank: IpidSampleBank,
-        rounds: int = 3,
-        interval: float = 0.5,
-        max_velocity: float = 2_000.0,
-        optimizer: ProbeBudgetOptimizer | None = None,
-    ) -> None:
+    def __init__(self, bank: IpidSampleBank, budget: ProbeBudget | None = None) -> None:
         self._bank = bank
-        self._rounds = rounds
-        self._interval = interval
-        self._max_velocity = max_velocity
-        self._optimizer = optimizer if optimizer is not None else ProbeBudgetOptimizer()
+        self._budget = budget if budget is not None else ProbeBudget()
 
     @property
     def bank(self) -> IpidSampleBank:
@@ -316,7 +312,7 @@ class AllyPipeline:
     @property
     def pair_duration(self) -> float:
         """Simulated seconds one freshly probed pair test occupies."""
-        return 2 * self._rounds * self._interval
+        return 2 * ALLY_ROUNDS * ALLY_INTERVAL
 
     def _decide(self, series: dict, left: str, right: str, reused: bool) -> AllyPairResult:
         left_samples = series[left].samples
@@ -326,7 +322,7 @@ class AllyPipeline:
         aliases = False
         if left_ok and right_ok:
             aliases = shared_counter_test(
-                left_samples + right_samples, max_velocity=self._max_velocity
+                left_samples + right_samples, max_velocity=ALLY_MAX_VELOCITY
             )
         return AllyPairResult(
             left=left,
@@ -342,9 +338,9 @@ class AllyPipeline:
 
         Raises:
             ProbeBudgetExhausted: when the pair needs fresh probes and the
-                optimizer's budget denies them.
+                budget denies them.
         """
-        requested = 2 * self._rounds
+        requested = 2 * ALLY_ROUNDS
         cached = self._bank.cached_interleaved(
             left,
             right,
@@ -354,7 +350,7 @@ class AllyPipeline:
         )
         if cached is not None:
             return self._decide(cached, left, right, reused=True)
-        if not self._optimizer.request(requested):
+        if not self._budget.request(requested):
             raise ProbeBudgetExhausted(
                 f"Ally pair {left}/{right} needs {requested} fresh probes; "
                 "the probe budget is exhausted"
@@ -362,11 +358,11 @@ class AllyPipeline:
         issued_before = self._bank.probes_issued
         series = self._bank.interleaved(
             (left, right),
-            rounds=self._rounds,
-            interval=self._interval,
+            rounds=ALLY_ROUNDS,
+            interval=ALLY_INTERVAL,
             start_time=start_time,
         )
-        self._optimizer.charge(self._bank.probes_issued - issued_before)
+        self._budget.charge(self._bank.probes_issued - issued_before)
         return self._decide(series, left, right, reused=False)
 
     def verify_set(self, candidate: Iterable[str], start_time: float = 0.0) -> SetVerdict:

@@ -142,8 +142,16 @@ class TestBankDocuments:
             json.loads(json.dumps(bank_state_to_document(bank.export_state())))
         )
         address = sorted(TRUE_SET)[0]
+
+        def miss(bank, start_time):
+            # No banked estimation of this schedule shape lies within the
+            # staleness bound of ``start_time``, so the read probes.
+            bank.estimation_series(
+                address, 2, 1.0, start_time, max_age=DEFAULT_VELOCITY_TTL, early_stop=(3, 2_000.0)
+            )
+
         with pytest.raises(ValidationError, match="bound to no network"):
-            IpidSampleBank.from_state(state).series(address, 2, 1.0, start_time=5000.0)
+            miss(IpidSampleBank.from_state(state), 5000.0)
         built = []
 
         def connect():
@@ -156,8 +164,8 @@ class TestBankDocuments:
             pair[0], pair[1], requested_probes=6, now=0.0, max_age=DEFAULT_VELOCITY_TTL
         )
         assert built == []
-        restored.series(address, 2, 1.0, start_time=5000.0)
-        restored.series(address, 2, 1.0, start_time=6000.0)
+        miss(restored, 5000.0)
+        miss(restored, 5000.0 + 2 * DEFAULT_VELOCITY_TTL)
         assert len(built) == 1
         assert restored.probes_issued == bank.probes_issued + 4
 

@@ -582,6 +582,23 @@ class TestValidate:
         assert budgeted[-1].startswith("probe budget: spent ")
         assert budgeted[:-1] == default.splitlines()
 
+    def test_zero_budget_leaves_every_set_unresolved(self, capsys):
+        # The CLI builds a fresh session, so it has no saved bank to
+        # re-score from: every set needs a fresh probe and none is sent.
+        assert main(
+            ["validate", "--scale", "0.05", "--seed", "42",
+             "--validators", "midar", "ally", "speedtrap", "--budget", "0"]
+        ) == 0
+        lines = capsys.readouterr().out.splitlines()
+        rows = [line.split("|") for line in lines if re.match(r"(midar|ally|speedtrap) +\|", line)]
+        assert [row[0].strip() for row in rows] == ["midar", "ally", "speedtrap"]
+        sets = sum(int(row[1]) for row in rows)
+        assert sets > 0
+        assert all(int(row[2]) == int(row[7]) == int(row[8]) == 0 for row in rows)
+        assert lines[-1] == (
+            f"probe budget: spent 0 of 0 fresh probes; {sets} candidate sets left unresolved"
+        )
+
 
 class TestSession:
     def test_session_save_then_load(self, capsys, tmp_path):
@@ -1104,3 +1121,25 @@ class TestServe:
         assert "stream.events" in payload.get("series", {})
         counters = payload.get("counters", {})
         assert any(name.startswith("stream.events") for name in counters)
+
+    def test_serve_metrics_count_the_replayed_delta(self, capsys, tmp_path):
+        metrics = tmp_path / "serve.json"
+        assert main(
+            ["serve", "--scale", "0.05", "--seed", "3", "--max-batches", "3",
+             "--ipv4-only", "--metrics", str(metrics)]
+        ) == 0
+        deltas = re.findall(r"^emit .*\(\+(\d+)/-(\d+)\)", capsys.readouterr().out, re.M)
+        assert len(deltas) == 3
+        payload = json.loads(metrics.read_text())
+
+        def total(name):
+            return sum(entry["value"] for entry in payload["counters"].get(name, []))
+
+        assert total("index.delta.added") == sum(int(added) for added, _ in deltas)
+        assert total("index.delta.removed") == sum(int(removed) for _, removed in deltas)
+        interned = {
+            entry["labels"]["kind"]: entry["value"]
+            for entry in payload["gauges"].get("index.symbols.interned", [])
+        }
+        assert set(interned) == {"address", "identifier"}
+        assert all(count > 0 for count in interned.values())

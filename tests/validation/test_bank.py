@@ -1,43 +1,74 @@
 """Tests for the shared IPID sample bank."""
 
-from repro.baselines.ipid import collect_interleaved, collect_series
+from repro.baselines.ipid import collect_interleaved
 from repro.validation.bank import IpidSampleBank
 from repro.validation.budget import DEFAULT_VELOCITY_TTL
+
+
+def _estimate(bank, address, start_time, samples=4, interval=1.0):
+    """One estimation read under MIDAR's early-stop rule."""
+    return bank.estimation_series(
+        address,
+        samples,
+        interval,
+        start_time,
+        max_age=DEFAULT_VELOCITY_TTL,
+        early_stop=(3, 2_000.0),
+    )
 
 
 class TestSeriesMemoisation:
     def test_identical_request_served_from_cache(self, network, vantage, count_probes):
         counter = count_probes(network)
         bank = IpidSampleBank(network, vantage)
-        first = bank.series("10.0.1.1", samples=4, interval=1.0, start_time=0.0)
-        assert counter["probes"] == 4
-        second = bank.series("10.0.1.1", samples=4, interval=1.0, start_time=0.0)
+        first, issued = _estimate(bank, "10.0.1.1", 0.0)
+        assert counter["probes"] == issued == 4
+        second, reissued = _estimate(bank, "10.0.1.1", 0.0)
         assert second is first
+        assert reissued == 0
         assert counter["probes"] == 4  # no new network traffic
         assert bank.probes_issued == 4
         assert bank.probes_reused == 4
 
-    def test_different_schedule_collects_again(self, network, vantage):
+    def test_past_the_staleness_bound_collects_again(self, network, vantage):
         bank = IpidSampleBank(network, vantage)
-        bank.series("10.0.1.1", samples=4, interval=1.0, start_time=0.0)
-        bank.series("10.0.1.1", samples=4, interval=1.0, start_time=100.0)
+        first, _ = _estimate(bank, "10.0.1.1", 0.0)
+        within, _ = _estimate(bank, "10.0.1.1", DEFAULT_VELOCITY_TTL)
+        assert within is first
+        later, issued = _estimate(bank, "10.0.1.1", DEFAULT_VELOCITY_TTL + 0.1)
+        assert later is not first
+        assert issued == 4
         assert bank.probes_issued == 8
-        assert bank.probes_reused == 0
+        assert bank.probes_reused == 4
+
+    def test_exact_start_rereads_its_series_past_a_newer_one(self, network, vantage):
+        # The newer collection is stale at the first start time, but the
+        # series banked for exactly that start is reused, and becomes the
+        # canonical one again.
+        bank = IpidSampleBank(network, vantage)
+        first, _ = _estimate(bank, "10.0.1.1", 0.0)
+        _estimate(bank, "10.0.1.1", 2 * DEFAULT_VELOCITY_TTL)
+        again, issued = _estimate(bank, "10.0.1.1", 0.0)
+        assert again is first
+        assert issued == 0
+        assert _estimate(bank, "10.0.1.1", 1.0)[0] is first
+        assert bank.probes_issued == 8
 
     def test_cold_bank_matches_direct_collection(self, make_network, vantage):
-        banked = IpidSampleBank(make_network(), vantage).series(
-            "10.0.1.1", samples=5, interval=2.0, start_time=10.0
+        banked, _ = _estimate(
+            IpidSampleBank(make_network(), vantage), "10.0.1.1", 10.0, samples=5, interval=2.0
         )
-        direct = collect_series(
-            make_network(), "10.0.1.1", vantage, samples=5, interval=2.0, start_time=10.0
-        )
-        assert banked.samples == direct.samples
+        network = make_network()
+        times = [10.0 + 2.0 * index for index in range(5)]
+        direct = [(t, network.sample_ipid("10.0.1.1", vantage, now=t)) for t in times]
+        assert banked.samples == [(t, ipid) for t, ipid in direct if ipid is not None]
+        assert len(banked.samples) == 5
 
     def test_unresponsive_probes_still_counted(self, network, vantage):
         bank = IpidSampleBank(network, vantage)
-        series = bank.series("198.18.0.1", samples=3, interval=1.0, start_time=0.0)
+        series, issued = _estimate(bank, "198.18.0.1", 0.0, samples=3)
         assert series.response_count == 0
-        assert bank.probes_issued == 3
+        assert issued == bank.probes_issued == 3
 
 
 class TestInterleavedMemoisation:

@@ -1,10 +1,10 @@
-"""Tests for the probe-budget optimizer.
+"""Tests for the probe budget.
 
-Every IPID validation probes through a
-:class:`~repro.validation.budget.ProbeBudgetOptimizer`.  On the controlled
-network an uncapped run's fresh probes are pinned as exact counts, and a
-capped run must mark unaffordable sets unresolved without flipping any
-resolved verdict.
+Every IPID validation spends from a
+:class:`~repro.validation.budget.ProbeBudget`.  On the controlled network
+an uncapped run's fresh probes are pinned as exact counts, and a capped
+run must mark unaffordable sets unresolved without flipping any resolved
+verdict.
 """
 
 import pytest
@@ -15,8 +15,6 @@ from repro.validation.budget import (
     DEFAULT_VELOCITY_TTL,
     ProbeBudget,
     ProbeBudgetExhausted,
-    ProbeBudgetOptimizer,
-    VelocityCache,
     is_unresolved,
     run_budgeted,
     unresolved_verdict,
@@ -38,13 +36,23 @@ def _decisions(report):
     ]
 
 
+def _sets_per_outcome(registry, validator):
+    """The ``validation.budget`` counter's sets per outcome, zeros dropped."""
+    counts = {
+        outcome: registry.counter_value(
+            "validation.budget", outcome=outcome, validator=validator
+        )
+        for outcome in ("probed", "cached", "unresolved")
+    }
+    return {outcome: count for outcome, count in counts.items() if count}
+
+
 class TestProbeBudget:
     def test_unlimited_grants_and_tracks_spend(self):
         budget = ProbeBudget()
         assert budget.request(10_000)
         budget.charge(10_000)
         assert budget.spent == 10_000
-        assert budget.remaining is None
         assert not budget.closed
 
     def test_denial_closes_the_budget(self):
@@ -54,7 +62,7 @@ class TestProbeBudget:
         assert not budget.request(3)  # would overrun
         assert budget.closed
         assert not budget.request(1)  # affordable, but the budget is closed
-        assert budget.remaining == 2
+        assert budget.spent == 8
 
     def test_negative_limit_rejected(self):
         with pytest.raises(ValidationError, match="negative"):
@@ -64,45 +72,6 @@ class TestProbeBudget:
         budget = ProbeBudget(limit=0)
         assert not budget.request(1)
         assert budget.closed
-
-
-class TestVelocityCache:
-    CONFIG = MidarConfig()
-
-    def _classify(self, cache, network, vantage, observed_at=0.0):
-        from repro.validation.bank import IpidSampleBank
-
-        bank = IpidSampleBank(network, vantage)
-        series, collected_at, _ = bank.estimation_series(
-            "10.0.1.1",
-            self.CONFIG.estimation_samples,
-            self.CONFIG.estimation_interval,
-            observed_at,
-            max_age=DEFAULT_VELOCITY_TTL,
-            early_stop=(self.CONFIG.min_responses, self.CONFIG.max_velocity),
-        )
-        return cache.classify("10.0.1.1", series, collected_at, self.CONFIG)
-
-    def test_classify_memoised_on_same_collection(self, network, vantage):
-        cache = VelocityCache()
-        first = self._classify(cache, network, vantage)
-        second = self._classify(cache, network, vantage)
-        assert second is first
-        assert cache.misses == 1
-        assert cache.hits == 1
-
-    def test_fresh_within_ttl_expired_beyond(self, network, vantage):
-        cache = VelocityCache()
-        entry = self._classify(cache, network, vantage)
-        fresh_until = entry.observed_at + DEFAULT_VELOCITY_TTL
-        assert cache.fresh("10.0.1.1", self.CONFIG, fresh_until) is entry
-        assert cache.fresh("10.0.1.1", self.CONFIG, fresh_until + 0.1) is None
-
-    def test_different_parameters_never_share_a_verdict(self, network, vantage):
-        cache = VelocityCache()
-        self._classify(cache, network, vantage)
-        other = MidarConfig(max_velocity=1.0)
-        assert cache.entry("10.0.1.1", other) is None
 
 
 class TestUnresolvedVerdict:
@@ -124,8 +93,8 @@ class TestUnresolvedVerdict:
 
 
 class TestUncappedParity:
-    """No cap: a run with no optimizer attached probes exactly as one with
-    an attached uncapped optimizer, and its fresh probes are exact counts."""
+    """No cap: a run with no budget attached probes exactly as one with an
+    attached uncapped budget, and its fresh probes are exact counts."""
 
     @pytest.mark.parametrize(
         "spec_fn,candidates,probes",
@@ -153,14 +122,14 @@ class TestUncappedParity:
         attached_network = make_network()
         attached_counter = count_probes(attached_network)
         run = ValidationRun(attached_network)
-        run.optimizer = ProbeBudgetOptimizer()
+        run.budget = ProbeBudget()
         attached = run_validator(run, spec, candidates=candidates, start_time=0.0)
 
-        # A run with no optimizer attached probes through a fresh uncapped
-        # one: the same decisions and the same probes as attaching it.
+        # A run with no budget attached spends from a fresh uncapped one:
+        # the same decisions and the same probes as attaching it.
         assert _decisions(default) == _decisions(attached)
         assert default_counter["probes"] == attached_counter["probes"] == probes
-        assert default.probes_issued == run.optimizer.budget.spent == probes
+        assert default.probes_issued == run.budget.spent == probes
 
     def test_fresh_pair_probes_one_corroboration_pass(self, network, count_probes):
         # A two-member true set: full estimation of both members, then one
@@ -179,7 +148,7 @@ class TestUncappedParity:
         network = make_network()
         counter = count_probes(network)
         run = ValidationRun(network)
-        run.optimizer = ProbeBudgetOptimizer()
+        run.budget = ProbeBudget()
         run_validator(run, midar(), candidates=CANDIDATES, start_time=0.0)
         after_midar = counter["probes"]
         independent_network = make_network()
@@ -203,21 +172,21 @@ class TestCappedDegradation:
     def test_skipped_sets_unresolved_resolved_verdicts_identical(self, make_network):
         spec = midar()
         uncapped_run = ValidationRun(make_network())
-        uncapped_run.optimizer = ProbeBudgetOptimizer()
+        uncapped_run.budget = ProbeBudget()
         uncapped = run_validator(
             uncapped_run, spec, candidates=CANDIDATES, start_time=0.0
         )
-        spent = uncapped_run.optimizer.budget.spent
+        spent = uncapped_run.budget.spent
 
         # One probe short of the full spend: the last fresh-probe request
         # is denied, so the final scheduled set goes unresolved while every
         # earlier set resolved exactly as the uncapped run did.
         capped_run = ValidationRun(make_network())
-        capped_run.optimizer = ProbeBudgetOptimizer(budget=spent - 1)
+        capped_run.budget = ProbeBudget(limit=spent - 1)
         capped = run_validator(capped_run, spec, candidates=CANDIDATES, start_time=0.0)
 
-        assert capped_run.optimizer.budget.closed
-        assert capped_run.optimizer.budget.spent <= spent - 1
+        assert capped_run.budget.closed
+        assert capped_run.budget.spent <= spent - 1
         unresolved = [v for v in capped.verdicts if is_unresolved(v)]
         assert unresolved
         resolved_parity = [
@@ -234,14 +203,14 @@ class TestCappedDegradation:
     def test_zero_budget_leaves_every_set_unresolved(self, network, count_probes):
         counter = count_probes(network)
         run = ValidationRun(network)
-        run.optimizer = ProbeBudgetOptimizer(budget=0)
-        report = run_validator(
-            run, midar(), candidates=CANDIDATES, start_time=0.0
-        )
+        run.budget = ProbeBudget(limit=0)
+        with obs.observed() as registry:
+            report = run_validator(
+                run, midar(), candidates=CANDIDATES, start_time=0.0
+            )
         assert counter["probes"] == 0
         assert all(is_unresolved(v) for v in report.verdicts)
-        outcomes = [outcome.outcome for outcome in run.optimizer.outcomes]
-        assert outcomes == ["unresolved"] * len(CANDIDATES)
+        assert _sets_per_outcome(registry, "midar") == {"unresolved": len(CANDIDATES)}
 
     @pytest.mark.parametrize(
         "spec_fn, candidates",
@@ -253,7 +222,7 @@ class TestCappedDegradation:
     ):
         counter = count_probes(network)
         run = ValidationRun(network)
-        run.optimizer = ProbeBudgetOptimizer(budget=0)
+        run.budget = ProbeBudget(limit=0)
         report = run_validator(
             run, spec_fn(), candidates=candidates, start_time=0.0
         )
@@ -263,16 +232,17 @@ class TestCappedDegradation:
 
     def test_zero_budget_still_answers_from_the_bank(self, network, count_probes):
         warm = ValidationRun(network)
-        warm.optimizer = ProbeBudgetOptimizer()
+        warm.budget = ProbeBudget()
         run_validator(warm, midar(), candidates=CANDIDATES, start_time=0.0)
         counter = count_probes(network)
-        warm.optimizer = ProbeBudgetOptimizer(budget=0)
-        report = run_validator(
-            warm, midar(), candidates=CANDIDATES, start_time=0.0
-        )
+        warm.budget = ProbeBudget(limit=0)
+        with obs.observed() as registry:
+            report = run_validator(
+                warm, midar(), candidates=CANDIDATES, start_time=0.0
+            )
         assert counter["probes"] == 0
         assert not any(is_unresolved(v) for v in report.verdicts)
-        assert {o.outcome for o in warm.optimizer.outcomes} == {"cached"}
+        assert _sets_per_outcome(registry, "midar") == {"cached": len(CANDIDATES)}
         assert report.probes_issued == 0
 
     def test_exhaustion_escapes_outside_a_runner(self, network, vantage):
@@ -280,7 +250,7 @@ class TestCappedDegradation:
         from repro.validation.techniques import MidarPipeline
 
         pipeline = MidarPipeline(
-            IpidSampleBank(network, vantage), None, ProbeBudgetOptimizer(budget=0)
+            IpidSampleBank(network, vantage), None, ProbeBudget(limit=0)
         )
         with pytest.raises(ProbeBudgetExhausted):
             pipeline.estimate(sorted(TRUE_SET), start_time=0.0)
@@ -289,10 +259,10 @@ class TestCappedDegradation:
 class TestVelocityTtl:
     def test_expired_velocity_always_reprobes(self, network, count_probes):
         run = ValidationRun(network)
-        run.optimizer = ProbeBudgetOptimizer()
+        run.budget = ProbeBudget()
         run_validator(run, midar(), candidates=(TRUE_SET,), start_time=0.0)
         counter = count_probes(network)
-        # Past one day: the cached velocities must not be reused.
+        # Past one day: the banked estimation must not be reused.
         run_validator(
             run,
             midar(),
@@ -303,7 +273,7 @@ class TestVelocityTtl:
 
     def test_fresh_velocity_rescores_free(self, network, count_probes):
         run = ValidationRun(network)
-        run.optimizer = ProbeBudgetOptimizer()
+        run.budget = ProbeBudget()
         run_validator(run, midar(), candidates=(TRUE_SET,), start_time=0.0)
         counter = count_probes(network)
         run_validator(run, midar(), candidates=(TRUE_SET,), start_time=0.0)
@@ -315,7 +285,7 @@ class TestObsAccounting:
         registry = obs.enable()
         try:
             run = ValidationRun(network)
-            run.optimizer = ProbeBudgetOptimizer()
+            run.budget = ProbeBudget()
             run_validator(
                 run, midar(), candidates=CANDIDATES, start_time=0.0
             )
@@ -328,14 +298,14 @@ class TestObsAccounting:
 
 
 class TestRunBudgeted:
-    def test_restores_previous_optimizer(self, network):
+    def test_restores_previous_budget(self, network):
         run = ValidationRun(network)
-        sentinel = ProbeBudgetOptimizer()
-        run.optimizer = sentinel
+        sentinel = ProbeBudget()
+        run.budget = sentinel
         spec = midar()
         with pytest.raises(ValidationError, match="needs a session"):
             run_budgeted(run, [spec])  # no session: candidate derivation fails
-        assert run.optimizer is sentinel
+        assert run.budget is sentinel
 
     def test_unknown_validator_name_raises(self, network):
         from repro.errors import RegistryError

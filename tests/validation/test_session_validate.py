@@ -12,7 +12,7 @@ from repro.simnet.device import ServiceType
 from repro.simnet.network import VantagePoint
 from repro.validation.bank import IpidSampleBank
 from repro.validation.runner import table2_midar_spec
-from repro.validation.spec import ValidatorSpec, named_validator, sample
+from repro.validation.spec import ValidatorSpec, midar, named_validator, sample
 from repro.validation.techniques import MidarPipeline
 
 #: Parameters the built-in technique kinds once read, each with a value a
@@ -70,6 +70,25 @@ class TestValidateCaching:
         session.validate("midar")
         ally_report = session.validate("ally")
         assert ally_report.probes_reused > 0
+
+
+class TestOneValidationPath:
+    def test_uncapped_list_reports_as_successive_validates(self):
+        # Two runs of one MIDAR configuration under one uncapped budget:
+        # the second reports exactly as it does when validated after the
+        # first, probing windows included.
+        union = sample(
+            midar(source="active", protocol="union", family="ipv4", start_after="active-ipv6"),
+            size=150,
+            seed=7,
+            max_size=10,
+        )
+        config = ScenarioConfig(scale=0.05, seed=3)
+        budgeted = ReproSession(config).validate_budgeted(["midar", union])
+        successive = ReproSession(config)
+        assert budgeted.reports[0] == successive.validate("midar")
+        assert budgeted.reports[1].verdicts == successive.validate(union).verdicts
+        assert budgeted.reports[1] == successive.validate(union)
 
 
 class TestUntakenParameters:

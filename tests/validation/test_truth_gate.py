@@ -77,7 +77,7 @@ VALIDATORS = ("midar", "ally", "speedtrap")
 
 #: (confirmed, false merges, false splits) of the plain pipelines, which
 #: decided session.validate, Table 2 and plain ``repro validate`` before
-#: the optimizer became the only path.
+#: the budgeted scheduler became the only path.
 BASELINE = {
     (0, "composed"): {"midar": (275, 0, 11), "ally": (311, 0, 129), "speedtrap": (7, 0, 0)},
     (1, "composed"): {"midar": (259, 0, 6), "ally": (299, 2, 102), "speedtrap": (11, 0, 2)},
