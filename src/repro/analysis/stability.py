@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from repro.analysis.tables import render_table
+from repro.analysis.tables import markdown_table, render_table
 from repro.longitudinal.campaign import LongitudinalConfig, SnapshotStability
 from repro.net.addresses import AddressFamily
 
@@ -106,9 +106,6 @@ def stability_markdown_from(
         family_tag = "IPv4" if family is AddressFamily.IPV4 else "IPv6"
         lines.append(f"## {family_tag} union sets")
         lines.append("")
-        lines.append("| " + " | ".join(_HEADERS) + " |")
-        lines.append("|" + "---|" * len(_HEADERS))
-        for row in stability_rows_from(stabilities):
-            lines.append("| " + " | ".join(str(cell) for cell in row) + " |")
+        lines.append(markdown_table(_HEADERS, stability_rows_from(stabilities)))
         lines.append("")
     return "\n".join(lines)

@@ -7,7 +7,7 @@ reproduces the paper's habit of reporting counts as ``505k`` or ``3.2M``.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Sequence
 
 
 def format_count(value: int | float) -> str:
@@ -43,4 +43,11 @@ def render_table(headers: Sequence[str], rows: Sequence[Sequence[object]], title
     for row in text_rows:
         padded = [cell.ljust(widths[index]) for index, cell in enumerate(row)]
         lines.append(" | ".join(padded))
+    return "\n".join(lines)
+
+
+def markdown_table(headers: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
+    """Render a table as markdown: a header row, a separator, one line per row."""
+    lines = ["| " + " | ".join(headers) + " |", "|" + "---|" * len(headers)]
+    lines.extend("| " + " | ".join(str(cell) for cell in row) + " |" for row in rows)
     return "\n".join(lines)

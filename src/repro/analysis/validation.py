@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from repro.analysis.tables import render_table
+from repro.analysis.tables import markdown_table, render_table
 from repro.validation.longitudinal import SnapshotValidation
 from repro.validation.report import ValidationReport
 
@@ -146,17 +146,11 @@ def validation_markdown(
     """Render validations (and optional snapshot series) as markdown."""
     lines = ["# Validation report", ""]
     if reports:
-        lines.append("| " + " | ".join(_HEADERS) + " |")
-        lines.append("|" + "---|" * len(_HEADERS))
-        for row in validation_rows(reports):
-            lines.append("| " + " | ".join(str(cell) for cell in row) + " |")
+        lines.append(markdown_table(_HEADERS, validation_rows(reports)))
         lines.append("")
     for validator, rows in (snapshot_series or {}).items():
         lines.append(f"## Per-snapshot validation: {validator}")
         lines.append("")
-        lines.append("| " + " | ".join(_SNAPSHOT_HEADERS) + " |")
-        lines.append("|" + "---|" * len(_SNAPSHOT_HEADERS))
-        for row in snapshot_validation_rows(rows):
-            lines.append("| " + " | ".join(str(cell) for cell in row) + " |")
+        lines.append(markdown_table(_SNAPSHOT_HEADERS, snapshot_validation_rows(rows)))
         lines.append("")
     return "\n".join(lines)

@@ -205,20 +205,13 @@ def _build_active_ipv6(session: "ReproSession", spec: SourceSpec) -> Observation
 @source_kind("censys-ipv4", "distributed Censys-like IPv4 snapshot (SSH/BGP, three weeks earlier)")
 def _build_censys_ipv4(session: "ReproSession", spec: SourceSpec) -> ObservationDataset:
     _without_params(spec)
-    source = CensysSource(
-        session.network,
-        miss_rate=session.config.censys_miss_rate,
-        snapshot_time=0.0,
-        seed=session.config.seed + 2,
-    )
-    return source.snapshot_ipv4()
+    return CensysSource(session.network, seed=session.config.seed + 2).snapshot_ipv4()
 
 
 @source_kind("censys-ipv6", "Censys-like IPv6 snapshot (negligible, non-standard ports)")
 def _build_censys_ipv6(session: "ReproSession", spec: SourceSpec) -> ObservationDataset:
     _without_params(spec)
-    source = CensysSource(session.network, snapshot_time=0.0, seed=session.config.seed + 3)
-    return source.snapshot_ipv6()
+    return CensysSource(session.network, seed=session.config.seed + 3).snapshot_ipv6()
 
 
 @source_kind("file", "load a saved observation dataset (JSONL) from disk")

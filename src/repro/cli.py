@@ -84,6 +84,7 @@ from repro.persist.stream import (
 from repro.sources.records import iter_observations
 from repro.stream.daemon import DaemonConfig, StreamDaemon
 from repro.stream.engine import StreamConfig, StreamingEngine
+from repro.validation.budget import ProbeBudget, is_unresolved
 from repro.validation.longitudinal import validate_snapshots
 from repro.validation.runner import ValidationRun
 from repro.validation.spec import VALIDATORS
@@ -507,16 +508,12 @@ def _command_resolve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _command_experiments(args: argparse.Namespace) -> int:
-    if args.list:
-        for registered in all_experiments():
-            print(f"{registered.name:12} {registered.description}")
-        return 0
-    session = _session(args)
+def _render_experiments(session: ReproSession, names: list[str] | None) -> int:
+    """Print each named experiment rendered from ``session`` (every
+    registered one when ``names`` is empty); exit 2 on an unknown name."""
     try:
         selected = [
-            get_experiment(name)
-            for name in (args.only if args.only else [e.name for e in all_experiments()])
+            get_experiment(name) for name in (names or [e.name for e in all_experiments()])
         ]
     except RegistryError as error:
         print(str(error), file=sys.stderr)
@@ -526,6 +523,14 @@ def _command_experiments(args: argparse.Namespace) -> int:
         print(registered.run(session))
         print()
     return 0
+
+
+def _command_experiments(args: argparse.Namespace) -> int:
+    if args.list:
+        for registered in all_experiments():
+            print(f"{registered.name:12} {registered.description}")
+        return 0
+    return _render_experiments(_session(args), args.only)
 
 
 def _command_claims(args: argparse.Namespace) -> int:
@@ -692,12 +697,8 @@ def _validate_snapshots(args: argparse.Namespace, session, names) -> int:
     # One shared run across validators: later ones answer pair tests from
     # the banks the earlier ones filled, exactly like single-shot mode.
     shared_run = ValidationRun(campaign.network)
-    budget = None
-    if args.budget is not None:
-        from repro.validation.budget import ProbeBudget
-
-        # One global budget across every validator and snapshot.
-        budget = ProbeBudget(limit=args.budget)
+    # One global budget across every validator and snapshot.
+    budget = None if args.budget is None else ProbeBudget(limit=args.budget)
     series = {}
     for position, (name, spec) in enumerate(names):
         if position:
@@ -708,8 +709,17 @@ def _validate_snapshots(args: argparse.Namespace, session, names) -> int:
         series[name] = rows
         print(snapshot_validation_table(rows, name))
     if budget is not None:
+        unresolved = sum(
+            is_unresolved(verdict)
+            for rows in series.values()
+            for row in rows
+            for verdict in row.report.verdicts
+        )
         print()
-        print(f"probe budget: spent {budget.spent} of {budget.limit} fresh probes")
+        print(
+            f"probe budget: spent {budget.spent} of {budget.limit} fresh probes"
+            + (f"; {unresolved} candidate sets left unresolved" if unresolved else "")
+        )
     if args.output is not None:
         args.output.mkdir(parents=True, exist_ok=True)
         path = args.output / "validation.md"
@@ -856,22 +866,7 @@ def _session_load(args: argparse.Namespace) -> int:
             f"testable, {validation.agree_count} agree"
         )
     if args.experiments is not None:
-        try:
-            selected = [
-                get_experiment(name)
-                for name in (
-                    args.experiments
-                    if args.experiments
-                    else [entry.name for entry in all_experiments()]
-                )
-            ]
-        except RegistryError as error:
-            print(str(error), file=sys.stderr)
-            return 2
-        for registered in selected:
-            print(f"=== {registered.name}")
-            print(registered.run(session))
-            print()
+        return _render_experiments(session, args.experiments)
     return 0
 
 

@@ -35,6 +35,10 @@ if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.stream.engine import StreamUpdate
 
 
+#: Simulation time of a campaign's first snapshot.
+CAMPAIGN_START_TIME = 0.0
+
+
 @dataclasses.dataclass(frozen=True)
 class LongitudinalConfig:
     """Shape of a longitudinal campaign.
@@ -46,19 +50,19 @@ class LongitudinalConfig:
         churn_fraction: fraction of all addresses reassigned to a random
             device between consecutive snapshots (the paper-motivated
             range is a few percent per window).
-        start_time: simulation time of the first snapshot.
         seed: drives churn sampling and the per-snapshot scans.
 
-    ``snapshots`` and ``seed`` must be integers, and ``interval``,
-    ``churn_fraction`` and ``start_time`` finite numbers (a boolean is
-    neither), so a config read back from a checkpoint manifest is held to
-    the rules a run's own config meets; each refusal names its field.
+    The first snapshot scans at :data:`CAMPAIGN_START_TIME`, and each
+    later one an interval after the previous.  ``snapshots`` and ``seed``
+    must be integers, and ``interval`` and ``churn_fraction`` finite
+    numbers (a boolean is neither), so a config read back from a
+    checkpoint manifest is held to the rules a run's own config meets;
+    each refusal names its field.
     """
 
     snapshots: int = 4
     interval: float = 7 * 86400.0
     churn_fraction: float = 0.02
-    start_time: float = 0.0
     seed: int = 42
 
     def __post_init__(self) -> None:
@@ -66,7 +70,7 @@ class LongitudinalConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
                 raise SimulationError(f"{name} must be an integer, got {value!r}")
-        for name in ("interval", "churn_fraction", "start_time"):
+        for name in ("interval", "churn_fraction"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise SimulationError(f"{name} must be a number, got {value!r}")
@@ -74,10 +78,8 @@ class LongitudinalConfig:
                 float(value)  # the finiteness checks below convert it
             except OverflowError:
                 raise SimulationError(f"{name} is too large for a float") from None
-        if not math.isfinite(self.start_time):
-            raise SimulationError(f"start_time must be finite (got {self.start_time})")
         if self.snapshots < 1:
-            raise SimulationError("a campaign needs at least one snapshot")
+            raise SimulationError(f"snapshots must be at least 1, got {self.snapshots}")
         if not 0.0 <= self.churn_fraction < 1.0:
             raise SimulationError("churn_fraction must be in [0, 1)")
         if not (self.interval > 0 and math.isfinite(self.interval)):
@@ -87,7 +89,7 @@ class LongitudinalConfig:
 
     def time_of(self, snapshot: int) -> float:
         """Simulation time at which snapshot ``snapshot`` scans."""
-        return self.start_time + snapshot * self.interval
+        return CAMPAIGN_START_TIME + snapshot * self.interval
 
 
 @dataclasses.dataclass(frozen=True)

@@ -8,10 +8,11 @@ with consistent wording.  A document whose signature a manifest pins is
 read through :func:`read_pinned_document`, which is how every loader
 detects a save torn between a data file and its manifest.  Source and
 validator spec trees are written with :func:`spec_to_document` and read
-through :func:`read_spec`, and identifier options through
-:func:`read_identifier_options`.  A dataset file a load verified against
-its SHA-256 pin is re-saved with :func:`copy_pinned`, which checks the
-pin again and writes the same bytes through :func:`write_atomic`.
+through :func:`read_spec`, identifier options through
+:func:`read_identifier_options` and configs through :func:`read_config`.
+A dataset file a load verified against its SHA-256 pin is re-saved with
+:func:`copy_pinned`, which checks the pin again and writes the same
+bytes through :func:`write_atomic`.
 
 Durability: a save survives the process dying at any write (the crash
 sweeps in ``tests/persist/`` kill a save at each ``os.replace``).  Nothing
@@ -28,10 +29,14 @@ import hashlib
 import json
 import os
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, TypeVar
+from typing import TYPE_CHECKING, Any, Callable, Mapping, TypeVar
 
+from repro.api.config import ScenarioConfig
 from repro.core.identifiers import IdentifierOptions
-from repro.errors import PersistError
+from repro.errors import PersistError, SimulationError
+from repro.simnet.topology import TopologyConfig
+from repro.sources.censys import CENSYS_MISS_RATE
+from repro.sources.hitlist import HitlistConfig
 
 if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.api.sources import SourceSpec
@@ -39,6 +44,7 @@ if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.validation.spec import ValidatorSpec
 
 SpecT = TypeVar("SpecT")
+ConfigT = TypeVar("ConfigT")
 
 #: The value types a spec parameter may hold (the specs' ``ParamValue``).
 _PARAM_TYPES = (str, int, float, bool)
@@ -166,6 +172,49 @@ def read_identifier_options(document: object, what: str) -> IdentifierOptions:
             f"malformed {what}: identifier options {document!r} are not all booleans"
         )
     return IdentifierOptions(**document)
+
+
+def read_config(
+    config_type: Callable[..., ConfigT],
+    document: object,
+    name: str,
+    fields: tuple[str, ...],
+    fixed: Mapping[str, object],
+    what: str,
+) -> ConfigT:
+    """The config object ``name`` of a ``what``: ``config_type`` of its ``fields``.
+
+    Each field is required, and ``config_type`` checks it.  A key of
+    ``fixed`` names a setting that is no longer a field: it loads only at
+    the value it is fixed at.  Any other value, a refused field or an
+    unknown key raises PersistError naming the key.
+    """
+    if not isinstance(document, dict):
+        raise PersistError(f"malformed {what}: {name} {document!r} is not an object")
+    for key, value in document.items():
+        if key in fixed and (isinstance(value, bool) or value != fixed[key]):
+            raise PersistError(f"malformed {what}: {name}.{key} is {value!r}, but it is fixed at {fixed[key]!r}")
+        if key not in fixed and key not in fields:
+            raise PersistError(f"malformed {what}: {name} has an unknown key {key!r}")
+    missing = [key for key in fields if key not in document]
+    if missing:
+        raise PersistError(f"malformed {what}: {name} has no {', '.join(missing)}")
+    try:
+        return config_type(**{key: document[key] for key in fields})
+    except (ValueError, SimulationError) as exc:
+        raise PersistError(f"malformed {what}: {name}.{exc}") from exc
+
+
+def read_scenario(document: object, name: str, what: str) -> ScenarioConfig:
+    """The scenario config a session (``config``) or checkpoint (``scenario``)
+    holds; the rates and coverages it once had load at their fixed values."""
+    fixed = {
+        "loss_rate": TopologyConfig.loss_rate,
+        "hitlist_server_coverage": HitlistConfig.server_coverage,
+        "hitlist_router_coverage": HitlistConfig.router_coverage,
+        "censys_miss_rate": CENSYS_MISS_RATE,
+    }
+    return read_config(ScenarioConfig, document, name, ("scale", "seed"), fixed, what)
 
 
 def spec_to_document(spec: "SourceSpec | ValidatorSpec") -> dict[str, Any]:

@@ -54,8 +54,10 @@ entry that needs a dataset the manifest does not hold fails.  Anything
 configuration: the topology is built at the first bank miss, scan, or AS
 read the saved table cannot answer.  Older sessions load too: a report
 entry's ``file`` and ``signature`` are ignored, a merged dataset saved as
-a file loads from it, and a manifest without ``as_table`` reads the AS
-registry from the topology, built at the first AS read.
+a file loads from it, a manifest without ``as_table`` reads the AS
+registry from the topology, built at the first AS read, and a ``config``
+holding the former rates and coverages loads while each is at its fixed
+value (:func:`~repro.persist.files.read_scenario`).
 """
 
 from __future__ import annotations
@@ -67,7 +69,6 @@ import re
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable
 
-from repro.api.config import ScenarioConfig
 from repro.api.sources import SourceSpec, streamed_specs
 from repro.errors import DatasetError, PersistError, ReproError
 from repro.io.datasets import load_observations
@@ -78,6 +79,7 @@ from repro.persist.files import (
     read_identifier_options,
     read_json_document,
     read_pinned_document,
+    read_scenario,
     read_spec,
     save_observations_atomic,
     spec_to_document,
@@ -325,7 +327,7 @@ def load_session(directory: str | Path) -> "ReproSession":
         version = manifest["version"]
         if version != SESSION_FORMAT_VERSION:
             raise PersistError(f"unsupported session format version {version!r}")
-        config = ScenarioConfig(**manifest["config"])
+        config = read_scenario(manifest["config"], "config", f"session manifest {manifest_path}")
         options = read_identifier_options(manifest["options"], "session manifest")
         # A combinator dataset has no ``file``; a ``digest`` is absent in
         # sessions saved before datasets were pinned by content.

@@ -54,7 +54,9 @@ carries no log, or its manifest would grow by a row every poll.  The
 reader requires only the keys every campaign and stream manifest ever
 held: a campaign checkpoint without a window or event counts never ran
 an estimator or emitted an event, and resumes in exactly that state,
-its clock at its last scan.  Other keys older manifests carry are ignored.
+its clock at its last scan.  Other keys older manifests carry are ignored,
+but not inside ``scenario`` and ``campaign``
+(:func:`~repro.persist.files.read_config`).
 
 Everything else a resume needs is deterministic: the topology regenerates
 from the scenario config and the IPv6 hitlist from the topology,
@@ -83,6 +85,7 @@ from repro.errors import DatasetError, PersistError, SimulationError
 from repro.io.datasets import load_observations
 from repro.jsonvalues import json_boolean, json_count, json_integer, json_number, json_string
 from repro.longitudinal.campaign import (
+    CAMPAIGN_START_TIME,
     CampaignLog,
     LongitudinalCampaign,
     LongitudinalConfig,
@@ -92,8 +95,10 @@ from repro.longitudinal.engine import LongitudinalEngine
 from repro.net.addresses import AddressFamily
 from repro.persist.files import (
     link_atomic,
+    read_config,
     read_identifier_options,
     read_json_document,
+    read_scenario,
     save_observations_atomic,
     write_atomic,
 )
@@ -395,8 +400,15 @@ def load_stream_checkpoint(
         completed = _field(manifest["completed"], json_integer, "completed", where)
         if completed < 1:
             raise PersistError(f"malformed {where}: completed {completed} is below 1")
-        scenario = ScenarioConfig(**manifest["scenario"])
-        campaign = LongitudinalConfig(**manifest["campaign"])
+        scenario = read_scenario(manifest["scenario"], "scenario", where)
+        campaign = read_config(
+            LongitudinalConfig,
+            manifest["campaign"],
+            "campaign",
+            ("snapshots", "interval", "churn_fraction", "seed"),
+            {"start_time": CAMPAIGN_START_TIME},
+            where,
+        )
         options = read_identifier_options(manifest["options"], where)
         vantage = _vantage(manifest["vantage"], where)
         include_ipv6 = _field(manifest["include_ipv6"], json_boolean, "include_ipv6", where)

@@ -56,14 +56,13 @@ class ScanCampaign:
         self,
         network: SimulatedInternet,
         vantage: VantagePoint,
-        blocklist: Blocklist | None = None,
         syn_rate: float = 10_000.0,
         grab_rate: float = 2_000.0,
         seed: int = 0,
     ) -> None:
         self._network = network
         self._vantage = vantage
-        self._blocklist = blocklist or Blocklist()
+        self._blocklist = Blocklist()
         self._zmap = ZmapScanner(
             network, vantage, probes_per_second=syn_rate, blocklist=self._blocklist, seed=seed
         )

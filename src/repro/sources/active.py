@@ -11,16 +11,21 @@ dataset's coverage from the distributed Censys-like source.
 from __future__ import annotations
 
 from repro.net.addresses import AddressFamily
-from repro.scanner.blocklist import Blocklist
 from repro.scanner.campaign import ScanCampaign
 from repro.simnet.device import ServiceType
 from repro.simnet.network import SimulatedInternet, VantagePoint
 from repro.sources.records import Observation, ObservationDataset, observation_from_record
 
-DEFAULT_SERVICES = (ServiceType.SSH, ServiceType.BGP, ServiceType.SNMPV3)
+ACTIVE_SERVICES = (ServiceType.SSH, ServiceType.BGP, ServiceType.SNMPV3)
 
 #: The paper's one active vantage point.
 ACTIVE_VANTAGE = VantagePoint(name="active-de", address="192.0.2.250")
+
+#: The active campaign's SYN and grab rates, per second.
+ACTIVE_SYN_RATE = 50_000.0
+ACTIVE_GRAB_RATE = 10_000.0
+
+ACTIVE_SOURCE_NAME = "active"
 
 
 class ActiveMeasurement:
@@ -30,53 +35,26 @@ class ActiveMeasurement:
         self,
         network: SimulatedInternet,
         vantage: VantagePoint = ACTIVE_VANTAGE,
-        blocklist: Blocklist | None = None,
-        syn_rate: float = 50_000.0,
-        grab_rate: float = 10_000.0,
         seed: int = 0,
-        source_name: str = "active",
     ) -> None:
         self._network = network
-        self._vantage = vantage
         self._campaign = ScanCampaign(
-            network,
-            self._vantage,
-            blocklist=blocklist,
-            syn_rate=syn_rate,
-            grab_rate=grab_rate,
-            seed=seed,
+            network, vantage, syn_rate=ACTIVE_SYN_RATE, grab_rate=ACTIVE_GRAB_RATE, seed=seed
         )
-        self._source_name = source_name
 
-    @property
-    def vantage(self) -> VantagePoint:
-        """The vantage point used by this campaign."""
-        return self._vantage
-
-    def run_ipv4(
-        self,
-        services: tuple[ServiceType, ...] = DEFAULT_SERVICES,
-        start_time: float = 0.0,
-    ) -> ObservationDataset:
+    def run_ipv4(self, start_time: float = 0.0) -> ObservationDataset:
         """Scan every IPv4 address of the (simulated) Internet."""
         targets = sorted(self._network.all_addresses(AddressFamily.IPV4))
-        return self._run(targets, services, start_time)
+        return self._run(targets, start_time)
 
-    def run_ipv6(
-        self,
-        hitlist: list[str],
-        services: tuple[ServiceType, ...] = DEFAULT_SERVICES,
-        start_time: float = 0.0,
-    ) -> ObservationDataset:
+    def run_ipv6(self, hitlist: list[str], start_time: float = 0.0) -> ObservationDataset:
         """Scan the IPv6 hitlist."""
-        return self._run(list(hitlist), services, start_time)
+        return self._run(list(hitlist), start_time)
 
-    def _run(
-        self, targets: list[str], services: tuple[ServiceType, ...], start_time: float
-    ) -> ObservationDataset:
-        dataset = ObservationDataset(self._source_name)
+    def _run(self, targets: list[str], start_time: float) -> ObservationDataset:
+        dataset = ObservationDataset(ACTIVE_SOURCE_NAME)
         current_time = start_time
-        for service in services:
+        for service in ACTIVE_SERVICES:
             result = self._campaign.scan_service(service, targets, start_time=current_time)
             for record in result.records:
                 dataset.add(self._to_observation(record, current_time))
@@ -86,7 +64,7 @@ class ActiveMeasurement:
     def _to_observation(self, record, timestamp: float) -> Observation:
         return observation_from_record(
             record,
-            source=self._source_name,
+            source=ACTIVE_SOURCE_NAME,
             timestamp=timestamp,
             asn=self._network.asn_of(record.address),
         )

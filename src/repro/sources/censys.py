@@ -31,42 +31,40 @@ from repro.sources.records import Observation, ObservationDataset, observation_f
 
 CENSYS_SERVICES = (ServiceType.SSH, ServiceType.BGP)
 
+#: Fraction of IPv4 addresses a snapshot misses for operational reasons.
+CENSYS_MISS_RATE = 0.12
+#: Fraction of IPv4 addresses sampled for SSH on a non-standard port.
+CENSYS_NONSTANDARD_PORT_FRACTION = 0.18
+#: Simulation time of the snapshot: the origin, three weeks before the
+#: active scan (:data:`repro.api.sources.CENSYS_SNAPSHOT_LEAD`).
+CENSYS_SNAPSHOT_TIME = 0.0
+
+CENSYS_SOURCE_NAME = "censys"
+
 
 class CensysSource:
     """Builds Censys-like snapshots of the simulated Internet."""
 
-    def __init__(
-        self,
-        network: SimulatedInternet,
-        miss_rate: float = 0.12,
-        nonstandard_port_fraction: float = 0.18,
-        snapshot_time: float = 0.0,
-        seed: int = 1,
-        source_name: str = "censys",
-    ) -> None:
+    def __init__(self, network: SimulatedInternet, seed: int = 1) -> None:
         self._network = network
-        self._miss_rate = miss_rate
-        self._nonstandard_port_fraction = nonstandard_port_fraction
-        self._snapshot_time = snapshot_time
         self._seed = seed
-        self._source_name = source_name
         self._vantage = VantagePoint(name="censys-fleet", address="198.51.100.50", distributed=True)
         self._campaign = ScanCampaign(network, self._vantage, seed=seed)
 
-    def snapshot_ipv4(self, services: tuple[ServiceType, ...] = CENSYS_SERVICES) -> ObservationDataset:
+    def snapshot_ipv4(self) -> ObservationDataset:
         """Produce the IPv4 snapshot (SSH and BGP; Censys has no SNMPv3 data)."""
         rng = random.Random(self._seed)
-        dataset = ObservationDataset(self._source_name)
+        dataset = ObservationDataset(CENSYS_SOURCE_NAME)
         all_targets = sorted(self._network.all_addresses(AddressFamily.IPV4))
-        targets = [address for address in all_targets if rng.random() >= self._miss_rate]
-        current_time = self._snapshot_time
-        for service in services:
+        targets = [address for address in all_targets if rng.random() >= CENSYS_MISS_RATE]
+        current_time = CENSYS_SNAPSHOT_TIME
+        for service in CENSYS_SERVICES:
             result = self._campaign.scan_service(service, targets, start_time=current_time)
             for record in result.records:
                 dataset.add(
                     observation_from_record(
                         record,
-                        source=self._source_name,
+                        source=CENSYS_SOURCE_NAME,
                         timestamp=current_time,
                         asn=self._network.asn_of(record.address),
                     )
@@ -83,17 +81,17 @@ class CensysSource:
         analysis excludes because it only considers the default ports.
         """
         rng = random.Random(self._seed + 1)
-        dataset = ObservationDataset(self._source_name)
+        dataset = ObservationDataset(CENSYS_SOURCE_NAME)
         campaign = ScanCampaign(self._network, self._vantage, seed=self._seed + 1)
         candidates = sorted(self._network.all_addresses(AddressFamily.IPV6))
         sampled = [address for address in candidates if rng.random() < 0.01]
-        result = campaign.scan_service(ServiceType.SSH, sampled, start_time=self._snapshot_time)
+        result = campaign.scan_service(ServiceType.SSH, sampled, start_time=CENSYS_SNAPSHOT_TIME)
         for record in result.records:
             dataset.add(
                 observation_from_record(
                     record,
-                    source=self._source_name,
-                    timestamp=self._snapshot_time,
+                    source=CENSYS_SOURCE_NAME,
+                    timestamp=CENSYS_SNAPSHOT_TIME,
                     asn=self._network.asn_of(record.address),
                     port=rng.choice((80, 443)),
                 )
@@ -104,15 +102,15 @@ class CensysSource:
         """SSH observations on non-default ports (filtered out by the analysis)."""
         campaign = ScanCampaign(self._network, self._vantage, seed=self._seed + 2)
         candidates = sorted(self._network.all_addresses(AddressFamily.IPV4))
-        sampled = [address for address in candidates if rng.random() < self._nonstandard_port_fraction]
-        result = campaign.scan_service(ServiceType.SSH, sampled, start_time=self._snapshot_time)
+        sampled = [address for address in candidates if rng.random() < CENSYS_NONSTANDARD_PORT_FRACTION]
+        result = campaign.scan_service(ServiceType.SSH, sampled, start_time=CENSYS_SNAPSHOT_TIME)
         observations = []
         for record in result.records:
             observations.append(
                 observation_from_record(
                     record,
-                    source=self._source_name,
-                    timestamp=self._snapshot_time,
+                    source=CENSYS_SOURCE_NAME,
+                    timestamp=CENSYS_SNAPSHOT_TIME,
                     asn=self._network.asn_of(record.address),
                     port=rng.choice((2222, 2022, 830, 10022)),
                 )

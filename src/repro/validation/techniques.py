@@ -30,8 +30,20 @@ from repro.validation.bank import IpidSampleBank
 from repro.validation.budget import DEFAULT_VELOCITY_TTL, ProbeBudget, ProbeBudgetExhausted
 from repro.validation.report import SetVerdict, canonical_partition
 
+#: MIDAR's schedule and tests, Speedtrap's too: seconds between probes,
+#: passes over a pair, responses a target needs, the counter velocity the
+#: monotonic bounds test allows, the largest velocity ratio of a pair it
+#: corroborates, and the most members of one candidate set it tests.
+MIDAR_ESTIMATION_INTERVAL = 2.0
+MIDAR_CORROBORATION_INTERVAL = 1.0
+MIDAR_CORROBORATION_PASSES = 2
+MIDAR_MIN_RESPONSES = 3
+MIDAR_MAX_VELOCITY = 2_000.0
+MIDAR_VELOCITY_RATIO_BOUND = 20.0
+MIDAR_MAX_SET_SIZE = 10
+
 #: The most members of one candidate set Ally tests: the paper's sample
-#: bound, as :attr:`MidarConfig.max_set_size` is MIDAR's.
+#: bound, as :data:`MIDAR_MAX_SET_SIZE` is MIDAR's.
 ALLY_MAX_SET_SIZE = 10
 #: Ally's pair test: rounds of one probe per member, seconds between
 #: probes, and the counter velocity the monotonic bounds test allows.
@@ -42,17 +54,11 @@ ALLY_MAX_VELOCITY = 2_000.0
 
 @dataclasses.dataclass(frozen=True)
 class MidarConfig:
-    """Probing parameters for the MIDAR pipeline."""
+    """MIDAR's probe counts: estimation samples per target and rounds per
+    corroboration pass, both fewer in Speedtrap's ``SPEEDTRAP_CONFIG``."""
 
     estimation_samples: int = 8
-    estimation_interval: float = 2.0
     corroboration_rounds: int = 6
-    corroboration_interval: float = 1.0
-    corroboration_passes: int = 2
-    min_responses: int = 3
-    max_velocity: float = 2_000.0
-    velocity_ratio_bound: float = 20.0
-    max_set_size: int = 10
 
 
 class MidarPipeline:
@@ -83,11 +89,6 @@ class MidarPipeline:
         """The sample bank the pipeline collects through."""
         return self._bank
 
-    @property
-    def config(self) -> MidarConfig:
-        """The probing configuration in use."""
-        return self._config
-
     # ------------------------------------------------------------------ #
     # Stage 1: estimation
     # ------------------------------------------------------------------ #
@@ -104,15 +105,14 @@ class MidarPipeline:
         from the canonical series (or, after a reload, from a restored
         bank) are free in both probes and simulated time.
         """
-        config = self._config
         budget = self._budget
         classes: dict[str, TargetClass] = {}
         velocities: dict[str, float] = {}
         now = start_time
-        cost = config.estimation_samples
+        cost = self._config.estimation_samples
         for address in addresses:
             free = self._bank.estimation_free(
-                address, cost, config.estimation_interval, now, max_age=DEFAULT_VELOCITY_TTL
+                address, cost, MIDAR_ESTIMATION_INTERVAL, now, max_age=DEFAULT_VELOCITY_TTL
             )
             if not free and not budget.request(cost):
                 raise ProbeBudgetExhausted(
@@ -122,16 +122,16 @@ class MidarPipeline:
             series, issued = self._bank.estimation_series(
                 address,
                 cost,
-                config.estimation_interval,
+                MIDAR_ESTIMATION_INTERVAL,
                 now,
                 max_age=DEFAULT_VELOCITY_TTL,
-                early_stop=(config.min_responses, config.max_velocity),
+                early_stop=(MIDAR_MIN_RESPONSES, MIDAR_MAX_VELOCITY),
             )
             if issued:
                 budget.charge(issued)
-                now += issued * config.estimation_interval
+                now += issued * MIDAR_ESTIMATION_INTERVAL
             classes[address] = classify_series(
-                series, min_responses=config.min_responses, max_velocity=config.max_velocity
+                series, min_responses=MIDAR_MIN_RESPONSES, max_velocity=MIDAR_MAX_VELOCITY
             )
             velocity = series.velocity()
             if velocity is not None:
@@ -143,22 +143,21 @@ class MidarPipeline:
     # ------------------------------------------------------------------ #
     def _velocity_compatible(self, left: float, right: float) -> bool:
         low, high = sorted((max(left, 0.1), max(right, 0.1)))
-        return high / low <= self._config.velocity_ratio_bound
+        return high / low <= MIDAR_VELOCITY_RATIO_BOUND
 
     def _pair_decision(
         self, series: dict[str, IpidTimeSeries], left: str, right: str
     ) -> bool:
         """The monotonic-bounds decision over one interleaved collection."""
-        config = self._config
         left_samples = series[left].samples
         right_samples = series[right].samples
         if (
-            len(left_samples) < config.min_responses
-            or len(right_samples) < config.min_responses
+            len(left_samples) < MIDAR_MIN_RESPONSES
+            or len(right_samples) < MIDAR_MIN_RESPONSES
         ):
             return False
         return shared_counter_test(
-            left_samples + right_samples, max_velocity=config.max_velocity
+            left_samples + right_samples, max_velocity=MIDAR_MAX_VELOCITY
         )
 
     def _pair_shares_counter(
@@ -171,13 +170,13 @@ class MidarPipeline:
         fresh for the first pass only, and the repeat passes reproduce its
         decision — which halves the per-pair corroboration cost.
         """
-        config = self._config
+        rounds = self._config.corroboration_rounds
         budget = self._budget
-        per_pass = 2 * config.corroboration_rounds
+        per_pass = 2 * rounds
         banked = self._bank.cached_interleaved(
             left,
             right,
-            requested_probes=config.corroboration_passes * per_pass,
+            requested_probes=MIDAR_CORROBORATION_PASSES * per_pass,
             now=start_time,
             max_age=DEFAULT_VELOCITY_TTL,
         )
@@ -191,13 +190,13 @@ class MidarPipeline:
         issued_before = self._bank.probes_issued
         series = self._bank.interleaved(
             (left, right),
-            rounds=config.corroboration_rounds,
-            interval=config.corroboration_interval,
+            rounds=rounds,
+            interval=MIDAR_CORROBORATION_INTERVAL,
             start_time=start_time,
         )
         shares = self._pair_decision(series, left, right)
         budget.charge(self._bank.probes_issued - issued_before)
-        return shares, start_time + per_pass * config.corroboration_interval
+        return shares, start_time + per_pass * MIDAR_CORROBORATION_INTERVAL
 
     def verify_set(self, candidate: Iterable[str], start_time: float = 0.0) -> SetVerdict:
         """Run the full pipeline on one candidate alias set.
@@ -211,7 +210,7 @@ class MidarPipeline:
             ProbeBudgetExhausted: when the budget denies a fresh
                 collection the set needs.
         """
-        members = sorted(candidate)[: self._config.max_set_size]
+        members = sorted(candidate)[:MIDAR_MAX_SET_SIZE]
         classes, velocities, now = self.estimate(members, start_time)
         usable = [address for address in members if classes[address] is TargetClass.USABLE]
         labels = tuple(sorted((address, target.value) for address, target in classes.items()))

@@ -21,7 +21,7 @@ from repro.simnet.network import SimulatedInternet, VantagePoint
 from repro.validation.bank import IpidSampleBank
 from repro.validation.runner import ValidationRun, run_validator
 from repro.validation.spec import speedtrap
-from repro.validation.techniques import AllyPipeline, MidarPipeline
+from repro.validation.techniques import MIDAR_MAX_SET_SIZE, AllyPipeline, MidarPipeline
 
 
 def build_network(churn=None):
@@ -169,7 +169,7 @@ class TestMidar:
         pipeline = midar_pipeline(build_network())
         members = [f"10.9.0.{i}" for i in range(1, 20)]
         verdict = pipeline.verify_set(members)
-        assert len(verdict.candidate) == pipeline.config.max_set_size
+        assert len(verdict.candidate) == MIDAR_MAX_SET_SIZE
 
 
 class TestAlly:

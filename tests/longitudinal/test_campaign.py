@@ -72,11 +72,6 @@ class TestConfigValidation:
             ("interval", "604800"),
             ("churn_fraction", False),
             ("churn_fraction", "0.02"),
-            ("start_time", "x"),
-            ("start_time", True),
-            ("start_time", float("nan")),
-            ("start_time", float("inf")),
-            pytest.param("start_time", 10**400, id="start_time-beyond-float"),
             pytest.param("interval", 10**400, id="interval-beyond-float"),
             pytest.param("churn_fraction", 10**400, id="churn_fraction-beyond-float"),
         ],
@@ -86,12 +81,12 @@ class TestConfigValidation:
             LongitudinalConfig(**{field: value})
 
     def test_integral_numbers_accepted(self):
-        config = LongitudinalConfig(interval=600, churn_fraction=0, start_time=-5)
-        assert (config.interval, config.churn_fraction, config.start_time) == (600, 0, -5)
+        config = LongitudinalConfig(interval=600, churn_fraction=0)
+        assert (config.interval, config.churn_fraction) == (600, 0)
 
     def test_time_of_spaces_snapshots_by_interval(self):
-        config = LongitudinalConfig(interval=600.0, start_time=1_000.0)
-        assert [config.time_of(k) for k in range(3)] == [1_000.0, 1_600.0, 2_200.0]
+        config = LongitudinalConfig(interval=600.0)
+        assert [config.time_of(k) for k in range(3)] == [0.0, 600.0, 1_200.0]
 
 
 class TestQuietCampaign:

@@ -39,6 +39,36 @@ from repro.validation.spec import midar
 
 _ALIASES = frozenset({"10.7.1.1", "10.7.1.2"})
 
+#: The settings a scenario config held before the paper's one scenario
+#: fixed them, at the values every manifest written then holds.
+FORMER_SCENARIO = {
+    "loss_rate": 0.01,
+    "hitlist_server_coverage": 0.8,
+    "hitlist_router_coverage": 0.4,
+    "censys_miss_rate": 0.12,
+}
+
+
+def _delete(key):
+    return lambda section: section.pop(key)
+
+
+def _set(key, value):
+    return lambda section: section.update({key: value})
+
+
+#: A forged config object of a manifest, and the key each refusal names:
+#: a former setting off its fixed value, a kept field gone, an unknown key.
+FORGED_SCENARIO_KEYS = [
+    pytest.param(_set("loss_rate", 0.2), "loss_rate", id="loss-rate-off"),
+    pytest.param(_set("censys_miss_rate", 0.5), "censys_miss_rate", id="censys-miss-rate-off"),
+    pytest.param(
+        _set("hitlist_server_coverage", "0.8"), "hitlist_server_coverage", id="coverage-string"
+    ),
+    pytest.param(_delete("seed"), "seed", id="seed-missing"),
+    pytest.param(_set("latency", 0.0), "latency", id="unknown-key"),
+]
+
 
 def copy_checkpoint(source, target):
     """A copy of a checkpoint directory, its manifest link kept a link."""
@@ -156,6 +186,49 @@ def _names(directory, pattern):
 
 
 class ContentsCases:
+    def test_former_settings_load_at_their_fixed_values(self, chain, checkpoint_dir, tmp_path):
+        """A manifest written while the scenario's rates and coverages and
+        the campaign's start time were settings holds each at the value
+        now fixed, and loads."""
+        copy = copy_checkpoint(checkpoint_dir, tmp_path / "former")
+        manifest = json.loads((copy / chain.manifest).read_text())
+        manifest["scenario"].update(FORMER_SCENARIO)
+        manifest["campaign"]["start_time"] = 0.0
+        (copy / chain.manifest).write_text(json.dumps(manifest))
+        loaded, expected = chain.load(copy), chain.load(checkpoint_dir)
+        assert (loaded.scenario, loaded.campaign) == (expected.scenario, expected.campaign)
+
+    @pytest.mark.parametrize(
+        "section, forge, key",
+        [
+            *(pytest.param("scenario", *case.values, id=case.id) for case in FORGED_SCENARIO_KEYS),
+            pytest.param("campaign", _set("start_time", 5.0), "start_time", id="start-time-off"),
+            pytest.param("campaign", _set("start_time", False), "start_time", id="start-time-false"),
+            pytest.param("campaign", _set("start_time", True), "start_time", id="start-time-true"),
+            pytest.param("campaign", _set("start_time", "x"), "start_time", id="start-time-string"),
+            pytest.param(
+                "campaign", _set("start_time", float("nan")), "start_time", id="start-time-nan"
+            ),
+            pytest.param(
+                "campaign", _set("start_time", float("inf")), "start_time", id="start-time-inf"
+            ),
+            pytest.param(
+                "campaign", _set("start_time", 10**400), "start_time", id="start-time-beyond-float"
+            ),
+            pytest.param("campaign", _delete("interval"), "interval", id="interval-missing"),
+            pytest.param("campaign", _set("horizon", 4), "horizon", id="campaign-unknown-key"),
+        ],
+    )
+    def test_forged_config_fails_naming_the_key(
+        self, chain, checkpoint_dir, tmp_path, section, forge, key
+    ):
+        copy = copy_checkpoint(checkpoint_dir, tmp_path / "forged")
+        manifest = json.loads((copy / chain.manifest).read_text())
+        forge(manifest[section])
+        (copy / chain.manifest).write_text(json.dumps(manifest))
+        with pytest.raises(PersistError, match=rf"malformed .*: {section}\b.*{key}"):
+            chain.load(copy)
+
     def test_missing_manifest_raises(self, chain, tmp_path):
         with pytest.raises(PersistError, match=chain.manifest):
             chain.load(tmp_path)

@@ -4,12 +4,15 @@ import json
 import os
 
 import pytest
+from chain_cases import FORMER_SCENARIO
 
+from repro.api.config import ScenarioConfig
 from repro.errors import PersistError
 from repro.persist.files import (
     link_atomic,
     read_json_document,
     read_pinned_document,
+    read_scenario,
     write_atomic,
 )
 
@@ -94,3 +97,20 @@ class TestReadPinnedDocument:
         target.write_text('{"signature": "abc"}', encoding="utf-8")
         with pytest.raises(PersistError, match="stream checkpoint was likely torn"):
             read_pinned_document(target, "fixture", "def", "stream checkpoint")
+
+
+class TestReadScenario:
+    def test_parent_format_reads_to_its_scale_and_seed(self):
+        document = {"scale": 0.5, "seed": 3, **FORMER_SCENARIO}
+        assert read_scenario(document, "config", "session manifest") == ScenarioConfig(0.5, 3)
+
+    @pytest.mark.parametrize("field", sorted(FORMER_SCENARIO))
+    @pytest.mark.parametrize(
+        # The former fraction bounds, once accepted, are off the fixed value too.
+        "value",
+        [0.0, 1.0, -0.1, 1.5, float("nan"), float("inf"), "x", [1], True],
+    )
+    def test_rates_and_coverages_load_only_at_their_fixed_values(self, field, value):
+        document = {"scale": 1.0, "seed": 42, **FORMER_SCENARIO, field: value}
+        with pytest.raises(PersistError, match=rf"malformed session manifest: config\.{field} is "):
+            read_scenario(document, "config", "session manifest")

@@ -9,7 +9,13 @@ import sys
 from pathlib import Path
 
 import pytest
-from chain_cases import SimulatedCrash, crash_at_replace, tamper_fingerprint
+from chain_cases import (
+    FORGED_SCENARIO_KEYS,
+    FORMER_SCENARIO,
+    SimulatedCrash,
+    crash_at_replace,
+    tamper_fingerprint,
+)
 
 from repro.api.config import ScenarioConfig
 from repro.api.session import ReproSession
@@ -176,6 +182,26 @@ class TestSessionRoundTrip:
         manifest["datasets"][0]["name"] = "stale-name"
         (copy / SESSION_MANIFEST).write_text(json.dumps(manifest))
         with pytest.raises(PersistError, match="torn mid-save"):
+            load_session(copy)
+
+    def test_former_scenario_settings_load_at_their_fixed_values(self, saved, tmp_path):
+        """A manifest written while the rates and coverages were scenario
+        settings holds each at the value now fixed, and loads."""
+        _, directory = saved
+        copy = self._copy_session(directory, tmp_path / "former")
+        manifest = json.loads((copy / SESSION_MANIFEST).read_text())
+        manifest["config"].update(FORMER_SCENARIO)
+        (copy / SESSION_MANIFEST).write_text(json.dumps(manifest))
+        assert load_session(copy).config == _CONFIG
+
+    @pytest.mark.parametrize("forge, key", FORGED_SCENARIO_KEYS)
+    def test_forged_config_fails_naming_the_key(self, saved, tmp_path, forge, key):
+        _, directory = saved
+        copy = self._copy_session(directory, tmp_path / "forged")
+        manifest = json.loads((copy / SESSION_MANIFEST).read_text())
+        forge(manifest["config"])
+        (copy / SESSION_MANIFEST).write_text(json.dumps(manifest))
+        with pytest.raises(PersistError, match=rf"malformed session manifest .*: config\b.*{key}"):
             load_session(copy)
 
     @pytest.mark.parametrize(

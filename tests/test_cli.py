@@ -599,6 +599,18 @@ class TestValidate:
             f"probe budget: spent 0 of 0 fresh probes; {sets} candidate sets left unresolved"
         )
 
+    def test_capped_snapshot_budget_reports_the_unresolved_sets(self, capsys):
+        # 500 probes decide four of snapshot 0's 126 sets; the other 122
+        # and all 135 of snapshot 1 are left unresolved.
+        assert main(
+            ["validate", "--scale", "0.05", "--seed", "42", "--snapshots", "2",
+             "--ipv4-only", "--validators", "midar", "--budget", "500"]
+        ) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == (
+            "probe budget: spent 500 of 500 fresh probes; 257 candidate sets left unresolved"
+        )
+
 
 class TestSession:
     def test_session_save_then_load(self, capsys, tmp_path):

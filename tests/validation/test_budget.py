@@ -321,25 +321,17 @@ class TestDerivedStartMemoisation:
                 self.timestamp = timestamp
 
         class FakeSession:
-            def __init__(self):
-                self.calls = 0
-
             def dataset(self, name):
-                self.calls += 1
                 return [FakeObservation(10.0), FakeObservation(50.0)]
 
-        session = FakeSession()
-        run = ValidationRun(network, session=session)
-        first = run.derived_start("active-ipv6", 3600.0)
-        second = run.derived_start("active-ipv6", 3600.0)
+        run = ValidationRun(network, session=FakeSession())
+        first = run.derived_start("active-ipv6")
+        second = run.derived_start("active-ipv6")
         assert first == second == 50.0 + 3600.0
-        assert session.calls == 1  # memoised: one derivation, one bank key
-        assert run.derived_start("active-ipv6", 7200.0) == 50.0 + 7200.0
-        assert session.calls == 2
 
     def test_without_session_raises(self, network):
         with pytest.raises(ValidationError, match="session"):
-            ValidationRun(network).derived_start("active-ipv6", 3600.0)
+            ValidationRun(network).derived_start("active-ipv6")
 
     def test_run_without_network_or_session_raises(self):
         with pytest.raises(ValidationError, match="network or a session"):
