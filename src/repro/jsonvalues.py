@@ -42,9 +42,16 @@ def json_count(value: object) -> int:
 
 
 def json_number(value: object) -> float:
-    """A finite JSON number as a float (booleans and strings are not numbers)."""
+    """A finite JSON number as a float (booleans and strings are not numbers).
+
+    An integer too large for a float is not finite either.
+    """
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TypeError(f"{value!r} is not a number")
-    if not math.isfinite(value):
+    try:
+        number = float(value)
+    except OverflowError:
+        raise ValueError("integer too large for a float") from None
+    if not math.isfinite(number):
         raise ValueError(f"{value!r} is not finite")
-    return float(value)
+    return number

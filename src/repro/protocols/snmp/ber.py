@@ -14,7 +14,7 @@ Values round-trip through the tagged-value model below:
 
 from __future__ import annotations
 
-import dataclasses
+from typing import NamedTuple
 
 from repro.errors import MalformedMessageError, TruncatedMessageError
 
@@ -33,9 +33,8 @@ TAG_COUNTER64 = 0x46
 _UNSIGNED_APPLICATION_TAGS = frozenset({TAG_COUNTER32, TAG_GAUGE32, TAG_TIMETICKS, TAG_COUNTER64})
 
 
-@dataclasses.dataclass(frozen=True)
-class BerValue:
-    """A decoded BER TLV.
+class BerValue(NamedTuple):
+    """A decoded BER TLV: a ``(tag, value)`` pair.
 
     Attributes:
         tag: the full tag byte.
@@ -52,32 +51,28 @@ class BerValue:
         return bool(self.tag & 0x20)
 
 
-def encode_length(length: int) -> bytes:
-    """Encode a BER length (definite form)."""
+# The decoder builds one value per TLV; tuple.__new__ skips the generated
+# __new__'s argument handling.
+_new_value = tuple.__new__
+
+
+def _header(tag: int, length: int) -> bytes:
+    """The tag and definite-form length octets of a TLV."""
     if length < 0x80:
-        return bytes([length])
-    encoded = length.to_bytes((length.bit_length() + 7) // 8, "big")
-    return bytes([0x80 | len(encoded)]) + encoded
+        return bytes((tag, length))
+    count = (length.bit_length() + 7) // 8
+    return bytes((tag, 0x80 | count)) + length.to_bytes(count, "big")
 
 
 def encode_tlv(tag: int, content: bytes) -> bytes:
     """Encode a TLV from raw content bytes."""
-    return bytes([tag]) + encode_length(len(content)) + content
+    return b"".join((_header(tag, len(content)), content))
 
 
 def encode_integer(value: int, tag: int = TAG_INTEGER) -> bytes:
-    """Encode a (possibly negative) INTEGER."""
-    if value == 0:
-        return encode_tlv(tag, b"\x00")
-    length = (value.bit_length() // 8) + 1
-    content = value.to_bytes(length, "big", signed=True)
-    # Strip redundant leading bytes while preserving the sign bit.
-    while len(content) > 1 and (
-        (content[0] == 0x00 and not content[1] & 0x80)
-        or (content[0] == 0xFF and content[1] & 0x80)
-    ):
-        content = content[1:]
-    return encode_tlv(tag, content)
+    """Encode a (possibly negative) INTEGER in its minimal two's complement form."""
+    length = (value if value >= 0 else ~value).bit_length() // 8 + 1
+    return b"".join((_header(tag, length), value.to_bytes(length, "big", signed=True)))
 
 
 def encode_octet_string(value: bytes, tag: int = TAG_OCTET_STRING) -> bytes:
@@ -87,7 +82,7 @@ def encode_octet_string(value: bytes, tag: int = TAG_OCTET_STRING) -> bytes:
 
 def encode_null() -> bytes:
     """Encode a NULL."""
-    return encode_tlv(TAG_NULL, b"")
+    return bytes((TAG_NULL, 0))
 
 
 def encode_oid(components: tuple[int, ...]) -> bytes:
@@ -112,7 +107,7 @@ def encode_oid(components: tuple[int, ...]) -> bytes:
 
 def encode_sequence(*members: bytes, tag: int = TAG_SEQUENCE) -> bytes:
     """Encode a SEQUENCE (or any constructed type) from encoded members."""
-    return encode_tlv(tag, b"".join(members))
+    return b"".join((_header(tag, sum(map(len, members))), *members))
 
 
 def decode(data: bytes) -> tuple[BerValue, bytes]:
@@ -146,24 +141,24 @@ def _decode_at(data: bytes, offset: int, limit: int) -> tuple[BerValue, int]:
         raise TruncatedMessageError("BER content truncated")
     if tag & 0x20:  # constructed
         members = []
-        position = start
-        while position < end:
-            member, position = _decode_at(data, position, end)
+        while start < end:
+            member, start = _decode_at(data, start, end)
             members.append(member)
-        return BerValue(tag=tag, value=tuple(members)), end
-    content = data[start:end]
+        return _new_value(BerValue, (tag, tuple(members))), end
     if tag == TAG_INTEGER:
-        return BerValue(tag=tag, value=int.from_bytes(content, "big", signed=True)), end
-    if tag in _UNSIGNED_APPLICATION_TAGS:
-        return BerValue(tag=tag, value=int.from_bytes(content, "big", signed=False)), end
-    if tag == TAG_NULL:
-        if content:
+        value: object = int.from_bytes(data[start:end], "big", signed=True)
+    elif tag in _UNSIGNED_APPLICATION_TAGS:
+        value = int.from_bytes(data[start:end], "big")
+    elif tag == TAG_NULL:
+        if end > start:
             raise MalformedMessageError("NULL with non-empty content")
-        return BerValue(tag=tag, value=None), end
-    if tag == TAG_OID:
-        return BerValue(tag=tag, value=_decode_oid(content)), end
-    # OCTET STRING and anything else primitive: keep raw bytes.
-    return BerValue(tag=tag, value=content), end
+        value = None
+    elif tag == TAG_OID:
+        value = _decode_oid(data[start:end])
+    else:
+        # OCTET STRING and anything else primitive: keep raw bytes.
+        value = data[start:end]
+    return _new_value(BerValue, (tag, value)), end
 
 
 def _decode_oid(content: bytes) -> tuple[int, ...]:

@@ -36,6 +36,19 @@ PDU_REPORT = ber.CONTEXT_CONSTRUCTED_BASE | 8       # 0xA8
 #: OID of usmStatsUnknownEngineIDs.0 — the counter reported during discovery.
 USM_STATS_UNKNOWN_ENGINE_IDS = (1, 3, 6, 1, 6, 3, 15, 1, 1, 4, 0)
 
+# The tags RFC 3412 and RFC 3414 give the fields of msgGlobalData, of the
+# PDU and of the USM parameters, in order.
+_HEADER_TAGS = (ber.TAG_INTEGER, ber.TAG_INTEGER, ber.TAG_OCTET_STRING, ber.TAG_INTEGER)
+_PDU_TAGS = (ber.TAG_INTEGER, ber.TAG_INTEGER, ber.TAG_INTEGER, ber.TAG_SEQUENCE)
+_USM_TAGS = (
+    ber.TAG_OCTET_STRING,
+    ber.TAG_INTEGER,
+    ber.TAG_INTEGER,
+    ber.TAG_OCTET_STRING,
+    ber.TAG_OCTET_STRING,
+    ber.TAG_OCTET_STRING,
+)
+
 
 @dataclasses.dataclass(frozen=True)
 class UsmSecurityParameters:
@@ -61,18 +74,13 @@ class UsmSecurityParameters:
 
     @classmethod
     def parse(cls, raw: bytes) -> "UsmSecurityParameters":
-        value = ber.decode_exact(raw)
-        if value.tag != ber.TAG_SEQUENCE or not isinstance(value.value, tuple) or len(value.value) != 6:
+        sequence = ber.decode_exact(raw)
+        if sequence.tag != ber.TAG_SEQUENCE or len(sequence.value) != 6:
             raise MalformedMessageError("USM parameters must be a 6-element SEQUENCE")
-        engine_id, boots, time_, user, auth, priv = value.value
-        return cls(
-            engine_id=bytes(engine_id.value),
-            engine_boots=int(boots.value),
-            engine_time=int(time_.value),
-            user_name=bytes(user.value),
-            authentication_parameters=bytes(auth.value),
-            privacy_parameters=bytes(priv.value),
-        )
+        engine_id, boots, time_, user, auth, privacy = sequence.value
+        if (engine_id.tag, boots.tag, time_.tag, user.tag, auth.tag, privacy.tag) != _USM_TAGS:
+            raise MalformedMessageError("USM parameters hold a field of the wrong type")
+        return cls(engine_id.value, boots.value, time_.value, user.value, auth.value, privacy.value)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -134,38 +142,57 @@ class SnmpV3Message:
 
     @classmethod
     def parse(cls, raw: bytes) -> "SnmpV3Message":
+        """Parse a message, reading each field at its position.
+
+        Each field's tag is checked against the one RFC 3412 gives it
+        (the PDU's is any context-specific constructed tag, its type);
+        a field of another tag, like any other malformed input, raises
+        :class:`~repro.errors.MalformedMessageError`.
+        """
         top = ber.decode_exact(raw)
-        if top.tag != ber.TAG_SEQUENCE or not isinstance(top.value, tuple) or len(top.value) != 4:
+        if top.tag != ber.TAG_SEQUENCE or len(top.value) != 4:
             raise MalformedMessageError("SNMPv3 message must be a 4-element SEQUENCE")
         version, header, security, scoped = top.value
-        if int(version.value) != SNMP_VERSION_3:
-            raise MalformedMessageError(f"not an SNMPv3 message (version {version.value})")
-        if not isinstance(header.value, tuple) or len(header.value) != 4:
+        if version.tag != ber.TAG_INTEGER or version.value != SNMP_VERSION_3:
+            raise MalformedMessageError(f"not an SNMPv3 message (version {version.value!r})")
+        if header.tag != ber.TAG_SEQUENCE or len(header.value) != 4:
             raise MalformedMessageError("malformed msgGlobalData")
         msg_id, max_size, flags, model = header.value
-        security_parameters = UsmSecurityParameters.parse(bytes(security.value))
-        if not isinstance(scoped.value, tuple) or len(scoped.value) != 3:
+        if (msg_id.tag, max_size.tag, flags.tag, model.tag) != _HEADER_TAGS:
+            raise MalformedMessageError("malformed msgGlobalData")
+        if security.tag != ber.TAG_OCTET_STRING:
+            raise MalformedMessageError("msgSecurityParameters is not an OCTET STRING")
+        security_parameters = UsmSecurityParameters.parse(security.value)
+        if scoped.tag != ber.TAG_SEQUENCE or len(scoped.value) != 3:
             raise MalformedMessageError("malformed ScopedPDU")
         context_engine_id, context_name, pdu = scoped.value
-        if not isinstance(pdu.value, tuple) or len(pdu.value) != 4:
+        if context_engine_id.tag != ber.TAG_OCTET_STRING or context_name.tag != ber.TAG_OCTET_STRING:
+            raise MalformedMessageError("malformed ScopedPDU")
+        if pdu.tag & 0xE0 != ber.CONTEXT_CONSTRUCTED_BASE or len(pdu.value) != 4:
             raise MalformedMessageError("malformed PDU")
         request_id, error_status, error_index, varbind_list = pdu.value
+        if (request_id.tag, error_status.tag, error_index.tag, varbind_list.tag) != _PDU_TAGS:
+            raise MalformedMessageError("malformed PDU")
         varbinds = []
         for varbind in varbind_list.value:
-            oid, value = varbind.value
-            varbinds.append((tuple(oid.value), value.value))
+            if varbind.tag != ber.TAG_SEQUENCE or len(varbind.value) != 2:
+                raise MalformedMessageError("malformed VarBind")
+            name, value = varbind.value
+            if name.tag != ber.TAG_OID:
+                raise MalformedMessageError("malformed VarBind")
+            varbinds.append((name.value, value.value))
         return cls(
-            msg_id=int(msg_id.value),
-            msg_max_size=int(max_size.value),
-            msg_flags=bytes(flags.value)[0] if flags.value else 0,
-            security_model=int(model.value),
+            msg_id=msg_id.value,
+            msg_max_size=max_size.value,
+            msg_flags=flags.value[0] if flags.value else 0,
+            security_model=model.value,
             security_parameters=security_parameters,
-            context_engine_id=bytes(context_engine_id.value),
-            context_name=bytes(context_name.value),
+            context_engine_id=context_engine_id.value,
+            context_name=context_name.value,
             pdu_type=pdu.tag,
-            request_id=int(request_id.value),
-            error_status=int(error_status.value),
-            error_index=int(error_index.value),
+            request_id=request_id.value,
+            error_status=error_status.value,
+            error_index=error_index.value,
             varbinds=tuple(varbinds),
         )
 

@@ -117,8 +117,9 @@ class EcdsaHostKey(HostKey):
 def parse_host_key_blob(blob: bytes) -> HostKey:
     """Parse a public key blob into the matching :class:`HostKey` subclass.
 
-    Unknown algorithms are preserved as an opaque :class:`OpaqueHostKey` so
-    that fingerprinting still works.
+    Unknown algorithms, and names that are not ASCII, are preserved as an
+    opaque :class:`OpaqueHostKey` so that fingerprinting still works.  An
+    ECDSA curve name must be ASCII, since its fingerprint re-encodes it.
     """
     reader = SshReader(blob)
     algorithm = reader.read_string().decode("ascii", errors="replace")
@@ -128,8 +129,11 @@ def parse_host_key_blob(blob: bytes) -> HostKey:
         exponent = reader.read_mpint()
         modulus = reader.read_mpint()
         return RsaHostKey(exponent=exponent, modulus=modulus)
-    if algorithm.startswith("ecdsa-sha2-"):
-        curve = reader.read_string().decode("ascii", errors="replace")
+    if algorithm.startswith("ecdsa-sha2-") and algorithm.isascii():
+        try:
+            curve = reader.read_string().decode("ascii")
+        except UnicodeDecodeError as exc:
+            raise MalformedMessageError("ECDSA curve name is not ASCII") from exc
         point = reader.read_string()
         return EcdsaHostKey(curve=curve, point=point, algorithm=algorithm)
     return OpaqueHostKey(algorithm=algorithm, blob=blob)

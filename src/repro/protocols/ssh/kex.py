@@ -71,7 +71,7 @@ class KexInit:
         writer.write_byte(SSH_MSG_KEXINIT)
         writer.write_bytes(self.cookie)
         for names in self._name_lists():
-            writer.write_name_list(list(names))
+            writer.write_name_list(names)
         writer.write_boolean(self.first_kex_packet_follows)
         writer.write_uint32(0)  # reserved
         return writer.getvalue()
@@ -124,8 +124,5 @@ class KexInit:
         which order, mirroring how the paper turns "algorithmic capabilities"
         into part of the host identifier.
         """
-        digest = hashlib.sha256()
-        for names in self._name_lists():
-            digest.update(",".join(names).encode("ascii"))
-            digest.update(b"\x00")
-        return digest.hexdigest()
+        text = "".join(",".join(names) + "\x00" for names in self._name_lists())
+        return hashlib.sha256(text.encode("ascii")).hexdigest()

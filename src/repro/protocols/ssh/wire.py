@@ -11,11 +11,16 @@ and random padding so that the total is a multiple of 8 bytes.
 from __future__ import annotations
 
 import struct
+from collections.abc import Iterable
 
-from repro.errors import MalformedMessageError, TruncatedMessageError
+from repro.errors import MalformedMessageError, ProtocolError, TruncatedMessageError
 
 MIN_PADDING = 4
 BLOCK_SIZE = 8
+
+_BYTE = struct.Struct("B")
+_UINT32 = struct.Struct(">I")
+_PACKET_HEADER = struct.Struct(">IB")
 
 
 class SshWriter:
@@ -25,14 +30,14 @@ class SshWriter:
         self._parts: list[bytes] = []
 
     def write_byte(self, value: int) -> "SshWriter":
-        self._parts.append(struct.pack("B", value))
+        self._parts.append(_BYTE.pack(value))
         return self
 
     def write_boolean(self, value: bool) -> "SshWriter":
         return self.write_byte(1 if value else 0)
 
     def write_uint32(self, value: int) -> "SshWriter":
-        self._parts.append(struct.pack(">I", value))
+        self._parts.append(_UINT32.pack(value))
         return self
 
     def write_bytes(self, value: bytes) -> "SshWriter":
@@ -41,12 +46,11 @@ class SshWriter:
         return self
 
     def write_string(self, value: bytes) -> "SshWriter":
-        self._parts.append(struct.pack(">I", len(value)) + value)
+        self._parts += (_UINT32.pack(len(value)), value)
         return self
 
-    def write_name_list(self, names: list[str]) -> "SshWriter":
-        joined = ",".join(names).encode("ascii")
-        return self.write_string(joined)
+    def write_name_list(self, names: Iterable[str]) -> "SshWriter":
+        return self.write_string(",".join(names).encode("ascii"))
 
     def write_mpint(self, value: int) -> "SshWriter":
         """Write a multiple-precision integer (two's complement, big endian)."""
@@ -65,37 +69,58 @@ class SshWriter:
 
 
 class SshReader:
-    """Sequentially parse an SSH message payload."""
+    """Sequentially parse an SSH message payload.
+
+    Each read checks the bytes it needs against the payload's length and
+    reads fixed-width fields in place at the current offset.
+    """
 
     def __init__(self, data: bytes) -> None:
         self._data = data
         self._offset = 0
 
-    def _take(self, count: int) -> bytes:
-        start = self._offset
-        end = start + count
-        if end > len(self._data):
-            raise TruncatedMessageError(
-                f"needed {count} bytes, only {len(self._data) - start} remain"
-            )
-        self._offset = end
-        return self._data[start:end]
+    def _truncated(self, count: int) -> TruncatedMessageError:
+        return TruncatedMessageError(
+            f"needed {count} bytes, only {len(self._data) - self._offset} remain"
+        )
 
     def read_byte(self) -> int:
-        return self._take(1)[0]
+        offset = self._offset
+        if offset >= len(self._data):
+            raise self._truncated(1)
+        self._offset = offset + 1
+        return self._data[offset]
 
     def read_boolean(self) -> bool:
         return self.read_byte() != 0
 
     def read_uint32(self) -> int:
-        return struct.unpack(">I", self._take(4))[0]
+        offset = self._offset
+        if offset + 4 > len(self._data):
+            raise self._truncated(4)
+        self._offset = offset + 4
+        return _UINT32.unpack_from(self._data, offset)[0]
 
     def read_bytes(self, count: int) -> bytes:
-        return self._take(count)
+        start = self._offset
+        end = start + count
+        if end > len(self._data):
+            raise self._truncated(count)
+        self._offset = end
+        return self._data[start:end]
 
     def read_string(self) -> bytes:
-        length = self.read_uint32()
-        return self._take(length)
+        data = self._data
+        start = self._offset + 4
+        if start > len(data):
+            raise self._truncated(4)
+        (length,) = _UINT32.unpack_from(data, start - 4)
+        self._offset = start
+        end = start + length
+        if end > len(data):
+            raise self._truncated(length)
+        self._offset = end
+        return data[start:end]
 
     def read_name_list(self) -> list[str]:
         raw = self.read_string()
@@ -125,10 +150,8 @@ def frame_packet(payload: bytes, padding_byte: int = 0) -> bytes:
     if padding_length < MIN_PADDING:
         padding_length += BLOCK_SIZE
     packet_length = len(payload) + padding_length + 1
-    return (
-        struct.pack(">IB", packet_length, padding_length)
-        + payload
-        + bytes([padding_byte]) * padding_length
+    return b"".join(
+        (_PACKET_HEADER.pack(packet_length, padding_length), payload, bytes((padding_byte,)) * padding_length)
     )
 
 
@@ -145,7 +168,7 @@ def unframe_packet(data: bytes) -> tuple[bytes, bytes]:
     """
     if len(data) < 5:
         raise TruncatedMessageError("packet header incomplete")
-    packet_length, padding_length = struct.unpack(">IB", data[:5])
+    packet_length, padding_length = _PACKET_HEADER.unpack_from(data)
     if packet_length < padding_length + 1:
         raise MalformedMessageError("packet length smaller than padding")
     total = 4 + packet_length
@@ -157,11 +180,16 @@ def unframe_packet(data: bytes) -> tuple[bytes, bytes]:
 
 
 def iter_packets(data: bytes):
-    """Yield every complete packet payload contained in ``data``."""
+    """Yield every well-formed packet payload at the start of ``data``.
+
+    Iteration stops at the first truncated or malformed packet, keeping
+    the payloads before it, so a peer's bad bytes degrade what it reads
+    instead of raising.
+    """
     rest = data
     while rest:
         try:
             payload, rest = unframe_packet(rest)
-        except TruncatedMessageError:
+        except ProtocolError:
             return
         yield payload

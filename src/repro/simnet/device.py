@@ -146,7 +146,15 @@ class Device:
 
     def answers_on(self, service: ServiceType, address: str) -> bool:
         """Whether ``service`` answers on ``address``."""
-        return address in self.service_addresses(service)
+        if not self.runs_service(service):
+            return False
+        acl = self.service_acl.get(service)
+        if acl is not None and address not in acl:
+            return False
+        for interface in self.interfaces:
+            if interface.address == address:
+                return True
+        return False
 
     def services(self) -> list[ServiceType]:
         """Services the device runs."""

@@ -34,6 +34,11 @@ from repro.simnet.asn import AsRegistry
 from repro.simnet.churn import ChurnModel
 from repro.simnet.device import SERVICE_PORTS, Device, ServiceType
 
+# Scales an 8-byte digest onto [0, 1): the same float as dividing by 2**64.
+_CHANCE_SCALE = 2.0**-64
+
+_SERVICE_BY_PORT = {port: service for service, port in SERVICE_PORTS.items()}
+
 
 class ProbeOutcome(enum.Enum):
     """Result of a transport-level probe."""
@@ -161,12 +166,14 @@ class SimulatedInternet:
     # ------------------------------------------------------------------ #
     # Deterministic pseudo-randomness and rate limiting
     # ------------------------------------------------------------------ #
-    def _chance(self, *key: object) -> float:
-        """Deterministic value in [0, 1) derived from the seed and ``key``."""
-        digest = hashlib.blake2b(
-            ("|".join(map(str, key)) + self._chance_suffix).encode(), digest_size=8
-        ).digest()
-        return int.from_bytes(digest, "big") / float(1 << 64)
+    def _chance(self, key: str) -> float:
+        """Deterministic value in [0, 1) derived from the seed and ``key``.
+
+        ``key`` is the probe description joined by ``|``; the seed is
+        appended to it before hashing.
+        """
+        digest = hashlib.blake2b((key + self._chance_suffix).encode(), digest_size=8).digest()
+        return int.from_bytes(digest, "big") * _CHANCE_SCALE
 
     def _register_probe(self, vantage: VantagePoint, address: str, now: float) -> bool:
         """Record a probe and return ``True`` if the AS's IDS drops it.
@@ -188,7 +195,7 @@ class SimulatedInternet:
         self._probe_counts[key] = count
         if count <= threshold:
             return False
-        return self._chance("ids", vantage.name, asn, address) < self._rate_limit_drop_probability
+        return self._chance(f"ids|{vantage.name}|{asn}|{address}") < self._rate_limit_drop_probability
 
     def reset_rate_limits(self) -> None:
         """Forget accumulated per-vantage probe counts (new campaign)."""
@@ -226,8 +233,8 @@ class SimulatedInternet:
             return bool(device.service_addresses(service))
         return False
 
-    def _lost(self, *key: object) -> bool:
-        return self._chance("loss", *key) < self._loss_rate
+    def _lost(self, key: str) -> bool:
+        return self._chance("loss|" + key) < self._loss_rate
 
     # ------------------------------------------------------------------ #
     # Probing primitives
@@ -241,9 +248,9 @@ class SimulatedInternet:
             return ProbeOutcome.UNREACHABLE
         if self._register_probe(vantage, address, now):
             return ProbeOutcome.RATE_LIMITED
-        if self._lost("syn", vantage.name, address, port, int(now)):
+        if self._lost(f"syn|{vantage.name}|{address}|{port}|{int(now)}"):
             return ProbeOutcome.LOST
-        service = self._service_on_port(port)
+        service = _SERVICE_BY_PORT.get(port)
         if service is None or not device.runs_service(service):
             return ProbeOutcome.CLOSED
         if not self._service_answers(device, service, address, now):
@@ -263,7 +270,7 @@ class SimulatedInternet:
             device = self.device_for(address, now)
             if device is None or self._register_probe(vantage, address, now):
                 return None
-            if self._lost("udp", vantage.name, address, port, int(now)):
+            if self._lost(f"udp|{vantage.name}|{address}|{port}|{int(now)}"):
                 return None
             if not device.runs_service(service) or not self._service_answers(
                 device, service, address, now
@@ -291,13 +298,6 @@ class SimulatedInternet:
             return None
         if self._register_probe(vantage, address, now):
             return None
-        if self._lost("ipid", vantage.name, address, int(now * 10)):
+        if self._lost(f"ipid|{vantage.name}|{address}|{int(now * 10)}"):
             return None
         return device.ipid_counter.sample(address, now)
-
-    @staticmethod
-    def _service_on_port(port: int) -> ServiceType | None:
-        for service, service_port in SERVICE_PORTS.items():
-            if port == service_port:
-                return service
-        return None

@@ -120,3 +120,64 @@ class TestMalformedHostKey:
         assert record.host_key_blob is None
         assert record.host_key_fingerprint is None
         assert not record.has_identifier
+
+
+class _CannedServer(ServerBehavior):
+    """Sends ``greeting`` on connect and ``reply`` to whatever the client sends."""
+
+    def __init__(self, greeting: bytes, reply: bytes) -> None:
+        self._greeting = greeting
+        self._reply = reply
+
+    def on_connect(self) -> bytes:
+        return self._greeting
+
+    def on_data(self, data: bytes) -> bytes:
+        return self._reply
+
+    @property
+    def closed(self) -> bool:
+        return False
+
+
+def _padding_length(packet: bytes, value: int) -> bytes:
+    """``packet`` with its padding-length byte set to ``value``."""
+    return packet[:4] + bytes((value,)) + packet[5:]
+
+
+class TestMalformedPackets:
+    """A malformed server packet ends the read like a truncated one; the scan
+    keeps what it parsed before the packet and never raises."""
+
+    config = SshServerConfig.generate("device-10")
+    banner = config.banner.render_wire()
+    kex_packet = config.greeting[len(banner):]
+
+    def _scan(self, greeting, reply):
+        return SshScanClient().scan("192.0.2.40", LoopbackConnection(_CannedServer(greeting, reply)))
+
+    @pytest.mark.parametrize("padding", [255, 254], ids=["padding-255", "padding-254"])
+    def test_malformed_reply_keeps_the_kexinit(self, padding):
+        # The reply packet is shorter than 254 bytes, so its padding cannot fit.
+        assert struct.unpack(">I", self.config.kex_reply[:4])[0] < padding + 1
+        record = self._scan(self.config.greeting, _padding_length(self.config.kex_reply, padding))
+        assert record.success
+        assert record.banner == self.config.banner.render()
+        assert record.capability_signature == self.config.kex_init.capability_signature()
+        assert record.host_key_fingerprint is None
+        assert not record.has_identifier
+
+    def test_malformed_reply_degrades_as_a_truncated_one(self):
+        malformed = self._scan(self.config.greeting, _padding_length(self.config.kex_reply, 255))
+        truncated = self._scan(self.config.greeting, self.config.kex_reply[:-1])
+        assert malformed == truncated
+
+    def test_malformed_kexinit_drops_the_packets_after_it(self):
+        # A packet length of 16 cannot hold 255 bytes of padding.
+        greeting = self.banner + struct.pack(">IB", 16, 255) + self.kex_packet[5:]
+        record = self._scan(greeting, self.config.kex_reply)
+        assert record.success
+        assert record.banner == self.config.banner.render()
+        assert record.kex_init is None
+        assert record.capability_signature is None
+        assert record.host_key_fingerprint is None

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.api import ReproSession, ScenarioConfig
 from repro.cli import build_parser, main
 
 
@@ -752,6 +753,24 @@ class TestSession:
         assert "session.json is not UTF-8 text" in err
         assert "Traceback" not in err
 
+    def test_session_load_validation_time_beyond_float_exits_cleanly(self, capsys, tmp_path):
+        # A validation time too large for a float once escaped the loader as
+        # an OverflowError traceback (exit 1).
+        directory = tmp_path / "session"
+        session = ReproSession(ScenarioConfig(scale=0.05, seed=3))
+        session.validate("midar")
+        session.save(directory)
+        manifest = json.loads((directory / "session.json").read_text())
+        _forge_manifest(
+            directory / manifest["validations"][0]["file"],
+            lambda document: document.update(started_at=10**400),
+        )
+        exit_code = main(["session", "load", str(directory)])
+        assert exit_code == 2
+        err = capsys.readouterr().err
+        assert "malformed validation document" in err
+        assert "Traceback" not in err
+
     def test_session_load_unknown_experiment(self, capsys, tmp_path):
         directory = tmp_path / "session"
         assert main(
@@ -976,6 +995,22 @@ class TestServe:
         captured = capsys.readouterr()
         assert "malformed stream checkpoint manifest" in captured.err
         assert entry in captured.err
+        assert "Traceback" not in captured.err
+        assert "resuming" not in captured.out
+
+    def test_serve_resume_clock_beyond_float_names_the_window_clock(self, capsys, tmp_path):
+        # An integer too large for a float once failed the load without
+        # naming the field ("int too large to convert to float").
+        checkpoint = _serve_checkpoint(tmp_path)
+        capsys.readouterr()
+        _forge_manifest(
+            checkpoint / "stream.json", lambda manifest: manifest["window"].update(clock=10**400)
+        )
+        exit_code = main(["serve", "--max-batches", "1", "--resume", str(checkpoint)])
+        assert exit_code == 2
+        captured = capsys.readouterr()
+        assert "malformed stream checkpoint manifest" in captured.err
+        assert "window clock" in captured.err
         assert "Traceback" not in captured.err
         assert "resuming" not in captured.out
 
