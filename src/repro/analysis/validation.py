@@ -13,6 +13,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from repro.analysis.tables import markdown_table, render_table
+from repro.validation.budget import is_unresolved
 from repro.validation.longitudinal import SnapshotValidation
 from repro.validation.report import ValidationReport
 
@@ -43,6 +44,26 @@ _SNAPSHOT_HEADERS = [
 ]
 
 
+def _resolved(report: ValidationReport) -> int:
+    """Candidate sets the budget resolved: all but those it left unprobed."""
+    return report.candidates - sum(map(is_unresolved, report.verdicts))
+
+
+def _coverage(report: ValidationReport) -> str:
+    """The testable share of the resolved sets, ``n/a`` when none was.
+
+    Uncapped, every set is resolved, so this is the report's testable
+    coverage; a set the budget left unprobed was not measured.
+    """
+    resolved = _resolved(report)
+    return f"{100 * report.testable_count / resolved:.1f}%" if resolved else "n/a"
+
+
+def _agreement(report: ValidationReport) -> str:
+    """The agreement rate, ``n/a`` when the budget resolved no set."""
+    return f"{100 * report.agreement_rate:.1f}%" if _resolved(report) else "n/a"
+
+
 def validation_rows(reports: Iterable[ValidationReport]) -> list[list[object]]:
     """One summary row per validation report."""
     return [
@@ -50,10 +71,10 @@ def validation_rows(reports: Iterable[ValidationReport]) -> list[list[object]]:
             report.validator,
             report.candidates,
             report.testable_count,
-            f"{100 * report.testable_coverage:.1f}%",
+            _coverage(report),
             report.agree_count,
             report.disagree_count,
-            f"{100 * report.agreement_rate:.1f}%",
+            _agreement(report),
             report.probes_issued,
             report.probes_reused,
         ]
@@ -114,10 +135,10 @@ def snapshot_validation_rows(rows: Iterable[SnapshotValidation]) -> list[list[ob
             f"{row.probed_at / 86400:.0f}",
             row.report.candidates,
             row.report.testable_count,
-            f"{100 * row.report.testable_coverage:.1f}%",
+            _coverage(row.report),
             row.report.agree_count,
             row.report.disagree_count,
-            f"{100 * row.report.agreement_rate:.1f}%",
+            _agreement(row.report),
             row.report.probes_issued,
             row.report.probes_reused,
         ]

@@ -7,7 +7,8 @@ This package implements the paper's technique proper:
   BGP OPEN fields; SNMPv3 engine ID).
 * :mod:`repro.core.aliasset` — alias-set data structures.
 * :mod:`repro.core.alias_resolution` — group addresses by identifier and
-  union the per-protocol results.
+  union the per-protocol results over :class:`IntUnionFind`, the one
+  union-find (the IPID techniques' corroboration loop runs on it too).
 * :mod:`repro.core.dual_stack` — merge IPv4 and IPv6 groups sharing an
   identifier into dual-stack sets.
 * :mod:`repro.core.validation` — cross-protocol partition comparison and
@@ -20,7 +21,7 @@ This package implements the paper's technique proper:
   the paper's evaluation reports.
 """
 
-from repro.core.alias_resolution import AliasResolver, IntUnionFind, UnionFind
+from repro.core.alias_resolution import AliasResolver, IntUnionFind
 from repro.core.aliasset import AliasSet, AliasSetCollection
 from repro.core.dual_stack import DualStackCollection, DualStackSet, union_dual_stack
 from repro.core.engine import AliasReport, ObservationIndex, ResolutionEngine
@@ -38,7 +39,6 @@ from repro.core.validation import ValidationResult, cross_validate
 __all__ = [
     "AliasResolver",
     "IntUnionFind",
-    "UnionFind",
     "ObservationIndex",
     "ResolutionEngine",
     "AliasSet",

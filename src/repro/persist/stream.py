@@ -356,7 +356,31 @@ def _vantage(document: object, where: str) -> VantagePoint:
     )
 
 
-def _log(manifest: dict) -> CampaignLog:
+#: A stability row's fields, in order: ``time`` and ``persistence`` are
+#: numbers, the rest (``snapshot`` and every count) counts.
+_STABILITY_FIELDS = tuple(field.name for field in dataclasses.fields(SnapshotStability))
+
+
+def _stability_row(row: object, name: str, where: str) -> SnapshotStability:
+    """One stability row: an object of exactly :data:`_STABILITY_FIELDS`."""
+    if not isinstance(row, dict) or row.keys() != set(_STABILITY_FIELDS):
+        raise PersistError(
+            f"malformed {where}: {name} {row!r} is not an object of {', '.join(_STABILITY_FIELDS)}"
+        )
+    return SnapshotStability(
+        *(
+            _field(
+                row[field],
+                json_number if field in ("time", "persistence") else json_count,
+                f"{name}.{field}",
+                where,
+            )
+            for field in _STABILITY_FIELDS
+        )
+    )
+
+
+def _log(manifest: dict, where: str) -> CampaignLog:
     stability = manifest["stability"]
     if not isinstance(stability, dict):
         raise PersistError(
@@ -364,7 +388,10 @@ def _log(manifest: dict) -> CampaignLog:
         )
     return CampaignLog(
         stability={
-            family: [SnapshotStability(**row) for row in stability.get(family.value, ())]
+            family: [
+                _stability_row(row, f"stability.{family.value}[{position}]", where)
+                for position, row in enumerate(stability.get(family.value, ()))
+            ]
             for family in (AddressFamily.IPV4, AddressFamily.IPV6)
         },
         metric_series=[dict(row) for row in manifest.get("metric_series", ())],
@@ -432,7 +459,7 @@ def load_stream_checkpoint(
             name: _field(count, json_count, f"event_counts {name!r}", f"{kind} manifest")
             for name, count in event_counts.items()
         }
-        log = _log(manifest) if layout == CAMPAIGN_LAYOUT else None
+        log = _log(manifest, where) if layout == CAMPAIGN_LAYOUT else None
         expected_observations = _field(manifest["observations"], json_integer, "observations", where)
         observations_file = str(manifest[f"last_{step}_file"])
         index_signature = str(manifest["index_signature"])

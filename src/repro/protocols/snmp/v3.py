@@ -137,6 +137,10 @@ class SnmpV3Message:
         if isinstance(value, int):
             # Counter32 (application tag 1) is what usmStats uses; plain
             # INTEGER is accepted by parsers, so keep Counter32 for realism.
+            # A counter is unsigned: a negative value would be written in
+            # two's complement and read back as another number.
+            if value < 0:
+                raise MalformedMessageError(f"Counter32 varbind value {value} is negative")
             return ber.encode_integer(value, tag=0x41)
         return ber.encode_octet_string(value)
 

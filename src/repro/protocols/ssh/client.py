@@ -15,7 +15,7 @@ import hashlib
 from repro.errors import ProtocolError
 from repro.net.endpoint import Connection
 from repro.protocols.ssh.banner import SshBanner
-from repro.protocols.ssh.hostkey import parse_host_key_blob
+from repro.protocols.ssh.hostkey import blob_fingerprint, parse_host_key_blob
 from repro.protocols.ssh.kex import SSH_MSG_KEXINIT, KexInit
 from repro.protocols.ssh.messages import SSH_MSG_KEX_ECDH_REPLY, KexEcdhInit, KexEcdhReply
 from repro.protocols.ssh.wire import frame_packet, iter_packets
@@ -116,7 +116,7 @@ class SshScanClient:
             else:
                 host_key_algorithm = host_key.algorithm
                 host_key_blob = kex_reply.host_key_blob
-                host_key_fingerprint = host_key.fingerprint()
+                host_key_fingerprint = blob_fingerprint(kex_reply.host_key_blob)
 
         return SshScanRecord(
             address=address,

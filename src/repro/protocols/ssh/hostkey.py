@@ -35,10 +35,20 @@ class HostKey:
         raise NotImplementedError
 
     def fingerprint(self) -> str:
-        """OpenSSH-style fingerprint: ``SHA256:<base64 without padding>``."""
-        digest = hashlib.sha256(self.encode_blob()).digest()
-        encoded = base64.b64encode(digest).decode("ascii").rstrip("=")
-        return f"SHA256:{encoded}"
+        """The :func:`blob_fingerprint` of this key's encoded blob."""
+        return blob_fingerprint(self.encode_blob())
+
+
+def blob_fingerprint(blob: bytes) -> str:
+    """OpenSSH-style fingerprint of a key blob: ``SHA256:<base64 without padding>``.
+
+    A scanner fingerprints the blob the server sent, byte for byte: a
+    parse and re-encode would change the digest of a blob with, say, a
+    zero-padded exponent or trailing bytes.
+    """
+    digest = hashlib.sha256(blob).digest()
+    encoded = base64.b64encode(digest).decode("ascii").rstrip("=")
+    return f"SHA256:{encoded}"
 
 
 @dataclasses.dataclass(frozen=True)

@@ -10,12 +10,14 @@ already have:
   trees, the ``validator_kind``/``register_validator`` registries, and the
   ``sample`` combinator.
 * :mod:`repro.validation.bank` — the shared :class:`IpidSampleBank`:
-  IPID time series collected once per (addresses, schedule) and shared
-  across validators, so composed validations cut probe counts.  It is
-  the one cache of IPID evidence.
+  the IPID time series validators collect, shared across them so
+  composed validations cut probe counts.  It is the one cache of IPID
+  evidence, with one read per kind: the canonical estimation series of
+  an (address, schedule shape), and the pair map.
 * :mod:`repro.validation.techniques` — the MIDAR and Ally pipelines over
-  a bank, each returning one :class:`SetVerdict` per set (Speedtrap is
-  MIDAR over IPv6 members, the ``speedtrap`` kind).
+  a bank, one pair test in one corroboration loop, each returning one
+  :class:`SetVerdict` per set (Speedtrap is MIDAR over IPv6 members, the
+  ``speedtrap`` kind).
 * :mod:`repro.validation.runner` — builders for the built-in kinds
   (midar, ally, speedtrap, sample), the one largest-first scheduler the
   IPID kinds share, the :class:`ValidationRun` harness with its one bank

@@ -5,16 +5,17 @@ time series from a target on some probing schedule and reason about the
 merged sequences, so validating one candidate set with two techniques need
 not pay for two probing campaigns against the same targets.
 
-:class:`IpidSampleBank` collects each series **once per (addresses,
-schedule)** and shares it across validators: a composed validation (e.g.
-MIDAR followed by Ally over the same sampled sets, see
-:mod:`repro.validation.runner`) answers the second technique's sample
-requests from the bank instead of the network.  Two reads are
-schedule-agnostic — one canonical estimation series per (address,
-schedule shape), and any interleaved collection that probed a pair — and
-both serve only evidence within a caller-given ``max_age`` of the read
-(the pipelines pass :data:`~repro.validation.budget.DEFAULT_VELOCITY_TTL`),
-so a banked sample never stands in for one taken across churn.
+:class:`IpidSampleBank` banks every series it collects and shares it
+across validators: a composed validation (e.g. MIDAR followed by Ally over
+the same sampled sets, see :mod:`repro.validation.runner`) answers the
+second technique's sample requests from the bank instead of the network.
+It has one read per kind of evidence, and each is schedule-agnostic: an
+estimation is served from the canonical series of its (address, schedule
+shape), and a pair from the latest interleaved collection that probed it
+(the pair map).  Both serve only evidence within a caller-given
+``max_age`` of the read (the pipelines pass
+:data:`~repro.validation.budget.DEFAULT_VELOCITY_TTL`), so a banked sample
+never stands in for one taken across churn; anything else probes.
 
 The bank is a validation run's one store and one reuse of IPID evidence:
 nothing else memoises a sample or a classification of one, and a session
@@ -31,12 +32,13 @@ from repro.errors import PersistError, ValidationError
 from repro.jsonvalues import json_boolean, json_integer, json_number, json_string
 from repro.simnet.network import SimulatedInternet, VantagePoint
 
-#: Memoisation key of one collected series or interleaved collection.
+#: Key of one banked series or interleaved collection: its kind, its
+#: addresses, its schedule and its start time.
 ScheduleKey = tuple
 
 
 class IpidSampleBank:
-    """Collect IPID time series once per (addresses, schedule) and share them.
+    """Bank the IPID time series validators collect, and share them.
 
     One bank wraps one (network, vantage) pair — samples taken from
     different vantage points see different loss and rate-limit state, so
@@ -58,11 +60,9 @@ class IpidSampleBank:
         #: probed both addresses together (schedule-agnostic pair reuse).
         self._pairs: dict[frozenset[str], ScheduleKey] = {}
         #: (address, samples, interval) -> key of the canonical estimation
-        #: series for that schedule shape, whatever its start time.  One
-        #: canonical collection per bank serves every validator whose
-        #: estimation window aligns (same sample count and spacing),
-        #: replacing the per-validator series collection the exact-key path
-        #: would require.
+        #: series for that schedule shape, whatever its start time: the
+        #: latest collection, which serves every validator whose estimation
+        #: window aligns (same sample count and spacing).
         self._estimation: dict[tuple[str, int, float], ScheduleKey] = {}
         self._probes_issued = 0
         self._probes_reused = 0
@@ -115,13 +115,10 @@ class IpidSampleBank:
         interval: float,
         start_time: float,
     ) -> dict[str, IpidTimeSeries]:
-        """A round-robin interleaved collection over ``addresses``."""
+        """A fresh round-robin interleaved collection over ``addresses``,
+        banked as the one :meth:`cached_interleaved` serves for their pairs."""
         members = tuple(addresses)
         key = ("interleaved", members, rounds, interval, start_time)
-        cached = self._interleaved.get(key)
-        if cached is not None:
-            self._count("reused", rounds * len(members))
-            return cached
         collected = collect_interleaved(
             self._live_network(),
             list(members),
@@ -155,8 +152,8 @@ class IpidSampleBank:
 
         ``requested_probes`` is what the caller's own schedule would have
         issued for this pair — the quantity a hit adds to
-        :attr:`probes_reused`, keeping the counter's meaning ("probes not
-        sent thanks to the bank") consistent with the exact-key paths.
+        :attr:`probes_reused`, so the counter means "probes not sent
+        thanks to the bank", as it does for an estimation read.
         """
         key = self._pairs.get(frozenset((left, right)))
         if key is None or abs(now - float(key[4])) > max_age:
@@ -182,9 +179,7 @@ class IpidSampleBank:
         allowed even after the budget closes.
         """
         canonical = self._estimation.get((address, samples, interval))
-        if canonical is not None and abs(start_time - float(canonical[4])) <= max_age:
-            return True
-        return ("series", address, samples, interval, start_time) in self._series
+        return canonical is not None and abs(start_time - float(canonical[4])) <= max_age
 
     def estimation_series(
         self,
@@ -202,9 +197,8 @@ class IpidSampleBank:
         relative to ``start_time`` — MIDAR and Speedtrap estimation read
         from one schedule per vantage instead of collecting per-validator
         series.  A staleness-expired canonical entry is never silently
-        reused: the read falls back to the series banked for exactly this
-        start time, else to a live collection, which then becomes the new
-        canonical series.
+        reused: the read collects live, and that collection becomes the
+        new canonical series.
 
         ``early_stop=(min_responses, max_velocity)`` lets a *fresh*
         collection stop as soon as the caller's
@@ -223,13 +217,9 @@ class IpidSampleBank:
             return self._series[canonical], 0
         key = ("series", address, samples, interval, start_time)
         issued_before = self._probes_issued
-        collected = self._series.get(key)
-        if collected is None:
-            collected = self._series[key] = self._collect_estimation(
-                address, samples, interval, start_time, *early_stop
-            )
-        else:
-            self._count("reused", samples)
+        collected = self._series[key] = self._collect_estimation(
+            address, samples, interval, start_time, *early_stop
+        )
         self._estimation[(address, samples, interval)] = key
         return collected, self._probes_issued - issued_before
 
@@ -352,9 +342,9 @@ class IpidSampleBank:
         """Rebuild a bank from :meth:`export_state` output, unbound.
 
         The restored bank answers every read its saved counterpart could —
-        exact-key, pair-wise, and canonical-estimation — without touching
-        the network, which is what makes reloaded sessions re-score
-        candidate sets with zero probes.  A miss needs a network, which
+        canonical-estimation and pair-wise — without touching the network,
+        which is what makes reloaded sessions re-score candidate sets with
+        zero probes.  A miss needs a network, which
         :meth:`bind` attaches; a session binds a callable that builds the
         topology at the first miss, so neither a load nor a re-score that
         never misses builds it.  A miss on an unbound bank raises

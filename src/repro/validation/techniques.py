@@ -3,7 +3,8 @@
 The MIDAR estimation → elimination → corroboration pipeline and the
 pairwise Ally test are engines over an :class:`~repro.validation.bank.
 IpidSampleBank`, which is what lets composed validations share collected
-series.  Banked evidence is read only while it is within
+series.  Both run one pair test in one corroboration loop, each on its
+own schedule and bounds.  Banked evidence is read only while it is within
 :data:`~repro.validation.budget.DEFAULT_VELOCITY_TTL` of the read, and
 every fresh collection is requested from and charged to a
 :class:`~repro.validation.budget.ProbeBudget`.  Both return each set's
@@ -17,7 +18,7 @@ for a self-contained prober::
 from __future__ import annotations
 
 import dataclasses
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from repro.baselines.ipid import (
     IpidTimeSeries,
@@ -25,7 +26,7 @@ from repro.baselines.ipid import (
     classify_series,
     shared_counter_test,
 )
-from repro.core.alias_resolution import UnionFind
+from repro.core.alias_resolution import IntUnionFind
 from repro.validation.bank import IpidSampleBank
 from repro.validation.budget import DEFAULT_VELOCITY_TTL, ProbeBudget, ProbeBudgetExhausted
 from repro.validation.report import SetVerdict, canonical_partition
@@ -50,6 +51,103 @@ ALLY_MAX_SET_SIZE = 10
 ALLY_ROUNDS = 3
 ALLY_INTERVAL = 0.5
 ALLY_MAX_VELOCITY = 2_000.0
+
+
+class _PairTest(NamedTuple):
+    """A technique's pair test: its interleaved schedule, the probes a
+    banked read stands in for, and its monotonic bounds test's limits."""
+
+    rounds: int
+    interval: float
+    reused: int
+    min_responses: int
+    max_velocity: float
+
+
+_ALLY_PAIR_TEST = _PairTest(ALLY_ROUNDS, ALLY_INTERVAL, 2 * ALLY_ROUNDS, 2, ALLY_MAX_VELOCITY)
+
+
+def _pair_series(
+    bank: IpidSampleBank,
+    budget: ProbeBudget,
+    test: _PairTest,
+    left: str,
+    right: str,
+    start_time: float,
+) -> tuple[dict[str, IpidTimeSeries], float]:
+    """The pair's interleaved series and the time its probing ended.
+
+    A fresh banked collection of the pair is read free of time, crediting
+    ``test.reused`` probes; otherwise ``2 × rounds`` probes are requested
+    from ``budget``, collected through the bank and charged.
+
+    Raises:
+        ProbeBudgetExhausted: when the budget denies the fresh probes.
+    """
+    banked = bank.cached_interleaved(
+        left, right, requested_probes=test.reused, now=start_time, max_age=DEFAULT_VELOCITY_TTL
+    )
+    if banked is not None:
+        return banked, start_time
+    probes = 2 * test.rounds
+    if not budget.request(probes):
+        raise ProbeBudgetExhausted(
+            f"testing {left}/{right} needs {probes} fresh probes; the probe budget is exhausted"
+        )
+    series = bank.interleaved(
+        (left, right), rounds=test.rounds, interval=test.interval, start_time=start_time
+    )
+    budget.charge(probes)
+    return series, start_time + probes * test.interval
+
+
+def _corroborate(
+    bank: IpidSampleBank,
+    budget: ProbeBudget,
+    test: _PairTest,
+    members: Sequence[str],
+    start_time: float,
+    velocities: dict[str, float] | None = None,
+) -> tuple[list[set[str]], set[str], float]:
+    """Union the ``members`` whose pair tests pass; returns (groups,
+    responded members, end time).
+
+    Pairs already connected are skipped.  Given MIDAR's ``velocities``, a
+    pair whose ratio exceeds :data:`MIDAR_VELOCITY_RATIO_BOUND` is
+    declined.  A side responded with ``test.min_responses`` samples; a
+    pair passes when both did and their merged samples pass the monotonic
+    bounds test.
+    """
+    union_find = IntUnionFind(len(members))
+    responded: set[str] = set()
+    now = start_time
+    for left_at, left in enumerate(members):
+        for right_at in range(left_at + 1, len(members)):
+            right = members[right_at]
+            if union_find.find(left_at) == union_find.find(right_at):
+                continue
+            if velocities is not None:
+                low, high = sorted(
+                    (max(velocities.get(left, 0.1), 0.1), max(velocities.get(right, 0.1), 0.1))
+                )
+                if not high / low <= MIDAR_VELOCITY_RATIO_BOUND:
+                    continue
+            series, now = _pair_series(bank, budget, test, left, right, now)
+            left_samples, right_samples = series[left].samples, series[right].samples
+            left_ok = len(left_samples) >= test.min_responses
+            right_ok = len(right_samples) >= test.min_responses
+            if left_ok:
+                responded.add(left)
+            if right_ok:
+                responded.add(right)
+            if (
+                left_ok
+                and right_ok
+                and shared_counter_test(left_samples + right_samples, max_velocity=test.max_velocity)
+            ):
+                union_find.union(left_at, right_at)
+    groups = [{members[at] for at in group} for group in union_find.groups()]
+    return groups, responded, now
 
 
 @dataclasses.dataclass(frozen=True)
@@ -83,6 +181,14 @@ class MidarPipeline:
         self._bank = bank
         self._config = config or MidarConfig()
         self._budget = budget if budget is not None else ProbeBudget()
+        rounds = self._config.corroboration_rounds
+        self._pair_test = _PairTest(
+            rounds,
+            MIDAR_CORROBORATION_INTERVAL,
+            MIDAR_CORROBORATION_PASSES * 2 * rounds,
+            MIDAR_MIN_RESPONSES,
+            MIDAR_MAX_VELOCITY,
+        )
 
     @property
     def bank(self) -> IpidSampleBank:
@@ -138,66 +244,6 @@ class MidarPipeline:
                 velocities[address] = velocity
         return classes, velocities, now
 
-    # ------------------------------------------------------------------ #
-    # Stage 2 + 3: elimination and corroboration
-    # ------------------------------------------------------------------ #
-    def _velocity_compatible(self, left: float, right: float) -> bool:
-        low, high = sorted((max(left, 0.1), max(right, 0.1)))
-        return high / low <= MIDAR_VELOCITY_RATIO_BOUND
-
-    def _pair_decision(
-        self, series: dict[str, IpidTimeSeries], left: str, right: str
-    ) -> bool:
-        """The monotonic-bounds decision over one interleaved collection."""
-        left_samples = series[left].samples
-        right_samples = series[right].samples
-        if (
-            len(left_samples) < MIDAR_MIN_RESPONSES
-            or len(right_samples) < MIDAR_MIN_RESPONSES
-        ):
-            return False
-        return shared_counter_test(
-            left_samples + right_samples, max_velocity=MIDAR_MAX_VELOCITY
-        )
-
-    def _pair_shares_counter(
-        self, left: str, right: str, start_time: float
-    ) -> tuple[bool, float]:
-        """Corroborate one pair, bank-first and budget-aware.
-
-        A banked collection of the pair that is still fresh decides
-        without probing or consuming time.  Otherwise the pair is probed
-        fresh for the first pass only, and the repeat passes reproduce its
-        decision — which halves the per-pair corroboration cost.
-        """
-        rounds = self._config.corroboration_rounds
-        budget = self._budget
-        per_pass = 2 * rounds
-        banked = self._bank.cached_interleaved(
-            left,
-            right,
-            requested_probes=MIDAR_CORROBORATION_PASSES * per_pass,
-            now=start_time,
-            max_age=DEFAULT_VELOCITY_TTL,
-        )
-        if banked is not None:
-            return self._pair_decision(banked, left, right), start_time
-        if not budget.request(per_pass):
-            raise ProbeBudgetExhausted(
-                f"corroborating {left}/{right} needs {per_pass} fresh "
-                "probes; the probe budget is exhausted"
-            )
-        issued_before = self._bank.probes_issued
-        series = self._bank.interleaved(
-            (left, right),
-            rounds=rounds,
-            interval=MIDAR_CORROBORATION_INTERVAL,
-            start_time=start_time,
-        )
-        shares = self._pair_decision(series, left, right)
-        budget.charge(self._bank.probes_issued - issued_before)
-        return shares, start_time + per_pass * MIDAR_CORROBORATION_INTERVAL
-
     def verify_set(self, candidate: Iterable[str], start_time: float = 0.0) -> SetVerdict:
         """Run the full pipeline on one candidate alias set.
 
@@ -224,22 +270,10 @@ class MidarPipeline:
                 started_at=start_time,
                 finished_at=now,
             )
-        # Pairwise corroboration over velocity-compatible, unconnected pairs.
-        union_find = UnionFind()
-        for address in usable:
-            union_find.add(address)
-        for index, left in enumerate(usable):
-            for right in usable[index + 1 :]:
-                if union_find.find(left) == union_find.find(right):
-                    continue
-                if not self._velocity_compatible(
-                    velocities.get(left, 0.1), velocities.get(right, 0.1)
-                ):
-                    continue
-                shares, now = self._pair_shares_counter(left, right, now)
-                if shares:
-                    union_find.union(left, right)
-        partition = canonical_partition(union_find.groups())
+        groups, _, now = _corroborate(
+            self._bank, self._budget, self._pair_test, usable, now, velocities
+        )
+        partition = canonical_partition(groups)
         return SetVerdict(
             candidate=frozenset(members),
             testable=True,
@@ -308,30 +342,6 @@ class AllyPipeline:
         """The sample bank the pipeline collects through."""
         return self._bank
 
-    @property
-    def pair_duration(self) -> float:
-        """Simulated seconds one freshly probed pair test occupies."""
-        return 2 * ALLY_ROUNDS * ALLY_INTERVAL
-
-    def _decide(self, series: dict, left: str, right: str, reused: bool) -> AllyPairResult:
-        left_samples = series[left].samples
-        right_samples = series[right].samples
-        left_ok = len(left_samples) >= 2
-        right_ok = len(right_samples) >= 2
-        aliases = False
-        if left_ok and right_ok:
-            aliases = shared_counter_test(
-                left_samples + right_samples, max_velocity=ALLY_MAX_VELOCITY
-            )
-        return AllyPairResult(
-            left=left,
-            right=right,
-            left_responded=left_ok,
-            right_responded=right_ok,
-            aliases=aliases,
-            reused=reused,
-        )
-
     def test_pair(self, left: str, right: str, start_time: float = 0.0) -> AllyPairResult:
         """Test one pair, from fresh banked series when there are any.
 
@@ -339,30 +349,18 @@ class AllyPipeline:
             ProbeBudgetExhausted: when the pair needs fresh probes and the
                 budget denies them.
         """
-        requested = 2 * ALLY_ROUNDS
-        cached = self._bank.cached_interleaved(
-            left,
-            right,
-            requested_probes=requested,
-            now=start_time,
-            max_age=DEFAULT_VELOCITY_TTL,
-        )
-        if cached is not None:
-            return self._decide(cached, left, right, reused=True)
-        if not self._budget.request(requested):
-            raise ProbeBudgetExhausted(
-                f"Ally pair {left}/{right} needs {requested} fresh probes; "
-                "the probe budget is exhausted"
-            )
         issued_before = self._bank.probes_issued
-        series = self._bank.interleaved(
-            (left, right),
-            rounds=ALLY_ROUNDS,
-            interval=ALLY_INTERVAL,
-            start_time=start_time,
+        groups, responded, _ = _corroborate(
+            self._bank, self._budget, _ALLY_PAIR_TEST, (left, right), start_time
         )
-        self._budget.charge(self._bank.probes_issued - issued_before)
-        return self._decide(series, left, right, reused=False)
+        return AllyPairResult(
+            left=left,
+            right=right,
+            left_responded=left in responded,
+            right_responded=right in responded,
+            aliases=len(groups) == 1,
+            reused=self._bank.probes_issued == issued_before,
+        )
 
     def verify_set(self, candidate: Iterable[str], start_time: float = 0.0) -> SetVerdict:
         """Run the pairwise loop over one candidate set's first
@@ -373,26 +371,11 @@ class AllyPipeline:
         those members by passing pair tests.
         """
         members = tuple(sorted(candidate)[:ALLY_MAX_SET_SIZE])
-        union_find = UnionFind()
-        responded: set[str] = set()
-        for address in members:
-            union_find.add(address)
-        now = start_time
-        for index, left in enumerate(members):
-            for right in members[index + 1 :]:
-                if union_find.find(left) == union_find.find(right):
-                    continue
-                verdict = self.test_pair(left, right, start_time=now)
-                if not verdict.reused:
-                    now += self.pair_duration
-                if verdict.left_responded:
-                    responded.add(left)
-                if verdict.right_responded:
-                    responded.add(right)
-                if verdict.aliases:
-                    union_find.union(left, right)
+        groups, responded, now = _corroborate(
+            self._bank, self._budget, _ALLY_PAIR_TEST, members, start_time
+        )
         partition = canonical_partition(
-            group & responded for group in union_find.groups() if group & responded
+            group & responded for group in groups if group & responded
         )
         testable = len(responded) >= 2
         return SetVerdict(

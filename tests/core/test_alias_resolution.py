@@ -4,7 +4,7 @@ Grouping runs through :class:`ObservationIndex` and the union through
 :class:`ResolutionEngine`, the path every report is built by.
 """
 
-from repro.core.alias_resolution import AliasResolver, UnionFind
+from repro.core.alias_resolution import AliasResolver, IntUnionFind
 from repro.core.engine import ObservationIndex, ResolutionEngine
 from repro.net.addresses import AddressFamily
 from repro.simnet.device import ServiceType
@@ -142,53 +142,43 @@ class TestUnion:
         assert len(union) == 0
 
 
-class TestUnionFind:
-    def test_find_registers_singletons(self):
-        union_find = UnionFind()
-        assert union_find.find("a") == "a"
-        assert "a" in union_find
-        assert len(union_find) == 1
+class TestIntUnionFind:
+    def test_items_start_as_singletons(self):
+        union_find = IntUnionFind(1)
+        assert union_find.find(0) == 0
+        assert union_find.add() == 1
+        assert union_find.find(1) == 1
+        assert len(union_find) == 2
 
     def test_union_merges_components(self):
-        union_find = UnionFind()
-        union_find.union("a", "b")
-        union_find.union("b", "c")
-        assert union_find.find("a") == union_find.find("c")
-        assert union_find.find("a") != union_find.find("d")
+        union_find = IntUnionFind(4)
+        union_find.union(0, 1)
+        union_find.union(1, 2)
+        assert union_find.find(0) == union_find.find(2)
+        assert union_find.find(0) != union_find.find(3)
 
     def test_groups_partition_all_items(self):
-        union_find = UnionFind()
-        for item in "abcdef":
-            union_find.add(item)
-        union_find.union("a", "b")
-        union_find.union("c", "d")
-        groups = union_find.groups()
-        assert {frozenset(g) for g in groups} == {
-            frozenset("ab"),
-            frozenset("cd"),
-            frozenset("e"),
-            frozenset("f"),
-        }
+        union_find = IntUnionFind(6)
+        union_find.union(0, 1)
+        union_find.union(3, 2)
+        assert union_find.groups() == [[0, 1], [2, 3], [4], [5]]
 
     def test_long_chain_does_not_recurse(self):
         # The seed implementation used recursive path compression, which hit
         # RecursionError on parent chains longer than the interpreter limit.
         # Union-by-rank keeps chains built through the public API shallow, so
         # stress the iterative find on a hand-built worst-case chain.
-        union_find = UnionFind()
         length = 5000
-        for item in range(length + 1):
-            union_find.add(item)
-        core = union_find._core
+        union_find = IntUnionFind(length + 1)
         for index in range(length):
-            core._parent[index] = index + 1
+            union_find._parent[index] = index + 1
         assert union_find.find(0) == length
         # The chain is fully compressed afterwards.
-        assert all(core._parent[index] == length for index in range(length))
+        assert all(union_find._parent[index] == length for index in range(length))
 
     def test_rank_keeps_api_built_chains_shallow(self):
-        union_find = UnionFind()
         length = 5000
+        union_find = IntUnionFind(length + 1)
         for item in reversed(range(length)):
             union_find.union(item, item + 1)
         assert len({union_find.find(item) for item in range(length + 1)}) == 1

@@ -1,5 +1,8 @@
 """Tests for SNMPv3 message building/parsing and the discovery exchange."""
 
+import pytest
+
+from repro.errors import MalformedMessageError
 from repro.net.endpoint import LoopbackConnection
 from repro.protocols.snmp.client import SnmpScanClient
 from repro.protocols.snmp.engine import SnmpEngineBehavior, SnmpEngineConfig
@@ -63,6 +66,14 @@ class TestDiscoveryMessages:
         parsed = SnmpV3Message.parse(message.encode())
         assert parsed.msg_id == 9
         assert parsed.varbinds == ((USM_STATS_UNKNOWN_ENGINE_IDS, 5),)
+
+    def test_negative_counter_value_is_refused(self):
+        # Written under the unsigned Counter32 tag, -1 would read back as 255.
+        message = SnmpV3Message(msg_id=1, varbinds=((USM_STATS_UNKNOWN_ENGINE_IDS, -1),))
+        with pytest.raises(MalformedMessageError, match="-1"):
+            message.encode()
+        zero = SnmpV3Message(msg_id=1, varbinds=((USM_STATS_UNKNOWN_ENGINE_IDS, 0),))
+        assert SnmpV3Message.parse(zero.encode()).varbinds == zero.varbinds
 
 
 class TestDiscoveryExchange:

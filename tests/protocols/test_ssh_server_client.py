@@ -1,5 +1,7 @@
 """End-to-end tests of the SSH server behaviour and scanning client."""
 
+import base64
+import hashlib
 import struct
 
 import pytest
@@ -120,6 +122,37 @@ class TestMalformedHostKey:
         assert record.host_key_blob is None
         assert record.host_key_fingerprint is None
         assert not record.has_identifier
+
+
+class TestFingerprintOfTheSentBlob:
+    """The fingerprint is the SHA-256 of the blob the server sent, even
+    where a parse and re-encode of the key would give other bytes."""
+
+    @pytest.mark.parametrize(
+        ("blob", "algorithm"),
+        [
+            (
+                SshWriter()
+                .write_string(b"ssh-rsa")
+                .write_string(b"\x00\x00\x01\x00\x01")
+                .write_mpint((1 << 1023) | 1)
+                .getvalue(),
+                "ssh-rsa",
+            ),
+            (
+                SshWriter().write_string(b"ssh-ed25519").write_string(b"\x07" * 32).getvalue()
+                + b"trailing",
+                "ssh-ed25519",
+            ),
+        ],
+        ids=["rsa-zero-padded-exponent", "ed25519-trailing-bytes"],
+    )
+    def test_fingerprint_hashes_the_wire_blob(self, blob, algorithm):
+        record = SshScanClient().scan("192.0.2.31", LoopbackConnection(_RawKexReplyServer(blob)))
+        digest = base64.b64encode(hashlib.sha256(blob).digest()).decode("ascii").rstrip("=")
+        assert record.host_key_algorithm == algorithm
+        assert record.host_key_blob == blob
+        assert record.host_key_fingerprint == f"SHA256:{digest}"
 
 
 class _CannedServer(ServerBehavior):

@@ -431,6 +431,33 @@ class TestLongitudinal:
         assert "resuming" not in captured.out
         assert _contents(checkpoint) == before
 
+    @pytest.mark.parametrize(
+        "family_row, field, forge",
+        [
+            pytest.param(0, "sets", lambda row: row.update(sets="x"), id="sets-string"),
+            pytest.param(
+                1, "persistence", lambda row: row.update(persistence="high"), id="persistence-string"
+            ),
+            pytest.param(0, "disrupted", lambda row: row.pop("disrupted"), id="missing-key"),
+        ],
+    )
+    def test_longitudinal_resume_forged_stability_row_exits_cleanly(
+        self, capsys, campaign_checkpoint, tmp_path, family_row, field, forge
+    ):
+        checkpoint = shutil.copytree(campaign_checkpoint, tmp_path / "checkpoint", symlinks=True)
+        capsys.readouterr()
+        _forge_manifest(
+            checkpoint / "checkpoint.json",
+            lambda manifest: forge(manifest["stability"]["ipv4"][family_row]),
+        )
+        exit_code = main(["longitudinal", "--resume", str(checkpoint), "--snapshots", "3"])
+        assert exit_code == 2
+        captured = capsys.readouterr()
+        assert f"stability.ipv4[{family_row}]" in captured.err
+        assert field in captured.err
+        assert "Traceback" not in captured.err
+        assert "resuming" not in captured.out
+
     def test_longitudinal_resume_nan_interval_exits_cleanly(self, capsys, tmp_path):
         checkpoint = _campaign_checkpoint(tmp_path)
         manifest = json.loads((checkpoint / "checkpoint.json").read_text())
@@ -596,18 +623,30 @@ class TestValidate:
         sets = sum(int(row[1]) for row in rows)
         assert sets > 0
         assert all(int(row[2]) == int(row[7]) == int(row[8]) == 0 for row in rows)
+        # Nothing was measured, so no row shows a coverage or an agreement.
+        assert all(row[3].strip() == row[6].strip() == "n/a" for row in rows)
         assert lines[-1] == (
             f"probe budget: spent 0 of 0 fresh probes; {sets} candidate sets left unresolved"
         )
 
     def test_capped_snapshot_budget_reports_the_unresolved_sets(self, capsys):
         # 500 probes decide four of snapshot 0's 126 sets; the other 122
-        # and all 135 of snapshot 1 are left unresolved.
+        # and all 135 of snapshot 1 are left unresolved.  Coverage is over
+        # the four resolved sets, and snapshot 1 measured none.
         assert main(
             ["validate", "--scale", "0.05", "--seed", "42", "--snapshots", "2",
              "--ipv4-only", "--validators", "midar", "--budget", "500"]
         ) == 0
         lines = capsys.readouterr().out.splitlines()
+        rows = [
+            [cell.strip() for cell in line.split("|")]
+            for line in lines
+            if re.match(r"[01] +\|", line)
+        ]
+        assert [row[3:9] for row in rows] == [
+            ["126", "3", "75.0%", "3", "0", "100.0%"],
+            ["135", "0", "n/a", "0", "0", "n/a"],
+        ]
         assert lines[-1] == (
             "probe budget: spent 500 of 500 fresh probes; 257 candidate sets left unresolved"
         )

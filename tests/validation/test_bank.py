@@ -41,19 +41,6 @@ class TestSeriesMemoisation:
         assert bank.probes_issued == 8
         assert bank.probes_reused == 4
 
-    def test_exact_start_rereads_its_series_past_a_newer_one(self, network, vantage):
-        # The newer collection is stale at the first start time, but the
-        # series banked for exactly that start is reused, and becomes the
-        # canonical one again.
-        bank = IpidSampleBank(network, vantage)
-        first, _ = _estimate(bank, "10.0.1.1", 0.0)
-        _estimate(bank, "10.0.1.1", 2 * DEFAULT_VELOCITY_TTL)
-        again, issued = _estimate(bank, "10.0.1.1", 0.0)
-        assert again is first
-        assert issued == 0
-        assert _estimate(bank, "10.0.1.1", 1.0)[0] is first
-        assert bank.probes_issued == 8
-
     def test_cold_bank_matches_direct_collection(self, make_network, vantage):
         banked, _ = _estimate(
             IpidSampleBank(make_network(), vantage), "10.0.1.1", 10.0, samples=5, interval=2.0
@@ -72,16 +59,6 @@ class TestSeriesMemoisation:
 
 
 class TestInterleavedMemoisation:
-    def test_identical_request_served_from_cache(self, network, vantage, count_probes):
-        counter = count_probes(network)
-        bank = IpidSampleBank(network, vantage)
-        first = bank.interleaved(("10.0.1.1", "10.0.1.2"), rounds=3, interval=0.5, start_time=0.0)
-        assert counter["probes"] == 6
-        second = bank.interleaved(("10.0.1.1", "10.0.1.2"), rounds=3, interval=0.5, start_time=0.0)
-        assert second is first
-        assert counter["probes"] == 6
-        assert bank.probes_reused == 6
-
     def test_cold_bank_matches_direct_collection(self, make_network, vantage):
         banked = IpidSampleBank(make_network(), vantage).interleaved(
             ("10.0.1.1", "10.0.1.2"), rounds=4, interval=1.0, start_time=5.0
