@@ -10,16 +10,21 @@ act as bridges).
 The grouping itself lives in :class:`~repro.core.engine.ObservationIndex`:
 one pass buckets every observation by identifier, and the batch pipeline
 (:mod:`repro.core.engine`) feeds the per-protocol collections it derives
-through :meth:`AliasResolver.union`.
+through :meth:`AliasResolver.union`.  Each union call sizes one
+:class:`IntUnionFind` for its sets and takes each set's smallest address
+once: that address both orders the components and labels them.
 """
 
 from __future__ import annotations
 
 from array import array
 from collections import defaultdict
-from typing import Iterable
+from operator import itemgetter
+from typing import Callable, Collection, Iterable, Sequence, TypeVar
 
 from repro.core.aliasset import AliasSet, AliasSetCollection
+
+Item = TypeVar("Item")
 
 
 class IntUnionFind:
@@ -34,9 +39,10 @@ class IntUnionFind:
 
     Items are the dense indexes ``0..len(self)-1``: ``IntUnionFind(size)``
     starts with ``size`` singletons, and :meth:`add` hands out the next one.
-    Callers with other items use their positions in a sequence, as the
-    cross-protocol and dual-stack unions (:func:`merge_overlapping`) and the
-    IPID techniques' corroboration loop do.
+    Callers with other items use their positions in a sequence, and size
+    the structure once, as the cross-protocol and dual-stack unions
+    (:func:`merge_overlapping`) and the IPID techniques' corroboration loop
+    do.
     """
 
     __slots__ = ("_parent", "_rank")
@@ -89,50 +95,54 @@ class IntUnionFind:
         return list(components.values())
 
 
-def merge_overlapping(items: Iterable, addresses_of) -> list[list]:
+def merge_overlapping(
+    items: Sequence[Item], addresses_of: Callable[[Item], Collection[str]]
+) -> list[tuple[str, list[Item]]]:
     """Group ``items`` into components connected through shared addresses.
 
     The single algorithm behind both :meth:`AliasResolver.union` and
     :func:`repro.core.dual_stack.union_dual_stack`: a rank-based
-    :class:`IntUnionFind` over item indices (already dense, so no interning
-    layer), driven by an address→first-owner mapping so two items merge the
-    moment a second one claims an already-owned address.  Items with no
-    addresses are skipped.  Components are returned ordered by their
-    smallest member address, which makes the derived
-    ``union:<smallest-address>`` labels canonical (independent of input
-    order).
+    :class:`IntUnionFind` over item positions (already dense, so no
+    interning layer), sized once, driven by an address→first-owner mapping
+    so two items merge the moment a second one claims an already-owned
+    address.  Items with no addresses are skipped.
+
+    Returns ``(smallest address, component)`` pairs, each component's items
+    in input order, ordered by the smallest member address, which makes the
+    derived ``union:<smallest-address>`` labels canonical (independent of
+    input order).  Each item's smallest address is computed once.
     """
-    contributing: list = []
-    address_sets: list = []
-    union_find = IntUnionFind()
-    owner: dict = {}
+    contributing: list[Item] = []
+    address_sets: list[Collection[str]] = []
     for item in items:
         addresses = addresses_of(item)
-        if not addresses:
-            continue
-        index = union_find.add()
-        contributing.append(item)
-        address_sets.append(addresses)
+        if addresses:
+            contributing.append(item)
+            address_sets.append(addresses)
+    union_find = IntUnionFind(len(contributing))
+    owner: dict[str, int] = {}
+    for index, addresses in enumerate(address_sets):
         for address in addresses:
             first_owner = owner.setdefault(address, index)
             if first_owner != index:
                 union_find.union(first_owner, index)
-    components: dict = defaultdict(list)
-    smallest_address: dict = {}
+    components: dict[int, list[Item]] = defaultdict(list)
+    smallest_address: dict[int, str] = {}
     for index, item in enumerate(contributing):
         root = union_find.find(index)
         components[root].append(item)
         candidate = min(address_sets[index])
         if root not in smallest_address or candidate < smallest_address[root]:
             smallest_address[root] = candidate
-    return [
-        components[root]
-        for root in sorted(components, key=smallest_address.__getitem__)
-    ]
+    return sorted(
+        ((smallest_address[root], component) for root, component in components.items()),
+        key=itemgetter(0),
+    )
 
 
-def combine_alias_sets(component: list[AliasSet]) -> AliasSet:
-    """Fold one union component into its output set.
+def combine_alias_sets(smallest: str, component: list[AliasSet]) -> AliasSet:
+    """Fold one union component, whose smallest address is ``smallest``,
+    into its output set.
 
     The union's output shape for :meth:`AliasResolver.union`: the
     canonical, churn-stable ``union:<smallest-address>`` label, and the
@@ -147,7 +157,7 @@ def combine_alias_sets(component: list[AliasSet]) -> AliasSet:
         addresses = frozenset().union(*(s.addresses for s in component))
         protocols = frozenset().union(*(s.protocols for s in component))
     return AliasSet(
-        identifier=f"union:{min(addresses)}",
+        identifier=f"union:{smallest}",
         addresses=addresses,
         protocols=protocols,
     )
@@ -167,12 +177,12 @@ class AliasResolver:
 
         Components are built by :func:`merge_overlapping` directly from an
         address→set mapping — no per-set sorting, one union-find item per
-        set rather than per address — and the synthetic
-        ``union:<smallest-address>`` labels are canonical and *stable*: a
-        component keeps its label across snapshots unless its smallest
-        member changes.  Sets are ordered by the same smallest member
-        address, so the output is independent of collection iteration
-        order.
+        set rather than per address, each set's smallest address taken
+        once — and the synthetic ``union:<smallest-address>`` labels are
+        canonical and *stable*: a component keeps its label across
+        snapshots unless its smallest member changes.  Sets are ordered by
+        the same smallest member address, so the output is independent of
+        collection iteration order.
         """
         contributing: list[AliasSet] = []
         address_asn: dict[str, int] = {}
@@ -180,7 +190,8 @@ class AliasResolver:
             address_asn.update(collection.address_asn_items())
             contributing.extend(collection)
         result = AliasSetCollection(name, address_asn=address_asn)
-        components = merge_overlapping(contributing, lambda alias_set: alias_set.addresses)
-        for component in components:
-            result.add(combine_alias_sets(component))
+        for smallest, component in merge_overlapping(
+            contributing, lambda alias_set: alias_set.addresses
+        ):
+            result.add(combine_alias_sets(smallest, component))
         return result

@@ -22,7 +22,7 @@ from repro.core.identifiers import DEFAULT_OPTIONS, IdentifierOptions, extract_i
 from repro.errors import DatasetError
 from repro.net.addresses import AddressFamily
 from repro.simnet.device import ServiceType
-from repro.sources.records import Observation
+from repro.sources.records import MAX_ASN, Observation
 
 #: Bucket key: one (protocol, family) stratum of the index.
 _BucketKey = tuple[ServiceType, AddressFamily]
@@ -72,6 +72,12 @@ class DictObservationIndex:
 
     def add(self, observation: Observation) -> bool:
         """Index one observation; returns whether it carried an identifier."""
+        asn = observation.asn
+        if asn is not None and (type(asn) is not int or not 0 <= asn <= MAX_ASN):
+            raise DatasetError(
+                f"cannot index observation {observation.address}: "
+                f"asn {asn} is not a 32-bit AS number"
+            )
         self._observed += 1
         identifier = extract_identifier(observation, self._options)
         if identifier is None:
@@ -95,6 +101,12 @@ class DictObservationIndex:
 
     def remove(self, observation: Observation) -> bool:
         """Un-index one previously-added observation (exact inverse of :meth:`add`)."""
+        asn = observation.asn
+        if asn is not None and (type(asn) is not int or not 0 <= asn <= MAX_ASN):
+            raise DatasetError(
+                f"cannot remove observation {observation.address}: "
+                f"asn {asn} is not a 32-bit AS number"
+            )
         identifier = extract_identifier(observation, self._options)
         if identifier is None:
             if self._observed <= self._indexed:

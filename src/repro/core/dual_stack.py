@@ -111,8 +111,9 @@ class DualStackCollection:
         return sorted(self.sets_per_asn().items(), key=lambda item: (-item[1], item[0]))[:count]
 
 
-def combine_dual_sets(component: list[DualStackSet]) -> DualStackSet:
-    """Fold one dual-stack union component into its output set.
+def combine_dual_sets(smallest: str, component: list[DualStackSet]) -> DualStackSet:
+    """Fold one dual-stack union component, whose smallest address is
+    ``smallest``, into its output set.
 
     The dual union's output shape for :func:`union_dual_stack`: the
     canonical ``union:<smallest-address>`` label, and the member's own
@@ -128,7 +129,6 @@ def combine_dual_sets(component: list[DualStackSet]) -> DualStackSet:
         ipv4_addresses = frozenset().union(*(d.ipv4_addresses for d in component))
         ipv6_addresses = frozenset().union(*(d.ipv6_addresses for d in component))
         protocols = frozenset().union(*(d.protocols for d in component))
-    smallest = min(min(ipv4_addresses), min(ipv6_addresses))
     return DualStackSet(
         identifier=f"union:{smallest}",
         ipv4_addresses=ipv4_addresses,
@@ -153,9 +153,8 @@ def union_dual_stack(
         address_asn.update(collection.address_asn_items())
         contributing.extend(collection)
     result = DualStackCollection(name, address_asn=address_asn)
-    components = merge_overlapping(
+    for smallest, component in merge_overlapping(
         contributing, lambda dual_set: dual_set.ipv4_addresses | dual_set.ipv6_addresses
-    )
-    for component in components:
-        result.add(combine_dual_sets(component))
+    ):
+        result.add(combine_dual_sets(smallest, component))
     return result

@@ -6,10 +6,11 @@ inference — nine passes, each re-extracting identifiers.  This module
 replaces that with a two-stage architecture:
 
 1. **One index pass** — :class:`ObservationIndex` streams over the
-   observations exactly once, calls
-   :func:`~repro.core.identifiers.extract_identifier` exactly once per
-   observation, and buckets addresses by ``(protocol, family, identifier)``
-   (plus the per-bucket address→ASN mapping).
+   observations exactly once, reads each observation's identifier value
+   exactly once (:func:`~repro.core.identifiers.identifier_value`, which
+   builds no :class:`~repro.core.identifiers.DeviceIdentifier`), and
+   buckets addresses by ``(protocol, family, identifier value)`` (plus the
+   per-bucket address→ASN mapping).
 2. **Derived collections** — per-protocol alias-set collections, dual-stack
    collections, and the cross-protocol unions are all materialised from the
    index without re-touching raw observations.
@@ -17,14 +18,13 @@ replaces that with a two-stage architecture:
 Internally the index is *columnar and interned*: addresses and identifier
 values are interned to dense integers through two per-index
 :class:`~repro.core.symbols.SymbolTable`\\ s, buckets are addressed by a flat
-``protocol × family`` code (no enum hashing on the hot path — the previous
-dict core spent ~8 Python-level enum ``__hash__`` calls per observation on
-tuple bucket keys), per-bucket membership is integer-keyed reference counts,
-and the per-address ASN columns are flat :mod:`array` columns indexed by
-address symbol.  An address's family is resolved once at intern time and
-read back as an array cell afterwards.  The public surface — ``add`` /
-``remove`` / ``extend`` / ``state_signature`` and insertion-ordered
-enumeration — is unchanged from the dict core (now preserved as
+``protocol × family`` code, per-bucket membership is integer-keyed
+reference counts, and the per-address ASN columns are flat :mod:`array`
+columns indexed by address symbol, grown by doubling.  An address's family
+is resolved once at intern time and read back as an array cell afterwards.
+The public surface — ``add`` / ``remove`` / ``extend`` /
+``state_signature`` and insertion-ordered enumeration — is unchanged from
+the dict core (now preserved as
 :class:`repro.core.dictcore.DictObservationIndex`, the property-test
 oracle), so the engine, longitudinal delta replay, persistence and
 validation layers run unmodified on top.
@@ -46,18 +46,19 @@ from __future__ import annotations
 
 import dataclasses
 from array import array
+from itertools import compress
 from typing import Iterable
 
 from repro import obs
 from repro.core.alias_resolution import AliasResolver
 from repro.core.aliasset import AliasSet, AliasSetCollection
 from repro.core.dual_stack import DualStackCollection, DualStackSet, union_dual_stack
-from repro.core.identifiers import DEFAULT_OPTIONS, IdentifierOptions, extract_identifier
+from repro.core.identifiers import DEFAULT_OPTIONS, IdentifierOptions, identifier_value
 from repro.core.symbols import SymbolTable
 from repro.errors import DatasetError
 from repro.net.addresses import AddressFamily, family_of
 from repro.simnet.device import ServiceType
-from repro.sources.records import Observation
+from repro.sources.records import MAX_ASN, Observation
 
 #: Protocols the paper's evaluation reports on, in report order.
 PROTOCOLS = (ServiceType.SSH, ServiceType.BGP, ServiceType.SNMPV3)
@@ -65,15 +66,11 @@ PROTOCOLS = (ServiceType.SSH, ServiceType.BGP, ServiceType.SNMPV3)
 #: Bucket key: one (protocol, family) stratum of the index.
 _BucketKey = tuple[ServiceType, AddressFamily]
 
-# ---------------------------------------------------------------------- #
-# Flat bucket codes: protocol_code * 2 + family_code.  Keyed off the enum
-# *values* (plain cached strings) so the hot path never calls the
-# Python-level enum ``__hash__``.
-# ---------------------------------------------------------------------- #
+# Flat bucket codes: protocol_code * 2 + family_code.
 _SERVICES = tuple(ServiceType)
 _FAMILIES = (AddressFamily.IPV4, AddressFamily.IPV6)
-_PROTO_CODE: dict[str, int] = {
-    service.value: code for code, service in enumerate(_SERVICES)
+_PROTO_CODE: dict[ServiceType, int] = {
+    service: code for code, service in enumerate(_SERVICES)
 }
 _FAMILY_CODE: dict[AddressFamily, int] = {
     family: code for code, family in enumerate(_FAMILIES)
@@ -85,7 +82,7 @@ _BUCKET_COUNT = len(_BUCKET_KEYS)
 
 
 def _bucket_code(protocol: ServiceType, family: AddressFamily) -> int:
-    return _PROTO_CODE[protocol.value] * 2 + _FAMILY_CODE[family]
+    return _PROTO_CODE[protocol] * 2 + _FAMILY_CODE[family]
 
 
 class _Bucket:
@@ -93,8 +90,9 @@ class _Bucket:
 
     ``members`` maps identifier symbol → {address symbol: refcount}; the ASN
     columns are flat arrays indexed by address symbol (``asn_refs[sym] == 0``
-    means "no ASN recorded"), grown on demand.  ``asn_cache`` memoises the
-    decoded address→ASN dict between mutations.
+    means "no ASN recorded"), grown on demand to at least double their
+    length, so they hold at most twice the interned addresses.  ``asn_cache``
+    memoises the decoded address→ASN dict between mutations.
     """
 
     __slots__ = ("members", "asn_values", "asn_refs", "asn_cache")
@@ -106,12 +104,11 @@ class _Bucket:
         self.asn_cache: dict[str, int] | None = None
 
     def grow_asn(self, size: int) -> None:
-        """Ensure the ASN columns cover address symbols below ``size``."""
-        missing = size - len(self.asn_refs)
-        if missing > 0:
-            zeros = bytes(8 * missing)
-            self.asn_refs.frombytes(zeros)
-            self.asn_values.frombytes(zeros)
+        """Cover address symbols below ``size``, at least doubling the columns."""
+        missing = max(size, 2 * len(self.asn_refs)) - len(self.asn_refs)
+        zeros = bytes(8 * missing)
+        self.asn_refs.frombytes(zeros)
+        self.asn_values.frombytes(zeros)
 
 
 class ObservationIndex:
@@ -121,10 +118,11 @@ class ObservationIndex:
     identifier value extracted from their observations; insertion order (the
     first occurrence of each identifier in the stream) is preserved so the
     derived collections enumerate sets in the same order the seed
-    implementation did.  Identifier values only collide within a protocol
-    (every extractor stamps its own :class:`ServiceType`), so bucketing by
-    the observation's protocol is equivalent to keying on the full
-    ``(protocol, value)`` identifier pair.
+    implementation did.  Each identifier value is computed by the
+    observation's protocol's extractor, so bucketing by that protocol and
+    keying on the value alone is equivalent to keying on the full
+    ``(protocol, value)`` identifier pair, with no
+    :class:`~repro.core.identifiers.DeviceIdentifier` built per observation.
 
     Addresses are reference-counted per identifier so the index supports
     removal: :meth:`remove` is the exact inverse of :meth:`add`, which is
@@ -196,30 +194,40 @@ class ObservationIndex:
         return sym
 
     def add(self, observation: Observation) -> bool:
-        """Index one observation; returns whether it carried an identifier."""
+        """Index one observation; returns whether it carried an identifier.
+
+        Raises :class:`~repro.errors.DatasetError`, changing nothing, when
+        the observation's ASN is not a 32-bit AS number (an integer, not a
+        boolean, in ``0..MAX_ASN``).
+        """
+        asn = observation.asn
+        if asn is not None and (type(asn) is not int or not 0 <= asn <= MAX_ASN):
+            raise DatasetError(
+                f"cannot index observation {observation.address}: "
+                f"asn {asn} is not a 32-bit AS number"
+            )
         self._observed += 1
-        identifier = extract_identifier(observation, self._options)
-        if identifier is None:
+        value = identifier_value(observation, self._options)
+        if value is None:
             return False
         address = observation.address
         addr_sym = self._addresses.ids.get(address)
         if addr_sym is None:
             addr_sym = self._intern_address(address)
         code = (
-            _PROTO_CODE[observation.protocol._value_] * 2
+            _PROTO_CODE[observation.protocol] * 2
             + self._family_codes[addr_sym]
         )
         bucket = self._buckets[code]
         if bucket is None:
             bucket = self._buckets[code] = _Bucket()
-        ident_sym = self._identifiers.intern(identifier.value)
+        ident_sym = self._identifiers.intern(value)
         members = bucket.members
         counts = members.get(ident_sym)
         if counts is None:
             members[ident_sym] = {addr_sym: 1}
         else:
             counts[addr_sym] = counts.get(addr_sym, 0) + 1
-        asn = observation.asn
         if asn is not None:
             refs = bucket.asn_refs
             if addr_sym >= len(refs):
@@ -237,11 +245,18 @@ class ObservationIndex:
         :meth:`add`'s return value for the same observation).  Raises
         :class:`~repro.errors.DatasetError` when the observation was never
         indexed — incremental drivers replay deltas, so an unknown removal
-        is a bookkeeping bug worth failing loudly on.  Extraction is
-        deterministic, so re-extracting finds exactly what :meth:`add` indexed.
+        is a bookkeeping bug worth failing loudly on — or carries an ASN
+        :meth:`add` refuses.  Extraction is deterministic, so re-extracting
+        finds exactly what :meth:`add` indexed.
         """
-        identifier = extract_identifier(observation, self._options)
-        if identifier is None:
+        asn = observation.asn
+        if asn is not None and (type(asn) is not int or not 0 <= asn <= MAX_ASN):
+            raise DatasetError(
+                f"cannot remove observation {observation.address}: "
+                f"asn {asn} is not a 32-bit AS number"
+            )
+        value = identifier_value(observation, self._options)
+        if value is None:
             # Identifier-less observations are only counted in aggregate, so
             # the strongest possible check is that one is outstanding at all.
             if self._observed <= self._indexed:
@@ -251,11 +266,11 @@ class ObservationIndex:
             self._observed -= 1
             return False
         addr_sym = self._addresses.ids.get(observation.address)
-        ident_sym = self._identifiers.ids.get(identifier.value)
+        ident_sym = self._identifiers.ids.get(value)
         bucket = counts = count = None
         if addr_sym is not None and ident_sym is not None:
             code = (
-                _PROTO_CODE[observation.protocol._value_] * 2
+                _PROTO_CODE[observation.protocol] * 2
                 + self._family_codes[addr_sym]
             )
             bucket = self._buckets[code]
@@ -274,7 +289,7 @@ class ObservationIndex:
                 del bucket.members[ident_sym]
         else:
             counts[addr_sym] = count - 1
-        if observation.asn is not None:
+        if asn is not None:
             refs = bucket.asn_refs
             remaining = (refs[addr_sym] if addr_sym < len(refs) else 0) - 1
             if remaining < 0:
@@ -331,10 +346,11 @@ class ObservationIndex:
             addr_values = self._addresses.values
             refs = bucket.asn_refs
             values = bucket.asn_values
+            # compress skips the unreferenced cells, the doubling's spare
+            # ones among them, in C.
             cache = bucket.asn_cache = {
                 addr_values[sym]: values[sym]
-                for sym in range(len(refs))
-                if refs[sym]
+                for sym in compress(range(len(refs)), refs)
             }
         return cache
 

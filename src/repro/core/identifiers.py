@@ -14,6 +14,12 @@ those values can be grouped into alias sets.
   OPEN message length, and the advertised capabilities.
 * **SNMPv3** — the authoritative engine ID (the prior-work baseline this
   paper complements).
+
+Each extractor computes the identifier's value string.  The index reads the
+value alone through :func:`identifier_value`; :func:`extract_identifier`
+and the per-protocol functions wrap it in a :class:`DeviceIdentifier` for
+their callers.  The extraction hooks (:func:`count_extractions`) fire once
+per extraction through either entry point.
 """
 
 from __future__ import annotations
@@ -66,14 +72,7 @@ def _digest(*parts: str) -> str:
     return hashlib.sha256(joined.encode("utf-8", errors="replace")).hexdigest()
 
 
-def ssh_identifier(
-    observation: Observation, options: IdentifierOptions = DEFAULT_OPTIONS
-) -> DeviceIdentifier | None:
-    """Build the SSH identifier for an observation, if possible.
-
-    Requires at least the host key fingerprint; the banner and the capability
-    signature are added according to ``options``.
-    """
+def _ssh_value(observation: Observation, options: IdentifierOptions) -> str | None:
     fields = dict(observation.fields)
     fingerprint = fields.get("host_key_fingerprint")
     if fingerprint is None:
@@ -86,13 +85,10 @@ def ssh_identifier(
         if capability_signature is None:
             return None
         parts.append(capability_signature)
-    return DeviceIdentifier(protocol=ServiceType.SSH, value=_digest(*parts))
+    return _digest(*parts)
 
 
-def bgp_identifier(
-    observation: Observation, options: IdentifierOptions = DEFAULT_OPTIONS
-) -> DeviceIdentifier | None:
-    """Build the BGP identifier for an observation, if an OPEN was received."""
+def _bgp_value(observation: Observation, options: IdentifierOptions) -> str | None:
     fields = dict(observation.fields)
     bgp_id = fields.get("bgp_identifier")
     if bgp_id is None:
@@ -107,34 +103,58 @@ def bgp_identifier(
         parts.append(fields.get("hold_time", ""))
     if options.bgp_include_capabilities:
         parts.append(fields.get("capabilities", ""))
-    return DeviceIdentifier(protocol=ServiceType.BGP, value=_digest(*parts))
+    return _digest(*parts)
+
+
+def _snmp_value(observation: Observation, options: IdentifierOptions) -> str | None:
+    return observation.field("engine_id")
+
+
+def _identifier(protocol: ServiceType, value: str | None) -> DeviceIdentifier | None:
+    return None if value is None else DeviceIdentifier(protocol=protocol, value=value)
+
+
+def ssh_identifier(
+    observation: Observation, options: IdentifierOptions = DEFAULT_OPTIONS
+) -> DeviceIdentifier | None:
+    """Build the SSH identifier for an observation, if possible.
+
+    Requires at least the host key fingerprint; the banner and the capability
+    signature are added according to ``options``.
+    """
+    return _identifier(ServiceType.SSH, _ssh_value(observation, options))
+
+
+def bgp_identifier(
+    observation: Observation, options: IdentifierOptions = DEFAULT_OPTIONS
+) -> DeviceIdentifier | None:
+    """Build the BGP identifier for an observation, if an OPEN was received."""
+    return _identifier(ServiceType.BGP, _bgp_value(observation, options))
 
 
 def snmp_identifier(
     observation: Observation, options: IdentifierOptions = DEFAULT_OPTIONS
 ) -> DeviceIdentifier | None:
     """Build the SNMPv3 identifier (the engine ID) for an observation."""
-    engine_id = observation.field("engine_id")
-    if engine_id is None:
-        return None
-    return DeviceIdentifier(protocol=ServiceType.SNMPV3, value=engine_id)
+    return _identifier(ServiceType.SNMPV3, _snmp_value(observation, options))
 
 
-_EXTRACTORS = {
-    ServiceType.SSH: ssh_identifier,
-    ServiceType.BGP: bgp_identifier,
-    ServiceType.SNMPV3: snmp_identifier,
+#: The identifier value's extractor per protocol.
+_VALUES = {
+    ServiceType.SSH: _ssh_value,
+    ServiceType.BGP: _bgp_value,
+    ServiceType.SNMPV3: _snmp_value,
 }
 
-#: Observers notified on every :func:`extract_identifier` call.  Tests use
-#: them to pin extraction counts: the single-pass engine extracts each
-#: observation's identifier exactly once, a delta replay each added and each
-#: removed observation's once.
+#: Observers notified on every extraction, through :func:`identifier_value`
+#: or :func:`extract_identifier`.  Tests use them to pin extraction counts:
+#: the single-pass engine extracts each observation's identifier exactly
+#: once, a delta replay each added and each removed observation's once.
 _extraction_hooks: list[Callable[[Observation], None]] = []
 
 
 class ExtractionCounter:
-    """Counts :func:`extract_identifier` calls while installed as a hook."""
+    """Counts identifier extractions while installed as a hook."""
 
     __slots__ = ("count",)
 
@@ -149,6 +169,9 @@ class ExtractionCounter:
 def count_extractions() -> Iterator[ExtractionCounter]:
     """Count identifier extractions performed inside the ``with`` block.
 
+    Each :func:`identifier_value` or :func:`extract_identifier` call counts
+    once.
+
     Process-global and intended for single-threaded test use:
     concurrent or nested contexts each observe every extraction in the
     process, not just their own.
@@ -161,16 +184,29 @@ def count_extractions() -> Iterator[ExtractionCounter]:
         _extraction_hooks.remove(counter)
 
 
+def identifier_value(
+    observation: Observation, options: IdentifierOptions = DEFAULT_OPTIONS
+) -> str | None:
+    """The value of the identifier appropriate for the observation's protocol.
+
+    Returns ``None`` when the observation does not carry enough material
+    (e.g. a BGP speaker that closed without an OPEN, or an SSH server that
+    only sent a banner).  The index keys on the value alone, as a value
+    belongs to the observation's protocol, so it builds no
+    :class:`DeviceIdentifier` per observation.
+    """
+    if _extraction_hooks:
+        for hook in _extraction_hooks:
+            hook(observation)
+    return _VALUES[observation.protocol](observation, options)
+
+
 def extract_identifier(
     observation: Observation, options: IdentifierOptions = DEFAULT_OPTIONS
 ) -> DeviceIdentifier | None:
     """Build the identifier appropriate for the observation's protocol.
 
-    Returns ``None`` when the observation does not carry enough material
-    (e.g. a BGP speaker that closed without an OPEN, or an SSH server that
-    only sent a banner).
+    :func:`identifier_value`, stamped with the observation's protocol;
+    ``None`` where that is.
     """
-    if _extraction_hooks:
-        for hook in _extraction_hooks:
-            hook(observation)
-    return _EXTRACTORS[observation.protocol](observation, options)
+    return _identifier(observation.protocol, identifier_value(observation, options))

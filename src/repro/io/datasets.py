@@ -29,7 +29,7 @@ from repro.errors import DatasetError, PersistError
 from repro.io.jsonl import dataset_text, parse_jsonl, read_dataset_bytes
 from repro.net.addresses import family_of
 from repro.simnet.device import ServiceType
-from repro.sources.records import Observation, ObservationDataset
+from repro.sources.records import MAX_ASN, Observation, ObservationDataset
 
 #: Marker key of the dataset header record (first line of a dataset file).
 #: Its value is the format version; observation records never carry it.
@@ -97,11 +97,6 @@ def observation_json(observation: Observation) -> str:
         f'"source": {_json_value(observation.source)}, '
         f'"timestamp": {_json_value(observation.timestamp)}}}'
     )
-
-
-#: The largest AS number: they are four octets (RFC 6793), and the index
-#: stores them in a signed 64-bit column.
-_MAX_ASN = 2**32 - 1
 
 
 def _coerce_int(value: object, field: str, record: dict) -> int:
@@ -195,7 +190,7 @@ def observation_from_dict(record: dict) -> Observation:
     asn = record.get("asn")
     if asn is not None:
         asn = _coerce_int(asn, "asn", record)
-        if not 0 <= asn <= _MAX_ASN:
+        if not 0 <= asn <= MAX_ASN:
             raise DatasetError(
                 f"malformed observation record (asn {asn} is not a 32-bit AS number): {record!r}"
             )

@@ -21,6 +21,7 @@ import dataclasses
 from typing import Iterable
 
 from repro.core.aliasset import AliasSet
+from repro.simnet.device import ServiceType
 from repro.sources.records import Observation
 
 @dataclasses.dataclass(frozen=True)
@@ -62,18 +63,15 @@ def diff_observations(
     bucket, and the overwhelmingly common one-observation-per-bucket case
     is a single tuple comparison instead of a full content-key hash.
     """
-    # Keyed on protocol *value* rather than the enum member: hashing an enum
-    # goes through a Python-level __hash__ on every dict operation, while the
-    # value string hashes in C (and caches).
-    previous_by_service: dict[tuple[str, str], list[Observation]] = {}
+    previous_by_service: dict[tuple[str, ServiceType], list[Observation]] = {}
     for observation in previous:
         previous_by_service.setdefault(
-            (observation.address, observation.protocol.value), []
+            (observation.address, observation.protocol), []
         ).append(observation)
-    current_by_service: dict[tuple[str, str], list[Observation]] = {}
+    current_by_service: dict[tuple[str, ServiceType], list[Observation]] = {}
     for observation in current:
         current_by_service.setdefault(
-            (observation.address, observation.protocol.value), []
+            (observation.address, observation.protocol), []
         ).append(observation)
 
     added: list[Observation] = []

@@ -25,6 +25,10 @@ class AddressFamily(enum.Enum):
     IPV4 = "ipv4"
     IPV6 = "ipv6"
 
+    # Members are singletons compared by identity, so they hash by identity
+    # too: in C, where Enum's own __hash__ (of the name) runs in Python.
+    __hash__ = object.__hash__
+
 
 def parse_address(value: str) -> IPAddress:
     """Parse ``value`` into an :mod:`ipaddress` object.

@@ -45,6 +45,7 @@ if TYPE_CHECKING:  # pragma: no cover - types only
 
 SpecT = TypeVar("SpecT")
 ConfigT = TypeVar("ConfigT")
+Parsed = TypeVar("Parsed")
 
 #: The value types a spec parameter may hold (the specs' ``ParamValue``).
 _PARAM_TYPES = (str, int, float, bool)
@@ -156,6 +157,15 @@ def read_pinned_document(
             f"the {owner} was likely torn mid-save"
         )
     return document
+
+
+def read_field(value: object, parse: Callable[[object], Parsed], field: str, where: str) -> Parsed:
+    """``parse(value)``; a value of the wrong JSON type or out of range fails
+    naming ``field`` of the ``where`` it was read from."""
+    try:
+        return parse(value)
+    except (TypeError, ValueError) as exc:
+        raise PersistError(f"malformed {where}: {field} {exc}") from exc
 
 
 def read_identifier_options(document: object, what: str) -> IdentifierOptions:

@@ -67,15 +67,16 @@ import hashlib
 import json
 import re
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable, TypeVar
 
 from repro.api.sources import SourceSpec, streamed_specs
 from repro.errors import DatasetError, PersistError, ReproError
 from repro.io.datasets import load_observations
-from repro.jsonvalues import json_integer, json_string
+from repro.jsonvalues import json_count, json_integer, json_string
 from repro.persist.bank import bank_document_text, bank_state_from_document
 from repro.persist.files import (
     copy_pinned,
+    read_field,
     read_identifier_options,
     read_json_document,
     read_pinned_document,
@@ -97,6 +98,8 @@ from repro.validation.runner import VALIDATION_VANTAGE
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.api.session import ReproSession
+
+Parsed = TypeVar("Parsed")
 
 #: Current session directory format version.
 SESSION_FORMAT_VERSION = 1
@@ -219,11 +222,14 @@ def _file_digest(path: Path) -> str:
         return hashlib.file_digest(handle, "sha256").hexdigest()
 
 
-def _name(value: object) -> str:
-    """A manifest entry's cache name, which must be a string."""
-    if not isinstance(value, str):
-        raise PersistError(f"malformed session manifest: entry name {value!r} is not a string")
-    return value
+def _optional(
+    entry: dict, key: str, parse: Callable[[object], Parsed], field: str, where: str
+) -> Parsed | None:
+    """``entry[key]`` read with ``parse`` (a refusal names ``field.key``), or
+    ``None`` when the entry has no ``key``."""
+    if key not in entry:
+        return None
+    return read_field(entry[key], parse, f"{field}.{key}", where)
 
 
 def _as_table(rows: object) -> AsRegistry:
@@ -309,7 +315,9 @@ def load_session(directory: str | Path) -> "ReproSession":
     Raises:
         PersistError: when the directory is not a saved session, the format
             version is unsupported, the manifest or one of its entries is
-            malformed, an identifier option is not a boolean, an AS table
+            malformed (an entry's file, name or digest that is not a
+            string, or a dataset count that is not a non-negative integer,
+            is named), an identifier option is not a boolean, an AS table
             row is not a positive unique ASN, a string name and a role, a
             dataset's observation count, header name or content digest
             differs from the manifest, an entry reads a dataset the
@@ -323,42 +331,51 @@ def load_session(directory: str | Path) -> "ReproSession":
     if not manifest_path.exists():
         raise PersistError(f"{directory} is not a saved session (no {SESSION_MANIFEST})")
     manifest = read_json_document(manifest_path, "session manifest")
+    where = f"session manifest {manifest_path}"
     try:
         version = manifest["version"]
         if version != SESSION_FORMAT_VERSION:
             raise PersistError(f"unsupported session format version {version!r}")
-        config = read_scenario(manifest["config"], "config", f"session manifest {manifest_path}")
+        config = read_scenario(manifest["config"], "config", where)
         options = read_identifier_options(manifest["options"], "session manifest")
-        # A combinator dataset has no ``file``; a ``digest`` is absent in
-        # sessions saved before datasets were pinned by content.
+        # A combinator dataset has no ``file`` (or a null one); a ``digest``
+        # is absent in sessions saved before datasets were pinned by content.
         datasets = [
             (
                 spec_from_document(entry["spec"]),
-                None if entry.get("file") is None else str(entry["file"]),
-                entry.get("name"),
-                entry.get("count"),
-                entry.get("digest"),
+                None
+                if entry.get("file") is None
+                else read_field(entry["file"], json_string, f"datasets[{i}].file", where),
+                _optional(entry, "name", json_string, f"datasets[{i}]", where),
+                _optional(entry, "count", json_count, f"datasets[{i}]", where),
+                _optional(entry, "digest", json_string, f"datasets[{i}]", where),
             )
-            for entry in manifest["datasets"]
+            for i, entry in enumerate(manifest["datasets"])
         ]
         # Older saves also name a report document and its signature; the
         # report is resolved again, so neither is read.
         reports = [
-            (spec_from_document(entry["spec"]), _name(entry["name"]))
-            for entry in manifest["reports"]
+            (
+                spec_from_document(entry["spec"]),
+                read_field(entry["name"], json_string, f"reports[{i}].name", where),
+            )
+            for i, entry in enumerate(manifest["reports"])
         ]
         # Absent in pre-validation-subsystem sessions; they load fine.
         validations = [
             (
                 validator_spec_from_document(entry["spec"]),
-                _name(entry["name"]),
-                str(entry["file"]),
+                read_field(entry["name"], json_string, f"validations[{i}].name", where),
+                read_field(entry["file"], json_string, f"validations[{i}].file", where),
                 entry.get("signature"),
             )
-            for entry in manifest.get("validations", [])
+            for i, entry in enumerate(manifest.get("validations", []))
         ]
         # Absent in pre-probe-budget sessions; they load fine too.
-        banks = [(str(entry["file"]), entry.get("signature")) for entry in manifest.get("banks", [])]
+        banks = [
+            (read_field(entry["file"], json_string, f"banks[{i}].file", where), entry.get("signature"))
+            for i, entry in enumerate(manifest.get("banks", []))
+        ]
         # Absent in sessions saved before the table was, or without a topology.
         as_table = _as_table(manifest["as_table"]) if "as_table" in manifest else None
     except PersistError:

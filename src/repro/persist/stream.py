@@ -76,7 +76,6 @@ import hashlib
 import json
 import re
 from pathlib import Path
-from typing import Callable, TypeVar
 
 from repro.api.config import ScenarioConfig
 from repro.core.engine import ObservationIndex
@@ -96,6 +95,7 @@ from repro.net.addresses import AddressFamily
 from repro.persist.files import (
     link_atomic,
     read_config,
+    read_field,
     read_identifier_options,
     read_json_document,
     read_scenario,
@@ -139,8 +139,6 @@ STREAM_LAYOUT = ChainLayout(manifest="stream.json", step="poll", kind="stream ch
 CAMPAIGN_LAYOUT = ChainLayout(
     manifest="checkpoint.json", step="snapshot", kind="campaign checkpoint"
 )
-
-Parsed = TypeVar("Parsed")
 
 
 def _bucket_tag(bucket_key: tuple[ServiceType, AddressFamily]) -> str:
@@ -318,15 +316,6 @@ class LoadedStreamCheckpoint:
     log: CampaignLog | None
 
 
-def _field(value: object, parse: Callable[[object], Parsed], field: str, where: str) -> Parsed:
-    """``parse(value)``; a value of the wrong JSON type or out of range fails
-    naming ``field``."""
-    try:
-        return parse(value)
-    except (TypeError, ValueError) as exc:
-        raise PersistError(f"malformed {where}: {field} {exc}") from exc
-
-
 def _probe_counts(rows: object, where: str) -> dict[tuple[str, int, int], int]:
     """The IDS probe counters: one ``[vantage, asn, window, count]`` row each."""
     if not isinstance(rows, list):
@@ -350,9 +339,9 @@ def _vantage(document: object, where: str) -> VantagePoint:
             f"malformed {where}: vantage {document!r} is not an object of name, address and distributed"
         )
     return VantagePoint(
-        name=_field(document["name"], json_string, "vantage name", where),
-        address=_field(document["address"], json_string, "vantage address", where),
-        distributed=_field(document["distributed"], json_boolean, "vantage distributed", where),
+        name=read_field(document["name"], json_string, "vantage name", where),
+        address=read_field(document["address"], json_string, "vantage address", where),
+        distributed=read_field(document["distributed"], json_boolean, "vantage distributed", where),
     )
 
 
@@ -369,7 +358,7 @@ def _stability_row(row: object, name: str, where: str) -> SnapshotStability:
         )
     return SnapshotStability(
         *(
-            _field(
+            read_field(
                 row[field],
                 json_number if field in ("time", "persistence") else json_count,
                 f"{name}.{field}",
@@ -424,7 +413,7 @@ def load_stream_checkpoint(
         version = manifest["version"]
         if version != CHECKPOINT_FORMAT_VERSION:
             raise PersistError(f"unsupported {kind} version {version!r}")
-        completed = _field(manifest["completed"], json_integer, "completed", where)
+        completed = read_field(manifest["completed"], json_integer, "completed", where)
         if completed < 1:
             raise PersistError(f"malformed {where}: completed {completed} is below 1")
         scenario = read_scenario(manifest["scenario"], "scenario", where)
@@ -438,7 +427,7 @@ def load_stream_checkpoint(
         )
         options = read_identifier_options(manifest["options"], where)
         vantage = _vantage(manifest["vantage"], where)
-        include_ipv6 = _field(manifest["include_ipv6"], json_boolean, "include_ipv6", where)
+        include_ipv6 = read_field(manifest["include_ipv6"], json_boolean, "include_ipv6", where)
         last_name = manifest["last_name"]
         probe_counts = _probe_counts(manifest.get("probe_counts", []), where)
         expected_name = emit_label(completed - 1)
@@ -453,14 +442,14 @@ def load_stream_checkpoint(
             )
         window = manifest.get("window")
         if window is not None:
-            clock = _field(window["clock"], json_number, "window clock", f"{kind} manifest")
+            clock = read_field(window["clock"], json_number, "window clock", f"{kind} manifest")
             estimator = ChurnRateEstimator.restore(window["estimator"])
         event_counts = {
-            name: _field(count, json_count, f"event_counts {name!r}", f"{kind} manifest")
+            name: read_field(count, json_count, f"event_counts {name!r}", f"{kind} manifest")
             for name, count in event_counts.items()
         }
         log = _log(manifest, where) if layout == CAMPAIGN_LAYOUT else None
-        expected_observations = _field(manifest["observations"], json_integer, "observations", where)
+        expected_observations = read_field(manifest["observations"], json_integer, "observations", where)
         observations_file = str(manifest[f"last_{step}_file"])
         index_signature = str(manifest["index_signature"])
     except PersistError:

@@ -42,6 +42,10 @@ class ServiceType(enum.Enum):
     BGP = "bgp"
     SNMPV3 = "snmpv3"
 
+    # Members are singletons compared by identity, so they hash by identity
+    # too: in C, where Enum's own __hash__ (of the name) runs in Python.
+    __hash__ = object.__hash__
+
 
 #: Default TCP/UDP port per service.
 SERVICE_PORTS = {ServiceType.SSH: 22, ServiceType.BGP: 179, ServiceType.SNMPV3: 161}

@@ -50,6 +50,10 @@ class ProbeOutcome(enum.Enum):
     LOST = "lost"                      # random packet loss
     UNREACHABLE = "unreachable"        # no device owns the address
 
+    # Members are singletons compared by identity, so they hash by identity
+    # too: in C, where Enum's own __hash__ (of the name) runs in Python.
+    __hash__ = object.__hash__
+
 
 @dataclasses.dataclass(frozen=True)
 class VantagePoint:

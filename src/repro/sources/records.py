@@ -21,6 +21,12 @@ from repro.protocols.snmp.client import SnmpScanRecord
 from repro.protocols.ssh.client import SshScanRecord
 from repro.simnet.device import SERVICE_PORTS, ServiceType
 
+#: The largest AS number: they are four octets (RFC 6793), and the index
+#: stores them in a signed 64-bit column.  The dataset loader and both
+#: index cores refuse an observation whose ASN is not an integer (a boolean
+#: is not one) in ``0..MAX_ASN``.
+MAX_ASN = 2**32 - 1
+
 
 @dataclasses.dataclass(frozen=True)
 class Observation:

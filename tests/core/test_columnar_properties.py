@@ -12,13 +12,22 @@ asserts the observable surfaces stay identical at every step:
 * derived reports — :func:`~repro.core.engine.report_signature` equality
   through :class:`~repro.core.engine.ResolutionEngine` (both cores expose
   the same ``alias_sets``/``dual_stack`` surface).
+
+Both properties run under each of the 16 :class:`IdentifierOptions` (the
+paper's identifier ablations): the columnar core keys on the identifier
+value, the oracle on :func:`~repro.core.identifiers.extract_identifier`'s.
 """
 
+import dataclasses
+import itertools
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.dictcore import DictObservationIndex
 from repro.core.engine import ObservationIndex, ResolutionEngine, report_signature
+from repro.core.identifiers import IdentifierOptions
 from repro.simnet.device import ServiceType
 from repro.sources.records import Observation
 
@@ -75,6 +84,20 @@ def _observation(draw):
 
 _ADD, _REMOVE, _EXTEND = range(3)
 
+#: Every combination of the identifier options, the default first.
+_OPTIONS = [
+    IdentifierOptions(*flags) for flags in itertools.product((True, False), repeat=4)
+]
+
+
+def _options_id(options: IdentifierOptions) -> str:
+    """The options a combination turns off, or ``default``."""
+    off = [name for name, on in dataclasses.asdict(options).items() if not on]
+    return "without-" + "-".join(off) if off else "default"
+
+
+_with_every_options = pytest.mark.parametrize("options", _OPTIONS, ids=_options_id)
+
 _operations = st.lists(
     st.one_of(
         st.tuples(st.just(_ADD), _observation()),
@@ -105,11 +128,12 @@ def _apply(columnar, oracle, operations):
     return added
 
 
+@_with_every_options
 @settings(max_examples=60, deadline=None)
 @given(operations=_operations)
-def test_random_mutations_match_reference_model(operations):
-    columnar = ObservationIndex()
-    oracle = DictObservationIndex()
+def test_random_mutations_match_reference_model(options, operations):
+    columnar = ObservationIndex(options)
+    oracle = DictObservationIndex(options)
     outstanding = _apply(columnar, oracle, operations)
     assert columnar.observed == oracle.observed
     assert columnar.indexed == oracle.indexed
@@ -124,13 +148,14 @@ def test_random_mutations_match_reference_model(operations):
     }
 
 
+@_with_every_options
 @settings(max_examples=40, deadline=None)
 @given(operations=_operations)
-def test_derived_reports_match_reference_model(operations):
-    columnar = ObservationIndex()
-    oracle = DictObservationIndex()
+def test_derived_reports_match_reference_model(options, operations):
+    columnar = ObservationIndex(options)
+    oracle = DictObservationIndex(options)
     _apply(columnar, oracle, operations)
-    engine = ResolutionEngine()
+    engine = ResolutionEngine(options)
     assert report_signature(engine.report(columnar, name="x")) == report_signature(
         engine.report(oracle, name="x")
     )

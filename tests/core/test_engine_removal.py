@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.dictcore import DictObservationIndex
 from repro.core.engine import ObservationIndex
 from repro.errors import DatasetError
 from repro.net.addresses import AddressFamily
@@ -110,3 +111,33 @@ class TestStateSignature:
             [snmp_observation("10.0.0.2"), snmp_observation("10.0.0.1")]
         )
         assert forward.state_signature() == backward.state_signature()
+
+
+@pytest.mark.parametrize("core", [ObservationIndex, DictObservationIndex])
+class TestAsnRange:
+    """Both cores refuse an ASN that is not a 32-bit AS number, changing nothing."""
+
+    @pytest.mark.parametrize("asn", [2**63, 2**32, -1, 1.5, True])
+    def test_asn_that_is_no_as_number_is_refused_before_any_change(self, core, asn):
+        index = core()
+        index.add(snmp_observation("10.0.0.2", asn=65001))
+        before = index.state_signature()
+        forged = Observation(
+            "10.0.0.1", ServiceType.SNMPV3, "x", 161, 0.0, asn, (("engine_id", "abc"),)
+        )
+        with pytest.raises(DatasetError, match=f"asn {asn} is not a 32-bit AS number"):
+            index.add(forged)
+        assert index.state_signature() == before
+        with pytest.raises(DatasetError, match=f"asn {asn} is not a 32-bit AS number"):
+            index.remove(forged)
+        assert index.state_signature() == before
+
+    @pytest.mark.parametrize("asn", [0, 2**32 - 1])
+    def test_asn_range_bounds_are_indexed(self, core, asn):
+        index = core()
+        observation = snmp_observation("10.0.0.1", asn=asn)
+        assert index.add(observation) is True
+        assert index.alias_sets(ServiceType.SNMPV3, AddressFamily.IPV4).address_asn == {
+            "10.0.0.1": asn
+        }
+        assert index.remove(observation) is True

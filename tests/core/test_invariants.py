@@ -5,9 +5,10 @@ grouping produces a partition, the cross-protocol union never loses
 addresses, dual-stack sets always contain both families, and identifier
 extraction is deterministic.  Every property runs through
 :class:`ObservationIndex` or :class:`ResolutionEngine`, the path every
-report is built by.
+report is built by.  The enums those paths hash hash by identity.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,6 +16,7 @@ from repro.core.engine import ObservationIndex, ResolutionEngine
 from repro.core.identifiers import extract_identifier
 from repro.net.addresses import AddressFamily
 from repro.simnet.device import ServiceType
+from repro.simnet.network import ProbeOutcome
 from repro.sources.records import Observation
 
 # Strategy: observations over a small universe of addresses and identifiers,
@@ -120,3 +122,11 @@ def test_non_singleton_subset_of_all_sets(ssh):
         non_singleton = collection.non_singleton()
         assert len(non_singleton) <= len(collection)
         assert non_singleton.addresses() <= collection.addresses()
+
+
+@pytest.mark.parametrize("enum", [ServiceType, AddressFamily, ProbeOutcome])
+def test_hot_enums_hash_by_identity(enum):
+    # Their members key dicts and sets on every observation and probe;
+    # Enum's own __hash__ hashes the name in Python.
+    assert enum.__hash__ is object.__hash__
+    assert all(hash(member) == object.__hash__(member) for member in enum)

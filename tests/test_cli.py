@@ -102,6 +102,20 @@ _FORGED_SCENARIO_FIELDS = [
 ]
 
 
+#: A session manifest's first dataset entry with one field of the wrong JSON
+#: type.  Each once failed without naming the field, or loaded: a float
+#: count loaded, a string count failed as "holds 1424 observations,
+#: manifest expects 1424", a numeric name as a torn save, a list file as a
+#: missing file called "[1]", and a numeric digest as a changed file.
+_FORGED_DATASET_ENTRIES = [
+    pytest.param("count", float, id="count-float"),
+    pytest.param("count", str, id="count-string"),
+    pytest.param("name", lambda name: 5, id="name-integer"),
+    pytest.param("file", lambda file: [1], id="file-list"),
+    pytest.param("digest", lambda digest: 5, id="digest-integer"),
+]
+
+
 @pytest.fixture(scope="module")
 def saved_session(tmp_path_factory):
     """A session saved at scale 0.05, seed 3, with the default reports."""
@@ -737,6 +751,25 @@ class TestSession:
         assert field in captured.err
         assert "Traceback" not in captured.err
         assert "=== table2" not in captured.out
+
+    @pytest.mark.parametrize("field, forge", _FORGED_DATASET_ENTRIES)
+    def test_session_load_forged_dataset_entry_exits_cleanly(
+        self, capsys, saved_session, tmp_path, field, forge
+    ):
+        directory = shutil.copytree(saved_session, tmp_path / "session")
+        capsys.readouterr()
+        _forge_manifest(
+            directory / "session.json",
+            lambda manifest: manifest["datasets"][0].update(
+                {field: forge(manifest["datasets"][0][field])}
+            ),
+        )
+        exit_code = main(["session", "load", str(directory), "--experiments", "table3"])
+        assert exit_code == 2
+        captured = capsys.readouterr()
+        assert f"malformed session manifest {directory / 'session.json'}: datasets[0].{field}" in captured.err
+        assert "Traceback" not in captured.err
+        assert "=== table3" not in captured.out
 
     @pytest.mark.parametrize(
         "edit, message",
